@@ -341,19 +341,45 @@ func BenchmarkSimulatorIPS(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkMABProbe measures the cost of one MAB probe+update pair.
+// BenchmarkMABProbe measures one MAB probe, plus the update a miss
+// triggers, at two set-table sizes. The hit stream cycles over exactly
+// Nt×Ns memoized pairs, so every probe hits; the miss stream draws 64
+// random bases, so nearly every probe misses and updates. Probe and update
+// cost should not grow with the set-table size.
 func BenchmarkMABProbe(b *testing.B) {
-	m := core.New(core.DefaultD, cache.FRV32K)
-	r := rand.New(rand.NewSource(5))
-	bases := make([]uint32, 64)
-	for i := range bases {
-		bases[i] = uint32(r.Intn(1 << 28))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := bases[i&63]
-		if res := m.Probe(base, 8); !res.Hit {
-			m.Update(base, 8, 0)
+	for _, cfg := range []core.Config{{TagEntries: 2, SetEntries: 8}, {TagEntries: 2, SetEntries: 32}} {
+		hits := make([]uint32, 0, cfg.TagEntries*cfg.SetEntries)
+		for t := 0; t < cfg.TagEntries; t++ {
+			for s := 0; s < cfg.SetEntries; s++ {
+				hits = append(hits, uint32(100+t)<<14|uint32(s)<<5)
+			}
+		}
+		r := rand.New(rand.NewSource(5))
+		misses := make([]uint32, 64)
+		for i := range misses {
+			misses[i] = uint32(r.Intn(1 << 28))
+		}
+		for _, stream := range []struct {
+			name  string
+			bases []uint32
+		}{{"hit", hits}, {"miss", misses}} {
+			b.Run(cfg.String()+"/"+stream.name, func(b *testing.B) {
+				m := core.New(cfg, cache.FRV32K)
+				bases := stream.bases
+				for _, base := range bases {
+					m.Update(base, 8, 0)
+				}
+				updates := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					base := bases[i%len(bases)]
+					if res := m.Probe(base, 8); !res.Hit {
+						m.Update(base, 8, 0)
+						updates++
+					}
+				}
+				b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
+			})
 		}
 	}
 }

@@ -25,7 +25,16 @@ type Config struct {
 // paper for both the instruction and data cache.
 var FRV32K = Config{Sets: 512, Ways: 2, LineBytes: 32}
 
-// Validate reports whether the configuration is usable.
+// MaxLines caps Sets×Ways. A model allocates its lines up front (16 B
+// each, plus a 4 B MAB entry per set), and a geometry can arrive from a
+// sweep request, so the cap keeps one technique instance under 20 MiB: 1 Mi
+// lines is 32 MiB of data at the paper's 32 B lines, 1024 times the
+// paper's cache.
+const MaxLines = 1 << 20
+
+// Validate reports whether the configuration is usable: power-of-two sets
+// and line size, a tag at least one bit wide on 32-bit addresses, and at
+// most MaxLines lines.
 func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache: sets %d not a power of two", c.Sets)
@@ -35,6 +44,13 @@ func (c Config) Validate() error {
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache: ways %d", c.Ways)
+	}
+	if b := c.OffsetBits() + c.SetBits(); b > 31 {
+		return fmt.Errorf("cache: %d sets of %d B lines use %d address bits, leaving no tag (at most 31)",
+			c.Sets, c.LineBytes, b)
+	}
+	if c.Ways > MaxLines/c.Sets {
+		return fmt.Errorf("cache: %d sets x %d ways exceeds %d lines", c.Sets, c.Ways, MaxLines)
 	}
 	return nil
 }

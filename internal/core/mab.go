@@ -8,15 +8,32 @@
 //     low address bits, and the sign class of the displacement), and
 //   - a set-index table of Ns entries, each holding a 9-bit set index,
 //
-// plus an Nt×Ns cross-product of valid flags and memoized way numbers
-// (vflag[t][s], way[t][s]). A 2x8-entry MAB can therefore memoize up to 16
-// addresses while storing only 2 tags and 8 set indices.
+// plus an Nt×Ns cross-product of valid flags and memoized way numbers. A
+// 2x8-entry MAB can therefore memoize up to 16 addresses while storing only
+// 2 tags and 8 set indices.
 //
 // Because the tag table is keyed by the base address's upper bits and the
 // cflag — not by the final tag — the MAB can be probed in parallel with the
 // 32-bit address adder: only a 14-bit add of the low bits is needed, whose
 // delay is below the full adder's. Two different (base, cflag) keys may
 // denote the same physical tag; that costs hits, never correctness.
+//
+// The hardware compares every entry at once. The model matches that with
+// a layout in which probe, update, invalidation and eviction each take a
+// fixed number of steps however large Ns is:
+//
+//   - a reverse map from cache set index to set slot (-1 when absent)
+//     replaces the scan of the set-index table;
+//   - each tag entry is one packed key<<2|cflag word, so a tag match is one
+//     compare, over at most Nt (1-4) entries;
+//   - the cross-product is one flat row-major slice of (birth stamp, way)
+//     cells. A cell is valid while its birth stamp is newer than the death
+//     stamps of its tag row and its set column, so killing a whole row or
+//     column when its entry is replaced is one store;
+//   - slots fill in index order and never empty again, so a fill count
+//     replaces per-slot valid bits, and a doubly linked recency list per
+//     table names the LRU victim — the one the paper's per-entry LRU
+//     clocks would pick — without a scan.
 package core
 
 import (
@@ -114,32 +131,34 @@ type MAB struct {
 	lowBits    uint // offset+set bits covered by the small adder (14)
 	offsetBits uint
 	lowMask    uint32
+	tagMask    uint32 // physical tag width
 
-	// The tag and set-index tables are stored column-wise (structure of
-	// arrays): Probe scans both tables on every single access, and keeping
-	// the compared columns contiguous lets one scan touch one cache line
-	// instead of one struct per entry.
-	tagKey   []uint32 // upper (32-lowBits) bits of the base address
-	tagCflag []uint8  // bit0 = carry, bit1 = displacement sign class
-	tagValid []bool
-	tagUse   []uint64
-	setIdx   []uint32
-	setValid []bool
-	setUse   []uint64
+	// Tag table: packed key<<2 | cflag words, so a match is one compare,
+	// and the physical tag each entry denotes, for eviction matches.
+	tags    slots
+	tagWord []uint64
+	tagTrue []uint32
 
-	vflag [][]bool
-	way   [][]int8
-	clock uint64
+	// Set-index table plus its reverse map from cache set index to slot.
+	sets    slots
+	setIdx  []uint32
+	setSlot []int32 // -1 when the set index is not in the table
 
-	// Slot resolution of the most recent Probe, so the Update that follows
-	// a missed probe (the controllers' hot path) skips both table scans.
-	// Only valid until the tables' occupancy changes: Update consumes it.
-	lastKey    uint32
-	lastCflag  uint8
-	lastSetIdx uint32
-	lastI      int
-	lastJ      int
-	lastValid  bool
+	// pairs is the Nt×Ns cross-product, row-major (tag slot i, set slot j at
+	// i*Ns+j). A pair is valid while its birth stamp is newer than both its
+	// row's and its column's death stamps, so replacing or clearing a whole
+	// row or column is one store.
+	pairs []pair
+	stamp uint64 // birth stamp of the most recently installed pair
+}
+
+// pair is one (tag, set) cell: the stamp it was installed at (0 when
+// invalidated on its own) and the memoized way. An int32 holds every way
+// number of a geometry cache.Config.Validate accepts (at most
+// cache.MaxLines ways).
+type pair struct {
+	born uint64
+	way  int32
 }
 
 // New builds a MAB for a cache with the given geometry.
@@ -150,25 +169,24 @@ func New(cfg Config, geo cache.Config) *MAB {
 	if err := geo.Validate(); err != nil {
 		panic(err)
 	}
+	nt, ns := cfg.TagEntries, cfg.SetEntries
 	m := &MAB{
 		cfg:        cfg,
 		geo:        geo,
 		lowBits:    uint(geo.OffsetBits() + geo.SetBits()),
 		offsetBits: uint(geo.OffsetBits()),
-		tagKey:     make([]uint32, cfg.TagEntries),
-		tagCflag:   make([]uint8, cfg.TagEntries),
-		tagValid:   make([]bool, cfg.TagEntries),
-		tagUse:     make([]uint64, cfg.TagEntries),
-		setIdx:     make([]uint32, cfg.SetEntries),
-		setValid:   make([]bool, cfg.SetEntries),
-		setUse:     make([]uint64, cfg.SetEntries),
-		vflag:      make([][]bool, cfg.TagEntries),
-		way:        make([][]int8, cfg.TagEntries),
+		tags:       newSlots(nt),
+		tagWord:    make([]uint64, nt),
+		tagTrue:    make([]uint32, nt),
+		sets:       newSlots(ns),
+		setIdx:     make([]uint32, ns),
+		setSlot:    make([]int32, geo.Sets),
+		pairs:      make([]pair, nt*ns),
 	}
 	m.lowMask = 1<<m.lowBits - 1
-	for i := range m.vflag {
-		m.vflag[i] = make([]bool, cfg.SetEntries)
-		m.way[i] = make([]int8, cfg.SetEntries)
+	m.tagMask = uint32(1)<<(32-m.lowBits) - 1
+	for s := range m.setSlot {
+		m.setSlot[s] = -1
 	}
 	return m
 }
@@ -189,92 +207,64 @@ func (m *MAB) InRange(disp int32) bool {
 	return hi == 0 || hi == -1
 }
 
-// key computes the tag-table key for (base, disp): the base's upper bits and
-// the cflag from the low adder.
-func (m *MAB) key(base uint32, disp int32) (key uint32, cflag uint8, setIdx uint32) {
+// key computes the tag-table word for (base, disp) — the base's upper bits
+// and the cflag from the low adder, packed as key<<2 | cflag — and the set
+// index the low adder produces.
+func (m *MAB) key(base uint32, disp int32) (word uint64, setIdx uint32) {
 	low := base & m.lowMask
 	dlow := uint32(disp) & m.lowMask
 	sum := low + dlow
-	carry := uint8(sum >> m.lowBits & 1)
-	sign := uint8(0)
+	carry := uint64(sum >> m.lowBits & 1)
+	sign := uint64(0)
 	if disp < 0 {
 		sign = 1
 	}
-	return base >> m.lowBits, carry | sign<<1, (sum & m.lowMask) >> m.offsetBits
+	return uint64(base>>m.lowBits)<<2 | carry | sign<<1, (sum & m.lowMask) >> m.offsetBits
 }
 
-// trueTag returns the physical cache tag the i-th tag entry denotes:
-// key + carry (positive displacement) or key + carry - 1 (negative).
-func (m *MAB) trueTag(i int) uint32 {
-	adj := uint32(m.tagCflag[i] & 1)
-	if m.tagCflag[i]&2 != 0 {
+// trueTag returns the physical cache tag a tag word denotes: key + carry
+// (positive displacement) or key + carry - 1 (negative).
+func (m *MAB) trueTag(word uint64) uint32 {
+	adj := uint32(word & 1)
+	if word&2 != 0 {
 		adj--
 	}
-	mask := uint32(1)<<(32-m.lowBits) - 1
-	return (m.tagKey[i] + adj) & mask
+	return (uint32(word>>2) + adj) & m.tagMask
 }
 
-func (m *MAB) findTag(key uint32, cflag uint8) int {
-	for i, k := range m.tagKey {
-		if k == key && m.tagValid[i] && m.tagCflag[i] == cflag {
+// findTag returns the tag slot holding word, or -1. Nt is the MAB's small
+// dimension (1-4 in every configuration the paper evaluates).
+func (m *MAB) findTag(word uint64) int {
+	for i, w := range m.tagWord[:m.tags.fill] {
+		if w == word {
 			return i
 		}
 	}
 	return -1
 }
 
-func (m *MAB) findSet(idx uint32) int {
-	for j, v := range m.setIdx {
-		if v == idx && m.setValid[j] {
-			return j
-		}
-	}
-	return -1
-}
-
-func (m *MAB) lruTag() int {
-	victim, oldest := 0, ^uint64(0)
-	for i := range m.tagKey {
-		if !m.tagValid[i] {
-			return i
-		}
-		if m.tagUse[i] < oldest {
-			victim, oldest = i, m.tagUse[i]
-		}
-	}
-	return victim
-}
-
-func (m *MAB) lruSet() int {
-	victim, oldest := 0, ^uint64(0)
-	for j := range m.setIdx {
-		if !m.setValid[j] {
-			return j
-		}
-		if m.setUse[j] < oldest {
-			victim, oldest = j, m.setUse[j]
-		}
-	}
-	return victim
+// alive reports whether pair p of tag slot i and set slot j is valid.
+func (m *MAB) alive(p *pair, i, j int) bool {
+	return p.born > m.tags.s[i].dead && p.born > m.sets.s[j].dead
 }
 
 // Probe looks (base, disp) up without modifying anything except the LRU
-// clocks on a hit (a hit is also a use).
+// order on a hit (a hit is also a use).
 func (m *MAB) Probe(base uint32, disp int32) Lookup {
 	if !m.InRange(disp) {
 		return Lookup{}
 	}
-	key, cflag, _ := m.key(base, disp)
+	word, _ := m.key(base, disp)
 	// Reconstruct the predicted address the way the hardware does: the low
 	// bits come from the 14-bit adder, the tag from the base's upper bits
 	// adjusted by carry and displacement sign. For in-range displacements
 	// this equals base+disp — TestPredictedAddressProperty proves it.
-	adj := uint32(cflag & 1)
-	if cflag&2 != 0 {
+	adj := uint32(word & 1)
+	if word&2 != 0 {
 		adj--
 	}
 	predLow := (base + uint32(disp)) & m.lowMask
-	res := Lookup{InRange: true, PredictedAddr: (key+adj)<<m.lowBits | predLow}
+	res := Lookup{InRange: true, PredictedAddr: (uint32(word>>2)+adj)<<m.lowBits | predLow}
 	res.Way, res.Hit = m.probeFast(base, disp)
 	return res
 }
@@ -285,16 +275,19 @@ func (m *MAB) Probe(base uint32, disp int32) Lookup {
 // the final address the trace already carries), so neither is recomputed
 // here.
 func (m *MAB) probeFast(base uint32, disp int32) (way int, hit bool) {
-	key, cflag, setIdx := m.key(base, disp)
-	i := m.findTag(key, cflag)
-	j := m.findSet(setIdx)
-	m.lastKey, m.lastCflag, m.lastSetIdx = key, cflag, setIdx
-	m.lastI, m.lastJ, m.lastValid = i, j, true
-	if i >= 0 && j >= 0 && m.vflag[i][j] {
-		m.clock++
-		m.tagUse[i] = m.clock
-		m.setUse[j] = m.clock
-		return int(m.way[i][j]), true
+	word, setIdx := m.key(base, disp)
+	j := int(m.setSlot[setIdx])
+	if j < 0 {
+		return 0, false
+	}
+	i := m.findTag(word)
+	if i < 0 {
+		return 0, false
+	}
+	if p := &m.pairs[i*m.cfg.SetEntries+j]; m.alive(p, i, j) {
+		m.tags.touch(i)
+		m.sets.touch(j)
+		return int(p.way), true
 	}
 	return 0, false
 }
@@ -305,38 +298,29 @@ func (m *MAB) Update(base uint32, disp int32, way int) {
 	if !m.InRange(disp) {
 		return
 	}
-	key, cflag, setIdx := m.key(base, disp)
-	var i, j int
-	if m.lastValid && m.lastKey == key && m.lastCflag == cflag && m.lastSetIdx == setIdx {
-		// Between the probe and this update only vflag bits can have
-		// changed (eviction invalidations), never table occupancy, so the
-		// memoized slots are still the scan's answer.
-		i, j = m.lastI, m.lastJ
+	word, setIdx := m.key(base, disp)
+	i := m.findTag(word)
+	if i >= 0 {
+		m.tags.touch(i)
 	} else {
-		i, j = m.findTag(key, cflag), m.findSet(setIdx)
-	}
-	m.lastValid = false
-	m.clock++
-	if i < 0 {
 		// Replace the LRU tag row; all pairs of the old row die.
-		i = m.lruTag()
-		m.tagKey[i], m.tagCflag[i], m.tagValid[i], m.tagUse[i] = key, cflag, true, 0
-		for s := range m.vflag[i] {
-			m.vflag[i][s] = false
-		}
+		i = m.tags.claim(m.stamp)
+		m.tagWord[i], m.tagTrue[i] = word, m.trueTag(word)
 	}
-	if j < 0 {
-		// Replace the LRU set column; all pairs of the old column die.
-		j = m.lruSet()
-		m.setIdx[j], m.setValid[j], m.setUse[j] = setIdx, true, 0
-		for t := range m.vflag {
-			m.vflag[t][j] = false
+	j := int(m.setSlot[setIdx])
+	if j >= 0 {
+		m.sets.touch(j)
+	} else {
+		// Replace the LRU set column; all pairs of the old column die. A
+		// slot filled for the first time is in no reverse-map entry.
+		j = m.sets.claim(m.stamp)
+		if old := m.setIdx[j]; m.setSlot[old] == int32(j) {
+			m.setSlot[old] = -1
 		}
+		m.setIdx[j], m.setSlot[setIdx] = setIdx, int32(j)
 	}
-	m.tagUse[i] = m.clock
-	m.setUse[j] = m.clock
-	m.vflag[i][j] = true
-	m.way[i][j] = int8(way)
+	m.stamp++
+	m.pairs[i*m.cfg.SetEntries+j] = pair{born: m.stamp, way: int32(way)}
 }
 
 // Invalidate clears the pair denoting (base, disp) if present. Used when a
@@ -345,9 +329,9 @@ func (m *MAB) Invalidate(base uint32, disp int32) {
 	if !m.InRange(disp) {
 		return
 	}
-	key, cflag, setIdx := m.key(base, disp)
-	if i, j := m.findTag(key, cflag), m.findSet(setIdx); i >= 0 && j >= 0 {
-		m.vflag[i][j] = false
+	word, setIdx := m.key(base, disp)
+	if i, j := m.findTag(word), int(m.setSlot[setIdx]); i >= 0 && j >= 0 {
+		m.pairs[i*m.cfg.SetEntries+j].born = 0
 	}
 }
 
@@ -356,15 +340,14 @@ func (m *MAB) Invalidate(base uint32, disp int32) {
 func (m *MAB) OnBypass() {
 	switch m.cfg.clearMode() {
 	case ClearAll:
-		for i := range m.vflag {
-			for j := range m.vflag[i] {
-				m.vflag[i][j] = false
-			}
+		for i := 0; i < m.tags.fill; i++ {
+			m.tags.s[i].dead = m.stamp
 		}
 	case ClearLRURow:
-		i := m.lruTag()
-		for j := range m.vflag[i] {
-			m.vflag[i][j] = false
+		// While a tag slot is unfilled it is the LRU row, and it holds no
+		// valid pair.
+		if m.tags.full() {
+			m.tags.s[m.tags.tail].dead = m.stamp
 		}
 	}
 }
@@ -372,14 +355,13 @@ func (m *MAB) OnBypass() {
 // OnEviction clears pairs that denote the evicted line. Wired to
 // cache.Cache.OnEvict under PolicyEvictInvalidate.
 func (m *MAB) OnEviction(ev cache.Eviction) {
-	for j := range m.setIdx {
-		if !m.setValid[j] || m.setIdx[j] != ev.Set {
-			continue
-		}
-		for i := range m.tagKey {
-			if m.vflag[i][j] && m.tagValid[i] && m.trueTag(i) == ev.Tag {
-				m.vflag[i][j] = false
-			}
+	j := int(m.setSlot[ev.Set])
+	if j < 0 {
+		return
+	}
+	for i := 0; i < m.tags.fill; i++ {
+		if m.tagTrue[i] == ev.Tag {
+			m.pairs[i*m.cfg.SetEntries+j].born = 0
 		}
 	}
 }
@@ -387,13 +369,7 @@ func (m *MAB) OnEviction(ev cache.Eviction) {
 // ValidPairs returns the number of currently valid (tag,set) pairs.
 func (m *MAB) ValidPairs() int {
 	n := 0
-	for i := range m.vflag {
-		for j := range m.vflag[i] {
-			if m.vflag[i][j] {
-				n++
-			}
-		}
-	}
+	m.eachValid(func(int, int, *pair) { n++ })
 	return n
 }
 
@@ -401,16 +377,86 @@ func (m *MAB) ValidPairs() int {
 // resident at the memoized way. It returns the number of violating pairs.
 func (m *MAB) CheckInvariant(c *cache.Cache) int {
 	bad := 0
-	for i := range m.vflag {
-		for j := range m.vflag[i] {
-			if !m.vflag[i][j] {
-				continue
-			}
-			tag, valid := c.TagAt(m.setIdx[j], int(m.way[i][j]))
-			if !valid || tag != m.trueTag(i) {
-				bad++
+	m.eachValid(func(i, j int, p *pair) {
+		tag, valid := c.TagAt(m.setIdx[j], int(p.way))
+		if !valid || tag != m.tagTrue[i] {
+			bad++
+		}
+	})
+	return bad
+}
+
+// eachValid calls f for every valid pair.
+func (m *MAB) eachValid(f func(i, j int, p *pair)) {
+	for i := 0; i < m.tags.fill; i++ {
+		for j := 0; j < m.sets.fill; j++ {
+			if p := &m.pairs[i*m.cfg.SetEntries+j]; m.alive(p, i, j) {
+				f(i, j, p)
 			}
 		}
 	}
-	return bad
+}
+
+// slots is the bookkeeping one MAB table (tags or set indices) keeps per
+// slot. Slots fill in index order and are never emptied again, so a fill
+// count says which are in use. A doubly linked recency list, most recent
+// first, makes touching a slot and naming the least recently used one
+// O(1); its order is exactly that of per-slot last-use clocks, so it picks
+// the victim a min-clock scan would.
+type slots struct {
+	s          []slot
+	fill       int
+	head, tail int
+}
+
+type slot struct {
+	prev, next int32  // recency list neighbours, -1 at either end
+	dead       uint64 // the slot's pairs born at or before this stamp are dead
+}
+
+func newSlots(n int) slots {
+	return slots{s: make([]slot, n), head: -1, tail: -1}
+}
+
+func (t *slots) full() bool { return t.fill == len(t.s) }
+
+// claim picks the slot a new entry goes in — the next unfilled one, else
+// the least recently used — makes it the most recent, and kills its pairs
+// born up to stamp.
+func (t *slots) claim(stamp uint64) int {
+	var x int
+	if t.full() {
+		x = t.tail
+		t.touch(x)
+	} else {
+		x = t.fill
+		t.fill++
+		t.s[x].prev, t.s[x].next = -1, int32(t.head)
+		if t.head >= 0 {
+			t.s[t.head].prev = int32(x)
+		} else {
+			t.tail = x
+		}
+		t.head = x
+	}
+	t.s[x].dead = stamp
+	return x
+}
+
+// touch makes the filled slot x the most recent.
+func (t *slots) touch(x int) {
+	if t.head == x {
+		return
+	}
+	s := t.s
+	p, n := s[x].prev, s[x].next
+	s[p].next = n
+	if n >= 0 {
+		s[n].prev = p
+	} else {
+		t.tail = int(p)
+	}
+	s[x].prev, s[x].next = -1, int32(t.head)
+	s[t.head].prev = int32(x)
+	t.head = x
 }

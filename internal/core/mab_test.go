@@ -7,6 +7,7 @@ import (
 
 	"waymemo/internal/cache"
 	"waymemo/internal/trace"
+	"waymemo/internal/workloads"
 )
 
 var geo = cache.FRV32K
@@ -309,5 +310,24 @@ func TestPaperPolicyViolationsAreRare(t *testing.T) {
 	}
 	if rate := float64(d.Stats.Violations) / float64(n); rate > 0.01 {
 		t.Fatalf("violation rate %.4f implausibly high", rate)
+	}
+}
+
+// TestWideAssociativityWays runs jpeg_enc through a fully associative
+// 256-way D-cache: every way number past 127 must survive the round trip
+// through the MAB, so the sound policy still admits no violation.
+func TestWideAssociativityWays(t *testing.T) {
+	d := NewDController(cache.Config{Sets: 1, Ways: 256, LineBytes: 32}, DefaultD)
+	if _, err := workloads.Run(workloads.JPEGEnc(), nil, d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats.MABHits == 0 {
+		t.Fatal("MAB never hit; the stream does not exercise memoization")
+	}
+	if d.Stats.Violations != 0 {
+		t.Fatalf("violations = %d, want 0 under PolicyEvictInvalidate", d.Stats.Violations)
+	}
+	if bad := d.MAB.CheckInvariant(d.Cache); bad != 0 {
+		t.Fatalf("CheckInvariant = %d pairs, want 0", bad)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"waymemo/internal/cache"
 	"waymemo/internal/suite"
 	"waymemo/internal/workloads"
 )
@@ -90,6 +91,35 @@ func TestSpaceValidation(t *testing.T) {
 	// An empty cache directory must fail loudly, not run uncached.
 	if _, err := Run(context.Background(), tinySpace(), WithCacheDir("")); err == nil {
 		t.Error("empty cache dir accepted")
+	}
+}
+
+// TestSpaceNormalizeGeometryLimits: Normalize is the HTTP boundary's
+// validation, so a geometry the cache model cannot hold (over
+// cache.MaxLines lines, or no tag bits left on 32-bit addresses) must be
+// rejected there, before any grid point is scheduled or journaled.
+func TestSpaceNormalizeGeometryLimits(t *testing.T) {
+	cases := []struct {
+		name             string
+		sets, ways, line []int
+		ok               bool
+	}{
+		{"paper", []int{512}, []int{2}, []int{32}, true},
+		{"at the line cap", []int{1024}, []int{1024}, []int{32}, true},
+		{"1-bit tag", []int{1 << 16}, []int{1}, []int{1 << 15}, true},
+		{"2^30 sets", []int{1 << 30}, []int{1}, []int{4}, false},
+		{"one way over the cap", []int{1024}, []int{1025}, []int{32}, false},
+		{"fully associative over the cap", []int{1}, []int{cache.MaxLines + 1}, []int{32}, false},
+		{"no tag bits", []int{1 << 27}, []int{1}, []int{32}, false},
+		{"no tag bits from the line", []int{2}, []int{1}, []int{1 << 31}, false},
+		{"one bad value in the axis", []int{512, 1 << 30}, []int{2}, []int{32}, false},
+	}
+	for _, c := range cases {
+		sp := Space{Domain: suite.Data, Sets: c.sets, Ways: c.ways, LineBytes: c.line,
+			Workloads: []workloads.Workload{tinyWorkload("tiny")}}
+		if _, err := sp.Normalize(); (err == nil) != c.ok {
+			t.Errorf("%s: Normalize error %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
 

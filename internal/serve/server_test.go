@@ -414,3 +414,57 @@ func TestServerMaxJobs(t *testing.T) {
 		t.Fatalf("oldest job %s survived past the cap", first.ID())
 	}
 }
+
+// TestSubmitRejectsOversizedGeometry: a geometry the cache model cannot
+// hold (over cache.MaxLines lines, or no tag bits left on 32-bit
+// addresses) is a 400 at the HTTP boundary. Nothing is journaled, so a
+// restart on the same store resumes nothing, and the daemon stays ready
+// and keeps serving valid sweeps.
+func TestSubmitRejectsOversizedGeometry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{StoreDir: dir, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	for _, body := range []string{
+		`{"sets":[1073741824]}`,                  // 2^30 lines
+		`{"sets":[64],"ways":[16385]}`,           // one line over the cap
+		`{"sets":[134217728],"line_bytes":[32]}`, // 32 address bits, no tag
+		`{"sets":[2],"line_bytes":[2147483648]}`, // likewise
+		`{"sets":[512,1073741824],"ways":[1,2]}`, // one bad value spoils the axis
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	getJSON(t, ts.URL+"/readyz", http.StatusOK, nil)
+	var stats ServerStats
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
+	if stats.Sweeps != 0 {
+		t.Fatalf("rejected submissions created %d sweeps", stats.Sweeps)
+	}
+	ts.Close()
+	s.Close()
+
+	s, err = New(Config{StoreDir: dir, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts = httptest.NewServer(s)
+	defer ts.Close()
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
+	if stats.ResumedSweeps != 0 {
+		t.Fatalf("restart resumed %d sweeps, want 0", stats.ResumedSweeps)
+	}
+	sub := postSweep(t, ts.URL, tinyReq(64))
+	if _, final := followEvents(t, ts.URL, sub.ID); final.State != "done" {
+		t.Fatalf("valid sweep after rejections finished %s", final.State)
+	}
+}
