@@ -208,23 +208,6 @@ func BenchmarkSuiteReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteReplayPerSink is BenchmarkSuiteReplay on the legacy path —
-// one per-event pass per technique sink (wmx -replay-batch=false). The
-// ratio to BenchmarkSuiteReplay is the batched fan-out's win.
-func BenchmarkSuiteReplayPerSink(b *testing.B) {
-	tc := suite.NewTraceCache()
-	if _, err := suite.Run(context.Background(), suite.WithTraceCache(tc)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := suite.Run(context.Background(), suite.WithTraceCache(tc),
-			suite.WithBatchReplay(false)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExploreSweepShared times a cold multi-geometry sweep
 // (explore.EngineBenchSpace: 24 geometries × 2 workloads = 48 grid points)
 // on the execute-once / replay-many engine (the default): each workload

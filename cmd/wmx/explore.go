@@ -37,9 +37,8 @@ func runExplore(args []string) {
 	wl := fs.String("workloads", "", "comma-separated benchmark names and/or synthetic specs (default: all seven benchmarks)")
 	packet := fs.Uint("packet", 0, "fetch-packet bytes (0 = the 8-byte VLIW packet)")
 	cacheDir := fs.String("cache-dir", "", "memoize grid points in this directory (reruns skip simulated points)")
-	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE1); reruns replay instead of simulating")
+	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE2); reruns replay instead of simulating")
 	noShare := fs.Bool("no-trace-share", false, "execute every grid point live instead of replaying shared traces")
-	replayBatch := fs.Bool("replay-batch", true, "replay captures in batched fan-out passes sharded across workers (=false: one per-event pass per technique sink)")
 	par := fs.Int("j", 0, "grid points to simulate concurrently (0 = GOMAXPROCS)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	md := fs.Bool("md", false, "emit a markdown report")
@@ -119,19 +118,13 @@ func runExplore(args []string) {
 	if *noShare {
 		opts = append(opts, explore.WithTraceSharing(false))
 	}
-	if !*replayBatch {
-		opts = append(opts, explore.WithBatchReplay(false))
-	}
 	if *traceDir != "" {
 		opts = append(opts, explore.WithTraceDir(*traceDir))
 	}
 
 	mode := "batched fan-out replay"
-	switch {
-	case *noShare:
+	if *noShare {
 		mode = "live execution"
-	case !*replayBatch:
-		mode = "per-sink replay"
 	}
 	fmt.Fprintf(os.Stderr, "exploring %d grid points (%s-cache, %s)...\n",
 		space.NumPoints(), space.Domain, mode)

@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	wmx [-exp NAME] [-csv] [-j N] [-trace-dir DIR] [-replay-batch=false]
+//	wmx [-exp NAME] [-csv] [-j N] [-trace-dir DIR]
 //	    [-cpuprofile FILE] [-memprofile FILE]
 //	wmx explore [-domain data|fetch] [-mab-tags L] [-mab-sets L]
 //	            [-sets L] [-ways L] [-line L] [-workloads NAMES]
 //	            [-packet N] [-cache-dir DIR] [-trace-dir DIR]
-//	            [-no-trace-share] [-replay-batch=false] [-j N] [-csv] [-md]
+//	            [-no-trace-share] [-j N] [-csv] [-md]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	wmx serve   [-listen ADDR] [-store-dir DIR] [-store-budget SIZE] [-j N]
 //	            [-max-jobs N]
@@ -60,12 +60,10 @@
 // Both modes run on the execute-once / replay-many trace engine: each
 // workload is simulated once per process and its captured event stream is
 // replayed to every technique and geometry (bit-identical results, several
-// times faster on sweeps). Replays run as batched fan-out passes — one walk
-// of the capture feeds every attached technique sink — and -replay-batch=false
-// falls back to the legacy one-pass-per-sink replay as an escape hatch.
-// With -trace-dir the captures are spilled as WMTRACE1 files and reloaded
-// by later invocations; -cpuprofile and -memprofile write pprof profiles of
-// whatever was run.
+// times faster on sweeps). Replays run as batched fan-out passes: one walk
+// of the capture feeds every attached technique sink. With -trace-dir the
+// captures are spilled as WMTRACE2 files and reloaded by later invocations;
+// -cpuprofile and -memprofile write pprof profiles of whatever was run.
 package main
 
 import (
@@ -108,9 +106,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	par := flag.Int("j", 0, "benchmarks to simulate concurrently (0 = GOMAXPROCS)")
 	traceDir := flag.String("trace-dir", "",
-		"spill captured event traces to this directory (WMTRACE1); reruns replay instead of simulating")
-	replayBatch := flag.Bool("replay-batch", true,
-		"replay captures in one batched fan-out pass per workload (=false: one per-event pass per technique sink)")
+		"spill captured event traces to this directory (WMTRACE2); reruns replay instead of simulating")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -154,7 +150,7 @@ func main() {
 	// nothing else reuses, so sharing the cache there would only pin
 	// hundreds of MB of one-shot captures — it joins the sharing only when
 	// the user asked for cross-run reuse with -trace-dir.
-	base := []suite.Option{suite.WithParallelism(*par), suite.WithBatchReplay(*replayBatch)}
+	base := []suite.Option{suite.WithParallelism(*par)}
 	common := base
 	packetCommon := common
 	if *traceDir != "" {

@@ -89,6 +89,26 @@ type Config struct {
 	Clear       ClearMode
 }
 
+// MaxPairs bounds a MAB's Nt×Ns cross-product. New allocates one 8-byte
+// (stamp, way) pair per cell for every instance, so a size taken unchecked
+// from a sweep request could ask for gigabytes per technique — an
+// allocation failure Go cannot recover from. 4096 pairs is 64× the paper's
+// largest MAB (2×32); every configuration the repository sweeps is at most
+// 4×64.
+const MaxPairs = 4096
+
+// Validate reports whether c sizes a MAB New can build: both tables
+// non-empty and at most MaxPairs pairs in their cross-product.
+func (c Config) Validate() error {
+	if c.TagEntries <= 0 || c.SetEntries <= 0 {
+		return fmt.Errorf("core: invalid MAB configuration %s", c)
+	}
+	if c.TagEntries > MaxPairs/c.SetEntries {
+		return fmt.Errorf("core: MAB configuration %s exceeds %d pairs", c, MaxPairs)
+	}
+	return nil
+}
+
 // DefaultD is the paper's D-cache MAB configuration (2 tags × 8 set indices).
 var DefaultD = Config{TagEntries: 2, SetEntries: 8}
 
@@ -161,10 +181,12 @@ type pair struct {
 	way  int32
 }
 
-// New builds a MAB for a cache with the given geometry.
+// New builds a MAB for a cache with the given geometry. It panics on a
+// configuration Validate rejects or an invalid geometry; sizes taken from
+// outside the program are checked with Validate first.
 func New(cfg Config, geo cache.Config) *MAB {
-	if cfg.TagEntries <= 0 || cfg.SetEntries <= 0 {
-		panic(fmt.Sprintf("core: bad MAB config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if err := geo.Validate(); err != nil {
 		panic(err)

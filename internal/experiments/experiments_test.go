@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -23,7 +24,9 @@ func getSuite(t *testing.T) *Results {
 	if testing.Short() {
 		t.Skip("full seven-benchmark suite pass; skipped in -short")
 	}
-	suiteOnce.Do(func() { suiteResults, suiteErr = RunAll() })
+	suiteOnce.Do(func() {
+		suiteResults, suiteErr = suite.Run(context.Background(), suite.WithGeometry(Geometry))
+	})
 	if suiteErr != nil {
 		t.Fatal(suiteErr)
 	}

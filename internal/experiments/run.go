@@ -6,11 +6,8 @@
 package experiments
 
 import (
-	"context"
-
 	"waymemo/internal/cache"
 	"waymemo/internal/suite"
-	"waymemo/internal/workloads"
 )
 
 // Technique keys of the standard suite, re-exported from internal/suite for
@@ -45,20 +42,3 @@ type (
 	Results     = suite.Results
 	BenchResult = suite.BenchResult
 )
-
-// RunAll executes the seven benchmarks with every registered technique
-// attached, on this package's Geometry.
-//
-// Deprecated: use suite.Run, which takes a context and runs benchmarks in
-// parallel. RunAll remains as a convenience for the figure pipeline.
-func RunAll() (*Results, error) {
-	return suite.Run(context.Background(), suite.WithGeometry(Geometry))
-}
-
-// RunSuite executes the given workloads with the registered technique set.
-//
-// Deprecated: use suite.Run with suite.WithWorkloads.
-func RunSuite(ws []workloads.Workload) (*Results, error) {
-	return suite.Run(context.Background(),
-		suite.WithGeometry(Geometry), suite.WithWorkloads(ws...))
-}

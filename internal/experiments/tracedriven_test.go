@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"waymemo/internal/core"
@@ -9,8 +10,9 @@ import (
 	"waymemo/internal/workloads"
 )
 
-// TestTraceDrivenEquivalence records a benchmark's event streams to the
-// binary trace format, replays them into fresh controllers, and demands
+// TestTraceDrivenEquivalence captures a benchmark's event streams into a
+// trace buffer next to live controllers, spills it to the binary trace
+// format, reloads it and replays it into fresh controllers, demanding
 // statistics identical to the live run — validating the trace-driven
 // evaluation mode end to end.
 func TestTraceDrivenEquivalence(t *testing.T) {
@@ -18,24 +20,25 @@ func TestTraceDrivenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var capture trace.Buffer
 	liveD := core.NewDController(Geometry, core.DefaultD)
 	liveI := core.NewIController(Geometry, core.DefaultI)
-	if _, err := workloads.Run(w, trace.FetchTee(liveI, tw), trace.DataTee(liveD, tw)); err != nil {
+	if _, err := workloads.Run(w, trace.FetchTee(liveI, &capture), trace.DataTee(liveD, &capture)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.Flush(); err != nil {
+	var buf bytes.Buffer
+	if _, err := capture.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("trace size: %d bytes", buf.Len())
 
+	loaded, err := trace.ReadBuffer(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	replayD := core.NewDController(Geometry, core.DefaultD)
 	replayI := core.NewIController(Geometry, core.DefaultI)
-	if err := trace.ReadAll(&buf, replayI, replayD); err != nil {
+	if err := loaded.Replay(context.Background(), replayI, replayD); err != nil {
 		t.Fatal(err)
 	}
 	if *replayD.Stats != *liveD.Stats {

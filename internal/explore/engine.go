@@ -85,7 +85,6 @@ type options struct {
 	progress     func(Progress)
 	noTraceShare bool
 	traceDir     string
-	noBatch      bool
 }
 
 // Option configures Run.
@@ -132,22 +131,7 @@ func WithTraceSharing(on bool) Option {
 	return func(o *options) error { o.noTraceShare = !on; return nil }
 }
 
-// WithBatchReplay toggles the batched fan-out scheduling (default on).
-// Batched, the engine turns a sweep into per-(workload, packet) fan-out
-// tasks: each workload's uncached grid points are sharded across the worker
-// pool, and every shard instantiates its points' technique sinks and feeds
-// them all from a single pass over the workload's captured trace
-// (suite.TraceCache.FanOut) — so a G-geometry sweep streams each capture a
-// handful of times instead of once per technique per geometry. Off, the
-// engine schedules one task per grid point, each replaying the capture once
-// per sink — the legacy path, kept as an escape hatch for regression
-// hunting. Results are bit-identical either way; ignored when trace sharing
-// is disabled.
-func WithBatchReplay(on bool) Option {
-	return func(o *options) error { o.noBatch = !on; return nil }
-}
-
-// WithTraceDir additionally spills captured traces to dir as WMTRACE1 files
+// WithTraceDir additionally spills captured traces to dir as WMTRACE2 files
 // (created if needed), so a later sweep in a fresh process reloads them
 // instead of executing at all. An empty dir is an error.
 func WithTraceDir(dir string) Option {
@@ -161,12 +145,12 @@ func WithTraceDir(dir string) Option {
 }
 
 // Run expands the space into its grid and executes every point, fanning
-// points out over a worker pool. Each point is one suite.Run over a single
-// workload with the space's full technique list attached, so a point costs
-// one simulator pass regardless of how many MAB sizes are swept — and with
-// trace sharing (the default), even that pass happens only once per
-// workload: the first point to need a workload executes it and captures its
-// event streams, every other geometry replays the capture.
+// shards of points out over a worker pool. Every point carries the space's
+// full technique list, so a point costs one pass over its workload's event
+// stream regardless of how many MAB sizes are swept — and with trace
+// sharing (the default), the workload executes only once: the first shard
+// to need it captures its event streams, and every shard replays the
+// capture into all of its points' techniques in one batched pass.
 //
 // With a result cache configured, points whose Key is already stored load
 // instead of simulating, and newly simulated points are stored on
@@ -220,12 +204,7 @@ func Run(ctx context.Context, space Space, opts ...Option) (*Grid, error) {
 	}
 
 	results := make([]PointResult, len(pts))
-	var hits, misses int
-	if tc != nil && !o.noBatch {
-		hits, misses, err = runFanOut(ctx, s, pts, techs, mabs, o, tc, report, results)
-	} else {
-		hits, misses, err = runPerPoint(ctx, s, pts, techs, mabs, o, tc, report, results)
-	}
+	hits, misses, err := runShards(ctx, s, pts, techs, mabs, o, tc, report, results)
 	if err != nil {
 		return nil, err
 	}
@@ -241,32 +220,6 @@ func Run(ctx context.Context, space Space, opts ...Option) (*Grid, error) {
 	return g, nil
 }
 
-// runPerPoint is the one-task-per-grid-point scheduler: the live path (no
-// trace sharing) and the legacy escape hatch (WithBatchReplay(false)).
-func runPerPoint(ctx context.Context, s Space, pts []Point, techs []suite.Technique,
-	mabs []core.Config, o options, tc *suite.TraceCache,
-	report func(Progress), results []PointResult) (int, int, error) {
-	var hits, misses atomic.Int64
-	err := pool.Run(ctx, len(pts), o.parallelism, func(runCtx context.Context, idx int) error {
-		pt := pts[idx]
-		report(Progress{Index: idx, Total: len(pts), Geometry: pt.Geometry, Workload: pt.Workload.Name})
-		pr, cached, err := runPoint(runCtx, s, pt, techs, mabs, o.cache, tc)
-		if err != nil {
-			return err
-		}
-		if cached {
-			hits.Add(1)
-		} else {
-			misses.Add(1)
-		}
-		results[idx] = *pr
-		report(Progress{Index: idx, Total: len(pts), Geometry: pt.Geometry,
-			Workload: pt.Workload.Name, Cached: cached, Done: true})
-		return nil
-	})
-	return int(hits.Load()), int(misses.Load()), err
-}
-
 // fanPoint is one grid point awaiting simulation, with its result-cache
 // key already computed by the probe phase (empty without a cache) so the
 // shard worker stores the result without rehashing the inputs.
@@ -275,9 +228,9 @@ type fanPoint struct {
 	key string
 }
 
-// fanShard is one scheduling unit of the batched fan-out: a slice of one
-// workload's uncached grid points whose technique sinks are all fed by a
-// single pass over the workload's capture.
+// fanShard is one scheduling unit: a slice of one workload's uncached grid
+// points whose technique sinks are all fed by a single pass over the
+// workload's event stream (see simulateShard).
 type fanShard struct {
 	w   workloads.Workload
 	pts []fanPoint
@@ -295,14 +248,15 @@ const (
 	minShardPoints = 4
 )
 
-// runFanOut is the batched per-(workload, packet) scheduler: result-cache
-// hits are served first without touching the trace engine, then each
-// workload's remaining points are sharded across the worker pool and every
-// shard replays the capture once into all of its points' technique sinks.
-// Point results land at their grid index and every point still gets its
-// start/done progress pair, so ordering and reporting are indistinguishable
-// from the per-point scheduler.
-func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Technique,
+// runShards is the per-(workload, packet) scheduler: result-cache hits are
+// served first without touching the trace engine, then each workload's
+// remaining points are sharded across the worker pool and every shard
+// simulates all of its points in one pass. Without a trace cache there is
+// no capture to amortize, so every shard holds exactly one point and runs
+// it live — the per-point parallelism and cost of executing each point on
+// its own. Point results land at their grid index and every point gets its
+// start/done progress pair.
+func runShards(ctx context.Context, s Space, pts []Point, techs []suite.Technique,
 	mabs []core.Config, o options, tc *suite.TraceCache,
 	report func(Progress), results []PointResult) (int, int, error) {
 	// Phase 1: serve result-cache hits serially — a fully warm cache
@@ -339,8 +293,8 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 	// Phase 2: shard each workload's missed points — enough shards to keep
 	// every worker busy, few enough that each capture is streamed a handful
 	// of times, and never more than maxShardPoints technique sets live per
-	// pass. The boundaries depend only on the grid and the parallelism, so
-	// results stay deterministic.
+	// pass; live sweeps get one point per shard. The boundaries depend only
+	// on the grid and the parallelism, so results stay deterministic.
 	par := o.parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -359,6 +313,9 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 		if minK := (len(group) + maxShardPoints - 1) / maxShardPoints; k < minK {
 			k = minK
 		}
+		if tc == nil {
+			k = len(group)
+		}
 		for _, r := range pool.Split(len(group), k) {
 			shards = append(shards, fanShard{w: w, pts: group[r[0]:r[1]]})
 		}
@@ -370,46 +327,12 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 		for _, fp := range sh.pts {
 			report(Progress{Index: fp.pt.Index, Total: len(pts), Geometry: fp.pt.Geometry, Workload: fp.pt.Workload.Name})
 		}
-		// Instantiate this shard's technique sinks only now, so the memory
-		// a sweep holds live is bounded by the active shards, not the grid.
-		// Pairs are laid out technique-major (all of one technique's
-		// instances across the shard's points adjacent) so each decoded
-		// block sweeps through structurally identical controllers together —
-		// their tables share layout, keeping the delivery loop's working set
-		// coherent. ReplayAll delivers the full stream to every sink
-		// regardless of pair order, so results are unaffected.
-		insts := make([][]suite.Instance, len(sh.pts))
-		pairs := make([]trace.SinkPair, len(sh.pts)*len(techs))
-		for pi, fp := range sh.pts {
-			insts[pi] = make([]suite.Instance, len(techs))
-			for ti, tech := range techs {
-				inst := tech.New(fp.pt.Geometry)
-				if inst.Stats == nil {
-					return fmt.Errorf("explore: technique %s/%q produced no counters", tech.Domain, tech.ID)
-				}
-				var pair trace.SinkPair
-				switch tech.Domain {
-				case suite.Data:
-					if inst.Data == nil {
-						return fmt.Errorf("explore: technique %s/%q produced no data sink", tech.Domain, tech.ID)
-					}
-					pair.Data = inst.Data
-				case suite.Fetch:
-					if inst.Fetch == nil {
-						return fmt.Errorf("explore: technique %s/%q produced no fetch sink", tech.Domain, tech.ID)
-					}
-					pair.Fetch = inst.Fetch
-				}
-				insts[pi][ti] = inst
-				pairs[ti*len(sh.pts)+pi] = pair
-			}
-		}
-		c, err := tc.FanOut(runCtx, sh.w, s.PacketBytes, pairs, len(sh.pts))
+		prs, err := simulateShard(runCtx, s, sh.w, sh.pts, techs, mabs, tc)
 		if err != nil {
 			return err
 		}
 		for pi, fp := range sh.pts {
-			pr := assemblePoint(fp.pt, techs, mabs, insts[pi], c.Cycles, c.Instrs)
+			pr := prs[pi]
 			if o.cache != nil {
 				if err := o.cache.Put(fp.key, pr); err != nil {
 					return err
@@ -425,10 +348,47 @@ func runFanOut(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 	return hits, int(misses.Load()), err
 }
 
-// assemblePoint prices one grid point's freshly replayed instances into the
-// PointResult the analysis layer and the result cache consume — the same
-// shape runPoint extracts from a suite.Run, so both schedulers produce
-// byte-identical grids.
+// simulateShard simulates pts, grid points of workload w, in one pass over
+// w's event stream. It instantiates every point's technique set, then feeds
+// them all through suite.Drive: a single batched fan-out replay of the
+// workload's capture, or, when tc is nil, one live execution that tees each
+// event to every sink. Either way each point is priced by assemblePoint, so
+// live and replayed grids are byte-identical.
+func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fanPoint,
+	techs []suite.Technique, mabs []core.Config, tc *suite.TraceCache) ([]*PointResult, error) {
+	// Instantiate the technique sinks only now, so the memory a sweep holds
+	// live is bounded by the active shards, not the grid. Pairs are laid out
+	// technique-major (all of one technique's instances across the shard's
+	// points adjacent) so each decoded block sweeps through structurally
+	// identical controllers together — their tables share layout, keeping
+	// the delivery loop's working set coherent. Every sink sees the full
+	// stream regardless of pair order, so results are unaffected.
+	insts := make([][]suite.Instance, len(pts))
+	pairs := make([]trace.SinkPair, len(pts)*len(techs))
+	for pi, fp := range pts {
+		insts[pi] = make([]suite.Instance, len(techs))
+		for ti, tech := range techs {
+			inst, pair, err := tech.Instantiate(fp.pt.Geometry)
+			if err != nil {
+				return nil, err
+			}
+			insts[pi][ti] = inst
+			pairs[ti*len(pts)+pi] = pair
+		}
+	}
+	cycles, instrs, err := suite.Drive(ctx, w, s.PacketBytes, pairs, tc, len(pts))
+	if err != nil {
+		return nil, err
+	}
+	prs := make([]*PointResult, len(pts))
+	for pi, fp := range pts {
+		prs[pi] = assemblePoint(fp.pt, techs, mabs, insts[pi], cycles, instrs)
+	}
+	return prs, nil
+}
+
+// assemblePoint prices one grid point's freshly simulated instances into
+// the PointResult the analysis layer and the result cache consume.
 func assemblePoint(pt Point, techs []suite.Technique, mabs []core.Config,
 	insts []suite.Instance, cycles, instrs uint64) *PointResult {
 	pr := &PointResult{
@@ -476,88 +436,18 @@ func cachedPointValid(pr *PointResult, pt Point, techs []suite.Technique) bool {
 	return true
 }
 
-// runPoint serves one grid point from the cache or simulates and stores it.
-func runPoint(ctx context.Context, s Space, pt Point, techs []suite.Technique,
-	mabs []core.Config, c Cache, tc *suite.TraceCache) (*PointResult, bool, error) {
-	key := KeyWorkload(s.Domain, pt.Geometry, pt.Workload, s.PacketBytes, mabs)
-	if c != nil {
-		if pr, ok := c.Get(key); ok && cachedPointValid(pr, pt, techs) {
-			pr.Cached = true
-			return pr, true, nil
-		}
-	}
-	// The per-point scheduler only runs live (no trace cache) or as the
-	// legacy escape hatch, so the inner suite pass must not batch either.
-	pr, err := simulatePoint(ctx, s, pt, techs, mabs, tc, false)
-	if err != nil {
-		return nil, false, err
-	}
-	if c != nil {
-		if err := c.Put(key, pr); err != nil {
-			return nil, false, err
-		}
-	}
-	return pr, false, nil
-}
-
 // SimulatePoint executes one grid point of a normalized Space, with no
 // result cache attached — the serve daemon's unit of work: the daemon does
 // its own store probing and in-flight deduplication per point and calls
-// this only for points that must actually run. With a trace cache the point
-// replays the workload's shared capture in one batched fan-out pass, so
-// however many daemon clients sweep a workload, it executes at most once
-// per (workload, packet). Results are bit-identical to explore.Run's.
+// this only for points that must actually run. It is a one-point shard:
+// with a trace cache the point replays the workload's shared capture in one
+// batched fan-out pass, so however many daemon clients sweep a workload, it
+// executes at most once per (workload, packet). Results are bit-identical
+// to explore.Run's.
 func SimulatePoint(ctx context.Context, s Space, pt Point, tc *suite.TraceCache) (*PointResult, error) {
-	return simulatePoint(ctx, s, pt, s.techniques(), s.MABs(), tc, true)
-}
-
-// simulatePoint is one suite pass over pt's workload with the space's full
-// technique list attached, extracted into the PointResult shape the result
-// cache and analysis layer consume.
-func simulatePoint(ctx context.Context, s Space, pt Point, techs []suite.Technique,
-	mabs []core.Config, tc *suite.TraceCache, batched bool) (*PointResult, error) {
-	runOpts := []suite.Option{
-		suite.WithWorkloads(pt.Workload),
-		suite.WithTechniques(techs...),
-		suite.WithGeometry(pt.Geometry),
-		suite.WithPacketBytes(s.PacketBytes),
-		suite.WithParallelism(1),
-		suite.WithBatchReplay(batched),
-	}
-	if tc != nil {
-		runOpts = append(runOpts, suite.WithTraceCache(tc))
-	}
-	r, err := suite.Run(ctx, runOpts...)
+	prs, err := simulateShard(ctx, s, pt.Workload, []fanPoint{{pt: pt}}, s.techniques(), s.MABs(), tc)
 	if err != nil {
 		return nil, err
 	}
-	b := r.Benchmarks[0]
-	pr := &PointResult{
-		Geometry: pt.Geometry,
-		Workload: b.Name,
-		Cycles:   b.Cycles,
-		Instrs:   b.Instrs,
-		Techs:    make([]TechOutcome, 0, len(techs)),
-	}
-	byID := b.D
-	if s.Domain == suite.Fetch {
-		byID = b.I
-	}
-	for i, t := range techs {
-		tr, ok := byID[t.ID]
-		if !ok {
-			return nil, fmt.Errorf("explore: technique %q missing from results", t.ID)
-		}
-		out := TechOutcome{
-			ID:    string(t.ID),
-			Stats: *tr.Stats,
-			Power: power.Compute(tr.Stats, b.Cycles, tr.Model),
-		}
-		if i > 0 { // techs[0] is the baseline; the rest follow mabs order
-			out.TagEntries = mabs[i-1].TagEntries
-			out.SetEntries = mabs[i-1].SetEntries
-		}
-		pr.Techs = append(pr.Techs, out)
-	}
-	return pr, nil
+	return prs[0], nil
 }

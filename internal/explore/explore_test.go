@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"waymemo/internal/cache"
+	"waymemo/internal/core"
 	"waymemo/internal/suite"
 	"waymemo/internal/workloads"
 )
@@ -102,20 +103,28 @@ func TestSpaceNormalizeGeometryLimits(t *testing.T) {
 	cases := []struct {
 		name             string
 		sets, ways, line []int
+		tags, mabSets    []int // nil: the default MAB axes
 		ok               bool
 	}{
-		{"paper", []int{512}, []int{2}, []int{32}, true},
-		{"at the line cap", []int{1024}, []int{1024}, []int{32}, true},
-		{"1-bit tag", []int{1 << 16}, []int{1}, []int{1 << 15}, true},
-		{"2^30 sets", []int{1 << 30}, []int{1}, []int{4}, false},
-		{"one way over the cap", []int{1024}, []int{1025}, []int{32}, false},
-		{"fully associative over the cap", []int{1}, []int{cache.MaxLines + 1}, []int{32}, false},
-		{"no tag bits", []int{1 << 27}, []int{1}, []int{32}, false},
-		{"no tag bits from the line", []int{2}, []int{1}, []int{1 << 31}, false},
-		{"one bad value in the axis", []int{512, 1 << 30}, []int{2}, []int{32}, false},
+		{"paper", []int{512}, []int{2}, []int{32}, nil, nil, true},
+		{"at the line cap", []int{1024}, []int{1024}, []int{32}, nil, nil, true},
+		{"1-bit tag", []int{1 << 16}, []int{1}, []int{1 << 15}, nil, nil, true},
+		{"2^30 sets", []int{1 << 30}, []int{1}, []int{4}, nil, nil, false},
+		{"one way over the cap", []int{1024}, []int{1025}, []int{32}, nil, nil, false},
+		{"fully associative over the cap", []int{1}, []int{cache.MaxLines + 1}, []int{32}, nil, nil, false},
+		{"no tag bits", []int{1 << 27}, []int{1}, []int{32}, nil, nil, false},
+		{"no tag bits from the line", []int{2}, []int{1}, []int{1 << 31}, nil, nil, false},
+		{"one bad value in the axis", []int{512, 1 << 30}, []int{2}, []int{32}, nil, nil, false},
+		{"MAB at the pair cap", []int{512}, []int{2}, []int{32}, []int{4}, []int{core.MaxPairs / 4}, true},
+		{"MAB one set over the pair cap", []int{512}, []int{2}, []int{32}, []int{4}, []int{core.MaxPairs/4 + 1}, false},
+		{"2^30 MAB sets", []int{512}, []int{2}, []int{32}, []int{1}, []int{1 << 30}, false},
+		{"MAB pairs overflowing int", []int{512}, []int{2}, []int{32}, []int{1 << 40}, []int{1 << 40}, false},
+		{"one oversized MAB in the axis", []int{512}, []int{2}, []int{32}, []int{2}, []int{8, 1 << 20}, false},
+		{"empty MAB tag table", []int{512}, []int{2}, []int{32}, []int{0}, []int{8}, false},
 	}
 	for _, c := range cases {
 		sp := Space{Domain: suite.Data, Sets: c.sets, Ways: c.ways, LineBytes: c.line,
+			TagEntries: c.tags, SetEntries: c.mabSets,
 			Workloads: []workloads.Workload{tinyWorkload("tiny")}}
 		if _, err := sp.Normalize(); (err == nil) != c.ok {
 			t.Errorf("%s: Normalize error %v, want ok=%v", c.name, err, c.ok)
@@ -476,10 +485,10 @@ func TestTraceDirSpill(t *testing.T) {
 }
 
 // TestFanOutSchedulerEquivalence: the batched per-(workload, packet)
-// fan-out scheduler (the default) produces a grid deeply equal to the
-// legacy per-point scheduler, and only the batched run reports fan-out
-// work. With two workloads and shards of at most maxShardPoints points,
-// the pass count stays far below one-replay-per-sink.
+// fan-out scheduler (the default) produces a grid deeply equal to live
+// execution of every point, the ground truth, and only the batched run
+// reports trace work. With two workloads and shards of at most
+// maxShardPoints points, the pass count stays far below one-replay-per-sink.
 func TestFanOutSchedulerEquivalence(t *testing.T) {
 	space := tinySpace()
 	space.Workloads = []workloads.Workload{tinyWorkload("tiny-a"), tinyWorkload("tiny-b")}
@@ -488,19 +497,19 @@ func TestFanOutSchedulerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Run(context.Background(), space, WithBatchReplay(false))
+	live, err := Run(context.Background(), space, WithTraceSharing(false), WithParallelism(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripCached(batched), stripCached(legacy)) {
-		t.Error("fan-out scheduler diverges from the per-point scheduler")
+	if !reflect.DeepEqual(stripCached(batched), stripCached(live)) {
+		t.Error("fan-out scheduler diverges from live execution")
 	}
-	bt, lt := batched.Traces, legacy.Traces
+	bt, lt := batched.Traces, live.Traces
 	if bt.FanOutPasses == 0 || bt.FanOutSinks == 0 || bt.FanOutDeliveries == 0 {
 		t.Errorf("batched sweep reported no fan-out work: %+v", bt)
 	}
-	if lt.FanOutPasses != 0 || lt.FanOutSinks != 0 {
-		t.Errorf("legacy sweep reported fan-out work: %+v", lt)
+	if lt != (suite.TraceCacheStats{}) {
+		t.Errorf("live sweep reported trace work: %+v", lt)
 	}
 	// 4 points x 3 techniques over 2 workloads: the fan-out must feed all
 	// 12 sinks with at most one pass per (workload, shard).

@@ -30,7 +30,7 @@
 // technique, so each workload is executed once per sweep and its captured
 // trace is replayed to every geometry of the grid — G×W grid points cost W
 // executions plus G×W cheap replays, bit-identical to executing each point
-// live. WithTraceDir spills the captures as WMTRACE1 files for reuse across
+// live. WithTraceDir spills the captures as WMTRACE2 files for reuse across
 // processes; WithTraceSharing(false) restores the old one-execution-per-
 // point behavior.
 package explore
@@ -157,8 +157,8 @@ func (s Space) normalized() (Space, error) {
 		}
 	}
 	for _, m := range s.MABs() {
-		if m.TagEntries <= 0 || m.SetEntries <= 0 {
-			return s, fmt.Errorf("explore: invalid MAB configuration %s", m)
+		if err := m.Validate(); err != nil {
+			return s, fmt.Errorf("explore: %w", err)
 		}
 	}
 	// Duplicate axis values would double-count grid points (and duplicate

@@ -468,3 +468,44 @@ func TestSubmitRejectsOversizedGeometry(t *testing.T) {
 		t.Fatalf("valid sweep after rejections finished %s", final.State)
 	}
 }
+
+// TestSubmitRejectsOversizedMAB: a MAB size whose Nt×Ns cross-product
+// exceeds core.MaxPairs would allocate gigabytes per technique instance —
+// an out-of-memory crash no panic containment can catch, replayed on every
+// restart once journaled. The daemon must refuse it at the boundary: 400,
+// nothing journaled, still ready, and a valid sweep still runs.
+func TestSubmitRejectsOversizedMAB(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, body := range []string{
+		`{"mab_sets":[1073741824]}`,                         // 8 GiB per instance
+		`{"mab_tags":[4],"mab_sets":[1025]}`,                // one set over the cap
+		`{"mab_tags":[1099511627776],"mab_sets":[4194304]}`, // product overflows int64
+		`{"mab_tags":[2],"mab_sets":[8,1048576]}`,           // one bad value spoils the axis
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	getJSON(t, ts.URL+"/readyz", http.StatusOK, nil)
+	var stats ServerStats
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
+	if stats.Sweeps != 0 || stats.JournalRecords != 0 {
+		t.Fatalf("rejected submissions created %d sweeps, %d journal records",
+			stats.Sweeps, stats.JournalRecords)
+	}
+	sub := postSweep(t, ts.URL, tinyReq(64))
+	if _, final := followEvents(t, ts.URL, sub.ID); final.State != "done" {
+		t.Fatalf("valid sweep after rejections finished %s", final.State)
+	}
+}

@@ -18,7 +18,7 @@ import (
 
 // Store is the daemon's shared content-addressed result + trace store: an
 // explore.DirCache of grid-point results plus the suite trace cache's
-// WMTRACE1 spill directory, under one byte budget with LRU eviction.
+// WMTRACE2 spill directory, under one byte budget with LRU eviction.
 //
 // Results are tracked with in-memory recency (every Get bumps the entry);
 // trace spill pairs are aged by file modification time, since the trace
@@ -214,9 +214,8 @@ func (st *Store) recoverBoot() {
 }
 
 // tracePairIntact validates one spill pair end to end: both halves present,
-// sidecar parses and self-identifies, trace file decodes (its formats are
-// checksummed) and — when the sidecar carries event counts; minimal legacy
-// sidecars do not — agrees with them.
+// sidecar parses, self-identifies and carries event counts, and the trace
+// file decodes as WMTRACE2 (checksummed) and agrees with those counts.
 func (st *Store) tracePairIntact(basePath string, h struct{ trace, sidecar bool }) bool {
 	if !h.trace || !h.sidecar {
 		return false
@@ -230,7 +229,7 @@ func (st *Store) tracePairIntact(basePath string, h struct{ trace, sidecar bool 
 		Fetches *int `json:"fetches"`
 		Datas   *int `json:"datas"`
 	}
-	if json.Unmarshal(mb, &m) != nil || m.Version == 0 {
+	if json.Unmarshal(mb, &m) != nil || m.Version == 0 || m.Fetches == nil || m.Datas == nil {
 		return false
 	}
 	f, err := st.fs.Open(fault.SiteTraceRead, basePath+".wmtrace")
@@ -239,13 +238,7 @@ func (st *Store) tracePairIntact(basePath string, h struct{ trace, sidecar bool 
 	}
 	defer f.Close()
 	buf, err := trace.ReadBuffer(f)
-	if err != nil {
-		return false
-	}
-	if m.Fetches != nil && buf.NumFetches() != *m.Fetches {
-		return false
-	}
-	return m.Datas == nil || buf.NumDatas() == *m.Datas
+	return err == nil && buf.NumFetches() == *m.Fetches && buf.NumDatas() == *m.Datas
 }
 
 // ResultDir and TraceDir return the store's component directories; the
@@ -312,7 +305,7 @@ func (st *Store) touch(key string) {
 	st.ent[key] = st.ll.PushFront(&storeEntry{key: key, bytes: bytes, lastUse: time.Now()})
 }
 
-// tracePair is one spill pair on disk (WMTRACE1 file + JSON sidecar).
+// tracePair is one spill pair on disk (WMTRACE2 file + JSON sidecar).
 type tracePair struct {
 	base    string // path without extension
 	bytes   int64

@@ -1,15 +1,21 @@
 package serve
 
 import (
+	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"waymemo/internal/cache"
 	"waymemo/internal/explore"
+	"waymemo/internal/suite"
 	"waymemo/internal/trace"
+	"waymemo/internal/workloads"
 )
 
 // fakeResult builds a distinguishable PointResult for store bookkeeping
@@ -178,12 +184,10 @@ func TestStoreTraceEviction(t *testing.T) {
 	}
 }
 
-// TestStoreMixedFormatTraceEviction: the store's byte budget is
-// format-agnostic — a directory holding a legacy WMTRACE1 spill pair next to
-// a current WMTRACE2 pair (what upgrading a long-lived daemon leaves behind)
-// evicts by age across formats, and the surviving pair still decodes.
+// TestStoreMixedFormatTraceEviction: the store's byte budget counts real
+// spill pairs — an hour-old WMTRACE2 pair next to a fresh one, both with
+// full sidecars, evicts by age, and the surviving pair still decodes.
 func TestStoreMixedFormatTraceEviction(t *testing.T) {
-	// One real capture, spilled in both formats.
 	var buf trace.Buffer
 	addr := uint32(0x1000)
 	for i := 0; i < 5000; i++ {
@@ -224,24 +228,28 @@ func TestStoreMixedFormatTraceEviction(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	sidecar := func(f *os.File) error { _, err := f.Write([]byte(`{"version":1}`)); return err }
-	v1Bytes := write("legacy.wmtrace", func(f *os.File) error { _, err := buf.WriteToV1(f); return err }, time.Hour)
-	v1Bytes += write("legacy.json", sidecar, time.Hour)
-	v2Bytes := write("current.wmtrace", func(f *os.File) error { _, err := buf.WriteTo(f); return err }, 0)
-	v2Bytes += write("current.json", sidecar, 0)
-	if 2*v2Bytes >= v1Bytes {
-		t.Fatalf("WMTRACE2 pair %dB not under half the WMTRACE1 pair %dB", v2Bytes, v1Bytes)
+	sidecar := func(f *os.File) error {
+		_, err := fmt.Fprintf(f, `{"version":1,"fetches":%d,"datas":%d}`, buf.NumFetches(), buf.NumDatas())
+		return err
 	}
+	spill := func(f *os.File) error { _, err := buf.WriteTo(f); return err }
+	write("stale.wmtrace", spill, time.Hour)
+	write("stale.json", sidecar, time.Hour)
+	freshBytes := write("current.wmtrace", spill, 0)
+	freshBytes += write("current.json", sidecar, 0)
 
-	st, err := OpenStore(dir, v2Bytes+1)
+	st, err := OpenStore(dir, freshBytes+1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := st.Stats(); s.RecoveredTraces != 0 || s.TraceFiles != 2 {
+		t.Fatalf("boot adopted %d pairs, quarantined %d; want 2, 0", s.TraceFiles, s.RecoveredTraces)
 	}
 	evRes, evTr := st.Enforce()
 	if evRes != 0 || evTr != 1 {
 		t.Fatalf("Enforce evicted %d results, %d trace pairs; want 0, 1", evRes, evTr)
 	}
-	for _, name := range []string{"legacy.wmtrace", "legacy.json"} {
+	for _, name := range []string{"stale.wmtrace", "stale.json"} {
 		if _, err := os.Stat(filepath.Join(st.TraceDir(), name)); !os.IsNotExist(err) {
 			t.Errorf("%s survived eviction (err=%v)", name, err)
 		}
@@ -258,5 +266,132 @@ func TestStoreMixedFormatTraceEviction(t *testing.T) {
 	if loaded.NumFetches() != buf.NumFetches() || loaded.NumDatas() != buf.NumDatas() {
 		t.Errorf("survivor decodes to %d/%d events, want %d/%d",
 			loaded.NumFetches(), loaded.NumDatas(), buf.NumFetches(), buf.NumDatas())
+	}
+}
+
+// wmtrace1 encodes b's streams in the fixed-record WMTRACE1 layout of
+// earlier versions — the magic, then 'F' addr prev kind base disp flags and
+// 'D' addr base disp flags size records, little-endian — exactly what an
+// older daemon left in its spill directory.
+func wmtrace1(b *trace.Buffer) []byte {
+	out := []byte("WMTRACE1")
+	le := binary.LittleEndian
+	for _, ev := range b.Fetches() {
+		out = append(out, 'F')
+		out = le.AppendUint32(out, ev.Addr)
+		out = le.AppendUint32(out, ev.Prev)
+		out = append(out, byte(ev.Kind))
+		out = le.AppendUint32(out, ev.Base)
+		out = le.AppendUint32(out, uint32(ev.Disp))
+		var flags byte
+		if ev.First {
+			flags = 1
+		}
+		out = append(out, flags)
+	}
+	for _, ev := range b.Datas() {
+		out = append(out, 'D')
+		out = le.AppendUint32(out, ev.Addr)
+		out = le.AppendUint32(out, ev.Base)
+		out = le.AppendUint32(out, uint32(ev.Disp))
+		var flags byte
+		if ev.Store {
+			flags = 1
+		}
+		out = append(out, flags, ev.Size)
+	}
+	return out
+}
+
+// TestServerRecapturesOldSpillDir boots the daemon on a spill directory an
+// older version left behind: one pair whose trace is WMTRACE1 (behind a
+// sidecar that matches it in every field) and one WMTRACE2 pair whose
+// sidecar is minimal, without event counts. Boot quarantines both, a second
+// boot finds nothing left to recover, and the next sweep re-captures each
+// workload exactly once instead of loading either pair.
+func TestServerRecapturesOldSpillDir(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	seed, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{tinySpec, "synth:stream,fp=1KiB,n=1024"}
+	var ws []workloads.Workload
+	for _, n := range names {
+		w, err := workloads.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	tc, err := suite.NewDirTraceCache(seed.TraceDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := suite.Run(ctx, suite.WithWorkloads(ws...), suite.WithTraceCache(tc)); err != nil {
+		t.Fatal(err)
+	}
+	sidecars, err := filepath.Glob(filepath.Join(seed.TraceDir(), "*.json"))
+	if err != nil || len(sidecars) != 2 {
+		t.Fatalf("spilled sidecars: %v, %v", sidecars, err)
+	}
+	for _, side := range sidecars {
+		blob, err := os.ReadFile(side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatal(err)
+		}
+		base := strings.TrimSuffix(side, ".json")
+		if m["workload"] == names[0] {
+			c, err := tc.Capture(ctx, ws[0], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(base+".wmtrace", wmtrace1(c.Buf), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		delete(m, "fetches")
+		delete(m, "datas")
+		if blob, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(side, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	boot := func() *Server {
+		t.Helper()
+		s, err := New(Config{StoreDir: dir, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := boot()
+	if got := s.Stats().Store.RecoveredTraces; got != 2 {
+		t.Fatalf("first boot quarantined %d trace pairs, want 2", got)
+	}
+	s.Close()
+	s = boot()
+	t.Cleanup(s.Close)
+	if got := s.Stats().Store.RecoveredTraces; got != 0 {
+		t.Fatalf("second boot quarantined %d trace pairs, want 0", got)
+	}
+	job, err := s.Submit(SweepRequest{Sets: []int{64}, TagEntries: []int{1}, SetEntries: []int{4}, Workloads: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, job); st.State != "done" {
+		t.Fatalf("sweep over the recovered directory finished %s", st.State)
+	}
+	if tr := s.Stats().Traces; tr.Captures != len(names) || tr.DiskLoads != 0 {
+		t.Fatalf("trace stats %+v, want %d captures and 0 disk loads", tr, len(names))
 	}
 }

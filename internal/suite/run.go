@@ -71,7 +71,6 @@ type options struct {
 	packetBytes   uint32
 	progress      func(Progress)
 	traceCache    *TraceCache
-	noBatch       bool
 }
 
 // Option configures Run.
@@ -127,19 +126,6 @@ func WithProgress(fn func(Progress)) Option {
 // replays trust the capture and skip it.
 func WithTraceCache(tc *TraceCache) Option {
 	return func(o *options) { o.traceCache = tc }
-}
-
-// WithBatchReplay toggles the batched fan-out replay path (default on).
-// Batched, a replayed benchmark makes one pass over its capture and feeds
-// every technique's sink block by block (trace.Buffer.ReplayAll), so the
-// trace streams through memory once however many techniques are attached.
-// Off, each sink replays the capture independently through the per-event
-// interfaces — the legacy path the batch adapter shim reproduces, kept as
-// an escape hatch and as the reference the golden equivalence tests compare
-// against. Results are bit-identical either way. Ignored without a trace
-// cache (live execution always tees each event to every sink).
-func WithBatchReplay(on bool) Option {
-	return func(o *options) { o.noBatch = !on }
 }
 
 // Run executes every selected workload with every selected technique
@@ -207,70 +193,49 @@ func Run(ctx context.Context, opts ...Option) (*Results, error) {
 }
 
 // runOne instantiates every technique fresh and drives one benchmark
-// through the fetch/data event tees.
+// through them.
 func runOne(ctx context.Context, w workloads.Workload, techs []Technique, o options) (BenchResult, error) {
 	br := BenchResult{Name: w.Name, D: map[ID]TechResult{}, I: map[ID]TechResult{}}
-	var fetchSinks []trace.FetchSink
-	var dataSinks []trace.DataSink
-	for _, t := range techs {
-		inst := t.New(o.geometry)
-		if inst.Stats == nil {
-			return br, fmt.Errorf("suite: technique %s/%q produced no counters", t.Domain, t.ID)
-		}
-		switch t.Domain {
-		case Data:
-			if inst.Data == nil {
-				return br, fmt.Errorf("suite: technique %s/%q produced no data sink", t.Domain, t.ID)
-			}
-			dataSinks = append(dataSinks, inst.Data)
-			br.D[t.ID] = TechResult{Stats: inst.Stats, Model: inst.Model}
-		case Fetch:
-			if inst.Fetch == nil {
-				return br, fmt.Errorf("suite: technique %s/%q produced no fetch sink", t.Domain, t.ID)
-			}
-			fetchSinks = append(fetchSinks, inst.Fetch)
-			br.I[t.ID] = TechResult{Stats: inst.Stats, Model: inst.Model}
-		}
-	}
-	if o.traceCache != nil {
-		if !o.noBatch {
-			// Batched fan-out: one pass over the capture feeds every sink
-			// per block, so the trace streams through memory once for the
-			// whole technique set.
-			pairs := make([]trace.SinkPair, 0, len(fetchSinks)+len(dataSinks))
-			for _, s := range fetchSinks {
-				pairs = append(pairs, trace.SinkPair{Fetch: s})
-			}
-			for _, s := range dataSinks {
-				pairs = append(pairs, trace.SinkPair{Data: s})
-			}
-			c, err := o.traceCache.FanOut(ctx, w, o.packetBytes, pairs, 1)
-			if err != nil {
-				return br, err
-			}
-			br.Cycles, br.Instrs = c.Cycles, c.Instrs
-			return br, nil
-		}
-		ent, err := o.traceCache.get(ctx, w, o.packetBytes)
+	pairs := make([]trace.SinkPair, len(techs))
+	for i, t := range techs {
+		inst, pair, err := t.Instantiate(o.geometry)
 		if err != nil {
 			return br, err
 		}
-		// Legacy per-event path: replay the packed stream once per sink, so
-		// each controller's tables stay hot while the buffer streams past —
-		// at the cost of streaming (and decoding) the buffer once per sink.
-		for _, s := range fetchSinks {
-			if err := ent.buf.Replay(ctx, s, nil); err != nil {
-				return br, err
-			}
+		pairs[i] = pair
+		res := TechResult{Stats: inst.Stats, Model: inst.Model}
+		if t.Domain == Data {
+			br.D[t.ID] = res
+		} else {
+			br.I[t.ID] = res
 		}
-		for _, s := range dataSinks {
-			if err := ent.buf.Replay(ctx, nil, s); err != nil {
-				return br, err
-			}
+	}
+	var err error
+	br.Cycles, br.Instrs, err = Drive(ctx, w, o.packetBytes, pairs, o.traceCache, 1)
+	return br, err
+}
+
+// Drive feeds one execution of w's event streams, at fetch-packet size
+// packet, to every pair and returns the execution's cycle and instruction
+// counts. With a trace cache it is one batched fan-out pass over the
+// workload's capture (tc.FanOut, serving runs benchmark runs), so the trace
+// streams through memory once for the whole sink set; with tc nil it is one
+// live simulation that tees each event to every sink. The sinks' counters
+// are bit-identical either way.
+func Drive(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, tc *TraceCache, runs int) (cycles, instrs uint64, err error) {
+	if tc != nil {
+		c, err := tc.FanOut(ctx, w, packet, pairs, runs)
+		return c.Cycles, c.Instrs, err
+	}
+	var fetchSinks []trace.FetchSink
+	var dataSinks []trace.DataSink
+	for _, p := range pairs {
+		if p.Fetch != nil {
+			fetchSinks = append(fetchSinks, p.Fetch)
 		}
-		o.traceCache.replays.Add(1)
-		br.Cycles, br.Instrs = ent.cycles, ent.instrs
-		return br, nil
+		if p.Data != nil {
+			dataSinks = append(dataSinks, p.Data)
+		}
 	}
 	var fetch trace.FetchSink
 	if len(fetchSinks) > 0 {
@@ -280,10 +245,9 @@ func runOne(ctx context.Context, w workloads.Workload, techs []Technique, o opti
 	if len(dataSinks) > 0 {
 		data = trace.DataTee(dataSinks...)
 	}
-	c, err := workloads.RunPacketContext(ctx, w, fetch, data, o.packetBytes)
+	c, err := workloads.RunPacketContext(ctx, w, fetch, data, packet)
 	if err != nil {
-		return br, err
+		return 0, 0, err
 	}
-	br.Cycles, br.Instrs = c.Cycles, c.Instrs
-	return br, nil
+	return c.Cycles, c.Instrs, nil
 }

@@ -110,6 +110,30 @@ func (t Technique) validate() error {
 	return nil
 }
 
+// Instantiate builds a fresh Instance of t for geo and the sink pair that
+// feeds it: Fetch set for a Fetch-domain technique, Data for a Data-domain
+// one. A factory that leaves out the counters or its domain's sink is an
+// error.
+func (t Technique) Instantiate(geo cache.Config) (Instance, trace.SinkPair, error) {
+	inst := t.New(geo)
+	if inst.Stats == nil {
+		return inst, trace.SinkPair{}, fmt.Errorf("suite: technique %s/%q produced no counters", t.Domain, t.ID)
+	}
+	switch t.Domain {
+	case Data:
+		if inst.Data == nil {
+			return inst, trace.SinkPair{}, fmt.Errorf("suite: technique %s/%q produced no data sink", t.Domain, t.ID)
+		}
+		return inst, trace.SinkPair{Data: inst.Data}, nil
+	case Fetch:
+		if inst.Fetch == nil {
+			return inst, trace.SinkPair{}, fmt.Errorf("suite: technique %s/%q produced no fetch sink", t.Domain, t.ID)
+		}
+		return inst, trace.SinkPair{Fetch: inst.Fetch}, nil
+	}
+	return inst, trace.SinkPair{}, fmt.Errorf("suite: technique %q: invalid domain %d", t.ID, t.Domain)
+}
+
 type regKey struct {
 	dom Domain
 	id  ID

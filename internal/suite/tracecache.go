@@ -28,12 +28,11 @@ import (
 //
 // With a spill directory (NewDirTraceCache), captures are also written as
 // WMTRACE2 files (compressed column chunks) with a JSON sidecar, and a later
-// process loads them back instead of executing at all; legacy WMTRACE1
-// spills from earlier versions load transparently, so mixed directories
-// keep working. Spill files are keyed by the workload's content
-// fingerprint, so stale files for a renamed or edited workload — like a
-// truncated, bit-flipped or otherwise corrupt trace file — degrade to a
-// re-capture, never to wrong results.
+// process loads them back instead of executing at all. Spill files are
+// keyed by the workload's content fingerprint, so stale files for a renamed
+// or edited workload — like a truncated, bit-flipped or otherwise corrupt
+// trace file, or one in a format this version no longer reads — degrade to
+// a re-capture, never to wrong results.
 //
 // A TraceCache is safe for concurrent use and is meant to be shared across
 // many suite.Run calls; concurrent requests for the same pair block on a
@@ -115,8 +114,8 @@ func NewTraceCache() *TraceCache {
 }
 
 // NewDirTraceCache returns a trace cache that spills captures to dir as
-// WMTRACE2 files (plus JSON sidecars) and reloads them — or legacy WMTRACE1
-// files — in later processes. The directory is created if needed.
+// WMTRACE2 files (plus JSON sidecars) and reloads them in later processes.
+// The directory is created if needed.
 func NewDirTraceCache(dir string) (*TraceCache, error) {
 	return NewDirTraceCacheFS(dir, fault.FS{})
 }
@@ -304,9 +303,8 @@ const traceMetaVersion = 1
 // traceMeta is the JSON sidecar of one spill file: what the trace file
 // itself cannot carry — the execution counts BenchResult needs, and the
 // identity fields that double-check the trace file answers for the right
-// capture. The same sidecar schema covers both trace formats; the reader
-// sniffs the file's own magic, so Format is informational (old sidecars
-// lack it and still validate).
+// capture. Format is informational: the reader checks the file's own
+// magic.
 type traceMeta struct {
 	Version  int    `json:"version"`
 	Workload string `json:"workload"`

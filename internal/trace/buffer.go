@@ -3,8 +3,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 )
 
 // Buffer is a compact in-memory recording of one execution's event streams,
@@ -44,11 +42,6 @@ type Buffer struct {
 	// 1 = data. It preserves the program-order interleaving for WriteTo.
 	order []uint64
 	n     int
-
-	// at caches the one most recently decoded chunk per stream for the
-	// random-access FetchAt/DataAt path (tests and tools; replay never
-	// touches it).
-	at atCache
 }
 
 const (
@@ -82,15 +75,6 @@ type dataChunk struct {
 	base [chunkLen]uint32
 	disp [chunkLen]int32
 	meta [chunkLen]uint8
-}
-
-// atCache memoizes one decoded chunk per stream for FetchAt/DataAt.
-type atCache struct {
-	mu sync.Mutex
-	fi int // index of the decoded fetch chunk, or 0 with f == nil
-	f  *fetchChunk
-	di int
-	d  *dataChunk
 }
 
 // NumFetches returns the number of recorded fetch events.
@@ -193,51 +177,6 @@ func dataEventAt(ch *dataChunk, j int) DataEvent {
 		Size:  ch.meta[j] & dataSizeMask,
 		Store: ch.meta[j]&dataStoreFlag != 0,
 	}
-}
-
-// FetchAt returns the i-th recorded fetch event — a convenience for tests
-// and tools. Sealed chunks are decoded whole and memoized one at a time, so
-// sequential scans stay linear; replay paths never come through here. A
-// decode failure (possible only for a corrupt file-adopted chunk) panics:
-// random access has no error channel, and load-time CRCs make it unreachable
-// in practice.
-func (b *Buffer) FetchAt(i int) FetchEvent {
-	if full := len(b.fetch) * chunkLen; i >= full {
-		return fetchEventAt(b.fstage, i-full)
-	}
-	ci := i >> chunkShift
-	b.at.mu.Lock()
-	defer b.at.mu.Unlock()
-	if b.at.f == nil || b.at.fi != ci {
-		if b.at.f == nil {
-			b.at.f = new(fetchChunk)
-		}
-		if err := decodeFetchChunk(&b.fetch[ci], b.at.f); err != nil {
-			panic(fmt.Sprintf("trace: fetch chunk %d: %v", ci, err))
-		}
-		b.at.fi = ci
-	}
-	return fetchEventAt(b.at.f, i&chunkMask)
-}
-
-// DataAt returns the i-th recorded data event; see FetchAt.
-func (b *Buffer) DataAt(i int) DataEvent {
-	if full := len(b.data) * chunkLen; i >= full {
-		return dataEventAt(b.dstage, i-full)
-	}
-	ci := i >> chunkShift
-	b.at.mu.Lock()
-	defer b.at.mu.Unlock()
-	if b.at.d == nil || b.at.di != ci {
-		if b.at.d == nil {
-			b.at.d = new(dataChunk)
-		}
-		if err := decodeDataChunk(&b.data[ci], b.at.d); err != nil {
-			panic(fmt.Sprintf("trace: data chunk %d: %v", ci, err))
-		}
-		b.at.di = ci
-	}
-	return dataEventAt(b.at.d, i&chunkMask)
 }
 
 // SinkPair registers one consumer's sinks for a fan-out replay pass. Either
@@ -406,40 +345,4 @@ func (b *Buffer) Datas() []DataEvent {
 		return nil
 	})
 	return out
-}
-
-// countingWriter tracks bytes written through it for WriteTo's return value.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ReadBuffer loads a WMTRACE1 or WMTRACE2 stream into a new Buffer,
-// preserving the interleaving, so capture → WriteTo → ReadBuffer → Replay
-// is indistinguishable from replaying the original capture. WMTRACE2 sealed
-// chunks are adopted verbatim (CRC-checked, no re-encode); a partial tail
-// chunk is decoded back into staging so the buffer stays appendable.
-func ReadBuffer(r io.Reader) (*Buffer, error) {
-	br := newTraceReader(r)
-	v2, err := readMagic(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: loading buffer: %w", err)
-	}
-	b := new(Buffer)
-	if v2 {
-		if err := readBuffer2(br, b); err != nil {
-			return nil, fmt.Errorf("trace: loading buffer: %w", err)
-		}
-		return b, nil
-	}
-	if err := readAll1(br, b, b); err != nil {
-		return nil, fmt.Errorf("trace: loading buffer: %w", err)
-	}
-	return b, nil
 }

@@ -35,14 +35,15 @@ func TestBufferCaptureAndReplay(t *testing.T) {
 	if b.NumFetches() != len(wantF) || b.NumDatas() != len(wantD) || b.Len() != len(wantF)+len(wantD) {
 		t.Fatalf("counts: %d/%d/%d want %d/%d", b.NumFetches(), b.NumDatas(), b.Len(), len(wantF), len(wantD))
 	}
+	gotF, gotD := b.Fetches(), b.Datas()
 	for i, want := range wantF {
-		if got := b.FetchAt(i); got != want {
-			t.Fatalf("FetchAt(%d) = %+v, want %+v", i, got, want)
+		if gotF[i] != want {
+			t.Fatalf("Fetches()[%d] = %+v, want %+v", i, gotF[i], want)
 		}
 	}
 	for i, want := range wantD {
-		if got := b.DataAt(i); got != want {
-			t.Fatalf("DataAt(%d) = %+v, want %+v", i, got, want)
+		if gotD[i] != want {
+			t.Fatalf("Datas()[%d] = %+v, want %+v", i, gotD[i], want)
 		}
 	}
 	var rec eventLog
@@ -80,7 +81,7 @@ func TestBufferReplayCancellation(t *testing.T) {
 	}
 }
 
-// TestBufferFileRoundTrip spills a buffer to WMTRACE1 and reloads it,
+// TestBufferFileRoundTrip spills a buffer to WMTRACE2 and reloads it,
 // demanding the reloaded buffer serialize byte-identically — which pins both
 // the per-stream contents and the program-order interleaving.
 func TestBufferFileRoundTrip(t *testing.T) {
@@ -110,81 +111,5 @@ func TestBufferFileRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(spill.Bytes(), again.Bytes()) {
 		t.Fatal("reloaded buffer serializes differently")
-	}
-}
-
-// TestBufferMatchesLiveWriter checks that spilling through a Buffer writes
-// the same bytes as attaching a Writer to the event streams directly.
-func TestBufferMatchesLiveWriter(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	var live bytes.Buffer
-	w, err := NewWriter(&live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Buffer
-	fillRandom(r, 5000, FetchTee(&b, w), DataTee(&b, w))
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var spilled bytes.Buffer
-	if _, err := b.WriteTo(&spilled); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(live.Bytes(), spilled.Bytes()) {
-		t.Fatal("buffer spill differs from live Writer output")
-	}
-}
-
-// closeRecorder counts Close calls on the underlying writer.
-type closeRecorder struct {
-	bytes.Buffer
-	closes int
-}
-
-func (c *closeRecorder) Close() error {
-	c.closes++
-	return nil
-}
-
-func TestWriterCloseSemantics(t *testing.T) {
-	var under closeRecorder
-	w, err := NewWriter(&under)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.OnFetch(FetchEvent{Addr: 8})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if under.closes != 1 {
-		t.Fatalf("underlying Close called %d times", under.closes)
-	}
-	written := under.Len()
-	if written <= len(fileMagic) {
-		t.Fatal("Close did not flush the buffered record")
-	}
-	var check eventLog
-	if err := ReadAll(bytes.NewReader(under.Bytes()), &check, &check); err != nil {
-		t.Fatal(err)
-	}
-	if len(check.Fetches) != 1 || check.Fetches[0].Addr != 8 {
-		t.Fatalf("flushed trace = %+v", check.Fetches)
-	}
-
-	// Events after Close are dropped and reported by Flush.
-	w.OnData(DataEvent{Addr: 16, Size: 4})
-	if err := w.Flush(); !errors.Is(err, ErrWriterClosed) {
-		t.Fatalf("Flush after Close: err = %v", err)
-	}
-	if under.Len() != written {
-		t.Fatal("event recorded after Close reached the writer")
-	}
-	// Close is idempotent.
-	if err := w.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if under.closes != 1 {
-		t.Fatalf("underlying Close called %d times after double Close", under.closes)
 	}
 }

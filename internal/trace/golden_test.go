@@ -8,10 +8,9 @@ import (
 )
 
 // goldenStream regenerates the deterministic event mix that produced
-// testdata/golden_v1.wmtrace with the PR 3 WMTRACE1 writer: mostly
-// sequential fetch packets with periodic branches, links and indirect jumps,
-// and a data access every fifth event. It must never change — the fixture
-// bytes pin the legacy format.
+// testdata/golden_v2.wmtrace: mostly sequential fetch packets with periodic
+// branches, links and indirect jumps, and a data access every fifth event.
+// It must never change — the fixture bytes pin the file format.
 func goldenStream() (fs []FetchEvent, ds []DataEvent, order []bool) {
 	x := uint32(0x9e3779b9)
 	rnd := func() uint32 { x ^= x << 13; x ^= x >> 17; x ^= x << 5; return x }
@@ -52,79 +51,67 @@ func goldenStream() (fs []FetchEvent, ds []DataEvent, order []bool) {
 	return fs, ds, order
 }
 
-// TestGoldenWMTRACE1 proves WMTRACE1 files written by earlier PRs still
-// load bit-identically: the committed fixture (written by the PR 3 Writer,
-// before compressed columns existed) must decode to exactly the generating
-// stream, survive a Buffer round trip, and re-serialize via WriteToV1 to
-// the fixture's exact bytes.
-func TestGoldenWMTRACE1(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v1.wmtrace"))
+// TestGoldenWMTRACE2 pins the spill format's bytes: the committed fixture
+// must load with the generating stream's counts, decode to exactly that
+// stream, and re-serialize bit-identically — so any change to the column
+// encoding, the record framing or the trailer shows up here.
+func TestGoldenWMTRACE2(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v2.wmtrace"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantF, wantD, order := goldenStream()
 
-	var got eventLog
-	if err := ReadAll(bytes.NewReader(raw), &got, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Fetches) != len(wantF) || len(got.Datas) != len(wantD) {
-		t.Fatalf("fixture decodes to %d/%d events, want %d/%d",
-			len(got.Fetches), len(got.Datas), len(wantF), len(wantD))
-	}
-	for i := range wantF {
-		if got.Fetches[i] != wantF[i] {
-			t.Fatalf("fetch %d: %+v != %+v", i, got.Fetches[i], wantF[i])
-		}
-	}
-	for i := range wantD {
-		if got.Datas[i] != wantD[i] {
-			t.Fatalf("data %d: %+v != %+v", i, got.Datas[i], wantD[i])
-		}
-	}
-
-	// The loaded buffer preserves the interleaving and the v1 writer still
-	// reproduces the legacy bytes exactly.
 	b, err := ReadBuffer(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b.NumFetches() != len(wantF) || b.NumDatas() != len(wantD) || b.Len() != len(order) {
+		t.Fatalf("fixture loads %d/%d/%d events, want %d/%d/%d",
+			b.NumFetches(), b.NumDatas(), b.Len(), len(wantF), len(wantD), len(order))
+	}
+	gotF, gotD := b.Fetches(), b.Datas()
+	for i := range wantF {
+		if gotF[i] != wantF[i] {
+			t.Fatalf("fetch %d: %+v != %+v", i, gotF[i], wantF[i])
+		}
+	}
+	for i := range wantD {
+		if gotD[i] != wantD[i] {
+			t.Fatalf("data %d: %+v != %+v", i, gotD[i], wantD[i])
+		}
+	}
+
 	var again bytes.Buffer
-	if _, err := b.WriteToV1(&again); err != nil {
+	if _, err := b.WriteTo(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), raw) {
-		t.Fatal("WriteToV1 does not reproduce the golden fixture bit-identically")
+		t.Fatal("WriteTo does not reproduce the golden fixture bit-identically")
 	}
-
-	// And the modern spill of the same events replays identically.
-	var v2 bytes.Buffer
-	if _, err := b.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := ReadBuffer(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got2 eventLog
-	if err := b2.Replay(t.Context(), &got2, &got2); err != nil {
-		t.Fatal(err)
-	}
-	if len(got2.Fetches) != len(wantF) || len(got2.Datas) != len(wantD) {
-		t.Fatalf("v2 round trip: %d/%d events", len(got2.Fetches), len(got2.Datas))
-	}
-	for i := range wantF {
-		if got2.Fetches[i] != wantF[i] {
-			t.Fatalf("v2 fetch %d differs", i)
+	// A fresh capture of the stream spills to the same bytes.
+	var fresh Buffer
+	fi, di := 0, 0
+	for _, isData := range order {
+		if isData {
+			fresh.OnData(wantD[di])
+			di++
+		} else {
+			fresh.OnFetch(wantF[fi])
+			fi++
 		}
 	}
-	if len(order) != b.Len() {
-		t.Fatalf("order length %d, buffer %d", len(order), b.Len())
+	again.Reset()
+	if _, err := fresh.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Fatal("a fresh capture of the golden stream spills differently from the fixture")
 	}
 
-	// The golden mix is dominated by sequential packets: the compressed
-	// spill must be well under half the v1 size.
-	if v2.Len()*2 >= len(raw) {
-		t.Fatalf("WMTRACE2 spill %dB not ≤ 0.5× WMTRACE1 %dB", v2.Len(), len(raw))
+	// The golden mix is dominated by sequential packets: the spill must be
+	// well under half the fixed-record size of the same events.
+	if v1 := fixedRecordBytes(len(wantF), len(wantD)); len(raw)*2 >= v1 {
+		t.Fatalf("WMTRACE2 spill %dB not ≤ 0.5× fixed records %dB", len(raw), v1)
 	}
 }

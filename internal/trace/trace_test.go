@@ -59,61 +59,75 @@ func randData(r *rand.Rand) DataEvent {
 	}
 }
 
-// TestFileRoundTrip writes a random interleaving of events and reads it
-// back, demanding exact equality and preserved ordering.
+// TestFileRoundTrip spills a random interleaving of events through
+// Buffer.WriteTo and reads it back with ReadBuffer, demanding exact equality
+// of both streams and a preserved program-order interleaving.
 func TestFileRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var b Buffer
 	var wantF []FetchEvent
 	var wantD []DataEvent
+	var order []bool
 	for i := 0; i < 5000; i++ {
 		if r.Intn(2) == 0 {
 			ev := randFetch(r)
 			wantF = append(wantF, ev)
-			w.OnFetch(ev)
+			b.OnFetch(ev)
+			order = append(order, false)
 		} else {
 			ev := randData(r)
 			wantD = append(wantD, ev)
-			w.OnData(ev)
+			b.OnData(ev)
+			order = append(order, true)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	var spill bytes.Buffer
+	if _, err := b.WriteTo(&spill); err != nil {
 		t.Fatal(err)
 	}
-	var got eventLog
-	if err := ReadAll(&buf, &got, &got); err != nil {
+	got, err := ReadBuffer(&spill)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Fetches) != len(wantF) || len(got.Datas) != len(wantD) {
-		t.Fatalf("counts: %d/%d vs %d/%d", len(got.Fetches), len(got.Datas), len(wantF), len(wantD))
+	gotF, gotD := got.Fetches(), got.Datas()
+	if len(gotF) != len(wantF) || len(gotD) != len(wantD) {
+		t.Fatalf("counts: %d/%d vs %d/%d", len(gotF), len(gotD), len(wantF), len(wantD))
 	}
 	for i := range wantF {
-		if got.Fetches[i] != wantF[i] {
-			t.Fatalf("fetch %d: %+v != %+v", i, got.Fetches[i], wantF[i])
+		if gotF[i] != wantF[i] {
+			t.Fatalf("fetch %d: %+v != %+v", i, gotF[i], wantF[i])
 		}
 	}
 	for i := range wantD {
-		if got.Datas[i] != wantD[i] {
-			t.Fatalf("data %d: %+v != %+v", i, got.Datas[i], wantD[i])
+		if gotD[i] != wantD[i] {
+			t.Fatalf("data %d: %+v != %+v", i, gotD[i], wantD[i])
+		}
+	}
+	for i, isData := range order {
+		if (got.order[i>>6]&(1<<(i&63)) != 0) != isData {
+			t.Fatalf("event %d: interleaving lost", i)
 		}
 	}
 }
 
 func TestFileErrors(t *testing.T) {
-	if err := ReadAll(strings.NewReader("NOTATRACE"), nil, nil); err == nil {
+	if _, err := ReadBuffer(strings.NewReader("NOTATRACE")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+	// The fixed-record format of earlier versions is no longer readable.
+	legacy := "WMTRACE1D\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x04"
+	if _, err := ReadBuffer(strings.NewReader(legacy)); err == nil {
+		t.Fatal("WMTRACE1 magic accepted")
+	}
 	// Truncated record.
+	var b Buffer
+	b.OnData(DataEvent{Addr: 1, Size: 4})
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.OnData(DataEvent{Addr: 1, Size: 4})
-	w.Flush()
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if err := ReadAll(bytes.NewReader(trunc), nil, nil); err == nil {
+	if _, err := ReadBuffer(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }

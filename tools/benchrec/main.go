@@ -7,10 +7,9 @@
 //
 //   - suite_live_ms: one full seven-benchmark suite pass, every technique
 //     attached, live execution (the cost of regenerating Figures 4-8);
-//   - suite_replay_ms: the same pass replayed from a warm trace cache on
-//     the legacy path — one per-event pass per technique sink;
-//   - suite_replay_batched_ms: the same warm pass on the batched fan-out
-//     engine — one pass per workload feeding all eight techniques — plus
+//   - suite_replay_batched_ms: the same pass replayed from a warm trace
+//     cache on the batched fan-out engine — one pass per workload feeding
+//     all eight techniques — plus
 //     fanout_sinks_per_pass (fan-out width) and fanout_events_per_sec
 //     (per-sink event deliveries over the batched pass's wall time);
 //   - explore_live_ms / explore_shared_ms: a cold multi-geometry
@@ -22,9 +21,9 @@
 //     daemon — 64 overlapping clients, two variants sharing a grid point;
 //     the dedup rate counts points served without a simulation;
 //   - trace_columns: the WMTRACE2 compressed-column footprint over the
-//     paper workloads' captures — encoded bytes per event for both file
-//     formats, the in-memory decoded event size, and the v1/v2
-//     compression_ratio;
+//     paper workloads' captures — encoded bytes per event against the
+//     fixed-record size of the same events, the in-memory decoded event
+//     size, and the resulting compression_ratio;
 //   - scaling_matrix: the warm batched fan-out replay and the cold shared
 //     explore sweep repeated at GOMAXPROCS ∈ {1, 2, 4, NumCPU} (clamped to
 //     the machine; -scale-procs overrides), recording each point's
@@ -48,9 +47,8 @@
 //	go run ./tools/benchrec -scale-procs 1,2 -min-scaling 1.15
 //
 // With -compare, the run additionally gates against a committed baseline:
-// the machine-portable ratio metrics — the suite replay rates (live time
-// over per-sink replay time, and live time over batched replay time), the
-// explore trace-sharing speedup, the serve dedup rate, the trace
+// the machine-portable ratio metrics — the suite replay rate (live time
+// over batched replay time), the explore trace-sharing speedup, the serve dedup rate, the trace
 // compression ratio (which must also clear an absolute 2.0x floor) and the
 // multi-core scaling_replay_ratio — must not fall more than -tolerance
 // below the baseline's, or the process exits nonzero. Metrics a baseline
@@ -97,7 +95,6 @@ type record struct {
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	Parallel   int     `json:"parallelism"`
 	SuiteLive  float64 `json:"suite_live_ms"`
-	SuiteRepl  float64 `json:"suite_replay_ms"`
 	// SuiteReplBatched times the warm suite pass on the batched fan-out
 	// engine; SinksPerPass and EventsPerSec describe that pass's fan-out
 	// shape and delivery throughput (absent from pre-batching baselines).
@@ -151,11 +148,12 @@ type scalePoint struct {
 	SpeedupPerCore float64 `json:"speedup_per_core"`
 }
 
-// traceColumnsRecord compares the spill formats over the same captures: the
-// paper workloads' full event streams encoded as WMTRACE1 (fixed records),
-// WMTRACE2 (delta/varint columns) and the decoded in-memory events. The
-// compression ratio is machine-portable (pure function of the workloads'
-// address streams), so it is gated.
+// traceColumnsRecord sizes the same captures three ways: the paper
+// workloads' full event streams as fixed-size records (the uncompressed
+// WMTRACE1 layout: an 8-byte magic, 19 bytes per fetch and 15 per data
+// event), as WMTRACE2 delta/varint columns, and as decoded in-memory
+// events. The compression ratio is machine-portable (pure function of the
+// workloads' address streams), so it is gated.
 type traceColumnsRecord struct {
 	Events          int     `json:"events"`
 	V1BytesPerEvent float64 `json:"wmtrace1_bytes_per_event"`
@@ -163,7 +161,7 @@ type traceColumnsRecord struct {
 	// DecodedBytesPerEvent prices the replay-time representation the
 	// columns decode into, averaged over the fetch/data mix.
 	DecodedBytesPerEvent float64 `json:"decoded_bytes_per_event"`
-	// CompressionRatio is WMTRACE1 bytes over WMTRACE2 bytes.
+	// CompressionRatio is fixed-record bytes over WMTRACE2 bytes.
 	CompressionRatio float64 `json:"compression_ratio"`
 }
 
@@ -249,18 +247,15 @@ func scaleProcs(list string) ([]int, error) {
 	return procs, nil
 }
 
-// measureTraceColumns sizes every paper workload's capture in both spill
-// formats against the decoded in-memory events they replay as. The captures
-// are already warm in tc, so this is pure re-serialization.
+// measureTraceColumns sizes every paper workload's capture as fixed-size
+// records and as a WMTRACE2 spill, against the decoded in-memory events they
+// replay as. The captures are already warm in tc, so this is pure
+// re-serialization.
 func measureTraceColumns(ctx context.Context, tc *suite.TraceCache) (*traceColumnsRecord, error) {
 	var events int
 	var v1b, v2b, decoded int64
 	for _, w := range workloads.All() {
 		c, err := tc.Capture(ctx, w, 0)
-		if err != nil {
-			return nil, err
-		}
-		n1, err := c.Buf.WriteToV1(io.Discard)
 		if err != nil {
 			return nil, err
 		}
@@ -270,7 +265,7 @@ func measureTraceColumns(ctx context.Context, tc *suite.TraceCache) (*traceColum
 		}
 		nf, nd := c.Buf.NumFetches(), c.Buf.NumDatas()
 		events += nf + nd
-		v1b += n1
+		v1b += 8 + 19*int64(nf) + 15*int64(nd)
 		v2b += n2
 		decoded += int64(nf)*int64(unsafe.Sizeof(trace.FetchEvent{})) +
 			int64(nd)*int64(unsafe.Sizeof(trace.DataEvent{}))
@@ -298,10 +293,6 @@ func timeIt(name string, f func() error) float64 {
 	fmt.Fprintf(os.Stderr, " %.0fms\n", d.Seconds()*1000)
 	return d.Seconds() * 1000
 }
-
-// replayRate is the suite's execute-once / replay-many win: live suite
-// time over warm per-sink replay time.
-func (r *record) replayRate() float64 { return r.SuiteLive / r.SuiteRepl }
 
 // batchedReplayRate is the batched fan-out engine's win: live suite time
 // over warm batched replay time (0 for baselines that predate batching,
@@ -358,7 +349,6 @@ func compareBaseline(cur *record, baselinePath string, tol float64) error {
 		fmt.Fprintf(os.Stderr, "benchrec: compare %-22s %6.2fx vs baseline %6.2fx (floor %.2fx) %s\n",
 			name, got, want, floor, ok)
 	}
-	check("suite-replay-rate", cur.replayRate(), base.replayRate())
 	check("suite-replay-batched-rate", cur.batchedReplayRate(), base.batchedReplayRate())
 	check("explore-speedup", cur.Explore.Speedup, base.Explore.Speedup)
 	check("serve-dedup-rate", cur.serveDedup(), base.serveDedup())
@@ -423,11 +413,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchrec:", err)
 		os.Exit(1)
 	}
-	r.SuiteRepl = timeIt("suite replay per-sink (warm)", func() error {
-		_, err := suite.Run(ctx, suite.WithParallelism(*par), suite.WithTraceCache(tc),
-			suite.WithBatchReplay(false))
-		return err
-	})
 	before := tc.Stats()
 	r.SuiteReplBatched = timeIt("suite replay batched (warm)", func() error {
 		_, err := suite.Run(ctx, suite.WithParallelism(*par), suite.WithTraceCache(tc))
