@@ -73,14 +73,18 @@ func main() {
 	iA4 := baseline.NewApproach4I(geo)
 	iMAB := core.NewIController(geo, icfg)
 
+	st := trace.NewStager([]trace.SinkPair{
+		{Fetch: iOrig}, {Fetch: iA4}, {Fetch: iMAB},
+		{Data: dOrig}, {Data: dMAB},
+	})
 	c := sim.New()
-	c.Fetch = trace.FetchTee(iOrig, iA4, iMAB)
-	c.Data = trace.DataTee(dOrig, dMAB)
+	c.Fetch, c.Data = st.Sinks()
 	c.LoadProgram(p, 0x001F0000)
 	if err := c.Run(*max); err != nil {
 		fmt.Fprintln(os.Stderr, "frvrun:", err)
 		os.Exit(1)
 	}
+	st.Flush()
 	fmt.Printf("halted after %d instructions, %d cycles\n", c.Instrs, c.Cycles)
 	if *verbose && len(c.Console) > 0 {
 		fmt.Printf("console: %q\n", string(c.Console))

@@ -87,13 +87,16 @@ func main() {
 	geo := cache.FRV32K
 	d := core.NewDController(geo, core.DefaultD)
 	i := core.NewIController(geo, core.DefaultI)
+	// The stager delivers the simulator's events to the controllers in
+	// blocks; Flush hands over the last partial block once the run is done.
+	st := trace.NewStager([]trace.SinkPair{{Data: d}, {Fetch: i}})
 	cpu := sim.New()
-	cpu.Data = trace.DataTee(d)
-	cpu.Fetch = trace.FetchTee(i)
+	cpu.Fetch, cpu.Data = st.Sinks()
 	cpu.LoadProgram(prog, 0x001F0000)
 	if err := cpu.Run(10_000_000); err != nil {
 		log.Fatal(err)
 	}
+	st.Flush()
 	fmt.Printf("console: %s", string(cpu.Console))
 	fmt.Printf("instructions: %d, cycles: %d\n", cpu.Instrs, cpu.Cycles)
 	fmt.Printf("D: tags/access %.3f  ways/access %.3f  MAB hit %.1f%%\n",

@@ -31,12 +31,12 @@ var (
 	_ trace.DataBatchSink = (*OriginalD)(nil)
 )
 
-// OnDataBatch processes one replayed block with direct calls on the
-// concrete controller — the batched fan-out replay's devirtualized inner
-// loop (see core.IController.OnFetchBatch).
+// OnDataBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer — the devirtualized inner loop
+// of batched delivery, live and replayed (see core.IController.OnFetchBatch).
 func (d *OriginalD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		d.OnData(evs[i])
+		fullDataAccess(d.Cache, d.Stats, &evs[i])
 	}
 }
 
@@ -47,13 +47,11 @@ func NewOriginalD(geo cache.Config) *OriginalD {
 
 // OnData performs a conventional access: all tag ways are read; loads read
 // all data ways, stores write one.
-func (d *OriginalD) OnData(ev trace.DataEvent) {
-	fullDataAccess(d.Cache, d.Stats, ev)
-}
+func (d *OriginalD) OnData(ev trace.DataEvent) { fullDataAccess(d.Cache, d.Stats, &ev) }
 
 // fullDataAccess is the conventional D-cache access shared by baselines.
 // It returns the way that holds the line afterwards.
-func fullDataAccess(c *cache.Cache, s *stats.Counters, ev trace.DataEvent) int {
+func fullDataAccess(c *cache.Cache, s *stats.Counters, ev *trace.DataEvent) int {
 	s.Accesses++
 	if ev.Store {
 		s.Stores++
@@ -100,11 +98,11 @@ var (
 	_ trace.FetchBatchSink = (*OriginalI)(nil)
 )
 
-// OnFetchBatch processes one replayed block with direct calls on the
-// concrete controller.
+// OnFetchBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer.
 func (i *OriginalI) OnFetchBatch(evs []trace.FetchEvent) {
 	for j := range evs {
-		i.OnFetch(evs[j])
+		i.fetch(&evs[j])
 	}
 }
 
@@ -114,18 +112,20 @@ func NewOriginalI(geo cache.Config) *OriginalI {
 }
 
 // OnFetch performs a conventional fetch: all tag and data ways activate.
-func (i *OriginalI) OnFetch(ev trace.FetchEvent) {
+func (i *OriginalI) OnFetch(ev trace.FetchEvent) { i.fetch(&ev) }
+
+func (i *OriginalI) fetch(ev *trace.FetchEvent) {
 	i.Stats.Accesses++
 	i.Stats.Loads++
 	if !ev.First {
-		i.Stats.Flow[trace.Classify(ev, uint32(i.Cache.Config().LineBytes))]++
+		i.Stats.Flow[trace.Classify(*ev, uint32(i.Cache.Config().LineBytes))]++
 	}
 	fullFetch(i.Cache, i.Stats, ev)
 }
 
 // fullFetch is the conventional I-cache access shared by baselines; it
 // returns the way holding the line.
-func fullFetch(c *cache.Cache, s *stats.Counters, ev trace.FetchEvent) int {
+func fullFetch(c *cache.Cache, s *stats.Counters, ev *trace.FetchEvent) int {
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways
 	s.WayReads += ways
@@ -162,11 +162,11 @@ var (
 	_ trace.FetchBatchSink = (*Approach4I)(nil)
 )
 
-// OnFetchBatch processes one replayed block with direct calls on the
-// concrete controller.
+// OnFetchBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer.
 func (a *Approach4I) OnFetchBatch(evs []trace.FetchEvent) {
 	for i := range evs {
-		a.OnFetch(evs[i])
+		a.fetch(&evs[i])
 	}
 }
 
@@ -176,12 +176,14 @@ func NewApproach4I(geo cache.Config) *Approach4I {
 }
 
 // OnFetch applies the intra-line sequential optimization.
-func (a *Approach4I) OnFetch(ev trace.FetchEvent) {
+func (a *Approach4I) OnFetch(ev trace.FetchEvent) { a.fetch(&ev) }
+
+func (a *Approach4I) fetch(ev *trace.FetchEvent) {
 	s := a.Stats
 	s.Accesses++
 	s.Loads++
 	if !ev.First {
-		flow := trace.Classify(ev, uint32(a.Cache.Config().LineBytes))
+		flow := trace.Classify(*ev, uint32(a.Cache.Config().LineBytes))
 		s.Flow[flow]++
 		if flow == trace.IntraSeq && a.havePrev {
 			s.Case1Skips++
@@ -217,11 +219,11 @@ var (
 	_ trace.DataBatchSink = (*SetBufferD)(nil)
 )
 
-// OnDataBatch processes one replayed block with direct calls on the
-// concrete controller.
+// OnDataBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer.
 func (b *SetBufferD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		b.OnData(evs[i])
+		b.access(&evs[i])
 	}
 }
 
@@ -249,7 +251,9 @@ func NewSetBufferD(geo cache.Config) *SetBufferD {
 }
 
 // OnData serves the access from the set buffer when possible.
-func (b *SetBufferD) OnData(ev trace.DataEvent) {
+func (b *SetBufferD) OnData(ev trace.DataEvent) { b.access(&ev) }
+
+func (b *SetBufferD) access(ev *trace.DataEvent) {
 	s := b.Stats
 	geo := b.Cache.Config()
 	set, tag := geo.Set(ev.Addr), geo.Tag(ev.Addr)

@@ -32,12 +32,12 @@ var (
 	_ trace.DataBatchSink = (*FilterCacheD)(nil)
 )
 
-// OnDataBatch processes one replayed block with direct calls on the
-// concrete controller — the batched fan-out replay's devirtualized inner
-// loop (see core.IController.OnFetchBatch).
+// OnDataBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer — the devirtualized inner loop
+// of batched delivery, live and replayed (see core.IController.OnFetchBatch).
 func (f *FilterCacheD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		f.OnData(evs[i])
+		f.access(&evs[i])
 	}
 }
 
@@ -48,7 +48,9 @@ func NewFilterCacheD(l0, l1 cache.Config) *FilterCacheD {
 
 // OnData serves the access from L0 when possible; an L0 miss costs one
 // extra cycle (ExtraCycles) and a full L1 access.
-func (f *FilterCacheD) OnData(ev trace.DataEvent) {
+func (f *FilterCacheD) OnData(ev trace.DataEvent) { f.access(&ev) }
+
+func (f *FilterCacheD) access(ev *trace.DataEvent) {
 	s := f.Stats
 	s.Accesses++
 	if ev.Store {
@@ -121,11 +123,11 @@ var (
 	_ trace.DataBatchSink = (*TwoPhaseD)(nil)
 )
 
-// OnDataBatch processes one replayed block with direct calls on the
-// concrete controller.
+// OnDataBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer.
 func (t *TwoPhaseD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		t.OnData(evs[i])
+		t.access(&evs[i])
 	}
 }
 
@@ -135,7 +137,9 @@ func NewTwoPhaseD(geo cache.Config) *TwoPhaseD {
 }
 
 // OnData performs a phased access.
-func (t *TwoPhaseD) OnData(ev trace.DataEvent) {
+func (t *TwoPhaseD) OnData(ev trace.DataEvent) { t.access(&ev) }
+
+func (t *TwoPhaseD) access(ev *trace.DataEvent) {
 	s := t.Stats
 	s.Accesses++
 	if ev.Store {
@@ -174,7 +178,7 @@ func (t *TwoPhaseD) OnData(ev trace.DataEvent) {
 type WayPredictI struct {
 	Cache *cache.Cache
 	Stats *stats.Counters
-	mru   []int8 // per-set predicted way
+	mru   []int32 // per-set predicted way
 }
 
 var (
@@ -182,11 +186,11 @@ var (
 	_ trace.FetchBatchSink = (*WayPredictI)(nil)
 )
 
-// OnFetchBatch processes one replayed block with direct calls on the
-// concrete controller.
+// OnFetchBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer.
 func (w *WayPredictI) OnFetchBatch(evs []trace.FetchEvent) {
 	for i := range evs {
-		w.OnFetch(evs[i])
+		w.fetch(&evs[i])
 	}
 }
 
@@ -195,18 +199,20 @@ func NewWayPredictI(geo cache.Config) *WayPredictI {
 	return &WayPredictI{
 		Cache: cache.New(geo),
 		Stats: &stats.Counters{},
-		mru:   make([]int8, geo.Sets),
+		mru:   make([]int32, geo.Sets),
 	}
 }
 
 // OnFetch probes the predicted way first.
-func (w *WayPredictI) OnFetch(ev trace.FetchEvent) {
+func (w *WayPredictI) OnFetch(ev trace.FetchEvent) { w.fetch(&ev) }
+
+func (w *WayPredictI) fetch(ev *trace.FetchEvent) {
 	s := w.Stats
 	s.Accesses++
 	s.Loads++
 	geo := w.Cache.Config()
 	if !ev.First {
-		s.Flow[trace.Classify(ev, uint32(geo.LineBytes))]++
+		s.Flow[trace.Classify(*ev, uint32(geo.LineBytes))]++
 	}
 	set := geo.Set(ev.Addr)
 	pred := int(w.mru[set])
@@ -237,7 +243,7 @@ func (w *WayPredictI) OnFetch(ev trace.FetchEvent) {
 		}
 	}
 	w.Cache.Touch(ev.Addr, way)
-	w.mru[set] = int8(way)
+	w.mru[set] = int32(way)
 }
 
 // MaLinksI is the link-based way memoization of Ma, Zhang & Asanović [11]:
@@ -251,10 +257,10 @@ type MaLinksI struct {
 	Stats *stats.Counters
 
 	seqValid []bool
-	seqWay   []int8
+	seqWay   []int32
 	// branch links: source line index -> (target way), invalidated with
 	// the target line's set when any line of that set is refilled.
-	brValid  map[uint32]int8
+	brValid  map[uint32]int32
 	prevWay  int
 	prevIdx  int
 	havePrev bool
@@ -265,11 +271,11 @@ var (
 	_ trace.FetchBatchSink = (*MaLinksI)(nil)
 )
 
-// OnFetchBatch processes one replayed block with direct calls on the
-// concrete controller.
+// OnFetchBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer.
 func (m *MaLinksI) OnFetchBatch(evs []trace.FetchEvent) {
 	for i := range evs {
-		m.OnFetch(evs[i])
+		m.fetch(&evs[i])
 	}
 }
 
@@ -280,8 +286,8 @@ func NewMaLinksI(geo cache.Config) *MaLinksI {
 		Cache:    cache.New(geo),
 		Stats:    &stats.Counters{},
 		seqValid: make([]bool, n),
-		seqWay:   make([]int8, n),
-		brValid:  make(map[uint32]int8),
+		seqWay:   make([]int32, n),
+		brValid:  make(map[uint32]int32),
 	}
 	m.Cache.OnEvict = func(ev cache.Eviction) {
 		// Ma et al. require a mechanism that invalidates links on a line
@@ -303,12 +309,14 @@ func (m *MaLinksI) frame(addr uint32) int {
 }
 
 // OnFetch follows sequential or branch links when valid.
-func (m *MaLinksI) OnFetch(ev trace.FetchEvent) {
+func (m *MaLinksI) OnFetch(ev trace.FetchEvent) { m.fetch(&ev) }
+
+func (m *MaLinksI) fetch(ev *trace.FetchEvent) {
 	s := m.Stats
 	s.Accesses++
 	s.Loads++
 	geo := m.Cache.Config()
-	flow := trace.Classify(ev, uint32(geo.LineBytes))
+	flow := trace.Classify(*ev, uint32(geo.LineBytes))
 	if !ev.First {
 		s.Flow[flow]++
 	}
@@ -358,12 +366,12 @@ func (m *MaLinksI) OnFetch(ev trace.FetchEvent) {
 		case trace.InterSeq:
 			if m.prevIdx >= 0 {
 				m.seqValid[m.prevIdx] = true
-				m.seqWay[m.prevIdx] = int8(way)
+				m.seqWay[m.prevIdx] = int32(way)
 				s.BufWrites++ // link update
 			}
 		case trace.InterNonSeq:
 			if ev.Kind == trace.KindBranch {
-				m.brValid[ev.Base>>uint(geo.OffsetBits())] = int8(way)
+				m.brValid[ev.Base>>uint(geo.OffsetBits())] = int32(way)
 				s.BufWrites++
 			}
 		}
@@ -390,11 +398,11 @@ var (
 	_ trace.DataBatchSink = (*LineBufferD)(nil)
 )
 
-// OnDataBatch processes one replayed block with direct calls on the
-// concrete controller.
+// OnDataBatch processes one block with direct calls on the concrete
+// controller, walking the block by pointer.
 func (b *LineBufferD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		b.OnData(evs[i])
+		b.access(&evs[i])
 	}
 }
 
@@ -412,7 +420,9 @@ func NewLineBufferD(geo cache.Config) *LineBufferD {
 }
 
 // OnData serves same-line accesses from the buffer.
-func (b *LineBufferD) OnData(ev trace.DataEvent) {
+func (b *LineBufferD) OnData(ev trace.DataEvent) { b.access(&ev) }
+
+func (b *LineBufferD) access(ev *trace.DataEvent) {
 	s := b.Stats
 	geo := b.Cache.Config()
 	line := geo.LineAddr(ev.Addr)
@@ -441,8 +451,7 @@ func (b *LineBufferD) OnData(ev trace.DataEvent) {
 		s.WayWrites++
 		b.bufDirty = false
 	}
-	ev2 := ev
-	way := fullDataAccess(b.Cache, s, ev2)
+	way := fullDataAccess(b.Cache, s, ev)
 	b.bufValid = true
 	b.bufLine = line
 	b.bufWay = way

@@ -113,6 +113,66 @@ func TestMaLinksSequentialAndBranch(t *testing.T) {
 	}
 }
 
+// TestWideAssociativityWays: in a fully associative 256-way cache, every
+// way number past 127 must survive the way-prediction table and the
+// MA-links link storage, so a prediction or link into any way still hits.
+func TestWideAssociativityWays(t *testing.T) {
+	wide := cache.Config{Sets: 1, Ways: 256, LineBytes: 32}
+	addr := func(line, pkt int) uint32 { return uint32(line*32 + pkt*8) }
+	branch := func(from, to uint32) trace.FetchEvent {
+		return trace.FetchEvent{Addr: to, Prev: from, Kind: trace.KindBranch,
+			Base: from + 4, Disp: int32(to) - int32(from+4)}
+	}
+
+	// Way prediction: line i misses into way i, so its re-fetch must be
+	// predicted.
+	w := NewWayPredictI(wide)
+	prev := uint32(0)
+	for i := 0; i < wide.Ways; i++ {
+		a := addr(i, 0)
+		w.OnFetch(branch(prev, a))
+		w.OnFetch(branch(a, a))
+		prev = a
+	}
+	if got := w.Stats.MABHits; got != uint64(wide.Ways) {
+		t.Errorf("way prediction hit %d re-fetches, want %d", got, wide.Ways)
+	}
+
+	// MA links: the second straight-line walk over every line follows the
+	// sequential link the first walk installed at each line crossing.
+	m := NewMaLinksI(wide)
+	last := addr(wide.Ways-1, 3)
+	walk := func() {
+		if m.havePrev {
+			m.OnFetch(branch(last, 0))
+		} else {
+			m.OnFetch(trace.FetchEvent{First: true})
+		}
+		for a := uint32(8); a <= last; a += 8 {
+			m.OnFetch(trace.FetchEvent{Addr: a, Prev: a - 8, Kind: trace.KindSeq, Base: a - 8, Disp: 8})
+		}
+	}
+	walk()
+	walk()
+	if got := m.Stats.MABHits; got != uint64(wide.Ways-1) {
+		t.Errorf("second walk followed %d sequential links, want %d", got, wide.Ways-1)
+	}
+	// Branch links into ways 199 and 255: the first round installs both,
+	// the next two follow them.
+	hits := m.Stats.MABHits
+	hi := addr(199, 0)
+	for r := 0; r < 3; r++ {
+		m.OnFetch(branch(last, hi))
+		m.OnFetch(branch(hi, last))
+	}
+	if got := m.Stats.MABHits - hits; got != 4 {
+		t.Errorf("branch links hit %d times, want 4", got)
+	}
+	if m.Stats.Violations != 0 {
+		t.Errorf("violations: %d", m.Stats.Violations)
+	}
+}
+
 func TestMaLinksInvalidationOnEvict(t *testing.T) {
 	small := cache.Config{Sets: 2, Ways: 1, LineBytes: 32}
 	m := NewMaLinksI(small)

@@ -37,16 +37,19 @@ func NewDController(geo cache.Config, mcfg Config) *DController {
 	return d
 }
 
-// OnDataBatch processes one replayed block of accesses with direct calls on
-// the concrete controller (see IController.OnFetchBatch).
+// OnDataBatch processes one block of accesses with direct calls on the
+// concrete controller, walking the block by pointer (see
+// IController.OnFetchBatch).
 func (d *DController) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		d.OnData(evs[i])
+		d.access(&evs[i])
 	}
 }
 
 // OnData processes one load or store.
-func (d *DController) OnData(ev trace.DataEvent) {
+func (d *DController) OnData(ev trace.DataEvent) { d.access(&ev) }
+
+func (d *DController) access(ev *trace.DataEvent) {
 	s := d.Stats
 	s.Accesses++
 	if ev.Store {
@@ -91,7 +94,7 @@ func (d *DController) OnData(ev trace.DataEvent) {
 
 // fullAccess performs a conventional access and returns the way that ends up
 // holding the line.
-func (d *DController) fullAccess(ev trace.DataEvent) int {
+func (d *DController) fullAccess(ev *trace.DataEvent) int {
 	s, c := d.Stats, d.Cache
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways

@@ -46,7 +46,7 @@ func NewIController(geo cache.Config, mcfg Config) *IController {
 	return ic
 }
 
-// OnFetchBatch processes one replayed block of fetches. The loop dispatches
+// OnFetchBatch processes one block of fetches. The loop dispatches
 // on the concrete controller — no per-event interface call — which is what
 // makes the batched fan-out replay's inner loop a plain slice walk. It
 // hands each event over by pointer: passed by value, the event is spilled

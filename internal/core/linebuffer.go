@@ -30,11 +30,12 @@ var (
 	_ trace.DataBatchSink = (*DLineBufferController)(nil)
 )
 
-// OnDataBatch processes one replayed block of accesses with direct calls on
-// the concrete controller (see IController.OnFetchBatch).
+// OnDataBatch processes one block of accesses with direct calls on the
+// concrete controller, walking the block by pointer (see
+// IController.OnFetchBatch).
 func (d *DLineBufferController) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		d.OnData(evs[i])
+		d.access(&evs[i])
 	}
 }
 
@@ -55,7 +56,9 @@ func NewDLineBufferController(geo cache.Config, mcfg Config) *DLineBufferControl
 }
 
 // OnData serves the access from the buffer, the MAB, or the full path.
-func (d *DLineBufferController) OnData(ev trace.DataEvent) {
+func (d *DLineBufferController) OnData(ev trace.DataEvent) { d.access(&ev) }
+
+func (d *DLineBufferController) access(ev *trace.DataEvent) {
 	s := d.Stats
 	geo := d.Cache.Config()
 	line := geo.LineAddr(ev.Addr)
@@ -89,7 +92,7 @@ func (d *DLineBufferController) OnData(ev trace.DataEvent) {
 }
 
 // mabAccess is the DController access path, returning the final way.
-func (d *DLineBufferController) mabAccess(ev trace.DataEvent) int {
+func (d *DLineBufferController) mabAccess(ev *trace.DataEvent) int {
 	s := d.Stats
 	if !d.MAB.InRange(ev.Disp) {
 		s.MABBypasses++
@@ -121,7 +124,7 @@ func (d *DLineBufferController) mabAccess(ev trace.DataEvent) int {
 	return way
 }
 
-func (d *DLineBufferController) fullAccess(ev trace.DataEvent) int {
+func (d *DLineBufferController) fullAccess(ev *trace.DataEvent) int {
 	s, c := d.Stats, d.Cache
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways

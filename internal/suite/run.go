@@ -220,34 +220,22 @@ func runOne(ctx context.Context, w workloads.Workload, techs []Technique, o opti
 // counts. With a trace cache it is one batched fan-out pass over the
 // workload's capture (tc.FanOut, serving runs benchmark runs), so the trace
 // streams through memory once for the whole sink set; with tc nil it is one
-// live simulation that tees each event to every sink. The sinks' counters
-// are bit-identical either way.
+// live simulation whose events a trace.Stager delivers to every sink in
+// blocks, the same way. The sinks' counters are bit-identical either way.
 func Drive(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, tc *TraceCache, runs int) (cycles, instrs uint64, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
 	if tc != nil {
 		c, err := tc.FanOut(ctx, w, packet, pairs, runs)
 		return c.Cycles, c.Instrs, err
 	}
-	var fetchSinks []trace.FetchSink
-	var dataSinks []trace.DataSink
-	for _, p := range pairs {
-		if p.Fetch != nil {
-			fetchSinks = append(fetchSinks, p.Fetch)
-		}
-		if p.Data != nil {
-			dataSinks = append(dataSinks, p.Data)
-		}
-	}
-	var fetch trace.FetchSink
-	if len(fetchSinks) > 0 {
-		fetch = trace.FetchTee(fetchSinks...)
-	}
-	var data trace.DataSink
-	if len(dataSinks) > 0 {
-		data = trace.DataTee(dataSinks...)
-	}
+	st := trace.NewStager(pairs)
+	fetch, data := st.Sinks()
 	c, err := workloads.RunPacketContext(ctx, w, fetch, data, packet)
 	if err != nil {
 		return 0, 0, err
 	}
+	st.Flush()
 	return c.Cycles, c.Instrs, nil
 }

@@ -11,9 +11,14 @@ package trace
 // walk over its own precomputed shift/mask fields instead of an interface
 // call per event.
 //
-// The event slices a batch sink receives are owned by the replay engine and
-// are only valid for the duration of the call: they are reused for the next
-// block. Sinks must consume them synchronously and must not retain them.
+// Live simulation delivers the same way through a Stager (stage.go), which
+// stages the simulator's events into blocks and shares the per-block fan
+// loop below with ReplayAll.
+//
+// The event slices a batch sink receives are owned by the replay engine or
+// the stager and are only valid for the duration of the call: they are
+// reused for the next block. Sinks must consume them synchronously and must
+// not retain them.
 
 // FetchBatchSink consumes instruction-fetch events one block at a time, in
 // stream order. Implement it alongside OnFetch on hot controllers; sinks
@@ -63,5 +68,34 @@ type dataShim struct{ s DataSink }
 func (sh dataShim) OnDataBatch(evs []DataEvent) {
 	for i := range evs {
 		sh.s.OnData(evs[i])
+	}
+}
+
+// batchSinks splits pairs into the batch sinks of each stream, adapting
+// per-event sinks through the shims. Nil sinks are skipped.
+func batchSinks(pairs []SinkPair) (fetch []FetchBatchSink, data []DataBatchSink) {
+	for _, p := range pairs {
+		if p.Fetch != nil {
+			fetch = append(fetch, BatchFetchSink(p.Fetch))
+		}
+		if p.Data != nil {
+			data = append(data, BatchDataSink(p.Data))
+		}
+	}
+	return fetch, data
+}
+
+// fanFetch hands one block to every sink, one dispatch per block per sink.
+// It is the per-block fan loop of both ReplayAll and Stager.
+func fanFetch(sinks []FetchBatchSink, blk []FetchEvent) {
+	for _, s := range sinks {
+		s.OnFetchBatch(blk)
+	}
+}
+
+// fanData is fanFetch for the data stream.
+func fanData(sinks []DataBatchSink, blk []DataEvent) {
+	for _, s := range sinks {
+		s.OnDataBatch(blk)
 	}
 }

@@ -218,21 +218,10 @@ func (b *Buffer) Replay(ctx context.Context, fetch FetchSink, data DataSink) err
 // most one partial block delivered. A corrupt file-adopted chunk surfaces
 // as an error at the block that fails to decode, never as wrong events.
 func (b *Buffer) ReplayAll(ctx context.Context, sinks []SinkPair) error {
-	var fetch []FetchBatchSink
-	var data []DataBatchSink
-	for _, p := range sinks {
-		if p.Fetch != nil {
-			fetch = append(fetch, BatchFetchSink(p.Fetch))
-		}
-		if p.Data != nil {
-			data = append(data, BatchDataSink(p.Data))
-		}
-	}
+	fetch, data := batchSinks(sinks)
 	if len(fetch) > 0 {
 		if err := b.forEachFetchBlock(ctx, func(blk []FetchEvent) error {
-			for _, s := range fetch {
-				s.OnFetchBatch(blk)
-			}
+			fanFetch(fetch, blk)
 			return nil
 		}); err != nil {
 			return err
@@ -240,9 +229,7 @@ func (b *Buffer) ReplayAll(ctx context.Context, sinks []SinkPair) error {
 	}
 	if len(data) > 0 {
 		if err := b.forEachDataBlock(ctx, func(blk []DataEvent) error {
-			for _, s := range data {
-				s.OnDataBatch(blk)
-			}
+			fanData(data, blk)
 			return nil
 		}); err != nil {
 			return err

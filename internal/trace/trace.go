@@ -85,8 +85,12 @@ type DataFunc func(DataEvent)
 // OnData calls f(ev).
 func (f DataFunc) OnData(ev DataEvent) { f(ev) }
 
-// FetchTee fans one fetch stream out to several sinks, so multiple cache
-// techniques can observe the same execution in a single simulator run.
+// FetchTee fans one fetch stream out to several sinks, one call per event
+// per sink, so multiple cache techniques can observe the same execution in
+// a single simulator run. Live simulation delivers through a Stager
+// instead, one block per dispatch; the tees remain for callers that need
+// per-event delivery, such as the repository benchmark's per-event
+// delivery row (ctl.tee8).
 func FetchTee(sinks ...FetchSink) FetchSink {
 	return FetchFunc(func(ev FetchEvent) {
 		for _, s := range sinks {
@@ -95,7 +99,7 @@ func FetchTee(sinks ...FetchSink) FetchSink {
 	})
 }
 
-// DataTee fans one data stream out to several sinks.
+// DataTee is FetchTee for the data stream.
 func DataTee(sinks ...DataSink) DataSink {
 	return DataFunc(func(ev DataEvent) {
 		for _, s := range sinks {

@@ -61,6 +61,15 @@
 // gated (they track the machine, not the code); the ratios cancel machine
 // speed out, which is what lets CI compare its run against a number
 // recorded elsewhere.
+//
+// Two of the gated ratios have the live path in the numerator:
+// suite-replay-batched-rate is suite_live_ms / suite_replay_batched_ms and
+// explore-speedup is explore_live_ms / explore_shared_ms. They measure what
+// the trace engine saves over live simulation, so they fall whenever live
+// simulation itself gets faster, even if the replay side did not move: a
+// change that speeds up live delivery by some factor lowers both ratios by
+// about that factor. Before calling a drop in either a regression, read the
+// four timings behind it.
 package main
 
 import (
