@@ -367,13 +367,32 @@ func BenchmarkMABProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkDController measures one way-memoized D-cache access end to end.
+// BenchmarkDController measures one way-memoized D-cache access end to
+// end, delivered in 4096-event blocks as replay and live delivery do: with
+// one MAB lane (the paper's 2x8), and with the four lanes a geo-sweep
+// grid point carries (2 x {4, 8, 16, 32}) sharing one cache, so the cost
+// of each further lane shows.
 func BenchmarkDController(b *testing.B) {
-	d := core.NewDController(cache.FRV32K, core.DefaultD)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	evs := make([]trace.DataEvent, 4096)
+	for i := range evs {
 		base := uint32(0x100000 + (i&1023)*4)
-		d.OnData(trace.DataEvent{Addr: base + 8, Base: base, Disp: 8, Size: 4})
+		evs[i] = trace.DataEvent{Addr: base + 8, Base: base, Disp: 8, Size: 4}
+	}
+	for _, bc := range []struct {
+		name string
+		mabs []core.Config
+	}{
+		{"lanes=1", []core.Config{core.DefaultD}},
+		{"lanes=4", []core.Config{{TagEntries: 2, SetEntries: 4}, {TagEntries: 2, SetEntries: 8},
+			{TagEntries: 2, SetEntries: 16}, {TagEntries: 2, SetEntries: 32}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := core.NewDLanes(cache.FRV32K, bc.mabs)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(evs) {
+				d.OnDataBatch(evs[:min(len(evs), b.N-i)])
+			}
+		})
 	}
 }
 

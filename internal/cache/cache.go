@@ -11,6 +11,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Config describes cache geometry. The paper's FR-V caches are
@@ -57,6 +58,12 @@ func (c Config) Validate() error {
 
 // SizeBytes returns the total data capacity.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * c.LineBytes }
+
+// StateBytes returns the bytes a Cache of this geometry allocates for its
+// lines.
+func (c Config) StateBytes() int64 {
+	return int64(c.Sets) * int64(c.Ways) * int64(unsafe.Sizeof(line{}))
+}
 
 // OffsetBits returns the number of line-offset address bits.
 func (c Config) OffsetBits() int { return log2(c.LineBytes) }
@@ -141,8 +148,11 @@ func New(cfg Config) *Cache {
 }
 
 // set and tag are Config.Set and Config.Tag on the precomputed constants.
-func (c *Cache) set(addr uint32) uint32 { return addr >> c.offBits & c.setMask }
-func (c *Cache) tag(addr uint32) uint32 { return addr >> c.tagShift }
+// Validate keeps both shift counts at most 31; masking them to 5 bits says
+// so to the compiler, which then drops its guard for counts of 32 or more
+// from every access.
+func (c *Cache) set(addr uint32) uint32 { return addr >> (c.offBits & 31) & c.setMask }
+func (c *Cache) tag(addr uint32) uint32 { return addr >> (c.tagShift & 31) }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
@@ -223,6 +233,50 @@ func (c *Cache) Fill(addr uint32) (way int, ev Eviction) {
 	c.clock++
 	*l = line{tag: tag, valid: true, lastUse: c.clock}
 	return way, ev
+}
+
+// Access performs one conventional access to addr and returns the way that
+// holds the line afterwards, whether it was already resident, and the line
+// a miss displaced (Way < 0 when none). It leaves the cache exactly as
+// Lookup followed by Fill on a miss, Touch, and MarkDirty for a store
+// would, but slices the address and walks the set once: the lookup scan
+// also picks the victim. Lines fill the first invalid way and are only
+// invalidated all at once (Flush), so the valid ways of a set are a
+// prefix, and the first invalid way ends the scan as a miss.
+func (c *Cache) Access(addr uint32, store bool) (way int, hit bool, ev Eviction) {
+	set, tag := c.set(addr), c.tag(addr)
+	ways := c.lines[int(set)*c.cfg.Ways : int(set+1)*c.cfg.Ways]
+	way, oldest := 0, ^uint64(0)
+	for w := range ways {
+		l := &ways[w]
+		if !l.valid {
+			way = w
+			break
+		}
+		if l.tag == tag {
+			c.clock++
+			l.lastUse = c.clock
+			if store {
+				l.dirty = true
+			}
+			return w, true, Eviction{Way: -1}
+		}
+		if l.lastUse < oldest {
+			way, oldest = w, l.lastUse
+		}
+	}
+	l := &ways[way]
+	ev = Eviction{Way: -1}
+	if l.valid {
+		ev = Eviction{Tag: l.tag, Set: set, Way: way, Dirty: l.dirty}
+		if c.OnEvict != nil {
+			c.OnEvict(ev)
+		}
+	}
+	// Fill and Touch each advance the clock.
+	c.clock += 2
+	*l = line{tag: tag, valid: true, dirty: store, lastUse: c.clock}
+	return way, false, ev
 }
 
 // TagAt returns the tag and validity of (set,way); for checkers and tests.

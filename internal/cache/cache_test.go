@@ -200,3 +200,48 @@ func TestAgainstOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessMatchesStepwise pins Access to the stepwise conventional
+// access it fuses — Lookup, Fill on a miss, Touch, MarkDirty on a store —
+// on random streams with stores: same way, hit, eviction and callback,
+// and afterwards the same lines, dirty bits and LRU clocks.
+func TestAccessMatchesStepwise(t *testing.T) {
+	for _, cfg := range []Config{
+		{Sets: 4, Ways: 1, LineBytes: 16},
+		{Sets: 8, Ways: 2, LineBytes: 32},
+		{Sets: 2, Ways: 4, LineBytes: 16},
+		{Sets: 1, Ways: 8, LineBytes: 64},
+	} {
+		fused, step := New(cfg), New(cfg)
+		var fusedEv, stepEv []Eviction
+		fused.OnEvict = func(ev Eviction) { fusedEv = append(fusedEv, ev) }
+		step.OnEvict = func(ev Eviction) { stepEv = append(stepEv, ev) }
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < 20000; i++ {
+			addr := uint32(r.Intn(cfg.SizeBytes() * 3))
+			store := r.Intn(3) == 0
+			way, hit, ev := fused.Access(addr, store)
+			wantWay, wantHit := step.Lookup(addr)
+			wantEv := Eviction{Way: -1}
+			if !wantHit {
+				wantWay, wantEv = step.Fill(addr)
+			}
+			step.Touch(addr, wantWay)
+			if store {
+				step.MarkDirty(addr, wantWay)
+			}
+			if way != wantWay || hit != wantHit || ev != wantEv {
+				t.Fatalf("%+v access %d: got (%d,%v,%+v), want (%d,%v,%+v)",
+					cfg, i, way, hit, ev, wantWay, wantHit, wantEv)
+			}
+		}
+		if fused.clock != step.clock || len(fusedEv) != len(stepEv) {
+			t.Fatalf("%+v: clock %d vs %d, %d vs %d evictions", cfg, fused.clock, step.clock, len(fusedEv), len(stepEv))
+		}
+		for i := range fused.lines {
+			if fused.lines[i] != step.lines[i] {
+				t.Fatalf("%+v: line %d = %+v, want %+v", cfg, i, fused.lines[i], step.lines[i])
+			}
+		}
+	}
+}

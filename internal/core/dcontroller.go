@@ -14,10 +14,23 @@ import (
 //
 // Stores model the FR-V write-back buffer (§4): even without the MAB they
 // read all tag ways but write only the single matching data way.
+//
+// One controller serves any number of MAB sizes over one cache, one Lane
+// each (see Lane), and counts the conventional baseline on the same
+// stream alongside.
 type DController struct {
 	Cache *cache.Cache
+	// MAB and Stats are the first lane's: for a controller built by
+	// NewDController, the whole technique.
 	MAB   *MAB
 	Stats *stats.Counters
+	// Baseline holds the counters of a conventional access to every event
+	// (baseline.OriginalD's), kept up to date like the lanes'.
+	Baseline *stats.Counters
+	Lanes    []Lane
+
+	ls   laneSet
+	ways uint64
 }
 
 var (
@@ -26,101 +39,58 @@ var (
 )
 
 // NewDController builds a cache plus MAB pair with the consistency policy
-// wiring requested in mcfg.
+// wiring requested in mcfg: a one-lane controller.
 func NewDController(geo cache.Config, mcfg Config) *DController {
-	c := cache.New(geo)
-	m := New(mcfg, geo)
-	d := &DController{Cache: c, MAB: m, Stats: &stats.Counters{}}
-	if mcfg.Consistency == PolicyEvictInvalidate {
-		c.OnEvict = m.OnEviction
-	}
+	return NewDLanes(geo, []Config{mcfg})
+}
+
+// NewDLanes builds a controller with one cache and one lane per MAB
+// configuration, in order; each lane's counters are those of a
+// NewDController of its configuration fed the same stream.
+func NewDLanes(geo cache.Config, mcfgs []Config) *DController {
+	d := &DController{Baseline: &stats.Counters{}, ls: newLaneSet(geo, mcfgs), ways: uint64(geo.Ways)}
+	d.Cache, d.Lanes = d.ls.cache, d.ls.lanes
+	d.MAB, d.Stats = d.Lanes[0].MAB, d.Lanes[0].Stats
 	return d
 }
 
 // OnDataBatch processes one block of accesses with direct calls on the
 // concrete controller, walking the block by pointer (see
-// IController.OnFetchBatch).
+// IController.OnFetchBatch). Every data access has a base+displacement
+// form; an out-of-range displacement still makes every lane bypass.
 func (d *DController) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		d.access(&evs[i])
+		ev := &evs[i]
+		d.ls.access(ev.Addr, ev.Base, ev.Disp, ev.Store, true)
 	}
+	d.sync()
 }
 
-// OnData processes one load or store.
-func (d *DController) OnData(ev trace.DataEvent) { d.access(&ev) }
-
-func (d *DController) access(ev *trace.DataEvent) {
-	s := d.Stats
-	s.Accesses++
-	if ev.Store {
-		s.Stores++
-	} else {
-		s.Loads++
-	}
-	if !d.MAB.InRange(ev.Disp) {
-		// The low adder cannot produce the tag: bypass and conservatively
-		// invalidate per the configured clearing rule.
-		s.MABBypasses++
-		d.MAB.OnBypass()
-		d.fullAccess(ev)
-		return
-	}
-	s.MABLookups++
-	mabWay, mabHit := d.MAB.probeFast(ev.Base, ev.Disp)
-	if mabHit {
-		if d.Cache.Present(ev.Addr, mabWay) {
-			s.MABHits++
-			s.Hits++
-			d.Cache.Touch(ev.Addr, mabWay)
-			if ev.Store {
-				s.WayWrites++
-				d.Cache.MarkDirty(ev.Addr, mabWay)
-			} else {
-				s.WayReads++
-			}
-			return
-		}
-		// The memoized line was displaced: only reachable under
-		// PolicyPaper. Hardware would return the wrong way's data; the
-		// simulator counts it and recovers with a full access.
-		s.Violations++
-		d.MAB.Invalidate(ev.Base, ev.Disp)
-	}
-	s.MABMisses++
-	way := d.fullAccess(ev)
-	d.MAB.Update(ev.Base, ev.Disp, way)
-	s.MABUpdates++
+// OnData processes one load or store, as a block of one.
+func (d *DController) OnData(ev trace.DataEvent) {
+	d.OnDataBatch([]trace.DataEvent{ev})
 }
 
-// fullAccess performs a conventional access and returns the way that ends up
-// holding the line.
-func (d *DController) fullAccess(ev *trace.DataEvent) int {
-	s, c := d.Stats, d.Cache
-	ways := uint64(c.Config().Ways)
-	s.TagReads += ways
-	way, hit := c.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-		if !ev.Store {
-			s.WayReads += ways // all data ways are read in parallel with tag compare
-		}
-	} else {
-		s.Misses++
-		if !ev.Store {
-			s.WayReads += ways // the parallel probe still burned all ways
-		}
-		var evc cache.Eviction
-		way, evc = c.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++ // line install into the selected way
-		if evc.Dirty {
-			s.WriteBacks++
-		}
+// sync derives every technique's counters from the shared counts and the
+// lanes' own. A conventional access reads every tag way and, for a load,
+// every data way; a store writes one way through the write-back buffer and
+// a refill one more. A verified MAB hit reads no tag and one way.
+func (d *DController) sync() {
+	n, ways := &d.ls.n, d.ways
+	loads := n.accesses - n.stores
+	b := d.Baseline
+	n.outcome(b)
+	b.TagReads = ways * n.accesses
+	b.WayReads = ways * loads
+	b.WayWrites = n.stores + n.misses
+	for k := range d.Lanes {
+		l := &d.Lanes[k]
+		s := l.Stats
+		n.outcome(s)
+		loadHits := l.hits - l.storeHits
+		s.TagReads = ways * (n.accesses - l.hits)
+		s.WayReads = ways*(loads-loadHits) + loadHits
+		s.WayWrites = n.stores + n.misses
+		l.mabCounts(s, n.bypasses, n.accesses-n.bypasses)
 	}
-	c.Touch(ev.Addr, way)
-	if ev.Store {
-		s.WayWrites++ // single-way store via the write-back buffer
-		c.MarkDirty(ev.Addr, way)
-	}
-	return way
 }

@@ -21,10 +21,25 @@ import (
 //
 // Indirect jumps through other registers have no base+displacement form and
 // bypass the MAB.
+//
+// Like DController, one controller serves any number of MAB sizes over one
+// cache and counts the conventional baseline alongside. The case-1 skip,
+// the flow class and the previous way are the same for every lane, so they
+// are decided once per fetch.
 type IController struct {
 	Cache *cache.Cache
+	// MAB and Stats are the first lane's: for a controller built by
+	// NewIController, the whole technique.
 	MAB   *MAB
 	Stats *stats.Counters
+	// Baseline holds the counters of a conventional fetch of every packet
+	// (baseline.OriginalI's), kept up to date like the lanes'.
+	Baseline *stats.Counters
+	Lanes    []Lane
+
+	ls        laneSet
+	ways      uint64
+	lineBytes uint32
 
 	prevWay  int
 	havePrev bool
@@ -35,108 +50,88 @@ var (
 	_ trace.FetchBatchSink = (*IController)(nil)
 )
 
-// NewIController builds the I-cache controller with its MAB.
+// NewIController builds the I-cache controller with its MAB: a one-lane
+// controller.
 func NewIController(geo cache.Config, mcfg Config) *IController {
-	c := cache.New(geo)
-	m := New(mcfg, geo)
-	ic := &IController{Cache: c, MAB: m, Stats: &stats.Counters{}}
-	if mcfg.Consistency == PolicyEvictInvalidate {
-		c.OnEvict = m.OnEviction
+	return NewILanes(geo, []Config{mcfg})
+}
+
+// NewILanes builds an I-cache controller with one cache and one lane per
+// MAB configuration, in order; each lane's counters are those of a
+// NewIController of its configuration fed the same stream.
+func NewILanes(geo cache.Config, mcfgs []Config) *IController {
+	ic := &IController{
+		Baseline:  &stats.Counters{},
+		ls:        newLaneSet(geo, mcfgs),
+		ways:      uint64(geo.Ways),
+		lineBytes: uint32(geo.LineBytes),
 	}
+	ic.Cache, ic.Lanes = ic.ls.cache, ic.ls.lanes
+	ic.MAB, ic.Stats = ic.Lanes[0].MAB, ic.Lanes[0].Stats
 	return ic
 }
 
 // OnFetchBatch processes one block of fetches. The loop dispatches
 // on the concrete controller — no per-event interface call — which is what
 // makes the batched fan-out replay's inner loop a plain slice walk. It
-// hands each event over by pointer: passed by value, the event is spilled
-// to the stack as 4-byte fields and read back by trace.Classify as one
-// 8-byte word, a store-forwarding stall that took about 30% of the
-// per-fetch time in a CPU profile.
+// walks the block by pointer: passed by value, the event is spilled to
+// the stack as 4-byte fields and read back by trace.Classify as one 8-byte
+// word, a store-forwarding stall that took about 30% of the per-fetch time
+// in a CPU profile.
 func (ic *IController) OnFetchBatch(evs []trace.FetchEvent) {
+	n := &ic.ls.n
 	for i := range evs {
-		ic.fetch(&evs[i])
+		ev := &evs[i]
+		if !ev.First {
+			flow := trace.Classify(*ev, ic.lineBytes)
+			n.flow[flow]++
+			if flow == trace.IntraSeq && ic.havePrev {
+				// Case 1: the line was fetched last cycle; its way is known
+				// and it cannot have been evicted in between.
+				n.accesses++
+				n.case1++
+				n.hits++
+				ic.ls.cache.Touch(ev.Addr, ic.prevWay)
+				continue
+			}
+		}
+		// A first or indirect fetch has no base+displacement form: every
+		// lane bypasses, as for a branch offset beyond the low adder's
+		// reach.
+		tracked := !ev.First && ev.Kind != trace.KindIndirect
+		ic.prevWay = ic.ls.access(ev.Addr, ev.Base, ev.Disp, false, tracked)
+		ic.havePrev = true
 	}
+	ic.sync()
 }
 
-// OnFetch processes one packet fetch.
-func (ic *IController) OnFetch(ev trace.FetchEvent) { ic.fetch(&ev) }
-
-func (ic *IController) fetch(ev *trace.FetchEvent) {
-	s := ic.Stats
-	s.Accesses++
-	s.Loads++
-	if !ev.First {
-		flow := trace.Classify(*ev, uint32(ic.Cache.Config().LineBytes))
-		s.Flow[flow]++
-		if flow == trace.IntraSeq && ic.havePrev {
-			// Case 1: the line was fetched last cycle; its way is known and
-			// it cannot have been evicted in between.
-			s.Case1Skips++
-			s.Hits++
-			s.WayReads++
-			ic.Cache.Touch(ev.Addr, ic.prevWay)
-			return
-		}
-	}
-	if ev.First || ev.Kind == trace.KindIndirect {
-		s.MABBypasses++
-		ic.MAB.OnBypass()
-		ic.prevWay = ic.fullFetch(ev)
-		ic.havePrev = true
-		return
-	}
-	if !ic.MAB.InRange(ev.Disp) {
-		// Branch offset beyond the low adder's reach.
-		s.MABBypasses++
-		ic.MAB.OnBypass()
-		ic.prevWay = ic.fullFetch(ev)
-		ic.havePrev = true
-		return
-	}
-	s.MABLookups++
-	mabWay, mabHit := ic.MAB.probeFast(ev.Base, ev.Disp)
-	if mabHit {
-		if ic.Cache.Present(ev.Addr, mabWay) {
-			s.MABHits++
-			s.Hits++
-			s.WayReads++
-			ic.Cache.Touch(ev.Addr, mabWay)
-			ic.prevWay = mabWay
-			ic.havePrev = true
-			return
-		}
-		s.Violations++
-		ic.MAB.Invalidate(ev.Base, ev.Disp)
-	}
-	s.MABMisses++
-	way := ic.fullFetch(ev)
-	ic.MAB.Update(ev.Base, ev.Disp, way)
-	s.MABUpdates++
-	ic.prevWay = way
-	ic.havePrev = true
+// OnFetch processes one packet fetch, as a block of one.
+func (ic *IController) OnFetch(ev trace.FetchEvent) {
+	ic.OnFetchBatch([]trace.FetchEvent{ev})
 }
 
-// fullFetch performs a conventional fetch (all tag ways, all data ways read
-// in parallel) and returns the way holding the line.
-func (ic *IController) fullFetch(ev *trace.FetchEvent) int {
-	s, c := ic.Stats, ic.Cache
-	ways := uint64(c.Config().Ways)
-	s.TagReads += ways
-	s.WayReads += ways
-	way, hit := c.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
-		var evc cache.Eviction
-		way, evc = c.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
+// sync derives every technique's counters from the shared counts and the
+// lanes' own. A conventional fetch reads every tag and data way and a
+// refill writes one way; a case-1 skip or a verified MAB hit reads no tag
+// and one way.
+func (ic *IController) sync() {
+	n, ways := &ic.ls.n, ic.ways
+	b := ic.Baseline
+	n.outcome(b)
+	b.Flow = n.flow
+	b.TagReads = ways * n.accesses
+	b.WayReads = ways * n.accesses
+	b.WayWrites = n.misses
+	for k := range ic.Lanes {
+		l := &ic.Lanes[k]
+		s := l.Stats
+		n.outcome(s)
+		s.Flow = n.flow
+		s.Case1Skips = n.case1
+		full := n.accesses - n.case1 - l.hits
+		s.TagReads = ways * full
+		s.WayReads = ways*full + n.case1 + l.hits
+		s.WayWrites = n.misses
+		l.mabCounts(s, n.bypasses, n.accesses-n.case1-n.bypasses)
 	}
-	c.Touch(ev.Addr, way)
-	return way
 }

@@ -1,0 +1,475 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"waymemo/internal/baseline"
+	"waymemo/internal/cache"
+	"waymemo/internal/stats"
+	"waymemo/internal/trace"
+	"waymemo/internal/workloads"
+)
+
+// refD is the reference way-memoized D-cache controller: one MAB over a
+// cache of its own, driven through the stepwise cache calls, exactly as
+// DController worked before it shared one cache between MAB lanes.
+type refD struct {
+	Cache *cache.Cache
+	MAB   *MAB
+	Stats *stats.Counters
+}
+
+func newRefD(geo cache.Config, mcfg Config) *refD {
+	c := cache.New(geo)
+	m := New(mcfg, geo)
+	if mcfg.Consistency == PolicyEvictInvalidate {
+		c.OnEvict = m.OnEviction
+	}
+	return &refD{Cache: c, MAB: m, Stats: &stats.Counters{}}
+}
+
+func (d *refD) access(ev *trace.DataEvent) {
+	s := d.Stats
+	s.Accesses++
+	if ev.Store {
+		s.Stores++
+	} else {
+		s.Loads++
+	}
+	if !d.MAB.InRange(ev.Disp) {
+		s.MABBypasses++
+		d.MAB.OnBypass()
+		d.fullAccess(ev)
+		return
+	}
+	s.MABLookups++
+	if res := d.MAB.Probe(ev.Base, ev.Disp); res.Hit {
+		if d.Cache.Present(ev.Addr, res.Way) {
+			s.MABHits++
+			s.Hits++
+			d.Cache.Touch(ev.Addr, res.Way)
+			if ev.Store {
+				s.WayWrites++
+				d.Cache.MarkDirty(ev.Addr, res.Way)
+			} else {
+				s.WayReads++
+			}
+			return
+		}
+		s.Violations++
+		d.MAB.Invalidate(ev.Base, ev.Disp)
+	}
+	s.MABMisses++
+	way := d.fullAccess(ev)
+	d.MAB.Update(ev.Base, ev.Disp, way)
+	s.MABUpdates++
+}
+
+func (d *refD) fullAccess(ev *trace.DataEvent) int {
+	s, c := d.Stats, d.Cache
+	ways := uint64(c.Config().Ways)
+	s.TagReads += ways
+	way, hit := c.Lookup(ev.Addr)
+	if hit {
+		s.Hits++
+		if !ev.Store {
+			s.WayReads += ways
+		}
+	} else {
+		s.Misses++
+		if !ev.Store {
+			s.WayReads += ways
+		}
+		var evc cache.Eviction
+		way, evc = c.Fill(ev.Addr)
+		s.Refills++
+		s.WayWrites++
+		if evc.Dirty {
+			s.WriteBacks++
+		}
+	}
+	c.Touch(ev.Addr, way)
+	if ev.Store {
+		s.WayWrites++
+		c.MarkDirty(ev.Addr, way)
+	}
+	return way
+}
+
+// refI is the reference way-memoized I-cache controller, one MAB over a
+// cache of its own (see refD).
+type refI struct {
+	Cache *cache.Cache
+	MAB   *MAB
+	Stats *stats.Counters
+
+	prevWay  int
+	havePrev bool
+}
+
+func newRefI(geo cache.Config, mcfg Config) *refI {
+	c := cache.New(geo)
+	m := New(mcfg, geo)
+	if mcfg.Consistency == PolicyEvictInvalidate {
+		c.OnEvict = m.OnEviction
+	}
+	return &refI{Cache: c, MAB: m, Stats: &stats.Counters{}}
+}
+
+func (ic *refI) fetch(ev *trace.FetchEvent) {
+	s := ic.Stats
+	s.Accesses++
+	s.Loads++
+	if !ev.First {
+		flow := trace.Classify(*ev, uint32(ic.Cache.Config().LineBytes))
+		s.Flow[flow]++
+		if flow == trace.IntraSeq && ic.havePrev {
+			s.Case1Skips++
+			s.Hits++
+			s.WayReads++
+			ic.Cache.Touch(ev.Addr, ic.prevWay)
+			return
+		}
+	}
+	if ev.First || ev.Kind == trace.KindIndirect || !ic.MAB.InRange(ev.Disp) {
+		s.MABBypasses++
+		ic.MAB.OnBypass()
+		ic.prevWay = ic.fullFetch(ev)
+		ic.havePrev = true
+		return
+	}
+	s.MABLookups++
+	if res := ic.MAB.Probe(ev.Base, ev.Disp); res.Hit {
+		if ic.Cache.Present(ev.Addr, res.Way) {
+			s.MABHits++
+			s.Hits++
+			s.WayReads++
+			ic.Cache.Touch(ev.Addr, res.Way)
+			ic.prevWay = res.Way
+			ic.havePrev = true
+			return
+		}
+		s.Violations++
+		ic.MAB.Invalidate(ev.Base, ev.Disp)
+	}
+	s.MABMisses++
+	way := ic.fullFetch(ev)
+	ic.MAB.Update(ev.Base, ev.Disp, way)
+	s.MABUpdates++
+	ic.prevWay = way
+	ic.havePrev = true
+}
+
+func (ic *refI) fullFetch(ev *trace.FetchEvent) int {
+	s, c := ic.Stats, ic.Cache
+	ways := uint64(c.Config().Ways)
+	s.TagReads += ways
+	s.WayReads += ways
+	way, hit := c.Lookup(ev.Addr)
+	if hit {
+		s.Hits++
+	} else {
+		s.Misses++
+		var evc cache.Eviction
+		way, evc = c.Fill(ev.Addr)
+		s.Refills++
+		s.WayWrites++
+		if evc.Dirty {
+			s.WriteBacks++
+		}
+	}
+	c.Touch(ev.Addr, way)
+	return way
+}
+
+// laneCase is one randomized controller set-up: a geometry and its lanes.
+type laneCase struct {
+	geo  cache.Config
+	cfgs []Config
+}
+
+func (lc laneCase) String() string { return fmt.Sprintf("%+v %v", lc.geo, lc.cfgs) }
+
+// randomLaneCase draws a small, conflict-heavy geometry and 1-8 lanes of
+// mixed policy and clearing mode. PolicyPaper lanes often get as many tag
+// entries as the cache has ways, the sizing that admits violations.
+func randomLaneCase(r *rand.Rand) laneCase {
+	geo := cache.Config{
+		Sets:      1 << r.Intn(7),
+		Ways:      1 << r.Intn(4),
+		LineBytes: 16 << r.Intn(3),
+	}
+	cfgs := make([]Config, 1+r.Intn(8))
+	for k := range cfgs {
+		c := Config{
+			TagEntries:  1 + r.Intn(4),
+			SetEntries:  []int{1, 2, 3, 4, 8, 16}[r.Intn(6)],
+			Consistency: Policy(r.Intn(2)),
+			Clear:       ClearMode(r.Intn(4)),
+		}
+		if c.Consistency == PolicyPaper && geo.Ways <= 4 && r.Intn(2) == 0 {
+			c.TagEntries = geo.Ways
+		}
+		cfgs[k] = c
+	}
+	return laneCase{geo, cfgs}
+}
+
+// randomDataStream draws accesses from a few bases over a window a few
+// times the cache's size, with displacements that are mostly in the
+// adder's range and sometimes far outside it (bypasses), a third stores.
+func randomDataStream(r *rand.Rand, geo cache.Config, n int) []trace.DataEvent {
+	window := uint32(4 * geo.SizeBytes())
+	bases := make([]uint32, 1+r.Intn(8))
+	for i := range bases {
+		bases[i] = 0x100000 + uint32(r.Intn(int(window)))&^3
+	}
+	evs := make([]trace.DataEvent, n)
+	for i := range evs {
+		base := bases[r.Intn(len(bases))]
+		var disp int32
+		switch x := r.Intn(20); {
+		case x < 15:
+			disp = int32(r.Intn(256)-128) * 4
+		case x < 19:
+			disp = int32(r.Intn(1<<13) - 1<<12)
+		default:
+			disp = int32(r.Intn(1<<22) - 1<<21)
+		}
+		evs[i] = trace.DataEvent{Addr: base + uint32(disp), Base: base, Disp: disp, Store: r.Intn(3) == 0, Size: 4}
+	}
+	return evs
+}
+
+// randomFetchStream walks a program counter over a window a few times the
+// cache's size: mostly sequential 8-byte packets, plus near and far taken
+// branches, returns to a few link targets, indirect jumps and the odd
+// reset. Each fetch's Prev is the previous fetch, as in a real trace.
+func randomFetchStream(r *rand.Rand, geo cache.Config, n int) []trace.FetchEvent {
+	const org = 0x10000
+	window := 4 * geo.SizeBytes()
+	links := make([]uint32, 1+r.Intn(4))
+	for i := range links {
+		links[i] = org + uint32(r.Intn(window))&^7
+	}
+	evs := make([]trace.FetchEvent, n)
+	pc := uint32(org)
+	for i := range evs {
+		ev := trace.FetchEvent{Prev: pc, Kind: trace.KindSeq, Base: pc, Disp: 8}
+		switch x := r.Intn(100); {
+		case i == 0 || x == 0:
+			ev.First = true
+			ev.Addr = org + uint32(r.Intn(window))&^7
+		case x < 70:
+			ev.Addr = pc + 8
+		case x < 85:
+			far := 1 << 8
+			if r.Intn(4) == 0 {
+				far = 1 << 20
+			}
+			ev.Kind = trace.KindBranch
+			ev.Addr = uint32(int32(pc)+int32(r.Intn(2*far)-far)) &^ 7
+			ev.Disp = int32(ev.Addr - pc)
+		case x < 93:
+			ev.Kind = trace.KindLink
+			ev.Addr = links[r.Intn(len(links))]
+			ev.Base, ev.Disp = ev.Addr, 0
+		default:
+			ev.Kind = trace.KindIndirect
+			ev.Addr = org + uint32(r.Intn(window))&^7
+			ev.Base, ev.Disp = ev.Addr, 0
+		}
+		evs[i] = ev
+		pc = ev.Addr
+	}
+	return evs
+}
+
+// blocks cuts n events into randomly sized blocks, so the controllers'
+// counters are read back after blocks of every length, single events
+// included.
+func blocks(r *rand.Rand, n int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+r.Intn(600))
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+// checkLanes compares the N-lane controller's baseline and lanes against
+// their references, and the shared cache against every reference cache.
+func checkLanes(t *testing.T, what string, base, got *stats.Counters, wantBase *stats.Counters,
+	lanes []Lane, refStats []*stats.Counters, c *cache.Cache, refCaches []*cache.Cache) {
+	t.Helper()
+	if *base != *wantBase {
+		t.Fatalf("%s: baseline counters\n got  %+v\n want %+v", what, *base, *wantBase)
+	}
+	if len(lanes) > 0 && got != lanes[0].Stats {
+		t.Fatalf("%s: Stats is not lane 0's counters", what)
+	}
+	for k := range lanes {
+		if *lanes[k].Stats != *refStats[k] {
+			t.Fatalf("%s: lane %d (%v) counters\n got  %+v\n want %+v",
+				what, k, lanes[k].MAB.Config(), *lanes[k].Stats, *refStats[k])
+		}
+		if lanes[k].evict {
+			if bad := lanes[k].MAB.CheckInvariant(c); bad != 0 {
+				t.Fatalf("%s: lane %d: %d pairs violate MAB ⊆ cache", what, k, bad)
+			}
+		}
+	}
+	geo := c.Config()
+	for _, rc := range refCaches {
+		for set := 0; set < geo.Sets; set++ {
+			for w := 0; w < geo.Ways; w++ {
+				tag, valid := c.TagAt(uint32(set), w)
+				rtag, rvalid := rc.TagAt(uint32(set), w)
+				if valid != rvalid || (valid && tag != rtag) {
+					t.Fatalf("%s: cache line (%d,%d) diverged from a reference", what, set, w)
+				}
+			}
+		}
+	}
+}
+
+// runDLanes feeds evs to an N-lane DController in the given blocks and,
+// event by event, to baseline.OriginalD plus one reference controller per
+// lane, checking everything after every block. It returns the controller.
+func runDLanes(t *testing.T, what string, lc laneCase, evs []trace.DataEvent, cuts [][2]int) *DController {
+	t.Helper()
+	d := NewDLanes(lc.geo, lc.cfgs)
+	orig := baseline.NewOriginalD(lc.geo)
+	refs := make([]*refD, len(lc.cfgs))
+	refStats := make([]*stats.Counters, len(lc.cfgs))
+	refCaches := []*cache.Cache{orig.Cache}
+	for k, cfg := range lc.cfgs {
+		refs[k] = newRefD(lc.geo, cfg)
+		refStats[k], refCaches = refs[k].Stats, append(refCaches, refs[k].Cache)
+	}
+	for _, cut := range cuts {
+		blk := evs[cut[0]:cut[1]]
+		if len(blk) == 1 {
+			d.OnData(blk[0])
+		} else {
+			d.OnDataBatch(blk)
+		}
+		orig.OnDataBatch(blk)
+		for i := range blk {
+			for _, ref := range refs {
+				ref.access(&blk[i])
+			}
+		}
+		checkLanes(t, fmt.Sprintf("%s after event %d", what, cut[1]), d.Baseline, d.Stats, orig.Stats,
+			d.Lanes, refStats, d.Cache, refCaches)
+	}
+	return d
+}
+
+// runILanes is runDLanes for the I-cache controller against
+// baseline.OriginalI.
+func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, cuts [][2]int) *IController {
+	t.Helper()
+	ic := NewILanes(lc.geo, lc.cfgs)
+	orig := baseline.NewOriginalI(lc.geo)
+	refs := make([]*refI, len(lc.cfgs))
+	refStats := make([]*stats.Counters, len(lc.cfgs))
+	refCaches := []*cache.Cache{orig.Cache}
+	for k, cfg := range lc.cfgs {
+		refs[k] = newRefI(lc.geo, cfg)
+		refStats[k], refCaches = refs[k].Stats, append(refCaches, refs[k].Cache)
+	}
+	for _, cut := range cuts {
+		blk := evs[cut[0]:cut[1]]
+		if len(blk) == 1 {
+			ic.OnFetch(blk[0])
+		} else {
+			ic.OnFetchBatch(blk)
+		}
+		orig.OnFetchBatch(blk)
+		for i := range blk {
+			for _, ref := range refs {
+				ref.fetch(&blk[i])
+			}
+		}
+		checkLanes(t, fmt.Sprintf("%s after fetch %d", what, cut[1]), ic.Baseline, ic.Stats, orig.Stats,
+			ic.Lanes, refStats, ic.Cache, refCaches)
+	}
+	return ic
+}
+
+// TestLanesMatchReferenceRandom is the lane contract on random streams:
+// an N-lane controller leaves its baseline counters equal to
+// baseline.OriginalD's (OriginalI's) and each lane's equal to a reference
+// one-MAB controller's, over random geometries, lane sets, policies and
+// clearing modes, with streams that force bypasses and, under PolicyPaper,
+// violations. Every evict-invalidate lane keeps MAB ⊆ cache throughout.
+func TestLanesMatchReferenceRandom(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 8
+	}
+	var violations, bypasses uint64
+	for seed := 0; seed < seeds; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		lc := randomLaneCase(r)
+		const n = 6000
+		d := runDLanes(t, fmt.Sprintf("seed %d D %v", seed, lc), lc, randomDataStream(r, lc.geo, n), blocks(r, n))
+		ic := runILanes(t, fmt.Sprintf("seed %d I %v", seed, lc), lc, randomFetchStream(r, lc.geo, n), blocks(r, n))
+		for _, s := range []*stats.Counters{d.Stats, ic.Stats} {
+			bypasses += s.MABBypasses
+		}
+		for k := range lc.cfgs {
+			violations += d.Lanes[k].Stats.Violations + ic.Lanes[k].Stats.Violations
+		}
+	}
+	if violations == 0 || bypasses == 0 {
+		t.Fatalf("streams exercised %d violations and %d bypasses; want both > 0", violations, bypasses)
+	}
+}
+
+// TestLanesMatchReferencePaperCaptures runs the same contract over the
+// seven benchmarks' captured streams at three geometries, with lanes
+// covering both policies and every clearing mode.
+func TestLanesMatchReferencePaperCaptures(t *testing.T) {
+	geos := []cache.Config{cache.FRV32K, {Sets: 64, Ways: 4, LineBytes: 16}, {Sets: 16, Ways: 1, LineBytes: 64}}
+	cfgs := []Config{
+		DefaultD,
+		{TagEntries: 2, SetEntries: 16},
+		{TagEntries: 1, SetEntries: 4, Clear: ClearAll},
+		{TagEntries: 2, SetEntries: 8, Consistency: PolicyPaper},
+		{TagEntries: 2, SetEntries: 8, Consistency: PolicyPaper, Clear: ClearLRURow},
+		{TagEntries: 4, SetEntries: 2, Consistency: PolicyPaper, Clear: ClearNone},
+	}
+	ws := workloads.All()
+	if testing.Short() {
+		ws = ws[:2]
+	}
+	for _, w := range ws {
+		buf := &trace.Buffer{}
+		if _, err := workloads.Run(w, buf, buf); err != nil {
+			t.Fatal(err)
+		}
+		fetches, datas := buf.Fetches(), buf.Datas()
+		for _, geo := range geos {
+			lc := laneCase{geo, cfgs}
+			r := rand.New(rand.NewSource(1))
+			runDLanes(t, fmt.Sprintf("%s D %v", w.Name, geo), lc, datas, bigBlocks(r, len(datas)))
+			runILanes(t, fmt.Sprintf("%s I %v", w.Name, geo), lc, fetches, bigBlocks(r, len(fetches)))
+		}
+	}
+}
+
+// bigBlocks cuts n events into replay-sized blocks of random length.
+func bigBlocks(r *rand.Rand, n int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+r.Intn(8192))
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
+}

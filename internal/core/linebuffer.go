@@ -100,8 +100,7 @@ func (d *DLineBufferController) mabAccess(ev *trace.DataEvent) int {
 		return d.fullAccess(ev)
 	}
 	s.MABLookups++
-	mabWay, mabHit := d.MAB.probeFast(ev.Base, ev.Disp)
-	if mabHit {
+	if mabWay := d.MAB.probeKey(d.MAB.key(ev.Base, ev.Disp)); mabWay >= 0 {
 		if d.Cache.Present(ev.Addr, mabWay) {
 			s.MABHits++
 			s.Hits++

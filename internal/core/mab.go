@@ -144,14 +144,56 @@ type Lookup struct {
 	PredictedAddr uint32
 }
 
-// MAB is the Memory Address Buffer.
-type MAB struct {
-	cfg        Config
-	geo        cache.Config
+// adder is the small address adder the MAB is probed through: which
+// displacements it covers, and the tag-table word and set index it makes
+// of (base, disp). Both depend only on the cache geometry, so a controller
+// with several MAB lanes computes them once per access for all of them.
+type adder struct {
 	lowBits    uint // offset+set bits covered by the small adder (14)
 	offsetBits uint
 	lowMask    uint32
-	tagMask    uint32 // physical tag width
+}
+
+func newAdder(geo cache.Config) adder {
+	a := adder{lowBits: uint(geo.OffsetBits() + geo.SetBits()), offsetBits: uint(geo.OffsetBits())}
+	a.lowMask = 1<<a.lowBits - 1
+	return a
+}
+
+// inRange reports whether disp fits the low adder: its upper bits must be
+// all zeros or all ones (|disp| < 2^lowBits), the paper's §3.3 condition.
+//
+// Here and in key, shift counts are masked to 5 bits. A valid geometry
+// keeps lowBits at most 31 (cache.Config.Validate), so the mask changes
+// nothing but lets the compiler drop its guard for counts of 32 or more,
+// three instructions per shift on the per-access path.
+func (a *adder) inRange(disp int32) bool {
+	hi := disp >> (a.lowBits & 31)
+	return hi == 0 || hi == -1
+}
+
+// key computes the tag-table word for (base, disp) — the base's upper bits
+// and the cflag from the low adder, packed as key<<2 | cflag — and the set
+// index the low adder produces.
+func (a *adder) key(base uint32, disp int32) (word uint64, setIdx uint32) {
+	low := base & a.lowMask
+	dlow := uint32(disp) & a.lowMask
+	sum := low + dlow
+	lb := a.lowBits & 31
+	carry := uint64(sum >> lb & 1)
+	sign := uint64(0)
+	if disp < 0 {
+		sign = 1
+	}
+	return uint64(base>>lb)<<2 | carry | sign<<1, (sum & a.lowMask) >> (a.offsetBits & 31)
+}
+
+// MAB is the Memory Address Buffer.
+type MAB struct {
+	cfg Config
+	geo cache.Config
+	adder
+	tagMask uint32 // physical tag width
 
 	// Tag table: packed key<<2 | cflag words, so a match is one compare,
 	// and the physical tag each entry denotes, for eviction matches.
@@ -193,19 +235,17 @@ func New(cfg Config, geo cache.Config) *MAB {
 	}
 	nt, ns := cfg.TagEntries, cfg.SetEntries
 	m := &MAB{
-		cfg:        cfg,
-		geo:        geo,
-		lowBits:    uint(geo.OffsetBits() + geo.SetBits()),
-		offsetBits: uint(geo.OffsetBits()),
-		tags:       newSlots(nt),
-		tagWord:    make([]uint64, nt),
-		tagTrue:    make([]uint32, nt),
-		sets:       newSlots(ns),
-		setIdx:     make([]uint32, ns),
-		setSlot:    make([]int32, geo.Sets),
-		pairs:      make([]pair, nt*ns),
+		cfg:     cfg,
+		geo:     geo,
+		adder:   newAdder(geo),
+		tags:    newSlots(nt),
+		tagWord: make([]uint64, nt),
+		tagTrue: make([]uint32, nt),
+		sets:    newSlots(ns),
+		setIdx:  make([]uint32, ns),
+		setSlot: make([]int32, geo.Sets),
+		pairs:   make([]pair, nt*ns),
 	}
-	m.lowMask = 1<<m.lowBits - 1
 	m.tagMask = uint32(1)<<(32-m.lowBits) - 1
 	for s := range m.setSlot {
 		m.setSlot[s] = -1
@@ -224,25 +264,7 @@ func (m *MAB) Characterize() synth.Result {
 
 // InRange reports whether disp fits the low adder: its upper bits must be
 // all zeros or all ones (|disp| < 2^lowBits), the paper's §3.3 condition.
-func (m *MAB) InRange(disp int32) bool {
-	hi := disp >> m.lowBits
-	return hi == 0 || hi == -1
-}
-
-// key computes the tag-table word for (base, disp) — the base's upper bits
-// and the cflag from the low adder, packed as key<<2 | cflag — and the set
-// index the low adder produces.
-func (m *MAB) key(base uint32, disp int32) (word uint64, setIdx uint32) {
-	low := base & m.lowMask
-	dlow := uint32(disp) & m.lowMask
-	sum := low + dlow
-	carry := uint64(sum >> m.lowBits & 1)
-	sign := uint64(0)
-	if disp < 0 {
-		sign = 1
-	}
-	return uint64(base>>m.lowBits)<<2 | carry | sign<<1, (sum & m.lowMask) >> m.offsetBits
-}
+func (m *MAB) InRange(disp int32) bool { return m.inRange(disp) }
 
 // trueTag returns the physical cache tag a tag word denotes: key + carry
 // (positive displacement) or key + carry - 1 (negative).
@@ -276,7 +298,7 @@ func (m *MAB) Probe(base uint32, disp int32) Lookup {
 	if !m.InRange(disp) {
 		return Lookup{}
 	}
-	word, _ := m.key(base, disp)
+	word, set := m.key(base, disp)
 	// Reconstruct the predicted address the way the hardware does: the low
 	// bits come from the 14-bit adder, the tag from the base's upper bits
 	// adjusted by carry and displacement sign. For in-range displacements
@@ -287,31 +309,32 @@ func (m *MAB) Probe(base uint32, disp int32) Lookup {
 	}
 	predLow := (base + uint32(disp)) & m.lowMask
 	res := Lookup{InRange: true, PredictedAddr: (uint32(word>>2)+adj)<<m.lowBits | predLow}
-	res.Way, res.Hit = m.probeFast(base, disp)
+	if way := m.probeKey(word, set); way >= 0 {
+		res.Way, res.Hit = way, true
+	}
 	return res
 }
 
-// probeFast is Probe stripped for the controllers' per-event hot path: the
-// caller has already checked InRange, and nothing on the hot path consumes
-// the predicted address (the controllers verify the memoized way against
-// the final address the trace already carries), so neither is recomputed
-// here.
-func (m *MAB) probeFast(base uint32, disp int32) (way int, hit bool) {
-	word, setIdx := m.key(base, disp)
+// probeKey is Probe stripped for the controllers' per-event hot path: the
+// caller has already checked InRange and computed the key, and nothing on
+// the hot path consumes the predicted address (the controllers verify the
+// memoized way against the final address the trace already carries). It
+// returns the memoized way, or -1 on a miss.
+func (m *MAB) probeKey(word uint64, setIdx uint32) int {
 	j := int(m.setSlot[setIdx])
 	if j < 0 {
-		return 0, false
+		return -1
 	}
 	i := m.findTag(word)
 	if i < 0 {
-		return 0, false
+		return -1
 	}
 	if p := &m.pairs[i*m.cfg.SetEntries+j]; m.alive(p, i, j) {
 		m.tags.touch(i)
 		m.sets.touch(j)
-		return int(p.way), true
+		return int(p.way)
 	}
-	return 0, false
+	return -1
 }
 
 // Update installs (base, disp) → way after a full cache access, following
@@ -321,6 +344,11 @@ func (m *MAB) Update(base uint32, disp int32, way int) {
 		return
 	}
 	word, setIdx := m.key(base, disp)
+	m.updateKey(word, setIdx, way)
+}
+
+// updateKey is Update on a key the caller computed for an in-range access.
+func (m *MAB) updateKey(word uint64, setIdx uint32, way int) {
 	i := m.findTag(word)
 	if i >= 0 {
 		m.tags.touch(i)
@@ -351,7 +379,12 @@ func (m *MAB) Invalidate(base uint32, disp int32) {
 	if !m.InRange(disp) {
 		return
 	}
-	word, setIdx := m.key(base, disp)
+	m.invalidateKey(m.key(base, disp))
+}
+
+// invalidateKey is Invalidate on a key the caller computed for an in-range
+// access.
+func (m *MAB) invalidateKey(word uint64, setIdx uint32) {
 	if i, j := m.findTag(word), int(m.setSlot[setIdx]); i >= 0 && j >= 0 {
 		m.pairs[i*m.cfg.SetEntries+j].born = 0
 	}

@@ -13,6 +13,7 @@ import (
 	"waymemo/internal/power"
 	"waymemo/internal/stats"
 	"waymemo/internal/suite"
+	"waymemo/internal/synth"
 	"waymemo/internal/trace"
 	"waymemo/internal/workloads"
 )
@@ -349,31 +350,30 @@ func runShards(ctx context.Context, s Space, pts []Point, techs []suite.Techniqu
 }
 
 // simulateShard simulates pts, grid points of workload w, in one pass over
-// w's event stream. It instantiates every point's technique set, then feeds
-// them all through suite.Drive: a single batched fan-out replay of the
-// workload's capture, or, when tc is nil, one live execution that tees each
-// event to every sink. Either way each point is priced by assemblePoint, so
-// live and replayed grids are byte-identical.
+// w's event stream. Each point gets one way-memoized controller whose
+// cache is shared by the baseline and one lane per MAB size: way
+// memoization never changes hits, misses or evictions, so one cache model
+// per point serves them all (see core.Lane). The controllers are fed
+// through suite.Drive: a single batched fan-out replay of the workload's
+// capture, or, when tc is nil, one live execution delivered in blocks.
+// Either way each point is priced by assemblePoint, so live and replayed
+// grids are byte-identical.
 func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fanPoint,
 	techs []suite.Technique, mabs []core.Config, tc *suite.TraceCache) ([]*PointResult, error) {
-	// Instantiate the technique sinks only now, so the memory a sweep holds
-	// live is bounded by the active shards, not the grid. Pairs are laid out
-	// technique-major (all of one technique's instances across the shard's
-	// points adjacent) so each decoded block sweeps through structurally
-	// identical controllers together — their tables share layout, keeping
-	// the delivery loop's working set coherent. Every sink sees the full
-	// stream regardless of pair order, so results are unaffected.
-	insts := make([][]suite.Instance, len(pts))
-	pairs := make([]trace.SinkPair, len(pts)*len(techs))
+	// Build the controllers only now, so the memory a sweep holds live is
+	// bounded by the active shards, not the grid.
+	outs := make([]pointCounters, len(pts))
+	pairs := make([]trace.SinkPair, len(pts))
 	for pi, fp := range pts {
-		insts[pi] = make([]suite.Instance, len(techs))
-		for ti, tech := range techs {
-			inst, pair, err := tech.Instantiate(fp.pt.Geometry)
-			if err != nil {
-				return nil, err
-			}
-			insts[pi][ti] = inst
-			pairs[ti*len(pts)+pi] = pair
+		switch s.Domain {
+		case suite.Data:
+			d := core.NewDLanes(fp.pt.Geometry, mabs)
+			pairs[pi], outs[pi] = trace.SinkPair{Data: d}, pointCounters{d.Baseline, d.Lanes}
+		case suite.Fetch:
+			ic := core.NewILanes(fp.pt.Geometry, mabs)
+			pairs[pi], outs[pi] = trace.SinkPair{Fetch: ic}, pointCounters{ic.Baseline, ic.Lanes}
+		default:
+			return nil, fmt.Errorf("explore: invalid domain %d", s.Domain)
 		}
 	}
 	cycles, instrs, err := suite.Drive(ctx, w, s.PacketBytes, pairs, tc, len(pts))
@@ -382,15 +382,25 @@ func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fan
 	}
 	prs := make([]*PointResult, len(pts))
 	for pi, fp := range pts {
-		prs[pi] = assemblePoint(fp.pt, techs, mabs, insts[pi], cycles, instrs)
+		prs[pi] = assemblePoint(fp.pt, techs, mabs, outs[pi], cycles, instrs)
 	}
 	return prs, nil
 }
 
-// assemblePoint prices one grid point's freshly simulated instances into
-// the PointResult the analysis layer and the result cache consume.
+// pointCounters are one grid point's counters as its controller fills
+// them: the conventional baseline's, and one lane per MAB size in space
+// order.
+type pointCounters struct {
+	base  *stats.Counters
+	lanes []core.Lane
+}
+
+// assemblePoint prices one grid point's freshly simulated counters into
+// the PointResult the analysis layer and the result cache consume. The
+// power models are those of the space's techniques: the bare array for the
+// baseline, plus the synthesized MAB for each way-memoized one.
 func assemblePoint(pt Point, techs []suite.Technique, mabs []core.Config,
-	insts []suite.Instance, cycles, instrs uint64) *PointResult {
+	out pointCounters, cycles, instrs uint64) *PointResult {
 	pr := &PointResult{
 		Geometry: pt.Geometry,
 		Workload: pt.Workload.Name,
@@ -398,17 +408,18 @@ func assemblePoint(pt Point, techs []suite.Technique, mabs []core.Config,
 		Instrs:   instrs,
 		Techs:    make([]TechOutcome, 0, len(techs)),
 	}
+	array := suite.ArrayModel(pt.Geometry)
 	for i := range techs {
-		out := TechOutcome{
-			ID:    string(techs[i].ID),
-			Stats: *insts[i].Stats,
-			Power: power.Compute(insts[i].Stats, cycles, insts[i].Model),
-		}
+		st, model := out.base, array
+		to := TechOutcome{ID: string(techs[i].ID)}
 		if i > 0 { // techs[0] is the baseline; the rest follow mabs order
-			out.TagEntries = mabs[i-1].TagEntries
-			out.SetEntries = mabs[i-1].SetEntries
+			m := mabs[i-1]
+			st = out.lanes[i-1].Stats
+			to.TagEntries, to.SetEntries = m.TagEntries, m.SetEntries
+			model.MAB = synth.Characterize(m.TagEntries, m.SetEntries)
 		}
-		pr.Techs = append(pr.Techs, out)
+		to.Stats, to.Power = *st, power.Compute(st, cycles, model)
+		pr.Techs = append(pr.Techs, to)
 	}
 	return pr
 }

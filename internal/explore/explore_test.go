@@ -132,6 +132,42 @@ func TestSpaceNormalizeGeometryLimits(t *testing.T) {
 	}
 }
 
+// upTo returns 1..n.
+func upTo(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
+}
+
+// TestSpaceNormalizeStateBudget: every MAB size is within core.MaxPairs on
+// its own, but 64 x 64 of them over a 2^20-set cache would allocate a 4 MiB
+// reverse map each, 16 GiB per grid point. Normalize must refuse the
+// space by its per-point controller state, and accept the largest cache
+// with the paper's MAB grid.
+func TestSpaceNormalizeStateBudget(t *testing.T) {
+	huge := Space{Domain: suite.Data, Sets: []int{1 << 20}, Ways: []int{1}, LineBytes: []int{1},
+		TagEntries: upTo(64), SetEntries: upTo(64), Workloads: []workloads.Workload{tinyWorkload("tiny")}}
+	if b := core.StateBytes(huge.Geometries()[0], huge.MABs()); b < 16<<30 {
+		t.Fatalf("StateBytes = %d, want at least 16 GiB", b)
+	}
+	if _, err := huge.Normalize(); err == nil {
+		t.Fatal("Normalize accepted 16 GiB of controller state per point")
+	}
+	for _, geo := range [][3]int{{1 << 20, 1, 4}, {1024, 1024, 32}} {
+		sp := Space{Domain: suite.Data, Sets: []int{geo[0]}, Ways: []int{geo[1]}, LineBytes: []int{geo[2]},
+			Workloads: []workloads.Workload{tinyWorkload("tiny")}}
+		n, err := sp.Normalize()
+		if err != nil {
+			t.Fatalf("%v with the paper's MAB grid: %v", geo, err)
+		}
+		if b := core.StateBytes(n.Geometries()[0], n.MABs()); b > core.MaxStateBytes {
+			t.Fatalf("%v: accepted %d bytes, over the budget", geo, b)
+		}
+	}
+}
+
 // stripCached clears the run-local Cached flag so result sets from cold and
 // warm runs compare equal.
 func stripCached(g *Grid) []PointResult {
@@ -511,10 +547,11 @@ func TestFanOutSchedulerEquivalence(t *testing.T) {
 	if lt != (suite.TraceCacheStats{}) {
 		t.Errorf("live sweep reported trace work: %+v", lt)
 	}
-	// 4 points x 3 techniques over 2 workloads: the fan-out must feed all
-	// 12 sinks with at most one pass per (workload, shard).
-	if bt.FanOutSinks != 12 || bt.FanOutPasses > 6 {
-		t.Errorf("fan-out shape = %d sinks / %d passes, want 12 sinks in <= 6 passes",
+	// 4 points over 2 workloads, each point one controller carrying its 3
+	// techniques: the fan-out must feed 4 sinks with at most one pass per
+	// (workload, shard).
+	if bt.FanOutSinks != 4 || bt.FanOutPasses > 6 {
+		t.Errorf("fan-out shape = %d sinks / %d passes, want 4 sinks in <= 6 passes",
 			bt.FanOutSinks, bt.FanOutPasses)
 	}
 	if bt.Replays != len(batched.Points) || bt.Captures != len(space.Workloads) {

@@ -151,16 +151,6 @@ func (s Space) normalized() (Space, error) {
 	if pb := s.PacketBytes; pb != 0 && (pb < 4 || pb&(pb-1) != 0) {
 		return s, fmt.Errorf("explore: packet bytes %d not a power of two >= 4", pb)
 	}
-	for _, geo := range s.Geometries() {
-		if err := geo.Validate(); err != nil {
-			return s, err
-		}
-	}
-	for _, m := range s.MABs() {
-		if err := m.Validate(); err != nil {
-			return s, fmt.Errorf("explore: %w", err)
-		}
-	}
 	// Duplicate axis values would double-count grid points (and duplicate
 	// technique IDs abort deep inside suite.Run); reject them up front.
 	for _, ax := range []struct {
@@ -176,6 +166,29 @@ func (s Space) normalized() (Space, error) {
 				return s, fmt.Errorf("explore: duplicate %s axis value %d", ax.name, v)
 			}
 			seenVal[v] = true
+		}
+	}
+	geos := s.Geometries()
+	for _, geo := range geos {
+		if err := geo.Validate(); err != nil {
+			return s, err
+		}
+	}
+	// Validate the MAB sizes before expanding their cross product: the
+	// axis values are distinct, and a size over core.MaxPairs ends the
+	// scan, so at most a few tens of thousands of sizes are ever expanded.
+	for _, nt := range s.TagEntries {
+		for _, ns := range s.SetEntries {
+			if err := (core.Config{TagEntries: nt, SetEntries: ns}).Validate(); err != nil {
+				return s, fmt.Errorf("explore: %w", err)
+			}
+		}
+	}
+	mabs := s.MABs()
+	for _, geo := range geos {
+		if b := core.StateBytes(geo, mabs); b > core.MaxStateBytes {
+			return s, fmt.Errorf("explore: %d sets x %d ways with %d MAB sizes needs %d MiB of controller state per point, over %d MiB",
+				geo.Sets, geo.Ways, len(mabs), b>>20, core.MaxStateBytes>>20)
 		}
 	}
 	seen := map[string]bool{}

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -466,6 +468,46 @@ func TestSubmitRejectsOversizedGeometry(t *testing.T) {
 	sub := postSweep(t, ts.URL, tinyReq(64))
 	if _, final := followEvents(t, ts.URL, sub.ID); final.State != "done" {
 		t.Fatalf("valid sweep after rejections finished %s", final.State)
+	}
+}
+
+// TestSubmitRejectsOversizedMABGrid: every MAB size of 1..64 x 1..64 is
+// within core.MaxPairs, but over a 2^20-set cache each keeps a 4 MiB
+// reverse map, 16 GiB per grid point. The daemon must answer 400 without
+// allocating any of it or journaling anything.
+func TestSubmitRejectsOversizedMABGrid(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	axis := make([]string, 64)
+	for i := range axis {
+		axis[i] = strconv.Itoa(i + 1)
+	}
+	list := "[" + strings.Join(axis, ",") + "]"
+	body := `{"sets":[1048576],"ways":[1],"line_bytes":[1],"mab_tags":` + list + `,"mab_sets":` + list + `}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST 4096 MAB sizes over 2^20 sets = %d, want 400", resp.StatusCode)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("rejecting the sweep allocated %d MiB", grew>>20)
+	}
+	getJSON(t, ts.URL+"/readyz", http.StatusOK, nil)
+	var stats ServerStats
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
+	if stats.Sweeps != 0 || stats.JournalRecords != 0 {
+		t.Fatalf("rejected submission created %d sweeps, %d journal records", stats.Sweeps, stats.JournalRecords)
 	}
 }
 
