@@ -37,14 +37,14 @@ const MaxLines = 1 << 20
 // and line size, a tag at least one bit wide on 32-bit addresses, and at
 // most MaxLines lines.
 func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
-		return fmt.Errorf("cache: sets %d not a power of two", c.Sets)
+	if err := ValidateSets(c.Sets); err != nil {
+		return err
 	}
-	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
+	if err := ValidateLineBytes(c.LineBytes); err != nil {
+		return err
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache: ways %d", c.Ways)
+	if err := ValidateWays(c.Ways); err != nil {
+		return err
 	}
 	if b := c.OffsetBits() + c.SetBits(); b > 31 {
 		return fmt.Errorf("cache: %d sets of %d B lines use %d address bits, leaving no tag (at most 31)",
@@ -52,6 +52,27 @@ func (c Config) Validate() error {
 	}
 	if c.Ways > MaxLines/c.Sets {
 		return fmt.Errorf("cache: %d sets x %d ways exceeds %d lines", c.Sets, c.Ways, MaxLines)
+	}
+	return nil
+}
+
+// ValidateSets, ValidateLineBytes and ValidateWays are Validate's checks
+// of one field alone: a value they reject fails every geometry it appears
+// in, so a sweep can reject an axis value before expanding the axes' cross
+// product.
+func ValidateSets(n int) error      { return powerOfTwo("sets", n) }
+func ValidateLineBytes(n int) error { return powerOfTwo("line size", n) }
+
+func powerOfTwo(field string, n int) error {
+	if n <= 0 || n&(n-1) != 0 {
+		return fmt.Errorf("cache: %s %d not a power of two", field, n)
+	}
+	return nil
+}
+
+func ValidateWays(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("cache: ways %d", n)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -114,12 +115,17 @@ func key(domain suite.Domain, geo cache.Config, workload, workloadFP, isaName st
 	return hex.EncodeToString(sum[:])
 }
 
-// Cache memoizes completed grid points. Get reports a miss for keys it does
-// not hold or cannot read back intact; Put must store the result so that a
-// later Get returns an equal value.
+// Cache is the shard scheduler's resolver. Resolve answers a grid point's
+// key with a hit (a stored result that passes valid), a join (a wait that
+// returns the result or failure another sweep simulating the point
+// publishes), or a claim (neither: this sweep simulates it). Resolve must
+// not block on another sweep; that is what join is for. Every claimed
+// point is published exactly once, with its result or the error that
+// stopped it, and Publish returns the error the sweep fails the point with
+// (nil once a result is stored).
 type Cache interface {
-	Get(key string) (*PointResult, bool)
-	Put(key string, r *PointResult) error
+	Resolve(key string, valid func(*PointResult) bool) (hit *PointResult, join func(context.Context) (*PointResult, error))
+	Publish(key string, r *PointResult, err error) error
 }
 
 // DirCache is the on-disk Cache: one pretty-printed JSON file per grid
@@ -177,6 +183,24 @@ func (c *DirCache) Get(key string) (*PointResult, bool) {
 		return nil, false
 	}
 	return &r, true
+}
+
+// Resolve answers a stored result that passes valid as a hit and anything
+// else as a claim: a directory has no in-flight sweeps to join.
+func (c *DirCache) Resolve(key string, valid func(*PointResult) bool) (*PointResult, func(context.Context) (*PointResult, error)) {
+	if r, ok := c.Get(key); ok && valid(r) {
+		return r, nil
+	}
+	return nil, nil
+}
+
+// Publish stores a simulated point with Put; a failed point stores nothing
+// and keeps its error.
+func (c *DirCache) Publish(key string, r *PointResult, err error) error {
+	if err != nil {
+		return err
+	}
+	return c.Put(key, r)
 }
 
 // CacheStats describes a DirCache's on-disk footprint.

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -72,18 +73,18 @@ type Progress struct {
 	Total    int
 	Geometry cache.Config
 	Workload string
-	// Cached is meaningful when Done: the point came from the result
-	// cache.
+	// Cached is meaningful when Done: the point was not simulated by this
+	// sweep — it came from the result cache or, when Joined is also set,
+	// from another sweep's simulation this one waited on.
 	Cached bool
+	Joined bool
 	Done   bool
 }
 
 // options collects the Run configuration; see the With* constructors.
 type options struct {
-	cache        Cache
+	sc           Scheduler
 	cacheDir     string
-	parallelism  int
-	progress     func(Progress)
 	noTraceShare bool
 	traceDir     string
 }
@@ -91,15 +92,9 @@ type options struct {
 // Option configures Run.
 type Option func(*options) error
 
-// WithCache memoizes grid points in the given cache (default: none, every
-// point simulates).
-func WithCache(c Cache) Option {
-	return func(o *options) error { o.cache = c; return nil }
-}
-
-// WithCacheDir memoizes grid points in a DirCache over dir; the directory
-// is created if needed. It overrides WithCache. An empty dir is an error —
-// silently running uncached would be the costlier surprise.
+// WithCacheDir memoizes grid points in a DirCache over dir (default: none,
+// every point simulates); the directory is created if needed. An empty dir
+// is an error — silently running uncached would be the costlier surprise.
 func WithCacheDir(dir string) Option {
 	return func(o *options) error {
 		if dir == "" {
@@ -113,12 +108,12 @@ func WithCacheDir(dir string) Option {
 // WithParallelism bounds the number of grid points simulated concurrently
 // (default and n <= 0: GOMAXPROCS). Results are identical at every level.
 func WithParallelism(n int) Option {
-	return func(o *options) error { o.parallelism = n; return nil }
+	return func(o *options) error { o.sc.Parallelism = n; return nil }
 }
 
 // WithProgress installs a callback invoked as grid points start and finish.
 func WithProgress(fn func(Progress)) Option {
-	return func(o *options) error { o.progress = fn; return nil }
+	return func(o *options) error { o.sc.Progress = fn; return nil }
 }
 
 // WithTraceSharing toggles the execute-once / replay-many engine (default
@@ -145,21 +140,15 @@ func WithTraceDir(dir string) Option {
 	}
 }
 
-// Run expands the space into its grid and executes every point, fanning
-// shards of points out over a worker pool. Every point carries the space's
-// full technique list, so a point costs one pass over its workload's event
-// stream regardless of how many MAB sizes are swept — and with trace
-// sharing (the default), the workload executes only once: the first shard
-// to need it captures its event streams, and every shard replays the
-// capture into all of its points' techniques in one batched pass.
-//
-// With a result cache configured, points whose Key is already stored load
-// instead of simulating, and newly simulated points are stored on
-// completion — a warm cache re-runs an identical sweep without a single
-// simulation (Grid.Misses == 0).
-//
-// Run returns the first error encountered (cancelling the remaining work),
-// or ctx.Err() if the context ends first.
+// Run expands the space into its grid and schedules every point through
+// a Scheduler built from the options. Every point carries the space's full
+// technique list and costs one pass over its workload's event stream; with
+// trace sharing (the default) each workload executes once and every shard
+// replays the capture. With a result cache, stored points load instead of
+// simulating and simulated ones are stored, so a warm cache re-runs an
+// identical sweep without a single simulation (Grid.Misses == 0). Run
+// returns the first error encountered, or ctx.Err() if the context ends
+// first.
 func Run(ctx context.Context, space Space, opts ...Option) (*Grid, error) {
 	var o options
 	for _, opt := range opts {
@@ -172,64 +161,78 @@ func Run(ctx context.Context, space Space, opts ...Option) (*Grid, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.cache = dc
+		o.sc.Cache = dc
 	}
-	var tc *suite.TraceCache
 	switch {
 	case o.noTraceShare && o.traceDir != "":
 		return nil, fmt.Errorf("explore: trace directory given but trace sharing disabled")
 	case o.traceDir != "":
 		var err error
-		if tc, err = suite.NewDirTraceCache(o.traceDir); err != nil {
+		if o.sc.Traces, err = suite.NewDirTraceCache(o.traceDir); err != nil {
 			return nil, err
 		}
 	case !o.noTraceShare:
-		tc = suite.NewTraceCache()
+		o.sc.Traces = suite.NewTraceCache()
 	}
-	s, err := space.normalized()
+	return o.sc.Run(ctx, space)
+}
+
+// Scheduler is the shard scheduler, the one code path that schedules grid
+// points: Run builds one from its options, and the serve daemon builds one
+// over its own store, trace cache and simulation slots. For every point it
+// asks Cache for a hit, a join or a claim (see Cache), then shards the
+// claimed points by workload, simulates each shard in one fan-out pass and
+// publishes every claimed point's result or error back to Cache.
+//
+// Claimed shards never wait on a join, and a join never holds a worker:
+// joins wait on their own goroutines beside the shard pool. Two sweeps
+// that each claim a point the other joins therefore both finish, at any
+// Parallelism.
+type Scheduler struct {
+	// Cache resolves and publishes grid points; nil claims every point
+	// and publishes nothing.
+	Cache Cache
+	// Traces is the execute-once / replay-many engine; nil executes every
+	// point live, one point per shard.
+	Traces *suite.TraceCache
+	// Parallelism bounds the shards simulating at once (<= 0: GOMAXPROCS).
+	// Results are identical at every level.
+	Parallelism int
+	// Progress, if set, is called as grid points start and finish; calls
+	// are serialized.
+	Progress func(Progress)
+	// Shard, if set, wraps each shard's simulation: it calls simulate
+	// once, under whatever context it chooses, and returns its error — or
+	// returns an error without calling it. ctx ends when the sweep fails
+	// or is cancelled. Nil calls simulate(ctx).
+	Shard func(ctx context.Context, simulate func(context.Context) error) error
+}
+
+// Run normalizes the space and schedules its whole grid.
+func (sc Scheduler) Run(ctx context.Context, space Space) (*Grid, error) {
+	s, err := space.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	pts := s.points()
-	techs := s.techniques()
-	mabs := s.MABs()
-
-	var progressMu sync.Mutex
-	report := func(p Progress) {
-		if o.progress == nil {
-			return
-		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		o.progress(p)
-	}
-
-	results := make([]PointResult, len(pts))
-	hits, misses, err := runShards(ctx, s, pts, techs, mabs, o, tc, report, results)
-	if err != nil {
+	g := &Grid{Space: s}
+	if g.Points, g.Hits, g.Misses, err = sc.run(ctx, s, s.Points()); err != nil {
 		return nil, err
 	}
-	g := &Grid{
-		Space:  s,
-		Points: results,
-		Hits:   hits,
-		Misses: misses,
-	}
-	if tc != nil {
-		g.Traces = tc.Stats()
+	if sc.Traces != nil {
+		g.Traces = sc.Traces.Stats()
 	}
 	return g, nil
 }
 
-// fanPoint is one grid point awaiting simulation, with its result-cache
-// key already computed by the probe phase (empty without a cache) so the
-// shard worker stores the result without rehashing the inputs.
+// fanPoint is one grid point the scheduler resolves: its slot in the
+// sweep's point list and its resolver key (empty without a Cache).
 type fanPoint struct {
+	i   int
 	pt  Point
 	key string
 }
 
-// fanShard is one scheduling unit: a slice of one workload's uncached grid
+// fanShard is one scheduling unit: a slice of one workload's claimed grid
 // points whose technique sinks are all fed by a single pass over the
 // workload's event stream (see simulateShard).
 type fanShard struct {
@@ -249,104 +252,174 @@ const (
 	minShardPoints = 4
 )
 
-// runShards is the per-(workload, packet) scheduler: result-cache hits are
-// served first without touching the trace engine, then each workload's
-// remaining points are sharded across the worker pool and every shard
-// simulates all of its points in one pass. Without a trace cache there is
-// no capture to amortize, so every shard holds exactly one point and runs
-// it live — the per-point parallelism and cost of executing each point on
-// its own. Point results land at their grid index and every point gets its
-// start/done progress pair.
-func runShards(ctx context.Context, s Space, pts []Point, techs []suite.Technique,
-	mabs []core.Config, o options, tc *suite.TraceCache,
-	report func(Progress), results []PointResult) (int, int, error) {
-	// Phase 1: serve result-cache hits serially — a fully warm cache
-	// finishes the sweep without a single capture or replay.
-	hits := 0
-	missed := make(map[string][]fanPoint, len(s.Workloads))
-	groups := 0
-	for _, pt := range pts {
-		if err := ctx.Err(); err != nil {
-			return hits, 0, err
+// run schedules pts, points of the normalized space s, and returns their
+// results in pts order with the hit (stored or joined) and simulated
+// counts. Resolution is serial and never blocks, so a fully warm sweep
+// finishes without a capture or a replay. Every claimed point is published
+// exactly once, with its result or with the error that stopped it —
+// including points whose shard never started because the sweep failed
+// first — so no joiner elsewhere waits forever.
+func (sc Scheduler) run(ctx context.Context, s Space, pts []Point) ([]PointResult, int, int, error) {
+	techs, mabs := s.Techniques(), s.MABs()
+	results := make([]PointResult, len(pts))
+	var progressMu sync.Mutex
+	report := func(fp fanPoint, done, cached, joined bool) {
+		if sc.Progress != nil {
+			progressMu.Lock()
+			defer progressMu.Unlock()
+			sc.Progress(Progress{Index: fp.pt.Index, Total: len(pts), Geometry: fp.pt.Geometry,
+				Workload: fp.pt.Workload.Name, Cached: cached, Joined: joined, Done: done})
 		}
-		var key string
-		if o.cache != nil {
-			key = KeyWorkload(s.Domain, pt.Geometry, pt.Workload, s.PacketBytes, mabs)
-			if pr, ok := o.cache.Get(key); ok && cachedPointValid(pr, pt, techs) {
-				pr.Cached = true
-				results[pt.Index] = *pr
-				hits++
-				report(Progress{Index: pt.Index, Total: len(pts), Geometry: pt.Geometry, Workload: pt.Workload.Name})
-				report(Progress{Index: pt.Index, Total: len(pts), Geometry: pt.Geometry,
-					Workload: pt.Workload.Name, Cached: true, Done: true})
-				continue
-			}
-		}
-		if len(missed[pt.Workload.Name]) == 0 {
-			groups++
-		}
-		missed[pt.Workload.Name] = append(missed[pt.Workload.Name], fanPoint{pt: pt, key: key})
 	}
-	if groups == 0 {
-		return hits, 0, nil
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var errOnce sync.Once
+	var firstErr error
+	fail := func(err error) { errOnce.Do(func() { firstErr = err; cancel() }) }
+
+	var claims []fanPoint
+	var joins sync.WaitGroup
+	var hits, misses atomic.Int64
+	for i, pt := range pts {
+		if err := ctx.Err(); err != nil {
+			fail(err)
+			break
+		}
+		fp := fanPoint{i: i, pt: pt}
+		if sc.Cache == nil {
+			claims = append(claims, fp)
+			continue
+		}
+		fp.key = KeyWorkload(s.Domain, pt.Geometry, pt.Workload, s.PacketBytes, mabs)
+		hit, join := sc.Cache.Resolve(fp.key, func(pr *PointResult) bool { return pointValid(pr, pt, techs) })
+		switch {
+		case hit != nil:
+			results[i] = *hit
+			results[i].Cached = true
+			hits.Add(1)
+			report(fp, false, false, false)
+			report(fp, true, true, false)
+		case join != nil:
+			// A join waits on its own goroutine, never in a shard worker.
+			joins.Add(1)
+			go func() {
+				defer joins.Done()
+				report(fp, false, false, false)
+				pr, err := join(runCtx)
+				if err != nil {
+					fail(err)
+					return
+				}
+				results[i] = *pr
+				results[i].Cached = true
+				hits.Add(1)
+				report(fp, true, true, true)
+			}()
+		default:
+			claims = append(claims, fp)
+		}
 	}
 
-	// Phase 2: shard each workload's missed points — enough shards to keep
-	// every worker busy, few enough that each capture is streamed a handful
-	// of times, and never more than maxShardPoints technique sets live per
-	// pass; live sweeps get one point per shard. The boundaries depend only
-	// on the grid and the parallelism, so results stay deterministic.
-	par := o.parallelism
+	shards := sc.shards(claims)
+	published := make([]bool, len(shards))
+	err := pool.Run(runCtx, len(shards), sc.Parallelism, func(shCtx context.Context, idx int) error {
+		sh := shards[idx]
+		for _, fp := range sh.pts {
+			report(fp, false, false, false)
+		}
+		var prs []*PointResult
+		simulate := func(simCtx context.Context) (err error) {
+			prs, err = simulateShard(simCtx, s, sh.w, sh.pts, techs, mabs, sc.Traces)
+			return err
+		}
+		var err error
+		if sc.Shard != nil {
+			err = sc.Shard(shCtx, simulate)
+		} else {
+			err = simulate(shCtx)
+		}
+		if err != nil && shCtx.Err() != nil {
+			return err // the sweep is failing: its error is published below
+		}
+		published[idx] = true
+		var first error
+		for pi, fp := range sh.pts {
+			var pr *PointResult
+			if err == nil {
+				pr = prs[pi]
+			}
+			if perr := sc.publish(fp.key, pr, err); perr != nil {
+				first = cmp.Or(first, perr)
+				continue
+			}
+			results[fp.i] = *pr
+			misses.Add(1)
+			report(fp, true, false, false)
+		}
+		if first != nil {
+			fail(first)
+		}
+		return first
+	})
+	if err != nil {
+		fail(err)
+	}
+	for idx, sh := range shards {
+		if !published[idx] { // skipped, or cut off by the failing sweep
+			for _, fp := range sh.pts {
+				sc.publish(fp.key, nil, firstErr)
+			}
+		}
+	}
+	joins.Wait()
+	if firstErr != nil {
+		return nil, 0, 0, firstErr
+	}
+	return results, int(hits.Load()), int(misses.Load()), nil
+}
+
+// publish hands a claimed point's outcome to the Cache and returns the
+// error the sweep fails the point with (err itself without a Cache).
+func (sc Scheduler) publish(key string, pr *PointResult, err error) error {
+	if sc.Cache == nil {
+		return err
+	}
+	return sc.Cache.Publish(key, pr, err)
+}
+
+// shards splits the claimed points by workload — enough shards to keep
+// every worker busy, few enough that each capture is streamed a handful of
+// times, and never more than maxShardPoints technique sets live per pass;
+// live sweeps get one point per shard. The boundaries depend only on the
+// claims and the parallelism, so results stay deterministic.
+func (sc Scheduler) shards(claims []fanPoint) []fanShard {
+	var groups [][]fanPoint
+	slot := map[string]int{}
+	for _, fp := range claims {
+		g, ok := slot[fp.pt.Workload.Name]
+		if !ok {
+			g = len(groups)
+			slot[fp.pt.Workload.Name] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], fp)
+	}
+	par := sc.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	perGroup := (par + groups - 1) / groups
 	var shards []fanShard
-	for _, w := range s.Workloads {
-		group := missed[w.Name]
-		if len(group) == 0 {
-			continue
-		}
-		k := perGroup
-		if maxK := (len(group) + minShardPoints - 1) / minShardPoints; k > maxK {
-			k = maxK
-		}
-		if minK := (len(group) + maxShardPoints - 1) / maxShardPoints; k < minK {
-			k = minK
-		}
-		if tc == nil {
+	for _, group := range groups {
+		k := min((par+len(groups)-1)/len(groups), (len(group)+minShardPoints-1)/minShardPoints)
+		k = max(k, (len(group)+maxShardPoints-1)/maxShardPoints)
+		if sc.Traces == nil {
 			k = len(group)
 		}
 		for _, r := range pool.Split(len(group), k) {
-			shards = append(shards, fanShard{w: w, pts: group[r[0]:r[1]]})
+			shards = append(shards, fanShard{w: group[0].pt.Workload, pts: group[r[0]:r[1]]})
 		}
 	}
-
-	var misses atomic.Int64
-	err := pool.Run(ctx, len(shards), o.parallelism, func(runCtx context.Context, idx int) error {
-		sh := shards[idx]
-		for _, fp := range sh.pts {
-			report(Progress{Index: fp.pt.Index, Total: len(pts), Geometry: fp.pt.Geometry, Workload: fp.pt.Workload.Name})
-		}
-		prs, err := simulateShard(runCtx, s, sh.w, sh.pts, techs, mabs, tc)
-		if err != nil {
-			return err
-		}
-		for pi, fp := range sh.pts {
-			pr := prs[pi]
-			if o.cache != nil {
-				if err := o.cache.Put(fp.key, pr); err != nil {
-					return err
-				}
-			}
-			results[fp.pt.Index] = *pr
-			misses.Add(1)
-			report(Progress{Index: fp.pt.Index, Total: len(pts), Geometry: fp.pt.Geometry,
-				Workload: fp.pt.Workload.Name, Done: true})
-		}
-		return nil
-	})
-	return hits, int(misses.Load()), err
+	return shards
 }
 
 // simulateShard simulates pts, grid points of workload w, in one pass over
@@ -424,17 +497,13 @@ func assemblePoint(pt Point, techs []suite.Technique, mabs []core.Config,
 	return pr
 }
 
-// PointMatches checks a stored result against the grid point it must
+// pointValid checks a stored result against the grid point it must
 // answer for. The content hash already pins the inputs, but a tampered or
 // hand-edited file can hold shape-valid JSON for the wrong point; anything
 // that does not match the expected technique list degrades to a miss and
-// is re-simulated rather than poisoning the analysis. Both explore.Run's
-// result cache and the serve daemon's shared store gate their hits on it.
-func PointMatches(pr *PointResult, pt Point, techs []suite.Technique) bool {
-	return cachedPointValid(pr, pt, techs)
-}
-
-func cachedPointValid(pr *PointResult, pt Point, techs []suite.Technique) bool {
+// is re-simulated rather than poisoning the analysis. The scheduler gates
+// every resolver's hits on it.
+func pointValid(pr *PointResult, pt Point, techs []suite.Technique) bool {
 	if pr.Geometry != pt.Geometry || pr.Workload != pt.Workload.Name ||
 		len(pr.Techs) != len(techs) {
 		return false
@@ -447,18 +516,14 @@ func cachedPointValid(pr *PointResult, pt Point, techs []suite.Technique) bool {
 	return true
 }
 
-// SimulatePoint executes one grid point of a normalized Space, with no
-// result cache attached — the serve daemon's unit of work: the daemon does
-// its own store probing and in-flight deduplication per point and calls
-// this only for points that must actually run. It is a one-point shard:
-// with a trace cache the point replays the workload's shared capture in one
-// batched fan-out pass, so however many daemon clients sweep a workload, it
-// executes at most once per (workload, packet). Results are bit-identical
-// to explore.Run's.
+// SimulatePoint executes one grid point of a normalized Space with no
+// result cache attached: a one-point sweep through the shard scheduler.
+// With a trace cache the point replays the workload's shared capture in
+// one batched fan-out pass. Results are bit-identical to explore.Run's.
 func SimulatePoint(ctx context.Context, s Space, pt Point, tc *suite.TraceCache) (*PointResult, error) {
-	prs, err := simulateShard(ctx, s, pt.Workload, []fanPoint{{pt: pt}}, s.techniques(), s.MABs(), tc)
+	prs, _, _, err := Scheduler{Traces: tc, Parallelism: 1}.run(ctx, s, []Point{pt})
 	if err != nil {
 		return nil, err
 	}
-	return prs[0], nil
+	return &prs[0], nil
 }

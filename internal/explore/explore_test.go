@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"waymemo/internal/cache"
 	"waymemo/internal/core"
@@ -56,7 +59,7 @@ func tinySpace() Space {
 }
 
 func TestSpaceNormalizeDefaults(t *testing.T) {
-	s, err := Space{Domain: suite.Data}.normalized()
+	s, err := Space{Domain: suite.Data}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +69,8 @@ func TestSpaceNormalizeDefaults(t *testing.T) {
 	if len(s.MABs()) != 8 {
 		t.Errorf("paper grid MABs = %d, want 8", len(s.MABs()))
 	}
-	if len(s.techniques()) != 9 {
-		t.Errorf("techniques = %d, want 9 (baseline + 8 MABs)", len(s.techniques()))
+	if len(s.Techniques()) != 9 {
+		t.Errorf("techniques = %d, want 9 (baseline + 8 MABs)", len(s.Techniques()))
 	}
 }
 
@@ -129,6 +132,56 @@ func TestSpaceNormalizeGeometryLimits(t *testing.T) {
 		if _, err := sp.Normalize(); (err == nil) != c.ok {
 			t.Errorf("%s: Normalize error %v, want ok=%v", c.name, err, c.ok)
 		}
+	}
+}
+
+// longAxes are axis pairs whose cross product is far larger than the
+// request that names them: 3000 distinct invalid set counts against 3000
+// ways (9M geometries, about 33 KB of sweep JSON), and valid values whose
+// product passes MaxPoints (21 x 3000 x 12 = 756,000 geometries).
+func longAxes() [][3][]int {
+	neg := make([]int, 3000)
+	for i := range neg {
+		neg[i] = -1 - i
+	}
+	pow := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = 1 << i
+		}
+		return out
+	}
+	return [][3][]int{{neg, upTo(3000), {32}}, {pow(21), upTo(3000), pow(12)}}
+}
+
+// TestSpaceNormalizeBoundsBeforeExpanding: Normalize must reject a space
+// whose axis values are invalid, or whose grid passes MaxPoints, before it
+// expands the geometry cross product — the allocation must stay in
+// proportion to the axes, not to their product.
+func TestSpaceNormalizeBoundsBeforeExpanding(t *testing.T) {
+	for i, ax := range longAxes() {
+		sp := Space{Domain: suite.Data, Sets: ax[0], Ways: ax[1], LineBytes: ax[2],
+			Workloads: []workloads.Workload{tinyWorkload("tiny")}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sp.Normalize()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("case %d: Normalize accepted %d geometries", i, len(ax[0])*len(ax[1])*len(ax[2]))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("case %d: rejecting the space allocated %d KiB", i, grew>>10)
+		}
+	}
+	// The cap counts workloads too, and a grid at the cap is accepted.
+	at := Space{Domain: suite.Data, Sets: []int{1}, Ways: upTo(MaxPoints / 2), LineBytes: []int{32},
+		Workloads: []workloads.Workload{tinyWorkload("a"), tinyWorkload("b")}}
+	if _, err := at.Normalize(); err != nil {
+		t.Errorf("grid of exactly MaxPoints: %v", err)
+	}
+	at.Workloads = append(at.Workloads, tinyWorkload("c"))
+	if _, err := at.Normalize(); err == nil {
+		t.Error("grid over MaxPoints through the workload axis accepted")
 	}
 }
 
@@ -557,5 +610,147 @@ func TestFanOutSchedulerEquivalence(t *testing.T) {
 	if bt.Replays != len(batched.Points) || bt.Captures != len(space.Workloads) {
 		t.Errorf("batched trace stats = %+v, want %d replays / %d captures",
 			bt, len(batched.Points), len(space.Workloads))
+	}
+}
+
+// memResolver is an in-memory Cache shared by concurrent sweeps: one
+// flight per claimed key, joined by every later Resolve until it is
+// published.
+type memResolver struct {
+	mu      sync.Mutex
+	flights map[string]*memFlight
+	stored  map[string]*PointResult
+}
+
+type memFlight struct {
+	done chan struct{}
+	pr   *PointResult
+	err  error
+}
+
+func (m *memResolver) Resolve(key string, valid func(*PointResult) bool) (*PointResult, func(context.Context) (*PointResult, error)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if pr, ok := m.stored[key]; ok && valid(pr) {
+		return pr, nil
+	}
+	if f, ok := m.flights[key]; ok {
+		return nil, func(ctx context.Context) (*PointResult, error) {
+			select {
+			case <-f.done:
+				return f.pr, f.err
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+	}
+	m.flights[key] = &memFlight{done: make(chan struct{})}
+	return nil, nil
+}
+
+func (m *memResolver) Publish(key string, pr *PointResult, err error) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f := m.flights[key]
+	delete(m.flights, key)
+	if err == nil {
+		m.stored[key] = pr
+	}
+	f.pr, f.err = pr, err
+	close(f.done)
+	return err
+}
+
+// sweepView is one sweep's window on a shared memResolver. before and
+// after, when set, run around each Resolve — the test's lever on how two
+// sweeps' resolutions interleave.
+type sweepView struct {
+	*memResolver
+	before, after func(key string)
+}
+
+func (v sweepView) Resolve(key string, valid func(*PointResult) bool) (*PointResult, func(context.Context) (*PointResult, error)) {
+	if v.before != nil {
+		v.before(key)
+	}
+	hit, join := v.memResolver.Resolve(key, valid)
+	if v.after != nil {
+		v.after(key)
+	}
+	return hit, join
+}
+
+// TestSchedulerCrossingClaims pins the scheduler's deadlock invariant: a
+// claimed shard never waits on a join, and a join never holds a worker.
+// Sweep A claims p1 and joins p2 while sweep B claims p2 and joins p1 —
+// the resolutions are forced into exactly that crossing — and each sweep
+// has a single worker. Both must finish, each with one hit (the join) and
+// one simulation, and match a cold sweep.
+func TestSchedulerCrossingClaims(t *testing.T) {
+	a := Space{Domain: suite.Data, Sets: []int{64}, TagEntries: []int{1}, SetEntries: []int{4},
+		Workloads: []workloads.Workload{tinyWorkload("w1"), tinyWorkload("w2")}}
+	b := a
+	b.Workloads = []workloads.Workload{a.Workloads[1], a.Workloads[0]}
+	na, err := a.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys [2]string
+	for i, pt := range na.Points() {
+		keys[i] = KeyWorkload(na.Domain, pt.Geometry, pt.Workload, na.PacketBytes, na.MABs())
+	}
+	// Each sweep claims its first point, and reaches its second only once
+	// the other sweep has claimed that one.
+	shared := &memResolver{flights: map[string]*memFlight{}, stored: map[string]*PointResult{}}
+	claimed := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	hooks := func(first, second int) (before, after func(string)) {
+		before = func(key string) {
+			if key == keys[second] {
+				<-claimed[second]
+			}
+		}
+		after = func(key string) {
+			if key == keys[first] {
+				close(claimed[first])
+			}
+		}
+		return before, after
+	}
+	viewA, viewB := sweepView{memResolver: shared}, sweepView{memResolver: shared}
+	viewA.before, viewA.after = hooks(0, 1)
+	viewB.before, viewB.after = hooks(1, 0)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	grids := make([]*Grid, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i, run := range []struct {
+		view Cache
+		sp   Space
+	}{{viewA, a}, {viewB, b}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			grids[i], errs[i] = Scheduler{Cache: run.view, Traces: suite.NewTraceCache(), Parallelism: 1}.Run(ctx, run.sp)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("sweep %c: %v (crossing claims deadlocked)", 'A'+i, err)
+		}
+		if g := grids[i]; g.Hits != 1 || g.Misses != 1 {
+			t.Errorf("sweep %c: %d hits / %d simulated, want the crossing's 1 / 1", 'A'+i, g.Hits, g.Misses)
+		}
+	}
+	for i, sp := range []Space{a, b} {
+		want, err := Run(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripCached(grids[i]), stripCached(want)) {
+			t.Errorf("sweep %c differs from a cold sweep", 'A'+i)
+		}
 	}
 }

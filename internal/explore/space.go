@@ -1,17 +1,19 @@
 // Package explore is the design-space exploration engine: it expands an
 // axis specification (cache geometry, MAB sizes, workloads) into a grid of
-// suite runs, executes the grid on a sharded worker pool with deterministic
-// result ordering, memoizes completed grid points in an on-disk result
-// cache, and extracts the analyses the paper's Section 4 performs by hand —
-// per-configuration averages, per-axis marginals, the power/hit-rate Pareto
-// frontier and the power-optimal MAB size (the paper picks 2 tags × 8 set
-// indices for the D-cache and 2×16 for the I-cache).
+// points, schedules the grid in deterministic result order, memoizes
+// completed points in an on-disk result cache, and extracts the analyses
+// the paper's Section 4 performs by hand — per-configuration averages,
+// per-axis marginals, the power/hit-rate Pareto frontier and the
+// power-optimal MAB size (the paper picks 2 tags × 8 set indices for the
+// D-cache and 2×16 for the I-cache).
 //
 // A Space is the what: one axis per swept parameter, every combination is
-// simulated. Run is the how: each grid point — one (geometry, workload)
-// pair with the conventional baseline and every MAB size of the space
-// attached to a single simulator pass — runs independently, so points fan
-// out over a worker pool and a context cancels mid-sweep:
+// simulated. A grid point is one (geometry, workload) pair with the
+// conventional baseline and every MAB size of the space attached to one
+// cache model. The Scheduler is the how, and the only code that schedules
+// grid points — Run and the serve daemon both use it: each point is a
+// hit, a join or a claim (see Cache), and the claimed points simulate in
+// per-workload shards on a worker pool, each shard in one pass:
 //
 //	grid, err := explore.Run(ctx, explore.PaperGrid(suite.Data),
 //		explore.WithCacheDir(".explore-cache"),
@@ -27,12 +29,12 @@
 // Underneath the result cache sits the execute-once / replay-many trace
 // engine (suite.TraceCache, on by default): a workload's event stream
 // depends only on (workload, fetch packet), never on cache geometry or
-// technique, so each workload is executed once per sweep and its captured
-// trace is replayed to every geometry of the grid — G×W grid points cost W
-// executions plus G×W cheap replays, bit-identical to executing each point
-// live. WithTraceDir spills the captures as WMTRACE2 files for reuse across
-// processes; WithTraceSharing(false) restores the old one-execution-per-
-// point behavior.
+// technique, so each workload is executed once per sweep and each shard
+// replays the capture to all of its points — G×W grid points cost W
+// executions plus a few replays per workload, bit-identical to executing
+// each point live. WithTraceDir spills the captures as WMTRACE2 files for
+// reuse across processes; WithTraceSharing(false) executes every point
+// live.
 package explore
 
 import (
@@ -43,6 +45,14 @@ import (
 	"waymemo/internal/suite"
 	"waymemo/internal/workloads"
 )
+
+// MaxPoints caps a space's grid, Sets × Ways × LineBytes × Workloads. A
+// sweep request's axes are as long as its body, and the daemon holds a
+// Point, a PointResult, an SSE event pair and a journal record per grid
+// point, so the cap keeps a request's cost linear in its size: 65536
+// points is a thousand times the largest sweep the repository's benchmark
+// runs (63 points).
+const MaxPoints = 1 << 16
 
 // Space is an axis specification. The grid is the cross product of the
 // geometry axes (Sets × Ways × LineBytes) and the workload axis; every grid
@@ -105,14 +115,9 @@ func EngineBenchSpace() Space {
 }
 
 // Normalize fills defaulted axes, expands WorkloadSpecs into Workloads and
-// validates every axis value. The returned Space is fully explicit: callers
-// that schedule points themselves (the serve daemon) normalize once and
-// then use Points, Techniques and MABs, which all assume explicit axes.
-func (s Space) Normalize() (Space, error) { return s.normalized() }
-
-// normalized fills defaulted axes and validates every axis value. The
-// returned Space is fully explicit.
-func (s Space) normalized() (Space, error) {
+// validates every axis value. The returned Space is fully explicit, as
+// Points, Techniques and MABs assume.
+func (s Space) Normalize() (Space, error) {
 	if s.Domain != suite.Data && s.Domain != suite.Fetch {
 		return s, fmt.Errorf("explore: invalid domain %d", s.Domain)
 	}
@@ -167,6 +172,29 @@ func (s Space) normalized() (Space, error) {
 			}
 			seenVal[v] = true
 		}
+	}
+	// Check every axis value on its own, then bound the grid, before
+	// expanding any cross product: the axes of a request are as long as
+	// its body, and their product is not.
+	for _, ax := range []struct {
+		vals  []int
+		check func(int) error
+	}{
+		{s.Sets, cache.ValidateSets}, {s.Ways, cache.ValidateWays}, {s.LineBytes, cache.ValidateLineBytes},
+	} {
+		for _, v := range ax.vals {
+			if err := ax.check(v); err != nil {
+				return s, err
+			}
+		}
+	}
+	n := 1
+	for _, l := range []int{len(s.Sets), len(s.Ways), len(s.LineBytes), len(s.Workloads)} {
+		if n > MaxPoints/l {
+			return s, fmt.Errorf("explore: %d sets x %d ways x %d line sizes x %d workloads is over %d grid points",
+				len(s.Sets), len(s.Ways), len(s.LineBytes), len(s.Workloads), MaxPoints)
+		}
+		n *= l
 	}
 	geos := s.Geometries()
 	for _, geo := range geos {
@@ -248,10 +276,7 @@ type Point struct {
 
 // Points expands the grid in deterministic order (geometry major, workload
 // minor). Call it on a normalized Space — defaulted axes expand to nothing.
-func (s Space) Points() []Point { return s.points() }
-
-// points expands the grid in deterministic order.
-func (s Space) points() []Point {
+func (s Space) Points() []Point {
 	out := make([]Point, 0, s.NumPoints())
 	for _, geo := range s.Geometries() {
 		for _, w := range s.Workloads {
@@ -261,14 +286,21 @@ func (s Space) points() []Point {
 	return out
 }
 
+// PointKeys returns the result-cache key (KeyWorkload) of every grid point
+// in Points order. Like Points it assumes a normalized Space.
+func (s Space) PointKeys() []string {
+	mabs := s.MABs()
+	var keys []string
+	for _, pt := range s.Points() {
+		keys = append(keys, KeyWorkload(s.Domain, pt.Geometry, pt.Workload, s.PacketBytes, mabs))
+	}
+	return keys
+}
+
 // Techniques builds the per-point technique list: the domain's conventional
 // baseline first, then one way-memoized technique per MAB configuration.
 // Like Points it assumes a normalized Space.
-func (s Space) Techniques() []suite.Technique { return s.techniques() }
-
-// techniques builds the per-point technique list: the domain's conventional
-// baseline first, then one way-memoized technique per MAB configuration.
-func (s Space) techniques() []suite.Technique {
+func (s Space) Techniques() []suite.Technique {
 	techs := make([]suite.Technique, 0, 1+len(s.TagEntries)*len(s.SetEntries))
 	switch s.Domain {
 	case suite.Data:

@@ -16,7 +16,7 @@ func TestWorkloadSpecsAxis(t *testing.T) {
 	s, err := Space{
 		Domain:        suite.Data,
 		WorkloadSpecs: []string{"DCT", "synth:hotloop,fp=1KiB..4KiB"},
-	}.normalized()
+	}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestWorkloadSpecsAxis(t *testing.T) {
 	}
 
 	// Bad specs and duplicate expansions fail normalization.
-	if _, err := (Space{Domain: suite.Data, WorkloadSpecs: []string{"synth:nope"}}).normalized(); err == nil {
+	if _, err := (Space{Domain: suite.Data, WorkloadSpecs: []string{"synth:nope"}}).Normalize(); err == nil {
 		t.Error("bad spec accepted")
 	}
 	if _, err := (Space{Domain: suite.Data,
-		WorkloadSpecs: []string{"synth:hotloop", "synth:hotloop,fp=4KiB"}}).normalized(); err == nil {
+		WorkloadSpecs: []string{"synth:hotloop", "synth:hotloop,fp=4KiB"}}).Normalize(); err == nil {
 		t.Error("duplicate expanded workload accepted")
 	}
 }

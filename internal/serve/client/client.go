@@ -82,6 +82,8 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return c.retry(ctx, func() error { return c.getJSONOnce(ctx, path, out) })
 }
 
+// getJSONOnce is one GET of base+path, decoding the body into out unless
+// out is nil.
 func (c *Client) getJSONOnce(ctx context.Context, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
@@ -95,44 +97,19 @@ func (c *Client) getJSONOnce(ctx context.Context, path string, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		return apiError(resp)
 	}
+	if out == nil {
+		return nil
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Health checks daemon liveness.
-func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: health: %s", resp.Status)
-	}
-	return nil
-}
+func (c *Client) Health(ctx context.Context) error { return c.getJSONOnce(ctx, "/healthz", nil) }
 
 // Ready checks the readiness probe: nil while the daemon accepts sweeps, an
 // *APIError with Retry-After once it is draining. Never retried — a probe
 // reports, it does not wait.
-func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return nil
-}
+func (c *Client) Ready(ctx context.Context) error { return c.getJSONOnce(ctx, "/readyz", nil) }
 
 // Submit posts a sweep request and returns its acceptance, retrying under
 // the client's policy — in particular backing off and resubmitting when the

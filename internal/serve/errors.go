@@ -21,9 +21,6 @@ type PointError struct {
 	// happened in another sweep's leader, and a retry will simply lead (or
 	// join) a fresh flight.
 	Joined bool
-	// RetryAfter is the suggested client backoff before resubmitting;
-	// 0 means "whenever".
-	RetryAfter time.Duration
 	// Err is the underlying failure.
 	Err error
 }
@@ -71,7 +68,7 @@ func (e *OverloadError) Error() string {
 func retryDetails(err error) (retryable bool, retryAfter time.Duration) {
 	var pe *PointError
 	if errors.As(err, &pe) {
-		return pe.Retryable(), pe.RetryAfter
+		return pe.Retryable(), 0
 	}
 	var oe *OverloadError
 	if errors.As(err, &oe) {

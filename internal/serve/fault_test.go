@@ -352,26 +352,19 @@ func TestOverloadHTTP(t *testing.T) {
 func TestSingleflightJoinerTypedError(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("disk on fire")
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-
-	go func() {
-		g.do(context.Background(), "k", func() (*explore.PointResult, bool, error) {
-			close(entered)
-			<-gate
-			return nil, false, boom
-		})
-	}()
-	<-entered
+	if _, owner := g.claim("k"); !owner {
+		t.Fatal("first claim does not own the key")
+	}
+	f, _ := g.claim("k")
 
 	joinerDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := g.do(context.Background(), "k", nil)
+		_, err := f.wait(context.Background())
 		joinerDone <- err
 	}()
-	// The joiner is parked on the flight; release the leader to fail it.
+	// The joiner is parked on the flight; fail the owner.
 	time.Sleep(50 * time.Millisecond)
-	close(gate)
+	g.settle("k", nil, boom)
 
 	err := <-joinerDone
 	var pe *PointError

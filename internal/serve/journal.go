@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"waymemo/internal/fault"
@@ -72,9 +71,8 @@ type journalTerminal struct {
 	State string `json:"state"`
 }
 
-// journal is the write-ahead sweep log. All methods are safe on a nil
-// receiver (journalling disabled) and never fail the operations they log:
-// an append error is counted and swallowed.
+// journal is the write-ahead sweep log. Its methods never fail the
+// operations they log: an append error is counted and swallowed.
 type journal struct {
 	fs   fault.FS
 	path string
@@ -101,16 +99,6 @@ func openJournal(dir string, fs fault.FS) (*journal, error) {
 		path: filepath.Join(dir, journalFile),
 		live: map[string]*journalSweep{},
 	}
-	// Sweep compaction temps a crash may have left (WriteFileAtomic names
-	// them "<base>.tmp*"); the store's own recovery only walks its results
-	// and traces subdirectories.
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), journalFile+".tmp") {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
 	if blob, err := fs.ReadFile(fault.SiteJournalRead, j.path); err == nil {
 		j.replay(blob)
 	}
@@ -121,22 +109,29 @@ func openJournal(dir string, fs fault.FS) (*journal, error) {
 	// Rewrite the file down to the survivors (with their bumped epochs) and
 	// open it for appending. The rewrite is atomic; if it fails — injected
 	// or real — fall back to appending the bumped state to the old file so
-	// the epoch bump is durable either way.
-	rewrote := j.rewrite() == nil
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
+	// the epoch bump is durable either way. The journal is not shared yet,
+	// so nothing is locked, and a successful rewrite has already reopened
+	// the append handle.
+	rewrote := j.rewriteLocked() == nil
+	if j.f == nil {
+		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		j.f = f
 	}
-	j.f = f
-	if st, err := f.Stat(); err == nil && st.Size() == 0 {
-		j.appendRaw([]byte(journalMagic))
+	if st, err := j.f.Stat(); err == nil && st.Size() == 0 {
+		// The magic sits outside the record framing.
+		if j.fs.AppendSync(fault.SiteJournalAppend, j.f, []byte(journalMagic)) != nil {
+			j.appendErrs++
+		}
 	}
 	if !rewrote {
-		j.mu.Lock()
 		for _, js := range j.liveOrdered() {
-			j.appendStateLocked(js)
+			for _, rec := range stateRecords(js) {
+				j.appendLocked(rec.tag, rec.body)
+			}
 		}
-		j.mu.Unlock()
 	}
 	j.dead = 0
 	return j, nil
@@ -236,18 +231,12 @@ func (j *journal) liveOrdered() []*journalSweep {
 // resumableSweeps returns the non-terminal sweeps found at open, for the
 // server's boot resume pass.
 func (j *journal) resumableSweeps() []*journalSweep {
-	if j == nil {
-		return nil
-	}
 	return j.resumable
 }
 
 // submitted logs a sweep acceptance (fresh or a failed sweep's replacement
 // at a higher epoch).
 func (j *journal) submitted(id string, epoch int, req SweepRequest) {
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if old, seen := j.live[id]; seen {
@@ -256,35 +245,26 @@ func (j *journal) submitted(id string, epoch int, req SweepRequest) {
 		j.order = append(j.order, id)
 		j.live[id] = &journalSweep{ID: id, Epoch: epoch, Req: req, Done: map[int]bool{}}
 	}
-	body, _ := json.Marshal(journalSweep{ID: id, Epoch: epoch, Req: req})
-	j.appendLocked(jTagSubmit, body)
+	j.appendLocked(jTagSubmit, mustJSON(journalSweep{ID: id, Epoch: epoch, Req: req}))
 }
 
 // point logs one completed grid point (its result reached the store).
 func (j *journal) point(id string, index int) {
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if js, ok := j.live[id]; ok {
 		js.Done[index] = true
 	}
-	body, _ := json.Marshal(journalPoint{ID: id, Index: index})
-	j.appendLocked(jTagPoint, body)
+	j.appendLocked(jTagPoint, mustJSON(journalPoint{ID: id, Index: index}))
 }
 
 // terminal logs a sweep reaching "done" or "failed" and compacts once
 // enough dead records accumulate.
 func (j *journal) terminal(id, state string) {
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.dropLocked(id)
-	body, _ := json.Marshal(journalTerminal{ID: id, State: state})
-	j.appendLocked(jTagTerminal, body)
+	j.appendLocked(jTagTerminal, mustJSON(journalTerminal{ID: id, State: state}))
 	if j.dead >= compactAfterDead {
 		if j.rewriteLocked() == nil {
 			j.dead = 0
@@ -296,13 +276,7 @@ func (j *journal) terminal(id, state string) {
 // failed append is counted and swallowed: the journal must never fail the
 // operation it logs.
 func (j *journal) appendLocked(tag byte, body []byte) {
-	frame := make([]byte, 0, len(body)+16)
-	frame = append(frame, tag)
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = append(frame, body...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	frame = append(frame, crc[:]...)
+	frame := appendFrame(make([]byte, 0, len(body)+16), tag, body)
 	if j.f == nil {
 		j.appendErrs++
 		return
@@ -314,49 +288,34 @@ func (j *journal) appendLocked(tag byte, body []byte) {
 	j.records++
 }
 
-// appendRaw writes bytes (the magic) outside the record framing.
-func (j *journal) appendRaw(b []byte) {
-	if err := j.fs.AppendSync(fault.SiteJournalAppend, j.f, b); err != nil {
-		j.appendErrs++
-	}
+// journalRecord is one unframed record.
+type journalRecord struct {
+	tag  byte
+	body []byte
 }
 
-// appendStateLocked re-declares one live sweep (S record plus a P record
-// per completed point) — the fallback that makes an epoch bump durable
-// when compaction failed.
-func (j *journal) appendStateLocked(js *journalSweep) {
-	body, _ := json.Marshal(journalSweep{ID: js.ID, Epoch: js.Epoch, Req: js.Req})
-	j.appendLocked(jTagSubmit, body)
+// stateRecords re-declares one live sweep: its S record, then a P record
+// per completed point in index order.
+func stateRecords(js *journalSweep) []journalRecord {
+	recs := []journalRecord{{jTagSubmit, mustJSON(journalSweep{ID: js.ID, Epoch: js.Epoch, Req: js.Req})}}
 	idxs := make([]int, 0, len(js.Done))
 	for i := range js.Done {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
 	for _, i := range idxs {
-		b, _ := json.Marshal(journalPoint{ID: js.ID, Index: i})
-		j.appendLocked(jTagPoint, b)
+		recs = append(recs, journalRecord{jTagPoint, mustJSON(journalPoint{ID: js.ID, Index: i})})
 	}
+	return recs
 }
 
-// rewrite compacts the journal to only the live sweeps, atomically.
-func (j *journal) rewrite() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rewriteLocked()
-}
-
+// rewriteLocked compacts the journal to only the live sweeps, atomically.
 func (j *journal) rewriteLocked() error {
 	var buf []byte
 	buf = append(buf, journalMagic...)
 	for _, js := range j.liveOrdered() {
-		buf = appendFrame(buf, jTagSubmit, mustJSON(journalSweep{ID: js.ID, Epoch: js.Epoch, Req: js.Req}))
-		idxs := make([]int, 0, len(js.Done))
-		for i := range js.Done {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			buf = appendFrame(buf, jTagPoint, mustJSON(journalPoint{ID: js.ID, Index: i}))
+		for _, rec := range stateRecords(js) {
+			buf = appendFrame(buf, rec.tag, rec.body)
 		}
 	}
 	err := j.fs.WriteFileAtomic(fault.SiteJournalCompact, j.path, func(w io.Writer) error {
@@ -396,9 +355,6 @@ func mustJSON(v any) []byte {
 
 // stats snapshots the journal counters for /v1/stats.
 func (j *journal) stats() (records, appendErrs int64) {
-	if j == nil {
-		return 0, 0
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records, j.appendErrs
@@ -408,9 +364,6 @@ func (j *journal) stats() (records, appendErrs int64) {
 // after close are counted as append errors, which is the right shape for
 // "the process is exiting anyway".
 func (j *journal) close() {
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f != nil {

@@ -104,7 +104,7 @@ func assertPrefixState(t *testing.T, what string, got []*journalSweep, orig map[
 }
 
 // buildCorruptionFixture journals two live sweeps and returns the raw file.
-func buildCorruptionFixture(t *testing.T) ([]byte, map[string]map[int]bool) {
+func buildCorruptionFixture(t testing.TB) ([]byte, map[string]map[int]bool) {
 	t.Helper()
 	dir := t.TempDir()
 	j, err := openJournal(dir, fault.FS{})
@@ -230,5 +230,128 @@ func TestServerBootWithGarbageJournal(t *testing.T) {
 	final := waitJob(t, rejob)
 	if final.Metrics.StoreHits != 1 || final.Metrics.Simulated != 0 {
 		t.Fatalf("rerun metrics = %+v, want pure store hit", final.Metrics)
+	}
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the journal reader the way
+// boot does: open, then resume or fail every non-terminal sweep. Replay
+// must never panic; every sweep it resumes must re-normalize, or be marked
+// failed in the journal as Server.resumeJob does; and the compaction that
+// open writes must round-trip, so a second boot resumes exactly the
+// sweeps that re-normalized, with the same completed points.
+func FuzzJournalReplay(f *testing.F) {
+	valid, _ := buildCorruptionFixture(f)
+	f.Add(valid)
+	f.Add([]byte(journalMagic))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte("garbage!"), 8))
+	dir := f.TempDir()
+	j, err := openJournal(dir, fault.FS{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	j.submitted("sw-good", 1, tinyReq(64))
+	j.point("sw-good", 0)
+	j.submitted("sw-bad", 1, SweepRequest{Domain: "bogus"})
+	j.submitted("sw-huge", 3, SweepRequest{Sets: []int{-1}, Ways: []int{1, 2, 3}})
+	j.close()
+	if blob, err := os.ReadFile(journalPath(dir)); err == nil {
+		f.Add(blob)
+	}
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(journalPath(dir), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := openJournal(dir, fault.FS{})
+		if err != nil {
+			t.Fatalf("openJournal: %v", err)
+		}
+		resumed := map[string]map[int]bool{}
+		for _, js := range j.resumableSweeps() {
+			if _, err := js.Req.Space(); err != nil {
+				j.terminal(js.ID, "failed")
+				continue
+			}
+			resumed[js.ID] = js.Done
+		}
+		j.close()
+
+		j2, err := openJournal(dir, fault.FS{})
+		if err != nil {
+			t.Fatalf("second openJournal: %v", err)
+		}
+		defer j2.close()
+		again := j2.resumableSweeps()
+		if len(again) != len(resumed) {
+			t.Fatalf("second boot resumes %d sweeps, want the %d that re-normalized", len(again), len(resumed))
+		}
+		for _, js := range again {
+			done, ok := resumed[js.ID]
+			if !ok {
+				t.Fatalf("second boot resumes %q, which was failed or never resumed", js.ID)
+			}
+			if _, err := js.Req.Space(); err != nil {
+				t.Fatalf("second boot resumes %q, which no longer normalizes: %v", js.ID, err)
+			}
+			if len(js.Done) != len(done) {
+				t.Fatalf("sweep %q: %d completed points after compaction, %d before", js.ID, len(js.Done), len(done))
+			}
+			for i := range done {
+				if !js.Done[i] {
+					t.Fatalf("sweep %q lost completed point %d in compaction", js.ID, i)
+				}
+			}
+		}
+	})
+}
+
+// TestJournalReopenKeepsOneHandle: each open compacts the journal, which
+// reopens its append handle; open must keep that handle rather than open
+// a second one over it, so a boot (or a fuzzer opening journals in a loop)
+// does not leak a file descriptor.
+func TestJournalReopenKeepsOneHandle(t *testing.T) {
+	fds := func() int {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files")
+		}
+		return len(des)
+	}
+	dir := t.TempDir()
+	before := fds()
+	for i := 0; i < 20; i++ {
+		j, err := openJournal(dir, fault.FS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.close()
+	}
+	if after := fds(); after > before+2 {
+		t.Fatalf("20 journal open/close cycles left %d more files open", after-before)
+	}
+}
+
+// TestServerBootRemovesJournalTemps: a crash during journal compaction can
+// leave the atomic rewrite's temp file next to the journal; the store's
+// boot recovery removes it along with the result and trace temps, and the
+// journal still opens.
+func TestServerBootRemovesJournalTemps(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, journalFile+".tmp42")
+	if err := os.WriteFile(tmp, []byte("half a compaction"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{StoreDir: dir, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("journal compaction temp survived boot: %v", err)
+	}
+	if got := s.Stats().Store.RecoveredTemps; got != 1 {
+		t.Fatalf("recovered temps = %d, want 1", got)
 	}
 }

@@ -125,9 +125,8 @@ func UniquePoints(variants []serve.SweepRequest) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("load: variant %d: %w", i, err)
 		}
-		mabs := sp.MABs()
-		for _, pt := range sp.Points() {
-			keys[explore.KeyWorkload(sp.Domain, pt.Geometry, pt.Workload, sp.PacketBytes, mabs)] = true
+		for _, key := range sp.PointKeys() {
+			keys[key] = true
 		}
 	}
 	return len(keys), nil

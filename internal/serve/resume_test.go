@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"waymemo/internal/explore"
-	"waymemo/internal/suite"
 )
 
 // TestSweepIDDeterministic: equivalent requests hash to the same sweep ID,
@@ -68,25 +65,33 @@ func TestSubmitIdempotent(t *testing.T) {
 	}
 }
 
-// resumeReq is the four-point grid the crash tests sweep.
-func resumeReq() SweepRequest { return tinyReq(64, 128, 256, 512) }
+// resumeReq is the crash tests' grid: four set counts over two workloads,
+// which the scheduler splits into one shard per workload at any
+// parallelism — so one shard can finish while the other is cut off.
+func resumeReq() SweepRequest {
+	r := tinyReq(64, 128, 256, 512)
+	r.Workloads = append(r.Workloads, tinySpec2)
+	return r
+}
 
-// installCrashStub replaces the simulation seam so grid points with
-// Index >= blockFrom hang until their context dies — the crash window —
-// while crashed is false; once the test flips crashed, every point
-// simulates for real. Restores the seam on cleanup.
-func installCrashStub(t *testing.T, blockFrom int) *atomic.Bool {
+// installCrashStub replaces the shard seam so the first shard to start
+// simulates and every later one hangs until its context dies — the crash
+// window, which resumeReq's second shard falls into — while crashed is
+// false; once the test flips crashed, every shard simulates for real.
+// Restores the seam on cleanup.
+func installCrashStub(t *testing.T) *atomic.Bool {
 	t.Helper()
-	orig := simulatePoint
+	orig := simulateShard
 	crashed := &atomic.Bool{}
-	simulatePoint = func(ctx context.Context, sp explore.Space, pt explore.Point, tc *suite.TraceCache) (*explore.PointResult, error) {
-		if !crashed.Load() && pt.Index >= blockFrom {
+	var started atomic.Int64
+	simulateShard = func(ctx context.Context, simulate func(context.Context) error) error {
+		if !crashed.Load() && started.Add(1) > 1 {
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return orig(ctx, sp, pt, tc)
+		return orig(ctx, simulate)
 	}
-	t.Cleanup(func() { simulatePoint = orig })
+	t.Cleanup(func() { simulateShard = orig })
 	return crashed
 }
 
@@ -123,10 +128,11 @@ func crashServer(t *testing.T, s *Server, job *Job) {
 }
 
 // TestCrashResume is the tentpole end to end, in-process and deterministic:
-// a daemon dies mid-sweep after completing 2 of 4 points, a second daemon
-// over the same store dir resurrects the sweep from the journal, resubmits
-// reattach by content-hashed ID, only the unfinished half simulates, and
-// the final grid is bit-identical to an uninterrupted fault-free run's.
+// a daemon dies mid-sweep after completing one workload's shard (4 of 8
+// points), a second daemon over the same store dir resurrects the sweep
+// from the journal, resubmits reattach by content-hashed ID, only the
+// unfinished half simulates, and the final grid is bit-identical to an
+// uninterrupted fault-free run's.
 func TestCrashResume(t *testing.T) {
 	// Reference grid first, before the simulation seam is stubbed.
 	ref := newTestServer(t, 0, 2)
@@ -137,7 +143,7 @@ func TestCrashResume(t *testing.T) {
 	waitJob(t, refJob)
 	want := strippedGrid(t, refJob)
 
-	crashed := installCrashStub(t, 2)
+	crashed := installCrashStub(t)
 	dir := t.TempDir()
 	s1, err := New(Config{StoreDir: dir, Parallelism: 2})
 	if err != nil {
@@ -147,7 +153,7 @@ func TestCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, job1, 2)
+	waitDone(t, job1, 4)
 	crashServer(t, s1, job1)
 	crashed.Store(true)
 
@@ -157,8 +163,8 @@ func TestCrashResume(t *testing.T) {
 	}
 	t.Cleanup(s2.Close)
 	boot := s2.Stats()
-	if boot.ResumedSweeps != 1 || boot.ResumedPointsSkipped != 2 {
-		t.Fatalf("boot resumed %d sweeps, %d points skipped; want 1, 2",
+	if boot.ResumedSweeps != 1 || boot.ResumedPointsSkipped != 4 {
+		t.Fatalf("boot resumed %d sweeps, %d points skipped; want 1, 4",
 			boot.ResumedSweeps, boot.ResumedPointsSkipped)
 	}
 	job2, ok := s2.job(job1.ID())
@@ -178,13 +184,13 @@ func TestCrashResume(t *testing.T) {
 	if final.Epoch != 2 {
 		t.Fatalf("resumed job epoch = %d, want 2 (event log was rebuilt)", final.Epoch)
 	}
-	// Zero duplicate simulations: the two points that landed in the store
+	// Zero duplicate simulations: the four points that landed in the store
 	// before the crash come back as hits, only the remainder simulates.
-	if final.Metrics.StoreHits != 2 || final.Metrics.Simulated != 2 {
-		t.Fatalf("resumed metrics = %+v, want 2 store hits + 2 simulated", final.Metrics)
+	if final.Metrics.StoreHits != 4 || final.Metrics.Simulated != 4 {
+		t.Fatalf("resumed metrics = %+v, want 4 store hits + 4 simulated", final.Metrics)
 	}
-	if got := s2.Stats(); got.Simulations != 2 {
-		t.Fatalf("resumed daemon simulated %d points, want 2", got.Simulations)
+	if got := s2.Stats(); got.Simulations != 4 {
+		t.Fatalf("resumed daemon simulated %d points, want 4", got.Simulations)
 	}
 	if !gridsEqual(t, want, strippedGrid(t, job2)) {
 		t.Fatal("resumed grid differs from the uninterrupted reference")
@@ -206,7 +212,7 @@ func TestCrashResumeUnderJournalFaults(t *testing.T) {
 	waitJob(t, refJob)
 	want := strippedGrid(t, refJob)
 
-	crashed := installCrashStub(t, 2)
+	crashed := installCrashStub(t)
 	dir := t.TempDir()
 	s1, err := New(Config{StoreDir: dir, Parallelism: 2,
 		Faults: mustFaults(t, "seed=11;io.journal:err:0.4")})
@@ -217,7 +223,7 @@ func TestCrashResumeUnderJournalFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, job1, 2)
+	waitDone(t, job1, 4)
 	crashServer(t, s1, job1)
 	crashed.Store(true)
 	if s1.cfg.Faults.Total() == 0 {
@@ -240,29 +246,29 @@ func TestCrashResumeUnderJournalFaults(t *testing.T) {
 		}
 	}
 	final := waitJob(t, job2)
-	if final.Metrics.StoreHits != 2 || final.Metrics.Simulated != 2 {
-		t.Fatalf("metrics under journal faults = %+v, want 2 store hits + 2 simulated", final.Metrics)
+	if final.Metrics.StoreHits != 4 || final.Metrics.Simulated != 4 {
+		t.Fatalf("metrics under journal faults = %+v, want 4 store hits + 4 simulated", final.Metrics)
 	}
 	if !gridsEqual(t, want, strippedGrid(t, job2)) {
 		t.Fatal("grid under journal faults differs from the reference")
 	}
 }
 
-// TestServerPanicContainment: a grid point whose simulation panics fails its
+// TestServerPanicContainment: a shard whose simulation panics fails its
 // sweep with a typed retryable error, the daemon counts the recovery and
 // keeps serving, and the retry (a same-ID resubmission at the next epoch)
 // succeeds.
 func TestServerPanicContainment(t *testing.T) {
-	orig := simulatePoint
+	orig := simulateShard
 	var primed atomic.Bool
 	primed.Store(true)
-	simulatePoint = func(ctx context.Context, sp explore.Space, pt explore.Point, tc *suite.TraceCache) (*explore.PointResult, error) {
-		if pt.Index == 0 && primed.CompareAndSwap(true, false) {
+	simulateShard = func(ctx context.Context, simulate func(context.Context) error) error {
+		if primed.CompareAndSwap(true, false) {
 			panic("injected simulation panic")
 		}
-		return orig(ctx, sp, pt, tc)
+		return orig(ctx, simulate)
 	}
-	t.Cleanup(func() { simulatePoint = orig })
+	t.Cleanup(func() { simulateShard = orig })
 
 	s := newTestServer(t, 0, 1)
 	job, err := s.Submit(tinyReq(64, 128))
@@ -295,21 +301,21 @@ func TestServerPanicContainment(t *testing.T) {
 	}
 }
 
-// TestPointWatchdog: a simulation stuck past Config.PointDeadline fails its
-// point retryable instead of pinning the semaphore slot; once unwedged, the
+// TestPointWatchdog: a shard stuck past Config.PointDeadline fails its
+// points retryable instead of pinning the semaphore slot; once unwedged, the
 // retry completes and the daemon never stopped serving.
 func TestPointWatchdog(t *testing.T) {
-	orig := simulatePoint
+	orig := simulateShard
 	var wedged atomic.Bool
 	wedged.Store(true)
-	simulatePoint = func(ctx context.Context, sp explore.Space, pt explore.Point, tc *suite.TraceCache) (*explore.PointResult, error) {
+	simulateShard = func(ctx context.Context, simulate func(context.Context) error) error {
 		if wedged.Load() {
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return orig(ctx, sp, pt, tc)
+		return orig(ctx, simulate)
 	}
-	t.Cleanup(func() { simulatePoint = orig })
+	t.Cleanup(func() { simulateShard = orig })
 
 	s, err := New(Config{StoreDir: t.TempDir(), Parallelism: 1, PointDeadline: 50 * time.Millisecond})
 	if err != nil {

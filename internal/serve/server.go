@@ -1,15 +1,16 @@
 // Package serve is the sweep-as-a-service layer: a long-running HTTP/JSON
-// daemon that accepts design-space sweep requests (POST /v1/sweeps),
-// executes them on the explore engine, and shares everything shareable
-// across clients — a singleflight layer deduplicates identical in-flight
-// grid points by their explore.KeyWorkload content hash, one
-// content-addressed result + trace store (with a byte budget and LRU
-// eviction) serves every client, and one trace cache means each workload
-// executes at most once per (workload, packet) however many sweeps touch
-// it. Progress streams per grid point over server-sent events
-// (GET /v1/sweeps/{id}/events), and the warm analytics endpoints
-// (candidates, pareto, marginals, optimum) answer from completed grids
-// without simulating at all.
+// daemon that accepts design-space sweep requests (POST /v1/sweeps) and
+// runs each through explore's shard scheduler, the same code path as
+// `wmx explore`. Everything shareable is shared across clients: the
+// daemon's resolver answers each grid point from one content-addressed
+// result + trace store (byte budget, LRU eviction), by joining another
+// sweep's in-flight claim on the point's explore.KeyWorkload hash, or by
+// claiming it; claimed points simulate in per-workload shards that replay
+// one capture, and one trace cache means each workload executes at most
+// once per (workload, packet) however many sweeps touch it. Progress
+// streams per grid point over server-sent events
+// (GET /v1/sweeps/{id}/events), and the warm analytics endpoints answer
+// from completed grids without simulating at all.
 //
 // The API surface:
 //
@@ -41,9 +42,10 @@
 // per-point completion is logged to a CRC-framed write-ahead journal under
 // the store dir, and boot replays the journal to resurrect non-terminal
 // sweeps — completed points come back as store hits, only the remainder
-// simulates (see journal.go). A panicking simulation is recovered into a
-// retryable point failure, and Config.PointDeadline fails-retryable any
-// point stuck past its watchdog instead of pinning a semaphore slot.
+// simulates (see journal.go). A panicking shard is recovered into
+// retryable failures of its points, and Config.PointDeadline fails
+// retryable any shard stuck past its watchdog instead of pinning a
+// simulation slot.
 //
 // `wmx serve` wraps a Server in an http.Server; internal/serve/client is
 // the typed client and tools/loadgen the load harness that proves N
@@ -68,7 +70,6 @@ import (
 
 	"waymemo/internal/explore"
 	"waymemo/internal/fault"
-	"waymemo/internal/pool"
 	"waymemo/internal/suite"
 )
 
@@ -79,8 +80,9 @@ type Config struct {
 	// StoreBudget caps the store's combined byte footprint (0 =
 	// unlimited); see Store.
 	StoreBudget int64
-	// Parallelism bounds concurrent simulations across ALL sweeps (0 =
-	// GOMAXPROCS). Store hits and dedup joins are not counted against it.
+	// Parallelism bounds concurrently simulating shards across ALL sweeps
+	// (0 = GOMAXPROCS). Store hits and dedup joins are not counted
+	// against it.
 	Parallelism int
 	// MaxJobs caps how many finished jobs are kept queryable (0 = 4096);
 	// the oldest finished jobs are forgotten first.
@@ -96,9 +98,10 @@ type Config struct {
 	// (0 = 60s, negative = no deadline). SSE streams and the probes are
 	// exempt.
 	RequestTimeout time.Duration
-	// PointDeadline is the flight watchdog: a single grid-point simulation
-	// running longer than this fails with a retryable PointError instead of
-	// holding its semaphore slot forever (0 = 5m, negative = no watchdog).
+	// PointDeadline is the shard watchdog: a shard simulating longer than
+	// this fails its unfinished points with a retryable PointError instead
+	// of holding its simulation slot forever (0 = 5m, negative = no
+	// watchdog).
 	PointDeadline time.Duration
 	// Faults, when non-nil, routes store I/O, trace spills and HTTP
 	// handling through the fault-injection layer. Nil — the default — is
@@ -118,7 +121,6 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 	simSem  chan struct{}
-	mux     *http.ServeMux
 	handler http.Handler // mux + deadline middleware + fault middleware
 
 	journal *journal
@@ -180,22 +182,23 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/sweeps/{id}/candidates", s.analysisHandler(func(g *explore.Grid) any {
+	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.analysisHandler(func(g *explore.Grid, m JobMetrics) any {
+		return ResultResponse{Points: g.Points, Metrics: m}
+	}))
+	mux.HandleFunc("GET /v1/sweeps/{id}/candidates", s.analysisHandler(func(g *explore.Grid, _ JobMetrics) any {
 		return g.Candidates()
 	}))
-	mux.HandleFunc("GET /v1/sweeps/{id}/pareto", s.analysisHandler(func(g *explore.Grid) any {
+	mux.HandleFunc("GET /v1/sweeps/{id}/pareto", s.analysisHandler(func(g *explore.Grid, _ JobMetrics) any {
 		return explore.Pareto(g.Candidates())
 	}))
-	mux.HandleFunc("GET /v1/sweeps/{id}/marginals", s.analysisHandler(func(g *explore.Grid) any {
+	mux.HandleFunc("GET /v1/sweeps/{id}/marginals", s.analysisHandler(func(g *explore.Grid, _ JobMetrics) any {
 		return g.Marginals()
 	}))
-	mux.HandleFunc("GET /v1/sweeps/{id}/optimum", s.analysisHandler(func(g *explore.Grid) any {
+	mux.HandleFunc("GET /v1/sweeps/{id}/optimum", s.analysisHandler(func(g *explore.Grid, _ JobMetrics) any {
 		best, _ := explore.Optimum(g.Candidates())
 		tags, sets := explore.PaperPick(g.Space.Domain)
 		return OptimumResponse{Optimum: best, PaperTags: tags, PaperSets: sets}
 	}))
-	s.mux = mux
 	// Request pipeline, outermost first: fault injection (absent entirely
 	// when off), then per-request deadlines, then the mux.
 	s.handler = fault.Middleware(cfg.Faults, s.deadlineMiddleware(mux))
@@ -218,13 +221,13 @@ func (s *Server) resumeJob(js *journalSweep) {
 		s.journal.terminal(js.ID, "failed")
 		return
 	}
-	pts := space.Points()
-	job := newJob(js.ID, js.Req, space, len(pts), js.Epoch)
+	n := space.NumPoints()
+	job := newJob(js.ID, js.Req, space, n, js.Epoch)
 	s.jobsMu.Lock()
 	s.jobs[js.ID] = job
 	s.order = append(s.order, js.ID)
 	s.jobsMu.Unlock()
-	s.backlog.Add(int64(len(pts)))
+	s.backlog.Add(int64(n))
 	s.resumedSweeps.Add(1)
 	s.resumedSkipped.Add(int64(len(js.Done)))
 	go s.runJob(job)
@@ -264,9 +267,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // Call it before http.Server.Shutdown; Close then cancels whatever is left.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close cancels every running sweep and closes the journal's append
 // handle. In-flight HTTP requests fail with the cancellation; callers shut
 // the http.Server down first. Sweeps cut off here are NOT marked terminal
@@ -276,9 +276,6 @@ func (s *Server) Close() {
 	s.stop()
 	s.journal.close()
 }
-
-// Store exposes the shared store (the CLI prints its stats on shutdown).
-func (s *Server) Store() *Store { return s.store }
 
 // Stats snapshots the daemon-wide counters.
 func (s *Server) Stats() ServerStats {
@@ -340,12 +337,10 @@ func (s *Server) admit(n int) error {
 // clients — or the same client before and after a daemon restart —
 // submitting equivalent sweeps name the same job.
 func sweepID(space explore.Space) string {
-	mabs := space.MABs()
 	h := sha256.New()
 	io.WriteString(h, "sweep-v1\n")
-	for _, pt := range space.Points() {
-		io.WriteString(h, explore.KeyWorkload(space.Domain, pt.Geometry, pt.Workload, space.PacketBytes, mabs))
-		io.WriteString(h, "\n")
+	for _, key := range space.PointKeys() {
+		io.WriteString(h, key+"\n")
 	}
 	return "sw-" + hex.EncodeToString(h.Sum(nil))[:16]
 }
@@ -365,13 +360,13 @@ func (s *Server) Submit(req SweepRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts := space.Points()
+	n := space.NumPoints()
 	id := sweepID(space)
 
-	if j, ok := s.absorb(id, len(pts)); ok {
+	if j, ok := s.absorb(id, n); ok {
 		return j, nil
 	}
-	if err := s.admit(len(pts)); err != nil {
+	if err := s.admit(n); err != nil {
 		return nil, err
 	}
 	s.jobsMu.Lock()
@@ -379,8 +374,8 @@ func (s *Server) Submit(req SweepRequest) (*Job, error) {
 		// Lost the creation race to a concurrent identical submit: return
 		// the winner and hand back the backlog we reserved.
 		s.jobsMu.Unlock()
-		s.backlog.Add(-int64(len(pts)))
-		s.noteSubmission(len(pts), true)
+		s.backlog.Add(-int64(n))
+		s.noteSubmission(n, true)
 		return j, nil
 	}
 	epoch := 1
@@ -389,11 +384,11 @@ func (s *Server) Submit(req SweepRequest) (*Job, error) {
 	} else {
 		s.order = append(s.order, id)
 	}
-	job := newJob(id, req, space, len(pts), epoch)
+	job := newJob(id, req, space, n, epoch)
 	s.jobs[id] = job
 	s.forgetOldLocked()
 	s.jobsMu.Unlock()
-	s.noteSubmission(len(pts), false)
+	s.noteSubmission(n, false)
 	s.journal.submitted(id, epoch, req)
 	go s.runJob(job)
 	return job, nil
@@ -452,47 +447,23 @@ func (s *Server) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// runJob executes one sweep: every grid point is served from the store, by
-// joining another client's in-flight simulation, or by simulating —
-// whichever comes first — and lands at its deterministic grid index.
+// runJob executes one sweep through explore's shard scheduler: every grid
+// point is served from the store, by joining another sweep's claim on it,
+// or by a shard this sweep simulates — whichever comes first — and lands at
+// its deterministic grid index.
 func (s *Server) runJob(job *Job) {
-	sp := job.space
-	pts := sp.Points()
-	techs := sp.Techniques()
-	mabs := sp.MABs()
-	results := make([]explore.PointResult, len(pts))
-	var hits, misses, finished atomic.Int64
-	// Submit reserved len(pts) of backlog; release it point by point as
-	// they finish so admission tracks live queue depth, and release
-	// whatever an aborted sweep left over on the way out.
-	defer func() { s.backlog.Add(-(int64(len(pts)) - finished.Load())) }()
+	// Submit reserved the grid's size of backlog; pointEvent releases it
+	// point by point as they finish so admission tracks live queue depth,
+	// and an aborted sweep releases what it left over on the way out.
+	defer func() { s.backlog.Add(-int64(job.space.NumPoints() - job.status().Metrics.Done)) }()
 
-	err := pool.Run(s.baseCtx, len(pts), len(s.simSem), func(ctx context.Context, i int) error {
-		pt := pts[i]
-		key := explore.KeyWorkload(sp.Domain, pt.Geometry, pt.Workload, sp.PacketBytes, mabs)
-		job.emit(Event{Index: pt.Index, Total: len(pts), Workload: pt.Workload.Name,
-			Sets: pt.Geometry.Sets, Ways: pt.Geometry.Ways, Line: pt.Geometry.LineBytes,
-			Status: "start"})
-		pr, source, err := s.point(ctx, sp, pt, techs, key)
-		if err != nil {
-			return err
-		}
-		if source == SourceSimulated {
-			misses.Add(1)
-		} else {
-			hits.Add(1)
-			pr = clonePoint(pr)
-			pr.Cached = true
-		}
-		results[pt.Index] = *pr
-		s.backlog.Add(-1)
-		finished.Add(1)
-		s.journal.point(job.id, pt.Index)
-		job.emit(Event{Index: pt.Index, Total: len(pts), Workload: pt.Workload.Name,
-			Sets: pt.Geometry.Sets, Ways: pt.Geometry.Ways, Line: pt.Geometry.LineBytes,
-			Status: "done", Source: source})
-		return nil
-	})
+	grid, err := explore.Scheduler{
+		Cache:       resolver{s},
+		Traces:      s.traces,
+		Parallelism: len(s.simSem),
+		Progress:    func(p explore.Progress) { s.pointEvent(job, p) },
+		Shard:       s.runShard,
+	}.Run(s.baseCtx, job.space)
 	if err != nil {
 		job.finish(nil, err)
 		// The daemon's own shutdown (baseCtx cancelled) is the one failure
@@ -504,13 +475,6 @@ func (s *Server) runJob(job *Job) {
 		}
 		return
 	}
-	grid := &explore.Grid{
-		Space:  sp,
-		Points: results,
-		Hits:   int(hits.Load()),
-		Misses: int(misses.Load()),
-		Traces: s.traces.Stats(),
-	}
 	// Sweep epilogue: apply the store budget, and if trace spills were
 	// evicted, drop the in-memory captures too so resident memory tracks
 	// the budget rather than every workload ever swept.
@@ -521,105 +485,111 @@ func (s *Server) runJob(job *Job) {
 	s.journal.terminal(job.id, "done")
 }
 
-// point serves one grid point. The order of preference: the shared store
-// (warm), joining an identical in-flight simulation (singleflight), then
-// leading a simulation — which re-probes the store first, since a flight
-// that finished between our probe and our turn has stored its result.
-func (s *Server) point(ctx context.Context, sp explore.Space, pt explore.Point,
-	techs []suite.Technique, key string) (*explore.PointResult, string, error) {
-	s.points.Add(1)
-	if pr, ok := s.store.Get(key); ok && explore.PointMatches(pr, pt, techs) {
-		s.storeHits.Add(1)
-		return pr, SourceStore, nil
-	}
-	pr, simulated, led, err := s.flights.do(ctx, key, func() (*explore.PointResult, bool, error) {
-		if pr, ok := s.store.Get(key); ok && explore.PointMatches(pr, pt, techs) {
-			return pr, false, nil
-		}
-		// The semaphore bounds concurrent simulations daemon-wide; store
-		// hits and joiners never queue on it.
-		select {
-		case s.simSem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-		defer func() { <-s.simSem }()
-		// Simulate under the server's lifetime context, not the job's:
-		// joiners from other sweeps may be waiting on this flight, and a
-		// cancelled leader must not take their result with it. The flight
-		// watchdog bounds it so a wedged point fails retryable rather than
-		// pinning this semaphore slot forever.
-		simCtx, cancel := s.watchdogCtx()
-		defer cancel()
-		pr, err := s.simulate(simCtx, sp, pt)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := s.store.Put(key, pr); err != nil {
-			return nil, false, err
-		}
-		return pr, true, nil
-	})
-	if err != nil {
-		// Surface every point failure typed: joiners got their PointError
-		// from the flight group, a leader's own failure (or a ctx expiry
-		// while queued for the semaphore) is wrapped here. Retryability
-		// rides along to the job status and the HTTP layer.
-		var pe *PointError
-		if !errors.As(err, &pe) {
-			err = &PointError{Key: key, Err: err}
-		}
-		return nil, "", err
+// pointEvent is a sweep's progress callback: it counts the point, and a
+// finished one releases its backlog and is journaled (its result is in the
+// store by now) before its SSE event names the tier that served it.
+func (s *Server) pointEvent(job *Job, p explore.Progress) {
+	ev := Event{Index: p.Index, Total: p.Total, Workload: p.Workload,
+		Sets: p.Geometry.Sets, Ways: p.Geometry.Ways, Line: p.Geometry.LineBytes,
+		Status: "start"}
+	if !p.Done {
+		s.points.Add(1)
+		job.emit(ev)
+		return
 	}
 	switch {
-	case led && simulated:
-		s.sims.Add(1)
-		return pr, SourceSimulated, nil
-	case led:
-		s.storeHits.Add(1)
-		return pr, SourceStore, nil
-	default:
+	case p.Joined:
 		s.dedupJoins.Add(1)
-		return pr, SourceDedup, nil
+		ev.Source = SourceDedup
+	case p.Cached:
+		s.storeHits.Add(1)
+		ev.Source = SourceStore
+	default:
+		s.sims.Add(1)
+		ev.Source = SourceSimulated
 	}
+	s.backlog.Add(-1)
+	s.journal.point(job.id, p.Index)
+	ev.Status = "done"
+	job.emit(ev)
 }
 
-// simulatePoint is explore.SimulatePoint behind a seam the crash/panic
-// tests can stub.
-var simulatePoint = explore.SimulatePoint
+// resolver is the daemon's explore.Cache. The order of preference for a
+// point: the shared store (warm), joining another sweep's claim on the key
+// (singleflight), then claiming it — which re-probes the store first, since
+// a flight that settled between the probe and the claim has stored its
+// result.
+type resolver struct{ s *Server }
 
-// simulate runs one grid-point simulation with panic containment: a panic
-// anywhere in the engine is recovered into an error for that point (which
-// point() wraps into a retryable PointError), so one poisoned point cannot
-// take down a daemon serving every other client.
-func (s *Server) simulate(ctx context.Context, sp explore.Space, pt explore.Point) (pr *explore.PointResult, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.panicsRecovered.Add(1)
-			pr, err = nil, fmt.Errorf("serve: simulation panic: %v", v)
-		}
-	}()
-	return simulatePoint(ctx, sp, pt, s.traces)
+func (r resolver) Resolve(key string, valid func(*explore.PointResult) bool) (*explore.PointResult, func(context.Context) (*explore.PointResult, error)) {
+	if pr, ok := r.s.store.Get(key); ok && valid(pr) {
+		return pr, nil
+	}
+	f, owner := r.s.flights.claim(key)
+	if !owner {
+		return nil, f.wait
+	}
+	if pr, ok := r.s.store.Get(key); ok && valid(pr) {
+		r.s.flights.settle(key, pr, nil)
+		return pr, nil
+	}
+	return nil, nil
 }
 
-// watchdogCtx derives the per-simulation context from Config.PointDeadline.
-func (s *Server) watchdogCtx() (context.Context, context.CancelFunc) {
+// Publish stores a simulated point and releases the key's waiters with the
+// result, or with the failure: the store write's or the one that stopped
+// the point. Every point failure surfaces typed, so retryability rides
+// along to the job status and the HTTP layer.
+func (r resolver) Publish(key string, pr *explore.PointResult, err error) error {
+	if err == nil {
+		err = r.s.store.Put(key, pr)
+	}
+	r.s.flights.settle(key, pr, err)
+	if err != nil {
+		return &PointError{Key: key, Err: err}
+	}
+	return nil
+}
+
+// simulateShard is the shard hook's call into the scheduler's simulation,
+// behind a seam the crash, panic and watchdog tests stub.
+var simulateShard = func(ctx context.Context, simulate func(context.Context) error) error {
+	return simulate(ctx)
+}
+
+// runShard is the daemon's shard hook. The semaphore bounds concurrent
+// shards daemon-wide; store hits and joins never queue on it. The shard
+// simulates under the server's lifetime context, not the sweep's, since
+// other sweeps may be waiting on its points. Config.PointDeadline bounds
+// it, so a wedged shard fails retryable rather than pinning its slot, and
+// a panic is recovered into a failure of the shard's points rather than
+// taking down a daemon serving every other client.
+func (s *Server) runShard(ctx context.Context, simulate func(context.Context) error) (err error) {
+	select {
+	case s.simSem <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-s.simSem }()
 	d := s.cfg.PointDeadline
 	if d == 0 {
 		d = 5 * time.Minute
 	}
-	if d < 0 {
-		return context.WithCancel(s.baseCtx)
+	var simCtx context.Context
+	var cancel context.CancelFunc
+	if d > 0 {
+		simCtx, cancel = context.WithTimeout(s.baseCtx, d)
+	} else {
+		simCtx, cancel = context.WithCancel(s.baseCtx)
 	}
-	return context.WithTimeout(s.baseCtx, d)
-}
-
-// clonePoint deep-copies a result before the per-job Cached flag is set:
-// store hits and dedup joins share one *PointResult across jobs.
-func clonePoint(pr *explore.PointResult) *explore.PointResult {
-	cp := *pr
-	cp.Techs = append([]explore.TechOutcome(nil), pr.Techs...)
-	return &cp
+	defer cancel()
+	defer func() {
+		if v := recover(); v != nil {
+			s.panicsRecovered.Add(1)
+			err = fmt.Errorf("serve: simulation panic: %v", v)
+		}
+	}()
+	return simulateShard(simCtx, simulate)
 }
 
 // ---- HTTP handlers ----
@@ -689,44 +659,37 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// requestedJob looks up the sweep the request names, answering 404 itself
+// when there is none.
+func (s *Server) requestedJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	job, ok := s.job(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
+	}
+	return job, ok
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
-		return
+	if job, ok := s.requestedJob(w, r); ok {
+		writeJSON(w, http.StatusOK, job.status())
 	}
-	writeJSON(w, http.StatusOK, job.status())
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
-		return
-	}
-	grid, metrics, done := job.result()
-	if !done {
-		writeError(w, http.StatusConflict, "sweep %s is %s", job.id, job.status().State)
-		return
-	}
-	writeJSON(w, http.StatusOK, ResultResponse{Points: grid.Points, Metrics: metrics})
-}
-
-// analysisHandler builds the warm-analytics handlers: they answer purely
-// from the completed grid — zero simulations by construction.
-func (s *Server) analysisHandler(analyze func(*explore.Grid) any) http.HandlerFunc {
+// analysisHandler builds the result and warm-analytics handlers: they
+// answer purely from the completed grid — zero simulations by
+// construction.
+func (s *Server) analysisHandler(analyze func(*explore.Grid, JobMetrics) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		job, ok := s.job(r.PathValue("id"))
+		job, ok := s.requestedJob(w, r)
 		if !ok {
-			writeError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
 			return
 		}
-		grid, _, done := job.result()
+		grid, metrics, done := job.result()
 		if !done {
 			writeError(w, http.StatusConflict, "sweep %s is %s", job.id, job.status().State)
 			return
 		}
-		writeJSON(w, http.StatusOK, analyze(grid))
+		writeJSON(w, http.StatusOK, analyze(grid, metrics))
 	}
 }
 
@@ -735,9 +698,8 @@ func (s *Server) analysisHandler(analyze func(*explore.Grid) any) http.HandlerFu
 // events as grid points finish, then one terminal "done" event carrying
 // the final JobStatus.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
+	job, ok := s.requestedJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
 		return
 	}
 	flusher, ok := w.(http.Flusher)

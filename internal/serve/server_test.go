@@ -21,6 +21,9 @@ import (
 // simulates in milliseconds.
 const tinySpec = "synth:hotloop,fp=1KiB,n=2048"
 
+// tinySpec2 is a second tiny workload, for grids that span two shards.
+const tinySpec2 = "synth:hotloop,fp=2KiB,n=2048"
+
 func newTestServer(t *testing.T, budget int64, par int) *Server {
 	t.Helper()
 	s, err := New(Config{StoreDir: t.TempDir(), StoreBudget: budget, Parallelism: par})
@@ -508,6 +511,49 @@ func TestSubmitRejectsOversizedMABGrid(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
 	if stats.Sweeps != 0 || stats.JournalRecords != 0 {
 		t.Fatalf("rejected submission created %d sweeps, %d journal records", stats.Sweeps, stats.JournalRecords)
+	}
+}
+
+// TestSubmitRejectsLongGeometryAxes: POST /v1/sweeps has no body limit, so
+// long geometry axes must be judged by their values and their product's
+// size before the cross product is expanded. 3000 invalid set counts
+// against 3000 ways (9M geometries from 33 KB of JSON) and valid axes
+// whose product passes explore.MaxPoints are both a 400 that allocates in
+// proportion to the request, with nothing journaled.
+func TestSubmitRejectsLongGeometryAxes(t *testing.T) {
+	s := newTestServer(t, 0, 1)
+	list := func(n int, v func(int) int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = v(i)
+		}
+		return out
+	}
+	ways := list(3000, func(i int) int { return i + 1 })
+	for _, req := range []SweepRequest{
+		{Sets: list(3000, func(i int) int { return -1 - i }), Ways: ways, Workloads: []string{tinySpec}},
+		{Sets: list(21, func(i int) int { return 1 << i }), Ways: ways,
+			LineBytes: list(12, func(i int) int { return 1 << i }), Workloads: []string{tinySpec}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %d sets x %d ways x %d lines = %d, want 400",
+				len(req.Sets), len(req.Ways), len(req.LineBytes), rec.Code)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("rejecting %d bytes of sweep JSON allocated %d MiB", len(body), grew>>20)
+		}
+	}
+	if st := s.Stats(); st.Sweeps != 0 || st.JournalRecords != 0 {
+		t.Fatalf("rejected submissions created %d sweeps, %d journal records", st.Sweeps, st.JournalRecords)
 	}
 }
 

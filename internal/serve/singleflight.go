@@ -8,78 +8,70 @@ import (
 )
 
 // flightGroup deduplicates concurrent work on the same grid-point key: the
-// first caller for a key becomes the leader and runs the function, every
-// concurrent caller for the same key blocks on the leader's result instead
-// of repeating the work. The key is explore.KeyWorkload's content hash, so
-// "same key" means "provably the same simulation" — N clients sweeping
-// overlapping grids cost one simulation per unique point, however they
-// interleave.
-//
-// Unlike a memoizing cache, a flight is forgotten as soon as it completes:
-// the durable copy of the result lives in the Store, and the next request
-// for the key finds it there. Failed flights are forgotten too, so one
-// transient error never poisons a key.
+// first sweep to claim a key simulates it, and every sweep that asks for
+// the key while it is claimed waits on the claimant's outcome. The key is
+// explore.KeyWorkload's content hash, so N clients sweeping overlapping
+// grids cost one simulation per unique point, however they interleave. A
+// flight is forgotten once settled — the durable copy of a result lives in
+// the Store — so one transient failure never poisons a key.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
 }
 
-// flight is one in-progress computation. done closes when val/simulated/err
-// are final.
+// flight is one claimed key. done closes when val/err are final.
 type flight struct {
-	done      chan struct{}
-	val       *explore.PointResult
-	simulated bool
-	err       error
+	key  string
+	done chan struct{}
+	val  *explore.PointResult
+	err  error
 }
 
-// do runs fn for key, deduplicating against concurrent calls. fn returns
-// the point, whether it actually simulated (false when a re-probe found the
-// store already warm), and an error. do returns the flight's result plus
-// led: true for the leader that ran fn, false for a caller that joined an
-// existing flight.
-//
-// Joiners wait under their own ctx, so a cancelled request stops waiting
-// without affecting the flight; the leader's fn should run under the
-// server's lifetime context, not a request's, so one client disconnecting
-// cannot kill a simulation other clients are waiting on.
-//
-// A leader failure reaches every joiner as a *PointError with Joined set —
-// typed and (for anything but daemon shutdown) retryable, because the failed
-// flight is forgotten and a resubmitted sweep leads a fresh one. A joiner's
-// own ctx expiry stays unwrapped: that failure is the joiner's, not the
-// flight's.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*explore.PointResult, bool, error)) (pr *explore.PointResult, simulated, led bool, err error) {
+// claim returns the flight for key and whether the caller now owns it. An
+// owner must settle the flight exactly once; everyone else waits on it.
+func (g *flightGroup) claim(key string) (f *flight, owner bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	if f, ok := g.m[key]; ok {
+		return f, false
+	}
 	if g.m == nil {
 		g.m = map[string]*flight{}
 	}
-	if f, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		select {
-		case <-f.done:
-			err := f.err
-			if err != nil {
-				err = &PointError{Key: key, Joined: true, Err: err}
-			}
-			return f.val, f.simulated, false, err
-		case <-ctx.Done():
-			return nil, false, false, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{key: key, done: make(chan struct{})}
 	g.m[key] = f
-	g.mu.Unlock()
-
-	f.val, f.simulated, f.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(f.done)
-	return f.val, f.simulated, true, f.err
+	return f, true
 }
 
-// inFlight returns the number of keys currently being computed.
+// settle publishes the owner's outcome for key to every waiter and forgets
+// the flight.
+func (g *flightGroup) settle(key string, pr *explore.PointResult, err error) {
+	g.mu.Lock()
+	f := g.m[key]
+	delete(g.m, key)
+	g.mu.Unlock()
+	f.val, f.err = pr, err
+	close(f.done)
+}
+
+// wait blocks until the flight settles or ctx ends; a cancelled waiter
+// leaves the flight alone. An owner's failure reaches every waiter as a
+// *PointError with Joined set — retryable (but for daemon shutdown), since
+// a resubmitted sweep claims a fresh flight. A waiter's own ctx expiry
+// stays unwrapped: that failure is the waiter's, not the flight's.
+func (f *flight) wait(ctx context.Context) (*explore.PointResult, error) {
+	select {
+	case <-f.done:
+		if f.err != nil {
+			return nil, &PointError{Key: f.key, Joined: true, Err: f.err}
+		}
+		return f.val, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// inFlight returns the number of keys currently claimed.
 func (g *flightGroup) inFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -11,52 +11,48 @@ import (
 	"waymemo/internal/explore"
 )
 
-// TestFlightGroupSingleExecution holds the leader inside fn until K
-// concurrent callers for the same key have arrived, then asserts fn ran
-// exactly once and exactly one caller led.
+// TestFlightGroupSingleExecution: K concurrent callers claim the same key
+// while its owner is still working; exactly one owns it, and every other
+// caller receives the owner's result once it settles.
 func TestFlightGroupSingleExecution(t *testing.T) {
 	var g flightGroup
 	const K = 16
-	var execs, leads atomic.Int64
-	var started sync.WaitGroup
+	var owners atomic.Int64
+	var claimed sync.WaitGroup
 	gate := make(chan struct{})
 	want := &explore.PointResult{Workload: "w", Cycles: 42}
 
 	var wg sync.WaitGroup
-	started.Add(K)
+	claimed.Add(K)
 	for i := 0; i < K; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started.Done()
-			pr, simulated, led, err := g.do(context.Background(), "k", func() (*explore.PointResult, bool, error) {
-				execs.Add(1)
+			f, owner := g.claim("k")
+			claimed.Done()
+			if owner {
+				owners.Add(1)
 				<-gate
-				return want, true, nil
-			})
-			if err != nil {
-				t.Errorf("do: %v", err)
+				g.settle("k", want, nil)
 				return
 			}
-			if led {
-				leads.Add(1)
+			pr, err := f.wait(context.Background())
+			if err != nil {
+				t.Errorf("wait: %v", err)
+				return
 			}
-			if pr != want || !simulated {
-				t.Errorf("got (%p, %v), want (%p, true)", pr, simulated, want)
+			if pr != want {
+				t.Errorf("got %p, want %p", pr, want)
 			}
 		}()
 	}
-	started.Wait()
-	// The leader is parked in fn, so the flight cannot complete; give the
-	// joiners a moment to reach the map, then release the leader.
-	time.Sleep(100 * time.Millisecond)
+	// Every caller has claimed before the owner may settle, so none of
+	// them can have found the key free after a settle.
+	claimed.Wait()
 	close(gate)
 	wg.Wait()
-	if got := execs.Load(); got != 1 {
-		t.Errorf("fn executed %d times for %d concurrent callers, want 1", got, K)
-	}
-	if got := leads.Load(); got != 1 {
-		t.Errorf("%d callers led, want 1", got)
+	if got := owners.Load(); got != 1 {
+		t.Errorf("%d callers owned the key, want 1", got)
 	}
 	if n := g.inFlight(); n != 0 {
 		t.Errorf("inFlight after completion = %d, want 0", n)
@@ -68,18 +64,22 @@ func TestFlightGroupSingleExecution(t *testing.T) {
 func TestFlightGroupErrorNotSticky(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("boom")
-	_, _, led, err := g.do(context.Background(), "k", func() (*explore.PointResult, bool, error) {
-		return nil, false, boom
-	})
-	if !led || !errors.Is(err, boom) {
-		t.Fatalf("first call: led=%v err=%v, want led=true err=boom", led, err)
+	f, owner := g.claim("k")
+	if !owner {
+		t.Fatal("first claim does not own the key")
+	}
+	g.settle("k", nil, boom)
+	if _, err := f.wait(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("settled flight: err=%v, want boom", err)
 	}
 	want := &explore.PointResult{Workload: "w"}
-	pr, _, led, err := g.do(context.Background(), "k", func() (*explore.PointResult, bool, error) {
-		return want, true, nil
-	})
-	if err != nil || !led || pr != want {
-		t.Fatalf("retry after error: pr=%p led=%v err=%v, want fresh leader success", pr, led, err)
+	f, owner = g.claim("k")
+	if !owner {
+		t.Fatal("claim after a failed flight does not own the key")
+	}
+	g.settle("k", want, nil)
+	if pr, err := f.wait(context.Background()); err != nil || pr != want {
+		t.Fatalf("retry after error: pr=%p err=%v, want fresh owner's success", pr, err)
 	}
 }
 
@@ -87,29 +87,29 @@ func TestFlightGroupErrorNotSticky(t *testing.T) {
 // joiner without touching the flight other callers wait on.
 func TestFlightGroupJoinerCancel(t *testing.T) {
 	var g flightGroup
-	gate := make(chan struct{})
-	entered := make(chan struct{})
 	want := &explore.PointResult{Workload: "w"}
-
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, _, err := g.do(context.Background(), "k", func() (*explore.PointResult, bool, error) {
-			close(entered)
-			<-gate
-			return want, true, nil
-		})
-		leaderDone <- err
-	}()
-	<-entered
+	if _, owner := g.claim("k"); !owner {
+		t.Fatal("first claim does not own the key")
+	}
+	f, owner := g.claim("k")
+	if owner {
+		t.Fatal("second claim owns a claimed key")
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := g.do(ctx, "k", nil); !errors.Is(err, context.Canceled) {
+	if _, err := f.wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled joiner: err=%v, want context.Canceled", err)
 	}
 
-	close(gate)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader after joiner cancel: %v", err)
+	waited := make(chan *explore.PointResult, 1)
+	go func() {
+		pr, _ := f.wait(context.Background())
+		waited <- pr
+	}()
+	time.Sleep(10 * time.Millisecond)
+	g.settle("k", want, nil)
+	if pr := <-waited; pr != want {
+		t.Fatalf("joiner after another joiner's cancel got %p, want %p", pr, want)
 	}
 }

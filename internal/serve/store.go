@@ -120,7 +120,7 @@ func OpenStoreFS(dir string, budget int64, fs fault.FS) (*Store, error) {
 		ll:       list.New(),
 		ent:      map[string]*list.Element{},
 	}
-	st.recoverBoot()
+	st.recoverBoot(dir)
 	ents, err := results.Entries() // oldest first; recovery already ran, so all intact
 	if err != nil {
 		return nil, err
@@ -133,14 +133,16 @@ func OpenStoreFS(dir string, budget int64, fs fault.FS) (*Store, error) {
 	return st, nil
 }
 
-// recoverBoot is the startup crash-recovery sweep: temp files out, corrupt
-// entries quarantined. It never fails the open — an entry it cannot fix is
-// left for Get to treat as a miss, which is already safe.
-func (st *Store) recoverBoot() {
+// recoverBoot is the startup crash-recovery sweep of the store rooted at
+// root: temp files out, corrupt entries quarantined. It never fails the
+// open — an entry it cannot fix is left for Get to treat as a miss, which
+// is already safe.
+func (st *Store) recoverBoot(root string) {
 	// 1. Leftover atomic-write temps (named *.tmp<rand> by CreateTemp): a
-	// writer died between create and rename. They were never visible to
+	// writer died between create and rename — of a result, a trace, or the
+	// sweep journal's compaction in the root. They were never visible to
 	// readers; just remove them.
-	for _, dir := range []string{st.results.Dir(), st.traceDir} {
+	for _, dir := range []string{root, st.results.Dir(), st.traceDir} {
 		des, err := os.ReadDir(dir)
 		if err != nil {
 			continue
@@ -172,39 +174,16 @@ func (st *Store) recoverBoot() {
 	// sidecar's event counts. Anything less is quarantined whole —
 	// suite.TraceCache would already treat it as a miss, but a half-read
 	// torn file wastes every future load attempt until someone cleans it.
-	des, err := os.ReadDir(st.traceDir)
-	if err != nil {
-		return
-	}
-	type halves struct{ trace, sidecar bool }
-	pairs := map[string]*halves{}
-	for _, de := range des {
-		if base, ok := strings.CutSuffix(de.Name(), ".wmtrace"); ok {
-			h := pairs[base]
-			if h == nil {
-				h = &halves{}
-				pairs[base] = h
-			}
-			h.trace = true
-		} else if base, ok := strings.CutSuffix(de.Name(), ".json"); ok {
-			h := pairs[base]
-			if h == nil {
-				h = &halves{}
-				pairs[base] = h
-			}
-			h.sidecar = true
-		}
-	}
-	for base, h := range pairs {
-		basePath := filepath.Join(st.traceDir, base)
-		if st.tracePairIntact(basePath, *h) {
+	pairs, _ := st.scanTraces()
+	for _, p := range pairs {
+		if st.tracePairIntact(p) {
 			continue
 		}
 		quarantined := false
-		if h.trace && os.Rename(basePath+".wmtrace", basePath+".wmtrace.bad") == nil {
+		if p.trace && os.Rename(p.base+".wmtrace", p.base+".wmtrace.bad") == nil {
 			quarantined = true
 		}
-		if h.sidecar && os.Rename(basePath+".json", basePath+".json.bad") == nil {
+		if p.sidecar && os.Rename(p.base+".json", p.base+".json.bad") == nil {
 			quarantined = true
 		}
 		if quarantined {
@@ -216,11 +195,11 @@ func (st *Store) recoverBoot() {
 // tracePairIntact validates one spill pair end to end: both halves present,
 // sidecar parses, self-identifies and carries event counts, and the trace
 // file decodes as WMTRACE2 (checksummed) and agrees with those counts.
-func (st *Store) tracePairIntact(basePath string, h struct{ trace, sidecar bool }) bool {
-	if !h.trace || !h.sidecar {
+func (st *Store) tracePairIntact(p tracePair) bool {
+	if !p.trace || !p.sidecar {
 		return false
 	}
-	mb, err := st.fs.ReadFile(fault.SiteTraceRead, basePath+".json")
+	mb, err := st.fs.ReadFile(fault.SiteTraceRead, p.base+".json")
 	if err != nil {
 		return false
 	}
@@ -232,7 +211,7 @@ func (st *Store) tracePairIntact(basePath string, h struct{ trace, sidecar bool 
 	if json.Unmarshal(mb, &m) != nil || m.Version == 0 || m.Fetches == nil || m.Datas == nil {
 		return false
 	}
-	f, err := st.fs.Open(fault.SiteTraceRead, basePath+".wmtrace")
+	f, err := st.fs.Open(fault.SiteTraceRead, p.base+".wmtrace")
 	if err != nil {
 		return false
 	}
@@ -305,14 +284,16 @@ func (st *Store) touch(key string) {
 	st.ent[key] = st.ll.PushFront(&storeEntry{key: key, bytes: bytes, lastUse: time.Now()})
 }
 
-// tracePair is one spill pair on disk (WMTRACE2 file + JSON sidecar).
+// tracePair is one spill pair on disk (WMTRACE2 file + JSON sidecar), or
+// whichever half of one is present.
 type tracePair struct {
-	base    string // path without extension
-	bytes   int64
-	modTime time.Time
+	base           string // path without extension
+	bytes          int64
+	modTime        time.Time // the trace file's
+	trace, sidecar bool
 }
 
-// scanTraces lists the spill pairs, oldest first.
+// scanTraces lists the spill pairs, oldest first, and their total bytes.
 func (st *Store) scanTraces() ([]tracePair, int64) {
 	des, err := os.ReadDir(st.traceDir)
 	if err != nil {
@@ -320,21 +301,12 @@ func (st *Store) scanTraces() ([]tracePair, int64) {
 	}
 	pairs := map[string]*tracePair{}
 	for _, de := range des {
-		name := de.Name()
-		base, isTrace := strings.CutSuffix(name, ".wmtrace")
+		base, isTrace := strings.CutSuffix(de.Name(), ".wmtrace")
 		if !isTrace {
-			if base, ok := strings.CutSuffix(name, ".json"); ok {
-				// Sidecar: account its bytes against the pair.
-				if info, err := de.Info(); err == nil {
-					p := pairs[base]
-					if p == nil {
-						p = &tracePair{base: filepath.Join(st.traceDir, base)}
-						pairs[base] = p
-					}
-					p.bytes += info.Size()
-				}
+			var ok bool
+			if base, ok = strings.CutSuffix(de.Name(), ".json"); !ok {
+				continue
 			}
-			continue
 		}
 		info, err := de.Info()
 		if err != nil {
@@ -346,7 +318,11 @@ func (st *Store) scanTraces() ([]tracePair, int64) {
 			pairs[base] = p
 		}
 		p.bytes += info.Size()
-		p.modTime = info.ModTime()
+		if isTrace {
+			p.trace, p.modTime = true, info.ModTime()
+		} else {
+			p.sidecar = true
+		}
 	}
 	out := make([]tracePair, 0, len(pairs))
 	var total int64
