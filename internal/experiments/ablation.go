@@ -186,13 +186,10 @@ func AblationConsistency(ctx context.Context, opts ...suite.Option) ([]Consisten
 		{"paper rules, Nt=1 (provable)", core.Config{TagEntries: 1, SetEntries: 8,
 			Consistency: core.PolicyPaper, Clear: core.ClearAll}},
 	}
+	// The policies are lanes of one shared D-cache (suite.Attach).
 	techs := make([]suite.Technique, len(configs))
 	for i, c := range configs {
-		cfg := c.cfg
-		techs[i] = dTech(suite.ID(c.name), func(geo cache.Config) suite.Instance {
-			ctl := core.NewDController(geo, cfg)
-			return suite.Instance{Data: ctl, Stats: ctl.Stats}
-		})
+		techs[i] = suite.MABDataTechnique(suite.ID(c.name), c.name, c.cfg)
 	}
 	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
 	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(techs...))...)

@@ -9,12 +9,10 @@ import (
 	"sync/atomic"
 
 	"waymemo/internal/cache"
-	"waymemo/internal/core"
 	"waymemo/internal/pool"
 	"waymemo/internal/power"
 	"waymemo/internal/stats"
 	"waymemo/internal/suite"
-	"waymemo/internal/synth"
 	"waymemo/internal/trace"
 	"waymemo/internal/workloads"
 )
@@ -329,7 +327,7 @@ func (sc Scheduler) run(ctx context.Context, s Space, pts []Point) ([]PointResul
 		}
 		var prs []*PointResult
 		simulate := func(simCtx context.Context) (err error) {
-			prs, err = simulateShard(simCtx, s, sh.w, sh.pts, techs, mabs, sc.Traces)
+			prs, err = simulateShard(simCtx, s, sh.w, sh.pts, techs, sc.Traces)
 			return err
 		}
 		var err error
@@ -423,31 +421,26 @@ func (sc Scheduler) shards(claims []fanPoint) []fanShard {
 }
 
 // simulateShard simulates pts, grid points of workload w, in one pass over
-// w's event stream. Each point gets one way-memoized controller whose
-// cache is shared by the baseline and one lane per MAB size: way
-// memoization never changes hits, misses or evictions, so one cache model
-// per point serves them all (see core.Lane). The controllers are fed
-// through suite.Drive: a single batched fan-out replay of the workload's
-// capture, or, when tc is nil, one live execution delivered in blocks.
-// Either way each point is priced by assemblePoint, so live and replayed
-// grids are byte-identical.
+// w's event stream. Each point attaches the space's techniques through
+// suite.Attach, as suite.Run attaches a benchmark's: the baseline and
+// every MAB size are one way-memoized controller over one cache, since way
+// memoization never changes hits, misses or evictions (see core.Lane).
+// The controllers are fed through suite.Drive: a single batched fan-out
+// replay of the workload's capture, or, when tc is nil, one live execution
+// delivered in blocks. Either way each point is priced by assemblePoint,
+// so live and replayed grids are byte-identical.
 func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fanPoint,
-	techs []suite.Technique, mabs []core.Config, tc *suite.TraceCache) ([]*PointResult, error) {
+	techs []suite.Technique, tc *suite.TraceCache) ([]*PointResult, error) {
 	// Build the controllers only now, so the memory a sweep holds live is
 	// bounded by the active shards, not the grid.
-	outs := make([]pointCounters, len(pts))
-	pairs := make([]trace.SinkPair, len(pts))
+	outs := make([][]suite.TechResult, len(pts))
+	pairs := make([]trace.SinkPair, 0, len(pts))
 	for pi, fp := range pts {
-		switch s.Domain {
-		case suite.Data:
-			d := core.NewDLanes(fp.pt.Geometry, mabs)
-			pairs[pi], outs[pi] = trace.SinkPair{Data: d}, pointCounters{d.Baseline, d.Lanes}
-		case suite.Fetch:
-			ic := core.NewILanes(fp.pt.Geometry, mabs)
-			pairs[pi], outs[pi] = trace.SinkPair{Fetch: ic}, pointCounters{ic.Baseline, ic.Lanes}
-		default:
-			return nil, fmt.Errorf("explore: invalid domain %d", s.Domain)
+		p, res, err := suite.Attach(fp.pt.Geometry, techs)
+		if err != nil {
+			return nil, err
 		}
+		pairs, outs[pi] = append(pairs, p...), res
 	}
 	cycles, instrs, err := suite.Drive(ctx, w, s.PacketBytes, pairs, tc, len(pts))
 	if err != nil {
@@ -455,44 +448,29 @@ func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fan
 	}
 	prs := make([]*PointResult, len(pts))
 	for pi, fp := range pts {
-		prs[pi] = assemblePoint(fp.pt, techs, mabs, outs[pi], cycles, instrs)
+		prs[pi] = assemblePoint(fp.pt, techs, outs[pi], cycles, instrs)
 	}
 	return prs, nil
 }
 
-// pointCounters are one grid point's counters as its controller fills
-// them: the conventional baseline's, and one lane per MAB size in space
-// order.
-type pointCounters struct {
-	base  *stats.Counters
-	lanes []core.Lane
-}
-
-// assemblePoint prices one grid point's freshly simulated counters into
-// the PointResult the analysis layer and the result cache consume. The
-// power models are those of the space's techniques: the bare array for the
-// baseline, plus the synthesized MAB for each way-memoized one.
-func assemblePoint(pt Point, techs []suite.Technique, mabs []core.Config,
-	out pointCounters, cycles, instrs uint64) *PointResult {
+// assemblePoint prices one grid point's freshly simulated results, one
+// per technique, into the PointResult the analysis layer and the result
+// cache consume. A technique's MAB size is the lane it shares.
+func assemblePoint(pt Point, techs []suite.Technique, res []suite.TechResult, cycles, instrs uint64) *PointResult {
 	pr := &PointResult{
 		Geometry: pt.Geometry,
 		Workload: pt.Workload.Name,
 		Cycles:   cycles,
 		Instrs:   instrs,
-		Techs:    make([]TechOutcome, 0, len(techs)),
+		Techs:    make([]TechOutcome, len(techs)),
 	}
-	array := suite.ArrayModel(pt.Geometry)
-	for i := range techs {
-		st, model := out.base, array
-		to := TechOutcome{ID: string(techs[i].ID)}
-		if i > 0 { // techs[0] is the baseline; the rest follow mabs order
-			m := mabs[i-1]
-			st = out.lanes[i-1].Stats
+	for i, t := range techs {
+		to := &pr.Techs[i]
+		to.ID = string(t.ID)
+		if m := t.Shares; m != nil {
 			to.TagEntries, to.SetEntries = m.TagEntries, m.SetEntries
-			model.MAB = synth.Characterize(m.TagEntries, m.SetEntries)
 		}
-		to.Stats, to.Power = *st, power.Compute(st, cycles, model)
-		pr.Techs = append(pr.Techs, to)
+		to.Stats, to.Power = *res[i].Stats, power.Compute(res[i].Stats, cycles, res[i].Model)
 	}
 	return pr
 }

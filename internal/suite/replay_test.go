@@ -460,10 +460,12 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 	if st.Captures != len(ws) || st.DiskLoads != 0 {
 		t.Fatalf("geometry sweep re-executed a workload: %+v", st)
 	}
-	// Every batched pass fed all eight techniques from one stream walk.
+	// Every batched pass fed all eight techniques from one stream walk,
+	// through four sinks: the D and I lane controllers (each domain's
+	// original and MAB techniques), the set buffer and approach [4].
 	wantPasses := len(geos) * len(pars) * len(ws)
-	if st.FanOutPasses != wantPasses || st.SinksPerPass() != 8 {
-		t.Fatalf("fan-out stats = %+v, want %d passes of 8 sinks", st, wantPasses)
+	if st.FanOutPasses != wantPasses || st.SinksPerPass() != 4 {
+		t.Fatalf("fan-out stats = %+v, want %d passes of 4 sinks", st, wantPasses)
 	}
 	if st.FanOutEvents <= 0 || st.FanOutDeliveries <= st.FanOutEvents {
 		t.Fatalf("fan-out accounting degenerate: %+v", st)

@@ -129,9 +129,9 @@ func WithTraceCache(tc *TraceCache) Option {
 }
 
 // Run executes every selected workload with every selected technique
-// attached, one simulator pass per benchmark, fanning the passes out over a
-// worker pool. Each benchmark gets fresh technique instances, so runs are
-// deterministic and independent of parallelism; Results.Benchmarks is
+// attached (Attach), one simulator pass per benchmark, fanning the passes
+// out over a worker pool. Each benchmark gets fresh controllers, so runs
+// are deterministic and independent of parallelism; Results.Benchmarks is
 // ordered like the workload list. Run returns the first error encountered
 // (cancelling the remaining work), or ctx.Err() if the context ends first.
 func Run(ctx context.Context, opts ...Option) (*Results, error) {
@@ -192,32 +192,30 @@ func Run(ctx context.Context, opts ...Option) (*Results, error) {
 	return &Results{Geometry: o.geometry, Benchmarks: results}, nil
 }
 
-// runOne instantiates every technique fresh and drives one benchmark
-// through them.
+// runOne attaches every technique fresh (Attach: one shared controller
+// per domain for the baseline and the MAB techniques, the others alone)
+// and drives one benchmark through them.
 func runOne(ctx context.Context, w workloads.Workload, techs []Technique, o options) (BenchResult, error) {
 	br := BenchResult{Name: w.Name, D: map[ID]TechResult{}, I: map[ID]TechResult{}}
-	pairs := make([]trace.SinkPair, len(techs))
+	pairs, res, err := Attach(o.geometry, techs)
+	if err != nil {
+		return br, err
+	}
 	for i, t := range techs {
-		inst, pair, err := t.Instantiate(o.geometry)
-		if err != nil {
-			return br, err
-		}
-		pairs[i] = pair
-		res := TechResult{Stats: inst.Stats, Model: inst.Model}
 		if t.Domain == Data {
-			br.D[t.ID] = res
+			br.D[t.ID] = res[i]
 		} else {
-			br.I[t.ID] = res
+			br.I[t.ID] = res[i]
 		}
 	}
-	var err error
 	br.Cycles, br.Instrs, err = Drive(ctx, w, o.packetBytes, pairs, o.traceCache, 1)
 	return br, err
 }
 
 // Drive feeds one execution of w's event streams, at fetch-packet size
 // packet, to every pair and returns the execution's cycle and instruction
-// counts. With a trace cache it is one batched fan-out pass over the
+// counts. A pair is one controller, which may serve several techniques
+// (see Attach). With a trace cache it is one batched fan-out pass over the
 // workload's capture (tc.FanOut, serving runs benchmark runs), so the trace
 // streams through memory once for the whole sink set; with tc nil it is one
 // live simulation whose events a trace.Stager delivers to every sink in

@@ -33,27 +33,37 @@ func ArrayModel(geo cache.Config) power.Model {
 	return power.Model{Array: cacti.ArrayEnergies(cacti.Tech130, geo)}
 }
 
+// sharedModel is the power model of a technique that shares its domain's
+// controller as cfg (see Technique.Shares): the bare array for the
+// baseline's zero Config, plus the synthesized MAB for a lane.
+func sharedModel(geo cache.Config, cfg core.Config) power.Model {
+	m := ArrayModel(geo)
+	if cfg != (core.Config{}) {
+		m.MAB = synth.Characterize(cfg.TagEntries, cfg.SetEntries)
+	}
+	return m
+}
+
 // MABDataTechnique builds a way-memoized D-cache technique for an arbitrary
-// MAB configuration, with its power model (array + synthesized MAB).
+// MAB configuration, with its power model (array + synthesized MAB). Run
+// attaches it as a lane of the data domain's shared controller; New builds
+// it alone.
 func MABDataTechnique(id ID, desc string, cfg core.Config) Technique {
-	return Technique{ID: id, Domain: Data, Desc: desc,
+	return Technique{ID: id, Domain: Data, Desc: desc, Shares: &cfg,
 		New: func(geo cache.Config) Instance {
 			c := core.NewDController(geo, cfg)
-			m := ArrayModel(geo)
-			m.MAB = synth.Characterize(cfg.TagEntries, cfg.SetEntries)
-			return Instance{Data: c, Stats: c.Stats, Model: m}
+			return Instance{Data: c, Stats: c.Stats, Model: sharedModel(geo, cfg)}
 		}}
 }
 
 // MABFetchTechnique builds a way-memoized I-cache technique for an
-// arbitrary MAB configuration.
+// arbitrary MAB configuration, a lane of the fetch domain's shared
+// controller like MABDataTechnique.
 func MABFetchTechnique(id ID, desc string, cfg core.Config) Technique {
-	return Technique{ID: id, Domain: Fetch, Desc: desc,
+	return Technique{ID: id, Domain: Fetch, Desc: desc, Shares: &cfg,
 		New: func(geo cache.Config) Instance {
 			c := core.NewIController(geo, cfg)
-			m := ArrayModel(geo)
-			m.MAB = synth.Characterize(cfg.TagEntries, cfg.SetEntries)
-			return Instance{Fetch: c, Stats: c.Stats, Model: m}
+			return Instance{Fetch: c, Stats: c.Stats, Model: sharedModel(geo, cfg)}
 		}}
 }
 
@@ -64,7 +74,7 @@ func mabID(cfg core.Config) ID {
 
 func init() {
 	// Data-cache techniques of Figures 4 and 5.
-	MustRegister(Technique{ID: DOrig, Domain: Data,
+	MustRegister(Technique{ID: DOrig, Domain: Data, Shares: &core.Config{},
 		Desc: "conventional 2-way access (all tags, all ways)",
 		New: func(geo cache.Config) Instance {
 			c := baseline.NewOriginalD(geo)
@@ -82,7 +92,7 @@ func init() {
 		"way-memoized D-cache, 2x8 MAB (the paper's pick)", core.DefaultD))
 
 	// Instruction-cache techniques of Figures 6 and 7.
-	MustRegister(Technique{ID: IOrig, Domain: Fetch,
+	MustRegister(Technique{ID: IOrig, Domain: Fetch, Shares: &core.Config{},
 		Desc: "conventional 2-way fetch (all tags, all ways)",
 		New: func(geo cache.Config) Instance {
 			c := baseline.NewOriginalI(geo)

@@ -13,6 +13,16 @@
 //	suite.MustRegister(suite.MABDataTechnique("mab-4x16", "big D-MAB",
 //		core.Config{TagEntries: 4, SetEntries: 16}))
 //
+// Way memoization changes which arrays an access reads, never what the
+// cache holds, so the conventional baseline and every MAB size can share
+// one cache. A technique that sets Shares is its domain's baseline or one
+// MAB lane, and Attach gives each domain one way-memoized controller
+// (core.NewDLanes/NewILanes) for all of them. The registered originals and
+// MAB techniques share, so a benchmark of the standard suite runs four
+// controllers, not eight. Every other technique, such as the set buffer
+// and approach [4], gets its own cache from New. Either way the counters
+// equal those of each technique instantiated alone.
+//
 // Run executes workloads concurrently (they are independent simulations)
 // and returns results in workload order, bit-identical to a sequential run:
 //
@@ -35,6 +45,7 @@ import (
 	"sync"
 
 	"waymemo/internal/cache"
+	"waymemo/internal/core"
 	"waymemo/internal/power"
 	"waymemo/internal/stats"
 	"waymemo/internal/trace"
@@ -95,6 +106,13 @@ type Technique struct {
 	Desc string
 	// New instantiates the technique for a geometry.
 	New Factory
+	// Shares, when non-nil, marks a technique that reads one part of its
+	// domain's shared way-memoized controller (see Attach): the
+	// conventional Baseline for a zero core.Config, otherwise the lane of
+	// that MAB configuration. New must still build the same technique
+	// alone, priced as Attach prices it: ArrayModel, plus the synthesized
+	// MAB for a lane. Nil attaches the technique alone, over its own cache.
+	Shares *core.Config
 }
 
 func (t Technique) validate() error {
@@ -106,6 +124,11 @@ func (t Technique) validate() error {
 	}
 	if t.New == nil {
 		return fmt.Errorf("suite: technique %s/%q has no factory", t.Domain, t.ID)
+	}
+	if m := t.Shares; m != nil && *m != (core.Config{}) {
+		if err := m.Validate(); err != nil {
+			return fmt.Errorf("suite: technique %s/%q: %w", t.Domain, t.ID, err)
+		}
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"waymemo/internal/baseline"
 	"waymemo/internal/cache"
+	"waymemo/internal/core"
 	"waymemo/internal/workloads"
 )
 
@@ -210,6 +211,11 @@ func TestRegistryRejects(t *testing.T) {
 	}
 	if err := reg.Register(Technique{ID: "y", Domain: Domain(9), New: ok.New}); err == nil {
 		t.Error("bad domain accepted")
+	}
+	for _, m := range []core.Config{{SetEntries: 8}, {TagEntries: 2}, {Consistency: core.PolicyPaper}} {
+		if err := reg.Register(Technique{ID: "y", Domain: Data, New: ok.New, Shares: &m}); err == nil {
+			t.Errorf("lane of invalid MAB %+v accepted", m)
+		}
 	}
 	// The same ID in the other domain is a different technique.
 	if err := reg.Register(Technique{ID: "x", Domain: Fetch,

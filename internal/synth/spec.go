@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -345,6 +346,9 @@ func ExpandSpec(text string) ([]Spec, error) {
 		if v < 0 {
 			return nil, fmt.Errorf("synth: knob %s: negative value %d", key, v)
 		}
+		if key == "seed" && v > math.MaxUint32 {
+			return nil, fmt.Errorf("synth: knob seed: %d exceeds %d", v, uint32(math.MaxUint32))
+		}
 		set(&base, v)
 	}
 	if sweep == nil {
@@ -396,6 +400,9 @@ func parseKnobValue(val string, size bool) (int, error) {
 	v, err := strconv.Atoi(val)
 	if err != nil {
 		return 0, fmt.Errorf("bad value %q", val)
+	}
+	if v > math.MaxInt/mult || v < math.MinInt/mult {
+		return 0, fmt.Errorf("value %q overflows", val)
 	}
 	return v * mult, nil
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,32 @@ func TestParseSpecRejects(t *testing.T) {
 		if _, err := ParseSpec(in); err == nil {
 			t.Errorf("%q: expected error", in)
 		}
+	}
+}
+
+// TestParseSpecRejectsWrappingKnobs: a size knob whose suffix multiplies
+// it past the int range, or a seed past uint32, must be an error, not a
+// wrapped value that happens to land in range.
+func TestParseSpecRejectsWrappingKnobs(t *testing.T) {
+	for _, in := range []string{
+		"hotloop,fp=18014398509482048KiB",    // wrapped to fp=64KiB
+		"stream,stride=18014398509481988KiB", // wrapped to stride=4096
+		"hotloop,fp=9007199254740993MiB",
+		"hotloop,fp=1KiB..18014398509482048KiB",
+		"hotloop,seed=4294967297", // truncated to seed=1
+		"hotloop,seed=4294967296", // truncated to 0, the default 1
+		"hotloop,seed=9223372036854775807",
+	} {
+		if sp, err := ParseSpec(in); err == nil {
+			t.Errorf("%q accepted as %s", in, sp)
+		}
+		if sps, err := ExpandSpec(in); err == nil {
+			t.Errorf("%q expanded to %v", in, sps)
+		}
+	}
+	sp, err := ParseSpec("hotloop,seed=4294967295")
+	if err != nil || sp.Seed != 4294967295 {
+		t.Errorf("largest seed: %+v, %v", sp, err)
 	}
 }
 
@@ -190,4 +217,80 @@ func TestSpecSyntaxMentionsAllPatterns(t *testing.T) {
 			t.Errorf("pattern %s has no description", p)
 		}
 	}
+}
+
+// FuzzSynthSpec feeds arbitrary text to ExpandSpec. It must never panic;
+// every spec it accepts must re-parse from its String() to an equal Spec
+// with the same String(); and every plain integer a knob was given must be
+// the value the spec holds (footprints may only round down, and a zero
+// means the default, except bias=0).
+func FuzzSynthSpec(f *testing.F) {
+	for _, seed := range []string{
+		"synth:hotloop",
+		"synth:pchase,fp=64KiB,seed=7",
+		"pchase,fp=10000,stride=64",
+		"synth:branchy,bias=0,n=4096",
+		"synth:phase,phase=128,stride=8",
+		"synth:blocked,fp=100KiB",
+		"synth:stream,fp=4KiB..64KiB,stride=16",
+		"synth:pchase,n=1k..4k",
+		"hotloop,fp=18014398509482048KiB",
+		"stream,stride=18014398509481988KiB",
+		"hotloop,seed=4294967297",
+		" Hotloop , FP = 2048 , seed = 4294967295 ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		specs, err := ExpandSpec(text)
+		if err != nil {
+			return
+		}
+		if len(specs) == 0 {
+			t.Fatalf("%q: accepted with no specs", text)
+		}
+		written := map[string]int{}
+		for _, field := range strings.Split(strings.TrimPrefix(strings.TrimSpace(text), SpecPrefix), ",")[1:] {
+			key, val, _ := strings.Cut(strings.TrimSpace(field), "=")
+			if v, err := strconv.Atoi(strings.TrimSpace(val)); err == nil {
+				written[strings.ToLower(strings.TrimSpace(key))] = v
+			}
+		}
+		for _, sp := range specs {
+			name := sp.String()
+			again, err := ParseSpec(name)
+			if err != nil {
+				t.Fatalf("%q: canonical %q does not re-parse: %v", text, name, err)
+			}
+			if again != sp || again.String() != name {
+				t.Fatalf("%q: %+v re-parses from %q to %+v (%q)", text, sp, name, again, again.String())
+			}
+			for key, v := range written {
+				if v == 0 && key != "bias" {
+					continue // the default
+				}
+				var held int
+				switch key {
+				case "fp":
+					if sp.Footprint > v || sp.Footprint <= 0 {
+						t.Fatalf("%q: fp=%d held as %d", text, v, sp.Footprint)
+					}
+					continue
+				case "stride":
+					held = sp.Stride
+				case "bias":
+					held = max(sp.BranchBias, 0)
+				case "phase":
+					held = sp.PhaseLen
+				case "n":
+					held = sp.Accesses
+				case "seed":
+					held = int(sp.Seed)
+				}
+				if held != v {
+					t.Fatalf("%q: %s=%d held as %d", text, key, v, held)
+				}
+			}
+		}
+	})
 }
