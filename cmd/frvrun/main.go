@@ -6,8 +6,8 @@
 //	frvrun [-max N] [-dmab 2x8] [-imab 2x16] [-v] prog.s
 //
 // The program runs with a way-memoized D- and I-cache, each counting its
-// original baseline on the same cache, and approach [4] beside them, so the
-// report shows the paper's savings for this program.
+// original baseline on the same cache, and the I-cache also approach [4],
+// so the report shows the paper's savings for this program.
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"waymemo/internal/asm"
-	"waymemo/internal/baseline"
 	"waymemo/internal/cache"
 	"waymemo/internal/core"
 	"waymemo/internal/power"
@@ -67,14 +66,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// One cache per domain serves both the original and the MAB (their
-	// Baseline and lane); approach [4] keeps its own.
+	// One cache per domain serves the original, the MAB (their Baseline
+	// and lane) and, on the I side, approach [4].
 	geo := cache.FRV32K
 	dMAB := core.NewDLanes(geo, []core.Config{dcfg})
 	iMAB := core.NewILanes(geo, []core.Config{icfg})
-	iA4 := baseline.NewApproach4I(geo)
+	iA4 := iMAB.ObserveApproach4()
 
-	st := trace.NewStager([]trace.SinkPair{{Fetch: iMAB}, {Fetch: iA4}, {Data: dMAB}})
+	st := trace.NewStager([]trace.SinkPair{{Fetch: iMAB}, {Data: dMAB}})
 	c := sim.New()
 	c.Fetch, c.Data = st.Sinks()
 	c.LoadProgram(p, 0x001F0000)
@@ -102,7 +101,7 @@ func main() {
 	dm.MAB = dMAB.MAB.Characterize()
 	addRow("D", "mab-"+dcfg.String(), dMAB.Stats, dm)
 	addRow("I", "original", iMAB.Baseline, arr)
-	addRow("I", "approach[4]", iA4.Stats, arr)
+	addRow("I", "approach[4]", iA4, arr)
 	im := arr
 	im.MAB = iMAB.MAB.Characterize()
 	addRow("I", "mab-"+icfg.String(), iMAB.Stats, im)

@@ -317,3 +317,21 @@ func TestMultipleSources(t *testing.T) {
 		t.Fatal("lib symbol missing")
 	}
 }
+
+// FuzzAssemble feeds arbitrary source to both dialects: the assembler
+// must report malformed input as an error, never panic.
+func FuzzAssemble(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"\t.org 0x10000\nmain:\tli t0, 5\n\tla s0, buf\n\tlw t1, 4(s0)\n\tb main\n\thalt\n\t.org 0x100000\nbuf:\t.word 1, 2, -3\n",
+		"\t.equ N, 64\n\t.org 0x10000\nmain:\tli t9, N*4+(1<<3)\n\tbge s1, t9, main\n\tpush t2\n\tpop t2\n\tret\n",
+		"\t.org 0x1000\n_start:\taddi a0, zero, 5\n\tlui t0, 0x12345\n\tsw a0, -4(sp)\n\tbeq a0, a0, done\ndone:\tebreak\n",
+		"\t.org 0x1000\n\t.align 3\n\t.byte 'a', '\\n'\n\t.ascii \"hi\"\n\t.space 4\nx:\tjal x\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Assemble(src)
+		_, _ = AssembleRV32(src)
+	})
+}

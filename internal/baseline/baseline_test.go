@@ -137,6 +137,46 @@ func TestSetBufferEvictionCoherence(t *testing.T) {
 	}
 }
 
+// TestSetBufferHitsAreCacheHits feeds short streams to SetBufferD and
+// OriginalD: the buffer may only serve lines the cache holds, so hits and
+// misses must agree, with the given buffer hits.
+func TestSetBufferHitsAreCacheHits(t *testing.T) {
+	small := cache.Config{Sets: 4, Ways: 2, LineBytes: 16}
+	// at is the address of (tag, set) in small.
+	at := func(tag, set uint32) uint32 { return (tag*4 + set) * 16 }
+	type access struct {
+		addr  uint32
+		store bool
+	}
+	for _, c := range []struct {
+		name    string
+		geo     cache.Config
+		stream  []access
+		bufHits uint64
+	}{
+		// Re-latching set 2, whose way 1 is still invalid, must drop the
+		// tag way 1 held for set 1.
+		{"relatch clears invalid ways", small,
+			[]access{{at(1, 1), false}, {at(2, 1), false}, {at(3, 2), false}, {at(2, 2), false}}, 0},
+		{"store latches only its line", small,
+			[]access{{at(1, 1), false}, {at(2, 1), true}, {at(1, 1), false}, {at(2, 1), false}}, 1},
+		{"loads latch the whole set", small,
+			[]access{{at(1, 1), false}, {at(2, 1), false}, {at(3, 2), true}, {at(1, 1), false}, {at(2, 1), true}}, 1},
+		{"evicted line leaves the buffer", cache.Config{Sets: 2, Ways: 1, LineBytes: 16},
+			[]access{{0x00, false}, {0x20, false}, {0x00, false}}, 0},
+	} {
+		sb, o := NewSetBufferD(c.geo), NewOriginalD(c.geo)
+		for _, a := range c.stream {
+			sb.OnData(dataEv(a.addr, a.store))
+			o.OnData(dataEv(a.addr, a.store))
+		}
+		if s := sb.Stats; s.Hits != o.Stats.Hits || s.Misses != o.Stats.Misses || s.SetBufHits != c.bufHits {
+			t.Errorf("%s: set buffer %d hits / %d misses / %d buffer hits, want %d / %d / %d",
+				c.name, s.Hits, s.Misses, s.SetBufHits, o.Stats.Hits, o.Stats.Misses, c.bufHits)
+		}
+	}
+}
+
 // TestBaselinesAgreeOnHitMiss runs all D-cache techniques over one random
 // stream: the functional hit/miss outcome must be identical (all use the
 // same cache geometry and LRU policy; only array activity differs).

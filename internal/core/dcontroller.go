@@ -1,6 +1,7 @@
 package core
 
 import (
+	"waymemo/internal/baseline"
 	"waymemo/internal/cache"
 	"waymemo/internal/stats"
 	"waymemo/internal/trace"
@@ -17,7 +18,8 @@ import (
 //
 // One controller serves any number of MAB sizes over one cache, one Lane
 // each (see Lane), and counts the conventional baseline on the same
-// stream alongside.
+// stream alongside. The set buffer of [14] can observe the same cache
+// (ObserveSetBuffer).
 type DController struct {
 	Cache *cache.Cache
 	// MAB and Stats are the first lane's: for a controller built by
@@ -31,6 +33,9 @@ type DController struct {
 
 	ls   laneSet
 	ways uint64
+
+	setBuf      *baseline.SetBuffer // nil until ObserveSetBuffer
+	setBufStats *stats.Counters
 }
 
 var (
@@ -54,14 +59,36 @@ func NewDLanes(geo cache.Config, mcfgs []Config) *DController {
 	return d
 }
 
+// ObserveSetBuffer attaches the set buffer of [14] (baseline.SetBuffer)
+// to d's cache and returns its counters, which equal those of a
+// baseline.SetBufferD fed the same stream. Call it before the first event;
+// a second call returns the same counters.
+func (d *DController) ObserveSetBuffer() *stats.Counters {
+	if d.setBuf == nil {
+		d.setBuf, d.setBufStats = baseline.NewSetBuffer(d.Cache), &stats.Counters{}
+	}
+	return d.setBufStats
+}
+
 // OnDataBatch processes one block of accesses with direct calls on the
 // concrete controller, walking the block by pointer (see
 // IController.OnFetchBatch). Every data access has a base+displacement
 // form; an out-of-range displacement still makes every lane bypass.
+//
+// The set buffer observes each access once the lanes have settled it,
+// reading the set as the access left it; the lanes never read the
+// buffer. A controller without one runs the loop without the call.
 func (d *DController) OnDataBatch(evs []trace.DataEvent) {
-	for i := range evs {
-		ev := &evs[i]
-		d.ls.access(ev.Addr, ev.Base, ev.Disp, ev.Store, true)
+	if sb := d.setBuf; sb != nil {
+		for i := range evs {
+			ev := &evs[i]
+			sb.Observe(ev.Addr, ev.Store, d.ls.access(ev.Addr, ev.Base, ev.Disp, ev.Store, true))
+		}
+	} else {
+		for i := range evs {
+			ev := &evs[i]
+			d.ls.access(ev.Addr, ev.Base, ev.Disp, ev.Store, true)
+		}
 	}
 	d.sync()
 }
@@ -72,9 +99,10 @@ func (d *DController) OnData(ev trace.DataEvent) {
 }
 
 // sync derives every technique's counters from the shared counts and the
-// lanes' own. A conventional access reads every tag way and, for a load,
-// every data way; a store writes one way through the write-back buffer and
-// a refill one more. A verified MAB hit reads no tag and one way.
+// lanes' and the set buffer's own. A conventional access reads every tag
+// way and, for a load, every data way; a store writes one way through the
+// write-back buffer and a refill one more. A verified MAB hit reads no tag
+// and one way.
 func (d *DController) sync() {
 	n, ways := &d.ls.n, d.ways
 	loads := n.accesses - n.stores
@@ -92,5 +120,9 @@ func (d *DController) sync() {
 		s.WayReads = ways*(loads-loadHits) + loadHits
 		s.WayWrites = n.stores + n.misses
 		l.mabCounts(s, n.bypasses, n.accesses-n.bypasses)
+	}
+	if s := d.setBufStats; s != nil {
+		n.outcome(s)
+		d.setBuf.Counts(s)
 	}
 }

@@ -25,7 +25,8 @@ import (
 // Like DController, one controller serves any number of MAB sizes over one
 // cache and counts the conventional baseline alongside. The case-1 skip,
 // the flow class and the previous way are the same for every lane, so they
-// are decided once per fetch.
+// are decided once per fetch. They are all of approach [4], whose counters
+// the controller can derive as well (ObserveApproach4).
 type IController struct {
 	Cache *cache.Cache
 	// MAB and Stats are the first lane's: for a controller built by
@@ -43,6 +44,8 @@ type IController struct {
 
 	prevWay  int
 	havePrev bool
+
+	approach4 *stats.Counters // nil until ObserveApproach4
 }
 
 var (
@@ -69,6 +72,19 @@ func NewILanes(geo cache.Config, mcfgs []Config) *IController {
 	ic.Cache, ic.Lanes = ic.ls.cache, ic.ls.lanes
 	ic.MAB, ic.Stats = ic.Lanes[0].MAB, ic.Lanes[0].Stats
 	return ic
+}
+
+// ObserveApproach4 returns counters that equal those of a
+// baseline.Approach4I fed the same stream. Approach [4] is the case-1 rule
+// every lane already applies, with a conventional fetch for everything
+// else, so the counters are derived from the shared counts at no cost per
+// fetch. Call it before the first event; a second call returns the same
+// counters.
+func (ic *IController) ObserveApproach4() *stats.Counters {
+	if ic.approach4 == nil {
+		ic.approach4 = &stats.Counters{}
+	}
+	return ic.approach4
 }
 
 // OnFetchBatch processes one block of fetches. The loop dispatches
@@ -124,14 +140,23 @@ func (ic *IController) sync() {
 	b.WayWrites = n.misses
 	for k := range ic.Lanes {
 		l := &ic.Lanes[k]
-		s := l.Stats
-		n.outcome(s)
-		s.Flow = n.flow
-		s.Case1Skips = n.case1
-		full := n.accesses - n.case1 - l.hits
-		s.TagReads = ways * full
-		s.WayReads = ways*full + n.case1 + l.hits
-		s.WayWrites = n.misses
-		l.mabCounts(s, n.bypasses, n.accesses-n.case1-n.bypasses)
+		ic.case1Counts(l.Stats, l.hits)
+		l.mabCounts(l.Stats, n.bypasses, n.accesses-n.case1-n.bypasses)
 	}
+	if s := ic.approach4; s != nil {
+		ic.case1Counts(s, 0) // approach [4] is a lane that never hits
+	}
+}
+
+// case1Counts writes into s the counters of a technique that applies the
+// case-1 rule and serves hits more fetches with one way read and no tag.
+func (ic *IController) case1Counts(s *stats.Counters, hits uint64) {
+	n, ways := &ic.ls.n, ic.ways
+	n.outcome(s)
+	s.Flow = n.flow
+	s.Case1Skips = n.case1
+	full := n.accesses - n.case1 - hits
+	s.TagReads = ways * full
+	s.WayReads = ways*full + n.case1 + hits
+	s.WayWrites = n.misses
 }

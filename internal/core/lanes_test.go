@@ -338,10 +338,17 @@ func checkLanes(t *testing.T, what string, base, got *stats.Counters, wantBase *
 
 // runDLanes feeds evs to an N-lane DController in the given blocks and,
 // event by event, to baseline.OriginalD plus one reference controller per
-// lane, checking everything after every block. It returns the controller.
-func runDLanes(t *testing.T, what string, lc laneCase, evs []trace.DataEvent, cuts [][2]int) *DController {
+// lane, checking everything after every block. With observe, the set
+// buffer observes the controller and must match a baseline.SetBufferD.
+// It returns the controller.
+func runDLanes(t *testing.T, what string, lc laneCase, evs []trace.DataEvent, cuts [][2]int, observe bool) *DController {
 	t.Helper()
 	d := NewDLanes(lc.geo, lc.cfgs)
+	var sb *stats.Counters
+	var setBuf *baseline.SetBufferD
+	if observe {
+		sb, setBuf = d.ObserveSetBuffer(), baseline.NewSetBufferD(lc.geo)
+	}
 	orig := baseline.NewOriginalD(lc.geo)
 	refs := make([]*refD, len(lc.cfgs))
 	refStats := make([]*stats.Counters, len(lc.cfgs))
@@ -363,17 +370,35 @@ func runDLanes(t *testing.T, what string, lc laneCase, evs []trace.DataEvent, cu
 				ref.access(&blk[i])
 			}
 		}
-		checkLanes(t, fmt.Sprintf("%s after event %d", what, cut[1]), d.Baseline, d.Stats, orig.Stats,
-			d.Lanes, refStats, d.Cache, refCaches)
+		at := fmt.Sprintf("%s after event %d", what, cut[1])
+		checkLanes(t, at, d.Baseline, d.Stats, orig.Stats, d.Lanes, refStats, d.Cache, refCaches)
+		if observe {
+			setBuf.OnDataBatch(blk)
+			checkObserver(t, at, "set buffer", sb, setBuf.Stats)
+		}
 	}
 	return d
 }
 
+// checkObserver compares an observer's counters with its standalone
+// controller's.
+func checkObserver(t *testing.T, what, name string, got, want *stats.Counters) {
+	t.Helper()
+	if *got != *want {
+		t.Fatalf("%s: %s counters\n got  %+v\n want %+v", what, name, *got, *want)
+	}
+}
+
 // runILanes is runDLanes for the I-cache controller against
-// baseline.OriginalI.
-func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, cuts [][2]int) *IController {
+// baseline.OriginalI, with approach [4] as the observer.
+func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, cuts [][2]int, observe bool) *IController {
 	t.Helper()
 	ic := NewILanes(lc.geo, lc.cfgs)
+	var a4 *stats.Counters
+	var approach4 *baseline.Approach4I
+	if observe {
+		a4, approach4 = ic.ObserveApproach4(), baseline.NewApproach4I(lc.geo)
+	}
 	orig := baseline.NewOriginalI(lc.geo)
 	refs := make([]*refI, len(lc.cfgs))
 	refStats := make([]*stats.Counters, len(lc.cfgs))
@@ -395,8 +420,12 @@ func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, c
 				ref.fetch(&blk[i])
 			}
 		}
-		checkLanes(t, fmt.Sprintf("%s after fetch %d", what, cut[1]), ic.Baseline, ic.Stats, orig.Stats,
-			ic.Lanes, refStats, ic.Cache, refCaches)
+		at := fmt.Sprintf("%s after fetch %d", what, cut[1])
+		checkLanes(t, at, ic.Baseline, ic.Stats, orig.Stats, ic.Lanes, refStats, ic.Cache, refCaches)
+		if observe {
+			approach4.OnFetchBatch(blk)
+			checkObserver(t, at, "approach [4]", a4, approach4.Stats)
+		}
 	}
 	return ic
 }
@@ -407,6 +436,8 @@ func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, c
 // one-MAB controller's, over random geometries, lane sets, policies and
 // clearing modes, with streams that force bypasses and, under PolicyPaper,
 // violations. Every evict-invalidate lane keeps MAB ⊆ cache throughout.
+// On every other seed the set buffer and approach [4] observe the
+// controllers and must match their standalone controllers.
 func TestLanesMatchReferenceRandom(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -417,8 +448,9 @@ func TestLanesMatchReferenceRandom(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		lc := randomLaneCase(r)
 		const n = 6000
-		d := runDLanes(t, fmt.Sprintf("seed %d D %v", seed, lc), lc, randomDataStream(r, lc.geo, n), blocks(r, n))
-		ic := runILanes(t, fmt.Sprintf("seed %d I %v", seed, lc), lc, randomFetchStream(r, lc.geo, n), blocks(r, n))
+		observe := seed%2 == 0
+		d := runDLanes(t, fmt.Sprintf("seed %d D %v", seed, lc), lc, randomDataStream(r, lc.geo, n), blocks(r, n), observe)
+		ic := runILanes(t, fmt.Sprintf("seed %d I %v", seed, lc), lc, randomFetchStream(r, lc.geo, n), blocks(r, n), observe)
 		for _, s := range []*stats.Counters{d.Stats, ic.Stats} {
 			bypasses += s.MABBypasses
 		}
@@ -433,7 +465,7 @@ func TestLanesMatchReferenceRandom(t *testing.T) {
 
 // TestLanesMatchReferencePaperCaptures runs the same contract over the
 // seven benchmarks' captured streams at three geometries, with lanes
-// covering both policies and every clearing mode.
+// covering both policies and every clearing mode, and both observers.
 func TestLanesMatchReferencePaperCaptures(t *testing.T) {
 	geos := []cache.Config{cache.FRV32K, {Sets: 64, Ways: 4, LineBytes: 16}, {Sets: 16, Ways: 1, LineBytes: 64}}
 	cfgs := []Config{
@@ -457,8 +489,8 @@ func TestLanesMatchReferencePaperCaptures(t *testing.T) {
 		for _, geo := range geos {
 			lc := laneCase{geo, cfgs}
 			r := rand.New(rand.NewSource(1))
-			runDLanes(t, fmt.Sprintf("%s D %v", w.Name, geo), lc, datas, bigBlocks(r, len(datas)))
-			runILanes(t, fmt.Sprintf("%s I %v", w.Name, geo), lc, fetches, bigBlocks(r, len(fetches)))
+			runDLanes(t, fmt.Sprintf("%s D %v", w.Name, geo), lc, datas, bigBlocks(r, len(datas)), true)
+			runILanes(t, fmt.Sprintf("%s I %v", w.Name, geo), lc, fetches, bigBlocks(r, len(fetches)), true)
 		}
 	}
 }

@@ -467,9 +467,7 @@ func assemblePoint(pt Point, techs []suite.Technique, res []suite.TechResult, cy
 	for i, t := range techs {
 		to := &pr.Techs[i]
 		to.ID = string(t.ID)
-		if m := t.Shares; m != nil {
-			to.TagEntries, to.SetEntries = m.TagEntries, m.SetEntries
-		}
+		to.TagEntries, to.SetEntries = t.Shares.MAB.TagEntries, t.Shares.MAB.SetEntries
 		to.Stats, to.Power = *res[i].Stats, power.Compute(res[i].Stats, cycles, res[i].Model)
 	}
 	return pr

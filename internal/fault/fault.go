@@ -155,12 +155,15 @@ func ParseSpec(s string) (*Spec, error) {
 		if len(parts) < 3 || len(parts) > 4 {
 			return nil, fmt.Errorf("fault: bad clause %q (want site:kind:prob[:delay])", clause)
 		}
+		if parts[0] == "" {
+			return nil, fmt.Errorf("fault: empty site in %q", clause)
+		}
 		kind, ok := kindByName(parts[1])
 		if !ok {
 			return nil, fmt.Errorf("fault: unknown kind %q in %q", parts[1], clause)
 		}
 		prob, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || prob < 0 || prob > 1 {
+		if err != nil || !(prob >= 0 && prob <= 1) { // NaN fails both
 			return nil, fmt.Errorf("fault: bad probability %q in %q (want [0,1])", parts[2], clause)
 		}
 		r := Rule{Site: parts[0], Kind: kind, Prob: prob}

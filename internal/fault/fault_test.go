@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 )
@@ -47,6 +48,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"io:frobnicate:0.5",      // unknown kind
 		"io:err:1.5",             // probability out of range
 		"io:err:nope",            // unparsable probability
+		"io:err:NaN",             // NaN probability: never fires
+		"io:latency:nan:2ms",     // NaN probability on a latency clause
+		":err:0.5",               // empty site: matches no operation
 		"io:err:0.1:5ms",         // delay on a non-latency clause
 		"io:latency:0.1",         // latency without a delay
 		"io:latency:0.1:bananas", // unparsable delay
@@ -67,6 +71,36 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("New over empty spec %q not nil", ok)
 		}
 	}
+}
+
+// FuzzFaultSpec feeds arbitrary text to ParseSpec: it must never panic,
+// and every accepted spec's String must re-parse to an equal Spec with
+// the same String.
+func FuzzFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "seed=42;io:err:0.05;io.trace:latency:0.1:2ms;http:drop:0.01",
+		"*:tornwrite:1, io.result.read:shortread:0", "io:err:NaN", ":err:0.5",
+		"io:latency:1e-3:1h2m3.5s", "seed=18446744073709551615;http:drop:0x1p-4",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sp, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		out := sp.String()
+		re, err := ParseSpec(out)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted, but its String %q does not re-parse: %v", in, out, err)
+		}
+		if !reflect.DeepEqual(re, sp) {
+			t.Fatalf("round trip of %q through %q: %+v != %+v", in, out, *re, *sp)
+		}
+		if again := re.String(); again != out {
+			t.Fatalf("String of %q is unstable: %q then %q", in, out, again)
+		}
+	})
 }
 
 func TestRuleSiteHierarchy(t *testing.T) {

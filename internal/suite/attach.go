@@ -13,16 +13,17 @@ import (
 // point's.
 //
 // Way memoization changes which arrays an access reads, never hits, misses
-// or evictions (see core.Lane). So the techniques of one domain that set
-// Technique.Shares read one controller, core.NewDLanes or core.NewILanes,
-// whose Baseline serves every baseline member and which has one lane per
-// lane member, in techs order; two IDs with one MAB configuration get a
-// lane each. The domain then runs one cache for all of them, and the
-// controller's sink pair takes its first member's place. A domain whose
-// sharing techniques are all baselines has no MAB to build that
-// controller around: each of them is instantiated alone, as is every
-// technique without Shares. Baseline members of one controller share one
-// Counters.
+// or evictions (see core.Lane), and neither do the set buffer and approach
+// [4]. So the techniques of one domain that set Technique.Shares read one
+// controller, core.NewDLanes or core.NewILanes: its Baseline serves every
+// Baseline member, it has one lane per Lane member, in techs order (two
+// IDs with one MAB configuration get a lane each), and its observer
+// serves every SetBuffer or Approach4 member. The domain then runs one
+// cache for all of them, and the controller's sink pair takes its first
+// member's place. A domain whose sharing techniques include no Lane has
+// no MAB to build that controller around: each of them is instantiated
+// alone, as is every technique without Shares. Members reading one part
+// of one controller share one Counters.
 func Attach(geo cache.Config, techs []Technique) ([]trace.SinkPair, []TechResult, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, nil, err
@@ -32,20 +33,21 @@ func Attach(geo cache.Config, techs []Technique) ([]trace.SinkPair, []TechResult
 		if err := t.validate(); err != nil {
 			return nil, nil, err
 		}
-		if m := t.Shares; m != nil && *m != (core.Config{}) {
-			cfgs[t.Domain] = append(cfgs[t.Domain], *m)
+		if t.Shares.Part == Lane {
+			cfgs[t.Domain] = append(cfgs[t.Domain], t.Shares.MAB)
 		}
 	}
 	var (
-		pairs = make([]trace.SinkPair, 0, len(techs))
-		res   = make([]TechResult, len(techs))
-		base  [2]*stats.Counters // by Domain, once its controller is built
-		lanes [2][]core.Lane
-		next  [2]int // by Domain: the next lane member's lane
+		pairs   = make([]trace.SinkPair, 0, len(techs))
+		res     = make([]TechResult, len(techs))
+		base    [2]*stats.Counters // by Domain, once its controller is built
+		lanes   [2][]core.Lane
+		observe [2]func() *stats.Counters // the domain's one observer
+		next    [2]int                    // by Domain: the next lane member's lane
 	)
 	for i, t := range techs {
 		d := t.Domain
-		if t.Shares == nil || len(cfgs[d]) == 0 {
+		if t.Shares.Part == Alone || len(cfgs[d]) == 0 {
 			inst, pair, err := t.Instantiate(geo)
 			if err != nil {
 				return nil, nil, err
@@ -58,19 +60,24 @@ func Attach(geo cache.Config, techs []Technique) ([]trace.SinkPair, []TechResult
 			if d == Data {
 				c := core.NewDLanes(geo, cfgs[d])
 				pairs = append(pairs, trace.SinkPair{Data: c})
-				base[d], lanes[d] = c.Baseline, c.Lanes
+				base[d], lanes[d], observe[d] = c.Baseline, c.Lanes, c.ObserveSetBuffer
 			} else {
 				c := core.NewILanes(geo, cfgs[d])
 				pairs = append(pairs, trace.SinkPair{Fetch: c})
-				base[d], lanes[d] = c.Baseline, c.Lanes
+				base[d], lanes[d], observe[d] = c.Baseline, c.Lanes, c.ObserveApproach4
 			}
 		}
-		st := base[d]
-		if *t.Shares != (core.Config{}) {
+		var st *stats.Counters
+		switch t.Shares.Part {
+		case Baseline:
+			st = base[d]
+		case Lane:
 			st = lanes[d][next[d]].Stats
 			next[d]++
+		default: // validate admits only the domain's own observer
+			st = observe[d]()
 		}
-		res[i] = TechResult{Stats: st, Model: sharedModel(geo, *t.Shares)}
+		res[i] = TechResult{Stats: st, Model: sharedModel(geo, t.Shares)}
 	}
 	return pairs, res, nil
 }

@@ -35,8 +35,8 @@ func (c attachCase) String() string {
 	s := fmt.Sprintf("%s %+v", c.w.Name, c.geo)
 	for _, t := range c.techs {
 		s += fmt.Sprintf(" %s/%s", t.Domain, t.ID)
-		if m := t.Shares; m != nil {
-			s += fmt.Sprintf("%+v", *m)
+		if t.Shares.Part != Alone {
+			s += fmt.Sprintf("%+v", t.Shares)
 		}
 	}
 	return s
@@ -118,25 +118,25 @@ func randomAttachCase(t *testing.T, r *rand.Rand, shape int) attachCase {
 
 // wantPairs counts the sinks Attach should build: one per technique that
 // does not share, one controller per domain with a lane, and one per
-// baseline of a domain with none.
+// baseline or observer of a domain with none.
 func wantPairs(techs []Technique) int {
-	var lanes, bases [2]int
+	var lanes, others [2]int
 	n := 0
 	for _, t := range techs {
-		switch {
-		case t.Shares == nil:
+		switch t.Shares.Part {
+		case Alone:
 			n++
-		case *t.Shares == (core.Config{}):
-			bases[t.Domain]++
-		default:
+		case Lane:
 			lanes[t.Domain]++
+		default:
+			others[t.Domain]++
 		}
 	}
 	for d := range lanes {
 		if lanes[d] > 0 {
 			n++
 		} else {
-			n += bases[d]
+			n += others[d]
 		}
 	}
 	return n

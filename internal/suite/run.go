@@ -193,8 +193,8 @@ func Run(ctx context.Context, opts ...Option) (*Results, error) {
 }
 
 // runOne attaches every technique fresh (Attach: one shared controller
-// per domain for the baseline and the MAB techniques, the others alone)
-// and drives one benchmark through them.
+// per domain for the baseline, the MAB techniques and the observer, any
+// other technique alone) and drives one benchmark through them.
 func runOne(ctx context.Context, w workloads.Workload, techs []Technique, o options) (BenchResult, error) {
 	br := BenchResult{Name: w.Name, D: map[ID]TechResult{}, I: map[ID]TechResult{}}
 	pairs, res, err := Attach(o.geometry, techs)

@@ -34,12 +34,15 @@ func ArrayModel(geo cache.Config) power.Model {
 }
 
 // sharedModel is the power model of a technique that shares its domain's
-// controller as cfg (see Technique.Shares): the bare array for the
-// baseline's zero Config, plus the synthesized MAB for a lane.
-func sharedModel(geo cache.Config, cfg core.Config) power.Model {
+// controller as sh (see Technique.Shares): the bare array, plus the
+// synthesized MAB for a lane or the buffer for the set buffer.
+func sharedModel(geo cache.Config, sh Share) power.Model {
 	m := ArrayModel(geo)
-	if cfg != (core.Config{}) {
-		m.MAB = synth.Characterize(cfg.TagEntries, cfg.SetEntries)
+	switch sh.Part {
+	case Lane:
+		m.MAB = synth.Characterize(sh.MAB.TagEntries, sh.MAB.SetEntries)
+	case SetBuffer:
+		m.Buffer = cacti.LineBuffer(cacti.Tech130, geo.Ways, geo.LineBytes, geo.TagBits())
 	}
 	return m
 }
@@ -49,10 +52,11 @@ func sharedModel(geo cache.Config, cfg core.Config) power.Model {
 // attaches it as a lane of the data domain's shared controller; New builds
 // it alone.
 func MABDataTechnique(id ID, desc string, cfg core.Config) Technique {
-	return Technique{ID: id, Domain: Data, Desc: desc, Shares: &cfg,
+	sh := Share{Part: Lane, MAB: cfg}
+	return Technique{ID: id, Domain: Data, Desc: desc, Shares: sh,
 		New: func(geo cache.Config) Instance {
 			c := core.NewDController(geo, cfg)
-			return Instance{Data: c, Stats: c.Stats, Model: sharedModel(geo, cfg)}
+			return Instance{Data: c, Stats: c.Stats, Model: sharedModel(geo, sh)}
 		}}
 }
 
@@ -60,10 +64,11 @@ func MABDataTechnique(id ID, desc string, cfg core.Config) Technique {
 // arbitrary MAB configuration, a lane of the fetch domain's shared
 // controller like MABDataTechnique.
 func MABFetchTechnique(id ID, desc string, cfg core.Config) Technique {
-	return Technique{ID: id, Domain: Fetch, Desc: desc, Shares: &cfg,
+	sh := Share{Part: Lane, MAB: cfg}
+	return Technique{ID: id, Domain: Fetch, Desc: desc, Shares: sh,
 		New: func(geo cache.Config) Instance {
 			c := core.NewIController(geo, cfg)
-			return Instance{Fetch: c, Stats: c.Stats, Model: sharedModel(geo, cfg)}
+			return Instance{Fetch: c, Stats: c.Stats, Model: sharedModel(geo, sh)}
 		}}
 }
 
@@ -74,31 +79,29 @@ func mabID(cfg core.Config) ID {
 
 func init() {
 	// Data-cache techniques of Figures 4 and 5.
-	MustRegister(Technique{ID: DOrig, Domain: Data, Shares: &core.Config{},
+	MustRegister(Technique{ID: DOrig, Domain: Data, Shares: Share{Part: Baseline},
 		Desc: "conventional 2-way access (all tags, all ways)",
 		New: func(geo cache.Config) Instance {
 			c := baseline.NewOriginalD(geo)
 			return Instance{Data: c, Stats: c.Stats, Model: ArrayModel(geo)}
 		}})
-	MustRegister(Technique{ID: DSetBuf, Domain: Data,
+	MustRegister(Technique{ID: DSetBuf, Domain: Data, Shares: Share{Part: SetBuffer},
 		Desc: "set buffer of Yang, Yu & Zhang [14]",
 		New: func(geo cache.Config) Instance {
 			c := baseline.NewSetBufferD(geo)
-			m := ArrayModel(geo)
-			m.Buffer = cacti.LineBuffer(cacti.Tech130, geo.Ways, geo.LineBytes, geo.TagBits())
-			return Instance{Data: c, Stats: c.Stats, Model: m}
+			return Instance{Data: c, Stats: c.Stats, Model: sharedModel(geo, Share{Part: SetBuffer})}
 		}})
 	MustRegister(MABDataTechnique(mabID(core.DefaultD),
 		"way-memoized D-cache, 2x8 MAB (the paper's pick)", core.DefaultD))
 
 	// Instruction-cache techniques of Figures 6 and 7.
-	MustRegister(Technique{ID: IOrig, Domain: Fetch, Shares: &core.Config{},
+	MustRegister(Technique{ID: IOrig, Domain: Fetch, Shares: Share{Part: Baseline},
 		Desc: "conventional 2-way fetch (all tags, all ways)",
 		New: func(geo cache.Config) Instance {
 			c := baseline.NewOriginalI(geo)
 			return Instance{Fetch: c, Stats: c.Stats, Model: ArrayModel(geo)}
 		}})
-	MustRegister(Technique{ID: IA4, Domain: Fetch,
+	MustRegister(Technique{ID: IA4, Domain: Fetch, Shares: Share{Part: Approach4},
 		Desc: "intra-line sequential memoization of Panwar & Rennels [4]",
 		New: func(geo cache.Config) Instance {
 			c := baseline.NewApproach4I(geo)

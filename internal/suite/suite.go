@@ -14,14 +14,14 @@
 //		core.Config{TagEntries: 4, SetEntries: 16}))
 //
 // Way memoization changes which arrays an access reads, never what the
-// cache holds, so the conventional baseline and every MAB size can share
-// one cache. A technique that sets Shares is its domain's baseline or one
-// MAB lane, and Attach gives each domain one way-memoized controller
-// (core.NewDLanes/NewILanes) for all of them. The registered originals and
-// MAB techniques share, so a benchmark of the standard suite runs four
-// controllers, not eight. Every other technique, such as the set buffer
-// and approach [4], gets its own cache from New. Either way the counters
-// equal those of each technique instantiated alone.
+// cache holds, and so do the set buffer and approach [4]: every technique
+// of the standard suite can share one cache per domain. A technique that
+// sets Shares is its domain's baseline, one MAB lane or one observer, and
+// Attach gives each domain one way-memoized controller
+// (core.NewDLanes/NewILanes) for all of them, so a benchmark of the
+// standard suite runs two controllers, not eight. Every other technique,
+// such as the ablations' one-offs, gets its own cache from New. Either
+// way the counters equal those of each technique instantiated alone.
 //
 // Run executes workloads concurrently (they are independent simulations)
 // and returns results in workload order, bit-identical to a sequential run:
@@ -106,13 +106,36 @@ type Technique struct {
 	Desc string
 	// New instantiates the technique for a geometry.
 	New Factory
-	// Shares, when non-nil, marks a technique that reads one part of its
-	// domain's shared way-memoized controller (see Attach): the
-	// conventional Baseline for a zero core.Config, otherwise the lane of
-	// that MAB configuration. New must still build the same technique
-	// alone, priced as Attach prices it: ArrayModel, plus the synthesized
-	// MAB for a lane. Nil attaches the technique alone, over its own cache.
-	Shares *core.Config
+	// Shares marks a technique that reads one part of its domain's shared
+	// way-memoized controller (see Attach). New must still build the same
+	// technique alone, priced as Attach prices it. The zero Share attaches
+	// the technique alone, over its own cache.
+	Shares Share
+}
+
+// Part names what a technique reads of its domain's shared controller.
+type Part uint8
+
+const (
+	// Alone is the zero Part: the technique attaches alone through New.
+	Alone Part = iota
+	// Baseline is the conventional access, counted beside the lanes.
+	Baseline
+	// Lane is the lane of Share.MAB.
+	Lane
+	// SetBuffer is the set buffer of [14], observing the data controller's
+	// cache (core.DController.ObserveSetBuffer).
+	SetBuffer
+	// Approach4 is approach [4], derived from the fetch controller's
+	// case-1 counts (core.IController.ObserveApproach4).
+	Approach4
+)
+
+// Share is what a technique reads of its domain's shared controller: a
+// Part, and for a Lane its MAB configuration.
+type Share struct {
+	Part Part
+	MAB  core.Config
 }
 
 func (t Technique) validate() error {
@@ -125,8 +148,16 @@ func (t Technique) validate() error {
 	if t.New == nil {
 		return fmt.Errorf("suite: technique %s/%q has no factory", t.Domain, t.ID)
 	}
-	if m := t.Shares; m != nil && *m != (core.Config{}) {
-		if err := m.Validate(); err != nil {
+	sh := t.Shares
+	switch {
+	case sh.Part > Approach4:
+		return fmt.Errorf("suite: technique %s/%q: invalid part %d", t.Domain, t.ID, sh.Part)
+	case sh.Part == SetBuffer && t.Domain != Data, sh.Part == Approach4 && t.Domain != Fetch:
+		return fmt.Errorf("suite: technique %s/%q: part %d belongs to the other domain", t.Domain, t.ID, sh.Part)
+	case sh.Part != Lane && sh.MAB != (core.Config{}):
+		return fmt.Errorf("suite: technique %s/%q: a MAB configuration outside a lane", t.Domain, t.ID)
+	case sh.Part == Lane:
+		if err := sh.MAB.Validate(); err != nil {
 			return fmt.Errorf("suite: technique %s/%q: %w", t.Domain, t.ID, err)
 		}
 	}

@@ -213,8 +213,19 @@ func TestRegistryRejects(t *testing.T) {
 		t.Error("bad domain accepted")
 	}
 	for _, m := range []core.Config{{SetEntries: 8}, {TagEntries: 2}, {Consistency: core.PolicyPaper}} {
-		if err := reg.Register(Technique{ID: "y", Domain: Data, New: ok.New, Shares: &m}); err == nil {
+		if err := reg.Register(Technique{ID: "y", Domain: Data, New: ok.New, Shares: Share{Part: Lane, MAB: m}}); err == nil {
 			t.Errorf("lane of invalid MAB %+v accepted", m)
+		}
+	}
+	for _, bad := range []Technique{
+		{Domain: Data, Shares: Share{Part: Approach4 + 1}},
+		{Domain: Fetch, Shares: Share{Part: SetBuffer}},
+		{Domain: Data, Shares: Share{Part: Approach4}},
+		{Domain: Data, Shares: Share{Part: Baseline, MAB: core.DefaultD}},
+	} {
+		bad.ID, bad.New = "y", ok.New
+		if err := reg.Register(bad); err == nil {
+			t.Errorf("share %s/%+v accepted", bad.Domain, bad.Shares)
 		}
 	}
 	// The same ID in the other domain is a different technique.
