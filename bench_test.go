@@ -237,7 +237,7 @@ func BenchmarkExploreSweepLive(b *testing.B) {
 // point can go.
 func BenchmarkTraceReplayRate(b *testing.B) {
 	var buf trace.Buffer
-	if _, err := workloads.Run(workloads.DCT(), &buf, &buf); err != nil {
+	if _, err := workloads.Run(workloads.DCT(), trace.NewCapture(&buf)); err != nil {
 		b.Fatal(err)
 	}
 	sinkF := trace.FetchFunc(func(trace.FetchEvent) {})
@@ -258,7 +258,7 @@ func BenchmarkTraceReplayRate(b *testing.B) {
 // passes back to back.
 func BenchmarkTraceFanOutRate(b *testing.B) {
 	var buf trace.Buffer
-	if _, err := workloads.Run(workloads.DCT(), &buf, &buf); err != nil {
+	if _, err := workloads.Run(workloads.DCT(), trace.NewCapture(&buf)); err != nil {
 		b.Fatal(err)
 	}
 	const sinks = 8
@@ -285,7 +285,7 @@ func BenchmarkTraceFanOutRate(b *testing.B) {
 // throughput.
 func BenchmarkTraceColumnCodec(b *testing.B) {
 	var buf trace.Buffer
-	if _, err := workloads.Run(workloads.DCT(), &buf, &buf); err != nil {
+	if _, err := workloads.Run(workloads.DCT(), trace.NewCapture(&buf)); err != nil {
 		b.Fatal(err)
 	}
 	var spill bytes.Buffer

@@ -75,7 +75,7 @@ func main() {
 
 	st := trace.NewStager([]trace.SinkPair{{Fetch: iMAB}, {Data: dMAB}})
 	c := sim.New()
-	c.Fetch, c.Data = st.Sinks()
+	c.Attach(st)
 	c.LoadProgram(p, 0x001F0000)
 	if err := c.Run(*max); err != nil {
 		fmt.Fprintln(os.Stderr, "frvrun:", err)

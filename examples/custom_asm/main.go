@@ -91,7 +91,7 @@ func main() {
 	// blocks; Flush hands over the last partial block once the run is done.
 	st := trace.NewStager([]trace.SinkPair{{Data: d}, {Fetch: i}})
 	cpu := sim.New()
-	cpu.Fetch, cpu.Data = st.Sinks()
+	cpu.Attach(st)
 	cpu.LoadProgram(prog, 0x001F0000)
 	if err := cpu.Run(10_000_000); err != nil {
 		log.Fatal(err)

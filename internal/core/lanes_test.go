@@ -482,7 +482,7 @@ func TestLanesMatchReferencePaperCaptures(t *testing.T) {
 	}
 	for _, w := range ws {
 		buf := &trace.Buffer{}
-		if _, err := workloads.Run(w, buf, buf); err != nil {
+		if _, err := workloads.Run(w, trace.NewCapture(buf)); err != nil {
 			t.Fatal(err)
 		}
 		fetches, datas := buf.Fetches(), buf.Datas()

@@ -318,7 +318,7 @@ func TestPaperPolicyViolationsAreRare(t *testing.T) {
 // through the MAB, so the sound policy still admits no violation.
 func TestWideAssociativityWays(t *testing.T) {
 	d := NewDController(cache.Config{Sets: 1, Ways: 256, LineBytes: 32}, DefaultD)
-	if _, err := workloads.Run(workloads.JPEGEnc(), nil, d); err != nil {
+	if _, err := workloads.Run(workloads.JPEGEnc(), trace.NewStager([]trace.SinkPair{{Data: d}})); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats.MABHits == 0 {

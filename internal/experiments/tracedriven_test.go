@@ -23,7 +23,10 @@ func TestTraceDrivenEquivalence(t *testing.T) {
 	var capture trace.Buffer
 	liveD := core.NewDController(Geometry, core.DefaultD)
 	liveI := core.NewIController(Geometry, core.DefaultI)
-	if _, err := workloads.Run(w, trace.FetchTee(liveI, &capture), trace.DataTee(liveD, &capture)); err != nil {
+	if _, err := workloads.Run(w, trace.NewStager([]trace.SinkPair{{Fetch: liveI, Data: liveD}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workloads.Run(w, trace.NewCapture(&capture)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

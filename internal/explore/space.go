@@ -42,6 +42,7 @@ import (
 
 	"waymemo/internal/cache"
 	"waymemo/internal/core"
+	"waymemo/internal/sim"
 	"waymemo/internal/suite"
 	"waymemo/internal/workloads"
 )
@@ -150,11 +151,8 @@ func (s Space) Normalize() (Space, error) {
 	if len(s.Workloads) == 0 {
 		s.Workloads = workloads.All()
 	}
-	// sim.CPU masks the PC with PacketBytes-1, so anything that is not a
-	// power of two >= 4 silently corrupts packet boundaries (0 selects the
-	// 8-byte VLIW default).
-	if pb := s.PacketBytes; pb != 0 && (pb < 4 || pb&(pb-1) != 0) {
-		return s, fmt.Errorf("explore: packet bytes %d not a power of two >= 4", pb)
+	if err := sim.CheckPacketBytes(s.PacketBytes); err != nil {
+		return s, fmt.Errorf("explore: %w", err)
 	}
 	// Duplicate axis values would double-count grid points (and duplicate
 	// technique IDs abort deep inside suite.Run); reject them up front.

@@ -1,8 +1,10 @@
-// Package sim implements the FRVL instruction-set simulator.
+// Package sim implements the instruction-set simulators: the FRVL core that
+// stands in for the FR-V of the paper, and an RV32IM core behind the same
+// trace contract.
 //
-// The CPU stands in for the FR-V core of the paper: it executes one 8-byte
-// VLIW fetch packet per cycle and reports two event streams to the attached
-// memory-hierarchy models:
+// A core executes one fetch packet per cycle (8-byte VLIW packets on FRVL,
+// one 4-byte instruction on RV32) and stages two event streams for the
+// attached memory-hierarchy models:
 //
 //   - a FetchEvent whenever the fetch packet changes, classified by how
 //     control arrived (sequential, taken branch with its base+offset, jump to
@@ -14,13 +16,18 @@
 // This matches the information available at the address-generation stage of
 // the pipeline, which is exactly what the paper's Memory Address Buffer
 // consumes (Figures 1 and 2).
+//
+// Events are not sent one at a time. Both cores share one front end, which
+// writes each event's fields straight into the current block of the
+// trace.Stager attached with Attach; the stager hands whole blocks to the
+// cache models, or, for a capture, to a trace.Buffer. A core with no stager
+// attached runs without building any event.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"waymemo/internal/asm"
 	"waymemo/internal/isa"
@@ -40,32 +47,17 @@ type CPU struct {
 	// Console accumulates bytes written by outb.
 	Console []byte
 
-	// Fetch receives instruction-cache accesses; Data receives data-cache
-	// accesses. Either may be nil.
-	Fetch trace.FetchSink
-	Data  trace.DataSink
-
 	// Instrs counts executed instructions; Cycles counts fetch packets
 	// (the 2-issue core fetches one packet per cycle).
 	Instrs uint64
 	Cycles uint64
 
 	// PacketBytes overrides the fetch packet size for ablation studies;
-	// zero selects isa.PacketBytes (8). Must be a power of two ≥ 4.
+	// zero selects isa.PacketBytes (8). It must pass CheckPacketBytes, and
+	// is read when the first instruction runs.
 	PacketBytes uint32
 
-	// Fetch-packet state.
-	curPacket  uint32
-	havePacket bool
-	pendKind   trace.ControlKind
-	pendBase   uint32
-	pendDisp   int32
-	pendValid  bool
-
-	// Decoded-text fast path.
-	textBase   uint32
-	decoded    []isa.Instr
-	textRanges [][2]uint32
+	fe front[isa.Instr]
 }
 
 // New returns a CPU with a fresh memory.
@@ -73,137 +65,20 @@ func New() *CPU {
 	return &CPU{Mem: mem.New()}
 }
 
-// Predecoded is the immutable decode of a program's static text segment: a
-// PC-indexed instruction table covering the contiguous span of all text
-// ranges. Because programs cannot modify their own text (the simulator
-// rejects stores into text ranges), one Predecoded is shared read-only by
-// every CPU executing the same program — the text is decoded once per
-// process, not once per run, let alone once per dynamic instruction.
-type Predecoded struct {
-	base   uint32
-	instrs []isa.Instr
-	ranges [][2]uint32
-}
+// Attach routes the CPU's events into st, which the caller flushes once
+// the run has succeeded. A nil st detaches: the CPU then builds no events.
+func (c *CPU) Attach(st *trace.Stager) { c.fe.attach(st) }
 
-// predecodeCache memoizes Predecode per program identity. Keying on the
-// pointer is what makes the memo effective: workloads.Build returns the
-// same *asm.Program for the same workload within a process.
-var predecodeCache sync.Map // *asm.Program -> *Predecoded
-
-// Predecode decodes the program's text ranges into a shared PC-indexed
-// instruction table. Calls with the same *asm.Program return the same
-// cached table.
-func Predecode(p *asm.Program) *Predecoded {
-	if v, ok := predecodeCache.Load(p); ok {
-		return v.(*Predecoded)
-	}
-	d := predecode(p)
-	v, _ := predecodeCache.LoadOrStore(p, d)
-	return v.(*Predecoded)
-}
-
-// predecode builds the instruction table for the contiguous span covering
-// all text ranges.
-func predecode(p *asm.Program) *Predecoded {
-	d := &Predecoded{ranges: p.TextRanges}
-	if len(p.TextRanges) == 0 {
-		return d
-	}
-	lo, hi := p.TextRanges[0][0], p.TextRanges[0][1]
-	for _, r := range p.TextRanges[1:] {
-		if r[0] < lo {
-			lo = r[0]
-		}
-		if r[1] > hi {
-			hi = r[1]
-		}
-	}
-	if hi-lo > 1<<24 { // refuse absurd spans
-		return d
-	}
-	m := mem.New()
-	for _, seg := range p.Segments {
-		m.LoadImage(seg.Addr, seg.Data)
-	}
-	d.base = lo
-	d.instrs = make([]isa.Instr, (hi-lo)/isa.Word)
-	for a := lo; a < hi; a += isa.Word {
-		d.instrs[(a-lo)/isa.Word] = isa.Decode(m.ReadWord(a))
-	}
-	return d
-}
-
-// LoadProgram loads an assembled program image and attaches the shared
-// predecoded instruction table. The PC is set to the program entry and the
-// stack pointer to sp.
+// LoadProgram loads an assembled program image and attaches the program's
+// shared predecoded instruction table. The PC is set to the program entry
+// and the stack pointer to sp.
 func (c *CPU) LoadProgram(p *asm.Program, sp uint32) {
 	if c.Mem == nil {
 		c.Mem = mem.New()
 	}
-	for _, seg := range p.Segments {
-		c.Mem.LoadImage(seg.Addr, seg.Data)
-	}
+	c.fe.load(p, c.Mem, "frvl", isa.Decode)
 	c.PC = p.Entry
 	c.Regs[isa.RegSP] = sp
-	d := Predecode(p)
-	c.textBase = d.base
-	c.decoded = d.instrs
-	c.textRanges = d.ranges
-}
-
-func (c *CPU) decode(pc uint32) isa.Instr {
-	if c.decoded != nil {
-		idx := (pc - c.textBase) / isa.Word
-		if pc >= c.textBase && int(idx) < len(c.decoded) {
-			return c.decoded[idx]
-		}
-	}
-	return isa.Decode(c.Mem.ReadWord(pc))
-}
-
-func (c *CPU) inText(addr uint32) bool {
-	for _, r := range c.textRanges {
-		if addr >= r[0] && addr < r[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// fetchPacket emits a fetch event when the packet address changes.
-func (c *CPU) fetchPacket() {
-	pb := c.PacketBytes
-	if pb == 0 {
-		pb = isa.PacketBytes
-	}
-	packet := c.PC &^ (pb - 1)
-	if c.havePacket && packet == c.curPacket {
-		// Still inside the current packet; any pending control kind is
-		// consumed without an I-cache access.
-		c.pendValid = false
-		return
-	}
-	ev := trace.FetchEvent{
-		Addr:  packet,
-		Prev:  c.curPacket,
-		First: !c.havePacket,
-	}
-	if c.pendValid {
-		ev.Kind = c.pendKind
-		ev.Base = c.pendBase
-		ev.Disp = c.pendDisp
-	} else {
-		ev.Kind = trace.KindSeq
-		ev.Base = c.curPacket
-		ev.Disp = int32(pb)
-	}
-	c.pendValid = false
-	c.curPacket = packet
-	c.havePacket = true
-	c.Cycles++
-	if c.Fetch != nil {
-		c.Fetch.OnFetch(ev)
-	}
 }
 
 // Step executes one instruction.
@@ -211,16 +86,21 @@ func (c *CPU) Step() error {
 	if c.Halted {
 		return nil
 	}
-	if c.PC%isa.Word != 0 {
-		return fmt.Errorf("sim: unaligned PC 0x%x", c.PC)
+	if c.PC%word != 0 || !c.fe.ready {
+		if err := c.fe.gate(c.PC, c.PacketBytes, isa.PacketBytes); err != nil {
+			return err
+		}
 	}
-	c.fetchPacket()
-	in := c.decode(c.PC)
+	c.fe.fetch(c.PC, &c.Cycles)
+	in := c.fe.at(c.PC)
+	if in == nil {
+		in = c.fe.decodeMem(c.PC, c.Mem, isa.Decode)
+	}
 	nextPC := c.PC + isa.Word
 	switch in.Op {
 	case isa.OpR:
 		if err := c.execR(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(in, c.PC), err)
+			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(*in, c.PC), err)
 		}
 		switch in.Funct {
 		case isa.FnJR, isa.FnJALR:
@@ -232,23 +112,23 @@ func (c *CPU) Step() error {
 			if in.Rs == isa.RegRA {
 				kind = trace.KindLink
 			}
-			c.pend(kind, target, 0)
+			c.fe.pend(kind, target, 0)
 			nextPC = target
 		}
 	case isa.OpF:
 		if err := c.execF(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(in, c.PC), err)
+			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(*in, c.PC), err)
 		}
 	case isa.OpJ, isa.OpJAL:
 		if in.Op == isa.OpJAL {
 			c.setReg(isa.RegRA, c.PC+isa.Word)
 		}
 		nextPC = uint32(int64(c.PC) + int64(in.Off26))
-		c.pend(trace.KindBranch, c.PC, in.Off26)
+		c.fe.pend(trace.KindBranch, c.PC, in.Off26)
 	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
 		if c.branchTaken(in) {
 			nextPC = uint32(int64(c.PC) + int64(in.Imm))
-			c.pend(trace.KindBranch, c.PC, in.Imm)
+			c.fe.pend(trace.KindBranch, c.PC, in.Imm)
 		}
 	case isa.OpADDI:
 		c.setReg(in.Rt, c.Regs[in.Rs]+uint32(in.Imm))
@@ -267,7 +147,7 @@ func (c *CPU) Step() error {
 	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLBU, isa.OpLHU, isa.OpFLD,
 		isa.OpSB, isa.OpSH, isa.OpSW, isa.OpFSD:
 		if err := c.execMem(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(in, c.PC), err)
+			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(*in, c.PC), err)
 		}
 	case isa.OpOUTB:
 		c.Console = append(c.Console, byte(c.Regs[in.Rs]))
@@ -283,10 +163,6 @@ func (c *CPU) Step() error {
 	return nil
 }
 
-func (c *CPU) pend(kind trace.ControlKind, base uint32, disp int32) {
-	c.pendKind, c.pendBase, c.pendDisp, c.pendValid = kind, base, disp, true
-}
-
 func (c *CPU) setReg(r uint8, v uint32) {
 	if r != isa.RegZero {
 		c.Regs[r] = v
@@ -300,7 +176,7 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-func (c *CPU) branchTaken(in isa.Instr) bool {
+func (c *CPU) branchTaken(in *isa.Instr) bool {
 	a, b := c.Regs[in.Rs], c.Regs[in.Rt]
 	switch in.Op {
 	case isa.OpBEQ:
@@ -319,7 +195,7 @@ func (c *CPU) branchTaken(in isa.Instr) bool {
 	return false
 }
 
-func (c *CPU) execR(in isa.Instr) error {
+func (c *CPU) execR(in *isa.Instr) error {
 	rs, rt := c.Regs[in.Rs], c.Regs[in.Rt]
 	var v uint32
 	switch in.Funct {
@@ -394,7 +270,7 @@ func (c *CPU) execR(in isa.Instr) error {
 	return nil
 }
 
-func (c *CPU) execF(in isa.Instr) error {
+func (c *CPU) execF(in *isa.Instr) error {
 	fs, ft := c.FRegs[in.Rs], c.FRegs[in.Rt]
 	switch in.Funct {
 	case isa.FnFADD:
@@ -441,7 +317,7 @@ func clampToInt32(f float64) int32 {
 	return int32(f)
 }
 
-func (c *CPU) execMem(in isa.Instr) error {
+func (c *CPU) execMem(in *isa.Instr) error {
 	base := c.Regs[in.Rs]
 	addr := base + uint32(in.Imm)
 	size := uint8(in.MemBytes())
@@ -449,14 +325,10 @@ func (c *CPU) execMem(in isa.Instr) error {
 		return fmt.Errorf("unaligned %d-byte access at 0x%x", size, addr)
 	}
 	store := in.IsStore()
-	if store && c.inText(addr) {
+	if store && c.fe.inText(addr) {
 		return fmt.Errorf("store into text at 0x%x (self-modifying code is not supported)", addr)
 	}
-	if c.Data != nil {
-		c.Data.OnData(trace.DataEvent{
-			Addr: addr, Base: base, Disp: in.Imm, Store: store, Size: size,
-		})
-	}
+	c.fe.data(addr, base, in.Imm, store, size)
 	switch in.Op {
 	case isa.OpLB:
 		c.setReg(in.Rt, uint32(int32(int8(c.Mem.LoadByte(addr)))))
@@ -482,35 +354,29 @@ func (c *CPU) execMem(in isa.Instr) error {
 	return nil
 }
 
-// Run executes until halt or until maxInstrs instructions have retired,
-// whichever comes first. Exceeding the budget is reported as an error, since
-// it almost always means a runaway program.
+// Run executes until halt or until maxInstrs instructions have retired
+// without a halt, which is reported as an error, since it almost always
+// means a runaway program.
 func (c *CPU) Run(maxInstrs uint64) error {
 	return c.RunContext(context.Background(), maxInstrs)
 }
 
-// ctxCheckEvery is how many instructions run between context checks —
-// coarse enough to stay off the simulator's hot path, fine enough that
-// cancellation lands within milliseconds.
-const ctxCheckEvery = 1 << 20
-
 // RunContext is Run with cancellation, checked between instruction chunks.
 func (c *CPU) RunContext(ctx context.Context, maxInstrs uint64) error {
-	start := c.Instrs
-	next := start + ctxCheckEvery
-	for !c.Halted {
+	return runCore(ctx, c, maxInstrs)
+}
+
+func (c *CPU) steps(n uint64) (uint64, error) {
+	for i := uint64(0); i < n; i++ {
 		if err := c.Step(); err != nil {
-			return err
+			return i, err
 		}
-		if c.Instrs-start >= maxInstrs {
-			return fmt.Errorf("sim: instruction budget %d exhausted at pc=0x%x", maxInstrs, c.PC)
-		}
-		if c.Instrs >= next {
-			next = c.Instrs + ctxCheckEvery
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if c.Halted {
+			return i + 1, nil
 		}
 	}
-	return nil
+	return n, nil
 }
+
+func (c *CPU) halted() bool { return c.Halted }
+func (c *CPU) pc() uint32   { return c.PC }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"waymemo/internal/asm"
+	"waymemo/internal/isa"
 	"waymemo/internal/trace"
 )
 
@@ -252,12 +253,14 @@ func TestFetchEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec trace.Buffer
+	st := trace.NewCapture(&rec)
 	c := New()
-	c.Fetch = &rec
+	c.Attach(st)
 	c.LoadProgram(p, stackTop)
 	if err := c.Run(100); err != nil {
 		t.Fatal(err)
 	}
+	st.Flush()
 	type want struct {
 		addr uint32
 		kind trace.ControlKind
@@ -308,12 +311,14 @@ func TestDataEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec trace.Buffer
+	st := trace.NewCapture(&rec)
 	c := New()
-	c.Data = &rec
+	c.Attach(st)
 	c.LoadProgram(p, stackTop)
 	if err := c.Run(100); err != nil {
 		t.Fatal(err)
 	}
+	st.Flush()
 	buf := p.Symbols["buf"]
 	type want struct {
 		addr  uint32
@@ -355,12 +360,14 @@ func TestIntraPacketBranchNoFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec trace.Buffer
+	st := trace.NewCapture(&rec)
 	c := New()
-	c.Fetch = &rec
+	c.Attach(st)
 	c.LoadProgram(p, stackTop)
 	if err := c.Run(100); err != nil {
 		t.Fatal(err)
 	}
+	st.Flush()
 	// Expected packets: 0x10000, 0x10008 (loop runs within), 0x10010.
 	if len(rec.Fetches()) != 3 {
 		t.Fatalf("fetches: %+v", rec.Fetches())
@@ -409,9 +416,9 @@ loop:	add  r1, r1, r2
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	d1, d2 := Predecode(p), Predecode(p)
+	d1, d2 := predecode(p, "frvl", isa.Decode), predecode(p, "frvl", isa.Decode)
 	if d1 != d2 {
-		t.Fatal("Predecode returned distinct tables for the same program")
+		t.Fatal("predecode returned distinct tables for the same program")
 	}
 	if len(d1.instrs) == 0 {
 		t.Fatal("predecoded table is empty")
@@ -420,7 +427,7 @@ loop:	add  r1, r1, r2
 	for i := 0; i < 2; i++ {
 		c := New()
 		c.LoadProgram(p, stackTop)
-		if len(c.decoded) == 0 || &c.decoded[0] != &d1.instrs[0] {
+		if len(c.fe.text.instrs) == 0 || &c.fe.text.instrs[0] != &d1.instrs[0] {
 			t.Fatal("CPU did not attach the shared predecoded table")
 		}
 		if err := c.Run(1000); err != nil {

@@ -1,0 +1,281 @@
+package sim
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"waymemo/internal/asm"
+	"waymemo/internal/trace"
+)
+
+// testCore is the surface both cores share, for tests that run each ISA
+// the same way.
+type testCore interface {
+	core
+	Step() error
+	RunContext(context.Context, uint64) error
+	Attach(*trace.Stager)
+	LoadProgram(*asm.Program, uint32)
+}
+
+// isaCase builds one ISA's core at a fetch-packet size and assembles its
+// programs.
+type isaCase struct {
+	name     string
+	newCore  func(packetBytes uint32) testCore
+	assemble func(...string) (*asm.Program, error)
+	// threeInstrs is a program of exactly three instructions, the last of
+	// which halts.
+	threeInstrs string
+}
+
+var isaCases = []isaCase{
+	{
+		name: "frvl",
+		newCore: func(pb uint32) testCore {
+			c := New()
+			c.PacketBytes = pb
+			return c
+		},
+		assemble: asm.Assemble,
+		threeInstrs: `
+	.org 0x10000
+main:	addi r1, r0, 1
+	addi r2, r0, 2
+	halt
+`,
+	},
+	{
+		name: "rv32",
+		newCore: func(pb uint32) testCore {
+			c := NewRV32()
+			c.PacketBytes = pb
+			return c
+		},
+		assemble: asm.AssembleRV32,
+		threeInstrs: `
+	.org 0x10000
+_start:	addi a0, zero, 1
+	addi a1, zero, 2
+	ebreak
+`,
+	},
+}
+
+// snapshot renders a core's architectural state and counters.
+func snapshot(c testCore) string {
+	switch c := c.(type) {
+	case *CPU:
+		return fmt.Sprintf("regs=%v fregs=%v pc=%#x halted=%v cycles=%d instrs=%d console=%q",
+			c.Regs, c.FRegs, c.PC, c.Halted, c.Cycles, c.Instrs, c.Console)
+	case *RV32CPU:
+		return fmt.Sprintf("regs=%v pc=%#x halted=%v cycles=%d instrs=%d console=%q",
+			c.Regs, c.PC, c.Halted, c.Cycles, c.Instrs, c.Console)
+	}
+	panic("unknown core")
+}
+
+// TestRunBudgetHaltOnLastInstruction: a program that halts on its last
+// budgeted instruction is within budget on both ISAs; one instruction
+// fewer is a runaway.
+func TestRunBudgetHaltOnLastInstruction(t *testing.T) {
+	for _, ic := range isaCases {
+		p, err := ic.assemble(ic.threeInstrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			budget uint64
+			ok     bool
+		}{{2, false}, {3, true}, {4, true}} {
+			c := ic.newCore(0)
+			c.LoadProgram(p, stackTop)
+			err := c.RunContext(context.Background(), tc.budget)
+			if tc.ok && (err != nil || !c.halted()) {
+				t.Errorf("%s budget %d: err %v, halted %v; want a clean halt", ic.name, tc.budget, err, c.halted())
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "budget 2 exhausted")) {
+				t.Errorf("%s budget %d: err %v, want the budget exhausted", ic.name, tc.budget, err)
+			}
+		}
+	}
+}
+
+// TestPacketBytesValidation: a fetch-packet size that is not zero or a
+// power of two of at least 4 bytes is rejected before the first
+// instruction, by Step and by RunContext alike, on both ISAs.
+func TestPacketBytesValidation(t *testing.T) {
+	for _, ic := range isaCases {
+		p, err := ic.assemble(ic.threeInstrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pb := range []uint32{2, 3, 6, 12} {
+			if CheckPacketBytes(pb) == nil {
+				t.Errorf("CheckPacketBytes(%d) accepted", pb)
+			}
+			c := ic.newCore(pb)
+			c.LoadProgram(p, stackTop)
+			if err := c.RunContext(context.Background(), 10); err == nil || !strings.Contains(err.Error(), "power of two") {
+				t.Errorf("%s packet %d: RunContext err %v", ic.name, pb, err)
+			}
+			c = ic.newCore(pb)
+			c.LoadProgram(p, stackTop)
+			if err := c.Step(); err == nil {
+				t.Errorf("%s packet %d: Step accepted", ic.name, pb)
+			}
+			if s := snapshot(c); !strings.Contains(s, "cycles=0 instrs=0") {
+				t.Errorf("%s packet %d: ran before rejecting: %s", ic.name, pb, s)
+			}
+		}
+		for _, pb := range []uint32{0, 4, 8, 16, 32} {
+			if err := CheckPacketBytes(pb); err != nil {
+				t.Errorf("CheckPacketBytes(%d): %v", pb, err)
+			}
+			c := ic.newCore(pb)
+			c.LoadProgram(p, stackTop)
+			if err := c.RunContext(context.Background(), 10); err != nil || !c.halted() {
+				t.Errorf("%s packet %d: err %v, halted %v", ic.name, pb, err, c.halted())
+			}
+		}
+	}
+}
+
+// fuzzTextBase is where FuzzSimulate places its text segment.
+const fuzzTextBase = 0x10000
+
+// fuzzSeeds are small programs of each ISA whose text words seed
+// FuzzSimulate with loops, calls, loads and stores.
+var fuzzSeeds = []struct {
+	isa int // index into isaCases
+	src string
+}{
+	{0, `
+	.org 0x10000
+main:	addi r1, r0, 5
+	la   r4, buf
+loop:	lw   r2, 0(r4)
+	add  r2, r2, r1
+	sw   r2, 4(r4)
+	jal  fn
+	addi r1, r1, -1
+	bne  r1, r0, loop
+	halt
+fn:	sb   r1, 9(r4)
+	ret
+buf:	.word 1, 2, 3
+`},
+	{1, `
+	.org 0x10000
+_start:	addi a0, zero, 5
+	la   a2, buf
+loop:	lw   a1, 0(a2)
+	add  a1, a1, a0
+	sw   a1, 4(a2)
+	jal  fn
+	addi a0, a0, -1
+	bnez a0, loop
+	ebreak
+fn:	sb   a0, 9(a2)
+	ret
+buf:	.word 1, 2, 3
+`},
+}
+
+// FuzzSimulate runs arbitrary 32-bit words as a text segment on each ISA
+// under a small budget. Nothing may panic, and stepping with Step until a
+// halt, an error or the budget — then flushing — must leave the same
+// captured events (the WMTRACE2 bytes, so both streams and their
+// interleaving), the same architectural state and counters, and the same
+// error as RunContext.
+func FuzzSimulate(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		p, err := isaCases[s.isa].assemble(s.src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, seg := range p.Segments {
+			if seg.Addr == fuzzTextBase {
+				f.Add(seg.Data, uint8(0))
+				f.Add(seg.Data, uint8(2))
+			}
+		}
+	}
+	f.Add([]byte{0, 0, 0, 0}, uint8(1))
+	f.Fuzz(func(t *testing.T, text []byte, packetLog uint8) {
+		text = text[:len(text)&^3]
+		if len(text) == 0 || len(text) > 4096 {
+			return
+		}
+		const budget = 512
+		pb := uint32(0)
+		if packetLog%4 != 0 {
+			pb = 2 << (packetLog % 4) // 4, 8 or 16 bytes
+		}
+		for _, ic := range isaCases {
+			p := &asm.Program{
+				Entry:      fuzzTextBase,
+				Segments:   []asm.Segment{{Addr: fuzzTextBase, Data: text}},
+				TextRanges: [][2]uint32{{fuzzTextBase, fuzzTextBase + uint32(len(text))}},
+			}
+			var bufRun, bufStep trace.Buffer
+			stRun, stStep := trace.NewCapture(&bufRun), trace.NewCapture(&bufStep)
+
+			ran := ic.newCore(pb)
+			ran.Attach(stRun)
+			ran.LoadProgram(p, stackTop)
+			errRun := ran.RunContext(context.Background(), budget)
+			stRun.Flush()
+
+			stepped := ic.newCore(pb)
+			stepped.Attach(stStep)
+			stepped.LoadProgram(p, stackTop)
+			var errStep error
+			for n := 0; !stepped.halted(); n++ {
+				if n == budget {
+					errStep = fmt.Errorf("sim: instruction budget %d exhausted at pc=0x%x", budget, stepped.pc())
+					break
+				}
+				if errStep = stepped.Step(); errStep != nil {
+					break
+				}
+			}
+			stStep.Flush()
+			tables.Delete(tableKey{p, ic.name})
+
+			if fmt.Sprint(errRun) != fmt.Sprint(errStep) {
+				t.Fatalf("%s: RunContext err %v, Step err %v", ic.name, errRun, errStep)
+			}
+			if a, b := snapshot(ran), snapshot(stepped); a != b {
+				t.Fatalf("%s: state diverged:\nRunContext %s\nStep       %s", ic.name, a, b)
+			}
+			var wRun, wStep bytes.Buffer
+			if _, err := bufRun.WriteTo(&wRun); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bufStep.WriteTo(&wStep); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wRun.Bytes(), wStep.Bytes()) {
+				t.Fatalf("%s: captures diverged: %d vs %d events", ic.name, bufRun.Len(), bufStep.Len())
+			}
+			if c := bufRun.NumFetches(); uint64(c) != cycles(ran) {
+				t.Fatalf("%s: %d fetch events for %d cycles", ic.name, c, cycles(ran))
+			}
+		}
+	})
+}
+
+// cycles returns a core's cycle counter.
+func cycles(c testCore) uint64 {
+	switch c := c.(type) {
+	case *CPU:
+		return c.Cycles
+	case *RV32CPU:
+		return c.Cycles
+	}
+	panic("unknown core")
+}

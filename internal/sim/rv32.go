@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"waymemo/internal/asm"
 	"waymemo/internal/isa/rv32"
@@ -29,32 +28,16 @@ type RV32CPU struct {
 	// Console accumulates bytes written by the putchar ecall (a7=1).
 	Console []byte
 
-	// Fetch receives instruction-cache accesses; Data receives data-cache
-	// accesses. Either may be nil.
-	Fetch trace.FetchSink
-	Data  trace.DataSink
-
 	// Instrs counts executed instructions; Cycles counts fetch packets.
 	Instrs uint64
 	Cycles uint64
 
 	// PacketBytes overrides the fetch packet size for ablation studies;
-	// zero selects rv32.PacketBytes (4). Must be a power of two ≥ 4.
+	// zero selects rv32.PacketBytes (4). It must pass CheckPacketBytes, and
+	// is read when the first instruction runs.
 	PacketBytes uint32
 
-	// Fetch-packet state.
-	curPacket  uint32
-	havePacket bool
-	pendKind   trace.ControlKind
-	pendBase   uint32
-	pendDisp   int32
-	pendValid  bool
-
-	// Decoded-text fast path. Undecodable words carry Op 0 (no valid RV32
-	// instruction has major opcode 0), so execution reports them lazily.
-	textBase   uint32
-	decoded    []rv32.Instr
-	textRanges [][2]uint32
+	fe front[rv32.Instr]
 }
 
 // NewRV32 returns an RV32CPU with a fresh memory.
@@ -62,76 +45,30 @@ func NewRV32() *RV32CPU {
 	return &RV32CPU{Mem: mem.New()}
 }
 
-// rv32PredecodeCache memoizes the per-program decode, exactly like the FRVL
-// predecodeCache: workloads.Build returns one *asm.Program per workload per
-// process, so keying on the pointer shares the table across runs.
-var rv32PredecodeCache sync.Map // *asm.Program -> *RV32Predecoded
-
-// RV32Predecoded is the immutable decode of a program's text segment.
-type RV32Predecoded struct {
-	base   uint32
-	instrs []rv32.Instr
-	ranges [][2]uint32
+// decodeRV32 decodes one word for the front end. An undecodable word
+// carries Op 0 (no valid RV32 instruction has major opcode 0), so
+// execution reports it when it is reached, not when it is decoded.
+func decodeRV32(w uint32) rv32.Instr {
+	if in, ok := rv32.Decode(w); ok {
+		return in
+	}
+	return rv32.Instr{}
 }
 
-// PredecodeRV32 decodes the program's text ranges into a shared PC-indexed
-// instruction table, memoized per *asm.Program.
-func PredecodeRV32(p *asm.Program) *RV32Predecoded {
-	if v, ok := rv32PredecodeCache.Load(p); ok {
-		return v.(*RV32Predecoded)
-	}
-	d := predecodeRV32(p)
-	v, _ := rv32PredecodeCache.LoadOrStore(p, d)
-	return v.(*RV32Predecoded)
-}
+// Attach routes the core's events into st, which the caller flushes once
+// the run has succeeded. A nil st detaches: the core then builds no events.
+func (c *RV32CPU) Attach(st *trace.Stager) { c.fe.attach(st) }
 
-func predecodeRV32(p *asm.Program) *RV32Predecoded {
-	d := &RV32Predecoded{ranges: p.TextRanges}
-	if len(p.TextRanges) == 0 {
-		return d
-	}
-	lo, hi := p.TextRanges[0][0], p.TextRanges[0][1]
-	for _, r := range p.TextRanges[1:] {
-		if r[0] < lo {
-			lo = r[0]
-		}
-		if r[1] > hi {
-			hi = r[1]
-		}
-	}
-	if hi-lo > 1<<24 { // refuse absurd spans
-		return d
-	}
-	m := mem.New()
-	for _, seg := range p.Segments {
-		m.LoadImage(seg.Addr, seg.Data)
-	}
-	d.base = lo
-	d.instrs = make([]rv32.Instr, (hi-lo)/rv32.Word)
-	for a := lo; a < hi; a += rv32.Word {
-		if in, ok := rv32.Decode(m.ReadWord(a)); ok {
-			d.instrs[(a-lo)/rv32.Word] = in
-		}
-	}
-	return d
-}
-
-// LoadProgram loads an assembled program image and attaches the shared
-// predecoded instruction table. The PC is set to the program entry and the
-// stack pointer to sp.
+// LoadProgram loads an assembled program image and attaches the program's
+// shared predecoded instruction table. The PC is set to the program entry
+// and the stack pointer to sp.
 func (c *RV32CPU) LoadProgram(p *asm.Program, sp uint32) {
 	if c.Mem == nil {
 		c.Mem = mem.New()
 	}
-	for _, seg := range p.Segments {
-		c.Mem.LoadImage(seg.Addr, seg.Data)
-	}
+	c.fe.load(p, c.Mem, "rv32", decodeRV32)
 	c.PC = p.Entry
 	c.Regs[rv32.RegSP] = sp
-	d := PredecodeRV32(p)
-	c.textBase = d.base
-	c.decoded = d.instrs
-	c.textRanges = d.ranges
 }
 
 // AsCPU returns an FRVL-shaped view of the machine state — memory, console,
@@ -149,67 +86,6 @@ func (c *RV32CPU) AsCPU() *CPU {
 	}
 }
 
-func (c *RV32CPU) decode(pc uint32) (rv32.Instr, bool) {
-	if c.decoded != nil {
-		idx := (pc - c.textBase) / rv32.Word
-		if pc >= c.textBase && int(idx) < len(c.decoded) {
-			in := c.decoded[idx]
-			return in, in.Op != 0
-		}
-	}
-	return rv32.Decode(c.Mem.ReadWord(pc))
-}
-
-func (c *RV32CPU) inText(addr uint32) bool {
-	for _, r := range c.textRanges {
-		if addr >= r[0] && addr < r[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// fetchPacket emits a fetch event when the packet address changes,
-// classified by how control arrived — the identical protocol to the FRVL
-// CPU's fetchPacket, which is what keeps captures from the two frontends
-// interchangeable above the trace layer.
-func (c *RV32CPU) fetchPacket() {
-	pb := c.PacketBytes
-	if pb == 0 {
-		pb = rv32.PacketBytes
-	}
-	packet := c.PC &^ (pb - 1)
-	if c.havePacket && packet == c.curPacket {
-		c.pendValid = false
-		return
-	}
-	ev := trace.FetchEvent{
-		Addr:  packet,
-		Prev:  c.curPacket,
-		First: !c.havePacket,
-	}
-	if c.pendValid {
-		ev.Kind = c.pendKind
-		ev.Base = c.pendBase
-		ev.Disp = c.pendDisp
-	} else {
-		ev.Kind = trace.KindSeq
-		ev.Base = c.curPacket
-		ev.Disp = int32(pb)
-	}
-	c.pendValid = false
-	c.curPacket = packet
-	c.havePacket = true
-	c.Cycles++
-	if c.Fetch != nil {
-		c.Fetch.OnFetch(ev)
-	}
-}
-
-func (c *RV32CPU) pend(kind trace.ControlKind, base uint32, disp int32) {
-	c.pendKind, c.pendBase, c.pendDisp, c.pendValid = kind, base, disp, true
-}
-
 func (c *RV32CPU) setReg(r uint8, v uint32) {
 	if r != rv32.RegZero {
 		c.Regs[r] = v
@@ -221,13 +97,15 @@ func (c *RV32CPU) Step() error {
 	if c.Halted {
 		return nil
 	}
-	if c.PC%rv32.Word != 0 {
-		return fmt.Errorf("sim: unaligned PC 0x%x", c.PC)
+	if c.PC%word != 0 || !c.fe.ready {
+		if err := c.fe.gate(c.PC, c.PacketBytes, rv32.PacketBytes); err != nil {
+			return err
+		}
 	}
-	c.fetchPacket()
-	in, ok := c.decode(c.PC)
-	if !ok {
-		return fmt.Errorf("sim: pc=0x%x: illegal instruction 0x%08x", c.PC, c.Mem.ReadWord(c.PC))
+	c.fe.fetch(c.PC, &c.Cycles)
+	in := c.fe.at(c.PC)
+	if in == nil {
+		in = c.fe.decodeMem(c.PC, c.Mem, decodeRV32)
 	}
 	nextPC := c.PC + rv32.Word
 	switch in.Op {
@@ -238,7 +116,7 @@ func (c *RV32CPU) Step() error {
 	case rv32.OpJAL:
 		c.setReg(in.Rd, c.PC+rv32.Word)
 		nextPC = c.PC + uint32(in.Imm)
-		c.pend(trace.KindBranch, c.PC, in.Imm)
+		c.fe.pend(trace.KindBranch, c.PC, in.Imm)
 	case rv32.OpJALR:
 		// Target before link write: rd may alias rs1.
 		target := (c.Regs[in.Rs1] + uint32(in.Imm)) &^ 1
@@ -247,16 +125,16 @@ func (c *RV32CPU) Step() error {
 		if in.Rs1 == rv32.RegRA {
 			kind = trace.KindLink
 		}
-		c.pend(kind, target, 0)
+		c.fe.pend(kind, target, 0)
 		nextPC = target
 	case rv32.OpBranch:
 		if c.branchTaken(in) {
 			nextPC = c.PC + uint32(in.Imm)
-			c.pend(trace.KindBranch, c.PC, in.Imm)
+			c.fe.pend(trace.KindBranch, c.PC, in.Imm)
 		}
 	case rv32.OpLoad, rv32.OpStore:
 		if err := c.execMem(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, rv32.Disassemble(in, c.PC), err)
+			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, rv32.Disassemble(*in, c.PC), err)
 		}
 	case rv32.OpOpImm:
 		c.setReg(in.Rd, c.aluImm(in))
@@ -266,6 +144,8 @@ func (c *RV32CPU) Step() error {
 		if err := c.execSystem(in); err != nil {
 			return fmt.Errorf("sim: pc=0x%x: %w", c.PC, err)
 		}
+	case 0:
+		return fmt.Errorf("sim: pc=0x%x: illegal instruction 0x%08x", c.PC, c.Mem.ReadWord(c.PC))
 	default:
 		return fmt.Errorf("sim: pc=0x%x: illegal opcode 0x%x", c.PC, in.Op)
 	}
@@ -276,7 +156,7 @@ func (c *RV32CPU) Step() error {
 	return nil
 }
 
-func (c *RV32CPU) branchTaken(in rv32.Instr) bool {
+func (c *RV32CPU) branchTaken(in *rv32.Instr) bool {
 	a, b := c.Regs[in.Rs1], c.Regs[in.Rs2]
 	switch in.F3 {
 	case rv32.F3BEQ:
@@ -295,7 +175,7 @@ func (c *RV32CPU) branchTaken(in rv32.Instr) bool {
 	return false
 }
 
-func (c *RV32CPU) aluImm(in rv32.Instr) uint32 {
+func (c *RV32CPU) aluImm(in *rv32.Instr) uint32 {
 	rs1 := c.Regs[in.Rs1]
 	switch in.F3 {
 	case rv32.F3ADD:
@@ -323,7 +203,7 @@ func (c *RV32CPU) aluImm(in rv32.Instr) uint32 {
 // alu executes the register-register group, including the M extension.
 // RISC-V divide never traps: division by zero yields all-ones (quotient) or
 // the dividend (remainder), and the signed overflow case wraps.
-func (c *RV32CPU) alu(in rv32.Instr) uint32 {
+func (c *RV32CPU) alu(in *rv32.Instr) uint32 {
 	rs1, rs2 := c.Regs[in.Rs1], c.Regs[in.Rs2]
 	if in.F7 == rv32.F7Mul {
 		switch in.F3 {
@@ -389,7 +269,7 @@ func (c *RV32CPU) alu(in rv32.Instr) uint32 {
 	}
 }
 
-func (c *RV32CPU) execMem(in rv32.Instr) error {
+func (c *RV32CPU) execMem(in *rv32.Instr) error {
 	base := c.Regs[in.Rs1]
 	addr := base + uint32(in.Imm)
 	size := uint8(in.MemBytes())
@@ -397,14 +277,10 @@ func (c *RV32CPU) execMem(in rv32.Instr) error {
 		return fmt.Errorf("unaligned %d-byte access at 0x%x", size, addr)
 	}
 	store := in.IsStore()
-	if store && c.inText(addr) {
+	if store && c.fe.inText(addr) {
 		return fmt.Errorf("store into text at 0x%x (self-modifying code is not supported)", addr)
 	}
-	if c.Data != nil {
-		c.Data.OnData(trace.DataEvent{
-			Addr: addr, Base: base, Disp: in.Imm, Store: store, Size: size,
-		})
-	}
+	c.fe.data(addr, base, in.Imm, store, size)
 	if store {
 		switch in.F3 {
 		case 0:
@@ -433,7 +309,7 @@ func (c *RV32CPU) execMem(in rv32.Instr) error {
 
 // execSystem implements the tiny runtime ABI: ebreak halts; ecall consults
 // a7 — 93 (exit) halts, 1 (putchar) appends the low byte of a0 to Console.
-func (c *RV32CPU) execSystem(in rv32.Instr) error {
+func (c *RV32CPU) execSystem(in *rv32.Instr) error {
 	if in.Imm == rv32.SysEBreak {
 		c.Halted = true
 		return nil
@@ -449,28 +325,28 @@ func (c *RV32CPU) execSystem(in rv32.Instr) error {
 	return fmt.Errorf("unsupported ecall %d", c.Regs[rv32.RegA7])
 }
 
-// Run executes until halt or until maxInstrs instructions have retired.
+// Run executes until halt or until maxInstrs instructions have retired
+// without a halt.
 func (c *RV32CPU) Run(maxInstrs uint64) error {
 	return c.RunContext(context.Background(), maxInstrs)
 }
 
 // RunContext is Run with cancellation, checked between instruction chunks.
 func (c *RV32CPU) RunContext(ctx context.Context, maxInstrs uint64) error {
-	start := c.Instrs
-	next := start + ctxCheckEvery
-	for !c.Halted {
+	return runCore(ctx, c, maxInstrs)
+}
+
+func (c *RV32CPU) steps(n uint64) (uint64, error) {
+	for i := uint64(0); i < n; i++ {
 		if err := c.Step(); err != nil {
-			return err
+			return i, err
 		}
-		if c.Instrs-start >= maxInstrs {
-			return fmt.Errorf("sim: instruction budget %d exhausted at pc=0x%x", maxInstrs, c.PC)
-		}
-		if c.Instrs >= next {
-			next = c.Instrs + ctxCheckEvery
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if c.Halted {
+			return i + 1, nil
 		}
 	}
-	return nil
+	return n, nil
 }
+
+func (c *RV32CPU) halted() bool { return c.Halted }
+func (c *RV32CPU) pc() uint32   { return c.PC }

@@ -161,7 +161,8 @@ _start:	la   t0, _start
 func TestRV32FetchKinds(t *testing.T) {
 	var evs []trace.FetchEvent
 	c := NewRV32()
-	c.Fetch = trace.FetchFunc(func(ev trace.FetchEvent) { evs = append(evs, ev) })
+	st := trace.NewStager([]trace.SinkPair{{Fetch: trace.FetchFunc(func(ev trace.FetchEvent) { evs = append(evs, ev) })}})
+	c.Attach(st)
 	runRV32On(t, c, `
 	.org 0x1000
 _start:	jal  fn                ; KindBranch
@@ -170,6 +171,7 @@ _start:	jal  fn                ; KindBranch
 last:	ebreak
 fn:	ret                    ; KindLink
 `)
+	st.Flush()
 	if len(evs) == 0 || !evs[0].First || evs[0].Addr != 0x1000 {
 		t.Fatalf("first fetch = %+v", evs[0])
 	}
@@ -215,7 +217,8 @@ func TestRV32PacketCoalescing(t *testing.T) {
 	var evs []trace.FetchEvent
 	c := NewRV32()
 	c.PacketBytes = 8
-	c.Fetch = trace.FetchFunc(func(ev trace.FetchEvent) { evs = append(evs, ev) })
+	st := trace.NewStager([]trace.SinkPair{{Fetch: trace.FetchFunc(func(ev trace.FetchEvent) { evs = append(evs, ev) })}})
+	c.Attach(st)
 	runRV32On(t, c, `
 	.org 0x1000
 _start:	li   a0, 1
@@ -224,6 +227,7 @@ _start:	li   a0, 1
 	li   a3, 4
 	ebreak
 `)
+	st.Flush()
 	// 5 instructions at 2 per packet = 3 packets (the last holds ebreak).
 	if len(evs) != 3 {
 		t.Fatalf("got %d fetch events at 8-byte packets, want 3: %+v", len(evs), evs)

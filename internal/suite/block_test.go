@@ -76,12 +76,14 @@ func instantiateAll(t *testing.T, techs []Technique) ([]*stats.Counters, []trace
 
 // TestLiveBlocksMatchReplayAndPerEvent is the contract of live block
 // delivery: for every controller type, Drive's live run (events staged
-// into blocks), Drive's replay of a capture, and a per-event tee run — the
-// reference — leave bit-identical counters and the same cycle and
-// instruction counts. The synthetic specs put each stream just below,
-// exactly at, and one event past a multiple of 4096 events, which is a
-// block boundary of both the live stager and replay, so the full-block
-// path, the tail flush and the empty tail are all exercised.
+// into blocks), Drive's replay of a capture, and a run whose per-event
+// tees join the stager through the adapter shim, so every controller sees
+// one OnFetch/OnData call per event — the reference — leave bit-identical
+// counters and the same cycle and instruction counts. The synthetic
+// specs put each stream just below, exactly at, and one event past a
+// multiple of 4096 events, which is a block boundary of both the live
+// stager and replay, so the full-block path, the tail flush and the empty
+// tail are all exercised.
 func TestLiveBlocksMatchReplayAndPerEvent(t *testing.T) {
 	cases := []struct {
 		spec           string
@@ -124,7 +126,8 @@ func TestLiveBlocksMatchReplayAndPerEvent(t *testing.T) {
 					ds = append(ds, p.Data)
 				}
 			}
-			cpu, err := workloads.RunPacketContext(ctx, w, trace.FetchTee(fs...), trace.DataTee(ds...), 0)
+			perEvent := trace.NewStager([]trace.SinkPair{{Fetch: trace.FetchTee(fs...), Data: trace.DataTee(ds...)}})
+			cpu, err := workloads.RunPacketContext(ctx, w, perEvent, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

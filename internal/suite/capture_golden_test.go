@@ -1,0 +1,128 @@
+package suite
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"waymemo/internal/synth"
+	"waymemo/internal/workloads"
+)
+
+var updateCaptures = flag.Bool("update-captures", false, "rewrite testdata/capture_digests.json from the current simulator")
+
+// captureDigest pins one capture: the SHA-256 of its WMTRACE2 spill bytes
+// (which cover both event streams and their program-order interleaving)
+// and the execution's cycle and instruction counts.
+type captureDigest struct {
+	Workload    string `json:"workload"`
+	PacketBytes uint32 `json:"packet_bytes"`
+	SHA256      string `json:"sha256"`
+	Cycles      uint64 `json:"cycles"`
+	Instrs      uint64 `json:"instrs"`
+}
+
+// captureGoldenCases is every workload and fetch-packet size the digests
+// pin: the paper's seven benchmarks at the default, 16-byte and 4-byte
+// packets; the RV32 kernel ports and one small synthetic spec per pattern
+// on each ISA at the default and 16-byte packets.
+func captureGoldenCases(t *testing.T) []struct {
+	w      workloads.Workload
+	packet uint32
+} {
+	t.Helper()
+	var cases []struct {
+		w      workloads.Workload
+		packet uint32
+	}
+	add := func(ws []workloads.Workload, packets ...uint32) {
+		for _, w := range ws {
+			for _, pb := range packets {
+				cases = append(cases, struct {
+					w      workloads.Workload
+					packet uint32
+				}{w, pb})
+			}
+		}
+	}
+	add(workloads.All(), 0, 16, 4)
+	add(workloads.RV32All(), 0, 16)
+	for _, p := range synth.Patterns() {
+		for _, prefix := range []string{"", workloads.RV32Prefix} {
+			ws, err := workloads.ExpandByName(fmt.Sprintf("%ssynth:%s,fp=8KiB,n=4096,seed=11", prefix, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(ws, 0, 16)
+		}
+	}
+	return cases
+}
+
+// TestCaptureDigests pins every capture in captureGoldenCases bit for bit:
+// a change to either simulator, to the fetch-packet protocol or to the
+// capture path that moves a single event, its stream order or the
+// interleaving of the two streams changes a digest. -short keeps only the
+// default packet size.
+func TestCaptureDigests(t *testing.T) {
+	path := filepath.Join("testdata", "capture_digests.json")
+	want := map[string]captureDigest{}
+	if !*updateCaptures {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []captureDigest
+		if err := json.Unmarshal(raw, &recs); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			want[fmt.Sprintf("%s@%d", r.Workload, r.PacketBytes)] = r
+		}
+	}
+	var got []captureDigest
+	for _, c := range captureGoldenCases(t) {
+		if testing.Short() && c.packet != 0 {
+			continue
+		}
+		tc := NewTraceCache()
+		cp, err := tc.Capture(context.Background(), c.w, c.packet)
+		if err != nil {
+			t.Fatalf("%s@%d: %v", c.w.Name, c.packet, err)
+		}
+		h := sha256.New()
+		if _, err := cp.Buf.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		d := captureDigest{Workload: c.w.Name, PacketBytes: c.packet,
+			SHA256: hex.EncodeToString(h.Sum(nil)), Cycles: cp.Cycles, Instrs: cp.Instrs}
+		got = append(got, d)
+		if *updateCaptures {
+			continue
+		}
+		key := fmt.Sprintf("%s@%d", d.Workload, d.PacketBytes)
+		w, ok := want[key]
+		if !ok {
+			t.Errorf("%s: no recorded digest", key)
+			continue
+		}
+		if d != w {
+			t.Errorf("%s: capture moved:\n got %+v\nwant %+v", key, d, w)
+		}
+	}
+	if *updateCaptures {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

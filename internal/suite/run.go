@@ -8,6 +8,7 @@ import (
 	"waymemo/internal/cache"
 	"waymemo/internal/pool"
 	"waymemo/internal/power"
+	"waymemo/internal/sim"
 	"waymemo/internal/stats"
 	"waymemo/internal/trace"
 	"waymemo/internal/workloads"
@@ -164,6 +165,9 @@ func Run(ctx context.Context, opts ...Option) (*Results, error) {
 	if err := o.geometry.Validate(); err != nil {
 		return nil, err
 	}
+	if err := sim.CheckPacketBytes(o.packetBytes); err != nil {
+		return nil, fmt.Errorf("suite: %w", err)
+	}
 
 	var progressMu sync.Mutex
 	report := func(p Progress) {
@@ -228,12 +232,9 @@ func Drive(ctx context.Context, w workloads.Workload, packet uint32, pairs []tra
 		c, err := tc.FanOut(ctx, w, packet, pairs, runs)
 		return c.Cycles, c.Instrs, err
 	}
-	st := trace.NewStager(pairs)
-	fetch, data := st.Sinks()
-	c, err := workloads.RunPacketContext(ctx, w, fetch, data, packet)
+	c, err := workloads.RunPacketContext(ctx, w, trace.NewStager(pairs), packet)
 	if err != nil {
 		return 0, 0, err
 	}
-	st.Flush()
 	return c.Cycles, c.Instrs, nil
 }

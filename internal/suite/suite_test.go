@@ -245,6 +245,25 @@ func TestRunRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadPacketBytes: a fetch-packet size the simulators cannot
+// mask to is an error before any benchmark runs, on either ISA's workload,
+// live or through a trace cache — never a silently wrong cycle count.
+func TestRunRejectsBadPacketBytes(t *testing.T) {
+	for _, w := range []workloads.Workload{workloads.FFT(), workloads.RV32DCT()} {
+		for _, pb := range []uint32{2, 3, 6, 12} {
+			for _, tc := range []*TraceCache{nil, NewTraceCache()} {
+				res, err := Run(context.Background(), WithWorkloads(w), WithPacketBytes(pb), WithTraceCache(tc))
+				if err == nil {
+					t.Errorf("%s packet %d: accepted, %d cycles", w.Name, pb, res.Benchmarks[0].Cycles)
+				}
+			}
+			if _, _, err := Drive(context.Background(), w, pb, nil, nil, 1); err == nil {
+				t.Errorf("%s packet %d: Drive accepted", w.Name, pb)
+			}
+		}
+	}
+}
+
 // TestRunRejectsBrokenFactory: a factory that forgets the sink or the
 // counters must fail with a named error, not a distant nil panic.
 func TestRunRejectsBrokenFactory(t *testing.T) {

@@ -275,14 +275,14 @@ func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint
 }
 
 // fill populates e from the spill directory if possible, else by executing
-// the workload with the buffer attached as both sinks.
+// the workload into a buffer through a capture stager.
 func (tc *TraceCache) fill(ctx context.Context, e *traceEntry, w workloads.Workload, packet uint32, k traceKey) error {
 	if tc.dir != "" && tc.load(e, k, w) {
 		tc.diskLoads.Add(1)
 		return nil
 	}
 	buf := new(trace.Buffer)
-	c, err := workloads.RunPacketContext(ctx, w, buf, buf, packet)
+	c, err := workloads.RunPacketContext(ctx, w, trace.NewCapture(buf), packet)
 	if err != nil {
 		return err
 	}

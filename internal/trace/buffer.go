@@ -7,7 +7,7 @@ import (
 
 // Buffer is a compact in-memory recording of one execution's event streams,
 // built for the execute-once / replay-many pattern: the simulator runs a
-// workload once with the Buffer attached as both sinks, and the captured
+// workload once into the Buffer through a capture stager, and the captured
 // streams are then replayed to any number of cache techniques and geometries
 // without re-executing a single instruction — all of them in one batched
 // pass over the storage (ReplayAll), so the capture streams through memory
@@ -25,9 +25,12 @@ import (
 // event, which is what lets WriteTo spill the buffer to the WMTRACE2 file
 // format (sealed chunks verbatim) and ReadBuffer reload it losslessly.
 //
-// A Buffer is append-only: it implements FetchSink and DataSink for capture
-// and is safe for any number of concurrent replays once capture has
-// finished. It is not safe to append and replay concurrently.
+// A Buffer is append-only. A simulator records into it through a capture
+// stager (NewCapture), which appends whole staged blocks and the order bit
+// of each event; the per-event FetchSink and DataSink methods append one
+// event with its order bit. A Buffer is safe for any number of concurrent
+// replays once capture has finished. It is not safe to append and replay
+// concurrently.
 type Buffer struct {
 	fetch []encFetchChunk // sealed full chunks, chunkLen events each
 	data  []encDataChunk
@@ -113,6 +116,13 @@ func (b *Buffer) pushOrder(isData bool) {
 
 // OnFetch appends one fetch event to the buffer.
 func (b *Buffer) OnFetch(ev FetchEvent) {
+	b.putFetch(&ev)
+	b.pushOrder(false)
+}
+
+// putFetch appends one fetch event to the fetch columns, sealing the
+// staging chunk when it fills. The order bit is the caller's.
+func (b *Buffer) putFetch(ev *FetchEvent) {
 	i := b.nf & chunkMask
 	if b.fstage == nil {
 		b.fstage = new(fetchChunk)
@@ -131,11 +141,16 @@ func (b *Buffer) OnFetch(ev FetchEvent) {
 	if b.nf&chunkMask == 0 {
 		b.fetch = append(b.fetch, sealFetchChunk(st, chunkLen))
 	}
-	b.pushOrder(false)
 }
 
 // OnData appends one data event to the buffer.
 func (b *Buffer) OnData(ev DataEvent) {
+	b.putData(&ev)
+	b.pushOrder(true)
+}
+
+// putData is putFetch for the data columns.
+func (b *Buffer) putData(ev *DataEvent) {
 	i := b.nd & chunkMask
 	if b.dstage == nil {
 		b.dstage = new(dataChunk)
@@ -153,7 +168,6 @@ func (b *Buffer) OnData(ev DataEvent) {
 	if b.nd&chunkMask == 0 {
 		b.data = append(b.data, sealDataChunk(st, chunkLen))
 	}
-	b.pushOrder(true)
 }
 
 // fetchEventAt assembles the j-th event of a raw chunk.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,12 +21,11 @@ func TestStagerDelivery(t *testing.T) {
 			{Fetch: &legacy, Data: &legacy},
 			{Fetch: &fetchOnly},
 		})
-		f, d := st.Sinks()
 		wantF, wantD := make([]FetchEvent, n), make([]DataEvent, n)
 		for i := range n {
 			wantF[i], wantD[i] = randFetch(r), randData(r)
-			f.OnFetch(wantF[i])
-			d.OnData(wantD[i])
+			*st.NextFetch() = wantF[i]
+			*st.NextData() = wantD[i]
 		}
 		st.Flush()
 
@@ -52,18 +52,53 @@ func TestStagerDelivery(t *testing.T) {
 	}
 }
 
-// TestStagerSinksPerStream: a stream no pair consumes gets a nil sink, so
-// the simulator skips building its events.
+// TestStagerSinksPerStream: a stream no pair consumes is not reported by
+// Streams, so the simulator skips building its events.
 func TestStagerSinksPerStream(t *testing.T) {
 	var l eventLog
 	st := NewStager([]SinkPair{{Data: &l}})
-	if f, d := st.Sinks(); f != nil || d == nil {
-		t.Fatalf("data-only stager: sinks %v, %v", f, d)
+	if f, d := st.Streams(); f || !d {
+		t.Fatalf("data-only stager: streams %v, %v", f, d)
 	}
 	st.Flush()
 	st = NewStager(nil)
-	if f, d := st.Sinks(); f != nil || d != nil {
-		t.Fatalf("empty stager: sinks %v, %v", f, d)
+	if f, d := st.Streams(); f || d {
+		t.Fatalf("empty stager: streams %v, %v", f, d)
 	}
 	st.Flush()
+}
+
+// TestCaptureStagerMatchesPerEvent: recording a stream through a capture
+// stager, block by block, yields the same buffer as appending the same
+// events one by one — the same streams and the same interleaving, so the
+// same WMTRACE2 bytes — across block and chunk boundaries.
+func TestCaptureStagerMatchesPerEvent(t *testing.T) {
+	for _, n := range []int{0, 1, stageLen + 1, chunkLen + 3*stageLen + 5} {
+		r := rand.New(rand.NewSource(int64(n)))
+		var perEvent, staged Buffer
+		st := NewCapture(&staged)
+		for range n {
+			if r.Intn(3) == 0 {
+				ev := randData(r)
+				perEvent.OnData(ev)
+				*st.NextData() = ev
+			} else {
+				ev := randFetch(r)
+				perEvent.OnFetch(ev)
+				*st.NextFetch() = ev
+			}
+		}
+		st.Flush()
+		var want, got bytes.Buffer
+		if _, err := perEvent.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := staged.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if staged.Len() != n || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: capture stager wrote %d events, %d bytes; per-event %d bytes differ",
+				n, staged.Len(), got.Len(), want.Len())
+		}
+	}
 }

@@ -30,7 +30,7 @@ func TestRV32WorkloadsValidate(t *testing.T) {
 			if w.DefaultPacketBytes() != 4 {
 				t.Fatalf("%s: default packet = %d, want 4", w.Name, w.DefaultPacketBytes())
 			}
-			if _, err := Run(w, nil, nil); err != nil {
+			if _, err := Run(w, nil); err != nil {
 				t.Fatalf("workload %s: %v", w.Name, err)
 			}
 		}

@@ -17,7 +17,7 @@ func TestSyntheticPatternsValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(string(p), func(t *testing.T) {
-			c, err := Run(w, nil, nil)
+			c, err := Run(w, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

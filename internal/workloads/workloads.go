@@ -200,21 +200,24 @@ func (w Workload) Build() (*asm.Program, error) {
 	return e.prog, e.err
 }
 
-// Run assembles and executes the workload with the given event sinks (either
-// may be nil) and validates the result. It returns the CPU for inspection.
-func Run(w Workload, fetch trace.FetchSink, data trace.DataSink) (*sim.CPU, error) {
-	return RunPacketContext(context.Background(), w, fetch, data, 0)
+// Run assembles and executes the workload with its events staged into st
+// (nil runs without events) and validates the result. It returns the CPU
+// for inspection.
+func Run(w Workload, st *trace.Stager) (*sim.CPU, error) {
+	return RunPacketContext(context.Background(), w, st, 0)
 }
 
 // RunPacket is Run with an explicit fetch-packet size (0 = the default
 // 8-byte VLIW packet); used by the fetch-width ablation.
-func RunPacket(w Workload, fetch trace.FetchSink, data trace.DataSink, packetBytes uint32) (*sim.CPU, error) {
-	return RunPacketContext(context.Background(), w, fetch, data, packetBytes)
+func RunPacket(w Workload, st *trace.Stager, packetBytes uint32) (*sim.CPU, error) {
+	return RunPacketContext(context.Background(), w, st, packetBytes)
 }
 
 // RunPacketContext is the most general runner: explicit context and
-// fetch-packet size.
-func RunPacketContext(ctx context.Context, w Workload, fetch trace.FetchSink, data trace.DataSink, packetBytes uint32) (*sim.CPU, error) {
+// fetch-packet size. Once the run and its check have succeeded it flushes
+// st, so every sink has the whole of both streams when it returns; a
+// failed run's tails are dropped with it.
+func RunPacketContext(ctx context.Context, w Workload, st *trace.Stager, packetBytes uint32) (*sim.CPU, error) {
 	p, err := w.Build()
 	if err != nil {
 		return nil, err
@@ -223,33 +226,29 @@ func RunPacketContext(ctx context.Context, w Workload, fetch trace.FetchSink, da
 	if max == 0 {
 		max = DefaultMaxInstrs
 	}
+	var c *sim.CPU
 	if w.ISA == ISARV32 {
-		c := sim.NewRV32()
-		c.Fetch, c.Data = fetch, data
+		rc := sim.NewRV32()
+		rc.Attach(st)
+		rc.PacketBytes = packetBytes
+		rc.LoadProgram(p, StackTop)
+		err = rc.RunContext(ctx, max)
+		c = rc.AsCPU()
+	} else {
+		c = sim.New()
+		c.Attach(st)
 		c.PacketBytes = packetBytes
 		c.LoadProgram(p, StackTop)
-		if err := c.RunContext(ctx, max); err != nil {
-			return nil, fmt.Errorf("workload %s: %w", w.Name, err)
-		}
-		view := c.AsCPU()
-		if w.Check != nil {
-			if err := w.Check(view, p); err != nil {
-				return nil, fmt.Errorf("workload %s: %w", w.Name, err)
-			}
-		}
-		return view, nil
+		err = c.RunContext(ctx, max)
 	}
-	c := sim.New()
-	c.Fetch, c.Data = fetch, data
-	c.PacketBytes = packetBytes
-	c.LoadProgram(p, StackTop)
-	if err := c.RunContext(ctx, max); err != nil {
+	if err == nil && w.Check != nil {
+		err = w.Check(c, p)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
-	if w.Check != nil {
-		if err := w.Check(c, p); err != nil {
-			return nil, fmt.Errorf("workload %s: %w", w.Name, err)
-		}
+	if st != nil {
+		st.Flush()
 	}
 	return c, nil
 }

@@ -15,7 +15,7 @@ func TestAllWorkloadsValidate(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			c, err := Run(w, nil, nil)
+			c, err := Run(w, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,14 +34,14 @@ func TestWorkloadEventStreams(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			var nFetch, nData, nStore, nLink uint64
-			c, err := Run(w,
-				trace.FetchFunc(func(ev trace.FetchEvent) {
+			c, err := Run(w, trace.NewStager([]trace.SinkPair{{
+				Fetch: trace.FetchFunc(func(ev trace.FetchEvent) {
 					nFetch++
 					if ev.Kind == trace.KindLink {
 						nLink++
 					}
 				}),
-				trace.DataFunc(func(ev trace.DataEvent) {
+				Data: trace.DataFunc(func(ev trace.DataEvent) {
 					nData++
 					if ev.Store {
 						nStore++
@@ -49,7 +49,8 @@ func TestWorkloadEventStreams(t *testing.T) {
 					if ev.Base+uint32(ev.Disp) != ev.Addr {
 						t.Fatalf("base+disp != addr in %s", w.Name)
 					}
-				}))
+				}),
+			}}))
 			if err != nil {
 				t.Fatal(err)
 			}
