@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
@@ -13,17 +14,18 @@ import (
 // pass over the storage (ReplayAll), so the capture streams through memory
 // once per sweep, not once per technique.
 //
-// Storage is compressed column chunks: events are staged into fixed-size
-// structure-of-arrays chunks and, each time a chunk fills, sealed into the
-// delta/varint column encoding of columns.go (~5 bytes per fetch event on
-// the paper's workloads instead of the 24 of the unpacked struct, with a
-// per-column raw fallback for incompressible streams). Replay decodes each
-// sealed chunk block-wise into a batchLen event scratch that stays L2-hot
-// while every sink of the pass walks it, so a fan-out pass streams the
-// encoded bytes — severalfold fewer than raw columns — exactly once. The
-// program-order interleaving of the two streams is kept as one bit per
-// event, which is what lets WriteTo spill the buffer to the WMTRACE2 file
-// format (sealed chunks verbatim) and ReadBuffer reload it losslessly.
+// Storage is compressed column chunks of chunkLen events: every event is
+// encoded once, as it arrives, into the delta/varint columns of its
+// stream's open chunk (columns.go; ~5 bytes per fetch event on the paper's
+// workloads instead of the 24 of the unpacked struct, with a per-column raw
+// fallback for incompressible streams), and a chunk is sealed at its exact
+// size when it fills. Replay decodes each chunk, the open one included,
+// block-wise into a batchLen event scratch that stays L2-hot while every
+// sink of the pass walks it, so a fan-out pass streams the encoded bytes —
+// severalfold fewer than raw columns — exactly once. The program-order
+// interleaving of the two streams is kept as one bit per event, which is
+// what lets WriteTo spill the buffer to the WMTRACE2 file format (sealed
+// chunks verbatim) and ReadBuffer reload it losslessly.
 //
 // A Buffer is append-only. A simulator records into it through a capture
 // stager (NewCapture), which appends whole staged blocks and the order bit
@@ -32,14 +34,14 @@ import (
 // replays once capture has finished. It is not safe to append and replay
 // concurrently.
 type Buffer struct {
-	fetch []encFetchChunk // sealed full chunks, chunkLen events each
-	data  []encDataChunk
-	// The not-yet-full tail of each stream stays raw in a staging chunk
-	// (reused after each seal), so appends never re-encode.
-	fstage *fetchChunk
-	dstage *dataChunk
-	nf     int
-	nd     int
+	fetch []encChunk // sealed full chunks, chunkLen events each
+	data  []encChunk
+	// The events past the last full chunk of each stream are the open
+	// chunk, held encoded by its running encoder.
+	fenc chunkEnc
+	denc chunkEnc
+	nf   int
+	nd   int
 
 	// order holds one bit per recorded event in arrival order: 0 = fetch,
 	// 1 = data. It preserves the program-order interleaving for WriteTo.
@@ -63,23 +65,6 @@ const (
 	dataStoreFlag = 0x80
 )
 
-// fetchChunk is one staging block of raw column-packed fetch events.
-type fetchChunk struct {
-	addr [chunkLen]uint32
-	prev [chunkLen]uint32
-	base [chunkLen]uint32
-	disp [chunkLen]int32
-	kind [chunkLen]uint8
-}
-
-// dataChunk is one staging block of raw column-packed data events.
-type dataChunk struct {
-	addr [chunkLen]uint32
-	base [chunkLen]uint32
-	disp [chunkLen]int32
-	meta [chunkLen]uint8
-}
-
 // NumFetches returns the number of recorded fetch events.
 func (b *Buffer) NumFetches() int { return b.nf }
 
@@ -89,18 +74,16 @@ func (b *Buffer) NumDatas() int { return b.nd }
 // Len returns the total number of recorded events.
 func (b *Buffer) Len() int { return b.n }
 
-// EncodedBytes returns the compressed footprint of the sealed chunks plus
-// the raw footprint of the staged tails — the bytes one replay pass streams.
+// EncodedBytes returns the encoded footprint of the sealed chunks and the
+// open chunks — the bytes one replay pass streams.
 func (b *Buffer) EncodedBytes() int64 {
-	var total int64
+	total := int64(b.fenc.encodedBytes() + b.denc.encodedBytes())
 	for i := range b.fetch {
 		total += int64(b.fetch[i].encodedBytes())
 	}
 	for i := range b.data {
 		total += int64(b.data[i].encodedBytes())
 	}
-	total += int64((b.nf & chunkMask) * 17)
-	total += int64((b.nd & chunkMask) * 13)
 	return total
 }
 
@@ -116,80 +99,41 @@ func (b *Buffer) pushOrder(isData bool) {
 
 // OnFetch appends one fetch event to the buffer.
 func (b *Buffer) OnFetch(ev FetchEvent) {
-	b.putFetch(&ev)
+	b.appendFetches([]FetchEvent{ev})
 	b.pushOrder(false)
 }
 
-// putFetch appends one fetch event to the fetch columns, sealing the
-// staging chunk when it fills. The order bit is the caller's.
-func (b *Buffer) putFetch(ev *FetchEvent) {
-	i := b.nf & chunkMask
-	if b.fstage == nil {
-		b.fstage = new(fetchChunk)
-	}
-	st := b.fstage
-	st.addr[i] = ev.Addr
-	st.prev[i] = ev.Prev
-	st.base[i] = ev.Base
-	st.disp[i] = ev.Disp
-	k := uint8(ev.Kind) & fetchKindMask
-	if ev.First {
-		k |= fetchFirstFlag
-	}
-	st.kind[i] = k
-	b.nf++
-	if b.nf&chunkMask == 0 {
-		b.fetch = append(b.fetch, sealFetchChunk(st, chunkLen))
+// appendFetches encodes evs onto the fetch stream, splitting them at chunk
+// boundaries and sealing each chunk as it fills. The order bits are the
+// caller's.
+func (b *Buffer) appendFetches(evs []FetchEvent) {
+	for len(evs) > 0 {
+		m := min(len(evs), chunkLen-b.nf&chunkMask)
+		b.fenc.putFetches(evs[:m])
+		b.nf += m
+		evs = evs[m:]
+		if b.nf&chunkMask == 0 {
+			b.fetch = append(b.fetch, b.fenc.seal(fetchCols))
+		}
 	}
 }
 
 // OnData appends one data event to the buffer.
 func (b *Buffer) OnData(ev DataEvent) {
-	b.putData(&ev)
+	b.appendDatas([]DataEvent{ev})
 	b.pushOrder(true)
 }
 
-// putData is putFetch for the data columns.
-func (b *Buffer) putData(ev *DataEvent) {
-	i := b.nd & chunkMask
-	if b.dstage == nil {
-		b.dstage = new(dataChunk)
-	}
-	st := b.dstage
-	st.addr[i] = ev.Addr
-	st.base[i] = ev.Base
-	st.disp[i] = ev.Disp
-	m := ev.Size & dataSizeMask
-	if ev.Store {
-		m |= dataStoreFlag
-	}
-	st.meta[i] = m
-	b.nd++
-	if b.nd&chunkMask == 0 {
-		b.data = append(b.data, sealDataChunk(st, chunkLen))
-	}
-}
-
-// fetchEventAt assembles the j-th event of a raw chunk.
-func fetchEventAt(ch *fetchChunk, j int) FetchEvent {
-	return FetchEvent{
-		Addr:  ch.addr[j],
-		Prev:  ch.prev[j],
-		Base:  ch.base[j],
-		Disp:  ch.disp[j],
-		Kind:  ControlKind(ch.kind[j] & fetchKindMask),
-		First: ch.kind[j]&fetchFirstFlag != 0,
-	}
-}
-
-// dataEventAt assembles the j-th event of a raw chunk.
-func dataEventAt(ch *dataChunk, j int) DataEvent {
-	return DataEvent{
-		Addr:  ch.addr[j],
-		Base:  ch.base[j],
-		Disp:  ch.disp[j],
-		Size:  ch.meta[j] & dataSizeMask,
-		Store: ch.meta[j]&dataStoreFlag != 0,
+// appendDatas is appendFetches for the data stream.
+func (b *Buffer) appendDatas(evs []DataEvent) {
+	for len(evs) > 0 {
+		m := min(len(evs), chunkLen-b.nd&chunkMask)
+		b.denc.putDatas(evs[:m])
+		b.nd += m
+		evs = evs[m:]
+		if b.nd&chunkMask == 0 {
+			b.data = append(b.data, b.denc.seal(dataCols))
+		}
 	}
 }
 
@@ -252,75 +196,33 @@ func (b *Buffer) ReplayAll(ctx context.Context, sinks []SinkPair) error {
 	return nil
 }
 
-// forEachFetchBlock decodes the fetch stream block-wise and hands each block
-// to fn. The block slice is reused; fn must not retain it.
+// forEachFetchBlock decodes the fetch stream block-wise and hands each
+// block to fn. The block slice is reused; fn must not retain it.
 func (b *Buffer) forEachFetchBlock(ctx context.Context, fn func([]FetchEvent) error) error {
-	var sc blockScratch
-	block := make([]FetchEvent, batchLen)
-	for ci := range b.fetch {
-		cu := b.fetch[ci].cursors()
-		for off := 0; off < chunkLen; off += batchLen {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := cu.decodeBlock(block, &sc); err != nil {
-				return fmt.Errorf("trace: fetch chunk %d: %w", ci, err)
-			}
-			if err := fn(block); err != nil {
-				return err
-			}
-		}
-		if !cu.done() {
-			return fmt.Errorf("trace: fetch chunk %d: %w", ci, errColumn)
-		}
-	}
-	tail := b.nf & chunkMask
-	for off := 0; off < tail; off += batchLen {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		m := min(batchLen, tail-off)
-		for i := 0; i < m; i++ {
-			block[i] = fetchEventAt(b.fstage, off+i)
-		}
-		if err := fn(block[:m]); err != nil {
-			return err
-		}
-	}
-	return nil
+	open := b.fenc.chunk(b.nf&chunkMask, fetchCols)
+	return forEachBlock(ctx, "fetch", b.fetch, &open, fn)
 }
 
 // forEachDataBlock is forEachFetchBlock for the data stream.
 func (b *Buffer) forEachDataBlock(ctx context.Context, fn func([]DataEvent) error) error {
+	open := b.denc.chunk(b.nd&chunkMask, dataCols)
+	return forEachBlock(ctx, "data", b.data, &open, fn)
+}
+
+// forEachBlock decodes one stream, its sealed chunks and then its open
+// chunk, block-wise, and hands each block to fn.
+func forEachBlock[E FetchEvent | DataEvent](ctx context.Context, stream string, sealed []encChunk, open *encChunk,
+	fn func([]E) error) error {
 	var sc blockScratch
-	block := make([]DataEvent, batchLen)
-	for ci := range b.data {
-		cu := b.data[ci].cursors()
-		for off := 0; off < chunkLen; off += batchLen {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := cu.decodeBlock(block, &sc); err != nil {
-				return fmt.Errorf("trace: data chunk %d: %w", ci, err)
-			}
-			if err := fn(block); err != nil {
-				return err
-			}
+	block := make([]E, batchLen)
+	for ci := 0; ci <= len(sealed); ci++ {
+		ch := open
+		if ci < len(sealed) {
+			ch = &sealed[ci]
 		}
-		if !cu.done() {
-			return fmt.Errorf("trace: data chunk %d: %w", ci, errColumn)
-		}
-	}
-	tail := b.nd & chunkMask
-	for off := 0; off < tail; off += batchLen {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		m := min(batchLen, tail-off)
-		for i := 0; i < m; i++ {
-			block[i] = dataEventAt(b.dstage, off+i)
-		}
-		if err := fn(block[:m]); err != nil {
+		if err := eachBlock(ctx, ch, block, &sc, fn); errors.Is(err, errColumn) {
+			return fmt.Errorf("trace: %s chunk %d: %w", stream, ci, err)
+		} else if err != nil {
 			return err
 		}
 	}

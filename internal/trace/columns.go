@@ -1,12 +1,14 @@
 package trace
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 )
 
 // Compressed column encoding — the in-memory (and WMTRACE2 on-disk)
-// representation of a full event chunk.
+// representation of an event chunk.
 //
 // Trace addresses are overwhelmingly sequential fetch packets: consecutive
 // column values differ by a small constant (the packet stride) except at
@@ -18,6 +20,14 @@ import (
 // falls back to raw 4-byte little-endian values; the choice is recorded in a
 // per-column flag so the decoder never guesses. The one-byte kind/meta
 // columns stay raw.
+//
+// Encoding happens as the events arrive: each column of a stream's open
+// chunk has a running encoder (colEnc) that appends every block's values
+// to its delta bytes in one pass, so no event is staged or copied on the
+// way. Sealing a full chunk decides the form by length alone — the delta
+// bytes stop beating raw exactly when they reach 4n — and copies the
+// column out at its exact size; a raw column is derived from its delta
+// bytes.
 //
 // Decoding happens block-wise during replay: a colCursor walks the encoded
 // payload batchLen values at a time into the L2-hot scratch, so nothing above
@@ -35,52 +45,72 @@ const (
 // length disagrees with the value count.
 var errColumn = errors.New("trace: corrupt column data")
 
-// encCol is one encoded numeric column of a sealed chunk.
+// encCol is one encoded numeric column of a chunk.
 type encCol struct {
 	flag byte
 	data []byte
 }
 
-// rawU32 serializes vals as 4-byte little-endian — the incompressible form.
-func rawU32(vals []uint32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[i*4:], v)
-	}
-	return out
+// colEnc is the running encoder of one numeric column of a stream's open
+// chunk: the zigzag-varint delta bytes of the values so far and the last
+// value, which a chunk boundary resets to 0.
+type colEnc struct {
+	buf  []byte
+	prev uint32
 }
 
-// encodeU32Col encodes one column as zigzag-varint deltas, falling back to
-// raw the moment the delta stream stops beating the fixed-width form. The
+// open makes room for m more values at the varint worst case of 5 bytes
+// each. It returns the buffer extended to its capacity, the write offset
+// and the previous value, which close takes back once the values are
+// written with putDelta. The buffer is reused from chunk to chunk; it
+// doubles when it grows, so reaching its largest size allocates about
+// twice that size in all.
+func (e *colEnc) open(m int) ([]byte, int, uint32) {
+	if need := len(e.buf) + 5*m; need > cap(e.buf) {
+		e.buf = append(make([]byte, 0, max(need, 2*cap(e.buf))), e.buf...)
+	}
+	return e.buf[:cap(e.buf)], len(e.buf), e.prev
+}
+
+func (e *colEnc) close(buf []byte, n int, prev uint32) {
+	e.buf, e.prev = buf[:n], prev
+}
+
+// putDelta writes v's wrapping delta from prev, zigzag-varint encoded, at
+// buf[n:] and returns the new offset and v, the next delta's base. The
 // encoding is deterministic, so re-serializing a buffer is byte-stable.
-func encodeU32Col(vals []uint32) encCol {
-	limit := 4 * len(vals)
-	enc := make([]byte, 0, len(vals)+len(vals)/2)
-	prev := uint32(0)
-	for _, v := range vals {
-		d := v - prev // wrapping delta
-		prev = v
-		zz := (d << 1) ^ uint32(int32(d)>>31) // zigzag: small |delta| → small zz
-		for zz >= 0x80 {
-			enc = append(enc, byte(zz)|0x80)
-			zz >>= 7
-		}
-		enc = append(enc, byte(zz))
-		if len(enc) >= limit {
-			return encCol{flag: colRaw, data: rawU32(vals)}
-		}
+func putDelta(buf []byte, n int, prev, v uint32) (int, uint32) {
+	d := v - prev
+	zz := (d << 1) ^ uint32(int32(d)>>31) // zigzag: small |delta| → small zz
+	for zz >= 0x80 {
+		buf[n] = byte(zz) | 0x80
+		n++
+		zz >>= 7
 	}
-	return encCol{flag: colDelta, data: enc}
+	buf[n] = byte(zz)
+	return n + 1, v
 }
 
-// encodeI32Col encodes a signed column via its two's-complement bits; the
-// wrapping-delta arithmetic is sign-agnostic.
-func encodeI32Col(vals []int32) encCol {
-	tmp := make([]uint32, len(vals))
-	for i, v := range vals {
-		tmp[i] = uint32(v)
+// col returns the open column, holding n values, in the form a sealed chunk
+// stores: the delta bytes themselves (aliased, not copied) unless they
+// reach the 4n bytes of the fixed-width form, in which case the raw 4-byte
+// little-endian values are derived from them.
+func (e *colEnc) col(n int) encCol {
+	if len(e.buf) < 4*n {
+		return encCol{flag: colDelta, data: e.buf}
 	}
-	return encodeU32Col(tmp)
+	raw := make([]byte, 4*n)
+	cu := colCursor{flag: colDelta, data: e.buf}
+	var vals [batchLen]uint32
+	for off := 0; off < n; off += batchLen {
+		m := min(batchLen, n-off)
+		// The encoder's own bytes always decode.
+		_ = cu.decode(vals[:m])
+		for i, v := range vals[:m] {
+			binary.LittleEndian.PutUint32(raw[4*(off+i):], v)
+		}
+	}
+	return encCol{flag: colRaw, data: raw}
 }
 
 // colCursor decodes one encoded column incrementally, a block at a time.
@@ -154,116 +184,190 @@ func (c *colCursor) decode(dst []uint32) error {
 // silently ignored.
 func (c *colCursor) done() bool { return c.off == len(c.data) }
 
-// encFetchChunk is one sealed (immutable, compressed) chunk of fetch events.
-type encFetchChunk struct {
-	n    int // events in the chunk; chunkLen except for a spilled tail
-	addr encCol
-	prev encCol
-	base encCol
-	disp encCol
-	kind []byte // packed ControlKind + first flag, raw
-}
+// The numeric columns of each stream's chunks, in record order.
+const (
+	fetchCols = 4 // addr, prev, base, disp
+	dataCols  = 3 // addr, base, disp
+)
 
-// encDataChunk is one sealed chunk of data events.
-type encDataChunk struct {
-	n    int
-	addr encCol
-	base encCol
-	disp encCol
-	meta []byte // packed size + store flag, raw
-}
-
-// sealFetchChunk compresses the first n staged fetch events into an
-// immutable chunk. The staging arrays are copied from, never referenced, so
-// the caller may immediately reuse them.
-func sealFetchChunk(st *fetchChunk, n int) encFetchChunk {
-	kind := make([]byte, n)
-	copy(kind, st.kind[:n])
-	return encFetchChunk{
-		n:    n,
-		addr: encodeU32Col(st.addr[:n]),
-		prev: encodeU32Col(st.prev[:n]),
-		base: encodeU32Col(st.base[:n]),
-		disp: encodeI32Col(st.disp[:n]),
-		kind: kind,
-	}
-}
-
-// sealDataChunk compresses the first n staged data events.
-func sealDataChunk(st *dataChunk, n int) encDataChunk {
-	meta := make([]byte, n)
-	copy(meta, st.meta[:n])
-	return encDataChunk{
-		n:    n,
-		addr: encodeU32Col(st.addr[:n]),
-		base: encodeU32Col(st.base[:n]),
-		disp: encodeI32Col(st.disp[:n]),
-		meta: meta,
-	}
+// encChunk is one chunk of either stream: its numeric columns in record
+// order and its raw one-byte column — a fetch chunk's packed ControlKind
+// and first flag, a data chunk's packed size and store flag.
+type encChunk struct {
+	n     int // events in the chunk; chunkLen except for a stream's last
+	cols  []encCol
+	bytes []byte
 }
 
 // encodedBytes sums the chunk's column payloads — the bytes a replay pass
 // actually streams for it.
-func (ch *encFetchChunk) encodedBytes() int {
-	return len(ch.addr.data) + len(ch.prev.data) + len(ch.base.data) +
-		len(ch.disp.data) + len(ch.kind)
+func (ch *encChunk) encodedBytes() int {
+	total := len(ch.bytes)
+	for _, c := range ch.cols {
+		total += len(c.data)
+	}
+	return total
 }
 
-func (ch *encDataChunk) encodedBytes() int {
-	return len(ch.addr.data) + len(ch.base.data) + len(ch.disp.data) + len(ch.meta)
+// chunkEnc encodes the open chunk of one stream as its events arrive.
+type chunkEnc struct {
+	cols  [fetchCols]colEnc // a data stream uses the first dataCols
+	bytes []byte            // chunkLen capacity, handed to the sealed chunk
 }
 
-// blockScratch is the per-replay column decode scratch: four batchLen-value
-// lanes the cursors decode into before events are assembled. One instance
-// per replay pass, reused for every block.
-type blockScratch struct {
-	a, b, c, d [batchLen]uint32
+// nextBytes returns the next m slots of the raw byte column.
+func (e *chunkEnc) nextBytes(m int) []byte {
+	if e.bytes == nil {
+		e.bytes = make([]byte, 0, chunkLen)
+	}
+	e.bytes = e.bytes[:len(e.bytes)+m]
+	return e.bytes[len(e.bytes)-m:]
 }
 
-// fetchCursors tracks a decode in progress over one sealed fetch chunk.
-type fetchCursors struct {
-	addr, prev, base, disp colCursor
-	kind                   []byte
-	koff                   int
-}
-
-func (ch *encFetchChunk) cursors() fetchCursors {
-	return fetchCursors{
-		addr: ch.addr.cursor(),
-		prev: ch.prev.cursor(),
-		base: ch.base.cursor(),
-		disp: ch.disp.cursor(),
-		kind: ch.kind,
+// putFetches encodes evs, which must fit in the open chunk, onto its
+// columns, one column at a time.
+func (e *chunkEnc) putFetches(evs []FetchEvent) {
+	m, c := len(evs), &e.cols
+	buf, n, p := c[0].open(m)
+	for i := range evs {
+		n, p = putDelta(buf, n, p, evs[i].Addr)
+	}
+	c[0].close(buf, n, p)
+	buf, n, p = c[1].open(m)
+	for i := range evs {
+		n, p = putDelta(buf, n, p, evs[i].Prev)
+	}
+	c[1].close(buf, n, p)
+	buf, n, p = c[2].open(m)
+	for i := range evs {
+		n, p = putDelta(buf, n, p, evs[i].Base)
+	}
+	c[2].close(buf, n, p)
+	buf, n, p = c[3].open(m)
+	for i := range evs {
+		n, p = putDelta(buf, n, p, uint32(evs[i].Disp))
+	}
+	c[3].close(buf, n, p)
+	kind := e.nextBytes(m)
+	for i := range evs {
+		k := uint8(evs[i].Kind) & fetchKindMask
+		if evs[i].First {
+			k |= fetchFirstFlag
+		}
+		kind[i] = k
 	}
 }
 
-// decodeBlock decodes the next len(dst) events into dst.
-func (cu *fetchCursors) decodeBlock(dst []FetchEvent, sc *blockScratch) error {
-	m := len(dst)
-	if cu.koff+m > len(cu.kind) {
-		return errColumn
+// putDatas is putFetches for the data stream.
+func (e *chunkEnc) putDatas(evs []DataEvent) {
+	m, c := len(evs), &e.cols
+	buf, n, p := c[0].open(m)
+	for i := range evs {
+		n, p = putDelta(buf, n, p, evs[i].Addr)
 	}
-	if err := cu.addr.decode(sc.a[:m]); err != nil {
+	c[0].close(buf, n, p)
+	buf, n, p = c[1].open(m)
+	for i := range evs {
+		n, p = putDelta(buf, n, p, evs[i].Base)
+	}
+	c[1].close(buf, n, p)
+	buf, n, p = c[2].open(m)
+	for i := range evs {
+		n, p = putDelta(buf, n, p, uint32(evs[i].Disp))
+	}
+	c[2].close(buf, n, p)
+	meta := e.nextBytes(m)
+	for i := range evs {
+		mt := evs[i].Size & dataSizeMask
+		if evs[i].Store {
+			mt |= dataStoreFlag
+		}
+		meta[i] = mt
+	}
+}
+
+// chunk returns the open chunk, n events in ncols numeric columns, as
+// WriteTo spills it and replay decodes it. It aliases the encoder's bytes.
+func (e *chunkEnc) chunk(n, ncols int) encChunk {
+	ch := encChunk{n: n, cols: make([]encCol, ncols), bytes: e.bytes}
+	for i := range ch.cols {
+		ch.cols[i] = e.cols[i].col(n)
+	}
+	return ch
+}
+
+// seal returns the full open chunk as a sealed chunk that shares nothing
+// with the encoder, each delta column copied out at its exact size, and
+// starts the next chunk.
+func (e *chunkEnc) seal(ncols int) encChunk {
+	ch := e.chunk(chunkLen, ncols)
+	for i := range ch.cols {
+		if ch.cols[i].flag == colDelta {
+			ch.cols[i].data = bytes.Clone(ch.cols[i].data)
+		}
+		e.cols[i] = colEnc{buf: e.cols[i].buf[:0]}
+	}
+	e.bytes = nil
+	return ch
+}
+
+// encodedBytes sums the open chunk's column bytes.
+func (e *chunkEnc) encodedBytes() int {
+	total := len(e.bytes)
+	for i := range e.cols {
+		total += len(e.cols[i].buf)
+	}
+	return total
+}
+
+// blockScratch is the per-replay column decode scratch: one batchLen-value
+// lane per numeric column, decoded into before events are assembled. One
+// instance per replay pass, reused for every block.
+type blockScratch [fetchCols][batchLen]uint32
+
+// chunkCursors tracks a decode in progress over one chunk.
+type chunkCursors struct {
+	cols  [fetchCols]colCursor
+	ncols int
+	bytes []byte
+	off   int
+}
+
+func (ch *encChunk) cursors() chunkCursors {
+	cu := chunkCursors{ncols: len(ch.cols), bytes: ch.bytes}
+	for i := range ch.cols {
+		cu.cols[i] = ch.cols[i].cursor()
+	}
+	return cu
+}
+
+// next decodes the next m values of each numeric column into sc's lanes
+// and returns the m bytes of the raw column beside them.
+func (cu *chunkCursors) next(m int, sc *blockScratch) ([]byte, error) {
+	if cu.off+m > len(cu.bytes) {
+		return nil, errColumn
+	}
+	for i := range cu.cols[:cu.ncols] {
+		if err := cu.cols[i].decode(sc[i][:m]); err != nil {
+			return nil, err
+		}
+	}
+	cu.off += m
+	return cu.bytes[cu.off-m : cu.off], nil
+}
+
+// fetches decodes the next len(dst) events of a fetch chunk into dst.
+func (cu *chunkCursors) fetches(dst []FetchEvent, sc *blockScratch) error {
+	kind, err := cu.next(len(dst), sc)
+	if err != nil {
 		return err
 	}
-	if err := cu.prev.decode(sc.b[:m]); err != nil {
-		return err
-	}
-	if err := cu.base.decode(sc.c[:m]); err != nil {
-		return err
-	}
-	if err := cu.disp.decode(sc.d[:m]); err != nil {
-		return err
-	}
-	kind := cu.kind[cu.koff : cu.koff+m]
-	cu.koff += m
-	for i := 0; i < m; i++ {
-		k := kind[i]
+	for i, k := range kind {
 		dst[i] = FetchEvent{
-			Addr:  sc.a[i],
-			Prev:  sc.b[i],
-			Base:  sc.c[i],
-			Disp:  int32(sc.d[i]),
+			Addr:  sc[0][i],
+			Prev:  sc[1][i],
+			Base:  sc[2][i],
+			Disp:  int32(sc[3][i]),
 			Kind:  ControlKind(k & fetchKindMask),
 			First: k&fetchFirstFlag != 0,
 		}
@@ -271,51 +375,17 @@ func (cu *fetchCursors) decodeBlock(dst []FetchEvent, sc *blockScratch) error {
 	return nil
 }
 
-// done reports whether every column was consumed exactly.
-func (cu *fetchCursors) done() bool {
-	return cu.addr.done() && cu.prev.done() && cu.base.done() &&
-		cu.disp.done() && cu.koff == len(cu.kind)
-}
-
-// dataCursors tracks a decode in progress over one sealed data chunk.
-type dataCursors struct {
-	addr, base, disp colCursor
-	meta             []byte
-	moff             int
-}
-
-func (ch *encDataChunk) cursors() dataCursors {
-	return dataCursors{
-		addr: ch.addr.cursor(),
-		base: ch.base.cursor(),
-		disp: ch.disp.cursor(),
-		meta: ch.meta,
-	}
-}
-
-// decodeBlock decodes the next len(dst) events into dst.
-func (cu *dataCursors) decodeBlock(dst []DataEvent, sc *blockScratch) error {
-	m := len(dst)
-	if cu.moff+m > len(cu.meta) {
-		return errColumn
-	}
-	if err := cu.addr.decode(sc.a[:m]); err != nil {
+// datas decodes the next len(dst) events of a data chunk into dst.
+func (cu *chunkCursors) datas(dst []DataEvent, sc *blockScratch) error {
+	meta, err := cu.next(len(dst), sc)
+	if err != nil {
 		return err
 	}
-	if err := cu.base.decode(sc.b[:m]); err != nil {
-		return err
-	}
-	if err := cu.disp.decode(sc.c[:m]); err != nil {
-		return err
-	}
-	meta := cu.meta[cu.moff : cu.moff+m]
-	cu.moff += m
-	for i := 0; i < m; i++ {
-		mt := meta[i]
+	for i, mt := range meta {
 		dst[i] = DataEvent{
-			Addr:  sc.a[i],
-			Base:  sc.b[i],
-			Disp:  int32(sc.c[i]),
+			Addr:  sc[0][i],
+			Base:  sc[1][i],
+			Disp:  int32(sc[2][i]),
 			Size:  mt & dataSizeMask,
 			Store: mt&dataStoreFlag != 0,
 		}
@@ -324,76 +394,40 @@ func (cu *dataCursors) decodeBlock(dst []DataEvent, sc *blockScratch) error {
 }
 
 // done reports whether every column was consumed exactly.
-func (cu *dataCursors) done() bool {
-	return cu.addr.done() && cu.base.done() && cu.disp.done() &&
-		cu.moff == len(cu.meta)
+func (cu *chunkCursors) done() bool {
+	for i := range cu.cols[:cu.ncols] {
+		if !cu.cols[i].done() {
+			return false
+		}
+	}
+	return cu.off == len(cu.bytes)
 }
 
-// decodeFetchChunk expands a sealed chunk back into staging columns — the
-// load path for a partial tail chunk, which must stay appendable.
-func decodeFetchChunk(ch *encFetchChunk, st *fetchChunk) error {
-	n := ch.n
-	cu := fetchCursors{
-		addr: ch.addr.cursor(),
-		prev: ch.prev.cursor(),
-		base: ch.base.cursor(),
-		disp: ch.disp.cursor(),
-		kind: ch.kind,
-	}
-	var tmp [batchLen]uint32
-	for off := 0; off < n; off += batchLen {
-		m := min(batchLen, n-off)
-		if err := cu.addr.decode(st.addr[off : off+m]); err != nil {
+// eachBlock decodes ch into successive blocks of block (batchLen events,
+// reused) and hands each to fn, checking ctx before each block. A payload
+// that fails to decode or is not consumed exactly is errColumn.
+func eachBlock[E FetchEvent | DataEvent](ctx context.Context, ch *encChunk, block []E, sc *blockScratch,
+	fn func([]E) error) error {
+	cu := ch.cursors()
+	for off := 0; off < ch.n; off += batchLen {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := cu.prev.decode(st.prev[off : off+m]); err != nil {
+		blk := block[:min(batchLen, ch.n-off)]
+		var err error
+		switch dst := any(blk).(type) {
+		case []FetchEvent:
+			err = cu.fetches(dst, sc)
+		case []DataEvent:
+			err = cu.datas(dst, sc)
+		}
+		if err != nil {
 			return err
 		}
-		if err := cu.base.decode(st.base[off : off+m]); err != nil {
+		if err := fn(blk); err != nil {
 			return err
-		}
-		if err := cu.disp.decode(tmp[:m]); err != nil {
-			return err
-		}
-		for i := 0; i < m; i++ {
-			st.disp[off+i] = int32(tmp[i])
 		}
 	}
-	copy(st.kind[:n], ch.kind)
-	cu.koff = len(ch.kind)
-	if !cu.done() {
-		return errColumn
-	}
-	return nil
-}
-
-// decodeDataChunk is decodeFetchChunk for the data stream.
-func decodeDataChunk(ch *encDataChunk, st *dataChunk) error {
-	n := ch.n
-	cu := dataCursors{
-		addr: ch.addr.cursor(),
-		base: ch.base.cursor(),
-		disp: ch.disp.cursor(),
-		meta: ch.meta,
-	}
-	var tmp [batchLen]uint32
-	for off := 0; off < n; off += batchLen {
-		m := min(batchLen, n-off)
-		if err := cu.addr.decode(st.addr[off : off+m]); err != nil {
-			return err
-		}
-		if err := cu.base.decode(st.base[off : off+m]); err != nil {
-			return err
-		}
-		if err := cu.disp.decode(tmp[:m]); err != nil {
-			return err
-		}
-		for i := 0; i < m; i++ {
-			st.disp[off+i] = int32(tmp[i])
-		}
-	}
-	copy(st.meta[:n], ch.meta)
-	cu.moff = len(ch.meta)
 	if !cu.done() {
 		return errColumn
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -62,10 +63,16 @@ type recordWriter struct {
 	err  error
 }
 
-func (rw *recordWriter) col(c encCol) {
-	rw.body = append(rw.body, c.flag)
-	rw.body = binary.AppendUvarint(rw.body, uint64(len(c.data)))
-	rw.body = append(rw.body, c.data...)
+// chunk frames one chunk as a record with tag.
+func (rw *recordWriter) chunk(tag byte, ch *encChunk) {
+	rw.body = binary.AppendUvarint(rw.body[:0], uint64(ch.n))
+	for _, c := range ch.cols {
+		rw.body = append(rw.body, c.flag)
+		rw.body = binary.AppendUvarint(rw.body, uint64(len(c.data)))
+		rw.body = append(rw.body, c.data...)
+	}
+	rw.body = append(rw.body, ch.bytes...)
+	rw.emit(tag)
 }
 
 // emit frames the assembled body as one record.
@@ -91,41 +98,24 @@ func (rw *recordWriter) emit(tag byte) {
 	}
 }
 
-func (rw *recordWriter) fetchChunk(ch *encFetchChunk) {
-	rw.body = rw.body[:0]
-	rw.body = binary.AppendUvarint(rw.body, uint64(ch.n))
-	rw.col(ch.addr)
-	rw.col(ch.prev)
-	rw.col(ch.base)
-	rw.col(ch.disp)
-	rw.body = append(rw.body, ch.kind...)
-	rw.emit(recFetch)
-}
-
-func (rw *recordWriter) dataChunk(ch *encDataChunk) {
-	rw.body = rw.body[:0]
-	rw.body = binary.AppendUvarint(rw.body, uint64(ch.n))
-	rw.col(ch.addr)
-	rw.col(ch.base)
-	rw.col(ch.disp)
-	rw.body = append(rw.body, ch.meta...)
-	rw.emit(recData)
-}
-
 func (rw *recordWriter) trailer(nf, nd int, order []uint64) {
 	rw.body = rw.body[:0]
 	rw.body = binary.AppendUvarint(rw.body, uint64(nf))
 	rw.body = binary.AppendUvarint(rw.body, uint64(nd))
-	n := nf + nd
-	for i := 0; i < (n+7)/8; i++ {
-		rw.body = append(rw.body, byte(order[i>>3]>>((i&7)*8)))
+	nb := (nf + nd + 7) / 8
+	for _, w := range order[:nb/8] {
+		rw.body = binary.LittleEndian.AppendUint64(rw.body, w)
+	}
+	if r := nb % 8; r > 0 {
+		l := len(rw.body)
+		rw.body = binary.LittleEndian.AppendUint64(rw.body, order[nb/8])[:l+r]
 	}
 	rw.emit(recEnd)
 }
 
 // WriteTo spills the buffer to w in the WMTRACE2 file format: sealed chunks
-// verbatim (no re-encode), partial tails sealed in place, and the
-// program-order interleaving in the trailer bitmap. It implements
+// verbatim, the open chunks sealed from their encoders without re-encoding,
+// and the program-order interleaving in the trailer bitmap. It implements
 // io.WriterTo.
 func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
@@ -136,28 +126,40 @@ func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
 	rw := &recordWriter{w: bw}
 	// Walk the interleaving emitting each stream's sealed chunks at the
 	// moment the stream's event count crosses a chunk boundary, so the
-	// record order is a pure function of the recorded events.
+	// record order is a pure function of the recorded events. A word of
+	// the bitmap in which neither stream completes a chunk — all but about
+	// one in five hundred — is counted whole.
 	fi, di := 0, 0
-	for i := 0; i < b.n && rw.err == nil; i++ {
-		if b.order[i>>6]&(1<<(i&63)) != 0 {
-			di++
-			if di&chunkMask == 0 {
-				rw.dataChunk(&b.data[(di>>chunkShift)-1])
-			}
-		} else {
-			fi++
-			if fi&chunkMask == 0 {
-				rw.fetchChunk(&b.fetch[(fi>>chunkShift)-1])
+	for wi := 0; wi < len(b.order) && rw.err == nil; wi++ {
+		w := b.order[wi]
+		k := min(64, b.n-64*wi)
+		nd := bits.OnesCount64(w)
+		if di&chunkMask+nd < chunkLen && fi&chunkMask+k-nd < chunkLen {
+			fi += k - nd
+			di += nd
+			continue
+		}
+		for j := 0; j < k; j++ {
+			if w&(1<<j) != 0 {
+				di++
+				if di&chunkMask == 0 {
+					rw.chunk(recData, &b.data[(di>>chunkShift)-1])
+				}
+			} else {
+				fi++
+				if fi&chunkMask == 0 {
+					rw.chunk(recFetch, &b.fetch[(fi>>chunkShift)-1])
+				}
 			}
 		}
 	}
 	if tail := b.nf & chunkMask; tail > 0 && rw.err == nil {
-		ch := sealFetchChunk(b.fstage, tail)
-		rw.fetchChunk(&ch)
+		ch := b.fenc.chunk(tail, fetchCols)
+		rw.chunk(recFetch, &ch)
 	}
 	if tail := b.nd & chunkMask; tail > 0 && rw.err == nil {
-		ch := sealDataChunk(b.dstage, tail)
-		rw.dataChunk(&ch)
+		ch := b.denc.chunk(tail, dataCols)
+		rw.chunk(recData, &ch)
 	}
 	rw.trailer(b.nf, b.nd, b.order)
 	if rw.err != nil {
@@ -249,94 +251,64 @@ func (p *bodyParser) chunkCount() (int, error) {
 	return int(n64), nil
 }
 
-// parseFetchChunk decodes one fetch chunk body. The returned chunk's column
-// slices alias the body.
-func parseFetchChunk(body []byte) (encFetchChunk, error) {
+// parseChunk decodes one chunk body of ncols numeric columns. The returned
+// chunk's columns alias the body.
+func parseChunk(body []byte, ncols int) (encChunk, error) {
 	p := bodyParser{data: body}
 	n, err := p.chunkCount()
 	if err != nil {
-		return encFetchChunk{}, err
+		return encChunk{}, err
 	}
-	ch := encFetchChunk{n: n}
-	if ch.addr, err = p.col(n); err != nil {
-		return encFetchChunk{}, err
+	ch := encChunk{n: n, cols: make([]encCol, ncols)}
+	for i := range ch.cols {
+		if ch.cols[i], err = p.col(n); err != nil {
+			return encChunk{}, err
+		}
 	}
-	if ch.prev, err = p.col(n); err != nil {
-		return encFetchChunk{}, err
-	}
-	if ch.base, err = p.col(n); err != nil {
-		return encFetchChunk{}, err
-	}
-	if ch.disp, err = p.col(n); err != nil {
-		return encFetchChunk{}, err
-	}
-	if ch.kind, err = p.take(n); err != nil {
-		return encFetchChunk{}, err
+	if ch.bytes, err = p.take(n); err != nil {
+		return encChunk{}, err
 	}
 	if !p.done() {
-		return encFetchChunk{}, fmt.Errorf("trace: trailing bytes in fetch chunk")
-	}
-	return ch, nil
-}
-
-// parseDataChunk decodes one data chunk body.
-func parseDataChunk(body []byte) (encDataChunk, error) {
-	p := bodyParser{data: body}
-	n, err := p.chunkCount()
-	if err != nil {
-		return encDataChunk{}, err
-	}
-	ch := encDataChunk{n: n}
-	if ch.addr, err = p.col(n); err != nil {
-		return encDataChunk{}, err
-	}
-	if ch.base, err = p.col(n); err != nil {
-		return encDataChunk{}, err
-	}
-	if ch.disp, err = p.col(n); err != nil {
-		return encDataChunk{}, err
-	}
-	if ch.meta, err = p.take(n); err != nil {
-		return encDataChunk{}, err
-	}
-	if !p.done() {
-		return encDataChunk{}, fmt.Errorf("trace: trailing bytes in data chunk")
+		return encChunk{}, fmt.Errorf("trace: trailing bytes in chunk")
 	}
 	return ch, nil
 }
 
 // adoptFetchChunk appends a parsed chunk to the loading buffer. A full
-// chunk is adopted verbatim; a short chunk must be the stream's last and is
-// decoded back into staging so the buffer stays appendable.
-func (b *Buffer) adoptFetchChunk(ch encFetchChunk) error {
+// chunk is adopted verbatim; a short chunk must be the stream's last and
+// becomes the open chunk, decoded and fed to the encoder, so the buffer
+// stays appendable.
+func (b *Buffer) adoptFetchChunk(ch encChunk) error {
 	if b.nf&chunkMask != 0 {
 		return fmt.Errorf("trace: fetch chunk after the stream's tail chunk")
 	}
 	if ch.n == chunkLen {
 		b.fetch = append(b.fetch, ch)
-	} else {
-		b.fstage = new(fetchChunk)
-		if err := decodeFetchChunk(&ch, b.fstage); err != nil {
-			return fmt.Errorf("trace: fetch tail chunk: %w", err)
-		}
+		b.nf += chunkLen
+		return nil
 	}
-	b.nf += ch.n
+	var sc blockScratch
+	if err := eachBlock(context.Background(), &ch, make([]FetchEvent, batchLen), &sc,
+		func(blk []FetchEvent) error { b.appendFetches(blk); return nil }); err != nil {
+		return fmt.Errorf("trace: fetch tail chunk: %w", err)
+	}
 	return nil
 }
 
-func (b *Buffer) adoptDataChunk(ch encDataChunk) error {
+func (b *Buffer) adoptDataChunk(ch encChunk) error {
 	if b.nd&chunkMask != 0 {
 		return fmt.Errorf("trace: data chunk after the stream's tail chunk")
 	}
 	if ch.n == chunkLen {
 		b.data = append(b.data, ch)
-	} else {
-		b.dstage = new(dataChunk)
-		if err := decodeDataChunk(&ch, b.dstage); err != nil {
-			return fmt.Errorf("trace: data tail chunk: %w", err)
-		}
+		b.nd += chunkLen
+		return nil
 	}
-	b.nd += ch.n
+	var sc blockScratch
+	if err := eachBlock(context.Background(), &ch, make([]DataEvent, batchLen), &sc,
+		func(blk []DataEvent) error { b.appendDatas(blk); return nil }); err != nil {
+		return fmt.Errorf("trace: data tail chunk: %w", err)
+	}
 	return nil
 }
 
@@ -387,7 +359,7 @@ func (b *Buffer) adoptTrailer(body []byte) error {
 // interleaving, so capture → WriteTo → ReadBuffer → Replay is
 // indistinguishable from replaying the original capture. Sealed chunks are
 // adopted verbatim (CRC-checked, no re-encode); a partial tail chunk is
-// decoded back into staging so the buffer stays appendable.
+// loaded into the open chunk's encoder so the buffer stays appendable.
 func ReadBuffer(r io.Reader) (*Buffer, error) {
 	b := new(Buffer)
 	if err := readBuffer(bufio.NewReaderSize(r, 1<<16), b); err != nil {
@@ -430,7 +402,7 @@ func readBuffer(br *bufio.Reader, b *Buffer) error {
 		}
 		switch tag {
 		case recFetch:
-			ch, err := parseFetchChunk(body)
+			ch, err := parseChunk(body, fetchCols)
 			if err != nil {
 				return err
 			}
@@ -438,7 +410,7 @@ func readBuffer(br *bufio.Reader, b *Buffer) error {
 				return err
 			}
 		case recData:
-			ch, err := parseDataChunk(body)
+			ch, err := parseChunk(body, dataCols)
 			if err != nil {
 				return err
 			}

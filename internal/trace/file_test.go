@@ -68,38 +68,43 @@ func buildStream(data []byte) (*Buffer, []FetchEvent, []DataEvent) {
 
 // FuzzVarintColumnRoundTrip drives adversarial address streams through the
 // full encode→spill→load→decode cycle, asserting byte-exact event recovery
-// and a byte-stable re-serialization.
+// and a byte-stable re-serialization. The spill must equal the reference
+// encoder's (encode_ref_test.go), and so must the spill of the same stream
+// appended in blocks whose lengths the fuzzer picks: cut byte c is a block
+// of c+1 events, the list repeating; no cuts is one block per stream.
 func FuzzVarintColumnRoundTrip(f *testing.F) {
 	// Monotonic sequential packets.
 	mono := make([]byte, 5*64)
-	f.Add(mono)
+	f.Add(mono, []byte(nil))
 	// Random bytes (raw-fallback columns).
 	r := rand.New(rand.NewSource(99))
 	rnd := make([]byte, 5*64)
 	r.Read(rnd)
-	f.Add(rnd)
+	f.Add(rnd, []byte(nil))
 	// Alternating-sign deltas.
 	alt := make([]byte, 5*64)
 	for i := 0; i+5 <= len(alt); i += 5 {
 		alt[i] = 2
 		binary.LittleEndian.PutUint32(alt[i+1:], 200)
 	}
-	f.Add(alt)
+	f.Add(alt, []byte(nil))
 	// Max-magnitude jumps bouncing across the address space.
 	jump := make([]byte, 5*64)
 	for i := 0; i+5 <= len(jump); i += 5 {
 		jump[i] = 4
 	}
-	f.Add(jump)
+	f.Add(jump, []byte(nil))
 	// A mixed stream with data events.
 	mix := make([]byte, 5*128)
 	r.Read(mix)
 	for i := 0; i+5 <= len(mix); i += 10 {
 		mix[i] |= 0x40
 	}
-	f.Add(mix)
+	f.Add(mix, []byte{0})
+	f.Add(mix, []byte{6, 200, 31})
+	f.Add(rnd, []byte{255, 254, 1})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		b, wantF, wantD := buildStream(data)
 		var spill bytes.Buffer
 		n, err := b.WriteTo(&spill)
@@ -133,6 +138,31 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(spill.Bytes(), again.Bytes()) {
 			t.Fatal("re-serialization differs")
+		}
+
+		s := script{fs: wantF, ds: wantD, order: make([]bool, b.Len())}
+		for i := range s.order {
+			s.order[i] = b.order[i>>6]&(1<<(i&63)) != 0
+		}
+		ref := s.reference()
+		if !bytes.Equal(spill.Bytes(), ref) {
+			t.Fatal("spill differs from the reference encoder's")
+		}
+		lens := []int{len(s.order) + 1}
+		if len(cuts) > 0 {
+			lens = lens[:0]
+			for _, c := range cuts {
+				lens = append(lens, 1+int(c))
+			}
+		}
+		var blocked Buffer
+		s.blocks(&blocked, lens)
+		var got bytes.Buffer
+		if _, err := blocked.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), ref) {
+			t.Fatalf("blocks cut at %v spill differently from the reference", lens)
 		}
 	})
 }
@@ -267,7 +297,11 @@ func TestWMTRACE2CompressionFloor(t *testing.T) {
 	if v1 := fixedRecordBytes(b.NumFetches(), b.NumDatas()); 2*v2.Len() >= v1 {
 		t.Fatalf("sequential stream: WMTRACE2 %dB vs fixed records %dB — compression < 2x", v2.Len(), v1)
 	}
-	if int64(v2.Len()) > b.EncodedBytes()+4096 {
-		t.Fatalf("spill %dB far exceeds in-memory encoded footprint %dB", v2.Len(), b.EncodedBytes())
+	// Besides the columns, the spill holds the order bitmap (one bit per
+	// event) and the record framing.
+	bitmap := int64(b.Len()+7) / 8
+	if int64(v2.Len()) > b.EncodedBytes()+bitmap+4096 {
+		t.Fatalf("spill %dB far exceeds in-memory encoded footprint %dB plus %dB of order bitmap",
+			v2.Len(), b.EncodedBytes(), bitmap)
 	}
 }

@@ -167,14 +167,6 @@ func (s *Stager) Flush() {
 // The stager records the order bits itself, event by event.
 type captureSink struct{ b *Buffer }
 
-func (c captureSink) OnFetchBatch(evs []FetchEvent) {
-	for i := range evs {
-		c.b.putFetch(&evs[i])
-	}
-}
+func (c captureSink) OnFetchBatch(evs []FetchEvent) { c.b.appendFetches(evs) }
 
-func (c captureSink) OnDataBatch(evs []DataEvent) {
-	for i := range evs {
-		c.b.putData(&evs[i])
-	}
-}
+func (c captureSink) OnDataBatch(evs []DataEvent) { c.b.appendDatas(evs) }

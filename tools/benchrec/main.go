@@ -5,13 +5,17 @@
 //
 // It measures, on the current machine:
 //
-//   - suite_live_ms: one full seven-benchmark suite pass, every technique
+//   - suite_live_ms: a full seven-benchmark suite pass, every technique
 //     attached, live execution (the cost of regenerating Figures 4-8);
 //   - suite_replay_batched_ms: the same pass replayed from a warm trace
 //     cache on the batched fan-out engine — one pass per workload feeding
 //     all eight techniques — plus
 //     fanout_sinks_per_pass (fan-out width) and fanout_events_per_sec
-//     (per-sink event deliveries over the batched pass's wall time);
+//     (per-sink event deliveries over the batched passes' wall time).
+//     Both suite timings are the median of five passes, live and replay
+//     alternated, with their spread (slowest minus fastest pass) in
+//     suite_live_spread_ms and suite_replay_batched_spread_ms: one pass
+//     cannot tell a regression from a noisy neighbour;
 //   - explore_live_ms / explore_shared_ms: a cold multi-geometry
 //     design-space sweep (24 geometries × 2 workloads) with the
 //     execute-once / replay-many engine off and on;
@@ -108,9 +112,14 @@ type record struct {
 	// engine; SinksPerPass and EventsPerSec describe that pass's fan-out
 	// shape and delivery throughput (absent from pre-batching baselines).
 	SuiteReplBatched float64 `json:"suite_replay_batched_ms,omitempty"`
-	SinksPerPass     float64 `json:"fanout_sinks_per_pass,omitempty"`
-	EventsPerSec     float64 `json:"fanout_events_per_sec,omitempty"`
-	Explore          struct {
+	// The spreads are the slowest minus the fastest of the suitePasses
+	// passes whose median SuiteLive and SuiteReplBatched are (absent from
+	// single-pass baselines).
+	SuiteLiveSpread float64 `json:"suite_live_spread_ms,omitempty"`
+	SuiteReplSpread float64 `json:"suite_replay_batched_spread_ms,omitempty"`
+	SinksPerPass    float64 `json:"fanout_sinks_per_pass,omitempty"`
+	EventsPerSec    float64 `json:"fanout_events_per_sec,omitempty"`
+	Explore         struct {
 		Geometries int     `json:"geometries"`
 		Workloads  int     `json:"workloads"`
 		Points     int     `json:"points"`
@@ -303,6 +312,18 @@ func timeIt(name string, f func() error) float64 {
 	return d.Seconds() * 1000
 }
 
+// suitePasses is how many alternated live and replay suite passes the
+// suite timings take their medians over.
+const suitePasses = 5
+
+// medianSpread returns the median of ms and its spread, the largest minus
+// the smallest value.
+func medianSpread(ms []float64) (median, spread float64) {
+	s := append([]float64(nil), ms...)
+	sort.Float64s(s)
+	return s[len(s)/2], s[len(s)-1] - s[0]
+}
+
 // batchedReplayRate is the batched fan-out engine's win: live suite time
 // over warm batched replay time (0 for baselines that predate batching,
 // which the compare gate skips).
@@ -413,26 +434,33 @@ func main() {
 		}
 	}
 
-	r.SuiteLive = timeIt("suite live", func() error {
-		_, err := suite.Run(ctx, suite.WithParallelism(*par))
-		return err
-	})
 	tc := suite.NewTraceCache()
 	if _, err := suite.Run(ctx, suite.WithParallelism(*par), suite.WithTraceCache(tc)); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrec:", err)
 		os.Exit(1)
 	}
 	before := tc.Stats()
-	r.SuiteReplBatched = timeIt("suite replay batched (warm)", func() error {
-		_, err := suite.Run(ctx, suite.WithParallelism(*par), suite.WithTraceCache(tc))
-		return err
-	})
-	// Fan-out shape and delivery throughput of the batched pass alone.
+	var live, replay []float64
+	var replayTotal float64
+	for i := range suitePasses {
+		live = append(live, timeIt(fmt.Sprintf("suite live (pass %d/%d)", i+1, suitePasses), func() error {
+			_, err := suite.Run(ctx, suite.WithParallelism(*par))
+			return err
+		}))
+		replay = append(replay, timeIt(fmt.Sprintf("suite replay batched (warm, pass %d/%d)", i+1, suitePasses), func() error {
+			_, err := suite.Run(ctx, suite.WithParallelism(*par), suite.WithTraceCache(tc))
+			return err
+		}))
+		replayTotal += replay[i]
+	}
+	r.SuiteLive, r.SuiteLiveSpread = medianSpread(live)
+	r.SuiteReplBatched, r.SuiteReplSpread = medianSpread(replay)
+	// Fan-out shape and delivery throughput of the batched passes alone.
 	after := tc.Stats()
 	if passes := after.FanOutPasses - before.FanOutPasses; passes > 0 {
 		r.SinksPerPass = float64(after.FanOutSinks-before.FanOutSinks) / float64(passes)
 		r.EventsPerSec = float64(after.FanOutDeliveries-before.FanOutDeliveries) /
-			(r.SuiteReplBatched / 1000)
+			(replayTotal / 1000)
 	}
 
 	// The same sweep bench_test.go times, so `go test -bench` and the
