@@ -367,31 +367,89 @@ func BenchmarkMABProbe(b *testing.B) {
 	}
 }
 
+// jpegCapture is jpeg_enc's captured trace, which the controller
+// benchmarks replay; captured once per process.
+var jpegCapture = sync.OnceValues(func() (*trace.Buffer, error) {
+	buf := &trace.Buffer{}
+	_, err := workloads.Run(workloads.JPEGEnc(), trace.NewCapture(buf))
+	return buf, err
+})
+
+func getJPEGCapture(b *testing.B) *trace.Buffer {
+	b.Helper()
+	buf, err := jpegCapture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return buf
+}
+
+// replayBlocks hands deliver b.N events of evs in blocks of at most 4096,
+// as replay and live delivery do, starting over at the end of evs.
+func replayBlocks[E any](b *testing.B, evs []E, deliver func([]E)) {
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		for lo := 0; lo < len(evs) && i < b.N; {
+			n := min(4096, len(evs)-lo, b.N-i)
+			deliver(evs[lo : lo+n])
+			lo, i = lo+n, i+n
+		}
+	}
+}
+
 // BenchmarkDController measures one way-memoized D-cache access end to
-// end, delivered in 4096-event blocks as replay and live delivery do: with
-// one MAB lane (the paper's 2x8), and with the four lanes a geo-sweep
-// grid point carries (2 x {4, 8, 16, 32}) sharing one cache, so the cost
-// of each further lane shows.
+// end, with one MAB lane (the paper's 2x8) and with the four lanes a
+// geo-sweep grid point carries (2 x {4, 8, 16, 32}) sharing one cache, so
+// the cost of each further lane shows. The synthetic leg walks 1024 bases
+// 4 bytes apart, so every 8th access claims a new set index: the worst
+// case for the lanes' depth crossings. The paper leg replays jpeg_enc's
+// captured data stream.
 func BenchmarkDController(b *testing.B) {
 	evs := make([]trace.DataEvent, 4096)
 	for i := range evs {
 		base := uint32(0x100000 + (i&1023)*4)
 		evs[i] = trace.DataEvent{Addr: base + 8, Base: base, Disp: 8, Size: 4}
 	}
-	for _, bc := range []struct {
+	lanes := []struct {
 		name string
 		mabs []core.Config
 	}{
 		{"lanes=1", []core.Config{core.DefaultD}},
 		{"lanes=4", []core.Config{{TagEntries: 2, SetEntries: 4}, {TagEntries: 2, SetEntries: 8},
 			{TagEntries: 2, SetEntries: 16}, {TagEntries: 2, SetEntries: 32}}},
-	} {
+	}
+	for _, bc := range lanes {
 		b.Run(bc.name, func(b *testing.B) {
 			d := core.NewDLanes(cache.FRV32K, bc.mabs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += len(evs) {
-				d.OnDataBatch(evs[:min(len(evs), b.N-i)])
-			}
+			replayBlocks(b, evs, d.OnDataBatch)
+		})
+	}
+	for _, bc := range lanes {
+		b.Run("paper/"+bc.name, func(b *testing.B) {
+			datas := getJPEGCapture(b).Datas()
+			d := core.NewDLanes(cache.FRV32K, bc.mabs)
+			replayBlocks(b, datas, d.OnDataBatch)
+		})
+	}
+}
+
+// BenchmarkIController measures one way-memoized I-cache fetch end to end
+// over jpeg_enc's captured fetch stream, delivered in 4096-event blocks:
+// with one MAB lane (the paper's 2x16), and with the three lanes
+// (2 x {8, 16, 32}) every paper-live benchmark's I side carries.
+func BenchmarkIController(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		mabs []core.Config
+	}{
+		{"lanes=1", []core.Config{core.DefaultI}},
+		{"lanes=3", []core.Config{{TagEntries: 2, SetEntries: 8}, {TagEntries: 2, SetEntries: 16},
+			{TagEntries: 2, SetEntries: 32}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			fetches := getJPEGCapture(b).Fetches()
+			ic := core.NewILanes(cache.FRV32K, bc.mabs)
+			replayBlocks(b, fetches, ic.OnFetchBatch)
 		})
 	}
 }

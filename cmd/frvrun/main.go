@@ -98,12 +98,12 @@ func main() {
 	arr := suite.ArrayModel(geo)
 	addRow("D", "original", dMAB.Baseline, arr)
 	dm := arr
-	dm.MAB = dMAB.MAB.Characterize()
+	dm.MAB = dcfg.Characterize()
 	addRow("D", "mab-"+dcfg.String(), dMAB.Stats, dm)
 	addRow("I", "original", iMAB.Baseline, arr)
 	addRow("I", "approach[4]", iA4, arr)
 	im := arr
-	im.MAB = iMAB.MAB.Characterize()
+	im.MAB = icfg.Characterize()
 	addRow("I", "mab-"+icfg.String(), iMAB.Stats, im)
 	t.Render(os.Stdout)
 

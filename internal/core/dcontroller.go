@@ -22,9 +22,8 @@ import (
 // (ObserveSetBuffer).
 type DController struct {
 	Cache *cache.Cache
-	// MAB and Stats are the first lane's: for a controller built by
+	// Stats is the first lane's: for a controller built by
 	// NewDController, the whole technique.
-	MAB   *MAB
 	Stats *stats.Counters
 	// Baseline holds the counters of a conventional access to every event
 	// (baseline.OriginalD's), kept up to date like the lanes'.
@@ -55,7 +54,7 @@ func NewDController(geo cache.Config, mcfg Config) *DController {
 func NewDLanes(geo cache.Config, mcfgs []Config) *DController {
 	d := &DController{Baseline: &stats.Counters{}, ls: newLaneSet(geo, mcfgs), ways: uint64(geo.Ways)}
 	d.Cache, d.Lanes = d.ls.cache, d.ls.lanes
-	d.MAB, d.Stats = d.Lanes[0].MAB, d.Lanes[0].Stats
+	d.Stats = d.Lanes[0].Stats
 	return d
 }
 
@@ -105,6 +104,7 @@ func (d *DController) OnData(ev trace.DataEvent) {
 // and one way.
 func (d *DController) sync() {
 	n, ways := &d.ls.n, d.ways
+	d.ls.fold()
 	loads := n.accesses - n.stores
 	b := d.Baseline
 	n.outcome(b)

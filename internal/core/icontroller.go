@@ -29,9 +29,8 @@ import (
 // the controller can derive as well (ObserveApproach4).
 type IController struct {
 	Cache *cache.Cache
-	// MAB and Stats are the first lane's: for a controller built by
+	// Stats is the first lane's: for a controller built by
 	// NewIController, the whole technique.
-	MAB   *MAB
 	Stats *stats.Counters
 	// Baseline holds the counters of a conventional fetch of every packet
 	// (baseline.OriginalI's), kept up to date like the lanes'.
@@ -70,7 +69,7 @@ func NewILanes(geo cache.Config, mcfgs []Config) *IController {
 		lineBytes: uint32(geo.LineBytes),
 	}
 	ic.Cache, ic.Lanes = ic.ls.cache, ic.ls.lanes
-	ic.MAB, ic.Stats = ic.Lanes[0].MAB, ic.Lanes[0].Stats
+	ic.Stats = ic.Lanes[0].Stats
 	return ic
 }
 
@@ -132,6 +131,7 @@ func (ic *IController) OnFetch(ev trace.FetchEvent) {
 // and one way.
 func (ic *IController) sync() {
 	n, ways := &ic.ls.n, ic.ways
+	ic.ls.fold()
 	b := ic.Baseline
 	n.outcome(b)
 	b.Flow = n.flow

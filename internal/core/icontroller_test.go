@@ -57,7 +57,7 @@ func TestIInterLineSequentialUsesMAB(t *testing.T) {
 	if s.Violations != 0 {
 		t.Fatalf("violations: %d", s.Violations)
 	}
-	if bad := ic.MAB.CheckInvariant(ic.Cache); bad != 0 {
+	if bad := ic.Lanes[0].CheckInvariant(ic.Cache); bad != 0 {
 		t.Fatalf("invariant: %d", bad)
 	}
 }

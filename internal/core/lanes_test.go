@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"waymemo/internal/baseline"
@@ -192,26 +194,38 @@ type laneCase struct {
 
 func (lc laneCase) String() string { return fmt.Sprintf("%+v %v", lc.geo, lc.cfgs) }
 
-// randomLaneCase draws a small, conflict-heavy geometry and 1-8 lanes of
-// mixed policy and clearing mode. PolicyPaper lanes often get as many tag
-// entries as the cache has ways, the sizing that admits violations.
+// randomLaneCase draws a small, conflict-heavy geometry and 1-8 lanes.
+// Half the draws mix policies and clearing modes, so most lanes stand
+// alone; the other half draw every lane from one (Nt, policy, clearing
+// mode), so they share one group and differ only in Ns, duplicates
+// allowed. PolicyPaper lanes often get as many tag entries as the cache
+// has ways, the sizing that admits violations.
 func randomLaneCase(r *rand.Rand) laneCase {
 	geo := cache.Config{
 		Sets:      1 << r.Intn(7),
 		Ways:      1 << r.Intn(4),
 		LineBytes: 16 << r.Intn(3),
 	}
-	cfgs := make([]Config, 1+r.Intn(8))
-	for k := range cfgs {
+	draw := func() Config {
 		c := Config{
 			TagEntries:  1 + r.Intn(4),
-			SetEntries:  []int{1, 2, 3, 4, 8, 16}[r.Intn(6)],
 			Consistency: Policy(r.Intn(2)),
 			Clear:       ClearMode(r.Intn(4)),
 		}
 		if c.Consistency == PolicyPaper && geo.Ways <= 4 && r.Intn(2) == 0 {
 			c.TagEntries = geo.Ways
 		}
+		return c
+	}
+	grouped := r.Intn(2) == 0
+	one := draw()
+	cfgs := make([]Config, 1+r.Intn(8))
+	for k := range cfgs {
+		c := one
+		if !grouped {
+			c = draw()
+		}
+		c.SetEntries = []int{1, 2, 3, 4, 8, 16}[r.Intn(6)]
 		cfgs[k] = c
 	}
 	return laneCase{geo, cfgs}
@@ -314,10 +328,10 @@ func checkLanes(t *testing.T, what string, base, got *stats.Counters, wantBase *
 	for k := range lanes {
 		if *lanes[k].Stats != *refStats[k] {
 			t.Fatalf("%s: lane %d (%v) counters\n got  %+v\n want %+v",
-				what, k, lanes[k].MAB.Config(), *lanes[k].Stats, *refStats[k])
+				what, k, lanes[k].Config(), *lanes[k].Stats, *refStats[k])
 		}
-		if lanes[k].evict {
-			if bad := lanes[k].MAB.CheckInvariant(c); bad != 0 {
+		if lanes[k].cfg.Consistency == PolicyEvictInvalidate {
+			if bad := lanes[k].CheckInvariant(c); bad != 0 {
 				t.Fatalf("%s: lane %d: %d pairs violate MAB ⊆ cache", what, k, bad)
 			}
 		}
@@ -438,18 +452,25 @@ func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, c
 // violations. Every evict-invalidate lane keeps MAB ⊆ cache throughout.
 // On every other seed the set buffer and approach [4] observe the
 // controllers and must match their standalone controllers.
+//
+// The seeds must also exercise the shared path of lanes grouped by (Nt,
+// policy, clearing mode): a group of at least three lanes, a PolicyPaper
+// group with violations, and a group whose set-index list was full when a
+// new set index reclaimed its least recent slot.
 func TestLanesMatchReferenceRandom(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
-		seeds = 8
+		seeds = 24
 	}
 	var violations, bypasses uint64
+	var wide, paperViolations, reclaims int
 	for seed := 0; seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		lc := randomLaneCase(r)
 		const n = 6000
 		observe := seed%2 == 0
-		d := runDLanes(t, fmt.Sprintf("seed %d D %v", seed, lc), lc, randomDataStream(r, lc.geo, n), blocks(r, n), observe)
+		devs := randomDataStream(r, lc.geo, n)
+		d := runDLanes(t, fmt.Sprintf("seed %d D %v", seed, lc), lc, devs, blocks(r, n), observe)
 		ic := runILanes(t, fmt.Sprintf("seed %d I %v", seed, lc), lc, randomFetchStream(r, lc.geo, n), blocks(r, n), observe)
 		for _, s := range []*stats.Counters{d.Stats, ic.Stats} {
 			bypasses += s.MABBypasses
@@ -457,22 +478,66 @@ func TestLanesMatchReferenceRandom(t *testing.T) {
 		for k := range lc.cfgs {
 			violations += d.Lanes[k].Stats.Violations + ic.Lanes[k].Stats.Violations
 		}
+		sets := probedSets(lc.geo, devs)
+		for _, ls := range []*laneSet{&d.ls, &ic.ls} {
+			for k := range ls.stacks {
+				st := &ls.stacks[k]
+				if len(st.lanes) >= 3 {
+					wide++
+				}
+				if st.m.cfg.Consistency == PolicyPaper {
+					for _, h := range st.hist {
+						if h.violations > 0 {
+							paperViolations++
+							break
+						}
+					}
+				}
+				if ls == &d.ls && sets > st.m.cfg.SetEntries {
+					reclaims++
+				}
+			}
+		}
 	}
 	if violations == 0 || bypasses == 0 {
 		t.Fatalf("streams exercised %d violations and %d bypasses; want both > 0", violations, bypasses)
 	}
+	t.Logf("groups: %d of three or more lanes, %d PolicyPaper ones with violations, %d reclaiming from a full list",
+		wide, paperViolations, reclaims)
+	if wide == 0 || paperViolations == 0 || reclaims == 0 {
+		t.Fatalf("groups: %d of three or more lanes, %d PolicyPaper ones with violations, %d reclaiming from a full list; want all > 0",
+			wide, paperViolations, reclaims)
+	}
+}
+
+// probedSets counts the distinct set indices the adder makes of the
+// in-range accesses of evs: more than a group's deepest lane holds means
+// its set-index list was full when a new one arrived.
+func probedSets(geo cache.Config, evs []trace.DataEvent) int {
+	a := newAdder(geo)
+	seen := map[uint32]bool{}
+	for _, ev := range evs {
+		if a.inRange(ev.Disp) {
+			_, set := a.key(ev.Base, ev.Disp)
+			seen[set] = true
+		}
+	}
+	return len(seen)
 }
 
 // TestLanesMatchReferencePaperCaptures runs the same contract over the
 // seven benchmarks' captured streams at three geometries, with lanes
-// covering both policies and every clearing mode, and both observers.
+// covering both policies and every clearing mode, alone and in groups of
+// two and three, and both observers.
 func TestLanesMatchReferencePaperCaptures(t *testing.T) {
 	geos := []cache.Config{cache.FRV32K, {Sets: 64, Ways: 4, LineBytes: 16}, {Sets: 16, Ways: 1, LineBytes: 64}}
 	cfgs := []Config{
 		DefaultD,
 		{TagEntries: 2, SetEntries: 16},
+		{TagEntries: 2, SetEntries: 32},
 		{TagEntries: 1, SetEntries: 4, Clear: ClearAll},
 		{TagEntries: 2, SetEntries: 8, Consistency: PolicyPaper},
+		{TagEntries: 2, SetEntries: 4, Consistency: PolicyPaper},
 		{TagEntries: 2, SetEntries: 8, Consistency: PolicyPaper, Clear: ClearLRURow},
 		{TagEntries: 4, SetEntries: 2, Consistency: PolicyPaper, Clear: ClearNone},
 	}
@@ -504,4 +569,44 @@ func bigBlocks(r *rand.Rand, n int) [][2]int {
 		lo = hi
 	}
 	return out
+}
+
+// TestStateBytesBoundsAllocation holds StateBytes to what it claims: the
+// bytes NewDLanes and NewILanes allocate, as runtime.MemStats.TotalAlloc
+// counts them, are at most StateBytes, for random geometries up to 2^14
+// sets and random lane lists, lanes alone and in groups. TotalAlloc also
+// counts what the runtime and the test framework allocate meanwhile,
+// which can only add, so each constructor's figure is the least of three
+// builds.
+func TestStateBytesBoundsAllocation(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var keep any
+	build := []func(geo cache.Config, cfgs []Config){
+		func(geo cache.Config, cfgs []Config) { keep = NewDLanes(geo, cfgs) },
+		func(geo cache.Config, cfgs []Config) { keep = NewILanes(geo, cfgs) },
+	}
+	for i := range 200 {
+		lc := randomLaneCase(r)
+		lc.geo = cache.Config{Sets: 1 << r.Intn(15), Ways: 1 << r.Intn(5), LineBytes: 16 << r.Intn(3)}
+		if i%4 == 0 {
+			for k := range lc.cfgs {
+				lc.cfgs[k].SetEntries = 1 + r.Intn(64)
+			}
+		}
+		want := StateBytes(lc.geo, lc.cfgs)
+		for side, f := range build {
+			got := uint64(math.MaxUint64)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				f(lc.geo, lc.cfgs)
+				runtime.ReadMemStats(&after)
+				got = min(got, after.TotalAlloc-before.TotalAlloc)
+			}
+			if got > uint64(want) {
+				t.Fatalf("%v side %d: allocated %d bytes, StateBytes %d", lc, side, got, want)
+			}
+		}
+	}
+	runtime.KeepAlive(keep)
 }

@@ -113,8 +113,8 @@ func (d *DLineBufferController) mabAccess(ev *trace.DataEvent) int {
 			}
 			return mabWay
 		}
+		// A violation: the update below overwrites the stale pair.
 		s.Violations++
-		d.MAB.Invalidate(ev.Base, ev.Disp)
 	}
 	s.MABMisses++
 	way := d.fullAccess(ev)

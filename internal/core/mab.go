@@ -126,6 +126,12 @@ func (c Config) clearMode() ClearMode {
 	return ClearNone
 }
 
+// Characterize returns the circuit model (area, delay, active/sleep power)
+// of a MAB of this configuration, per Tables 1-3 of the paper.
+func (c Config) Characterize() synth.Result {
+	return synth.Characterize(c.TagEntries, c.SetEntries)
+}
+
 // String names the configuration like the paper ("2x8").
 func (c Config) String() string {
 	return fmt.Sprintf("%dx%d", c.TagEntries, c.SetEntries)
@@ -256,12 +262,6 @@ func New(cfg Config, geo cache.Config) *MAB {
 // Config returns the MAB configuration.
 func (m *MAB) Config() Config { return m.cfg }
 
-// Characterize returns the circuit model (area, delay, active/sleep power)
-// of this MAB's configuration, per Tables 1-3 of the paper.
-func (m *MAB) Characterize() synth.Result {
-	return synth.Characterize(m.cfg.TagEntries, m.cfg.SetEntries)
-}
-
 // InRange reports whether disp fits the low adder: its upper bits must be
 // all zeros or all ones (|disp| < 2^lowBits), the paper's §3.3 condition.
 func (m *MAB) InRange(disp int32) bool { return m.inRange(disp) }
@@ -373,18 +373,12 @@ func (m *MAB) updateKey(word uint64, setIdx uint32, way int) {
 	m.pairs[i*m.cfg.SetEntries+j] = pair{born: m.stamp, way: int32(way)}
 }
 
-// Invalidate clears the pair denoting (base, disp) if present. Used when a
-// verified MAB hit turns out stale under PolicyPaper.
+// Invalidate clears the pair denoting (base, disp) if present.
 func (m *MAB) Invalidate(base uint32, disp int32) {
 	if !m.InRange(disp) {
 		return
 	}
-	m.invalidateKey(m.key(base, disp))
-}
-
-// invalidateKey is Invalidate on a key the caller computed for an in-range
-// access.
-func (m *MAB) invalidateKey(word uint64, setIdx uint32) {
+	word, setIdx := m.key(base, disp)
 	if i, j := m.findTag(word), int(m.setSlot[setIdx]); i >= 0 && j >= 0 {
 		m.pairs[i*m.cfg.SetEntries+j].born = 0
 	}
@@ -433,12 +427,18 @@ func (m *MAB) ValidPairs() int {
 func (m *MAB) CheckInvariant(c *cache.Cache) int {
 	bad := 0
 	m.eachValid(func(i, j int, p *pair) {
-		tag, valid := c.TagAt(m.setIdx[j], int(p.way))
-		if !valid || tag != m.tagTrue[i] {
+		if m.stale(c, i, j, p) {
 			bad++
 		}
 	})
 	return bad
+}
+
+// stale reports whether pair p of tag slot i and set slot j denotes a line
+// that is not resident at its memoized way.
+func (m *MAB) stale(c *cache.Cache, i, j int, p *pair) bool {
+	tag, valid := c.TagAt(m.setIdx[j], int(p.way))
+	return !valid || tag != m.tagTrue[i]
 }
 
 // eachValid calls f for every valid pair.

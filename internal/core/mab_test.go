@@ -226,7 +226,7 @@ func TestPaperPolicyViolationScenario(t *testing.T) {
 		send(2, 7) // set 7 = {1,2}, line 1 LRU; MAB rows {1,2}
 		send(1, 9) // row 1 refreshed (other set); set 7 LRU order unchanged
 		send(3, 7) // evicts line (1,7); MAB replaces LRU row 2
-		return d, d.MAB.CheckInvariant(d.Cache)
+		return d, d.Lanes[0].CheckInvariant(d.Cache)
 	}
 	if _, bad := run(PolicyPaper); bad == 0 {
 		t.Fatal("expected an invariant violation under the paper policy")
@@ -274,7 +274,7 @@ func TestInvariantUnderRandomStream(t *testing.T) {
 			plain.Fill(addr)
 		}
 		if i%1000 == 0 {
-			if bad := d.MAB.CheckInvariant(d.Cache); bad != 0 {
+			if bad := d.Lanes[0].CheckInvariant(d.Cache); bad != 0 {
 				t.Fatalf("invariant violated at access %d: %d pairs", i, bad)
 			}
 		}
@@ -327,7 +327,7 @@ func TestWideAssociativityWays(t *testing.T) {
 	if d.Stats.Violations != 0 {
 		t.Fatalf("violations = %d, want 0 under PolicyEvictInvalidate", d.Stats.Violations)
 	}
-	if bad := d.MAB.CheckInvariant(d.Cache); bad != 0 {
+	if bad := d.Lanes[0].CheckInvariant(d.Cache); bad != 0 {
 		t.Fatalf("CheckInvariant = %d pairs, want 0", bad)
 	}
 }

@@ -195,18 +195,18 @@ func upTo(n int) []int {
 }
 
 // TestSpaceNormalizeStateBudget: every MAB size is within core.MaxPairs on
-// its own, but 64 x 64 of them over a 2^20-set cache would allocate a 4 MiB
-// reverse map each, 16 GiB per grid point. Normalize must refuse the
-// space by its per-point controller state, and accept the largest cache
-// with the paper's MAB grid.
+// its own, but 64 x 64 of them over a 2^20-set cache make 64 lane groups,
+// one per tag width, each with a 4 MiB reverse map: 256 MiB per grid
+// point. Normalize must refuse the space by its per-point controller
+// state, and accept the largest cache with the paper's MAB grid.
 func TestSpaceNormalizeStateBudget(t *testing.T) {
 	huge := Space{Domain: suite.Data, Sets: []int{1 << 20}, Ways: []int{1}, LineBytes: []int{1},
 		TagEntries: upTo(64), SetEntries: upTo(64), Workloads: []workloads.Workload{tinyWorkload("tiny")}}
-	if b := core.StateBytes(huge.Geometries()[0], huge.MABs()); b < 16<<30 {
-		t.Fatalf("StateBytes = %d, want at least 16 GiB", b)
+	if b := core.StateBytes(huge.Geometries()[0], huge.MABs()); b < 256<<20 {
+		t.Fatalf("StateBytes = %d, want at least 256 MiB", b)
 	}
 	if _, err := huge.Normalize(); err == nil {
-		t.Fatal("Normalize accepted 16 GiB of controller state per point")
+		t.Fatal("Normalize accepted 256 MiB of controller state per point")
 	}
 	for _, geo := range [][3]int{{1 << 20, 1, 4}, {1024, 1024, 32}} {
 		sp := Space{Domain: suite.Data, Sets: []int{geo[0]}, Ways: []int{geo[1]}, LineBytes: []int{geo[2]},
@@ -218,6 +218,25 @@ func TestSpaceNormalizeStateBudget(t *testing.T) {
 		if b := core.StateBytes(n.Geometries()[0], n.MABs()); b > core.MaxStateBytes {
 			t.Fatalf("%v: accepted %d bytes, over the budget", geo, b)
 		}
+	}
+}
+
+// TestSpaceNormalizePricesLanesOnce: 2000 MAB sizes of one tag width form
+// one lane group of 2000 depth levels, about 32 MiB of controller state,
+// within the budget, and MaxPoints geometries each need a price. Normalize
+// plans the lanes once and prices every geometry in constant time; planning
+// them again per geometry, with a per-lane scan of the group's depths, took
+// 134 s on a 2-vCPU machine. The bound is loose: the test guards the
+// complexity, not the speed.
+func TestSpaceNormalizePricesLanesOnce(t *testing.T) {
+	sp := Space{Domain: suite.Data, Sets: []int{1}, Ways: upTo(MaxPoints), LineBytes: []int{32},
+		TagEntries: []int{1}, SetEntries: upTo(2000), Workloads: []workloads.Workload{tinyWorkload("tiny")}}
+	start := time.Now()
+	if _, err := sp.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Normalize took %v for %d geometries x %d MAB sizes", d, MaxPoints, 2000)
 	}
 }
 

@@ -211,8 +211,9 @@ func (s Space) Normalize() (Space, error) {
 		}
 	}
 	mabs := s.MABs()
+	price := core.PriceState(mabs)
 	for _, geo := range geos {
-		if b := core.StateBytes(geo, mabs); b > core.MaxStateBytes {
+		if b := price.Bytes(geo); b > core.MaxStateBytes {
 			return s, fmt.Errorf("explore: %d sets x %d ways with %d MAB sizes needs %d MiB of controller state per point, over %d MiB",
 				geo.Sets, geo.Ways, len(mabs), b>>20, core.MaxStateBytes>>20)
 		}

@@ -18,7 +18,9 @@
 //     cannot tell a regression from a noisy neighbour;
 //   - explore_live_ms / explore_shared_ms: a cold multi-geometry
 //     design-space sweep (24 geometries × 2 workloads) with the
-//     execute-once / replay-many engine off and on;
+//     execute-once / replay-many engine off and on, each the median of
+//     five passes, live and shared alternated, with their spreads in
+//     explore_live_spread_ms and explore_shared_spread_ms;
 //   - explore_speedup: live / shared, the engine's headline win;
 //   - serve_dedup_rate / serve_warm_query_ms: the service layer under the
 //     standard load harness (internal/serve/load) against an in-process
@@ -126,6 +128,10 @@ type record struct {
 		LiveMS     float64 `json:"explore_live_ms"`
 		SharedMS   float64 `json:"explore_shared_ms"`
 		Speedup    float64 `json:"explore_speedup"`
+		// The spreads of the suitePasses passes whose medians LiveMS and
+		// SharedMS are (absent from single-pass baselines).
+		LiveSpread   float64 `json:"explore_live_spread_ms,omitempty"`
+		SharedSpread float64 `json:"explore_shared_spread_ms,omitempty"`
 	} `json:"explore_sweep_cold"`
 	// Serve is the service layer's load figure (nil in pre-serve
 	// baselines): the standard load harness against an in-process daemon.
@@ -312,8 +318,8 @@ func timeIt(name string, f func() error) float64 {
 	return d.Seconds() * 1000
 }
 
-// suitePasses is how many alternated live and replay suite passes the
-// suite timings take their medians over.
+// suitePasses is how many alternated passes the suite and explore
+// timings take their medians over.
 const suitePasses = 5
 
 // medianSpread returns the median of ms and its spread, the largest minus
@@ -469,15 +475,20 @@ func main() {
 	r.Explore.Geometries = len(s.Geometries())
 	r.Explore.Workloads = len(s.Workloads)
 	r.Explore.Points = s.NumPoints()
-	r.Explore.LiveMS = timeIt("explore sweep live", func() error {
-		_, err := explore.Run(ctx, s, explore.WithParallelism(*par),
-			explore.WithTraceSharing(false))
-		return err
-	})
-	r.Explore.SharedMS = timeIt("explore sweep shared", func() error {
-		_, err := explore.Run(ctx, s, explore.WithParallelism(*par))
-		return err
-	})
+	var exLive, exShared []float64
+	for i := range suitePasses {
+		exLive = append(exLive, timeIt(fmt.Sprintf("explore sweep live (pass %d/%d)", i+1, suitePasses), func() error {
+			_, err := explore.Run(ctx, s, explore.WithParallelism(*par),
+				explore.WithTraceSharing(false))
+			return err
+		}))
+		exShared = append(exShared, timeIt(fmt.Sprintf("explore sweep shared (pass %d/%d)", i+1, suitePasses), func() error {
+			_, err := explore.Run(ctx, s, explore.WithParallelism(*par))
+			return err
+		}))
+	}
+	r.Explore.LiveMS, r.Explore.LiveSpread = medianSpread(exLive)
+	r.Explore.SharedMS, r.Explore.SharedSpread = medianSpread(exShared)
 	r.Explore.Speedup = r.Explore.LiveMS / r.Explore.SharedMS
 
 	// Trace columns: both spill encodings of the already-warm captures.
