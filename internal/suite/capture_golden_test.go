@@ -3,6 +3,7 @@ package suite
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -12,20 +13,58 @@ import (
 	"testing"
 
 	"waymemo/internal/synth"
+	"waymemo/internal/trace"
 	"waymemo/internal/workloads"
 )
 
 var updateCaptures = flag.Bool("update-captures", false, "rewrite testdata/capture_digests.json from the current simulator")
 
-// captureDigest pins one capture: the SHA-256 of its WMTRACE2 spill bytes
-// (which cover both event streams and their program-order interleaving)
-// and the execution's cycle and instruction counts.
+// captureDigest pins one capture: the SHA-256 of its two event streams,
+// each event as fixed-width fields (streamDigest), the length of each
+// stream, and the execution's cycle and instruction counts. It pins the
+// events, not a file format, so a change to the spill encoding leaves it
+// unchanged.
 type captureDigest struct {
 	Workload    string `json:"workload"`
 	PacketBytes uint32 `json:"packet_bytes"`
 	SHA256      string `json:"sha256"`
+	Fetches     int    `json:"fetches"`
+	Datas       int    `json:"datas"`
 	Cycles      uint64 `json:"cycles"`
 	Instrs      uint64 `json:"instrs"`
+}
+
+// streamDigest hashes b's fetch stream and then its data stream, each
+// event as little-endian fixed-width fields: a fetch as addr, prev, base,
+// disp (4 bytes each), kind and first (1 byte each); a data access as
+// addr, base, disp, size and store.
+func streamDigest(b *trace.Buffer) string {
+	h := sha256.New()
+	le := binary.LittleEndian
+	var rec []byte
+	for _, ev := range b.Fetches() {
+		rec = le.AppendUint32(rec[:0], ev.Addr)
+		rec = le.AppendUint32(rec, ev.Prev)
+		rec = le.AppendUint32(rec, ev.Base)
+		rec = le.AppendUint32(rec, uint32(ev.Disp))
+		rec = append(rec, byte(ev.Kind), boolByte(ev.First))
+		h.Write(rec)
+	}
+	for _, ev := range b.Datas() {
+		rec = le.AppendUint32(rec[:0], ev.Addr)
+		rec = le.AppendUint32(rec, ev.Base)
+		rec = le.AppendUint32(rec, uint32(ev.Disp))
+		rec = append(rec, ev.Size, boolByte(ev.Store))
+		h.Write(rec)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // captureGoldenCases is every workload and fetch-packet size the digests
@@ -67,9 +106,8 @@ func captureGoldenCases(t *testing.T) []struct {
 
 // TestCaptureDigests pins every capture in captureGoldenCases bit for bit:
 // a change to either simulator, to the fetch-packet protocol or to the
-// capture path that moves a single event, its stream order or the
-// interleaving of the two streams changes a digest. -short keeps only the
-// default packet size.
+// capture path that moves a single event or its order within its stream
+// changes a digest. -short keeps only the default packet size.
 func TestCaptureDigests(t *testing.T) {
 	path := filepath.Join("testdata", "capture_digests.json")
 	want := map[string]captureDigest{}
@@ -96,12 +134,8 @@ func TestCaptureDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s@%d: %v", c.w.Name, c.packet, err)
 		}
-		h := sha256.New()
-		if _, err := cp.Buf.WriteTo(h); err != nil {
-			t.Fatal(err)
-		}
-		d := captureDigest{Workload: c.w.Name, PacketBytes: c.packet,
-			SHA256: hex.EncodeToString(h.Sum(nil)), Cycles: cp.Cycles, Instrs: cp.Instrs}
+		d := captureDigest{Workload: c.w.Name, PacketBytes: c.packet, SHA256: streamDigest(cp.Buf),
+			Fetches: cp.Buf.NumFetches(), Datas: cp.Buf.NumDatas(), Cycles: cp.Cycles, Instrs: cp.Instrs}
 		got = append(got, d)
 		if *updateCaptures {
 			continue
