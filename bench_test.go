@@ -278,7 +278,7 @@ func BenchmarkTraceFanOutRate(b *testing.B) {
 	b.ReportMetric(float64(buf.Len()*sinks*b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkTraceColumnCodec measures the WMTRACE2 column codec end to end:
+// BenchmarkTraceColumnCodec measures the WMTRACE3 column codec end to end:
 // serializing a real capture's sealed delta/varint chunks and parsing them
 // back into an adopted buffer. Reported metrics: spill bytes per event
 // (the compression the format buys on the paper's access mix) and encode

@@ -37,7 +37,7 @@ func runExplore(args []string) {
 	wl := fs.String("workloads", "", "comma-separated benchmark names and/or synthetic specs (default: all seven benchmarks)")
 	packet := fs.Uint("packet", 0, "fetch-packet bytes (0 = the 8-byte VLIW packet)")
 	cacheDir := fs.String("cache-dir", "", "memoize grid points in this directory (reruns skip simulated points)")
-	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE2); reruns replay instead of simulating")
+	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE3); reruns replay instead of simulating")
 	noShare := fs.Bool("no-trace-share", false, "execute every grid point live instead of replaying shared traces")
 	par := fs.Int("j", 0, "grid points to simulate concurrently (0 = GOMAXPROCS)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")

@@ -125,7 +125,7 @@ func WithTraceSharing(on bool) Option {
 	return func(o *options) error { o.noTraceShare = !on; return nil }
 }
 
-// WithTraceDir additionally spills captured traces to dir as WMTRACE2 files
+// WithTraceDir additionally spills captured traces to dir as WMTRACE3 files
 // (created if needed), so a later sweep in a fresh process reloads them
 // instead of executing at all. An empty dir is an error.
 func WithTraceDir(dir string) Option {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -185,7 +186,7 @@ func TestStoreTraceEviction(t *testing.T) {
 }
 
 // TestStoreMixedFormatTraceEviction: the store's byte budget counts real
-// spill pairs — an hour-old WMTRACE2 pair next to a fresh one, both with
+// spill pairs — an hour-old WMTRACE3 pair next to a fresh one, both with
 // full sidecars, evicts by age, and the surviving pair still decodes.
 func TestStoreMixedFormatTraceEviction(t *testing.T) {
 	var buf trace.Buffer
@@ -256,12 +257,12 @@ func TestStoreMixedFormatTraceEviction(t *testing.T) {
 	}
 	f, err := os.Open(filepath.Join(st.TraceDir(), "current.wmtrace"))
 	if err != nil {
-		t.Fatalf("surviving WMTRACE2 pair gone: %v", err)
+		t.Fatalf("surviving WMTRACE3 pair gone: %v", err)
 	}
 	defer f.Close()
 	loaded, err := trace.ReadBuffer(f)
 	if err != nil {
-		t.Fatalf("surviving WMTRACE2 spill no longer decodes: %v", err)
+		t.Fatalf("surviving WMTRACE3 spill no longer decodes: %v", err)
 	}
 	if loaded.NumFetches() != buf.NumFetches() || loaded.NumDatas() != buf.NumDatas() {
 		t.Errorf("survivor decodes to %d/%d events, want %d/%d",
@@ -303,12 +304,80 @@ func wmtrace1(b *trace.Buffer) []byte {
 	return out
 }
 
-// TestServerRecapturesOldSpillDir boots the daemon on a spill directory an
-// older version left behind: one pair whose trace is WMTRACE1 (behind a
-// sidecar that matches it in every field) and one WMTRACE2 pair whose
-// sidecar is minimal, without event counts. Boot quarantines both, a second
-// boot finds nothing left to recover, and the next sweep re-captures each
-// workload exactly once instead of loading either pair.
+// wmtrace2 encodes b's streams in the WMTRACE2 column format of the
+// version before this one, every column raw, as that version spilled a run
+// whose fetches all came before its first data access: the full fetch
+// chunks, the full data chunks, each stream's short tail chunk, then the
+// trailer with its program-order bitmap of one bit per event.
+func wmtrace2(b *trace.Buffer) []byte {
+	const chunkLen = 1 << 15
+	le := binary.LittleEndian
+	out := []byte("WMTRACE2")
+	record := func(tag byte, body []byte) {
+		out = append(out, tag)
+		out = binary.AppendUvarint(out, uint64(len(body)))
+		out = append(out, body...)
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(body))
+	}
+	var fcols [4][]uint32 // addr, prev, base, disp
+	var kind []byte
+	for _, ev := range b.Fetches() {
+		fcols[0], fcols[1] = append(fcols[0], ev.Addr), append(fcols[1], ev.Prev)
+		fcols[2], fcols[3] = append(fcols[2], ev.Base), append(fcols[3], uint32(ev.Disp))
+		kind = append(kind, byte(ev.Kind)|boolBit(ev.First))
+	}
+	var dcols [3][]uint32 // addr, base, disp
+	var meta []byte
+	for _, ev := range b.Datas() {
+		dcols[0], dcols[1], dcols[2] = append(dcols[0], ev.Addr), append(dcols[1], ev.Base), append(dcols[2], uint32(ev.Disp))
+		meta = append(meta, ev.Size|boolBit(ev.Store))
+	}
+	// emit frames the stream's full chunks, or its short tail chunk.
+	emit := func(tag byte, cols [][]uint32, flags []byte, full bool) {
+		for lo := 0; lo < len(flags); lo += chunkLen {
+			hi := min(lo+chunkLen, len(flags))
+			if (hi-lo == chunkLen) != full {
+				continue
+			}
+			body := binary.AppendUvarint(nil, uint64(hi-lo))
+			for _, c := range cols {
+				body = append(body, 0) // raw
+				body = binary.AppendUvarint(body, uint64(4*(hi-lo)))
+				for _, v := range c[lo:hi] {
+					body = le.AppendUint32(body, v)
+				}
+			}
+			record(tag, append(body, flags[lo:hi]...))
+		}
+	}
+	for _, full := range []bool{true, false} {
+		emit('F', fcols[:], kind, full)
+		emit('D', dcols[:], meta, full)
+	}
+	nf, nd := len(kind), len(meta)
+	trailer := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(nf)), uint64(nd))
+	bitmap := make([]byte, (nf+nd+7)/8)
+	for i := nf; i < nf+nd; i++ {
+		bitmap[i/8] |= 1 << (i % 8)
+	}
+	record('E', append(trailer, bitmap...))
+	return out
+}
+
+func boolBit(v bool) byte {
+	if v {
+		return 0x80
+	}
+	return 0
+}
+
+// TestServerRecapturesOldSpillDir boots the daemon on a spill directory
+// older versions left behind: one pair whose trace is WMTRACE1 and one
+// whose trace is WMTRACE2, each behind a sidecar that matches it in every
+// field, and one current pair whose sidecar is minimal, without event
+// counts. Boot quarantines all three, a second boot finds nothing left to
+// recover, and the next sweep re-captures each workload exactly once
+// instead of loading any pair.
 func TestServerRecapturesOldSpillDir(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -316,7 +385,7 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{tinySpec, "synth:stream,fp=1KiB,n=1024"}
+	names := []string{tinySpec, "synth:stream,fp=1KiB,n=1024", "synth:branchy,fp=1KiB,n=1024"}
 	var ws []workloads.Workload
 	for _, n := range names {
 		w, err := workloads.ByName(n)
@@ -333,7 +402,7 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	sidecars, err := filepath.Glob(filepath.Join(seed.TraceDir(), "*.json"))
-	if err != nil || len(sidecars) != 2 {
+	if err != nil || len(sidecars) != len(names) {
 		t.Fatalf("spilled sidecars: %v, %v", sidecars, err)
 	}
 	for _, side := range sidecars {
@@ -346,18 +415,29 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := strings.TrimSuffix(side, ".json")
-		if m["workload"] == names[0] {
+		var old []byte
+		switch m["workload"] {
+		case names[0]:
 			c, err := tc.Capture(ctx, ws[0], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(base+".wmtrace", wmtrace1(c.Buf), 0o644); err != nil {
+			old, m["format"] = wmtrace1(c.Buf), "WMTRACE1"
+		case names[2]:
+			c, err := tc.Capture(ctx, ws[2], 0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			continue
+			old, m["format"] = wmtrace2(c.Buf), "WMTRACE2"
+		default:
+			delete(m, "fetches")
+			delete(m, "datas")
 		}
-		delete(m, "fetches")
-		delete(m, "datas")
+		if old != nil {
+			if err := os.WriteFile(base+".wmtrace", old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if blob, err = json.Marshal(m); err != nil {
 			t.Fatal(err)
 		}
@@ -375,8 +455,8 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 		return s
 	}
 	s := boot()
-	if got := s.Stats().Store.RecoveredTraces; got != 2 {
-		t.Fatalf("first boot quarantined %d trace pairs, want 2", got)
+	if got := s.Stats().Store.RecoveredTraces; got != int64(len(names)) {
+		t.Fatalf("first boot quarantined %d trace pairs, want %d", got, len(names))
 	}
 	s.Close()
 	s = boot()

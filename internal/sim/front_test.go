@@ -188,9 +188,8 @@ buf:	.word 1, 2, 3
 // FuzzSimulate runs arbitrary 32-bit words as a text segment on each ISA
 // under a small budget. Nothing may panic, and stepping with Step until a
 // halt, an error or the budget — then flushing — must leave the same
-// captured events (the WMTRACE2 bytes, so both streams and their
-// interleaving), the same architectural state and counters, and the same
-// error as RunContext.
+// captured events (the WMTRACE3 bytes, so both streams), the same
+// architectural state and counters, and the same error as RunContext.
 func FuzzSimulate(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		p, err := isaCases[s.isa].assemble(s.src)

@@ -222,7 +222,7 @@ func TestTraceCacheSpillCorrupt(t *testing.T) {
 }
 
 // TestTraceCacheSpillBitFlips flips single bytes at offsets spread through
-// a WMTRACE2 spill — hitting record headers, column compression flags and
+// a WMTRACE3 spill — hitting record headers, column compression flags and
 // varint payloads (the trace package's every-byte-flip test proves the
 // per-offset coverage is exhaustive) — and checks each mutation degrades to
 // a re-capture with bit-identical results.
@@ -324,7 +324,7 @@ func TestTraceCacheStaleSidecar(t *testing.T) {
 // TestTraceCacheSpillLegacyRecaptures: a spill directory holding a trace
 // file in the fixed-record WMTRACE1 format of earlier versions, behind a
 // sidecar that matches in every field, is a cache miss — the workload is
-// re-captured exactly once, the spill is rewritten as WMTRACE2, and results
+// re-captured exactly once, the spill is rewritten as WMTRACE3, and results
 // are unchanged.
 func TestTraceCacheSpillLegacyRecaptures(t *testing.T) {
 	ctx := context.Background()
@@ -391,7 +391,7 @@ func TestTraceCacheMaxInstrsKeyed(t *testing.T) {
 // TestFanOutReplayEquivalence is the batched fan-out contract, widened to
 // the compressed × parallelism grid: one ReplayAll pass feeding every
 // technique (suite.Run's replay path) must produce byte-identical counters
-// and power to a WMTRACE2 spill reloaded from disk and to live execution —
+// and power to a WMTRACE3 spill reloaded from disk and to live execution —
 // the ground truth — for all eight standard techniques of both domains,
 // across a geometry grid, at parallelism 1 and 4, on two synthetic
 // workloads (so parallelism actually interleaves benchmarks).
@@ -419,7 +419,7 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 		{Sets: 512, Ways: 4, LineBytes: 32},
 	}
 	dir := t.TempDir()
-	// tcWarm captures (and spills WMTRACE2 files); tcDisk shares the
+	// tcWarm captures (and spills WMTRACE3 files); tcDisk shares the
 	// directory but is a distinct cache, so everything it serves comes from
 	// the compressed spill files, never from an in-memory capture.
 	tcWarm, err := NewDirTraceCache(dir)
@@ -446,7 +446,7 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// By the time tcDisk first runs, tcWarm's capture has already
-			// spilled, so this run decodes the WMTRACE2 files from disk.
+			// spilled, so this run decodes the WMTRACE3 files from disk.
 			spilled, err := Run(ctx, WithWorkloads(ws...), WithGeometry(geo),
 				WithTraceCache(tcDisk), WithParallelism(par))
 			if err != nil {
@@ -473,7 +473,7 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 		t.Fatalf("fan-out accounting: %+v, want one delivery per event", st)
 	}
 	if st := tcDisk.Stats(); st.Captures != 0 || st.DiskLoads != len(ws) {
-		t.Fatalf("disk cache stats = %+v, want pure WMTRACE2 loads", st)
+		t.Fatalf("disk cache stats = %+v, want pure WMTRACE3 loads", st)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // G×W executions.
 //
 // With a spill directory (NewDirTraceCache), captures are also written as
-// WMTRACE2 files (compressed column chunks) with a JSON sidecar, and a later
+// WMTRACE3 files (compressed column chunks) with a JSON sidecar, and a later
 // process loads them back instead of executing at all. Spill files are
 // keyed by the workload's content fingerprint, so stale files for a renamed
 // or edited workload — like a truncated, bit-flipped or otherwise corrupt
@@ -114,7 +114,7 @@ func NewTraceCache() *TraceCache {
 }
 
 // NewDirTraceCache returns a trace cache that spills captures to dir as
-// WMTRACE2 files (plus JSON sidecars) and reloads them in later processes.
+// WMTRACE3 files (plus JSON sidecars) and reloads them in later processes.
 // The directory is created if needed.
 func NewDirTraceCache(dir string) (*TraceCache, error) {
 	return NewDirTraceCacheFS(dir, fault.FS{})
@@ -371,7 +371,7 @@ func (tc *TraceCache) load(e *traceEntry, k traceKey, w workloads.Workload) bool
 	return true
 }
 
-// store writes the capture as a WMTRACE2 file plus sidecar, each through a
+// store writes the capture as a WMTRACE3 file plus sidecar, each through a
 // temp file, fsync and rename so readers never observe a torn spill.
 func (tc *TraceCache) store(e *traceEntry, k traceKey, w workloads.Workload) error {
 	base := tc.spillBase(k)
@@ -384,7 +384,7 @@ func (tc *TraceCache) store(e *traceEntry, k traceKey, w workloads.Workload) err
 	m := traceMeta{
 		Version:     traceMetaVersion,
 		Workload:    k.name,
-		Format:      "WMTRACE2",
+		Format:      trace.FileMagic,
 		Spec:        w.Spec,
 		ISA:         w.ISA,
 		Fingerprint: fmt.Sprintf("%016x", k.fingerprint),

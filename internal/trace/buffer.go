@@ -15,24 +15,24 @@ import (
 // once per sweep, not once per technique.
 //
 // Storage is compressed column chunks of chunkLen events: every event is
-// encoded once, as it arrives, into the delta/varint columns of its
-// stream's open chunk (columns.go; ~5 bytes per fetch event on the paper's
-// workloads instead of the 24 of the unpacked struct, with a per-column raw
-// fallback for incompressible streams), and a chunk is sealed at its exact
-// size when it fills. Replay decodes each chunk, the open one included,
-// block-wise into a batchLen event scratch that stays L2-hot while every
-// sink of the pass walks it, so a fan-out pass streams the encoded bytes —
-// severalfold fewer than raw columns — exactly once. The program-order
-// interleaving of the two streams is kept as one bit per event, which is
-// what lets WriteTo spill the buffer to the WMTRACE2 file format (sealed
-// chunks verbatim) and ReadBuffer reload it losslessly.
+// encoded once, as it arrives, into the columns of its stream's open chunk
+// (columns.go), and a chunk is sealed at its exact size when it fills. A
+// chunk stores each event's flags byte and the fields the encoder could not
+// predict from the ones before them — a fall-through fetch keeps only its
+// address, a load only its base and displacement — about 2.5 bytes per event
+// on the paper's workloads instead of the 24 of the unpacked struct. Replay
+// decodes each chunk, the open one included, block-wise into a batchLen
+// event scratch that stays L2-hot while every sink of the pass walks it, so
+// a fan-out pass streams the encoded bytes exactly once. WriteTo spills the
+// buffer to the WMTRACE3 file format (sealed chunks verbatim), one stream
+// after the other, and ReadBuffer reloads it losslessly.
 //
-// A Buffer is append-only. A simulator records into it through a capture
-// stager (NewCapture), which appends whole staged blocks and the order bit
-// of each event; the per-event FetchSink and DataSink methods append one
-// event with its order bit. A Buffer is safe for any number of concurrent
-// replays once capture has finished. It is not safe to append and replay
-// concurrently.
+// The Buffer keeps each stream in order, not the interleaving of the two:
+// every consumer of a capture reads one stream. A simulator records into it
+// through a capture stager (NewCapture), which appends whole staged blocks;
+// the per-event FetchSink and DataSink methods append one event. A Buffer
+// is safe for any number of concurrent replays once capture has finished.
+// It is not safe to append and replay concurrently.
 type Buffer struct {
 	fetch []encChunk // sealed full chunks, chunkLen events each
 	data  []encChunk
@@ -42,11 +42,6 @@ type Buffer struct {
 	denc chunkEnc
 	nf   int
 	nd   int
-
-	// order holds one bit per recorded event in arrival order: 0 = fetch,
-	// 1 = data. It preserves the program-order interleaving for WriteTo.
-	order []uint64
-	n     int
 }
 
 const (
@@ -54,14 +49,18 @@ const (
 	chunkLen   = 1 << chunkShift // events per chunk
 	chunkMask  = chunkLen - 1
 
-	// kind column packing: low 7 bits hold the ControlKind, the top bit
-	// flags the first fetch after reset.
-	fetchKindMask  = 0x7f
+	// The flags byte of a fetch event: bits 0–4 hold the ControlKind, bit
+	// 5 marks base and disp as stored, bit 6 marks prev as stored, and bit
+	// 7 flags the first fetch after reset.
+	fetchKindMask  = 0x1f
+	fetchBaseFlag  = 0x20
+	fetchPrevFlag  = 0x40
 	fetchFirstFlag = 0x80
 
-	// meta column packing: low 7 bits hold the access size, the top bit
-	// flags a store.
-	dataSizeMask  = 0x7f
+	// The flags byte of a data event: bits 0–5 hold the access size, bit 6
+	// marks addr as stored, and bit 7 flags a store.
+	dataSizeMask  = 0x3f
+	dataAddrFlag  = 0x40
 	dataStoreFlag = 0x80
 )
 
@@ -72,7 +71,7 @@ func (b *Buffer) NumFetches() int { return b.nf }
 func (b *Buffer) NumDatas() int { return b.nd }
 
 // Len returns the total number of recorded events.
-func (b *Buffer) Len() int { return b.n }
+func (b *Buffer) Len() int { return b.nf + b.nd }
 
 // EncodedBytes returns the encoded footprint of the sealed chunks and the
 // open chunks — the bytes one replay pass streams.
@@ -87,25 +86,11 @@ func (b *Buffer) EncodedBytes() int64 {
 	return total
 }
 
-func (b *Buffer) pushOrder(isData bool) {
-	if b.n&63 == 0 {
-		b.order = append(b.order, 0)
-	}
-	if isData {
-		b.order[b.n>>6] |= 1 << (b.n & 63)
-	}
-	b.n++
-}
-
 // OnFetch appends one fetch event to the buffer.
-func (b *Buffer) OnFetch(ev FetchEvent) {
-	b.appendFetches([]FetchEvent{ev})
-	b.pushOrder(false)
-}
+func (b *Buffer) OnFetch(ev FetchEvent) { b.appendFetches([]FetchEvent{ev}) }
 
 // appendFetches encodes evs onto the fetch stream, splitting them at chunk
-// boundaries and sealing each chunk as it fills. The order bits are the
-// caller's.
+// boundaries and sealing each chunk as it fills.
 func (b *Buffer) appendFetches(evs []FetchEvent) {
 	for len(evs) > 0 {
 		m := min(len(evs), chunkLen-b.nf&chunkMask)
@@ -113,16 +98,13 @@ func (b *Buffer) appendFetches(evs []FetchEvent) {
 		b.nf += m
 		evs = evs[m:]
 		if b.nf&chunkMask == 0 {
-			b.fetch = append(b.fetch, b.fenc.seal(fetchCols))
+			b.fetch = append(b.fetch, b.fenc.seal(fetchLayout))
 		}
 	}
 }
 
 // OnData appends one data event to the buffer.
-func (b *Buffer) OnData(ev DataEvent) {
-	b.appendDatas([]DataEvent{ev})
-	b.pushOrder(true)
-}
+func (b *Buffer) OnData(ev DataEvent) { b.appendDatas([]DataEvent{ev}) }
 
 // appendDatas is appendFetches for the data stream.
 func (b *Buffer) appendDatas(evs []DataEvent) {
@@ -132,7 +114,7 @@ func (b *Buffer) appendDatas(evs []DataEvent) {
 		b.nd += m
 		evs = evs[m:]
 		if b.nd&chunkMask == 0 {
-			b.data = append(b.data, b.denc.seal(dataCols))
+			b.data = append(b.data, b.denc.seal(dataLayout))
 		}
 	}
 }
@@ -167,10 +149,9 @@ func (b *Buffer) Replay(ctx context.Context, fetch FetchSink, data DataSink) err
 // Per-sink event order is exactly capture order, identical to N independent
 // Replay calls.
 //
-// The two streams are replayed back to back, not interleaved: every sink in
-// this repository consumes exactly one stream, so per-stream order — which
-// is preserved exactly — is the only order that matters. Use WriteTo for a
-// faithful program-order interleaving.
+// The two streams are replayed back to back: every sink in this repository
+// consumes exactly one stream, so per-stream order — which is preserved
+// exactly — is the only order a capture keeps.
 //
 // ctx is checked between blocks, so a sweep cancels mid-fan-out with at
 // most one partial block delivered. A corrupt file-adopted chunk surfaces
@@ -199,13 +180,13 @@ func (b *Buffer) ReplayAll(ctx context.Context, sinks []SinkPair) error {
 // forEachFetchBlock decodes the fetch stream block-wise and hands each
 // block to fn. The block slice is reused; fn must not retain it.
 func (b *Buffer) forEachFetchBlock(ctx context.Context, fn func([]FetchEvent) error) error {
-	open := b.fenc.chunk(b.nf&chunkMask, fetchCols)
+	open := b.fenc.chunk(fetchLayout)
 	return forEachBlock(ctx, "fetch", b.fetch, &open, fn)
 }
 
 // forEachDataBlock is forEachFetchBlock for the data stream.
 func (b *Buffer) forEachDataBlock(ctx context.Context, fn func([]DataEvent) error) error {
-	open := b.denc.chunk(b.nd&chunkMask, dataCols)
+	open := b.denc.chunk(dataLayout)
 	return forEachBlock(ctx, "data", b.data, &open, fn)
 }
 

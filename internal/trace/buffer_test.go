@@ -81,9 +81,9 @@ func TestBufferReplayCancellation(t *testing.T) {
 	}
 }
 
-// TestBufferFileRoundTrip spills a buffer to WMTRACE2 and reloads it,
-// demanding the reloaded buffer serialize byte-identically — which pins both
-// the per-stream contents and the program-order interleaving.
+// TestBufferFileRoundTrip spills a buffer to WMTRACE3 and reloads it,
+// demanding the reloaded buffer serialize byte-identically — which pins the
+// contents of both streams.
 func TestBufferFileRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	var b Buffer

@@ -5,10 +5,25 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
-// Compressed column encoding — the in-memory (and WMTRACE2 on-disk)
+// Compressed column encoding — the in-memory (and WMTRACE3 on-disk)
 // representation of an event chunk.
+//
+// A chunk stores what the replay cannot derive, the way the paper's MAB
+// relies on its inputs being predictable (§3). A fetch's prev is predicted
+// to be the address of the fetch before it in the chunk (0 for the chunk's
+// first), and a KindSeq fetch's base and disp are predicted as prev and
+// addr − prev: the fall-through packet's base is the previous packet and
+// its displacement the packet stride. A data access's addr is predicted as
+// base + disp. Each event's one-byte flags (the kind or size, the first or
+// store bit, and one bit per field whose prediction fails) go in the
+// chunk's byte column; a field that must be stored goes in a side column,
+// which holds one value per flagged event. The addr of a fetch and the
+// base and disp of a data access have a value for every event. A stream's
+// layout (fetchLayout, dataLayout) lists its numeric columns in record
+// order by the flag that gates them.
 //
 // Trace addresses are overwhelmingly sequential fetch packets: consecutive
 // column values differ by a small constant (the packet stride) except at
@@ -16,23 +31,23 @@ import (
 // numeric column of a sealed chunk is therefore stored as zigzag-varint
 // encoded wrapping deltas (previous value starts at 0), which lands near one
 // byte per value on the paper's workloads — versus four raw. A column whose
-// delta stream would not beat the fixed-width form (truly random addresses)
-// falls back to raw 4-byte little-endian values; the choice is recorded in a
-// per-column flag so the decoder never guesses. The one-byte kind/meta
-// columns stay raw.
+// delta stream would not beat the fixed-width form of its own value count
+// (truly random addresses) falls back to raw 4-byte little-endian values;
+// the choice is recorded in a per-column flag so the decoder never guesses.
 //
 // Encoding happens as the events arrive: each column of a stream's open
 // chunk has a running encoder (colEnc) that appends every block's values
 // to its delta bytes in one pass, so no event is staged or copied on the
-// way. Sealing a full chunk decides the form by length alone — the delta
-// bytes stop beating raw exactly when they reach 4n — and copies the
-// column out at its exact size; a raw column is derived from its delta
-// bytes.
+// way. Sealing a full chunk decides each column's form by length alone —
+// the delta bytes stop beating raw exactly when they reach 4 bytes per
+// value — and copies the column out at its exact size; a raw column is
+// derived from its delta bytes.
 //
 // Decoding happens block-wise during replay: a colCursor walks the encoded
-// payload batchLen values at a time into the L2-hot scratch, so nothing above
-// the decode layer sees the encoding and the bytes streamed per replay pass
-// drop from ~21 per fetch event to the encoded ~5.
+// payload a block at a time into the L2-hot scratch, a side column as many
+// values as the block's flags ask for, and the events are assembled from
+// the decoded values and the predictions, so nothing above the decode layer
+// sees the encoding.
 
 // Per-column encoding flags (the first byte of a serialized column).
 const (
@@ -94,7 +109,7 @@ func putDelta(buf []byte, n int, prev, v uint32) (int, uint32) {
 // col returns the open column, holding n values, in the form a sealed chunk
 // stores: the delta bytes themselves (aliased, not copied) unless they
 // reach the 4n bytes of the fixed-width form, in which case the raw 4-byte
-// little-endian values are derived from them.
+// little-endian values are derived from them. An empty column is raw.
 func (e *colEnc) col(n int) encCol {
 	if len(e.buf) < 4*n {
 		return encCol{flag: colDelta, data: e.buf}
@@ -184,15 +199,35 @@ func (c *colCursor) decode(dst []uint32) error {
 // silently ignored.
 func (c *colCursor) done() bool { return c.off == len(c.data) }
 
-// The numeric columns of each stream's chunks, in record order.
-const (
-	fetchCols = 4 // addr, prev, base, disp
-	dataCols  = 3 // addr, base, disp
+// The numeric columns of each stream's chunks, in record order, each named
+// by the flag of the byte column that marks an event as storing a value in
+// it; 0 marks a column with a value for every event.
+var (
+	fetchLayout = []byte{0, fetchPrevFlag, fetchBaseFlag, fetchBaseFlag} // addr, prev, base, disp
+	dataLayout  = []byte{0, 0, dataAddrFlag}                             // base, disp, addr
 )
 
-// encChunk is one chunk of either stream: its numeric columns in record
-// order and its raw one-byte column — a fetch chunk's packed ControlKind
-// and first flag, a data chunk's packed size and store flag.
+const fetchCols = 4 // the widest layout
+
+// values counts the events of bs that store a value in a column of flag f.
+// A flag is one bit, so the count is a population count, eight flags bytes
+// at a time.
+func values(bs []byte, f byte) int {
+	if f == 0 {
+		return len(bs)
+	}
+	mask, k := uint64(f)*0x0101010101010101, 0
+	for ; len(bs) >= 8; bs = bs[8:] {
+		k += bits.OnesCount64(binary.LittleEndian.Uint64(bs) & mask)
+	}
+	for _, b := range bs {
+		k += bits.OnesCount8(b & f)
+	}
+	return k
+}
+
+// encChunk is one chunk of either stream: its byte column, one flags byte
+// per event, and its numeric columns in layout order.
 type encChunk struct {
 	n     int // events in the chunk; chunkLen except for a stream's last
 	cols  []encCol
@@ -211,7 +246,7 @@ func (ch *encChunk) encodedBytes() int {
 
 // chunkEnc encodes the open chunk of one stream as its events arrive.
 type chunkEnc struct {
-	cols  [fetchCols]colEnc // a data stream uses the first dataCols
+	cols  [fetchCols]colEnc // a data stream uses the first len(dataLayout)
 	bytes []byte            // chunkLen capacity, handed to the sealed chunk
 }
 
@@ -225,73 +260,71 @@ func (e *chunkEnc) nextBytes(m int) []byte {
 }
 
 // putFetches encodes evs, which must fit in the open chunk, onto its
-// columns, one column at a time.
+// columns. The addr column's running value is the last addr of the chunk,
+// which is prev's prediction.
 func (e *chunkEnc) putFetches(evs []FetchEvent) {
 	m, c := len(evs), &e.cols
-	buf, n, p := c[0].open(m)
-	for i := range evs {
-		n, p = putDelta(buf, n, p, evs[i].Addr)
-	}
-	c[0].close(buf, n, p)
-	buf, n, p = c[1].open(m)
-	for i := range evs {
-		n, p = putDelta(buf, n, p, evs[i].Prev)
-	}
-	c[1].close(buf, n, p)
-	buf, n, p = c[2].open(m)
-	for i := range evs {
-		n, p = putDelta(buf, n, p, evs[i].Base)
-	}
-	c[2].close(buf, n, p)
-	buf, n, p = c[3].open(m)
-	for i := range evs {
-		n, p = putDelta(buf, n, p, uint32(evs[i].Disp))
-	}
-	c[3].close(buf, n, p)
+	ab, an, last := c[0].open(m)
+	pb, pn, pp := c[1].open(m)
+	bb, bn, bp := c[2].open(m)
+	db, dn, dp := c[3].open(m)
 	kind := e.nextBytes(m)
 	for i := range evs {
-		k := uint8(evs[i].Kind) & fetchKindMask
-		if evs[i].First {
+		ev := &evs[i]
+		k := uint8(ev.Kind) & fetchKindMask
+		if ev.First {
 			k |= fetchFirstFlag
 		}
+		if ev.Prev != last {
+			k |= fetchPrevFlag
+			pn, pp = putDelta(pb, pn, pp, ev.Prev)
+		}
+		if ev.Kind != KindSeq || ev.Base != ev.Prev || uint32(ev.Disp) != ev.Addr-ev.Prev {
+			k |= fetchBaseFlag
+			bn, bp = putDelta(bb, bn, bp, ev.Base)
+			dn, dp = putDelta(db, dn, dp, uint32(ev.Disp))
+		}
+		an, last = putDelta(ab, an, last, ev.Addr)
 		kind[i] = k
 	}
+	c[0].close(ab, an, last)
+	c[1].close(pb, pn, pp)
+	c[2].close(bb, bn, bp)
+	c[3].close(db, dn, dp)
 }
 
 // putDatas is putFetches for the data stream.
 func (e *chunkEnc) putDatas(evs []DataEvent) {
 	m, c := len(evs), &e.cols
-	buf, n, p := c[0].open(m)
-	for i := range evs {
-		n, p = putDelta(buf, n, p, evs[i].Addr)
-	}
-	c[0].close(buf, n, p)
-	buf, n, p = c[1].open(m)
-	for i := range evs {
-		n, p = putDelta(buf, n, p, evs[i].Base)
-	}
-	c[1].close(buf, n, p)
-	buf, n, p = c[2].open(m)
-	for i := range evs {
-		n, p = putDelta(buf, n, p, uint32(evs[i].Disp))
-	}
-	c[2].close(buf, n, p)
+	bb, bn, bp := c[0].open(m)
+	db, dn, dp := c[1].open(m)
+	ab, an, ap := c[2].open(m)
 	meta := e.nextBytes(m)
 	for i := range evs {
-		mt := evs[i].Size & dataSizeMask
-		if evs[i].Store {
+		ev := &evs[i]
+		mt := ev.Size & dataSizeMask
+		if ev.Store {
 			mt |= dataStoreFlag
 		}
+		if ev.Addr != ev.Base+uint32(ev.Disp) {
+			mt |= dataAddrFlag
+			an, ap = putDelta(ab, an, ap, ev.Addr)
+		}
+		bn, bp = putDelta(bb, bn, bp, ev.Base)
+		dn, dp = putDelta(db, dn, dp, uint32(ev.Disp))
 		meta[i] = mt
 	}
+	c[0].close(bb, bn, bp)
+	c[1].close(db, dn, dp)
+	c[2].close(ab, an, ap)
 }
 
-// chunk returns the open chunk, n events in ncols numeric columns, as
-// WriteTo spills it and replay decodes it. It aliases the encoder's bytes.
-func (e *chunkEnc) chunk(n, ncols int) encChunk {
-	ch := encChunk{n: n, cols: make([]encCol, ncols), bytes: e.bytes}
-	for i := range ch.cols {
-		ch.cols[i] = e.cols[i].col(n)
+// chunk returns the open chunk, in the columns of layout, as WriteTo spills
+// it and replay decodes it. It aliases the encoder's bytes.
+func (e *chunkEnc) chunk(layout []byte) encChunk {
+	ch := encChunk{n: len(e.bytes), cols: make([]encCol, len(layout)), bytes: e.bytes}
+	for i, f := range layout {
+		ch.cols[i] = e.cols[i].col(values(e.bytes, f))
 	}
 	return ch
 }
@@ -299,8 +332,8 @@ func (e *chunkEnc) chunk(n, ncols int) encChunk {
 // seal returns the full open chunk as a sealed chunk that shares nothing
 // with the encoder, each delta column copied out at its exact size, and
 // starts the next chunk.
-func (e *chunkEnc) seal(ncols int) encChunk {
-	ch := e.chunk(chunkLen, ncols)
+func (e *chunkEnc) seal(layout []byte) encChunk {
+	ch := e.chunk(layout)
 	for i := range ch.cols {
 		if ch.cols[i].flag == colDelta {
 			ch.cols[i].data = bytes.Clone(ch.cols[i].data)
@@ -327,33 +360,35 @@ type blockScratch [fetchCols][batchLen]uint32
 
 // chunkCursors tracks a decode in progress over one chunk.
 type chunkCursors struct {
-	cols  [fetchCols]colCursor
-	ncols int
-	bytes []byte
-	off   int
+	cols   [fetchCols]colCursor
+	layout []byte
+	bytes  []byte
+	off    int
+	last   uint32 // the last fetch addr decoded, prev's prediction
 }
 
-func (ch *encChunk) cursors() chunkCursors {
-	cu := chunkCursors{ncols: len(ch.cols), bytes: ch.bytes}
+func (ch *encChunk) cursors(layout []byte) chunkCursors {
+	cu := chunkCursors{layout: layout, bytes: ch.bytes}
 	for i := range ch.cols {
 		cu.cols[i] = ch.cols[i].cursor()
 	}
 	return cu
 }
 
-// next decodes the next m values of each numeric column into sc's lanes
-// and returns the m bytes of the raw column beside them.
+// next returns the byte column of the next m events and decodes into sc's
+// lanes the values those events store in each numeric column.
 func (cu *chunkCursors) next(m int, sc *blockScratch) ([]byte, error) {
 	if cu.off+m > len(cu.bytes) {
 		return nil, errColumn
 	}
-	for i := range cu.cols[:cu.ncols] {
-		if err := cu.cols[i].decode(sc[i][:m]); err != nil {
+	bs := cu.bytes[cu.off : cu.off+m]
+	for i, f := range cu.layout {
+		if err := cu.cols[i].decode(sc[i][:values(bs, f)]); err != nil {
 			return nil, err
 		}
 	}
 	cu.off += m
-	return cu.bytes[cu.off-m : cu.off], nil
+	return bs, nil
 }
 
 // fetches decodes the next len(dst) events of a fetch chunk into dst.
@@ -362,16 +397,29 @@ func (cu *chunkCursors) fetches(dst []FetchEvent, sc *blockScratch) error {
 	if err != nil {
 		return err
 	}
+	last, np, nb := cu.last, 0, 0
 	for i, k := range kind {
+		addr, prev := sc[0][i], last
+		if k&fetchPrevFlag != 0 {
+			prev = sc[1][np]
+			np++
+		}
+		base, disp := prev, addr-prev
+		if k&fetchBaseFlag != 0 {
+			base, disp = sc[2][nb], sc[3][nb]
+			nb++
+		}
 		dst[i] = FetchEvent{
-			Addr:  sc[0][i],
-			Prev:  sc[1][i],
-			Base:  sc[2][i],
-			Disp:  int32(sc[3][i]),
+			Addr:  addr,
+			Prev:  prev,
+			Base:  base,
+			Disp:  int32(disp),
 			Kind:  ControlKind(k & fetchKindMask),
 			First: k&fetchFirstFlag != 0,
 		}
+		last = addr
 	}
+	cu.last = last
 	return nil
 }
 
@@ -381,11 +429,18 @@ func (cu *chunkCursors) datas(dst []DataEvent, sc *blockScratch) error {
 	if err != nil {
 		return err
 	}
+	na := 0
 	for i, mt := range meta {
+		base, disp := sc[0][i], sc[1][i]
+		addr := base + disp
+		if mt&dataAddrFlag != 0 {
+			addr = sc[2][na]
+			na++
+		}
 		dst[i] = DataEvent{
-			Addr:  sc[0][i],
-			Base:  sc[1][i],
-			Disp:  int32(sc[2][i]),
+			Addr:  addr,
+			Base:  base,
+			Disp:  int32(disp),
 			Size:  mt & dataSizeMask,
 			Store: mt&dataStoreFlag != 0,
 		}
@@ -395,7 +450,7 @@ func (cu *chunkCursors) datas(dst []DataEvent, sc *blockScratch) error {
 
 // done reports whether every column was consumed exactly.
 func (cu *chunkCursors) done() bool {
-	for i := range cu.cols[:cu.ncols] {
+	for i := range cu.layout {
 		if !cu.cols[i].done() {
 			return false
 		}
@@ -408,7 +463,11 @@ func (cu *chunkCursors) done() bool {
 // that fails to decode or is not consumed exactly is errColumn.
 func eachBlock[E FetchEvent | DataEvent](ctx context.Context, ch *encChunk, block []E, sc *blockScratch,
 	fn func([]E) error) error {
-	cu := ch.cursors()
+	layout := dataLayout
+	if _, ok := any(block).([]FetchEvent); ok {
+		layout = fetchLayout
+	}
+	cu := ch.cursors(layout)
 	for off := 0; off < ch.n; off += batchLen {
 		if err := ctx.Err(); err != nil {
 			return err

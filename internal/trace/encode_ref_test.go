@@ -11,29 +11,13 @@ import (
 	"testing"
 )
 
-// The reference capture path: events staged one by one into
-// structure-of-arrays chunks, each full chunk encoded column by column in a
-// second pass, and a spill writer that walks the order bitmap one bit at a
-// time. It is the first implementation of the WMTRACE2 columns, kept here
-// so the running encoders of columns.go can be checked against it byte for
+// The reference capture path: a plain per-event recorder of the WMTRACE3
+// columns. It decides each event's flags on its own, from the format's
+// rules written out with literal bit values, appends the stored values to
+// plain slices, seals each column with encodeU32Col when the chunk fills,
+// and frames the records itself — so the running encoders of columns.go,
+// their layouts and the spill writer are each checked against it byte for
 // byte.
-
-// fetchChunk is one staging block of raw column-packed fetch events.
-type fetchChunk struct {
-	addr [chunkLen]uint32
-	prev [chunkLen]uint32
-	base [chunkLen]uint32
-	disp [chunkLen]int32
-	kind [chunkLen]uint8
-}
-
-// dataChunk is one staging block of raw column-packed data events.
-type dataChunk struct {
-	addr [chunkLen]uint32
-	base [chunkLen]uint32
-	disp [chunkLen]int32
-	meta [chunkLen]uint8
-}
 
 // rawU32 serializes vals as 4-byte little-endian — the incompressible form.
 func rawU32(vals []uint32) []byte {
@@ -45,10 +29,10 @@ func rawU32(vals []uint32) []byte {
 }
 
 // encodeU32Col encodes one column as zigzag-varint deltas, falling back to
-// raw the moment the delta stream stops beating the fixed-width form.
+// raw when the delta stream does not beat the fixed-width form — an empty
+// column included.
 func encodeU32Col(vals []uint32) encCol {
-	limit := 4 * len(vals)
-	enc := make([]byte, 0, len(vals)+len(vals)/2)
+	var enc []byte
 	prev := uint32(0)
 	for _, v := range vals {
 		d := v - prev // wrapping delta
@@ -59,153 +43,123 @@ func encodeU32Col(vals []uint32) encCol {
 			zz >>= 7
 		}
 		enc = append(enc, byte(zz))
-		if len(enc) >= limit {
-			return encCol{flag: colRaw, data: rawU32(vals)}
-		}
+	}
+	if len(enc) >= 4*len(vals) {
+		return encCol{flag: colRaw, data: rawU32(vals)}
 	}
 	return encCol{flag: colDelta, data: enc}
 }
 
-// encodeI32Col encodes a signed column via its two's-complement bits.
-func encodeI32Col(vals []int32) encCol {
-	tmp := make([]uint32, len(vals))
-	for i, v := range vals {
-		tmp[i] = uint32(v)
-	}
-	return encodeU32Col(tmp)
+// refStream is one stream of the reference recorder: its sealed chunks and
+// the flags bytes and stored values of its open chunk, one slice per
+// numeric column in record order.
+type refStream struct {
+	sealed []encChunk
+	flags  []byte
+	cols   [][]uint32
+	n      int // events recorded
 }
 
-// sealFetchChunk compresses the first n staged fetch events.
-func sealFetchChunk(st *fetchChunk, n int) encChunk {
-	kind := make([]byte, n)
-	copy(kind, st.kind[:n])
-	return encChunk{
-		n: n,
-		cols: []encCol{
-			encodeU32Col(st.addr[:n]),
-			encodeU32Col(st.prev[:n]),
-			encodeU32Col(st.base[:n]),
-			encodeI32Col(st.disp[:n]),
-		},
-		bytes: kind,
+// add records one event's flags byte, sealing the chunk when it fills.
+func (st *refStream) add(flags byte) {
+	st.flags = append(st.flags, flags)
+	st.n++
+	if len(st.flags) == chunkLen {
+		st.sealed = append(st.sealed, st.seal())
 	}
 }
 
-// sealDataChunk compresses the first n staged data events.
-func sealDataChunk(st *dataChunk, n int) encChunk {
-	meta := make([]byte, n)
-	copy(meta, st.meta[:n])
-	return encChunk{
-		n: n,
-		cols: []encCol{
-			encodeU32Col(st.addr[:n]),
-			encodeU32Col(st.base[:n]),
-			encodeI32Col(st.disp[:n]),
-		},
-		bytes: meta,
+// seal encodes the open chunk and starts the next.
+func (st *refStream) seal() encChunk {
+	ch := encChunk{n: len(st.flags), bytes: slices.Clone(st.flags)}
+	for i, vals := range st.cols {
+		ch.cols = append(ch.cols, encodeU32Col(vals))
+		st.cols[i] = nil
 	}
+	st.flags = nil
+	return ch
 }
 
-// refBuffer is the reference recorder: per-event staging, sealing on fill.
+// refBuffer is the reference recorder.
 type refBuffer struct {
-	fetch  []encChunk
-	data   []encChunk
-	fstage fetchChunk
-	dstage dataChunk
-	nf, nd int
-	order  []uint64
-	n      int
+	f refStream // addr, prev, base, disp
+	d refStream // base, disp, addr
 }
 
-func (b *refBuffer) pushOrder(isData bool) {
-	if b.n&63 == 0 {
-		b.order = append(b.order, 0)
-	}
-	if isData {
-		b.order[b.n>>6] |= 1 << (b.n & 63)
-	}
-	b.n++
+func newRefBuffer() *refBuffer {
+	return &refBuffer{f: refStream{cols: make([][]uint32, 4)}, d: refStream{cols: make([][]uint32, 3)}}
 }
 
 func (b *refBuffer) OnFetch(ev FetchEvent) {
-	b.putFetch(&ev)
-	b.pushOrder(false)
-}
-
-func (b *refBuffer) putFetch(ev *FetchEvent) {
-	i := b.nf & chunkMask
-	st := &b.fstage
-	st.addr[i] = ev.Addr
-	st.prev[i] = ev.Prev
-	st.base[i] = ev.Base
-	st.disp[i] = ev.Disp
-	k := uint8(ev.Kind) & fetchKindMask
+	st := &b.f
+	// prev is predicted as the chunk's previous addr, 0 at its start.
+	predPrev := uint32(0)
+	if n := len(st.cols[0]); n > 0 {
+		predPrev = st.cols[0][n-1]
+	}
+	flags := byte(ev.Kind) & 0x1f
 	if ev.First {
-		k |= fetchFirstFlag
+		flags |= 0x80
 	}
-	st.kind[i] = k
-	b.nf++
-	if b.nf&chunkMask == 0 {
-		b.fetch = append(b.fetch, sealFetchChunk(st, chunkLen))
+	st.cols[0] = append(st.cols[0], ev.Addr)
+	if ev.Prev != predPrev {
+		flags |= 0x40
+		st.cols[1] = append(st.cols[1], ev.Prev)
 	}
+	// Only a fall-through fetch has a prediction for base and disp.
+	seqPredicted := ev.Kind == KindSeq && ev.Base == ev.Prev && ev.Disp == int32(ev.Addr-ev.Prev)
+	if !seqPredicted {
+		flags |= 0x20
+		st.cols[2] = append(st.cols[2], ev.Base)
+		st.cols[3] = append(st.cols[3], uint32(ev.Disp))
+	}
+	st.add(flags)
 }
 
 func (b *refBuffer) OnData(ev DataEvent) {
-	b.putData(&ev)
-	b.pushOrder(true)
-}
-
-func (b *refBuffer) putData(ev *DataEvent) {
-	i := b.nd & chunkMask
-	st := &b.dstage
-	st.addr[i] = ev.Addr
-	st.base[i] = ev.Base
-	st.disp[i] = ev.Disp
-	m := ev.Size & dataSizeMask
+	st := &b.d
+	flags := ev.Size & 0x3f
 	if ev.Store {
-		m |= dataStoreFlag
+		flags |= 0x80
 	}
-	st.meta[i] = m
-	b.nd++
-	if b.nd&chunkMask == 0 {
-		b.data = append(b.data, sealDataChunk(st, chunkLen))
+	st.cols[0] = append(st.cols[0], ev.Base)
+	st.cols[1] = append(st.cols[1], uint32(ev.Disp))
+	if ev.Addr != ev.Base+uint32(ev.Disp) {
+		flags |= 0x40
+		st.cols[2] = append(st.cols[2], ev.Addr)
 	}
+	st.add(flags)
 }
 
-// bytes spills the reference buffer in the WMTRACE2 format.
+// bytes spills the reference buffer in the WMTRACE3 format: the fetch
+// stream's chunks, the data stream's, then the trailer. It seals the open
+// chunks, so it ends the recording.
 func (b *refBuffer) bytes() []byte {
 	var out bytes.Buffer
 	bw := bufio.NewWriter(&out)
-	bw.WriteString(fileMagic)
+	bw.WriteString("WMTRACE3")
 	rw := &recordWriter{w: bw}
-	fi, di := 0, 0
-	for i := 0; i < b.n; i++ {
-		if b.order[i>>6]&(1<<(i&63)) != 0 {
-			di++
-			if di&chunkMask == 0 {
-				rw.chunk(recData, &b.data[(di>>chunkShift)-1])
+	for _, s := range []struct {
+		tag byte
+		st  *refStream
+	}{{'F', &b.f}, {'D', &b.d}} {
+		if len(s.st.flags) > 0 {
+			s.st.sealed = append(s.st.sealed, s.st.seal())
+		}
+		for _, ch := range s.st.sealed {
+			rw.body = binary.AppendUvarint(rw.body[:0], uint64(ch.n))
+			rw.body = append(rw.body, ch.bytes...)
+			for _, c := range ch.cols {
+				rw.body = append(rw.body, c.flag)
+				rw.body = binary.AppendUvarint(rw.body, uint64(len(c.data)))
+				rw.body = append(rw.body, c.data...)
 			}
-		} else {
-			fi++
-			if fi&chunkMask == 0 {
-				rw.chunk(recFetch, &b.fetch[(fi>>chunkShift)-1])
-			}
+			rw.emit(s.tag)
 		}
 	}
-	if tail := b.nf & chunkMask; tail > 0 {
-		ch := sealFetchChunk(&b.fstage, tail)
-		rw.chunk(recFetch, &ch)
-	}
-	if tail := b.nd & chunkMask; tail > 0 {
-		ch := sealDataChunk(&b.dstage, tail)
-		rw.chunk(recData, &ch)
-	}
-	rw.body = binary.AppendUvarint(rw.body[:0], uint64(b.nf))
-	rw.body = binary.AppendUvarint(rw.body, uint64(b.nd))
-	for i := 0; i < (b.n+7)/8; i++ {
-		rw.body = append(rw.body, byte(b.order[i>>3]>>((i&7)*8)))
-	}
-	rw.emit(recEnd)
+	rw.body = binary.AppendUvarint(rw.body[:0], uint64(b.f.n))
+	rw.body = binary.AppendUvarint(rw.body, uint64(b.d.n))
+	rw.emit('E')
 	if rw.err != nil {
 		panic(rw.err)
 	}
@@ -213,8 +167,9 @@ func (b *refBuffer) bytes() []byte {
 	return out.Bytes()
 }
 
-// script is one recorded run: both streams and their program-order
-// interleaving.
+// script is one recorded run: both streams and the order in which the
+// simulator produced their events, which decides how the events arrive in
+// stager blocks but not what a buffer stores.
 type script struct {
 	fs    []FetchEvent
 	ds    []DataEvent
@@ -282,16 +237,14 @@ func (s *script) mixed(b *Buffer, r *rand.Rand) {
 
 // blocks records the run into b the way a capture stager does, but with
 // block lengths taken in turn from cuts (each stream keeps its own place in
-// the list): every event's order bit is recorded as it arrives, and a
-// stream's pending events are appended as one block once they reach the
-// current cut.
+// the list): a stream's pending events are appended as one block once they
+// reach the current cut.
 func (s *script) blocks(b *Buffer, cuts []int) {
 	var pf []FetchEvent
 	var pd []DataEvent
 	cf, cd := 0, 0
 	fi, di := 0, 0
 	for _, isData := range s.order {
-		b.pushOrder(isData)
 		if isData {
 			pd = append(pd, s.ds[di])
 			di++
@@ -314,8 +267,8 @@ func (s *script) blocks(b *Buffer, cuts []int) {
 
 // reference returns the reference recorder's spill of the run.
 func (s *script) reference() []byte {
-	var ref refBuffer
-	s.perEvent(&ref, &ref)
+	ref := newRefBuffer()
+	s.perEvent(ref, ref)
 	return ref.bytes()
 }
 
@@ -366,32 +319,56 @@ func genColumn(r *rand.Rand, k, n int) []uint32 {
 	return out
 }
 
-// genScript draws a run of nf fetch and nd data events whose columns take
-// kinds k, k+1 and k+2, in a random interleaving.
-func genScript(seed int64, k, nf, nd int) *script {
+// breakRates are the shares of events, in eighths, whose predictions
+// genScript breaks: none, as in a simulator's streams, a few, half and all.
+var breakRates = []int{0, 1, 4, 8}
+
+// genScript draws a run of nf fetch and nd data events, in a random
+// interleaving, whose stored columns take kinds k to k+3. With rate 0 every
+// prediction of the format holds but at chunk starts: each fetch is a
+// KindSeq fall-through with prev the last addr, base prev and disp
+// addr − prev, and each data addr is base + disp. Each rate-in-8 break
+// draws prev (0 at a fetch chunk's start, the start's own prediction), a
+// non-Seq kind with base and disp left at the Seq prediction, base, disp
+// or a data addr from another column.
+func genScript(seed int64, k, nf, nd, rate int) *script {
 	r := rand.New(rand.NewSource(seed))
+	brk := func() bool { return r.Intn(8) < rate }
 	s := &script{fs: make([]FetchEvent, nf), ds: make([]DataEvent, nd)}
-	addr, base, disp := genColumn(r, k, nf), genColumn(r, k+1, nf), genColumn(r, k+2, nf)
+	addr, alt, base, disp := genColumn(r, k, nf), genColumn(r, k+1, nf), genColumn(r, k+2, nf), genColumn(r, k+3, nf)
+	var last uint32
 	for i := range s.fs {
-		s.fs[i] = FetchEvent{
-			Addr:  addr[i],
-			Base:  base[i],
-			Disp:  int32(disp[i]),
-			Kind:  ControlKind(r.Intn(4)),
-			First: i == 0,
+		ev := FetchEvent{Addr: addr[i], Prev: last, First: i == 0}
+		if brk() {
+			ev.Prev = alt[i]
+			if i&chunkMask == 0 {
+				ev.Prev = 0
+			}
 		}
-		if i > 0 {
-			s.fs[i].Prev = addr[i-1]
+		ev.Base, ev.Disp = ev.Prev, int32(ev.Addr-ev.Prev)
+		if brk() {
+			ev.Kind = ControlKind(1 + r.Intn(3))
 		}
+		if brk() {
+			ev.Base = base[i]
+		}
+		if brk() {
+			ev.Disp = int32(disp[i])
+		}
+		s.fs[i] = ev
+		last = ev.Addr
 	}
-	addr, base, disp = genColumn(r, k, nd), genColumn(r, k+1, nd), genColumn(r, k+2, nd)
+	base, disp, addr = genColumn(r, k, nd), genColumn(r, k+1, nd), genColumn(r, k+2, nd)
 	for i := range s.ds {
 		s.ds[i] = DataEvent{
-			Addr:  addr[i],
+			Addr:  base[i] + disp[i],
 			Base:  base[i],
 			Disp:  int32(disp[i]),
 			Store: r.Intn(2) == 0,
 			Size:  1 << r.Intn(4),
+		}
+		if brk() {
+			s.ds[i].Addr = addr[i]
 		}
 	}
 	for left, dleft := nf+nd, nd; left > 0; left-- {
@@ -433,10 +410,11 @@ func checkCapture(t *testing.T, name string, b *Buffer, s *script, want []byte) 
 }
 
 // TestCaptureMatchesReference: the running encoders spill exactly the
-// reference bytes for every column character, at stream lengths around
-// block and chunk boundaries, whether the events arrive in stager blocks,
-// one at a time or in a mix of both; and a reloaded spill, short tails
-// included, re-serializes to the same bytes and stays appendable.
+// reference bytes for every column character and every rate of broken
+// predictions, at stream lengths around block and chunk boundaries, whether
+// the events arrive in stager blocks, one at a time or in a mix of both;
+// and a reloaded spill, short tails included, re-serializes to the same
+// bytes and stays appendable.
 func TestCaptureMatchesReference(t *testing.T) {
 	counts := []int{0, 1, stageLen - 1, stageLen + 1, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 17}
 	if testing.Short() {
@@ -445,11 +423,12 @@ func TestCaptureMatchesReference(t *testing.T) {
 	for k := range colKinds {
 		for ci, nf := range counts {
 			nd := counts[(ci+3)%len(counts)]
+			rate := breakRates[(k+ci)%len(breakRates)]
 			seed := int64(100*k + ci)
-			s := genScript(seed, k, nf, nd)
+			s := genScript(seed, k, nf, nd, rate)
 			want := s.reference()
 			name := func(delivery string) string {
-				return fmt.Sprintf("%s/%s/%d+%d", colKinds[k].name, delivery, nf, nd)
+				return fmt.Sprintf("%s/breaks %d in 8/%s/%d+%d", colKinds[k].name, rate, delivery, nf, nd)
 			}
 
 			var perEvent, staged, mixed Buffer
@@ -466,7 +445,7 @@ func TestCaptureMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			more := genScript(seed+1, k+1, stageLen/2, stageLen/3)
+			more := genScript(seed+1, k+1, stageLen/2, stageLen/3, rate)
 			more.staged(loaded)
 			whole := script{
 				fs:    append(slices.Clone(s.fs), more.fs...),
@@ -475,17 +454,6 @@ func TestCaptureMatchesReference(t *testing.T) {
 			}
 			checkCapture(t, name("reloaded+staged"), loaded, &whole, whole.reference())
 		}
-	}
-	// Both streams complete a chunk within one word of the order bitmap,
-	// the fetch stream first and then the data stream first.
-	for first := range 2 {
-		s := genScript(int64(first), 0, chunkLen+5, chunkLen+5)
-		for i := range s.order {
-			s.order[i] = i%2 != first
-		}
-		var staged Buffer
-		s.staged(&staged)
-		checkCapture(t, fmt.Sprintf("alternating, data first %v", first == 1), &staged, s, s.reference())
 	}
 }
 
@@ -496,9 +464,9 @@ func TestCaptureMatchesReference(t *testing.T) {
 func TestCaptureAllocations(t *testing.T) {
 	// The constant: seven open columns whose encoders each double up to
 	// the 5 bytes per value of a chunk of worst-case varints, plus 256 KiB
-	// for the stager's blocks and the order bitmap's growth.
+	// for the stager's blocks.
 	const fixed = 7*2*5*chunkLen + 256<<10
-	s := genScript(5, 0, 5*chunkLen+99, 4*chunkLen+7)
+	s := genScript(5, 0, 5*chunkLen+99, 4*chunkLen+7, 4)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b := new(Buffer)

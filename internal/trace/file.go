@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 )
 
-// WMTRACE2 is the binary trace file format, for trace-driven evaluation
+// WMTRACE3 is the binary trace file format, for trace-driven evaluation
 // without re-running the simulator: the compressed column chunks of
 // columns.go, spilled verbatim — a sealed chunk's bytes on disk are its
 // bytes in memory, so loading a spill is adoption, not transcoding. Any
-// other magic, including the fixed-record WMTRACE1 of earlier versions, is
+// other magic, including the WMTRACE1 and WMTRACE2 of earlier versions, is
 // a decode error; spill directories are caches, so such a file costs one
 // re-capture.
 //
@@ -22,27 +21,28 @@ import (
 // CRC-framed records, each one sealed column chunk or the trailer:
 //
 //	record:  tag(1) uvarint(bodyLen) body crc32(body, IEEE, 4 bytes LE)
-//	tag 'F': fetch chunk — body: uvarint(n) col(addr) col(prev) col(base)
-//	         col(disp) kind[n]
-//	tag 'D': data chunk  — body: uvarint(n) col(addr) col(base) col(disp)
-//	         meta[n]
+//	tag 'F': fetch chunk — body: uvarint(n) kind[n] col(addr) col(prev)
+//	         col(base) col(disp)
+//	tag 'D': data chunk  — body: uvarint(n) meta[n] col(base) col(disp)
+//	         col(addr)
 //	tag 'E': trailer     — body: uvarint(nf) uvarint(nd)
-//	         orderBitmap[ceil((nf+nd)/8)]
 //	col:     flag(1) uvarint(payloadLen) payload
 //
-// A col payload is either raw 4-byte little-endian values (flag 0) or
+// The byte column comes first, so the parser knows how many values each
+// column holds: n for a fetch's addr and a data access's base and disp,
+// and for a side column the number of events whose byte flags it — prev
+// (kind bit 6), base and disp (kind bit 5), a data access's addr (meta bit
+// 6). A col payload is either raw 4-byte little-endian values (flag 0) or
 // zigzag-varint wrapping first differences (flag 1) — see columns.go. A
 // chunk holds chunkLen events except the last chunk of each stream, which
-// may be shorter (1..chunkLen); chunks appear in stream order, the two
-// streams' chunks interleaved in completion order. The trailer's bitmap is
-// one bit per event in program order, LSB-first within each byte: 0 =
-// fetch, 1 = data; its popcount must equal nd and padding bits must be
-// zero. The trailer is last — trailing bytes after it are an error, so
-// truncation anywhere is detected. Every body is CRC-checked on read:
-// corruption (flipped flags included) fails the load rather than decoding
-// to wrong events.
+// may be shorter (1..chunkLen); all fetch chunks come first, in stream
+// order, then all data chunks. The trailer is last — trailing bytes after
+// it are an error, so truncation anywhere is detected. Every body is
+// CRC-checked on read: corruption (flipped flags included) fails the load
+// rather than decoding to wrong events.
 
-const fileMagic = "WMTRACE2"
+// FileMagic opens every trace file, and names its format.
+const FileMagic = "WMTRACE3"
 
 const (
 	recFetch = 'F'
@@ -50,9 +50,9 @@ const (
 	recEnd   = 'E'
 
 	// maxRecordBody bounds one record's body allocation while reading: a
-	// worst-case legitimate chunk (five raw columns of a full chunk) is
-	// under 700KB, so 4MB catches crafted lengths long before allocation
-	// hurts.
+	// worst-case legitimate chunk (a full chunk's byte column and four raw
+	// columns) is under 600KB, so 4MB catches crafted lengths long before
+	// allocation hurts.
 	maxRecordBody = 4 << 20
 )
 
@@ -66,13 +66,25 @@ type recordWriter struct {
 // chunk frames one chunk as a record with tag.
 func (rw *recordWriter) chunk(tag byte, ch *encChunk) {
 	rw.body = binary.AppendUvarint(rw.body[:0], uint64(ch.n))
+	rw.body = append(rw.body, ch.bytes...)
 	for _, c := range ch.cols {
 		rw.body = append(rw.body, c.flag)
 		rw.body = binary.AppendUvarint(rw.body, uint64(len(c.data)))
 		rw.body = append(rw.body, c.data...)
 	}
-	rw.body = append(rw.body, ch.bytes...)
 	rw.emit(tag)
+}
+
+// stream frames one stream's sealed chunks and then its open chunk, if it
+// holds any events.
+func (rw *recordWriter) stream(tag byte, sealed []encChunk, open *chunkEnc, layout []byte) {
+	for i := range sealed {
+		rw.chunk(tag, &sealed[i])
+	}
+	if len(open.bytes) > 0 {
+		ch := open.chunk(layout)
+		rw.chunk(tag, &ch)
+	}
 }
 
 // emit frames the assembled body as one record.
@@ -98,70 +110,22 @@ func (rw *recordWriter) emit(tag byte) {
 	}
 }
 
-func (rw *recordWriter) trailer(nf, nd int, order []uint64) {
-	rw.body = rw.body[:0]
-	rw.body = binary.AppendUvarint(rw.body, uint64(nf))
-	rw.body = binary.AppendUvarint(rw.body, uint64(nd))
-	nb := (nf + nd + 7) / 8
-	for _, w := range order[:nb/8] {
-		rw.body = binary.LittleEndian.AppendUint64(rw.body, w)
-	}
-	if r := nb % 8; r > 0 {
-		l := len(rw.body)
-		rw.body = binary.LittleEndian.AppendUint64(rw.body, order[nb/8])[:l+r]
-	}
-	rw.emit(recEnd)
-}
-
-// WriteTo spills the buffer to w in the WMTRACE2 file format: sealed chunks
-// verbatim, the open chunks sealed from their encoders without re-encoding,
-// and the program-order interleaving in the trailer bitmap. It implements
-// io.WriterTo.
+// WriteTo spills the buffer to w in the WMTRACE3 file format: the fetch
+// stream's chunks, then the data stream's, sealed chunks verbatim and the
+// open chunks sealed from their encoders without re-encoding, then the
+// trailer. It implements io.WriterTo.
 func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.WriteString(fileMagic); err != nil {
+	if _, err := bw.WriteString(FileMagic); err != nil {
 		return cw.n, err
 	}
 	rw := &recordWriter{w: bw}
-	// Walk the interleaving emitting each stream's sealed chunks at the
-	// moment the stream's event count crosses a chunk boundary, so the
-	// record order is a pure function of the recorded events. A word of
-	// the bitmap in which neither stream completes a chunk — all but about
-	// one in five hundred — is counted whole.
-	fi, di := 0, 0
-	for wi := 0; wi < len(b.order) && rw.err == nil; wi++ {
-		w := b.order[wi]
-		k := min(64, b.n-64*wi)
-		nd := bits.OnesCount64(w)
-		if di&chunkMask+nd < chunkLen && fi&chunkMask+k-nd < chunkLen {
-			fi += k - nd
-			di += nd
-			continue
-		}
-		for j := 0; j < k; j++ {
-			if w&(1<<j) != 0 {
-				di++
-				if di&chunkMask == 0 {
-					rw.chunk(recData, &b.data[(di>>chunkShift)-1])
-				}
-			} else {
-				fi++
-				if fi&chunkMask == 0 {
-					rw.chunk(recFetch, &b.fetch[(fi>>chunkShift)-1])
-				}
-			}
-		}
-	}
-	if tail := b.nf & chunkMask; tail > 0 && rw.err == nil {
-		ch := b.fenc.chunk(tail, fetchCols)
-		rw.chunk(recFetch, &ch)
-	}
-	if tail := b.nd & chunkMask; tail > 0 && rw.err == nil {
-		ch := b.denc.chunk(tail, dataCols)
-		rw.chunk(recData, &ch)
-	}
-	rw.trailer(b.nf, b.nd, b.order)
+	rw.stream(recFetch, b.fetch, &b.fenc, fetchLayout)
+	rw.stream(recData, b.data, &b.denc, dataLayout)
+	rw.body = binary.AppendUvarint(rw.body[:0], uint64(b.nf))
+	rw.body = binary.AppendUvarint(rw.body, uint64(b.nd))
+	rw.emit(recEnd)
 	if rw.err != nil {
 		return cw.n, rw.err
 	}
@@ -251,22 +215,22 @@ func (p *bodyParser) chunkCount() (int, error) {
 	return int(n64), nil
 }
 
-// parseChunk decodes one chunk body of ncols numeric columns. The returned
-// chunk's columns alias the body.
-func parseChunk(body []byte, ncols int) (encChunk, error) {
+// parseChunk decodes one chunk body whose numeric columns follow layout.
+// The returned chunk's columns alias the body.
+func parseChunk(body []byte, layout []byte) (encChunk, error) {
 	p := bodyParser{data: body}
 	n, err := p.chunkCount()
 	if err != nil {
 		return encChunk{}, err
 	}
-	ch := encChunk{n: n, cols: make([]encCol, ncols)}
-	for i := range ch.cols {
-		if ch.cols[i], err = p.col(n); err != nil {
-			return encChunk{}, err
-		}
-	}
+	ch := encChunk{n: n, cols: make([]encCol, len(layout))}
 	if ch.bytes, err = p.take(n); err != nil {
 		return encChunk{}, err
+	}
+	for i, f := range layout {
+		if ch.cols[i], err = p.col(values(ch.bytes, f)); err != nil {
+			return encChunk{}, err
+		}
 	}
 	if !p.done() {
 		return encChunk{}, fmt.Errorf("trace: trailing bytes in chunk")
@@ -279,6 +243,9 @@ func parseChunk(body []byte, ncols int) (encChunk, error) {
 // becomes the open chunk, decoded and fed to the encoder, so the buffer
 // stays appendable.
 func (b *Buffer) adoptFetchChunk(ch encChunk) error {
+	if b.nd > 0 {
+		return fmt.Errorf("trace: fetch chunk after data chunks")
+	}
 	if b.nf&chunkMask != 0 {
 		return fmt.Errorf("trace: fetch chunk after the stream's tail chunk")
 	}
@@ -312,8 +279,7 @@ func (b *Buffer) adoptDataChunk(ch encChunk) error {
 	return nil
 }
 
-// adoptTrailer validates the trailer against the adopted chunks and
-// installs the interleaving bitmap.
+// adoptTrailer validates the trailer against the adopted chunks.
 func (b *Buffer) adoptTrailer(body []byte) error {
 	p := bodyParser{data: body}
 	nf64, err := p.uvarint()
@@ -328,36 +294,15 @@ func (b *Buffer) adoptTrailer(body []byte) error {
 		return fmt.Errorf("trace: trailer counts %d/%d, chunks held %d/%d",
 			nf64, nd64, b.nf, b.nd)
 	}
-	n := b.nf + b.nd
-	bitmap, err := p.take((n + 7) / 8)
-	if err != nil {
-		return err
-	}
 	if !p.done() {
 		return fmt.Errorf("trace: trailing bytes in trailer")
 	}
-	order := make([]uint64, (n+63)/64)
-	ones := 0
-	for i, bb := range bitmap {
-		order[i>>3] |= uint64(bb) << ((i & 7) * 8)
-		ones += bits.OnesCount8(bb)
-	}
-	if ones != b.nd {
-		return fmt.Errorf("trace: order bitmap has %d data bits, want %d", ones, b.nd)
-	}
-	// Padding bits past the last event must be zero, so the bitmap has one
-	// canonical form.
-	if n&63 != 0 && len(order) > 0 && order[len(order)-1]>>(n&63) != 0 {
-		return fmt.Errorf("trace: nonzero padding in order bitmap")
-	}
-	b.order = order
-	b.n = n
 	return nil
 }
 
-// ReadBuffer loads a WMTRACE2 stream into a new Buffer, preserving the
-// interleaving, so capture → WriteTo → ReadBuffer → Replay is
-// indistinguishable from replaying the original capture. Sealed chunks are
+// ReadBuffer loads a WMTRACE3 stream into a new Buffer, so capture →
+// WriteTo → ReadBuffer → Replay is indistinguishable from replaying the
+// original capture. Sealed chunks are
 // adopted verbatim (CRC-checked, no re-encode); a partial tail chunk is
 // loaded into the open chunk's encoder so the buffer stays appendable.
 func ReadBuffer(r io.Reader) (*Buffer, error) {
@@ -368,13 +313,13 @@ func ReadBuffer(r io.Reader) (*Buffer, error) {
 	return b, nil
 }
 
-// readBuffer parses a WMTRACE2 file, magic first, into b.
+// readBuffer parses a WMTRACE3 file, magic first, into b.
 func readBuffer(br *bufio.Reader, b *Buffer) error {
-	magic := make([]byte, len(fileMagic))
+	magic := make([]byte, len(FileMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if string(magic) != fileMagic {
+	if string(magic) != FileMagic {
 		return fmt.Errorf("trace: bad magic %q", magic)
 	}
 	for {
@@ -402,7 +347,7 @@ func readBuffer(br *bufio.Reader, b *Buffer) error {
 		}
 		switch tag {
 		case recFetch:
-			ch, err := parseChunk(body, fetchCols)
+			ch, err := parseChunk(body, fetchLayout)
 			if err != nil {
 				return err
 			}
@@ -410,7 +355,7 @@ func readBuffer(br *bufio.Reader, b *Buffer) error {
 				return err
 			}
 		case recData:
-			ch, err := parseChunk(body, dataCols)
+			ch, err := parseChunk(body, dataLayout)
 			if err != nil {
 				return err
 			}

@@ -12,11 +12,14 @@ import (
 // 5-byte group is one event whose control byte picks the stream and the
 // address-movement pattern, so the fuzzer steers the columns through
 // sequential runs, sign-alternating deltas, random jumps and max-magnitude
-// wraps — the cases that stress delta/varint encoding.
-func buildStream(data []byte) (*Buffer, []FetchEvent, []DataEvent) {
-	b := new(Buffer)
-	var fs []FetchEvent
-	var ds []DataEvent
+// wraps — the cases that stress delta/varint encoding. A fetch's prev is
+// the last fetch addr and its base and disp are prev and addr − prev, and a
+// data addr is base + disp, so every prediction of the format holds, unless
+// the control byte's top bit selects a break: then the top two bits of the
+// group's value pick which of prev, base, disp and kind a fetch breaks, and
+// a data event's addr moves off base + disp.
+func buildStream(data []byte) (*Buffer, *script) {
+	b, s := new(Buffer), new(script)
 	addr, prev := uint32(0x1000), uint32(0)
 	for i := 0; i+5 <= len(data); i += 5 {
 		ctl := data[i]
@@ -39,6 +42,7 @@ func buildStream(data []byte) (*Buffer, []FetchEvent, []DataEvent) {
 		case 5: // monotonic large stride
 			addr += 0x10000
 		}
+		brk := ctl&0x80 != 0
 		if ctl&0x40 != 0 {
 			ev := DataEvent{
 				Addr:  addr,
@@ -47,29 +51,43 @@ func buildStream(data []byte) (*Buffer, []FetchEvent, []DataEvent) {
 				Store: ctl&0x20 != 0,
 				Size:  1 << (ctl % 4),
 			}
-			ds = append(ds, ev)
+			if brk {
+				ev.Addr += 1 + d%64
+			}
+			s.ds = append(s.ds, ev)
+			s.order = append(s.order, true)
 			b.OnData(ev)
 			continue
 		}
-		ev := FetchEvent{
-			Addr:  addr,
-			Prev:  prev,
-			Base:  addr - 8,
-			Disp:  int32(d),
-			Kind:  ControlKind(ctl % 4),
-			First: len(fs) == 0,
+		ev := FetchEvent{Addr: addr, Prev: prev, Kind: ControlKind(ctl % 4), First: len(s.fs) == 0}
+		if brk && d>>30 == 0 {
+			ev.Prev = d
+		}
+		ev.Base, ev.Disp = ev.Prev, int32(ev.Addr-ev.Prev)
+		if brk {
+			switch d >> 30 {
+			case 1:
+				ev.Base = d
+			case 2:
+				ev.Disp = int32(d)
+			case 3:
+				ev.Kind = KindSeq + 1 + ControlKind(d%3)
+			}
 		}
 		prev = addr
-		fs = append(fs, ev)
+		s.fs = append(s.fs, ev)
+		s.order = append(s.order, false)
 		b.OnFetch(ev)
 	}
-	return b, fs, ds
+	return b, s
 }
 
 // FuzzVarintColumnRoundTrip drives adversarial address streams through the
 // full encode→spill→load→decode cycle, asserting byte-exact event recovery
-// and a byte-stable re-serialization. The spill must equal the reference
-// encoder's (encode_ref_test.go), and so must the spill of the same stream
+// and a byte-stable re-serialization, with each event keeping or breaking
+// the format's predictions as its control byte selects (buildStream). The
+// spill must equal the reference encoder's (encode_ref_test.go), and so
+// must the spill of the same stream
 // appended in blocks whose lengths the fuzzer picks: cut byte c is a block
 // of c+1 events, the list repeating; no cuts is one block per stream.
 func FuzzVarintColumnRoundTrip(f *testing.F) {
@@ -103,9 +121,22 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 	f.Add(mix, []byte{0})
 	f.Add(mix, []byte{6, 200, 31})
 	f.Add(rnd, []byte{255, 254, 1})
+	// Sequential packets, every other event breaking a prediction in turn:
+	// prev, base, disp, kind, and a data addr.
+	brk := make([]byte, 5*80)
+	for i := 0; i+5 <= len(brk); i += 10 {
+		brk[i] = 0x84 // ctl%6 == 0: a sequential packet, KindSeq
+		if i%50 == 40 {
+			brk[i] = 0xc0
+		}
+		binary.LittleEndian.PutUint32(brk[i+1:], uint32(i/10)<<30|0x1234)
+	}
+	f.Add(brk, []byte(nil))
+	f.Add(brk, []byte{2, 70})
 
 	f.Fuzz(func(t *testing.T, data, cuts []byte) {
-		b, wantF, wantD := buildStream(data)
+		b, s := buildStream(data)
+		wantF, wantD := s.fs, s.ds
 		var spill bytes.Buffer
 		n, err := b.WriteTo(&spill)
 		if err != nil {
@@ -140,10 +171,6 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 			t.Fatal("re-serialization differs")
 		}
 
-		s := script{fs: wantF, ds: wantD, order: make([]bool, b.Len())}
-		for i := range s.order {
-			s.order[i] = b.order[i>>6]&(1<<(i&63)) != 0
-		}
 		ref := s.reference()
 		if !bytes.Equal(spill.Bytes(), ref) {
 			t.Fatal("spill differs from the reference encoder's")
@@ -173,7 +200,7 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 // errors, never silently diverges).
 func FuzzWMTRACE2Reader(f *testing.F) {
 	seed := func(events []byte) []byte {
-		b, _, _ := buildStream(events)
+		b, _ := buildStream(events)
 		var spill bytes.Buffer
 		b.WriteTo(&spill)
 		return spill.Bytes()
@@ -183,7 +210,7 @@ func FuzzWMTRACE2Reader(f *testing.F) {
 	r.Read(ev)
 	f.Add(seed(ev))
 	f.Add(seed(make([]byte, 5*64)))
-	f.Add([]byte(fileMagic))
+	f.Add([]byte(FileMagic))
 	mut := seed(ev)
 	mut[len(mut)/2] ^= 0xff
 	f.Add(mut)
@@ -228,7 +255,8 @@ func FuzzWMTRACE2Reader(f *testing.F) {
 	})
 }
 
-// TestWMTRACE2EveryByteFlipDetected corrupts a spill one byte at a time —
+// TestWMTRACE2EveryByteFlipDetected (named for the format it was written
+// for; it checks the current one) corrupts a spill one byte at a time —
 // covering truncated varints, flipped compression flags, altered counts and
 // checksum damage — and demands the reader reject every single mutation:
 // the format has no byte whose corruption can pass silently.
@@ -241,7 +269,7 @@ func TestWMTRACE2EveryByteFlipDetected(t *testing.T) {
 	for i := 0; i+5 <= len(ev); i += 15 {
 		ev[i] &^= 0xc7 // ctl%6 == 0, fetch
 	}
-	b, _, _ := buildStream(ev)
+	b, _ := buildStream(ev)
 	var spill bytes.Buffer
 	if _, err := b.WriteTo(&spill); err != nil {
 		t.Fatal(err)
@@ -272,36 +300,3 @@ func TestWMTRACE2EveryByteFlipDetected(t *testing.T) {
 // the uncompressed WMTRACE1 format earlier versions wrote. It is the
 // yardstick the column compression is measured against.
 func fixedRecordBytes(nf, nd int) int { return 8 + 19*nf + 15*nd }
-
-// TestWMTRACE2CompressionFloor pins the size win where it is
-// architecturally guaranteed: on sequential-packet-dominated streams (the
-// paper's workloads), the spill must be at most half the fixed-record bytes.
-func TestWMTRACE2CompressionFloor(t *testing.T) {
-	var b Buffer
-	addr := uint32(0x1000)
-	for i := 0; i < 3*chunkLen/2; i++ {
-		next := addr + 8
-		if i%200 == 199 {
-			next = addr - 1024 // loop back-edge
-		}
-		b.OnFetch(FetchEvent{Addr: next, Prev: addr, Base: addr, Disp: int32(next - addr), Kind: KindSeq})
-		if i%5 == 0 {
-			b.OnData(DataEvent{Addr: 0x8000 + uint32(i%4096)*4, Base: 0x8000, Disp: int32(i % 4096), Size: 4})
-		}
-		addr = next
-	}
-	var v2 bytes.Buffer
-	if _, err := b.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v1 := fixedRecordBytes(b.NumFetches(), b.NumDatas()); 2*v2.Len() >= v1 {
-		t.Fatalf("sequential stream: WMTRACE2 %dB vs fixed records %dB — compression < 2x", v2.Len(), v1)
-	}
-	// Besides the columns, the spill holds the order bitmap (one bit per
-	// event) and the record framing.
-	bitmap := int64(b.Len()+7) / 8
-	if int64(v2.Len()) > b.EncodedBytes()+bitmap+4096 {
-		t.Fatalf("spill %dB far exceeds in-memory encoded footprint %dB plus %dB of order bitmap",
-			v2.Len(), b.EncodedBytes(), bitmap)
-	}
-}

@@ -8,9 +8,10 @@ import (
 )
 
 // goldenStream regenerates the deterministic event mix that produced
-// testdata/golden_v2.wmtrace: mostly sequential fetch packets with periodic
-// branches, links and indirect jumps, and a data access every fifth event.
-// It must never change — the fixture bytes pin the file format.
+// testdata/golden_v2.wmtrace and testdata/golden_v3.wmtrace: mostly
+// sequential fetch packets with periodic branches, links and indirect
+// jumps, and a data access every fifth event. It must never change — the
+// fixture bytes pin the file format.
 func goldenStream() (fs []FetchEvent, ds []DataEvent, order []bool) {
 	x := uint32(0x9e3779b9)
 	rnd := func() uint32 { x ^= x << 13; x ^= x >> 17; x ^= x << 5; return x }
@@ -51,12 +52,13 @@ func goldenStream() (fs []FetchEvent, ds []DataEvent, order []bool) {
 	return fs, ds, order
 }
 
-// TestGoldenWMTRACE2 pins the spill format's bytes: the committed fixture
+// TestGoldenWMTRACE3 pins the spill format's bytes: the committed fixture
 // must load with the generating stream's counts, decode to exactly that
 // stream, and re-serialize bit-identically — so any change to the column
-// encoding, the record framing or the trailer shows up here.
-func TestGoldenWMTRACE2(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v2.wmtrace"))
+// encoding, the predictions, the record framing or the trailer shows up
+// here.
+func TestGoldenWMTRACE3(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v3.wmtrace"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +114,23 @@ func TestGoldenWMTRACE2(t *testing.T) {
 	// The golden mix is dominated by sequential packets: the spill must be
 	// well under half the fixed-record size of the same events.
 	if v1 := fixedRecordBytes(len(wantF), len(wantD)); len(raw)*2 >= v1 {
-		t.Fatalf("WMTRACE2 spill %dB not ≤ 0.5× fixed records %dB", len(raw), v1)
+		t.Fatalf("WMTRACE3 spill %dB not ≤ 0.5× fixed records %dB", len(raw), v1)
+	}
+}
+
+// TestGoldenWMTRACE2: a spill of the golden stream in the WMTRACE2 format of
+// earlier versions, which stored every field and the interleaving of the
+// two streams, is rejected, so a spill directory that an earlier version
+// left behind costs one re-capture per trace, never a misread.
+func TestGoldenWMTRACE2(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v2.wmtrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("WMTRACE2")) {
+		t.Fatalf("fixture starts %q, not the WMTRACE2 magic", raw[:8])
+	}
+	if _, err := ReadBuffer(bytes.NewReader(raw)); err == nil {
+		t.Fatal("a WMTRACE2 spill loads")
 	}
 }

@@ -15,8 +15,7 @@ import "sync"
 // a fetch sink may see a later fetch block before a data sink sees an
 // earlier data block. That is ReplayAll's contract too, and every technique
 // in this repository consumes exactly one stream. A capture stager
-// (NewCapture) additionally records the program-order interleaving of the
-// two streams into its Buffer, which is what WriteTo spills.
+// (NewCapture) has its Buffer as the one sink of both streams.
 //
 // A Stager serves one run. Call Flush once the run has succeeded to
 // deliver each stream's partial tail; a failed run's tails are dropped
@@ -28,13 +27,6 @@ type Stager struct {
 	dblk   *dataBlock
 	nf     int
 	nd     int
-	// lim is the slot count below which NextFetch and NextData take their
-	// inlined fast path: stageLen in a live run, 0 in a capture, where
-	// every event also records its order bit.
-	lim int
-	// rec is the capture buffer that receives the interleaving of the two
-	// streams, one order bit per event; nil for a live run.
-	rec *Buffer
 }
 
 // stageLen is the number of events per staged block. From 256 to 4096
@@ -59,20 +51,18 @@ var (
 
 // NewStager returns a stager that delivers to every non-nil sink of pairs.
 func NewStager(pairs []SinkPair) *Stager {
-	s := &Stager{lim: stageLen}
+	s := new(Stager)
 	s.fsinks, s.dsinks = batchSinks(pairs)
 	s.getBlocks()
 	return s
 }
 
 // NewCapture returns a stager that records one run into b: each staged
-// block is appended to b's columns, and the order in which the simulator
-// asked for slots becomes b's program-order interleaving.
+// block is appended to b's columns.
 func NewCapture(b *Buffer) *Stager {
 	s := &Stager{
 		fsinks: []FetchBatchSink{captureSink{b}},
 		dsinks: []DataBatchSink{captureSink{b}},
-		rec:    b,
 	}
 	s.getBlocks()
 	return s
@@ -102,7 +92,7 @@ func (s *Stager) Streams() (fetch, data bool) {
 // writes every field of the slot before asking for the next one. It is
 // valid only on a stager whose Streams reports the fetch stream.
 func (s *Stager) NextFetch() *FetchEvent {
-	if s.nf < s.lim {
+	if s.nf < stageLen {
 		s.nf++
 		return &s.fblk[s.nf-1]
 	}
@@ -111,38 +101,26 @@ func (s *Stager) NextFetch() *FetchEvent {
 
 // NextData is NextFetch for the data stream.
 func (s *Stager) NextData() *DataEvent {
-	if s.nd < s.lim {
+	if s.nd < stageLen {
 		s.nd++
 		return &s.dblk[s.nd-1]
 	}
 	return s.dataSlow()
 }
 
-// fetchSlow is NextFetch's out-of-line half: it delivers a full block and,
-// in a capture, records the event's order bit.
+// fetchSlow is NextFetch's out-of-line half: it delivers the full block and
+// returns the first slot of the next.
 func (s *Stager) fetchSlow() *FetchEvent {
-	if s.nf == stageLen {
-		fanFetch(s.fsinks, s.fblk[:])
-		s.nf = 0
-	}
-	if s.rec != nil {
-		s.rec.pushOrder(false)
-	}
-	s.nf++
-	return &s.fblk[s.nf-1]
+	fanFetch(s.fsinks, s.fblk[:])
+	s.nf = 1
+	return &s.fblk[0]
 }
 
 // dataSlow is fetchSlow for the data stream.
 func (s *Stager) dataSlow() *DataEvent {
-	if s.nd == stageLen {
-		fanData(s.dsinks, s.dblk[:])
-		s.nd = 0
-	}
-	if s.rec != nil {
-		s.rec.pushOrder(true)
-	}
-	s.nd++
-	return &s.dblk[s.nd-1]
+	fanData(s.dsinks, s.dblk[:])
+	s.nd = 1
+	return &s.dblk[0]
 }
 
 // Flush delivers each stream's partial tail block and returns the blocks to
@@ -164,7 +142,6 @@ func (s *Stager) Flush() {
 }
 
 // captureSink appends a capture stager's blocks to its Buffer's columns.
-// The stager records the order bits itself, event by event.
 type captureSink struct{ b *Buffer }
 
 func (c captureSink) OnFetchBatch(evs []FetchEvent) { c.b.appendFetches(evs) }

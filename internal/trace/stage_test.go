@@ -70,8 +70,8 @@ func TestStagerSinksPerStream(t *testing.T) {
 
 // TestCaptureStagerMatchesPerEvent: recording a stream through a capture
 // stager, block by block, yields the same buffer as appending the same
-// events one by one — the same streams and the same interleaving, so the
-// same WMTRACE2 bytes — across block and chunk boundaries.
+// events one by one — the same streams, so the same WMTRACE3 bytes —
+// across block and chunk boundaries.
 func TestCaptureStagerMatchesPerEvent(t *testing.T) {
 	for _, n := range []int{0, 1, stageLen + 1, chunkLen + 3*stageLen + 5} {
 		r := rand.New(rand.NewSource(int64(n)))

@@ -26,7 +26,7 @@
 //     standard load harness (internal/serve/load) against an in-process
 //     daemon — 64 overlapping clients, two variants sharing a grid point;
 //     the dedup rate counts points served without a simulation;
-//   - trace_columns: the WMTRACE2 compressed-column footprint over the
+//   - trace_columns: the WMTRACE3 compressed-column footprint over the
 //     paper workloads' captures — encoded bytes per event against the
 //     fixed-record size of the same events, the in-memory decoded event
 //     size, and the resulting compression_ratio;
@@ -141,7 +141,7 @@ type record struct {
 	// gate never reads them; correctness under faults is asserted by the
 	// phase itself.
 	Chaos *chaosRecord `json:"serve_chaos,omitempty"`
-	// TraceColumns is the WMTRACE2 compressed-column footprint over the
+	// TraceColumns is the WMTRACE3 compressed-column footprint over the
 	// paper workloads' captures (nil in pre-column baselines).
 	TraceColumns *traceColumnsRecord `json:"trace_columns,omitempty"`
 	// SingleCore is true when the machine cannot produce a multi-core
@@ -175,17 +175,20 @@ type scalePoint struct {
 // traceColumnsRecord sizes the same captures three ways: the paper
 // workloads' full event streams as fixed-size records (the uncompressed
 // WMTRACE1 layout: an 8-byte magic, 19 bytes per fetch and 15 per data
-// event), as WMTRACE2 delta/varint columns, and as decoded in-memory
+// event), as WMTRACE3 delta/varint columns, and as decoded in-memory
 // events. The compression ratio is machine-portable (pure function of the
 // workloads' address streams), so it is gated.
 type traceColumnsRecord struct {
 	Events          int     `json:"events"`
 	V1BytesPerEvent float64 `json:"wmtrace1_bytes_per_event"`
+	// V2BytesPerEvent is the spill size in the current column format;
+	// its JSON name predates WMTRACE3 and is kept so records compare
+	// with BENCH_3–8.json.
 	V2BytesPerEvent float64 `json:"wmtrace2_bytes_per_event"`
 	// DecodedBytesPerEvent prices the replay-time representation the
 	// columns decode into, averaged over the fetch/data mix.
 	DecodedBytesPerEvent float64 `json:"decoded_bytes_per_event"`
-	// CompressionRatio is fixed-record bytes over WMTRACE2 bytes.
+	// CompressionRatio is fixed-record bytes over WMTRACE3 bytes.
 	CompressionRatio float64 `json:"compression_ratio"`
 }
 
@@ -272,7 +275,7 @@ func scaleProcs(list string) ([]int, error) {
 }
 
 // measureTraceColumns sizes every paper workload's capture as fixed-size
-// records and as a WMTRACE2 spill, against the decoded in-memory events they
+// records and as a WMTRACE3 spill, against the decoded in-memory events they
 // replay as. The captures are already warm in tc, so this is pure
 // re-serialization.
 func measureTraceColumns(ctx context.Context, tc *suite.TraceCache) (*traceColumnsRecord, error) {
