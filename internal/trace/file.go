@@ -302,9 +302,9 @@ func (b *Buffer) adoptTrailer(body []byte) error {
 
 // ReadBuffer loads a WMTRACE3 stream into a new Buffer, so capture →
 // WriteTo → ReadBuffer → Replay is indistinguishable from replaying the
-// original capture. Sealed chunks are
-// adopted verbatim (CRC-checked, no re-encode); a partial tail chunk is
-// loaded into the open chunk's encoder so the buffer stays appendable.
+// original capture. Sealed chunks are adopted verbatim (CRC-checked, no
+// re-encode); a partial tail chunk is loaded into the open chunk's encoder
+// so the buffer stays appendable.
 func ReadBuffer(r io.Reader) (*Buffer, error) {
 	b := new(Buffer)
 	if err := readBuffer(bufio.NewReaderSize(r, 1<<16), b); err != nil {

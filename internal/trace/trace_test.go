@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,6 +124,28 @@ func TestFileErrors(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, err := ReadBuffer(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated trace accepted")
+	}
+	// Well-formed records in the wrong order: the data stream's chunk
+	// before the fetch stream's.
+	b.OnFetch(FetchEvent{Addr: 8})
+	buf.Reset()
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spill := buf.Bytes()
+	var recs [][]byte // the records after the magic, trailer last
+	for off := len(FileMagic); off < len(spill); {
+		n, k := binary.Uvarint(spill[off+1:])
+		end := off + 1 + k + int(n) + 4
+		recs = append(recs, spill[off:end])
+		off = end
+	}
+	if len(recs) != 3 || recs[0][0] != recFetch || recs[1][0] != recData {
+		t.Fatalf("spill of one fetch and one data event has records %d", len(recs))
+	}
+	swapped := slices.Concat([]byte(FileMagic), recs[1], recs[0], recs[2])
+	if _, err := ReadBuffer(bytes.NewReader(swapped)); err == nil {
+		t.Fatal("data chunk before fetch chunk accepted")
 	}
 }
 
