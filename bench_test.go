@@ -220,18 +220,6 @@ func BenchmarkExploreSweepShared(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreSweepLive is the same sweep with trace sharing disabled —
-// one full simulator execution per grid point, the pre-engine behavior. The
-// ratio to BenchmarkExploreSweepShared is the engine's speedup.
-func BenchmarkExploreSweepLive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := explore.Run(context.Background(), explore.EngineBenchSpace(),
-			explore.WithTraceSharing(false)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceReplayRate measures raw replay speed (events/sec) of the
 // packed buffer into a null sink — the ceiling on how fast a replayed grid
 // point can go.
@@ -240,11 +228,13 @@ func BenchmarkTraceReplayRate(b *testing.B) {
 	if _, err := workloads.Run(workloads.DCT(), trace.NewCapture(&buf)); err != nil {
 		b.Fatal(err)
 	}
-	sinkF := trace.FetchFunc(func(trace.FetchEvent) {})
-	sinkD := trace.DataFunc(func(trace.DataEvent) {})
+	sinks := []trace.SinkPair{{
+		Fetch: trace.FetchFunc(func(trace.FetchEvent) {}),
+		Data:  trace.DataFunc(func(trace.DataEvent) {}),
+	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := buf.Replay(context.Background(), sinkF, sinkD); err != nil {
+		if err := buf.ReplayAll(context.Background(), sinks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,7 +38,6 @@ func runExplore(args []string) {
 	packet := fs.Uint("packet", 0, "fetch-packet bytes (0 = the 8-byte VLIW packet)")
 	cacheDir := fs.String("cache-dir", "", "memoize grid points in this directory (reruns skip simulated points)")
 	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE3); reruns replay instead of simulating")
-	noShare := fs.Bool("no-trace-share", false, "execute every grid point live instead of replaying shared traces")
 	par := fs.Int("j", 0, "grid points to simulate concurrently (0 = GOMAXPROCS)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	md := fs.Bool("md", false, "emit a markdown report")
@@ -115,38 +114,28 @@ func runExplore(args []string) {
 	if *cacheDir != "" {
 		opts = append(opts, explore.WithCacheDir(*cacheDir))
 	}
-	if *noShare {
-		opts = append(opts, explore.WithTraceSharing(false))
-	}
 	if *traceDir != "" {
 		opts = append(opts, explore.WithTraceDir(*traceDir))
 	}
 
-	mode := "batched fan-out replay"
-	if *noShare {
-		mode = "live execution"
-	}
-	fmt.Fprintf(os.Stderr, "exploring %d grid points (%s-cache, %s)...\n",
-		space.NumPoints(), space.Domain, mode)
+	fmt.Fprintf(os.Stderr, "exploring %d grid points (%s-cache, batched fan-out replay)...\n",
+		space.NumPoints(), space.Domain)
 	grid, err := explore.Run(context.Background(), space, opts...)
 	exitOn(err)
-	if *noShare {
-		fmt.Fprintf(os.Stderr, "%d cached, %d simulated\n\n", grid.Hits, grid.Misses)
-	} else {
-		fmt.Fprintf(os.Stderr, "%d cached, %d simulated (%d executed, %d replayed, %d trace loads)\n",
-			grid.Hits, grid.Misses, grid.Traces.Captures, grid.Traces.Replays, grid.Traces.DiskLoads)
-		// Fan-out shape, so a batching regression is visible straight from
-		// the CLI: more passes or fewer sinks per pass for the same grid
-		// means captures are being re-streamed more than they should be.
-		// (Delivery *rate* is benchrec's job — it times the passes alone,
-		// where a whole-sweep clock would mostly measure simulation.)
-		if tr := grid.Traces; tr.FanOutPasses > 0 {
-			fmt.Fprintf(os.Stderr, "fan-out: %d passes, %.1f sinks/pass avg, %.1fM deliveries\n",
-				tr.FanOutPasses, tr.SinksPerPass(),
-				float64(tr.FanOutDeliveries)/1e6)
-		}
-		fmt.Fprintln(os.Stderr)
+	fmt.Fprintf(os.Stderr, "%d cached, %d simulated (%d executed, %d replayed, %d trace loads)\n",
+		grid.Hits, grid.Misses, grid.Traces.Captures, grid.Traces.Replays, grid.Traces.DiskLoads)
+	// Fan-out shape, so a batching regression is visible straight from the
+	// CLI: more passes or fewer sinks per pass for the same grid means
+	// captures are being re-streamed more than they should be. (Delivery
+	// *rate* is the bench/ ledger's trace.fanout_ns_per_delivery row: it
+	// times the passes alone, where a whole-sweep clock would mostly
+	// measure simulation.)
+	if tr := grid.Traces; tr.FanOutPasses > 0 {
+		fmt.Fprintf(os.Stderr, "fan-out: %d passes, %.1f sinks/pass avg, %.1fM deliveries\n",
+			tr.FanOutPasses, tr.SinksPerPass(),
+			float64(tr.FanOutDeliveries)/1e6)
 	}
+	fmt.Fprintln(os.Stderr)
 
 	if *md {
 		grid.WriteMarkdown(os.Stdout)

@@ -8,8 +8,7 @@
 //	wmx explore [-domain data|fetch] [-mab-tags L] [-mab-sets L]
 //	            [-sets L] [-ways L] [-line L] [-workloads NAMES]
 //	            [-packet N] [-cache-dir DIR] [-trace-dir DIR]
-//	            [-no-trace-share] [-j N] [-csv] [-md]
-//	            [-cpuprofile FILE] [-memprofile FILE]
+//	            [-j N] [-csv] [-md] [-cpuprofile FILE] [-memprofile FILE]
 //	wmx serve   [-listen ADDR] [-store-dir DIR] [-store-budget SIZE] [-j N]
 //	            [-max-jobs N]
 //	wmx crossisa [-kernel NAME] [-j N] [-csv] [-md] [-trace-dir DIR]

@@ -77,8 +77,8 @@ func TestExpReportGolden(t *testing.T) {
 	runGolden(t, "exp_report.txt", "-exp", "report")
 }
 
-// TestExploreGolden pins two design-space sweeps, data and fetch domain,
-// each on shared traces and live.
+// TestExploreGolden pins two design-space sweeps on shared traces, data
+// and fetch domain.
 func TestExploreGolden(t *testing.T) {
 	for _, c := range []struct {
 		golden string
@@ -87,15 +87,6 @@ func TestExploreGolden(t *testing.T) {
 		{"explore_sets.csv", []string{"explore", "-sets", "128,512", "-csv"}},
 		{"explore_sets_fetch.csv", []string{"explore", "-sets", "128,512", "-csv", "-domain", "fetch"}},
 	} {
-		for _, mode := range []struct {
-			name  string
-			extra []string
-		}{
-			{"shared", nil},
-			{"live", []string{"-no-trace-share"}},
-		} {
-			args := append(append([]string{}, c.args...), mode.extra...)
-			t.Run(c.golden+"/"+mode.name, func(t *testing.T) { runGolden(t, c.golden, args...) })
-		}
+		t.Run(c.golden+"/shared", func(t *testing.T) { runGolden(t, c.golden, c.args...) })
 	}
 }

@@ -41,7 +41,7 @@ func TestTraceDrivenEquivalence(t *testing.T) {
 	}
 	replayD := core.NewDController(Geometry, core.DefaultD)
 	replayI := core.NewIController(Geometry, core.DefaultI)
-	if err := loaded.Replay(context.Background(), replayI, replayD); err != nil {
+	if err := loaded.ReplayAll(context.Background(), []trace.SinkPair{{Fetch: replayI, Data: replayD}}); err != nil {
 		t.Fatal(err)
 	}
 	if *replayD.Stats != *liveD.Stats {

@@ -57,10 +57,10 @@ type Grid struct {
 	// Hits and Misses count grid points served from the result cache
 	// versus simulated during this run. Hits+Misses == len(Points).
 	Hits, Misses int
-	// Traces reports the execute-once / replay-many engine's work: with
-	// trace sharing on (the default), Captures counts full simulator
-	// executions (at most one per workload × packet size) and Replays the
-	// grid points served by replaying a capture.
+	// Traces reports the execute-once / replay-many engine's work:
+	// Captures counts full simulator executions (at most one per workload
+	// × packet size) and Replays the grid points served by replaying a
+	// capture.
 	Traces suite.TraceCacheStats
 }
 
@@ -81,10 +81,9 @@ type Progress struct {
 
 // options collects the Run configuration; see the With* constructors.
 type options struct {
-	sc           Scheduler
-	cacheDir     string
-	noTraceShare bool
-	traceDir     string
+	sc       Scheduler
+	cacheDir string
+	traceDir string
 }
 
 // Option configures Run.
@@ -114,17 +113,6 @@ func WithProgress(fn func(Progress)) Option {
 	return func(o *options) error { o.sc.Progress = fn; return nil }
 }
 
-// WithTraceSharing toggles the execute-once / replay-many engine (default
-// on): every workload is executed once per sweep and its captured event
-// stream is replayed to all geometries of the grid, which is bit-identical
-// to executing each point live (the replay golden test in internal/suite
-// pins this) and several times faster on multi-geometry sweeps. Turning it
-// off forces one full execution per grid point — useful only for
-// benchmarking the engine itself.
-func WithTraceSharing(on bool) Option {
-	return func(o *options) error { o.noTraceShare = !on; return nil }
-}
-
 // WithTraceDir additionally spills captured traces to dir as WMTRACE3 files
 // (created if needed), so a later sweep in a fresh process reloads them
 // instead of executing at all. An empty dir is an error.
@@ -140,13 +128,12 @@ func WithTraceDir(dir string) Option {
 
 // Run expands the space into its grid and schedules every point through
 // a Scheduler built from the options. Every point carries the space's full
-// technique list and costs one pass over its workload's event stream; with
-// trace sharing (the default) each workload executes once and every shard
-// replays the capture. With a result cache, stored points load instead of
-// simulating and simulated ones are stored, so a warm cache re-runs an
-// identical sweep without a single simulation (Grid.Misses == 0). Run
-// returns the first error encountered, or ctx.Err() if the context ends
-// first.
+// technique list and costs one pass over its workload's event stream: each
+// workload executes once and every shard replays the capture. With a
+// result cache, stored points load instead of simulating and simulated
+// ones are stored, so a warm cache re-runs an identical sweep without a
+// single simulation (Grid.Misses == 0). Run returns the first error
+// encountered, or ctx.Err() if the context ends first.
 func Run(ctx context.Context, space Space, opts ...Option) (*Grid, error) {
 	var o options
 	for _, opt := range opts {
@@ -161,16 +148,13 @@ func Run(ctx context.Context, space Space, opts ...Option) (*Grid, error) {
 		}
 		o.sc.Cache = dc
 	}
-	switch {
-	case o.noTraceShare && o.traceDir != "":
-		return nil, fmt.Errorf("explore: trace directory given but trace sharing disabled")
-	case o.traceDir != "":
+	if o.traceDir == "" {
+		o.sc.Traces = suite.NewTraceCache()
+	} else {
 		var err error
 		if o.sc.Traces, err = suite.NewDirTraceCache(o.traceDir); err != nil {
 			return nil, err
 		}
-	case !o.noTraceShare:
-		o.sc.Traces = suite.NewTraceCache()
 	}
 	return o.sc.Run(ctx, space)
 }
@@ -190,8 +174,8 @@ type Scheduler struct {
 	// Cache resolves and publishes grid points; nil claims every point
 	// and publishes nothing.
 	Cache Cache
-	// Traces is the execute-once / replay-many engine; nil executes every
-	// point live, one point per shard.
+	// Traces is the execute-once / replay-many engine; nil executes each
+	// shard live, one simulation feeding all of its points.
 	Traces *suite.TraceCache
 	// Parallelism bounds the shards simulating at once (<= 0: GOMAXPROCS).
 	// Results are identical at every level.
@@ -387,9 +371,9 @@ func (sc Scheduler) publish(key string, pr *PointResult, err error) error {
 
 // shards splits the claimed points by workload — enough shards to keep
 // every worker busy, few enough that each capture is streamed a handful of
-// times, and never more than maxShardPoints technique sets live per pass;
-// live sweeps get one point per shard. The boundaries depend only on the
-// claims and the parallelism, so results stay deterministic.
+// times, and never more than maxShardPoints technique sets live per pass.
+// The boundaries depend only on the claims and the parallelism, so results
+// stay deterministic.
 func (sc Scheduler) shards(claims []fanPoint) []fanShard {
 	var groups [][]fanPoint
 	slot := map[string]int{}
@@ -410,9 +394,6 @@ func (sc Scheduler) shards(claims []fanPoint) []fanShard {
 	for _, group := range groups {
 		k := min((par+len(groups)-1)/len(groups), (len(group)+minShardPoints-1)/minShardPoints)
 		k = max(k, (len(group)+maxShardPoints-1)/maxShardPoints)
-		if sc.Traces == nil {
-			k = len(group)
-		}
 		for _, r := range pool.Split(len(group), k) {
 			shards = append(shards, fanShard{w: group[0].pt.Workload, pts: group[r[0]:r[1]]})
 		}

@@ -536,13 +536,13 @@ func TestPaperPick(t *testing.T) {
 
 // TestTraceSharingEquivalence pins the execute-once / replay-many contract
 // at the sweep level: a shared-trace grid is deeply equal to one that
-// executes every point live, while performing only one execution per
-// workload.
+// executes every shard live (a Scheduler with no trace cache), while
+// performing only one execution per workload.
 func TestTraceSharingEquivalence(t *testing.T) {
 	space := tinySpace()
 	space.Workloads = []workloads.Workload{tinyWorkload("tiny-a"), tinyWorkload("tiny-b")}
 
-	live, err := Run(context.Background(), space, WithTraceSharing(false))
+	live, err := Scheduler{Parallelism: 3}.Run(context.Background(), space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,15 +586,11 @@ func TestTraceDirSpill(t *testing.T) {
 	if !reflect.DeepEqual(stripCached(first), stripCached(second)) {
 		t.Error("disk-loaded sweep diverges from capturing sweep")
 	}
-	if _, err := Run(context.Background(), space,
-		WithTraceDir(dir), WithTraceSharing(false)); err == nil {
-		t.Error("trace dir with sharing disabled was accepted")
-	}
 }
 
 // TestFanOutSchedulerEquivalence: the batched per-(workload, packet)
 // fan-out scheduler (the default) produces a grid deeply equal to live
-// execution of every point, the ground truth, and only the batched run
+// execution of every shard, the ground truth, and only the batched run
 // reports trace work. With two workloads and shards of at most
 // maxShardPoints points, the pass count stays far below one-replay-per-sink.
 func TestFanOutSchedulerEquivalence(t *testing.T) {
@@ -605,7 +601,7 @@ func TestFanOutSchedulerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := Run(context.Background(), space, WithTraceSharing(false), WithParallelism(3))
+	live, err := Scheduler{Parallelism: 3}.Run(context.Background(), space)
 	if err != nil {
 		t.Fatal(err)
 	}

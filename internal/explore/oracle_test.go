@@ -17,8 +17,8 @@ import (
 // randomSynthSpace draws a seeded random design space: two or three
 // synthetic specs alternating between the ISAs (FRVL first), each a random
 // pattern, footprint and length — some long enough to fill whole trace
-// chunks — one to three geometries and a random MAB list, on a random
-// domain.
+// chunks — one to three geometries, a random MAB list and a random
+// fetch-packet size, on a random domain.
 func randomSynthSpace(rng *rand.Rand) Space {
 	pick := func(vals []int, max int) []int {
 		out := slices.Clone(vals)
@@ -44,6 +44,7 @@ func randomSynthSpace(rng *rand.Rand) Space {
 		TagEntries:    pick([]int{1, 2}, 2),
 		SetEntries:    pick([]int{4, 8, 16}, 2),
 		WorkloadSpecs: specs,
+		PacketBytes:   []uint32{0, 4, 16}[rng.IntN(3)],
 	}
 }
 
@@ -112,6 +113,63 @@ func TestRandomSpacesCacheAndSpillPaths(t *testing.T) {
 					if !bytes.Equal(got[i], want[i]) {
 						t.Fatalf("%s run, point %d differs from the cold run:\n%s\n%s", name, i, got[i], want[i])
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestRandomSpacesLiveSuiteRun is the differential oracle's live path: on
+// the same seeded random spaces, a live suite.Run per geometry (the
+// space's techniques, workloads and packet size, no trace cache), priced
+// through assemblePoint, gives exactly the PointResult bytes of a cold
+// explore.Run that captures each workload once and replays it.
+func TestRandomSpacesLiveSuiteRun(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 3
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			space, err := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), 0xe4))).Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Run(context.Background(), space, WithParallelism(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pointJSON(t, cold)
+
+			techs := space.Techniques()
+			live := &Grid{}
+			for _, geo := range space.Geometries() {
+				r, err := suite.Run(context.Background(), suite.WithGeometry(geo),
+					suite.WithTechniques(techs...), suite.WithWorkloads(space.Workloads...),
+					suite.WithPacketBytes(space.PacketBytes), suite.WithParallelism(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for wi, br := range r.Benchmarks {
+					res := make([]suite.TechResult, len(techs))
+					for i, tech := range techs {
+						if tech.Domain == suite.Data {
+							res[i] = br.D[tech.ID]
+						} else {
+							res[i] = br.I[tech.ID]
+						}
+					}
+					pt := Point{Geometry: geo, Workload: space.Workloads[wi]}
+					live.Points = append(live.Points, *assemblePoint(pt, techs, res, br.Cycles, br.Instrs))
+				}
+			}
+			got := pointJSON(t, live)
+			if len(got) != len(want) {
+				t.Fatalf("live suite runs: %d points, cold explore %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("point %d: live suite run differs from the cold explore run:\n%s\n%s", i, got[i], want[i])
 				}
 			}
 		})

@@ -33,8 +33,7 @@
 // replays the capture to all of its points — G×W grid points cost W
 // executions plus a few replays per workload, bit-identical to executing
 // each point live. WithTraceDir spills the captures as WMTRACE3 files for
-// reuse across processes; WithTraceSharing(false) executes every point
-// live.
+// reuse across processes.
 package explore
 
 import (
@@ -98,11 +97,10 @@ func PaperGrid(domain suite.Domain) Space {
 	return Space{Domain: domain}
 }
 
-// EngineBenchSpace is the reference multi-geometry sweep the repository's
-// trace-engine benchmarks time: all three geometry axes swept (24
-// geometries), two workloads, the baseline plus one MAB size per point.
-// bench_test.go and tools/benchrec both measure exactly this space, so the
-// committed BENCH_<n>.json numbers and `go test -bench` stay comparable.
+// EngineBenchSpace is the reference multi-geometry sweep that the root
+// bench_test.go's BenchmarkExploreSweepShared times: all three geometry
+// axes swept (24 geometries), two workloads, the baseline plus one MAB
+// size per point.
 func EngineBenchSpace() Space {
 	return Space{
 		Domain:     suite.Data,

@@ -3,10 +3,10 @@
 // variant set actually contains (the same content hash the daemon
 // deduplicates on), and reports what the service layer promised — one
 // simulation per unique point however many clients ask, warm reruns that
-// simulate nothing, and warm analytics answered in microseconds. Both
-// tools/loadgen (against a live daemon) and tools/benchrec (against an
-// in-process server) run exactly this harness, so the CI assertion and the
-// committed benchmark number measure the same thing.
+// simulate nothing, and warm analytics answered in microseconds.
+// tools/loadgen runs it against a live daemon in CI, and the package's own
+// test runs it against an in-process server, pinning the exact simulation
+// count.
 package load
 
 import (

@@ -133,13 +133,6 @@ type SinkPair struct {
 // resident in L2 while every sink of the pass walks it.
 const batchLen = 4096
 
-// Replay feeds both recorded streams to the sinks (either may be nil). It
-// is ReplayAll over a single pair; see ReplayAll for ordering and
-// cancellation semantics.
-func (b *Buffer) Replay(ctx context.Context, fetch FetchSink, data DataSink) error {
-	return b.ReplayAll(ctx, []SinkPair{{Fetch: fetch, Data: data}})
-}
-
 // ReplayAll fans the capture out to every registered sink in a single pass:
 // each compressed column chunk is decoded into event blocks once, and each
 // block is handed to all sinks (native batch sinks directly, legacy
@@ -147,7 +140,7 @@ func (b *Buffer) Replay(ctx context.Context, fetch FetchSink, data DataSink) err
 // touched — so an N-technique sweep streams the encoded bytes once instead
 // of the raw bytes N times, and the hot block stays cache-resident.
 // Per-sink event order is exactly capture order, identical to N independent
-// Replay calls.
+// single-pair passes.
 //
 // The two streams are replayed back to back: every sink in this repository
 // consumes exactly one stream, so per-stream order — which is preserved

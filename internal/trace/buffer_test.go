@@ -47,7 +47,7 @@ func TestBufferCaptureAndReplay(t *testing.T) {
 		}
 	}
 	var rec eventLog
-	if err := b.Replay(context.Background(), &rec, &rec); err != nil {
+	if err := b.ReplayAll(context.Background(), []SinkPair{{Fetch: &rec, Data: &rec}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Fetches) != len(wantF) || len(rec.Datas) != len(wantD) {
@@ -73,7 +73,7 @@ func TestBufferReplayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var rec eventLog
-	if err := b.Replay(ctx, &rec, nil); !errors.Is(err, context.Canceled) {
+	if err := b.ReplayAll(ctx, []SinkPair{{Fetch: &rec}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay: err = %v", err)
 	}
 	if len(rec.Fetches) != 0 {

@@ -221,7 +221,7 @@ func FuzzWMTRACE2Reader(f *testing.F) {
 			return
 		}
 		var log1 eventLog
-		if err := b.Replay(context.Background(), &log1, &log1); err != nil {
+		if err := b.ReplayAll(context.Background(), []SinkPair{{Fetch: &log1, Data: &log1}}); err != nil {
 			// Accepted at load but a chunk fails block decode: that is the
 			// degradation contract — an error, never wrong events.
 			return
@@ -235,7 +235,7 @@ func FuzzWMTRACE2Reader(f *testing.F) {
 			t.Fatalf("re-serialized file rejected: %v", err)
 		}
 		var log2 eventLog
-		if err := b2.Replay(context.Background(), &log2, &log2); err != nil {
+		if err := b2.ReplayAll(context.Background(), []SinkPair{{Fetch: &log2, Data: &log2}}); err != nil {
 			t.Fatalf("re-serialized file fails replay: %v", err)
 		}
 		if len(log1.Fetches) != len(log2.Fetches) || len(log1.Datas) != len(log2.Datas) {
