@@ -208,13 +208,24 @@ func BenchmarkSuiteReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreSweepShared times a cold multi-geometry sweep
-// (explore.EngineBenchSpace: 24 geometries × 2 workloads = 48 grid points)
-// on the execute-once / replay-many engine (the default): each workload
-// executes once, every geometry replays the capture.
+// BenchmarkExploreSweepShared times a cold multi-geometry sweep — sets
+// {128, 256, 512, 1024} × ways {1, 2, 4} × lines {16, 32}, the baseline
+// and a 2x8 MAB, over DCT and FFT: 48 grid points — on the execute-once /
+// replay-many engine (the default): each workload executes once, and the
+// three way counts of each (sets, line) replay the capture into one ways
+// group.
 func BenchmarkExploreSweepShared(b *testing.B) {
+	space := explore.Space{
+		Domain:     suite.Data,
+		Sets:       []int{128, 256, 512, 1024},
+		Ways:       []int{1, 2, 4},
+		LineBytes:  []int{16, 32},
+		TagEntries: []int{2},
+		SetEntries: []int{8},
+		Workloads:  []workloads.Workload{workloads.DCT(), workloads.FFT()},
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := explore.Run(context.Background(), explore.EngineBenchSpace()); err != nil {
+		if _, err := explore.Run(context.Background(), space); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,7 +404,10 @@ func replayBlocks[E any](b *testing.B, evs []E, deliver func([]E)) {
 // the cost of each further lane shows. The synthetic leg walks 1024 bases
 // 4 bytes apart, so every 8th access claims a new set index: the worst
 // case for the lanes' depth crossings. The paper leg replays jpeg_enc's
-// captured data stream.
+// captured data stream. Its ways=1,2,4 rows deliver it to the four lanes
+// at geo-sweep's three way counts of 512 sets: one ways group
+// (core.NewDWays), and, as the rows before it, three one-geometry
+// controllers.
 func BenchmarkDController(b *testing.B) {
 	evs := make([]trace.DataEvent, 4096)
 	for i := range evs {
@@ -421,6 +435,26 @@ func BenchmarkDController(b *testing.B) {
 			replayBlocks(b, datas, d.OnDataBatch)
 		})
 	}
+	geos := []cache.Config{{Sets: 512, Ways: 1, LineBytes: 32}, {Sets: 512, Ways: 2, LineBytes: 32},
+		{Sets: 512, Ways: 4, LineBytes: 32}}
+	mabs := lanes[1].mabs
+	b.Run("paper/ways=1,2,4", func(b *testing.B) {
+		datas := getJPEGCapture(b).Datas()
+		d := core.NewDWays(geos, mabs)
+		replayBlocks(b, datas, d.OnDataBatch)
+	})
+	b.Run("paper/ways=1,2,4/apart", func(b *testing.B) {
+		datas := getJPEGCapture(b).Datas()
+		var ds []*core.DController
+		for _, geo := range geos {
+			ds = append(ds, core.NewDLanes(geo, mabs))
+		}
+		replayBlocks(b, datas, func(evs []trace.DataEvent) {
+			for _, d := range ds {
+				d.OnDataBatch(evs)
+			}
+		})
+	})
 }
 
 // BenchmarkIController measures one way-memoized I-cache fetch end to end

@@ -98,31 +98,40 @@ func (d *DController) OnData(ev trace.DataEvent) {
 }
 
 // sync derives every technique's counters from the shared counts and the
-// lanes' and the set buffer's own. A conventional access reads every tag
-// way and, for a load, every data way; a store writes one way through the
-// write-back buffer and a refill one more. A verified MAB hit reads no tag
-// and one way.
+// lanes' and the set buffer's own.
 func (d *DController) sync() {
 	n, ways := &d.ls.n, d.ways
 	d.ls.fold()
-	loads := n.accesses - n.stores
-	b := d.Baseline
-	n.outcome(b)
-	b.TagReads = ways * n.accesses
-	b.WayReads = ways * loads
-	b.WayWrites = n.stores + n.misses
+	n.dataBaseline(d.Baseline, ways)
 	for k := range d.Lanes {
 		l := &d.Lanes[k]
-		s := l.Stats
-		n.outcome(s)
-		loadHits := l.hits - l.storeHits
-		s.TagReads = ways * (n.accesses - l.hits)
-		s.WayReads = ways*(loads-loadHits) + loadHits
-		s.WayWrites = n.stores + n.misses
-		l.mabCounts(s, n.bypasses, n.accesses-n.bypasses)
+		n.dataLane(l.Stats, ways, l.laneCounts)
 	}
 	if s := d.setBufStats; s != nil {
 		n.outcome(s)
 		d.setBuf.Counts(s)
 	}
+}
+
+// dataBaseline writes into b the counters of a conventional data cache of
+// the given ways: every access reads every tag way and, for a load, every
+// data way; a store writes one way through the write-back buffer and a
+// refill one more.
+func (n *shared) dataBaseline(b *stats.Counters, ways uint64) {
+	n.outcome(b)
+	b.TagReads = ways * n.accesses
+	b.WayReads = ways * (n.accesses - n.stores)
+	b.WayWrites = n.stores + n.misses
+}
+
+// dataLane writes into s the counters of a data-cache MAB lane whose
+// verified hits are c: a verified hit reads no tag and one way, every
+// other access is conventional.
+func (n *shared) dataLane(s *stats.Counters, ways uint64, c laneCounts) {
+	n.outcome(s)
+	loads, loadHits := n.accesses-n.stores, c.hits-c.storeHits
+	s.TagReads = ways * (n.accesses - c.hits)
+	s.WayReads = ways*(loads-loadHits) + loadHits
+	s.WayWrites = n.stores + n.misses
+	c.mabCounts(s, n.bypasses, n.accesses-n.bypasses)
 }

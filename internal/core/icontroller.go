@@ -126,32 +126,42 @@ func (ic *IController) OnFetch(ev trace.FetchEvent) {
 }
 
 // sync derives every technique's counters from the shared counts and the
-// lanes' own. A conventional fetch reads every tag and data way and a
-// refill writes one way; a case-1 skip or a verified MAB hit reads no tag
-// and one way.
+// lanes' own.
 func (ic *IController) sync() {
 	n, ways := &ic.ls.n, ic.ways
 	ic.ls.fold()
-	b := ic.Baseline
+	n.fetchBaseline(ic.Baseline, ways)
+	for k := range ic.Lanes {
+		l := &ic.Lanes[k]
+		n.fetchLane(l.Stats, ways, l.laneCounts)
+	}
+	if s := ic.approach4; s != nil {
+		n.case1Counts(s, ways, 0) // approach [4] is a lane that never hits
+	}
+}
+
+// fetchBaseline writes into b the counters of a conventional instruction
+// cache of the given ways: every fetch reads every tag and data way and a
+// refill writes one way.
+func (n *shared) fetchBaseline(b *stats.Counters, ways uint64) {
 	n.outcome(b)
 	b.Flow = n.flow
 	b.TagReads = ways * n.accesses
 	b.WayReads = ways * n.accesses
 	b.WayWrites = n.misses
-	for k := range ic.Lanes {
-		l := &ic.Lanes[k]
-		ic.case1Counts(l.Stats, l.hits)
-		l.mabCounts(l.Stats, n.bypasses, n.accesses-n.case1-n.bypasses)
-	}
-	if s := ic.approach4; s != nil {
-		ic.case1Counts(s, 0) // approach [4] is a lane that never hits
-	}
+}
+
+// fetchLane writes into s the counters of an instruction-cache MAB lane
+// whose verified hits are c.
+func (n *shared) fetchLane(s *stats.Counters, ways uint64, c laneCounts) {
+	n.case1Counts(s, ways, c.hits)
+	c.mabCounts(s, n.bypasses, n.accesses-n.case1-n.bypasses)
 }
 
 // case1Counts writes into s the counters of a technique that applies the
-// case-1 rule and serves hits more fetches with one way read and no tag.
-func (ic *IController) case1Counts(s *stats.Counters, hits uint64) {
-	n, ways := &ic.ls.n, ic.ways
+// case-1 rule and serves hits more fetches with one way read and no tag: a
+// case-1 skip or a verified MAB hit reads no tag and one way.
+func (n *shared) case1Counts(s *stats.Counters, ways, hits uint64) {
 	n.outcome(s)
 	s.Flow = n.flow
 	s.Case1Skips = n.case1

@@ -151,7 +151,7 @@ func newLaneSet(geo cache.Config, cfgs []Config) laneSet {
 			l.mab = New(l.cfg, geo)
 			ls.solos = append(ls.solos, solo{mab: l.mab, lane: l})
 		} else {
-			ls.stacks = append(ls.stacks, newStack(geo, p, ls.lanes))
+			ls.stacks = append(ls.stacks, newStack(geo, p, ls.lanes, 1))
 			st := &ls.stacks[len(ls.stacks)-1]
 			for _, l := range st.lanes {
 				l.stack = st
@@ -228,7 +228,9 @@ func planGroups(cfgs []Config) []groupPlan {
 // access, which is what every lane whose pair is valid would hold. The
 // levels nest: a pair valid in a level is valid in every deeper one, so a
 // probe yields the first valid level, and hits, the stores among them and
-// violations are counted per first valid level and summed by fold.
+// violations are counted per first valid level and summed by fold. In a
+// ways group they are counted per first valid level and way floor, level
+// major in hist.
 type stack struct {
 	m      *MAB
 	depths []int32  // each level's Ns, ascending; the last is m's SetEntries
@@ -240,11 +242,14 @@ type stack struct {
 	row    int      // this access's tag slot, -1 when its word is not in the table
 	slot   int      // this access's set slot, -1 when its set index is not in the list
 	hist   []laneCounts
-	sum    []laneCounts // fold's running sums, per level
+	sum    []laneCounts // fold's prefix sums, as hist
 	lanes  []*Lane
+	floors int // hist's way levels: a ways group's (see waySet), 1 in a one-geometry controller
 }
 
-func newStack(geo cache.Config, p groupPlan, lanes []Lane) stack {
+// newStack builds the group p plans over lanes, counting hits at floors
+// way levels.
+func newStack(geo cache.Config, p groupPlan, lanes []Lane, floors int) stack {
 	top := len(p.depths) - 1
 	ns := int(p.depths[top])
 	s := stack{
@@ -253,8 +258,9 @@ func newStack(geo cache.Config, p groupPlan, lanes []Lane) stack {
 		bound:  make([]int32, top),
 		zone:   make([]int32, ns),
 		left:   make([]uint64, ns*top),
-		hist:   make([]laneCounts, top+1),
-		sum:    make([]laneCounts, top+1),
+		floors: floors,
+		hist:   make([]laneCounts, (top+1)*floors),
+		sum:    make([]laneCounts, (top+1)*floors),
 		lanes:  make([]*Lane, len(p.lanes)),
 	}
 	for v := range s.bound {
@@ -548,16 +554,27 @@ func (s *stack) cross(z int) {
 	}
 }
 
-// fold writes every lane's counts: a lane counts every probe whose first
-// valid level is its own or a shallower one.
+// fold sums hist over both of its axes: a lane counts at way level k
+// every probe whose first valid level is its own or a shallower one and
+// whose way floor is k or lower. In a one-geometry controller it writes
+// every lane's counts; a ways group reads sum itself.
 func (s *stack) fold() {
-	var c laneCounts
-	for v, h := range s.hist {
-		c.add(h)
-		s.sum[v] = c
+	f := s.floors
+	for v := range len(s.depths) {
+		var row laneCounts
+		for k := range f {
+			row.add(s.hist[v*f+k])
+			c := row
+			if v > 0 {
+				c.add(s.sum[(v-1)*f+k])
+			}
+			s.sum[v*f+k] = c
+		}
 	}
-	for _, l := range s.lanes {
-		l.laneCounts = s.sum[l.level]
+	if f == 1 {
+		for _, l := range s.lanes {
+			l.laneCounts = s.sum[l.level]
+		}
 	}
 }
 
@@ -575,15 +592,16 @@ func (n *shared) outcome(s *stats.Counters) {
 	s.WriteBacks = n.writeBacks
 }
 
-// mabCounts writes lane l's MAB activity into s: every probed access is a
-// lookup, and every lookup that is not a verified hit updates.
-func (l *Lane) mabCounts(s *stats.Counters, bypasses, lookups uint64) {
+// mabCounts writes a lane's MAB activity, c its counts, into s: every
+// probed access is a lookup, and every lookup that is not a verified hit
+// updates.
+func (c laneCounts) mabCounts(s *stats.Counters, bypasses, lookups uint64) {
 	s.MABBypasses = bypasses
 	s.MABLookups = lookups
-	s.MABHits = l.hits
-	s.MABMisses = lookups - l.hits
-	s.MABUpdates = lookups - l.hits
-	s.Violations = l.violations
+	s.MABHits = c.hits
+	s.MABMisses = lookups - c.hits
+	s.MABUpdates = lookups - c.hits
+	s.Violations = c.violations
 }
 
 // MaxStateBytes bounds the state one grid point's controller allocates up

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"waymemo/internal/baseline"
@@ -578,12 +579,33 @@ func bigBlocks(r *rand.Rand, n int) [][2]int {
 // counts what the runtime and the test framework allocate meanwhile,
 // which can only add, so each constructor's figure is the least of three
 // builds.
+//
+// A ways group of two to eight geometries (NewDWays, NewIWays) over the
+// same lanes, made evict-invalidate, allocates at most the sum of
+// StateBytes over its geometries: so the per-point MaxStateBytes check and
+// explore's maxShardPoints still bound what a shard holds live.
 func TestStateBytesBoundsAllocation(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
+	rw := rand.New(rand.NewSource(2)) // the ways groups' draws
 	var keep any
+	least := func(f func()) uint64 {
+		got := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		return got
+	}
 	build := []func(geo cache.Config, cfgs []Config){
 		func(geo cache.Config, cfgs []Config) { keep = NewDLanes(geo, cfgs) },
 		func(geo cache.Config, cfgs []Config) { keep = NewILanes(geo, cfgs) },
+	}
+	buildWays := []func(geos []cache.Config, cfgs []Config){
+		func(geos []cache.Config, cfgs []Config) { keep = NewDWays(geos, cfgs) },
+		func(geos []cache.Config, cfgs []Config) { keep = NewIWays(geos, cfgs) },
 	}
 	for i := range 200 {
 		lc := randomLaneCase(r)
@@ -595,16 +617,25 @@ func TestStateBytesBoundsAllocation(t *testing.T) {
 		}
 		want := StateBytes(lc.geo, lc.cfgs)
 		for side, f := range build {
-			got := uint64(math.MaxUint64)
-			for range 3 {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				f(lc.geo, lc.cfgs)
-				runtime.ReadMemStats(&after)
-				got = min(got, after.TotalAlloc-before.TotalAlloc)
-			}
-			if got > uint64(want) {
+			if got := least(func() { f(lc.geo, lc.cfgs) }); got > uint64(want) {
 				t.Fatalf("%v side %d: allocated %d bytes, StateBytes %d", lc, side, got, want)
+			}
+		}
+
+		wc := waysCase{cfgs: slices.Clone(lc.cfgs)}
+		for k := range wc.cfgs {
+			wc.cfgs[k].Consistency = PolicyEvictInvalidate
+		}
+		want = 0
+		for range 2 + rw.Intn(7) {
+			geo := lc.geo
+			geo.Ways = 1 + rw.Intn(16)
+			wc.geos = append(wc.geos, geo)
+			want += StateBytes(geo, wc.cfgs)
+		}
+		for side, f := range buildWays {
+			if got := least(func() { f(wc.geos, wc.cfgs) }); got > uint64(want) {
+				t.Fatalf("%v side %d: allocated %d bytes, StateBytes summed %d", wc, side, got, want)
 			}
 		}
 	}

@@ -372,60 +372,138 @@ func (sc Scheduler) publish(key string, pr *PointResult, err error) error {
 // shards splits the claimed points by workload — enough shards to keep
 // every worker busy, few enough that each capture is streamed a handful of
 // times, and never more than maxShardPoints technique sets live per pass.
-// The boundaries depend only on the claims and the parallelism, so results
-// stay deterministic.
+// A workload's points of one (sets, line) stay in one shard, up to
+// maxShardPoints of them, so that simulateShard can run them as one ways
+// group. The boundaries depend only on the claims and the parallelism, so
+// results stay deterministic.
 func (sc Scheduler) shards(claims []fanPoint) []fanShard {
-	var groups [][]fanPoint
-	slot := map[string]int{}
+	type unitKey struct {
+		workload   string
+		sets, line int
+	}
+	var groups [][][]fanPoint // per workload, its (sets, line) units
+	wslot, uslot := map[string]int{}, map[unitKey]int{}
 	for _, fp := range claims {
-		g, ok := slot[fp.pt.Workload.Name]
+		name, geo := fp.pt.Workload.Name, fp.pt.Geometry
+		g, ok := wslot[name]
 		if !ok {
 			g = len(groups)
-			slot[fp.pt.Workload.Name] = g
+			wslot[name] = g
 			groups = append(groups, nil)
 		}
-		groups[g] = append(groups[g], fp)
+		uk := unitKey{name, geo.Sets, geo.LineBytes}
+		u, ok := uslot[uk]
+		if !ok {
+			u = len(groups[g])
+			uslot[uk] = u
+			groups[g] = append(groups[g], nil)
+		}
+		groups[g][u] = append(groups[g][u], fp)
 	}
 	par := sc.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	var shards []fanShard
-	for _, group := range groups {
-		k := min((par+len(groups)-1)/len(groups), (len(group)+minShardPoints-1)/minShardPoints)
-		k = max(k, (len(group)+maxShardPoints-1)/maxShardPoints)
-		for _, r := range pool.Split(len(group), k) {
-			shards = append(shards, fanShard{w: group[0].pt.Workload, pts: group[r[0]:r[1]]})
+	for _, units := range groups {
+		n := 0
+		for _, u := range units {
+			n += len(u)
 		}
+		k := min((par+len(groups)-1)/len(groups), (n+minShardPoints-1)/minShardPoints)
+		k = max(k, (n+maxShardPoints-1)/maxShardPoints)
+		// Fill each shard to its share of the points left, whole units
+		// at a time; a unit over maxShardPoints goes in pieces of that many.
+		var cur []fanPoint
+		size, made, left := 0, 0, n
+		for _, u := range units {
+			for len(u) > 0 {
+				take := u[:min(len(u), maxShardPoints)]
+				u = u[len(take):]
+				if len(cur) > 0 && len(cur)+len(take) > size {
+					shards = append(shards, fanShard{w: cur[0].pt.Workload, pts: cur})
+					cur, made = nil, made+1
+				}
+				if len(cur) == 0 {
+					size = min(maxShardPoints, (left+max(k-made, 1)-1)/max(k-made, 1))
+				}
+				cur, left = append(cur, take...), left-len(take)
+			}
+		}
+		shards = append(shards, fanShard{w: cur[0].pt.Workload, pts: cur})
 	}
 	return shards
 }
 
 // simulateShard simulates pts, grid points of workload w, in one pass over
-// w's event stream. Each point attaches the space's techniques through
-// suite.Attach, as suite.Run attaches a benchmark's: the baseline and
-// every MAB size are one way-memoized controller over one cache, since way
-// memoization never changes hits, misses or evictions (see core.Lane).
-// The controllers are fed through suite.Drive: a single batched fan-out
-// replay of the workload's capture, or, when tc is nil, one live execution
-// delivered in blocks. Either way each point is priced by assemblePoint,
-// so live and replayed grids are byte-identical.
+// w's event stream. Each run of points of one (sets, line) attaches the
+// space's techniques through suite.AttachWays, as one ways group: an LRU
+// cache's contents at every associativity follow from one recency order
+// per set, and way memoization never changes hits, misses or evictions
+// (see core.Lane), so the baseline and every MAB size of every way count
+// are one controller. A point alone in its (sets, line) attaches through
+// suite.Attach, as suite.Run attaches a benchmark's. The controllers are
+// fed through suite.Drive: a single batched fan-out replay of the
+// workload's capture, or, when tc is nil, one live execution delivered in
+// blocks. A ways group whose stream turns out inexact (core.DWays.Exact)
+// is simulated again one point at a time, in one more pass. Either way
+// each point is priced by assemblePoint, so live and replayed grids are
+// byte-identical.
 func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fanPoint,
 	techs []suite.Technique, tc *suite.TraceCache) ([]*PointResult, error) {
 	// Build the controllers only now, so the memory a sweep holds live is
-	// bounded by the active shards, not the grid.
-	outs := make([][]suite.TechResult, len(pts))
-	pairs := make([]trace.SinkPair, 0, len(pts))
+	// bounded by the active shards, not the grid. Scheduler.shards keeps
+	// the points of one (sets, line) next to each other, and each run of
+	// them is one group.
+	type group struct {
+		lo, hi int // pts[lo:hi]
+		exact  func() bool
+	}
+	var groups []group
 	for pi, fp := range pts {
-		p, res, err := suite.Attach(fp.pt.Geometry, techs)
+		g, prev := fp.pt.Geometry, pts[max(pi-1, 0)].pt.Geometry
+		if pi == 0 || g.Sets != prev.Sets || g.LineBytes != prev.LineBytes {
+			groups = append(groups, group{lo: pi})
+		}
+		groups[len(groups)-1].hi = pi + 1
+	}
+	outs := make([][]suite.TechResult, len(pts))
+	pairs := make([]trace.SinkPair, 0, len(groups))
+	for gi := range groups {
+		g := &groups[gi]
+		geos := make([]cache.Config, 0, g.hi-g.lo)
+		for _, fp := range pts[g.lo:g.hi] {
+			geos = append(geos, fp.pt.Geometry)
+		}
+		p, res, exact, err := suite.AttachWays(geos, techs)
 		if err != nil {
 			return nil, err
 		}
-		pairs, outs[pi] = append(pairs, p...), res
+		pairs, g.exact = append(pairs, p...), exact
+		copy(outs[g.lo:g.hi], res)
 	}
 	cycles, instrs, err := suite.Drive(ctx, w, s.PacketBytes, pairs, tc, len(pts))
 	if err != nil {
 		return nil, err
+	}
+	var again []trace.SinkPair
+	for _, g := range groups {
+		if g.exact() {
+			continue
+		}
+		for pi := g.lo; pi < g.hi; pi++ {
+			p, res, err := suite.Attach(pts[pi].pt.Geometry, techs)
+			if err != nil {
+				return nil, err
+			}
+			again, outs[pi] = append(again, p...), res
+		}
+	}
+	if len(again) > 0 {
+		// The points were counted as replays by the first pass.
+		if _, _, err := suite.Drive(ctx, w, s.PacketBytes, again, tc, 0); err != nil {
+			return nil, err
+		}
 	}
 	prs := make([]*PointResult, len(pts))
 	for pi, fp := range pts {

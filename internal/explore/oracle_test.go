@@ -17,8 +17,10 @@ import (
 // randomSynthSpace draws a seeded random design space: two or three
 // synthetic specs alternating between the ISAs (FRVL first), each a random
 // pattern, footprint and length — some long enough to fill whole trace
-// chunks — one to three geometries, a random MAB list and a random
-// fetch-packet size, on a random domain.
+// chunks — one to three set counts, one to three way counts and one line
+// size, a random MAB list and a random fetch-packet size, on a random
+// domain. Two or more way counts give every (sets, line) of the space
+// several associativities, which explore simulates as one controller.
 func randomSynthSpace(rng *rand.Rand) Space {
 	pick := func(vals []int, max int) []int {
 		out := slices.Clone(vals)
@@ -39,12 +41,29 @@ func randomSynthSpace(rng *rand.Rand) Space {
 	return Space{
 		Domain:        []suite.Domain{suite.Data, suite.Fetch}[rng.IntN(2)],
 		Sets:          pick([]int{32, 64, 128, 256}, 3),
-		Ways:          pick([]int{1, 2, 4}, 1),
+		Ways:          pick([]int{1, 2, 4}, 3),
 		LineBytes:     pick([]int{16, 32, 64}, 1),
 		TagEntries:    pick([]int{1, 2}, 2),
 		SetEntries:    pick([]int{4, 8, 16}, 2),
 		WorkloadSpecs: specs,
 		PacketBytes:   []uint32{0, 4, 16}[rng.IntN(3)],
+	}
+}
+
+// checkWaysGroups fails t unless enough of the first seeds of
+// randomSynthSpace draw two or more way counts, so that the oracles see
+// several associativities of one (sets, line): one at least under -short,
+// and a third of the seeds at least otherwise.
+func checkWaysGroups(t *testing.T, seeds int) {
+	t.Helper()
+	n := 0
+	for seed := 1; seed <= seeds; seed++ {
+		if len(randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), 0xe4))).Ways) >= 2 {
+			n++
+		}
+	}
+	if n == 0 || (!testing.Short() && 3*n < seeds) {
+		t.Fatalf("%d of %d seeds draw two or more way counts", n, seeds)
 	}
 }
 
@@ -73,6 +92,7 @@ func TestRandomSpacesCacheAndSpillPaths(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
+	checkWaysGroups(t, seeds)
 	for seed := 1; seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			space := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), 0xe4)))
@@ -129,6 +149,7 @@ func TestRandomSpacesLiveSuiteRun(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
+	checkWaysGroups(t, seeds)
 	for seed := 1; seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			space, err := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), 0xe4))).Normalize()

@@ -20,6 +20,11 @@
 //		explore.WithParallelism(4))
 //	best, _ := explore.Optimum(grid.Candidates())
 //
+// The points of a shard that share sets and line size and differ only in
+// ways run as one controller, a ways group (suite.AttachWays): an LRU
+// cache of fewer ways holds the most recent of the lines a wider one
+// holds, so one recency order per set answers every associativity.
+//
 // The result cache applies the paper's own trick to the simulator: a grid
 // point's inputs are hashed (geometry + technique set + workload + fetch
 // packet, see Key) and a completed point is written to <hash>.json, so a
@@ -95,22 +100,6 @@ type Space struct {
 // all seven benchmarks.
 func PaperGrid(domain suite.Domain) Space {
 	return Space{Domain: domain}
-}
-
-// EngineBenchSpace is the reference multi-geometry sweep that the root
-// bench_test.go's BenchmarkExploreSweepShared times: all three geometry
-// axes swept (24 geometries), two workloads, the baseline plus one MAB
-// size per point.
-func EngineBenchSpace() Space {
-	return Space{
-		Domain:     suite.Data,
-		Sets:       []int{128, 256, 512, 1024},
-		Ways:       []int{1, 2, 4},
-		LineBytes:  []int{16, 32},
-		TagEntries: []int{2},
-		SetEntries: []int{8},
-		Workloads:  []workloads.Workload{workloads.DCT(), workloads.FFT()},
-	}
 }
 
 // Normalize fills defaulted axes, expands WorkloadSpecs into Workloads and

@@ -1,0 +1,157 @@
+package explore
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"waymemo/internal/suite"
+	"waymemo/internal/workloads"
+)
+
+// perWayPoints runs space once per way count, so that every (sets, line)
+// has one associativity and every point attaches alone, and returns each
+// point's PointResult bytes by geometry and workload.
+func perWayPoints(t *testing.T, space Space) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, w := range space.Ways {
+		sp := space
+		sp.Ways = []int{w}
+		g, err := Run(context.Background(), sp, WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range g.Points {
+			b, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprint(p.Geometry, p.Workload)] = b
+		}
+	}
+	return out
+}
+
+// checkPerWay compares every point of g with the per-way runs' bytes.
+func checkPerWay(t *testing.T, g *Grid, want map[string][]byte) {
+	t.Helper()
+	for i, b := range pointJSON(t, g) {
+		p := g.Points[i]
+		if w := want[fmt.Sprint(p.Geometry, p.Workload)]; !bytes.Equal(b, w) {
+			t.Fatalf("point %d (%+v %s) differs from its one-geometry run:\n%s\n%s", i, p.Geometry, p.Workload, b, w)
+		}
+	}
+}
+
+// TestGeoSweepWaysGroups runs the benchmark's geo-sweep data space — sets
+// {128, 512, 1024} × ways {1, 2, 4} × 32-byte lines, MAB 2 × {4, 8, 16,
+// 32}, the paper's seven workloads (two under -short) — and checks that
+// the three way counts of each (sets, line) feed one controller: the
+// fan-out feeds 3 sinks per workload, 21 in all where it fed one per grid
+// point, 63, while Replays still counts every grid point. Every point's
+// bytes equal those of a run with its way count alone.
+func TestGeoSweepWaysGroups(t *testing.T) {
+	ws := workloads.All()
+	if testing.Short() {
+		ws = ws[:2]
+	}
+	space := Space{Domain: suite.Data, Sets: []int{128, 512, 1024}, Ways: []int{1, 2, 4}, LineBytes: []int{32},
+		TagEntries: []int{2}, SetEntries: []int{4, 8, 16, 32}, Workloads: ws}
+	g, err := Run(context.Background(), space, WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := g.Traces; st.FanOutSinks != 3*len(ws) || st.Replays != 9*len(ws) {
+		t.Fatalf("fan-out fed %d sinks for %d replays, want %d for %d", st.FanOutSinks, st.Replays, 3*len(ws), 9*len(ws))
+	}
+	checkPerWay(t, g, perWayPoints(t, space))
+}
+
+// TestWaysGroupInexactFallback sweeps the fetch domain with 32-byte
+// packets over 16-byte lines: a taken branch into the second half of a
+// packet fetches a packet outside the line its base and displacement
+// name, so the ways group is inexact and its points simulate again one
+// geometry at a time, in a second pass that counts no further replays.
+// The bytes equal the per-way runs'.
+func TestWaysGroupInexactFallback(t *testing.T) {
+	space := Space{Domain: suite.Fetch, Sets: []int{64}, Ways: []int{1, 2, 4}, LineBytes: []int{16},
+		TagEntries: []int{2}, SetEntries: []int{8, 16}, Workloads: []workloads.Workload{workloads.DCT()}, PacketBytes: 32}
+	g, err := Run(context.Background(), space, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := g.Traces; st.FanOutPasses != 2 || st.FanOutSinks != 1+3 || st.Replays != 3 {
+		t.Fatalf("trace stats %+v, want 2 passes feeding 1 and 3 sinks, 3 replays", st)
+	}
+	checkPerWay(t, g, perWayPoints(t, space))
+}
+
+// TestShardsKeepWaysGroups checks Scheduler.shards at every parallelism:
+// each claim lands in exactly one shard, a shard holds one workload and at
+// most maxShardPoints points, and a workload's points of one (sets, line)
+// share a shard, next to each other, unless there are more than
+// maxShardPoints of them.
+func TestShardsKeepWaysGroups(t *testing.T) {
+	many := make([]int, 70)
+	for i := range many {
+		many[i] = i + 1
+	}
+	for _, space := range []Space{
+		{Domain: suite.Data, Sets: []int{64, 128, 256}, Ways: []int{1, 2, 4, 8}, LineBytes: []int{16, 32},
+			Workloads: []workloads.Workload{tinyWorkload("a"), tinyWorkload("b")}},
+		{Domain: suite.Data, Sets: []int{64, 128}, Ways: []int{2}, LineBytes: []int{16, 32, 64},
+			Workloads: []workloads.Workload{tinyWorkload("a")}},
+		{Domain: suite.Data, Sets: []int{4}, Ways: many, LineBytes: []int{16},
+			Workloads: []workloads.Workload{tinyWorkload("a")}},
+	} {
+		var claims []fanPoint
+		for i, pt := range space.Points() {
+			claims = append(claims, fanPoint{i: i, pt: pt})
+		}
+		for _, par := range []int{1, 2, 3, 8, 64} {
+			sc := Scheduler{Parallelism: par}
+			shards := sc.shards(claims)
+			if !reflect.DeepEqual(shards, sc.shards(claims)) {
+				t.Fatalf("par %d: shards differ between calls", par)
+			}
+			seen := map[int]bool{}
+			unit := map[string]int{} // (workload, sets, line) → its shard
+			units := map[string]int{}
+			for _, fp := range claims {
+				units[fmt.Sprint(fp.pt.Workload.Name, fp.pt.Geometry.Sets, fp.pt.Geometry.LineBytes)]++
+			}
+			for si, sh := range shards {
+				if len(sh.pts) == 0 || len(sh.pts) > maxShardPoints {
+					t.Fatalf("par %d: shard %d holds %d points", par, si, len(sh.pts))
+				}
+				ended := map[string]bool{} // the units a shard has moved past
+				for j, fp := range sh.pts {
+					if seen[fp.i] || fp.pt.Workload.Name != sh.w.Name {
+						t.Fatalf("par %d: point %d twice or in another workload's shard", par, fp.i)
+					}
+					seen[fp.i] = true
+					k := fmt.Sprint(fp.pt.Workload.Name, fp.pt.Geometry.Sets, fp.pt.Geometry.LineBytes)
+					if s, ok := unit[k]; ok && s != si && units[k] <= maxShardPoints {
+						t.Fatalf("par %d: the points of %s are split over shards %d and %d", par, k, s, si)
+					}
+					if ended[k] {
+						t.Fatalf("par %d: the points of %s are not next to each other in shard %d", par, k, si)
+					}
+					if j > 0 {
+						if prev := sh.pts[j-1].pt; prev.Geometry.Sets != fp.pt.Geometry.Sets || prev.Geometry.LineBytes != fp.pt.Geometry.LineBytes {
+							ended[fmt.Sprint(prev.Workload.Name, prev.Geometry.Sets, prev.Geometry.LineBytes)] = true
+						}
+					}
+					unit[k] = si
+				}
+			}
+			if len(seen) != len(claims) {
+				t.Fatalf("par %d: %d of %d points sharded", par, len(seen), len(claims))
+			}
+		}
+	}
+}

@@ -38,34 +38,6 @@ func call(ctx context.Context, idx int, fn func(ctx context.Context, idx int) er
 	return fn(ctx, idx)
 }
 
-// Split partitions n items into at most k contiguous, non-empty ranges
-// whose sizes differ by at most one, returned as [start, end) pairs in
-// order. It is the deterministic sharding callers use to turn one large
-// fan-out (a workload's grid points, a sink group) into Run-sized jobs:
-// the boundaries depend only on (n, k), never on scheduling. k <= 0 is
-// treated as 1; fewer than k ranges come back when n < k.
-func Split(n, k int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if k <= 0 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	out := make([][2]int, 0, k)
-	for i, start := 0, 0; i < k; i++ {
-		size := n / k
-		if i < n%k {
-			size++
-		}
-		out = append(out, [2]int{start, start + size})
-		start += size
-	}
-	return out
-}
-
 // Run invokes fn(ctx, idx) for every idx in [0, n), at most par
 // concurrently (par <= 0 selects GOMAXPROCS; par is clamped to n). The
 // context passed to fn is cancelled as soon as any invocation returns an

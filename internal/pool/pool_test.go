@@ -3,7 +3,6 @@ package pool
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -85,47 +84,6 @@ func TestRunBoundsParallelism(t *testing.T) {
 	}
 	if peak.Load() > 3 {
 		t.Errorf("peak concurrency %d exceeds par=3", peak.Load())
-	}
-}
-
-func TestSplit(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want [][2]int
-	}{
-		{0, 4, nil},
-		{1, 4, [][2]int{{0, 1}}},
-		{5, 2, [][2]int{{0, 3}, {3, 5}}},
-		{6, 3, [][2]int{{0, 2}, {2, 4}, {4, 6}}},
-		{7, 3, [][2]int{{0, 3}, {3, 5}, {5, 7}}},
-		{3, 0, [][2]int{{0, 3}}},
-	}
-	for _, c := range cases {
-		got := Split(c.n, c.k)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Split(%d, %d) = %v, want %v", c.n, c.k, got, c.want)
-		}
-	}
-	// Ranges always cover [0, n) exactly, in order, sizes within one.
-	for n := 1; n <= 40; n++ {
-		for k := 1; k <= 10; k++ {
-			rs := Split(n, k)
-			prev, minSz, maxSz := 0, n, 0
-			for _, r := range rs {
-				if r[0] != prev || r[1] <= r[0] {
-					t.Fatalf("Split(%d, %d) = %v: bad range %v", n, k, rs, r)
-				}
-				if sz := r[1] - r[0]; sz < minSz {
-					minSz = sz
-				} else if sz > maxSz {
-					maxSz = sz
-				}
-				prev = r[1]
-			}
-			if prev != n || (maxSz > 0 && maxSz-minSz > 1) {
-				t.Fatalf("Split(%d, %d) = %v: uneven or incomplete", n, k, rs)
-			}
-		}
 	}
 }
 

@@ -81,3 +81,90 @@ func Attach(geo cache.Config, techs []Technique) ([]trace.SinkPair, []TechResult
 	}
 	return pairs, res, nil
 }
+
+// AttachWays is Attach for geometries that share sets and line size and
+// differ only in ways. It returns the sink pairs that feed them and, per
+// geometry in geos order, one TechResult per technique in techs order.
+//
+// An LRU cache of w ways holds the w most recently used lines of each set
+// for every w, and way memoization never changes what it holds, so when
+// techs are one domain's baseline and MAB lanes, every lane
+// PolicyEvictInvalidate, two geometries or more read one ways group,
+// core.NewDWays or core.NewIWays: one pass counts every geometry, each
+// level equal to the controller Attach would build for its geometry.
+// Anything else — a technique alone, an observer, a PolicyPaper lane,
+// whose violations depend on physical ways — attaches each geometry
+// through Attach.
+//
+// exact reports, once the stream is delivered, whether the results hold
+// (core.DWays.Exact). When it returns false, the stream had accesses
+// outside the lines their base and displacement name, and the geometries
+// must be attached and simulated again one at a time.
+func AttachWays(geos []cache.Config, techs []Technique) (pairs []trace.SinkPair, res [][]TechResult, exact func() bool, err error) {
+	res = make([][]TechResult, len(geos))
+	cfgs, ok := waysLanes(geos, techs)
+	if !ok {
+		for i, geo := range geos {
+			p, r, err := Attach(geo, techs)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			pairs, res[i] = append(pairs, p...), r
+		}
+		return pairs, res, func() bool { return true }, nil
+	}
+	var levels []core.WayLevel
+	if techs[0].Domain == Data {
+		c := core.NewDWays(geos, cfgs)
+		pairs, levels, exact = []trace.SinkPair{{Data: c}}, c.Levels, c.Exact
+	} else {
+		c := core.NewIWays(geos, cfgs)
+		pairs, levels, exact = []trace.SinkPair{{Fetch: c}}, c.Levels, c.Exact
+	}
+	for i, lv := range levels {
+		res[i] = make([]TechResult, len(techs))
+		next := 0
+		for j, t := range techs {
+			st := lv.Baseline
+			if t.Shares.Part == Lane {
+				st = lv.Lanes[next]
+				next++
+			}
+			res[i][j] = TechResult{Stats: st, Model: sharedModel(lv.Geometry, t.Shares)}
+		}
+	}
+	return pairs, res, exact, nil
+}
+
+// waysLanes returns the lane configurations of techs in order, and
+// whether geos and techs can share one ways group: two geometries or
+// more, valid and of one sets and line size, and valid techniques of one
+// domain, each its baseline or a PolicyEvictInvalidate lane, one lane at
+// least.
+func waysLanes(geos []cache.Config, techs []Technique) ([]core.Config, bool) {
+	if len(geos) < 2 || len(techs) == 0 {
+		return nil, false
+	}
+	for _, g := range geos {
+		if g.Validate() != nil || g.Sets != geos[0].Sets || g.LineBytes != geos[0].LineBytes {
+			return nil, false
+		}
+	}
+	var cfgs []core.Config
+	for _, t := range techs {
+		if t.validate() != nil || t.Domain != techs[0].Domain {
+			return nil, false
+		}
+		switch t.Shares.Part {
+		case Baseline:
+		case Lane:
+			if t.Shares.MAB.Consistency != core.PolicyEvictInvalidate {
+				return nil, false
+			}
+			cfgs = append(cfgs, t.Shares.MAB)
+		default:
+			return nil, false
+		}
+	}
+	return cfgs, len(cfgs) > 0
+}

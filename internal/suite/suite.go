@@ -22,6 +22,8 @@
 // standard suite runs two controllers, not eight. Every other technique,
 // such as the ablations' one-offs, gets its own cache from New. Either
 // way the counters equal those of each technique instantiated alone.
+// AttachWays goes one step further for geometries that differ only in
+// ways, as explore's grid points do: one controller serves them all.
 //
 // Run executes workloads concurrently (they are independent simulations)
 // and returns results in workload order, bit-identical to a sequential run:
