@@ -34,15 +34,16 @@ type captureDigest struct {
 	Instrs      uint64 `json:"instrs"`
 }
 
-// streamDigest hashes b's fetch stream and then its data stream, each
-// event as little-endian fixed-width fields: a fetch as addr, prev, base,
-// disp (4 bytes each), kind and first (1 byte each); a data access as
-// addr, base, disp, size and store.
-func streamDigest(b *trace.Buffer) string {
+// streamDigest hashes fetch's fetch stream and then data's data stream,
+// each event as little-endian fixed-width fields: a fetch as addr, prev,
+// base, disp (4 bytes each), kind and first (1 byte each); a data access
+// as addr, base, disp, size and store. A capture of both streams passes
+// the same buffer twice.
+func streamDigest(fetch, data *trace.Buffer) string {
 	h := sha256.New()
 	le := binary.LittleEndian
 	var rec []byte
-	for _, ev := range b.Fetches() {
+	for _, ev := range fetch.Fetches() {
 		rec = le.AppendUint32(rec[:0], ev.Addr)
 		rec = le.AppendUint32(rec, ev.Prev)
 		rec = le.AppendUint32(rec, ev.Base)
@@ -50,7 +51,7 @@ func streamDigest(b *trace.Buffer) string {
 		rec = append(rec, byte(ev.Kind), boolByte(ev.First))
 		h.Write(rec)
 	}
-	for _, ev := range b.Datas() {
+	for _, ev := range data.Datas() {
 		rec = le.AppendUint32(rec[:0], ev.Addr)
 		rec = le.AppendUint32(rec, ev.Base)
 		rec = le.AppendUint32(rec, uint32(ev.Disp))
@@ -58,6 +59,22 @@ func streamDigest(b *trace.Buffer) string {
 		h.Write(rec)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// captureOne records only the fetch stream of one run of w (fetch true) or
+// only its data stream.
+func captureOne(t *testing.T, w workloads.Workload, packet uint32, fetch bool) (buf *trace.Buffer, cycles, instrs uint64) {
+	t.Helper()
+	buf = new(trace.Buffer)
+	pair := trace.SinkPair{Data: buf}
+	if fetch {
+		pair = trace.SinkPair{Fetch: buf}
+	}
+	c, err := workloads.RunPacketContext(context.Background(), w, trace.NewStager([]trace.SinkPair{pair}), packet)
+	if err != nil {
+		t.Fatalf("%s@%d: %v", w.Name, packet, err)
+	}
+	return buf, c.Cycles, c.Instrs
 }
 
 func boolByte(v bool) byte {
@@ -134,7 +151,7 @@ func TestCaptureDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s@%d: %v", c.w.Name, c.packet, err)
 		}
-		d := captureDigest{Workload: c.w.Name, PacketBytes: c.packet, SHA256: streamDigest(cp.Buf),
+		d := captureDigest{Workload: c.w.Name, PacketBytes: c.packet, SHA256: streamDigest(cp.Buf, cp.Buf),
 			Fetches: cp.Buf.NumFetches(), Datas: cp.Buf.NumDatas(), Cycles: cp.Cycles, Instrs: cp.Instrs}
 		got = append(got, d)
 		if *updateCaptures {
@@ -148,6 +165,17 @@ func TestCaptureDigests(t *testing.T) {
 		}
 		if d != w {
 			t.Errorf("%s: capture moved:\n got %+v\nwant %+v", key, d, w)
+		}
+		// Each stream recorded alone: the simulator builds no event of the
+		// other, and the two halves hash to the pinned digest.
+		fb, fCycles, fInstrs := captureOne(t, c.w, c.packet, true)
+		db, dCycles, dInstrs := captureOne(t, c.w, c.packet, false)
+		alone := captureDigest{Workload: c.w.Name, PacketBytes: c.packet, SHA256: streamDigest(fb, db),
+			Fetches: fb.NumFetches(), Datas: db.NumDatas(), Cycles: fCycles, Instrs: fInstrs}
+		if alone != w || dCycles != fCycles || dInstrs != fInstrs || fb.NumDatas() != 0 || db.NumFetches() != 0 {
+			t.Errorf("%s: one-stream captures moved: fetch-only %d/%d events, data-only %d/%d "+
+				"(fetches/datas) at %d/%d cycles/instrs; together\n got %+v\nwant %+v",
+				key, fb.NumFetches(), fb.NumDatas(), db.NumFetches(), db.NumDatas(), dCycles, dInstrs, alone, w)
 		}
 	}
 	if *updateCaptures {
