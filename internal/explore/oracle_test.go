@@ -139,6 +139,106 @@ func TestRandomSpacesCacheAndSpillPaths(t *testing.T) {
 	}
 }
 
+// TestRandomSpacesMixedDomains is the differential oracle over a trace
+// cache and spill directory shared by sweeps of both domains, which read
+// different streams. On seeded random spaces it runs, in a seeded random
+// order, the space's data sweep, its fetch sweep and a suite.Run of the
+// standard techniques with that cache, and then the three again in the
+// same order on a fresh cache over the same spills. Every grid and result
+// is byte-identical to a cold run without a trace cache, and the first
+// pass captures exactly what was predicted: each run that reads a stream
+// no earlier run read simulates once per workload, and every other run
+// simulates nothing. The second pass makes the same number of disk loads
+// instead, and no capture.
+func TestRandomSpacesMixedDomains(t *testing.T) {
+	seeds := 6
+	if testing.Short() {
+		seeds = 2
+	}
+	ctx := context.Background()
+	for seed := 1; seed <= seeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(seed), 0x3d))
+			base, err := randomSynthSpace(rng).Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw := len(base.Workloads)
+			type run struct {
+				name    string
+				streams []suite.Domain
+				do      func(tc *suite.TraceCache) []byte
+			}
+			sweep := func(d suite.Domain) run {
+				space := base
+				space.Domain = d
+				return run{"explore " + d.String(), []suite.Domain{d}, func(tc *suite.TraceCache) []byte {
+					g, err := Scheduler{Traces: tc, Parallelism: 2}.Run(ctx, space)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return bytes.Join(pointJSON(t, g), []byte("\n"))
+				}}
+			}
+			runs := []run{sweep(suite.Data), sweep(suite.Fetch), {"suite.Run", []suite.Domain{suite.Data, suite.Fetch},
+				func(tc *suite.TraceCache) []byte {
+					opts := []suite.Option{suite.WithWorkloads(base.Workloads...), suite.WithPacketBytes(base.PacketBytes),
+						suite.WithGeometry(base.Geometries()[0]), suite.WithParallelism(2)}
+					if tc != nil {
+						opts = append(opts, suite.WithTraceCache(tc))
+					}
+					r, err := suite.Run(ctx, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := json.Marshal(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return b
+				}}}
+			cold := make([][]byte, len(runs))
+			for i, r := range runs {
+				cold[i] = r.do(nil)
+			}
+
+			order := rng.Perm(len(runs))
+			dir := t.TempDir()
+			for pass := range 2 {
+				tc, err := suite.NewDirTraceCache(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[suite.Domain]bool{}
+				for _, i := range order {
+					r := runs[i]
+					fills := 0
+					for _, d := range r.streams {
+						if !seen[d] {
+							fills = nw
+						}
+						seen[d] = true
+					}
+					want := suite.TraceCacheStats{Captures: fills}
+					if pass == 1 {
+						want = suite.TraceCacheStats{DiskLoads: fills}
+					}
+					before := tc.Stats()
+					if got := r.do(tc); !bytes.Equal(got, cold[i]) {
+						t.Fatalf("pass %d, order %v: %s differs from its cold run", pass, order, r.name)
+					}
+					st := tc.Stats()
+					if got := (suite.TraceCacheStats{Captures: st.Captures - before.Captures,
+						DiskLoads: st.DiskLoads - before.DiskLoads}); got != want {
+						t.Fatalf("pass %d, order %v: %s made %d captures and %d disk loads, want %d and %d",
+							pass, order, r.name, got.Captures, got.DiskLoads, want.Captures, want.DiskLoads)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestRandomSpacesLiveSuiteRun is the differential oracle's live path: on
 // the same seeded random spaces, a live suite.Run per geometry (the
 // space's techniques, workloads and packet size, no trace cache), priced

@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"waymemo/internal/suite"
+	"waymemo/internal/trace"
 	"waymemo/internal/workloads"
 )
 
@@ -54,6 +58,11 @@ func checkPerWay(t *testing.T, g *Grid, want map[string][]byte) {
 // fan-out feeds 3 sinks per workload, 21 in all where it fed one per grid
 // point, 63, while Replays still counts every grid point. Every point's
 // bytes equal those of a run with its way count alone.
+//
+// The sweep reads only the data stream, so that is all it captures: the
+// spill directory holds one pair per workload, its sidecar naming the data
+// stream and no fetch event and its trace file holding none, and the
+// fan-out walks each workload's data events once per pass.
 func TestGeoSweepWaysGroups(t *testing.T) {
 	ws := workloads.All()
 	if testing.Short() {
@@ -61,12 +70,49 @@ func TestGeoSweepWaysGroups(t *testing.T) {
 	}
 	space := Space{Domain: suite.Data, Sets: []int{128, 512, 1024}, Ways: []int{1, 2, 4}, LineBytes: []int{32},
 		TagEntries: []int{2}, SetEntries: []int{4, 8, 16, 32}, Workloads: ws}
-	g, err := Run(context.Background(), space, WithParallelism(2))
+	dir := t.TempDir()
+	g, err := Run(context.Background(), space, WithParallelism(2), WithTraceDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := g.Traces; st.FanOutSinks != 3*len(ws) || st.Replays != 9*len(ws) {
+	st := g.Traces
+	if st.FanOutSinks != 3*len(ws) || st.Replays != 9*len(ws) {
 		t.Fatalf("fan-out fed %d sinks for %d replays, want %d for %d", st.FanOutSinks, st.Replays, 3*len(ws), 9*len(ws))
+	}
+	sides, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(sides) != len(ws) {
+		t.Fatalf("spill sidecars %v, %v: want one per workload", sides, err)
+	}
+	var datas int64
+	for _, side := range sides {
+		var m struct {
+			Stream  string `json:"stream"`
+			Fetches *int   `json:"fetches"`
+			Datas   int    `json:"datas"`
+		}
+		raw, err := os.ReadFile(side)
+		if err == nil {
+			err = json.Unmarshal(raw, &m)
+		}
+		if err != nil || m.Stream != "data" || m.Fetches == nil || *m.Fetches != 0 {
+			t.Fatalf("%s: %s, %v: want a data stream of 0 fetches", side, raw, err)
+		}
+		f, err := os.Open(strings.TrimSuffix(side, ".json") + ".wmtrace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := trace.ReadBuffer(f)
+		f.Close()
+		if err != nil || buf.NumFetches() != 0 || buf.NumDatas() != m.Datas {
+			t.Fatalf("%s: trace file holds %d fetches and %d datas (%v), sidecar %d datas",
+				side, buf.NumFetches(), buf.NumDatas(), err, m.Datas)
+		}
+		datas += int64(m.Datas)
+	}
+	// Every workload has the same points and so the same shards.
+	if st.FanOutPasses%len(ws) != 0 || st.FanOutEvents != int64(st.FanOutPasses/len(ws))*datas {
+		t.Fatalf("%d passes walked %d events, want %d passes per workload × %d data events",
+			st.FanOutPasses, st.FanOutEvents, st.FanOutPasses/len(ws), datas)
 	}
 	checkPerWay(t, g, perWayPoints(t, space))
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -372,12 +374,17 @@ func boolBit(v bool) byte {
 }
 
 // TestServerRecapturesOldSpillDir boots the daemon on a spill directory
-// older versions left behind: one pair whose trace is WMTRACE1 and one
-// whose trace is WMTRACE2, each behind a sidecar that matches it in every
-// field, and one current pair whose sidecar is minimal, without event
-// counts. Boot quarantines all three, a second boot finds nothing left to
-// recover, and the next sweep re-captures each workload exactly once
-// instead of loading any pair.
+// older versions or damage left behind. For three workloads both stream
+// pairs are bad on their face: one workload's trace files are WMTRACE1,
+// one's are WMTRACE2, each behind a sidecar that matches it in every
+// field, and one's sidecars are minimal, without event counts. Boot
+// quarantines those six pairs, and a second boot finds nothing left to
+// recover. Three more workloads' pairs are whole but must not be loaded:
+// a "data" sidecar over a file of fetch events, a data sidecar whose
+// cycle count disagrees with its fetch sidecar's, and a version 1 pair
+// that held both streams under a name without the stream. The next data
+// sweep re-captures each workload exactly once instead of loading any
+// pair.
 func TestServerRecapturesOldSpillDir(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -385,7 +392,8 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{tinySpec, "synth:stream,fp=1KiB,n=1024", "synth:branchy,fp=1KiB,n=1024"}
+	names := []string{tinySpec, "synth:stream,fp=1KiB,n=1024", "synth:branchy,fp=1KiB,n=1024",
+		"synth:blocked,fp=1KiB,n=1024", "synth:pchase,fp=1KiB,n=1024", "synth:phase,fp=1KiB,n=1024"}
 	var ws []workloads.Workload
 	for _, n := range names {
 		w, err := workloads.ByName(n)
@@ -401,10 +409,24 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 	if _, err := suite.Run(ctx, suite.WithWorkloads(ws...), suite.WithTraceCache(tc)); err != nil {
 		t.Fatal(err)
 	}
+	// streamBuf returns the capture of one stream of w alone.
+	streamBuf := func(w workloads.Workload, stream string) *trace.Buffer {
+		pair := trace.SinkPair{Data: trace.DataFunc(func(trace.DataEvent) {})}
+		if stream == "fetch" {
+			pair = trace.SinkPair{Fetch: trace.FetchFunc(func(trace.FetchEvent) {})}
+		}
+		c, err := tc.FanOut(ctx, w, 0, []trace.SinkPair{pair}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Buf
+	}
 	sidecars, err := filepath.Glob(filepath.Join(seed.TraceDir(), "*.json"))
-	if err != nil || len(sidecars) != len(names) {
+	if err != nil || len(sidecars) != 2*len(names) {
 		t.Fatalf("spilled sidecars: %v, %v", sidecars, err)
 	}
+	metas := map[string]map[string]any{} // by base
+	bases := map[[2]string]string{}      // by workload and stream
 	for _, side := range sidecars {
 		blob, err := os.ReadFile(side)
 		if err != nil {
@@ -415,35 +437,75 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := strings.TrimSuffix(side, ".json")
-		var old []byte
-		switch m["workload"] {
-		case names[0]:
-			c, err := tc.Capture(ctx, ws[0], 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old, m["format"] = wmtrace1(c.Buf), "WMTRACE1"
-		case names[2]:
-			c, err := tc.Capture(ctx, ws[2], 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old, m["format"] = wmtrace2(c.Buf), "WMTRACE2"
-		default:
+		metas[base], bases[[2]string{m["workload"].(string), m["stream"].(string)}] = m, base
+	}
+	write := func(path string, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The sidecars name each workload canonically, as ws does.
+	index := map[string]int{}
+	for i, w := range ws {
+		index[w.Name] = i
+	}
+	for base, m := range metas {
+		w, stream := ws[index[m["workload"].(string)]], m["stream"].(string)
+		switch index[w.Name] {
+		case 0:
+			write(base+".wmtrace", wmtrace1(streamBuf(w, stream)))
+			m["format"] = "WMTRACE1"
+		case 1:
 			delete(m, "fetches")
 			delete(m, "datas")
-		}
-		if old != nil {
-			if err := os.WriteFile(base+".wmtrace", old, 0o644); err != nil {
+		case 2:
+			write(base+".wmtrace", wmtrace2(streamBuf(w, stream)))
+			m["format"] = "WMTRACE2"
+		case 3:
+			if stream != "data" {
+				continue
+			}
+			fetch := bases[[2]string{w.Name, "fetch"}]
+			blob, err := os.ReadFile(fetch + ".wmtrace")
+			if err != nil {
 				t.Fatal(err)
 			}
+			write(base+".wmtrace", blob)
+			m["fetches"], m["datas"] = metas[fetch]["fetches"], 0
+		case 4:
+			if stream != "data" {
+				continue
+			}
+			m["cycles"] = m["cycles"].(float64) + 1
+		case 5:
+			for _, ext := range []string{".wmtrace", ".json"} {
+				if err := os.Remove(base + ext); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if stream != "data" {
+				continue
+			}
+			c, err := tc.Capture(ctx, w, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v1 strings.Builder
+			if _, err := c.Buf.WriteTo(&v1); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.Sum256(fmt.Appendf(nil, "wmtrace-spill-v1|%s|%016x|%d|%d",
+				w.Name, w.Fingerprint(), w.DefaultPacketBytes(), workloads.DefaultMaxInstrs))
+			base = filepath.Join(seed.TraceDir(), hex.EncodeToString(h[:8]))
+			write(base+".wmtrace", []byte(v1.String()))
+			delete(m, "stream")
+			m["version"], m["fetches"], m["datas"] = 1, c.Buf.NumFetches(), c.Buf.NumDatas()
 		}
-		if blob, err = json.Marshal(m); err != nil {
+		blob, err := json.Marshal(m)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(side, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		write(base+".json", blob)
 	}
 
 	boot := func() *Server {
@@ -455,8 +517,8 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 		return s
 	}
 	s := boot()
-	if got := s.Stats().Store.RecoveredTraces; got != int64(len(names)) {
-		t.Fatalf("first boot quarantined %d trace pairs, want %d", got, len(names))
+	if got := s.Stats().Store.RecoveredTraces; got != 6 {
+		t.Fatalf("first boot quarantined %d trace pairs, want 6", got)
 	}
 	s.Close()
 	s = boot()

@@ -62,19 +62,15 @@ func streamDigest(fetch, data *trace.Buffer) string {
 }
 
 // captureOne records only the fetch stream of one run of w (fetch true) or
-// only its data stream.
+// only its data stream, the way a trace cache captures the one stream a
+// fan-out pass reads.
 func captureOne(t *testing.T, w workloads.Workload, packet uint32, fetch bool) (buf *trace.Buffer, cycles, instrs uint64) {
 	t.Helper()
-	buf = new(trace.Buffer)
-	pair := trace.SinkPair{Data: buf}
-	if fetch {
-		pair = trace.SinkPair{Fetch: buf}
-	}
-	c, err := workloads.RunPacketContext(context.Background(), w, trace.NewStager([]trace.SinkPair{pair}), packet)
+	c, err := NewTraceCache().capture(context.Background(), w, packet, [2]bool{Data: !fetch, Fetch: fetch})
 	if err != nil {
 		t.Fatalf("%s@%d: %v", w.Name, packet, err)
 	}
-	return buf, c.Cycles, c.Instrs
+	return c.Buf, c.Cycles, c.Instrs
 }
 
 func boolByte(v bool) byte {

@@ -1,11 +1,17 @@
 package suite
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -167,130 +173,29 @@ func TestTraceCacheSpill(t *testing.T) {
 	assertResultsEqual(t, first, second)
 }
 
-// TestTraceCacheSpillCorrupt checks that a truncated spill file — the cut
-// lands mid-record, typically inside a varint column payload — degrades to
-// a re-capture (and is rewritten), never to an error or wrong results.
-func TestTraceCacheSpillCorrupt(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	ws := raceWorkloads(t)[:1]
-
-	tc1, err := NewDirTraceCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := filepath.Glob(filepath.Join(dir, "*.wmtrace"))
-	if err != nil || len(traces) != 1 {
-		t.Fatalf("spill files: %v, %v", traces, err)
-	}
-	data, err := os.ReadFile(traces[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(traces[0], data[:len(data)/2], 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	tc2, err := NewDirTraceCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := tc2.Stats(); st.Captures != 1 || st.DiskLoads != 0 {
-		t.Fatalf("corrupt spill was not degraded to a capture: %+v", st)
-	}
-	assertResultsEqual(t, first, second)
-
-	// The re-capture rewrote the spill; a third cache loads it cleanly.
-	tc3, err := NewDirTraceCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc3)); err != nil {
-		t.Fatal(err)
-	}
-	if st := tc3.Stats(); st.DiskLoads != 1 {
-		t.Fatalf("rewritten spill not loaded: %+v", st)
-	}
-}
-
-// TestTraceCacheSpillBitFlips flips single bytes at offsets spread through
-// a WMTRACE3 spill — hitting record headers, column compression flags and
-// varint payloads (the trace package's every-byte-flip test proves the
-// per-offset coverage is exhaustive) — and checks each mutation degrades to
-// a re-capture with bit-identical results.
-func TestTraceCacheSpillBitFlips(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	ws := raceWorkloads(t)[:1]
-
-	tc1, err := NewDirTraceCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := filepath.Glob(filepath.Join(dir, "*.wmtrace"))
-	if err != nil || len(traces) != 1 {
-		t.Fatalf("spill files: %v, %v", traces, err)
-	}
-	orig, err := os.ReadFile(traces[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Offset 8 is the first record's tag byte; the interior offsets land in
-	// column flags/payloads; the last byte is CRC material.
-	for _, off := range []int{8, len(orig) / 4, len(orig) / 2, len(orig) - 1} {
-		mut := append([]byte(nil), orig...)
-		mut[off] ^= 0xff
-		if err := os.WriteFile(traces[0], mut, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		tc, err := NewDirTraceCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := tc.Stats(); st.Captures != 1 || st.DiskLoads != 0 {
-			t.Fatalf("flip at %d: not degraded to a capture: %+v", off, st)
-		}
-		assertResultsEqual(t, first, again)
-	}
-}
-
-// TestTraceCacheStaleSidecar: a sidecar whose event counts disagree with
-// the trace file (a torn or stale spill pair) must read as a miss and
-// re-capture, not serve a capture the sidecar no longer describes.
-func TestTraceCacheStaleSidecar(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	ws := raceWorkloads(t)[:1]
-
-	tc1, err := NewDirTraceCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc1))
-	if err != nil {
-		t.Fatal(err)
-	}
+// spillPairs returns the base path of each stream's spill pair in dir,
+// keyed by the stream its sidecar names, and fails t unless dir holds
+// exactly one pair per stream.
+func spillPairs(t *testing.T, dir string) map[string]string {
+	t.Helper()
 	sides, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(sides) != 1 {
-		t.Fatalf("sidecar files: %v, %v", sides, err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mb, err := os.ReadFile(sides[0])
+	bases := map[string]string{}
+	for _, side := range sides {
+		bases[readSidecar(t, side)["stream"].(string)] = strings.TrimSuffix(side, ".json")
+	}
+	if len(sides) != 2 || bases["data"] == "" || bases["fetch"] == "" {
+		t.Fatalf("spill sidecars %v, want one per stream", sides)
+	}
+	return bases
+}
+
+// readSidecar decodes the spill sidecar at path.
+func readSidecar(t *testing.T, path string) map[string]any {
+	t.Helper()
+	mb, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,77 +203,326 @@ func TestTraceCacheStaleSidecar(t *testing.T) {
 	if err := json.Unmarshal(mb, &m); err != nil {
 		t.Fatal(err)
 	}
-	m["fetches"] = m["fetches"].(float64) + 1
-	mb, err = json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(sides[0], mb, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	return m
+}
 
-	tc2, err := NewDirTraceCache(dir)
+// writeSidecar encodes m as the spill sidecar at path.
+func writeSidecar(t *testing.T, path string, m map[string]any) {
+	t.Helper()
+	mb, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc2))
+	if err := os.WriteFile(path, mb, 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeFile replaces the file at path with data.
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readFile returns the contents of the file at path.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := tc2.Stats(); st.Captures != 1 || st.DiskLoads != 0 {
-		t.Fatalf("stale sidecar not degraded to a capture: %+v", st)
+	return data
+}
+
+// spilledRun runs ws with a fresh trace cache over dir and returns the
+// results and the cache's stats.
+func spilledRun(t *testing.T, dir string, ws []workloads.Workload) (*Results, TraceCacheStats) {
+	t.Helper()
+	tc, err := NewDirTraceCache(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertResultsEqual(t, first, second)
+	r, err := Run(context.Background(), WithWorkloads(ws...), WithTraceCache(tc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, tc.Stats()
+}
+
+// TestTraceCacheSpillCorrupt checks that a truncated spill file of either
+// stream — the cut lands mid-record, typically inside a varint column
+// payload — degrades to a re-capture (and is rewritten), never to an
+// error or wrong results.
+func TestTraceCacheSpillCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	ws := raceWorkloads(t)[:1]
+	first, st := spilledRun(t, dir, ws)
+	if st.Captures != 1 || st.DiskLoads != 0 {
+		t.Fatalf("cold dir cache stats = %+v", st)
+	}
+	for stream, base := range spillPairs(t, dir) {
+		data := readFile(t, base+".wmtrace")
+		writeFile(t, base+".wmtrace", data[:len(data)/2])
+
+		second, st := spilledRun(t, dir, ws)
+		if st.Captures != 1 || st.DiskLoads != 0 {
+			t.Fatalf("%s: corrupt spill was not degraded to a capture: %+v", stream, st)
+		}
+		assertResultsEqual(t, first, second)
+
+		// The re-capture rewrote the spill; a third cache loads it cleanly.
+		if _, st := spilledRun(t, dir, ws); st.DiskLoads != 1 {
+			t.Fatalf("%s: rewritten spill not loaded: %+v", stream, st)
+		}
+	}
+}
+
+// TestTraceCacheSpillBitFlips flips single bytes at offsets spread through
+// each stream's WMTRACE3 spill — hitting record headers, column
+// compression flags and varint payloads (the trace package's
+// every-byte-flip test proves the per-offset coverage is exhaustive) — and
+// checks each mutation degrades to a re-capture with bit-identical results.
+func TestTraceCacheSpillBitFlips(t *testing.T) {
+	dir := t.TempDir()
+	ws := raceWorkloads(t)[:1]
+	first, _ := spilledRun(t, dir, ws)
+	for stream, base := range spillPairs(t, dir) {
+		orig := readFile(t, base+".wmtrace")
+		// Offset 8 is the first record's tag byte; the interior offsets land
+		// in column flags/payloads; the last byte is CRC material.
+		for _, off := range []int{8, len(orig) / 4, len(orig) / 2, len(orig) - 1} {
+			mut := append([]byte(nil), orig...)
+			mut[off] ^= 0xff
+			writeFile(t, base+".wmtrace", mut)
+			again, st := spilledRun(t, dir, ws)
+			if st.Captures != 1 || st.DiskLoads != 0 {
+				t.Fatalf("%s: flip at %d: not degraded to a capture: %+v", stream, off, st)
+			}
+			assertResultsEqual(t, first, again)
+		}
+	}
+}
+
+// TestTraceCacheStaleSidecar: a sidecar that disagrees with its trace file
+// or with the other stream's sidecar (a torn, stale or mixed-up spill pair)
+// must read as a miss and re-capture, not serve a capture the sidecars no
+// longer describe. The cases: an event count off by one; a "data" sidecar
+// over a file of fetch events, and the reverse, with counts that match the
+// file; and two stream sidecars whose cycle or instruction counts differ.
+// A request for one stream re-captures just as a request for both does.
+func TestTraceCacheStaleSidecar(t *testing.T) {
+	ws := raceWorkloads(t)[:1]
+	type edit func(t *testing.T, bases map[string]string)
+	count := func(stream string) edit {
+		return func(t *testing.T, bases map[string]string) {
+			m := readSidecar(t, bases[stream]+".json")
+			m["fetches"] = m["fetches"].(float64) + 1
+			writeSidecar(t, bases[stream]+".json", m)
+		}
+	}
+	swap := func(stream, other string) edit {
+		return func(t *testing.T, bases map[string]string) {
+			writeFile(t, bases[stream]+".wmtrace", readFile(t, bases[other]+".wmtrace"))
+			m, o := readSidecar(t, bases[stream]+".json"), readSidecar(t, bases[other]+".json")
+			m["fetches"], m["datas"] = o["fetches"], o["datas"]
+			writeSidecar(t, bases[stream]+".json", m)
+		}
+	}
+	disagree := func(field string) edit {
+		return func(t *testing.T, bases map[string]string) {
+			m := readSidecar(t, bases["data"]+".json")
+			m[field] = m[field].(float64) + 1
+			writeSidecar(t, bases["data"]+".json", m)
+		}
+	}
+	// Each case spoils the spill of the streams it names.
+	cases := map[string]struct {
+		edit    edit
+		spoiled []Domain
+	}{
+		"data count":        {count("data"), []Domain{Data}},
+		"fetch count":       {count("fetch"), []Domain{Fetch}},
+		"data over fetches": {swap("data", "fetch"), []Domain{Data}},
+		"fetch over datas":  {swap("fetch", "data"), []Domain{Fetch}},
+		"cycles disagree":   {disagree("cycles"), []Domain{Data, Fetch}},
+		"instrs disagree":   {disagree("instrs"), []Domain{Data, Fetch}},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			first, _ := spilledRun(t, dir, ws)
+			c.edit(t, spillPairs(t, dir))
+			second, st := spilledRun(t, dir, ws)
+			if st.Captures != 1 || st.DiskLoads != 0 {
+				t.Fatalf("stale sidecar not degraded to a capture: %+v", st)
+			}
+			assertResultsEqual(t, first, second)
+
+			// On a fresh spill, a request for one stream re-captures it if
+			// it is spoiled and loads it otherwise.
+			for _, stream := range []Domain{Data, Fetch} {
+				dir := t.TempDir()
+				spilledRun(t, dir, ws)
+				c.edit(t, spillPairs(t, dir))
+				tc, err := NewDirTraceCache(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pair := trace.SinkPair{Data: trace.DataFunc(func(trace.DataEvent) {})}
+				if stream == Fetch {
+					pair = trace.SinkPair{Fetch: trace.FetchFunc(func(trace.FetchEvent) {})}
+				}
+				got, err := tc.FanOut(context.Background(), ws[0], 0, []trace.SinkPair{pair}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := TraceCacheStats{DiskLoads: 1}
+				if slices.Contains(c.spoiled, stream) {
+					want = TraceCacheStats{Captures: 1}
+				}
+				b := first.Benchmarks[0]
+				if st := tc.Stats(); st.Captures != want.Captures || st.DiskLoads != want.DiskLoads ||
+					got.Cycles != b.Cycles || got.Instrs != b.Instrs {
+					t.Fatalf("%s alone: %+v, %d/%d cycles/instrs, want %d captures and %d disk loads at %d/%d",
+						stream, st, got.Cycles, got.Instrs, want.Captures, want.DiskLoads, b.Cycles, b.Instrs)
+				}
+			}
+		})
+	}
+}
+
+// TestTraceCacheStreamsDisagreeInMemory: a data spill whose sidecar is
+// wrong about the execution counts, with no fetch spill beside it to
+// contradict it, loads on a data-only request. A request for both streams
+// then captures the fetch stream, finds the two disagree, drops both and
+// re-captures them, so the counts it returns are the execution's.
+func TestTraceCacheStreamsDisagreeInMemory(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	w := raceWorkloads(t)[0]
+	want, err := NewTraceCache().Capture(ctx, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOnly := func(tc *TraceCache) {
+		t.Helper()
+		pairs := []trace.SinkPair{{Data: trace.DataFunc(func(trace.DataEvent) {})}}
+		if _, err := tc.FanOut(ctx, w, 0, pairs, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc, err := NewDirTraceCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOnly(tc)
+	sides, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(sides) != 1 {
+		t.Fatalf("data-only spill sidecars: %v, %v", sides, err)
+	}
+	m := readSidecar(t, sides[0])
+	m["cycles"] = m["cycles"].(float64) + 1
+	writeSidecar(t, sides[0], m)
+
+	// The data stream loads on its own; the fetch stream is captured when
+	// both are asked for.
+	tc, err = NewDirTraceCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOnly(tc)
+	got, err := tc.Capture(ctx, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || got.Instrs != want.Instrs || streamDigest(got.Buf, got.Buf) != streamDigest(want.Buf, want.Buf) {
+		t.Fatalf("capture at %d/%d cycles/instrs, want %d/%d", got.Cycles, got.Instrs, want.Cycles, want.Instrs)
+	}
+	if st := tc.Stats(); st.Captures != 2 || st.DiskLoads != 1 {
+		t.Fatalf("stats %+v, want a data disk load, a fetch capture and one capture of both", st)
+	}
 }
 
 // TestTraceCacheSpillLegacyRecaptures: a spill directory holding a trace
 // file in the fixed-record WMTRACE1 format of earlier versions, behind a
 // sidecar that matches in every field, is a cache miss — the workload is
 // re-captured exactly once, the spill is rewritten as WMTRACE3, and results
-// are unchanged.
+// are unchanged. So is a version 1 spill, which held both streams in one
+// pair under a name without the stream, whether it sits at its own name or
+// at a version 2 stream's.
 func TestTraceCacheSpillLegacyRecaptures(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
 	ws := raceWorkloads(t)[:1]
-
-	tc1, err := NewDirTraceCache(dir)
+	w := ws[0]
+	both, err := NewTraceCache().Capture(ctx, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc1))
-	if err != nil {
+	var v1 bytes.Buffer
+	if _, err := both.Buf.WriteTo(&v1); err != nil {
 		t.Fatal(err)
 	}
-	traces, err := filepath.Glob(filepath.Join(dir, "*.wmtrace"))
-	if err != nil || len(traces) != 1 {
-		t.Fatalf("spill files: %v, %v", traces, err)
+	// writeV1 writes the version 1 spill pair of w at base: both streams in
+	// one WMTRACE3 file and a sidecar without a stream.
+	writeV1 := func(t *testing.T, base string) {
+		writeFile(t, base+".wmtrace", v1.Bytes())
+		writeSidecar(t, base+".json", map[string]any{
+			"version": 1, "workload": w.Name, "format": trace.FileMagic, "spec": w.Spec, "isa": w.ISA,
+			"fingerprint": fmt.Sprintf("%016x", w.Fingerprint()), "packet_bytes": w.DefaultPacketBytes(),
+			"max_instrs": workloads.DefaultMaxInstrs, "cycles": both.Cycles, "instrs": both.Instrs,
+			"fetches": both.Buf.NumFetches(), "datas": both.Buf.NumDatas(),
+		})
 	}
-	// One fixed-size data record after the legacy magic.
-	legacy := append([]byte("WMTRACE1D"), make([]byte, 14)...)
-	if err := os.WriteFile(traces[0], legacy, 0o666); err != nil {
-		t.Fatal(err)
+	cases := map[string]func(t *testing.T, dir string){
+		// One fixed-size data record after the legacy magic, in each
+		// stream's file.
+		"WMTRACE1": func(t *testing.T, dir string) {
+			for _, base := range spillPairs(t, dir) {
+				writeFile(t, base+".wmtrace", append([]byte("WMTRACE1D"), make([]byte, 14)...))
+			}
+		},
+		// The parent's name: the hash of the version, workload,
+		// fingerprint, packet and budget.
+		"v1 pair": func(t *testing.T, dir string) {
+			for _, base := range spillPairs(t, dir) {
+				for _, ext := range []string{".wmtrace", ".json"} {
+					if err := os.Remove(base + ext); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			h := sha256.Sum256(fmt.Appendf(nil, "wmtrace-spill-v1|%s|%016x|%d|%d",
+				w.Name, w.Fingerprint(), w.DefaultPacketBytes(), workloads.DefaultMaxInstrs))
+			writeV1(t, filepath.Join(dir, hex.EncodeToString(h[:8])))
+		},
+		"v1 pair at v2 names": func(t *testing.T, dir string) {
+			for _, base := range spillPairs(t, dir) {
+				writeV1(t, base)
+			}
+		},
 	}
-
-	for round := 0; round < 2; round++ {
-		tc, err := NewDirTraceCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := Run(ctx, WithWorkloads(ws...), WithTraceCache(tc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The first round re-captures and rewrites the spill; the second
-		// loads the rewritten file.
-		want := TraceCacheStats{Captures: 1}
-		if round == 1 {
-			want = TraceCacheStats{DiskLoads: 1}
-		}
-		if st := tc.Stats(); st.Captures != want.Captures || st.DiskLoads != want.DiskLoads {
-			t.Fatalf("round %d: stats %+v, want %d captures, %d disk loads",
-				round, st, want.Captures, want.DiskLoads)
-		}
-		assertResultsEqual(t, first, again)
+	for name, legacy := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			first, _ := spilledRun(t, dir, ws)
+			legacy(t, dir)
+			for round := 0; round < 2; round++ {
+				again, st := spilledRun(t, dir, ws)
+				// The first round re-captures and rewrites the spill; the
+				// second loads the rewritten files.
+				want := TraceCacheStats{Captures: 1}
+				if round == 1 {
+					want = TraceCacheStats{DiskLoads: 1}
+				}
+				if st.Captures != want.Captures || st.DiskLoads != want.DiskLoads {
+					t.Fatalf("round %d: stats %+v, want %d captures, %d disk loads",
+						round, st, want.Captures, want.DiskLoads)
+				}
+				assertResultsEqual(t, first, again)
+			}
+		})
 	}
 }
 
@@ -394,7 +548,8 @@ func TestTraceCacheMaxInstrsKeyed(t *testing.T) {
 // and power to a WMTRACE3 spill reloaded from disk and to live execution —
 // the ground truth — for all eight standard techniques of both domains,
 // across a geometry grid, at parallelism 1 and 4, on two synthetic
-// workloads (so parallelism actually interleaves benchmarks).
+// workloads (so parallelism actually interleaves benchmarks). The fan-out
+// counters count, in each pass, only the streams it has sinks for.
 func TestFanOutReplayEquivalence(t *testing.T) {
 	ctx := context.Background()
 	w1, err := workloads.ByName("synth:pchase,fp=8KiB,stride=64,seed=3")
@@ -474,6 +629,33 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 	}
 	if st := tcDisk.Stats(); st.Captures != 0 || st.DiskLoads != len(ws) {
 		t.Fatalf("disk cache stats = %+v, want pure WMTRACE3 loads", st)
+	}
+
+	// A pass that reads one stream walks only that stream: a data-only
+	// pass of two sinks counts its data events once and delivers each
+	// twice, and a fetch-only pass counts its fetch events.
+	c, err := tcWarm.Capture(ctx, w1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := trace.SinkPair{Data: trace.DataFunc(func(trace.DataEvent) {}), Fetch: trace.FetchFunc(func(trace.FetchEvent) {})}
+	for _, pass := range []struct {
+		pairs  []trace.SinkPair
+		events int64
+	}{
+		{[]trace.SinkPair{{Data: nop.Data}, {Data: nop.Data}}, int64(c.Buf.NumDatas())},
+		{[]trace.SinkPair{{Fetch: nop.Fetch}}, int64(c.Buf.NumFetches())},
+	} {
+		before := tcWarm.Stats()
+		if _, err := tcWarm.FanOut(ctx, w1, 0, pass.pairs, 1); err != nil {
+			t.Fatal(err)
+		}
+		after := tcWarm.Stats()
+		events, deliveries := after.FanOutEvents-before.FanOutEvents, after.FanOutDeliveries-before.FanOutDeliveries
+		if events != pass.events || deliveries != int64(len(pass.pairs))*pass.events || after.Captures != before.Captures {
+			t.Fatalf("one-stream pass of %d sinks walked %d events and delivered %d, want %d walked",
+				len(pass.pairs), events, deliveries, pass.events)
+		}
 	}
 }
 

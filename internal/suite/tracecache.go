@@ -21,21 +21,29 @@ import (
 // the fetch/data event stream of a benchmark depends only on the workload
 // and the fetch-packet size — never on cache geometry or technique — so the
 // cache runs each (workload, packetBytes) pair through the CPU once,
-// captures the streams into a packed trace.Buffer, and replays the capture
+// captures the streams into packed trace.Buffers, and replays the capture
 // to every later run that asks for the same pair. A design-space sweep over
 // G geometries thus costs W executions plus G×W cheap replays instead of
 // G×W executions.
 //
-// With a spill directory (NewDirTraceCache), captures are also written as
-// WMTRACE3 files (compressed column chunks) with a JSON sidecar, and a later
-// process loads them back instead of executing at all. Spill files are
-// keyed by the workload's content fingerprint, so stale files for a renamed
-// or edited workload — like a truncated, bit-flipped or otherwise corrupt
-// trace file, or one in a format this version no longer reads — degrade to
-// a re-capture, never to wrong results.
+// The cache keeps one entry per (workload, packet, stream). A request names
+// the streams it reads — FanOut those its sinks consume, Capture both — and
+// the streams it misses are captured together in one execution that records
+// only them: the simulator builds no event of a stream nothing reads, so a
+// data-domain sweep never simulates, encodes or spills a fetch event. A
+// stream already held or in flight is never captured again.
+//
+// With a spill directory (NewDirTraceCache), each captured stream is also
+// written as its own WMTRACE3 file (compressed column chunks) with a JSON
+// sidecar, and a later process loads it back instead of executing at all.
+// Spill files are keyed by the workload's content fingerprint and the
+// stream, so stale files for a renamed or edited workload — like a
+// truncated, bit-flipped or otherwise corrupt trace file, one in a format
+// this version no longer reads, or a stream's pair that disagrees with the
+// other stream's — degrade to a re-capture, never to wrong results.
 //
 // A TraceCache is safe for concurrent use and is meant to be shared across
-// many suite.Run calls; concurrent requests for the same pair block on a
+// many suite.Run calls; concurrent requests for the same stream block on a
 // single capture.
 type TraceCache struct {
 	dir string
@@ -54,19 +62,20 @@ type TraceCache struct {
 	fanDeliveries atomic.Int64
 }
 
-// traceKey identifies one captured execution. maxInstrs (defaulted) is part
-// of the identity even though a successful capture always runs to halt: a
-// budget that would fail a live run must miss the cache and fail here too,
-// not silently succeed off a longer run's capture.
+// traceKey identifies one captured stream of one execution. maxInstrs
+// (defaulted) is part of the identity even though a successful capture
+// always runs to halt: a budget that would fail a live run must miss the
+// cache and fail here too, not silently succeed off a longer run's capture.
 type traceKey struct {
 	name        string
 	fingerprint uint64
 	packet      uint32
 	maxInstrs   uint64
+	stream      Domain
 }
 
-// traceEntry is one capture, possibly still in flight: done closes when buf
-// (or err) is final.
+// traceEntry is one captured stream, possibly still in flight: done closes
+// when buf (or err) is final. buf holds only the entry's stream.
 type traceEntry struct {
 	done   chan struct{}
 	buf    *trace.Buffer
@@ -75,11 +84,17 @@ type traceEntry struct {
 	err    error
 }
 
+// streams lists the two streams in Domain order, the index of every
+// per-stream array below.
+var streams = [2]Domain{Data, Fetch}
+
 // TraceCacheStats reports how a TraceCache served its requests.
 type TraceCacheStats struct {
-	// Captures is the number of full simulator executions performed.
+	// Captures is the number of simulator executions performed; one
+	// execution captures every stream its request missed.
 	Captures int
-	// DiskLoads is the number of captures reloaded from spill files.
+	// DiskLoads is the number of requests whose missed streams were all
+	// reloaded from spill files instead of executing.
 	DiskLoads int
 	// Replays is the number of benchmark runs served by replaying a
 	// capture instead of executing. One batched fan-out pass can serve many
@@ -93,9 +108,10 @@ type TraceCacheStats struct {
 	FanOutPasses int
 	FanOutSinks  int
 	// FanOutEvents is the number of events the passes walked (counted once
-	// per pass); FanOutDeliveries the per-sink deliveries those walks
-	// produced (each pass delivers its fetch stream to every fetch sink and
-	// its data stream to every data sink).
+	// per pass, and only in the streams that pass has sinks for);
+	// FanOutDeliveries the per-sink deliveries those walks produced (each
+	// pass delivers its fetch stream to every fetch sink and its data
+	// stream to every data sink).
 	FanOutEvents     int64
 	FanOutDeliveries int64
 }
@@ -137,8 +153,8 @@ func NewDirTraceCacheFS(dir string, fs fault.FS) (*TraceCache, error) {
 	return tc, nil
 }
 
-// Flush drops every completed in-memory capture, returning how many were
-// dropped. Spilled captures reload from disk on next use; memory-only ones
+// Flush drops every completed in-memory stream capture, returning how many
+// were dropped. Spilled captures reload from disk on next use; memory-only ones
 // re-execute — results are unaffected either way. Long-running daemons call
 // it after evicting spill files so resident memory tracks the store's byte
 // budget instead of growing with every workload ever swept. Captures still
@@ -181,124 +197,226 @@ type Capture struct {
 	Instrs uint64
 }
 
-// Capture returns the capture for (w, packet), executing or disk-loading it
-// at most once; concurrent requests for the same pair block on one filler.
-// Callers that replay the returned buffer themselves should prefer FanOut,
-// which also keeps the cache's replay statistics honest.
+// Capture returns the capture for (w, packet) with both streams, executing
+// or disk-loading each stream at most once; concurrent requests for the
+// same stream block on one filler. Two streams captured apart are joined
+// without copying. Callers that replay the returned buffer themselves
+// should prefer FanOut, which also keeps the cache's replay statistics
+// honest.
 func (tc *TraceCache) Capture(ctx context.Context, w workloads.Workload, packet uint32) (Capture, error) {
-	e, err := tc.get(ctx, w, packet)
-	if err != nil {
-		return Capture{}, err
-	}
-	return Capture{Buf: e.buf, Cycles: e.cycles, Instrs: e.instrs}, nil
+	return tc.capture(ctx, w, packet, [2]bool{true, true})
 }
 
 // FanOut replays the capture for (w, packet) to every registered pair in a
 // single batched pass over the trace (trace.Buffer.ReplayAll), capturing or
-// disk-loading it first if needed. runs is the number of logical benchmark
-// runs the pass serves — suite.Run passes 1 per workload, a sharded explore
-// task passes its grid-point count — and is what Stats().Replays advances
-// by, so the counter keeps meaning "benchmark runs served by replay"
-// however wide the fan-out is.
+// disk-loading first the streams its pairs read, and only those, if needed.
+// The returned Capture's buffer holds those streams. runs is the number of
+// logical benchmark runs the pass serves — suite.Run passes 1 per
+// workload, a sharded explore task passes its grid-point count — and is
+// what Stats().Replays advances by, so the counter keeps meaning
+// "benchmark runs served by replay" however wide the fan-out is.
 func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, runs int) (Capture, error) {
-	c, err := tc.Capture(ctx, w, packet)
+	var sinks [2]int64
+	for _, p := range pairs {
+		if p.Data != nil {
+			sinks[Data]++
+		}
+		if p.Fetch != nil {
+			sinks[Fetch]++
+		}
+	}
+	// Pairs that read no stream still need the execution's counts, which
+	// every stream's entry carries; the data stream is the smaller.
+	want := [2]bool{sinks[Data] > 0 || sinks[Fetch] == 0, sinks[Fetch] > 0}
+	c, err := tc.capture(ctx, w, packet, want)
 	if err != nil {
 		return Capture{}, err
 	}
 	if err := c.Buf.ReplayAll(ctx, pairs); err != nil {
 		return Capture{}, err
 	}
-	var deliveries int64
-	for _, p := range pairs {
-		if p.Fetch != nil {
-			deliveries += int64(c.Buf.NumFetches())
+	var events, deliveries int64
+	for _, d := range streams {
+		n := int64(c.Buf.NumDatas())
+		if d == Fetch {
+			n = int64(c.Buf.NumFetches())
 		}
-		if p.Data != nil {
-			deliveries += int64(c.Buf.NumDatas())
+		if sinks[d] > 0 {
+			events += n
 		}
+		deliveries += sinks[d] * n
 	}
 	tc.replays.Add(int64(runs))
 	tc.fanPasses.Add(1)
 	tc.fanSinks.Add(int64(len(pairs)))
-	tc.fanEvents.Add(int64(c.Buf.Len()))
+	tc.fanEvents.Add(events)
 	tc.fanDeliveries.Add(deliveries)
 	return c, nil
 }
 
-// get returns the capture for (w, packet), executing it at most once per
-// attempt. A failed capture is not memoized, so a cancelled sweep does not
-// poison the cache for the next one, and a waiter whose filler failed
-// retries under its own ctx instead of inheriting the filler's error.
-// Packet 0 (the default) and the workload's own default packet — 8 bytes
-// for FRVL, 4 for rv32 — produce the same stream and share one capture.
-func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint32) (*traceEntry, error) {
-	keyPacket := packet
-	if keyPacket == 0 {
-		keyPacket = w.DefaultPacketBytes()
+// capture returns the capture for (w, packet) holding the wanted streams.
+// A stream read from a spill file carries its sidecar's counts; should two
+// streams disagree on them, both entries are dropped and fetched once more,
+// which re-captures whatever spill is wrong, since each stream's load also
+// checks the other stream's sidecar.
+func (tc *TraceCache) capture(ctx context.Context, w workloads.Workload, packet uint32, want [2]bool) (Capture, error) {
+	for attempt := 0; ; attempt++ {
+		es, err := tc.get(ctx, w, packet, want)
+		if err != nil {
+			return Capture{}, err
+		}
+		d, f := es[Data], es[Fetch]
+		switch {
+		case d == nil:
+			return Capture{Buf: f.buf, Cycles: f.cycles, Instrs: f.instrs}, nil
+		case f == nil:
+			return Capture{Buf: d.buf, Cycles: d.cycles, Instrs: d.instrs}, nil
+		case d.cycles == f.cycles && d.instrs == f.instrs:
+			return Capture{Buf: trace.Join(f.buf, d.buf), Cycles: d.cycles, Instrs: d.instrs}, nil
+		case attempt > 0:
+			return Capture{}, fmt.Errorf("suite: %s: data and fetch captures disagree on cycles/instrs", w.Name)
+		}
+		k := tc.key(w, packet)
+		tc.mu.Lock()
+		for _, s := range streams {
+			if k.stream = s; tc.entries[k] == es[s] {
+				delete(tc.entries, k)
+			}
+		}
+		tc.mu.Unlock()
+	}
+}
+
+// key returns the data stream's key for (w, packet). Packet 0 (the
+// default) and the workload's own default packet — 8 bytes for FRVL, 4 for
+// rv32 — produce the same streams and share one key.
+func (tc *TraceCache) key(w workloads.Workload, packet uint32) traceKey {
+	if packet == 0 {
+		packet = w.DefaultPacketBytes()
 	}
 	maxInstrs := w.MaxInstrs
 	if maxInstrs == 0 {
 		maxInstrs = workloads.DefaultMaxInstrs
 	}
-	k := traceKey{w.Name, w.Fingerprint(), keyPacket, maxInstrs}
+	return traceKey{w.Name, w.Fingerprint(), packet, maxInstrs, Data}
+}
+
+// get returns the entries of the wanted streams of (w, packet), indexed
+// by Domain. It first fills, in one execution, every wanted stream that
+// has no entry, and then waits for the streams other requests are filling.
+// A failed capture is not memoized, so a cancelled sweep does not poison
+// the cache for the next one, and a waiter whose filler failed retries
+// under its own ctx instead of inheriting the filler's error.
+func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint32, want [2]bool) ([2]*traceEntry, error) {
+	k := tc.key(w, packet)
 	for {
+		var es, fill [2]*traceEntry
+		filling := false
 		tc.mu.Lock()
-		e := tc.entries[k]
-		if e == nil {
-			e = &traceEntry{done: make(chan struct{})}
-			tc.entries[k] = e
-			tc.mu.Unlock()
-			e.err = tc.fill(ctx, e, w, packet, k)
-			if e.err != nil {
-				tc.mu.Lock()
-				delete(tc.entries, k)
-				tc.mu.Unlock()
+		for _, s := range streams {
+			if !want[s] {
+				continue
 			}
-			close(e.done)
-			return e, e.err
+			k.stream = s
+			if es[s] = tc.entries[k]; es[s] == nil {
+				es[s] = &traceEntry{done: make(chan struct{})}
+				fill[s], filling = es[s], true
+				tc.entries[k] = es[s]
+			}
 		}
 		tc.mu.Unlock()
-		select {
-		case <-e.done:
-			if e.err == nil {
-				return e, nil
+		if filling {
+			err := tc.fill(ctx, fill, w, packet, k)
+			tc.mu.Lock()
+			for _, s := range streams {
+				if e := fill[s]; e != nil {
+					if e.err = err; err != nil {
+						k.stream = s
+						delete(tc.entries, k)
+					}
+					close(e.done)
+				}
 			}
-			// The filler failed and removed the entry; try again unless
-			// our own ctx is the one that ended.
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			tc.mu.Unlock()
+			if err != nil {
+				return es, err
 			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		}
+		retry := false
+		for _, e := range es {
+			if e == nil {
+				continue
+			}
+			select {
+			case <-e.done:
+				// The filler failed and removed the entry; try again
+				// unless our own ctx is the one that ended.
+				if e.err != nil {
+					if err := ctx.Err(); err != nil {
+						return es, err
+					}
+					retry = true
+				}
+			case <-ctx.Done():
+				return es, ctx.Err()
+			}
+		}
+		if !retry {
+			return es, nil
 		}
 	}
 }
 
-// fill populates e from the spill directory if possible, else by executing
-// the workload into a buffer through a capture stager.
-func (tc *TraceCache) fill(ctx context.Context, e *traceEntry, w workloads.Workload, packet uint32, k traceKey) error {
-	if tc.dir != "" && tc.load(e, k, w) {
+// fill populates the entries of fill, indexed by Domain, from the spill
+// directory if every one of them loads, else by executing the workload once
+// through a capture stager that records exactly their streams.
+func (tc *TraceCache) fill(ctx context.Context, fill [2]*traceEntry, w workloads.Workload, packet uint32, k traceKey) error {
+	if tc.dir != "" && tc.loadAll(fill, k, w) {
 		tc.diskLoads.Add(1)
 		return nil
 	}
-	buf := new(trace.Buffer)
-	c, err := workloads.RunPacketContext(ctx, w, trace.NewCapture(buf), packet)
+	var bufs [2]*trace.Buffer
+	for _, s := range streams {
+		if fill[s] != nil {
+			bufs[s] = new(trace.Buffer)
+		}
+	}
+	c, err := workloads.RunPacketContext(ctx, w, trace.NewCaptureStreams(bufs[Fetch], bufs[Data]), packet)
 	if err != nil {
 		return err
 	}
 	tc.captures.Add(1)
-	e.buf, e.cycles, e.instrs = buf, c.Cycles, c.Instrs
-	if tc.dir != "" {
-		if err := tc.store(e, k, w); err != nil {
-			return err
+	for _, s := range streams {
+		e := fill[s]
+		if e == nil {
+			continue
+		}
+		e.buf, e.cycles, e.instrs = bufs[s], c.Cycles, c.Instrs
+		if tc.dir != "" {
+			k.stream = s
+			if err := tc.store(e, k, w); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
+// loadAll fills every entry of fill from its spill pair, reporting whether
+// all of them loaded.
+func (tc *TraceCache) loadAll(fill [2]*traceEntry, k traceKey, w workloads.Workload) bool {
+	for _, s := range streams {
+		if k.stream = s; fill[s] != nil && !tc.load(fill[s], k, w) {
+			return false
+		}
+	}
+	return true
+}
+
 // traceMetaVersion versions the sidecar schema; bump it to invalidate old
-// spill directories wholesale.
-const traceMetaVersion = 1
+// spill directories wholesale. Version 2 spills one stream per pair;
+// version 1 spilled both streams in one.
+const traceMetaVersion = 2
 
 // traceMeta is the JSON sidecar of one spill file: what the trace file
 // itself cannot carry — the execution counts BenchResult needs, and the
@@ -308,6 +426,9 @@ const traceMetaVersion = 1
 type traceMeta struct {
 	Version  int    `json:"version"`
 	Workload string `json:"workload"`
+	// Stream names the one stream the trace file holds, "data" or
+	// "fetch"; the file's other stream is empty.
+	Stream string `json:"stream"`
 	// Format names the trace file format the spill was written in.
 	Format string `json:"format,omitempty"`
 	// Spec is the canonical synthetic spec the workload was generated from
@@ -333,32 +454,46 @@ type traceMeta struct {
 // spillBase names the spill file pair for a key: a hash, so arbitrary
 // workload names cannot escape the directory or collide after sanitizing.
 func (tc *TraceCache) spillBase(k traceKey) string {
-	h := sha256.Sum256(fmt.Appendf(nil, "wmtrace-spill-v%d|%s|%016x|%d|%d",
-		traceMetaVersion, k.name, k.fingerprint, k.packet, k.maxInstrs))
+	h := sha256.Sum256(fmt.Appendf(nil, "wmtrace-spill-v%d|%s|%s|%016x|%d|%d",
+		traceMetaVersion, k.stream, k.name, k.fingerprint, k.packet, k.maxInstrs))
 	return filepath.Join(tc.dir, hex.EncodeToString(h[:8]))
 }
 
-// load restores a capture from its spill pair. Any mismatch, truncation or
-// decode error degrades to a miss (returns false) and the capture is
-// re-executed and re-stored — a corrupt file must never poison results.
-func (tc *TraceCache) load(e *traceEntry, k traceKey, w workloads.Workload) bool {
-	base := tc.spillBase(k)
-	mb, err := tc.fs.ReadFile(fault.SiteTraceRead, base+".json")
-	if err != nil {
-		return false
-	}
+// meta reads and checks the sidecar of k's spill pair: it must parse and
+// name k's version, stream and capture.
+func (tc *TraceCache) meta(k traceKey, w workloads.Workload) (traceMeta, bool) {
 	var m traceMeta
-	if json.Unmarshal(mb, &m) != nil ||
-		m.Version != traceMetaVersion ||
-		m.Workload != k.name ||
-		m.Spec != w.Spec ||
-		m.ISA != w.ISA ||
-		m.Fingerprint != fmt.Sprintf("%016x", k.fingerprint) ||
-		m.PacketBytes != k.packet ||
-		m.MaxInstrs != k.maxInstrs {
+	mb, err := tc.fs.ReadFile(fault.SiteTraceRead, tc.spillBase(k)+".json")
+	ok := err == nil && json.Unmarshal(mb, &m) == nil &&
+		m.Version == traceMetaVersion &&
+		m.Stream == k.stream.String() &&
+		m.Workload == k.name &&
+		m.Spec == w.Spec &&
+		m.ISA == w.ISA &&
+		m.Fingerprint == fmt.Sprintf("%016x", k.fingerprint) &&
+		m.PacketBytes == k.packet &&
+		m.MaxInstrs == k.maxInstrs
+	return m, ok
+}
+
+// load restores one stream's capture from its spill pair. Any mismatch,
+// truncation or decode error degrades to a miss (returns false) and the
+// stream is re-executed and re-stored — a corrupt file must never poison
+// results. The file must hold only the sidecar's stream, and the other
+// stream's sidecar, if there is one, must agree on the execution counts.
+func (tc *TraceCache) load(e *traceEntry, k traceKey, w workloads.Workload) bool {
+	m, ok := tc.meta(k, w)
+	if !ok {
 		return false
 	}
-	f, err := tc.fs.Open(fault.SiteTraceRead, base+".wmtrace")
+	other := k
+	if other.stream = Fetch; k.stream == Fetch {
+		other.stream = Data
+	}
+	if o, ok := tc.meta(other, w); ok && (o.Cycles != m.Cycles || o.Instrs != m.Instrs) {
+		return false
+	}
+	f, err := tc.fs.Open(fault.SiteTraceRead, tc.spillBase(k)+".wmtrace")
 	if err != nil {
 		return false
 	}
@@ -367,12 +502,16 @@ func (tc *TraceCache) load(e *traceEntry, k traceKey, w workloads.Workload) bool
 	if err != nil || buf.NumFetches() != m.Fetches || buf.NumDatas() != m.Datas {
 		return false
 	}
+	if (k.stream == Data && m.Fetches != 0) || (k.stream == Fetch && m.Datas != 0) {
+		return false
+	}
 	e.buf, e.cycles, e.instrs = buf, m.Cycles, m.Instrs
 	return true
 }
 
-// store writes the capture as a WMTRACE3 file plus sidecar, each through a
-// temp file, fsync and rename so readers never observe a torn spill.
+// store writes one stream's capture as a WMTRACE3 file plus sidecar, each
+// through a temp file, fsync and rename so readers never observe a torn
+// spill.
 func (tc *TraceCache) store(e *traceEntry, k traceKey, w workloads.Workload) error {
 	base := tc.spillBase(k)
 	if err := tc.fs.WriteFileAtomic(fault.SiteTraceWrite, base+".wmtrace", func(f io.Writer) error {
@@ -384,6 +523,7 @@ func (tc *TraceCache) store(e *traceEntry, k traceKey, w workloads.Workload) err
 	m := traceMeta{
 		Version:     traceMetaVersion,
 		Workload:    k.name,
+		Stream:      k.stream.String(),
 		Format:      trace.FileMagic,
 		Spec:        w.Spec,
 		ISA:         w.ISA,

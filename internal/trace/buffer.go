@@ -28,11 +28,12 @@ import (
 // after the other, and ReadBuffer reloads it losslessly.
 //
 // The Buffer keeps each stream in order, not the interleaving of the two:
-// every consumer of a capture reads one stream. A simulator records into it
-// through a capture stager (NewCapture), which appends whole staged blocks;
-// the per-event FetchSink and DataSink methods append one event. A Buffer
-// is safe for any number of concurrent replays once capture has finished.
-// It is not safe to append and replay concurrently.
+// every consumer of a capture reads one stream, and a capture may record
+// only one (NewCaptureStreams) or join two recorded apart (Join). A
+// simulator records into it through a capture stager, which appends whole
+// staged blocks; the per-event FetchSink and DataSink methods append one
+// event. A Buffer is safe for any number of concurrent replays once
+// capture has finished. It is not safe to append and replay concurrently.
 type Buffer struct {
 	fetch []encChunk // sealed full chunks, chunkLen events each
 	data  []encChunk
@@ -117,6 +118,15 @@ func (b *Buffer) appendDatas(evs []DataEvent) {
 			b.data = append(b.data, b.denc.seal(dataLayout))
 		}
 	}
+}
+
+// Join returns a buffer that holds fetch's fetch stream and data's data
+// stream, so two streams captured in separate runs replay as one capture.
+// It shares their chunks and copies none. Nothing may be appended to the
+// joined buffer or to either source afterwards.
+func Join(fetch, data *Buffer) *Buffer {
+	return &Buffer{fetch: fetch.fetch, fenc: fetch.fenc, nf: fetch.nf,
+		data: data.data, denc: data.denc, nd: data.nd}
 }
 
 // SinkPair registers one consumer's sinks for a fan-out replay pass. Either

@@ -15,7 +15,8 @@ import "sync"
 // a fetch sink may see a later fetch block before a data sink sees an
 // earlier data block. That is ReplayAll's contract too, and every technique
 // in this repository consumes exactly one stream. A capture stager
-// (NewCapture) has its Buffer as the one sink of both streams.
+// (NewCapture, NewCaptureStreams) has a Buffer as the one sink of each
+// stream it records.
 //
 // A Stager serves one run. Call Flush once the run has succeeded to
 // deliver each stream's partial tail; a failed run's tails are dropped
@@ -59,10 +60,19 @@ func NewStager(pairs []SinkPair) *Stager {
 
 // NewCapture returns a stager that records one run into b: each staged
 // block is appended to b's columns.
-func NewCapture(b *Buffer) *Stager {
-	s := &Stager{
-		fsinks: []FetchBatchSink{captureSink{b}},
-		dsinks: []DataBatchSink{captureSink{b}},
+func NewCapture(b *Buffer) *Stager { return NewCaptureStreams(b, b) }
+
+// NewCaptureStreams returns a stager that records one run's fetch stream
+// into fetch and its data stream into data. A nil buffer's stream is not
+// recorded, and since no sink consumes it, the simulator builds none of
+// its events.
+func NewCaptureStreams(fetch, data *Buffer) *Stager {
+	s := new(Stager)
+	if fetch != nil {
+		s.fsinks = []FetchBatchSink{captureSink{fetch}}
+	}
+	if data != nil {
+		s.dsinks = []DataBatchSink{captureSink{data}}
 	}
 	s.getBlocks()
 	return s
