@@ -526,6 +526,59 @@ func TestTraceCacheSpillLegacyRecaptures(t *testing.T) {
 	}
 }
 
+// TestTraceCacheConcurrentStreams races requests for the data stream, the
+// fetch stream and both on one cache. Each stream is captured once: two
+// executions at most, one when a request for both claims them together.
+// Every request sees the same events and counts as a cache of its own.
+func TestTraceCacheConcurrentStreams(t *testing.T) {
+	ctx := context.Background()
+	w := raceWorkloads(t)[0]
+	ref, err := NewTraceCache().Capture(ctx, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := streamDigest(ref.Buf, ref.Buf)
+	tc := NewTraceCache()
+	data := trace.SinkPair{Data: trace.DataFunc(func(trace.DataEvent) {})}
+	fetch := trace.SinkPair{Fetch: trace.FetchFunc(func(trace.FetchEvent) {})}
+	const n = 9
+	got := make([]Capture, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				got[i], errs[i] = tc.FanOut(ctx, w, 0, []trace.SinkPair{data}, 1)
+			case 1:
+				got[i], errs[i] = tc.FanOut(ctx, w, 0, []trace.SinkPair{fetch}, 1)
+			default:
+				got[i], errs[i] = tc.Capture(ctx, w, 0)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if c.Cycles != ref.Cycles || c.Instrs != ref.Instrs {
+			t.Fatalf("request %d: %d/%d cycles/instrs, want %d/%d", i, c.Cycles, c.Instrs, ref.Cycles, ref.Instrs)
+		}
+		if i%3 == 2 && streamDigest(c.Buf, c.Buf) != want {
+			t.Fatalf("request %d: both streams differ from a cache of their own", i)
+		}
+	}
+	if st := tc.Stats(); st.Captures < 1 || st.Captures > 2 {
+		t.Fatalf("%d captures, want 1 or 2", st.Captures)
+	}
+	if c, err := tc.Capture(ctx, w, 0); err != nil || streamDigest(c.Buf, c.Buf) != want {
+		t.Fatalf("capture after the race differs: %v", err)
+	}
+}
+
 // TestTraceCacheMaxInstrsKeyed: an instruction budget that would fail a
 // live run must fail through the cache too, not silently reuse a capture
 // recorded under a longer budget.
@@ -633,7 +686,8 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 
 	// A pass that reads one stream walks only that stream: a data-only
 	// pass of two sinks counts its data events once and delivers each
-	// twice, and a fetch-only pass counts its fetch events.
+	// twice, a fetch-only pass counts its fetch events, and a pass with no
+	// sinks walks nothing.
 	c, err := tcWarm.Capture(ctx, w1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -645,6 +699,7 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 	}{
 		{[]trace.SinkPair{{Data: nop.Data}, {Data: nop.Data}}, int64(c.Buf.NumDatas())},
 		{[]trace.SinkPair{{Fetch: nop.Fetch}}, int64(c.Buf.NumFetches())},
+		{nil, 0},
 	} {
 		before := tcWarm.Stats()
 		if _, err := tcWarm.FanOut(ctx, w1, 0, pass.pairs, 1); err != nil {

@@ -154,11 +154,11 @@ func NewDirTraceCacheFS(dir string, fs fault.FS) (*TraceCache, error) {
 }
 
 // Flush drops every completed in-memory stream capture, returning how many
-// were dropped. Spilled captures reload from disk on next use; memory-only ones
-// re-execute — results are unaffected either way. Long-running daemons call
-// it after evicting spill files so resident memory tracks the store's byte
-// budget instead of growing with every workload ever swept. Captures still
-// in flight are left alone.
+// were dropped. Spilled captures reload from disk on next use; memory-only
+// ones re-execute — results are unaffected either way. Long-running
+// daemons call it after evicting spill files so resident memory tracks the
+// store's byte budget instead of growing with every workload ever swept.
+// Captures still in flight are left alone.
 func (tc *TraceCache) Flush() int {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -235,16 +235,13 @@ func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet u
 	if err := c.Buf.ReplayAll(ctx, pairs); err != nil {
 		return Capture{}, err
 	}
+	n := [2]int64{Data: int64(c.Buf.NumDatas()), Fetch: int64(c.Buf.NumFetches())}
 	var events, deliveries int64
-	for _, d := range streams {
-		n := int64(c.Buf.NumDatas())
-		if d == Fetch {
-			n = int64(c.Buf.NumFetches())
+	for _, s := range streams {
+		if sinks[s] > 0 {
+			events += n[s]
 		}
-		if sinks[d] > 0 {
-			events += n
-		}
-		deliveries += sinks[d] * n
+		deliveries += sinks[s] * n[s]
 	}
 	tc.replays.Add(int64(runs))
 	tc.fanPasses.Add(1)
@@ -487,8 +484,9 @@ func (tc *TraceCache) load(e *traceEntry, k traceKey, w workloads.Workload) bool
 		return false
 	}
 	other := k
-	if other.stream = Fetch; k.stream == Fetch {
-		other.stream = Data
+	other.stream = Data
+	if k.stream == Data {
+		other.stream = Fetch
 	}
 	if o, ok := tc.meta(other, w); ok && (o.Cycles != m.Cycles || o.Instrs != m.Instrs) {
 		return false

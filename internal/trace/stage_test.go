@@ -66,39 +66,52 @@ func TestStagerSinksPerStream(t *testing.T) {
 		t.Fatalf("empty stager: streams %v, %v", f, d)
 	}
 	st.Flush()
+	st = NewCaptureStreams(new(Buffer), nil)
+	if f, d := st.Streams(); !f || d {
+		t.Fatalf("fetch-only capture stager: streams %v, %v", f, d)
+	}
+	st.Flush()
 }
 
 // TestCaptureStagerMatchesPerEvent: recording a stream through a capture
 // stager, block by block, yields the same buffer as appending the same
 // events one by one — the same streams, so the same WMTRACE3 bytes —
-// across block and chunk boundaries.
+// across block and chunk boundaries. So does recording each stream into a
+// buffer of its own and joining the two.
 func TestCaptureStagerMatchesPerEvent(t *testing.T) {
 	for _, n := range []int{0, 1, stageLen + 1, chunkLen + 3*stageLen + 5} {
 		r := rand.New(rand.NewSource(int64(n)))
-		var perEvent, staged Buffer
-		st := NewCapture(&staged)
+		var perEvent, staged, fetches, datas Buffer
+		st, apart := NewCapture(&staged), NewCaptureStreams(&fetches, &datas)
 		for range n {
 			if r.Intn(3) == 0 {
 				ev := randData(r)
 				perEvent.OnData(ev)
-				*st.NextData() = ev
+				*st.NextData(), *apart.NextData() = ev, ev
 			} else {
 				ev := randFetch(r)
 				perEvent.OnFetch(ev)
-				*st.NextFetch() = ev
+				*st.NextFetch(), *apart.NextFetch() = ev, ev
 			}
 		}
 		st.Flush()
-		var want, got bytes.Buffer
+		apart.Flush()
+		var want bytes.Buffer
 		if _, err := perEvent.WriteTo(&want); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := staged.WriteTo(&got); err != nil {
-			t.Fatal(err)
+		if fetches.NumDatas() != 0 || datas.NumFetches() != 0 {
+			t.Fatalf("n=%d: one-stream buffers hold %d data and %d fetch events", n, fetches.NumDatas(), datas.NumFetches())
 		}
-		if staged.Len() != n || !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("n=%d: capture stager wrote %d events, %d bytes; per-event %d bytes differ",
-				n, staged.Len(), got.Len(), want.Len())
+		for name, b := range map[string]*Buffer{"capture stager": &staged, "joined streams": Join(&fetches, &datas)} {
+			var got bytes.Buffer
+			if _, err := b.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() != n || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("n=%d: %s wrote %d events, %d bytes; per-event %d bytes differ",
+					n, name, b.Len(), got.Len(), want.Len())
+			}
 		}
 	}
 }

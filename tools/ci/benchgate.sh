@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Parent-vs-change speed gate on the benchmark in bench/. Runs
-# `bench/run.sh` on paper-live and geo-sweep at seeds 1-3 in this checkout
-# and in a worktree of BASE, alternating which side runs first from pair to
-# pair, with the run length and the points_per_s bound read from
-# BENCHMARK.json. It fails when any run misses `correct: true` or
+# `bench/run.sh` on paper-live, geo-sweep and synth-capture at seeds 1-3
+# in this checkout and in a worktree of BASE, alternating which side runs
+# first from pair to pair, with the run length and the points_per_s bound
+# read from BENCHMARK.json. It fails when any run misses `correct: true` or
 # `failed: 0`, or when this checkout's median points_per_s on a workload
 # falls below BASE's median × (1 − bound). Every run is printed. Run it
 # from the root of the checkout:
@@ -46,7 +46,7 @@ run() {
 }
 
 pair=0
-for w in paper-live geo-sweep; do
+for w in paper-live geo-sweep synth-capture; do
 	for s in 1 2 3; do
 		if ((pair % 2 == 0)); then
 			run base "$tree" "$w" "$s"
@@ -66,7 +66,7 @@ median() {
 }
 
 status=0
-for w in paper-live geo-sweep; do
+for w in paper-live geo-sweep synth-capture; do
 	b=$(median "$w" base)
 	c=$(median "$w" change)
 	if awk -v b="$b" -v c="$c" -v bound="$bound" 'BEGIN { exit !(c >= b * (1 - bound)) }'; then
