@@ -76,7 +76,7 @@ for w in paper-live geo-sweep synth-capture; do
 		status=1
 	fi
 	awk -v w="$w" -v b="$b" -v c="$c" -v bound="$bound" -v v="$verdict" 'BEGIN {
-		printf "%-10s points_per_s median: base %.2f, change %.2f (%.2fx, floor %.2fx) %s\n", w, b, c, c / b, 1 - bound, v
+		printf "%-13s points_per_s median: base %.2f, change %.2f (%.2fx, floor %.2fx) %s\n", w, b, c, c / b, 1 - bound, v
 	}'
 done
 exit "$status"
