@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 
 	"waymemo/internal/explore"
 	"waymemo/internal/fault"
+	"waymemo/internal/suite"
 	"waymemo/internal/trace"
 )
 
@@ -193,8 +193,10 @@ func (st *Store) recoverBoot(root string) {
 }
 
 // tracePairIntact validates one spill pair end to end: both halves present,
-// sidecar parses, self-identifies and carries event counts, and the trace
-// file decodes as WMTRACE3 (checksummed) and agrees with those counts.
+// the sidecar one a TraceCache could load (suite.SpillSidecarCounts), and
+// the trace file decodes as WMTRACE3 (checksummed) and agrees with its
+// event counts. A pair of an older sidecar version is whole but dead
+// weight: no TraceCache computes its name.
 func (st *Store) tracePairIntact(p tracePair) bool {
 	if !p.trace || !p.sidecar {
 		return false
@@ -203,12 +205,8 @@ func (st *Store) tracePairIntact(p tracePair) bool {
 	if err != nil {
 		return false
 	}
-	var m struct {
-		Version int  `json:"version"`
-		Fetches *int `json:"fetches"`
-		Datas   *int `json:"datas"`
-	}
-	if json.Unmarshal(mb, &m) != nil || m.Version == 0 || m.Fetches == nil || m.Datas == nil {
+	fetches, datas, ok := suite.SpillSidecarCounts(mb)
+	if !ok {
 		return false
 	}
 	f, err := st.fs.Open(fault.SiteTraceRead, p.base+".wmtrace")
@@ -217,7 +215,7 @@ func (st *Store) tracePairIntact(p tracePair) bool {
 	}
 	defer f.Close()
 	buf, err := trace.ReadBuffer(f)
-	return err == nil && buf.NumFetches() == *m.Fetches && buf.NumDatas() == *m.Datas
+	return err == nil && buf.NumFetches() == fetches && buf.NumDatas() == datas
 }
 
 // ResultDir and TraceDir return the store's component directories; the

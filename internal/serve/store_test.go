@@ -188,8 +188,9 @@ func TestStoreTraceEviction(t *testing.T) {
 }
 
 // TestStoreMixedFormatTraceEviction: the store's byte budget counts real
-// spill pairs — an hour-old WMTRACE3 pair next to a fresh one, both with
-// full sidecars, evicts by age, and the surviving pair still decodes.
+// spill pairs — an hour-old WMTRACE3 fetch-stream pair next to a fresh
+// one, both with full sidecars, evicts by age, and the surviving pair
+// still decodes.
 func TestStoreMixedFormatTraceEviction(t *testing.T) {
 	var buf trace.Buffer
 	addr := uint32(0x1000)
@@ -199,9 +200,6 @@ func TestStoreMixedFormatTraceEviction(t *testing.T) {
 			Kind: trace.KindSeq, First: i == 0,
 		})
 		addr += 8
-		if i%4 == 0 {
-			buf.OnData(trace.DataEvent{Addr: 0x8000 + uint32(i)*4, Base: 0x8000, Disp: int32(i), Size: 4})
-		}
 	}
 	dir := t.TempDir()
 	seed, err := OpenStore(dir, 0)
@@ -232,7 +230,7 @@ func TestStoreMixedFormatTraceEviction(t *testing.T) {
 		return fi.Size()
 	}
 	sidecar := func(f *os.File) error {
-		_, err := fmt.Fprintf(f, `{"version":1,"fetches":%d,"datas":%d}`, buf.NumFetches(), buf.NumDatas())
+		_, err := fmt.Fprintf(f, `{"version":2,"stream":"fetch","fetches":%d,"datas":0}`, buf.NumFetches())
 		return err
 	}
 	spill := func(f *os.File) error { _, err := buf.WriteTo(f); return err }
@@ -377,14 +375,14 @@ func boolBit(v bool) byte {
 // older versions or damage left behind. For three workloads both stream
 // pairs are bad on their face: one workload's trace files are WMTRACE1,
 // one's are WMTRACE2, each behind a sidecar that matches it in every
-// field, and one's sidecars are minimal, without event counts. Boot
-// quarantines those six pairs, and a second boot finds nothing left to
-// recover. Three more workloads' pairs are whole but must not be loaded:
-// a "data" sidecar over a file of fetch events, a data sidecar whose
-// cycle count disagrees with its fetch sidecar's, and a version 1 pair
-// that held both streams under a name without the stream. The next data
-// sweep re-captures each workload exactly once instead of loading any
-// pair.
+// field, and one's sidecars are minimal, without event counts. Two more
+// pairs decode but answer for no capture a trace cache loads: a "data"
+// sidecar over a file of fetch events, and a version 1 pair that held
+// both streams under a name without the stream. Boot quarantines those
+// eight pairs, and a second boot finds nothing left to recover. One more
+// workload's pairs are each whole but disagree: its data sidecar's cycle
+// count is not its fetch sidecar's. The next data sweep re-captures each
+// workload exactly once instead of loading any pair.
 func TestServerRecapturesOldSpillDir(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -517,8 +515,8 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 		return s
 	}
 	s := boot()
-	if got := s.Stats().Store.RecoveredTraces; got != 6 {
-		t.Fatalf("first boot quarantined %d trace pairs, want 6", got)
+	if got := s.Stats().Store.RecoveredTraces; got != 8 {
+		t.Fatalf("first boot quarantined %d trace pairs, want 8", got)
 	}
 	s.Close()
 	s = boot()

@@ -579,6 +579,63 @@ func TestTraceCacheConcurrentStreams(t *testing.T) {
 	}
 }
 
+// TestTraceCacheAskedStreamsRideAlong: a cache asked only for data streams
+// records only data streams, but once it has been asked for both, an
+// execution that a data request needs records the fetch stream too, and
+// spills it: a later fetch request for that workload, in this process or
+// the next, neither executes nor misses. A request served from spill files
+// executes nothing for the other stream.
+func TestTraceCacheAskedStreamsRideAlong(t *testing.T) {
+	ctx := context.Background()
+	ws := raceWorkloads(t)
+	data := []trace.SinkPair{{Data: trace.DataFunc(func(trace.DataEvent) {})}}
+	fetch := []trace.SinkPair{{Fetch: trace.FetchFunc(func(trace.FetchEvent) {})}}
+	dir := t.TempDir()
+	tc, err := NewDirTraceCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(tc *TraceCache, w workloads.Workload, pairs []trace.SinkPair, want TraceCacheStats) {
+		t.Helper()
+		before := tc.Stats()
+		c, err := tc.FanOut(ctx, w, 0, pairs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pairs[0].Data != nil && c.Buf.NumFetches() != 0 {
+			t.Fatalf("%s: a data request's buffer holds %d fetch events", w.Name, c.Buf.NumFetches())
+		}
+		st := tc.Stats()
+		if got := (TraceCacheStats{Captures: st.Captures - before.Captures,
+			DiskLoads: st.DiskLoads - before.DiskLoads}); got != want {
+			t.Fatalf("%s: %d captures and %d disk loads, want %d and %d",
+				w.Name, got.Captures, got.DiskLoads, want.Captures, want.DiskLoads)
+		}
+	}
+	sidecars := func(want int) {
+		t.Helper()
+		if sides, err := filepath.Glob(filepath.Join(dir, "*.json")); err != nil || len(sides) != want {
+			t.Fatalf("spill sidecars %v (%v), want %d", sides, err, want)
+		}
+	}
+	captured := TraceCacheStats{Captures: 1}
+	step(tc, ws[0], data, captured)
+	sidecars(1)
+	step(tc, ws[0], fetch, captured)
+	step(tc, ws[1], data, captured)
+	sidecars(4)
+	step(tc, ws[1], fetch, TraceCacheStats{})
+
+	tc, err = NewDirTraceCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := TraceCacheStats{DiskLoads: 1}
+	step(tc, ws[0], fetch, loaded)
+	step(tc, ws[1], data, loaded)
+	step(tc, ws[1], fetch, loaded)
+}
+
 // TestTraceCacheMaxInstrsKeyed: an instruction budget that would fail a
 // live run must fail through the cache too, not silently reuse a capture
 // recorded under a longer budget.

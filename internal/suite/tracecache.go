@@ -31,7 +31,10 @@ import (
 // the streams it misses are captured together in one execution that records
 // only them: the simulator builds no event of a stream nothing reads, so a
 // data-domain sweep never simulates, encodes or spills a fetch event. A
-// stream already held or in flight is never captured again.
+// stream already held or in flight is never captured again. An execution
+// also records any other stream this cache has been asked for before, so a
+// cache serving both domains executes a workload once unless it swept one
+// domain of that workload before the other domain was first asked for.
 //
 // With a spill directory (NewDirTraceCache), each captured stream is also
 // written as its own WMTRACE3 file (compressed column chunks) with a JSON
@@ -51,6 +54,9 @@ type TraceCache struct {
 
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
+	// asked records, per Domain, whether any request has wanted that
+	// stream: once both have been, every execution records both.
+	asked [2]bool
 
 	captures  atomic.Int64
 	diskLoads atomic.Int64
@@ -300,7 +306,8 @@ func (tc *TraceCache) key(w workloads.Workload, packet uint32) traceKey {
 
 // get returns the entries of the wanted streams of (w, packet), indexed
 // by Domain. It first fills, in one execution, every wanted stream that
-// has no entry, and then waits for the streams other requests are filling.
+// has no entry (fill may add streams asked for before), and then waits for
+// the streams other requests are filling.
 // A failed capture is not memoized, so a cancelled sweep does not poison
 // the cache for the next one, and a waiter whose filler failed retries
 // under its own ctx instead of inheriting the filler's error.
@@ -315,6 +322,7 @@ func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint
 				continue
 			}
 			k.stream = s
+			tc.asked[s] = true
 			if es[s] = tc.entries[k]; es[s] == nil {
 				es[s] = &traceEntry{done: make(chan struct{})}
 				fill[s], filling = es[s], true
@@ -323,7 +331,7 @@ func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint
 		}
 		tc.mu.Unlock()
 		if filling {
-			err := tc.fill(ctx, fill, w, packet, k)
+			err := tc.fill(ctx, &fill, w, packet, k)
 			tc.mu.Lock()
 			for _, s := range streams {
 				if e := fill[s]; e != nil {
@@ -366,12 +374,23 @@ func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint
 
 // fill populates the entries of fill, indexed by Domain, from the spill
 // directory if every one of them loads, else by executing the workload once
-// through a capture stager that records exactly their streams.
-func (tc *TraceCache) fill(ctx context.Context, fill [2]*traceEntry, w workloads.Workload, packet uint32, k traceKey) error {
-	if tc.dir != "" && tc.loadAll(fill, k, w) {
+// through a capture stager that records exactly their streams. An
+// execution also claims, as one more entry of fill, any other stream this
+// cache has been asked for and holds no entry of: the events cost one
+// encode, where asking for them later would cost a second execution.
+func (tc *TraceCache) fill(ctx context.Context, fill *[2]*traceEntry, w workloads.Workload, packet uint32, k traceKey) error {
+	if tc.dir != "" && tc.loadAll(*fill, k, w) {
 		tc.diskLoads.Add(1)
 		return nil
 	}
+	tc.mu.Lock()
+	for _, s := range streams {
+		if k.stream = s; fill[s] == nil && tc.asked[s] && tc.entries[k] == nil {
+			fill[s] = &traceEntry{done: make(chan struct{})}
+			tc.entries[k] = fill[s]
+		}
+	}
+	tc.mu.Unlock()
 	var bufs [2]*trace.Buffer
 	for _, s := range streams {
 		if fill[s] != nil {
@@ -448,6 +467,32 @@ type traceMeta struct {
 	Datas       int    `json:"datas"`
 }
 
+// oneStream reports whether a sidecar's counts fit the stream it names:
+// a pair holds that stream alone.
+func oneStream(stream string, fetches, datas int) bool {
+	return (stream == Data.String() && fetches == 0) || (stream == Fetch.String() && datas == 0)
+}
+
+// SpillSidecarCounts parses a spill pair's JSON sidecar and returns the
+// event counts it promises the pair's trace file holds. ok is false unless
+// the sidecar parses, is of the current version, carries both counts and
+// names the one stream the file holds: a pair that fails it is one no
+// TraceCache loads, so a store managing a spill directory can quarantine
+// it without knowing the sidecar schema.
+func SpillSidecarCounts(sidecar []byte) (fetches, datas int, ok bool) {
+	var m struct {
+		Version int    `json:"version"`
+		Stream  string `json:"stream"`
+		Fetches *int   `json:"fetches"`
+		Datas   *int   `json:"datas"`
+	}
+	if json.Unmarshal(sidecar, &m) != nil || m.Version != traceMetaVersion || m.Fetches == nil || m.Datas == nil ||
+		!oneStream(m.Stream, *m.Fetches, *m.Datas) {
+		return 0, 0, false
+	}
+	return *m.Fetches, *m.Datas, true
+}
+
 // spillBase names the spill file pair for a key: a hash, so arbitrary
 // workload names cannot escape the directory or collide after sanitizing.
 func (tc *TraceCache) spillBase(k traceKey) string {
@@ -497,10 +542,7 @@ func (tc *TraceCache) load(e *traceEntry, k traceKey, w workloads.Workload) bool
 	}
 	defer f.Close()
 	buf, err := trace.ReadBuffer(f)
-	if err != nil || buf.NumFetches() != m.Fetches || buf.NumDatas() != m.Datas {
-		return false
-	}
-	if (k.stream == Data && m.Fetches != 0) || (k.stream == Fetch && m.Datas != 0) {
+	if err != nil || buf.NumFetches() != m.Fetches || buf.NumDatas() != m.Datas || !oneStream(m.Stream, m.Fetches, m.Datas) {
 		return false
 	}
 	e.buf, e.cycles, e.instrs = buf, m.Cycles, m.Instrs
