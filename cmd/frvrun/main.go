@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"waymemo/internal/asm"
@@ -27,12 +28,17 @@ import (
 	"waymemo/internal/trace"
 )
 
+// parseMAB parses an NtxNs MAB flag, rejecting trailing input and any
+// configuration core.Config.Validate rejects.
 func parseMAB(s string) (core.Config, error) {
-	var nt, ns int
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &nt, &ns); err != nil {
+	tags, sets, ok := strings.Cut(strings.ToLower(s), "x")
+	nt, errT := strconv.Atoi(tags)
+	ns, errS := strconv.Atoi(sets)
+	if !ok || errT != nil || errS != nil {
 		return core.Config{}, fmt.Errorf("bad MAB config %q (want NxM, e.g. 2x8)", s)
 	}
-	return core.Config{TagEntries: nt, SetEntries: ns}, nil
+	c := core.Config{TagEntries: nt, SetEntries: ns}
+	return c, c.Validate()
 }
 
 func main() {

@@ -58,8 +58,10 @@ func largeDisp(send func(trace.DataEvent), n int) {
 }
 
 func run(name string, gen func(func(trace.DataEvent))) {
+	var evs []trace.DataEvent
+	gen(func(ev trace.DataEvent) { evs = append(evs, ev) })
 	d := core.NewDController(cache.FRV32K, core.DefaultD)
-	gen(d.OnData)
+	d.OnDataBatch(evs)
 	s := d.Stats
 	fmt.Printf("%-14s accesses %8d  MAB hit %5.1f%%  bypass %5.1f%%  tags/access %.3f  ways/access %.3f\n",
 		name, s.Accesses, s.MABHitRate()*100,

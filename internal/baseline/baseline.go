@@ -27,14 +27,13 @@ type OriginalD struct {
 	Stats *stats.Counters
 }
 
-var (
-	_ trace.DataSink      = (*OriginalD)(nil)
-	_ trace.DataBatchSink = (*OriginalD)(nil)
-)
+var _ trace.DataSink = (*OriginalD)(nil)
 
-// OnDataBatch processes one block with direct calls on the concrete
-// controller, walking the block by pointer — the devirtualized inner loop
-// of batched delivery, live and replayed (see core.IController.OnFetchBatch).
+// OnDataBatch performs a conventional access per event: all tag ways are
+// read; loads read all data ways, stores write one. It processes the block
+// with direct calls on the concrete controller, walking the block by
+// pointer — the devirtualized inner loop of batched delivery, live and
+// replayed (see core.IController.OnFetchBatch).
 func (d *OriginalD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
 		fullDataAccess(d.Cache, d.Stats, &evs[i])
@@ -45,10 +44,6 @@ func (d *OriginalD) OnDataBatch(evs []trace.DataEvent) {
 func NewOriginalD(geo cache.Config) *OriginalD {
 	return &OriginalD{Cache: cache.New(geo), Stats: &stats.Counters{}}
 }
-
-// OnData performs a conventional access: all tag ways are read; loads read
-// all data ways, stores write one.
-func (d *OriginalD) OnData(ev trace.DataEvent) { fullDataAccess(d.Cache, d.Stats, &ev) }
 
 // fullDataAccess is the conventional D-cache access shared by baselines.
 // It returns the way that holds the line afterwards.
@@ -94,10 +89,7 @@ type OriginalI struct {
 	Stats *stats.Counters
 }
 
-var (
-	_ trace.FetchSink      = (*OriginalI)(nil)
-	_ trace.FetchBatchSink = (*OriginalI)(nil)
-)
+var _ trace.FetchSink = (*OriginalI)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer.
@@ -112,9 +104,7 @@ func NewOriginalI(geo cache.Config) *OriginalI {
 	return &OriginalI{Cache: cache.New(geo), Stats: &stats.Counters{}}
 }
 
-// OnFetch performs a conventional fetch: all tag and data ways activate.
-func (i *OriginalI) OnFetch(ev trace.FetchEvent) { i.fetch(&ev) }
-
+// fetch performs a conventional fetch: all tag and data ways activate.
 func (i *OriginalI) fetch(ev *trace.FetchEvent) {
 	i.Stats.Accesses++
 	i.Stats.Loads++
@@ -158,10 +148,7 @@ type Approach4I struct {
 	havePrev bool
 }
 
-var (
-	_ trace.FetchSink      = (*Approach4I)(nil)
-	_ trace.FetchBatchSink = (*Approach4I)(nil)
-)
+var _ trace.FetchSink = (*Approach4I)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer.
@@ -176,9 +163,7 @@ func NewApproach4I(geo cache.Config) *Approach4I {
 	return &Approach4I{Cache: cache.New(geo), Stats: &stats.Counters{}}
 }
 
-// OnFetch applies the intra-line sequential optimization.
-func (a *Approach4I) OnFetch(ev trace.FetchEvent) { a.fetch(&ev) }
-
+// fetch applies the intra-line sequential optimization.
 func (a *Approach4I) fetch(ev *trace.FetchEvent) {
 	s := a.Stats
 	s.Accesses++
@@ -325,10 +310,7 @@ type SetBufferD struct {
 	buf *SetBuffer
 }
 
-var (
-	_ trace.DataSink      = (*SetBufferD)(nil)
-	_ trace.DataBatchSink = (*SetBufferD)(nil)
-)
+var _ trace.DataSink = (*SetBufferD)(nil)
 
 // OnDataBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer.
@@ -343,12 +325,6 @@ func (b *SetBufferD) OnDataBatch(evs []trace.DataEvent) {
 func NewSetBufferD(geo cache.Config) *SetBufferD {
 	c := cache.New(geo)
 	return &SetBufferD{Cache: c, Stats: &stats.Counters{}, buf: NewSetBuffer(c)}
-}
-
-// OnData serves the access from the set buffer when possible.
-func (b *SetBufferD) OnData(ev trace.DataEvent) {
-	b.access(&ev)
-	b.buf.Counts(b.Stats)
 }
 
 // access serves one access from the buffer or the cache, counting its

@@ -14,25 +14,29 @@ func dataEv(addr uint32, store bool) trace.DataEvent {
 	return trace.DataEvent{Addr: addr, Base: addr, Disp: 0, Store: store, Size: 4}
 }
 
+// onData and onFetch deliver one event to s as a block of one.
+func onData(s trace.DataSink, ev trace.DataEvent)    { s.OnDataBatch([]trace.DataEvent{ev}) }
+func onFetch(s trace.FetchSink, ev trace.FetchEvent) { s.OnFetchBatch([]trace.FetchEvent{ev}) }
+
 func TestOriginalDAccounting(t *testing.T) {
 	d := NewOriginalD(geo)
-	d.OnData(dataEv(0x1000, false)) // load miss
+	onData(d, dataEv(0x1000, false)) // load miss
 	s := d.Stats
 	if s.TagReads != 2 || s.WayReads != 2 || s.WayWrites != 1 || s.Misses != 1 {
 		t.Fatalf("load miss: %+v", *s)
 	}
-	d.OnData(dataEv(0x1004, false)) // load hit, same line
+	onData(d, dataEv(0x1004, false)) // load hit, same line
 	if s.TagReads != 4 || s.WayReads != 4 || s.Hits != 1 {
 		t.Fatalf("load hit: %+v", *s)
 	}
-	d.OnData(dataEv(0x1008, true)) // store hit: tags + single way write
+	onData(d, dataEv(0x1008, true)) // store hit: tags + single way write
 	if s.TagReads != 6 || s.WayReads != 4 || s.WayWrites != 2 {
 		t.Fatalf("store hit: %+v", *s)
 	}
 	// On a hit-dominated stream with stores, ways/access sits below 2
 	// thanks to the write-back buffer (paper §4).
 	for i := 0; i < 20; i++ {
-		d.OnData(dataEv(0x1000+uint32(4*(i%8)), i%2 == 0))
+		onData(d, dataEv(0x1000+uint32(4*(i%8)), i%2 == 0))
 	}
 	if w := s.WaysPerAccess(); w >= 2 {
 		t.Fatalf("ways/access = %.2f, must stay below 2 with the write buffer", w)
@@ -42,8 +46,8 @@ func TestOriginalDAccounting(t *testing.T) {
 func TestOriginalDWriteBack(t *testing.T) {
 	small := cache.Config{Sets: 2, Ways: 1, LineBytes: 16}
 	d := NewOriginalD(small)
-	d.OnData(dataEv(0x00, true))
-	d.OnData(dataEv(0x20, false)) // same set, evicts dirty line
+	onData(d, dataEv(0x00, true))
+	onData(d, dataEv(0x20, false)) // same set, evicts dirty line
 	if d.Stats.WriteBacks != 1 {
 		t.Fatalf("write backs = %d", d.Stats.WriteBacks)
 	}
@@ -51,8 +55,8 @@ func TestOriginalDWriteBack(t *testing.T) {
 
 func TestOriginalIAccounting(t *testing.T) {
 	i := NewOriginalI(geo)
-	i.OnFetch(trace.FetchEvent{Addr: 0x1000, First: true})
-	i.OnFetch(trace.FetchEvent{Addr: 0x1008, Prev: 0x1000, Kind: trace.KindSeq})
+	onFetch(i, trace.FetchEvent{Addr: 0x1000, First: true})
+	onFetch(i, trace.FetchEvent{Addr: 0x1008, Prev: 0x1000, Kind: trace.KindSeq})
 	s := i.Stats
 	// Original I-cache: every fetch reads all tags and ways.
 	if s.TagReads != 4 || s.WayReads != 4 {
@@ -69,7 +73,7 @@ func TestApproach4ISkipsIntraLineOnly(t *testing.T) {
 	prev := uint32(0)
 	for p := 0; p < 5; p++ {
 		addr := uint32(0x2000 + 8*p)
-		a.OnFetch(trace.FetchEvent{Addr: addr, Prev: prev, Kind: trace.KindSeq, Base: prev, Disp: 8, First: p == 0})
+		onFetch(a, trace.FetchEvent{Addr: addr, Prev: prev, Kind: trace.KindSeq, Base: prev, Disp: 8, First: p == 0})
 		prev = addr
 	}
 	s := a.Stats
@@ -81,7 +85,7 @@ func TestApproach4ISkipsIntraLineOnly(t *testing.T) {
 		t.Fatalf("tag reads = %d", s.TagReads)
 	}
 	// A taken branch within the line is NOT case 1 under [4].
-	a.OnFetch(trace.FetchEvent{Addr: 0x2020, Prev: 0x2020, Kind: trace.KindBranch, Base: 0x2024, Disp: -4})
+	onFetch(a, trace.FetchEvent{Addr: 0x2020, Prev: 0x2020, Kind: trace.KindBranch, Base: 0x2024, Disp: -4})
 	if s.Case1Skips != 3 {
 		t.Fatalf("intra-line branch was skipped")
 	}
@@ -90,10 +94,10 @@ func TestApproach4ISkipsIntraLineOnly(t *testing.T) {
 func TestSetBufferHitsSameSet(t *testing.T) {
 	b := NewSetBufferD(geo)
 	// First access misses buffer and cache; loads the buffer.
-	b.OnData(dataEv(0x4000, false))
+	onData(b, dataEv(0x4000, false))
 	// Same line again: buffer hit, no cache arrays.
 	tagsBefore, waysBefore := b.Stats.TagReads, b.Stats.WayReads
-	b.OnData(dataEv(0x4004, false))
+	onData(b, dataEv(0x4004, false))
 	if b.Stats.SetBufHits != 1 {
 		t.Fatalf("buffer hits = %d", b.Stats.SetBufHits)
 	}
@@ -103,8 +107,8 @@ func TestSetBufferHitsSameSet(t *testing.T) {
 	// Other way of the same set: miss in buffer (not resident), full access,
 	// then both lines buffered.
 	other := uint32(0x4000 + 1<<14) // same set, different tag
-	b.OnData(dataEv(other, false))
-	b.OnData(dataEv(0x4000, false)) // now both buffered: hit
+	onData(b, dataEv(other, false))
+	onData(b, dataEv(0x4000, false)) // now both buffered: hit
 	if b.Stats.SetBufHits != 2 {
 		t.Fatalf("buffer hits = %d", b.Stats.SetBufHits)
 	}
@@ -112,13 +116,13 @@ func TestSetBufferHitsSameSet(t *testing.T) {
 
 func TestSetBufferMovesWithSet(t *testing.T) {
 	b := NewSetBufferD(geo)
-	b.OnData(dataEv(0x4000, true)) // store: buffered dirty after hit below
-	b.OnData(dataEv(0x4004, true)) // buffer hit (store was latched), dirty
+	onData(b, dataEv(0x4000, true)) // store: buffered dirty after hit below
+	onData(b, dataEv(0x4004, true)) // buffer hit (store was latched), dirty
 	if b.Stats.SetBufHits != 1 {
 		t.Fatalf("setup: %+v", *b.Stats)
 	}
 	wayWrites := b.Stats.WayWrites
-	b.OnData(dataEv(0x4020, false))         // different set: dirty line flushes
+	onData(b, dataEv(0x4020, false))        // different set: dirty line flushes
 	if b.Stats.WayWrites != wayWrites+1+1 { // flush + refill of new line
 		t.Fatalf("flush accounting: %d -> %d", wayWrites, b.Stats.WayWrites)
 	}
@@ -127,11 +131,11 @@ func TestSetBufferMovesWithSet(t *testing.T) {
 func TestSetBufferEvictionCoherence(t *testing.T) {
 	small := cache.Config{Sets: 2, Ways: 1, LineBytes: 16}
 	b := NewSetBufferD(small)
-	b.OnData(dataEv(0x00, false))
-	b.OnData(dataEv(0x20, false)) // same set, evicts 0x00 (1-way)
+	onData(b, dataEv(0x00, false))
+	onData(b, dataEv(0x20, false)) // same set, evicts 0x00 (1-way)
 	// 0x00 must not hit the buffer now.
 	hits := b.Stats.SetBufHits
-	b.OnData(dataEv(0x00, false))
+	onData(b, dataEv(0x00, false))
 	if b.Stats.SetBufHits != hits {
 		t.Fatal("buffer served an evicted line")
 	}
@@ -167,8 +171,8 @@ func TestSetBufferHitsAreCacheHits(t *testing.T) {
 	} {
 		sb, o := NewSetBufferD(c.geo), NewOriginalD(c.geo)
 		for _, a := range c.stream {
-			sb.OnData(dataEv(a.addr, a.store))
-			o.OnData(dataEv(a.addr, a.store))
+			onData(sb, dataEv(a.addr, a.store))
+			onData(o, dataEv(a.addr, a.store))
 		}
 		if s := sb.Stats; s.Hits != o.Stats.Hits || s.Misses != o.Stats.Misses || s.SetBufHits != c.bufHits {
 			t.Errorf("%s: set buffer %d hits / %d misses / %d buffer hits, want %d / %d / %d",
@@ -189,8 +193,8 @@ func TestBaselinesAgreeOnHitMiss(t *testing.T) {
 		base := bases[r.Intn(len(bases))]
 		addr := base + uint32(r.Intn(1<<13))&^3
 		ev := dataEv(addr, r.Intn(4) == 0)
-		o.OnData(ev)
-		sb.OnData(ev)
+		onData(o, ev)
+		onData(sb, ev)
 	}
 	if o.Stats.Hits != sb.Stats.Hits || o.Stats.Misses != sb.Stats.Misses {
 		t.Fatalf("divergence: original %d/%d, set buffer %d/%d",

@@ -27,10 +27,7 @@ type FilterCacheD struct {
 	Stats *stats.Counters
 }
 
-var (
-	_ trace.DataSink      = (*FilterCacheD)(nil)
-	_ trace.DataBatchSink = (*FilterCacheD)(nil)
-)
+var _ trace.DataSink = (*FilterCacheD)(nil)
 
 // OnDataBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer — the devirtualized inner loop
@@ -46,10 +43,8 @@ func NewFilterCacheD(l0, l1 cache.Config) *FilterCacheD {
 	return &FilterCacheD{L0: cache.New(l0), L1: cache.New(l1), Stats: &stats.Counters{}}
 }
 
-// OnData serves the access from L0 when possible; an L0 miss costs one
+// access serves the access from L0 when possible; an L0 miss costs one
 // extra cycle (ExtraCycles) and a full L1 access.
-func (f *FilterCacheD) OnData(ev trace.DataEvent) { f.access(&ev) }
-
 func (f *FilterCacheD) access(ev *trace.DataEvent) {
 	s := f.Stats
 	s.Accesses++
@@ -118,10 +113,7 @@ type TwoPhaseD struct {
 	Stats *stats.Counters
 }
 
-var (
-	_ trace.DataSink      = (*TwoPhaseD)(nil)
-	_ trace.DataBatchSink = (*TwoPhaseD)(nil)
-)
+var _ trace.DataSink = (*TwoPhaseD)(nil)
 
 // OnDataBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer.
@@ -136,9 +128,7 @@ func NewTwoPhaseD(geo cache.Config) *TwoPhaseD {
 	return &TwoPhaseD{Cache: cache.New(geo), Stats: &stats.Counters{}}
 }
 
-// OnData performs a phased access.
-func (t *TwoPhaseD) OnData(ev trace.DataEvent) { t.access(&ev) }
-
+// access performs a phased access.
 func (t *TwoPhaseD) access(ev *trace.DataEvent) {
 	s := t.Stats
 	s.Accesses++
@@ -181,10 +171,7 @@ type WayPredictI struct {
 	mru   []int32 // per-set predicted way
 }
 
-var (
-	_ trace.FetchSink      = (*WayPredictI)(nil)
-	_ trace.FetchBatchSink = (*WayPredictI)(nil)
-)
+var _ trace.FetchSink = (*WayPredictI)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer.
@@ -203,9 +190,7 @@ func NewWayPredictI(geo cache.Config) *WayPredictI {
 	}
 }
 
-// OnFetch probes the predicted way first.
-func (w *WayPredictI) OnFetch(ev trace.FetchEvent) { w.fetch(&ev) }
-
+// fetch probes the predicted way first.
 func (w *WayPredictI) fetch(ev *trace.FetchEvent) {
 	s := w.Stats
 	s.Accesses++
@@ -266,10 +251,7 @@ type MaLinksI struct {
 	havePrev bool
 }
 
-var (
-	_ trace.FetchSink      = (*MaLinksI)(nil)
-	_ trace.FetchBatchSink = (*MaLinksI)(nil)
-)
+var _ trace.FetchSink = (*MaLinksI)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer.
@@ -308,9 +290,7 @@ func (m *MaLinksI) frame(addr uint32) int {
 	return int(geo.Set(addr))*geo.Ways + way
 }
 
-// OnFetch follows sequential or branch links when valid.
-func (m *MaLinksI) OnFetch(ev trace.FetchEvent) { m.fetch(&ev) }
-
+// fetch follows sequential or branch links when valid.
 func (m *MaLinksI) fetch(ev *trace.FetchEvent) {
 	s := m.Stats
 	s.Accesses++
@@ -393,10 +373,7 @@ type LineBufferD struct {
 	bufWay   int
 }
 
-var (
-	_ trace.DataSink      = (*LineBufferD)(nil)
-	_ trace.DataBatchSink = (*LineBufferD)(nil)
-)
+var _ trace.DataSink = (*LineBufferD)(nil)
 
 // OnDataBatch processes one block with direct calls on the concrete
 // controller, walking the block by pointer.
@@ -419,9 +396,7 @@ func NewLineBufferD(geo cache.Config) *LineBufferD {
 	return b
 }
 
-// OnData serves same-line accesses from the buffer.
-func (b *LineBufferD) OnData(ev trace.DataEvent) { b.access(&ev) }
-
+// access serves same-line accesses from the buffer.
 func (b *LineBufferD) access(ev *trace.DataEvent) {
 	s := b.Stats
 	geo := b.Cache.Config()

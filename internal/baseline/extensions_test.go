@@ -10,9 +10,9 @@ import (
 
 func TestFilterCacheHitsAndPenalty(t *testing.T) {
 	f := NewFilterCacheD(cache.Config{Sets: 8, Ways: 1, LineBytes: 32}, geo)
-	f.OnData(dataEv(0x1000, false)) // L0 miss, L1 miss: 1 extra cycle
-	f.OnData(dataEv(0x1004, false)) // L0 hit: free
-	f.OnData(dataEv(0x1008, true))  // L0 hit store
+	onData(f, dataEv(0x1000, false)) // L0 miss, L1 miss: 1 extra cycle
+	onData(f, dataEv(0x1004, false)) // L0 hit: free
+	onData(f, dataEv(0x1008, true))  // L0 hit store
 	s := f.Stats
 	if s.ExtraCycles != 1 {
 		t.Fatalf("extra cycles = %d", s.ExtraCycles)
@@ -28,9 +28,9 @@ func TestFilterCacheHitsAndPenalty(t *testing.T) {
 
 func TestFilterCacheDirtyWriteThrough(t *testing.T) {
 	f := NewFilterCacheD(cache.Config{Sets: 1, Ways: 1, LineBytes: 32}, geo)
-	f.OnData(dataEv(0x1000, true)) // L0 fill + dirty
+	onData(f, dataEv(0x1000, true)) // L0 fill + dirty
 	ww := f.Stats.WayWrites
-	f.OnData(dataEv(0x2000, false))  // displaces dirty L0 line -> L1 way write
+	onData(f, dataEv(0x2000, false)) // displaces dirty L0 line -> L1 way write
 	if f.Stats.WayWrites != ww+1+1 { // victim write + new L1... (miss refill)
 		t.Fatalf("way writes %d -> %d", ww, f.Stats.WayWrites)
 	}
@@ -38,8 +38,8 @@ func TestFilterCacheDirtyWriteThrough(t *testing.T) {
 
 func TestTwoPhaseSingleWay(t *testing.T) {
 	p := NewTwoPhaseD(geo)
-	p.OnData(dataEv(0x1000, false)) // miss
-	p.OnData(dataEv(0x1004, false)) // hit: 2 tags, 1 way
+	onData(p, dataEv(0x1000, false)) // miss
+	onData(p, dataEv(0x1004, false)) // hit: 2 tags, 1 way
 	s := p.Stats
 	if s.TagReads != 4 || s.WayReads != 1 {
 		t.Fatalf("%+v", *s)
@@ -52,19 +52,19 @@ func TestTwoPhaseSingleWay(t *testing.T) {
 func TestWayPredictMRU(t *testing.T) {
 	w := NewWayPredictI(geo)
 	ev := trace.FetchEvent{Addr: 0x1000, First: true}
-	w.OnFetch(ev) // cold miss: mispredict + fill
-	w.OnFetch(trace.FetchEvent{Addr: 0x1000, Prev: 0x1000, Kind: trace.KindBranch})
+	onFetch(w, ev) // cold miss: mispredict + fill
+	onFetch(w, trace.FetchEvent{Addr: 0x1000, Prev: 0x1000, Kind: trace.KindBranch})
 	s := w.Stats
 	if s.MABHits != 1 { // second access predicted correctly
 		t.Fatalf("prediction hits = %d", s.MABHits)
 	}
 	// Conflicting line in the same set flips the MRU way.
-	w.OnFetch(trace.FetchEvent{Addr: 0x1000 + 1<<14, Prev: 0x1000, Kind: trace.KindBranch})
+	onFetch(w, trace.FetchEvent{Addr: 0x1000 + 1<<14, Prev: 0x1000, Kind: trace.KindBranch})
 	if s.ExtraCycles != 2 { // cold + conflict mispredictions
 		t.Fatalf("extra cycles = %d", s.ExtraCycles)
 	}
 	// Predicted accesses read exactly one tag and one way.
-	w.OnFetch(trace.FetchEvent{Addr: 0x1000 + 1<<14, Prev: 0x1000, Kind: trace.KindBranch})
+	onFetch(w, trace.FetchEvent{Addr: 0x1000 + 1<<14, Prev: 0x1000, Kind: trace.KindBranch})
 	perAccess := float64(s.TagReads) / float64(s.Accesses)
 	if perAccess >= 2 {
 		t.Fatalf("tags/access = %f", perAccess)
@@ -87,7 +87,7 @@ func TestMaLinksSequentialAndBranch(t *testing.T) {
 			} else {
 				base, disp = prev, 8
 			}
-			m.OnFetch(trace.FetchEvent{Addr: addr, Prev: prev, Kind: kind,
+			onFetch(m, trace.FetchEvent{Addr: addr, Prev: prev, Kind: kind,
 				Base: base, Disp: disp, First: first && p == 0})
 			prev = addr
 		}
@@ -130,8 +130,8 @@ func TestWideAssociativityWays(t *testing.T) {
 	prev := uint32(0)
 	for i := 0; i < wide.Ways; i++ {
 		a := addr(i, 0)
-		w.OnFetch(branch(prev, a))
-		w.OnFetch(branch(a, a))
+		onFetch(w, branch(prev, a))
+		onFetch(w, branch(a, a))
 		prev = a
 	}
 	if got := w.Stats.MABHits; got != uint64(wide.Ways) {
@@ -144,12 +144,12 @@ func TestWideAssociativityWays(t *testing.T) {
 	last := addr(wide.Ways-1, 3)
 	walk := func() {
 		if m.havePrev {
-			m.OnFetch(branch(last, 0))
+			onFetch(m, branch(last, 0))
 		} else {
-			m.OnFetch(trace.FetchEvent{First: true})
+			onFetch(m, trace.FetchEvent{First: true})
 		}
 		for a := uint32(8); a <= last; a += 8 {
-			m.OnFetch(trace.FetchEvent{Addr: a, Prev: a - 8, Kind: trace.KindSeq, Base: a - 8, Disp: 8})
+			onFetch(m, trace.FetchEvent{Addr: a, Prev: a - 8, Kind: trace.KindSeq, Base: a - 8, Disp: 8})
 		}
 	}
 	walk()
@@ -162,8 +162,8 @@ func TestWideAssociativityWays(t *testing.T) {
 	hits := m.Stats.MABHits
 	hi := addr(199, 0)
 	for r := 0; r < 3; r++ {
-		m.OnFetch(branch(last, hi))
-		m.OnFetch(branch(hi, last))
+		onFetch(m, branch(last, hi))
+		onFetch(m, branch(hi, last))
 	}
 	if got := m.Stats.MABHits - hits; got != 4 {
 		t.Errorf("branch links hit %d times, want 4", got)
@@ -178,13 +178,13 @@ func TestMaLinksInvalidationOnEvict(t *testing.T) {
 	m := NewMaLinksI(small)
 	// Build a sequential link 0x0->0x20, then evict 0x0 via a conflicting
 	// line; the link must not fire afterwards.
-	m.OnFetch(trace.FetchEvent{Addr: 0x00, First: true})
-	m.OnFetch(trace.FetchEvent{Addr: 0x08, Prev: 0x00, Kind: trace.KindSeq, Base: 0x00, Disp: 8})
-	m.OnFetch(trace.FetchEvent{Addr: 0x20, Prev: 0x18, Kind: trace.KindSeq, Base: 0x18, Disp: 8})
-	m.OnFetch(trace.FetchEvent{Addr: 0x40, Prev: 0x20, Kind: trace.KindBranch, Base: 0x20, Disp: 0x20}) // evicts 0x00 (set 0, 1-way)
+	onFetch(m, trace.FetchEvent{Addr: 0x00, First: true})
+	onFetch(m, trace.FetchEvent{Addr: 0x08, Prev: 0x00, Kind: trace.KindSeq, Base: 0x00, Disp: 8})
+	onFetch(m, trace.FetchEvent{Addr: 0x20, Prev: 0x18, Kind: trace.KindSeq, Base: 0x18, Disp: 8})
+	onFetch(m, trace.FetchEvent{Addr: 0x40, Prev: 0x20, Kind: trace.KindBranch, Base: 0x20, Disp: 0x20}) // evicts 0x00 (set 0, 1-way)
 	hits := m.Stats.MABHits
-	m.OnFetch(trace.FetchEvent{Addr: 0x00, Prev: 0x40, Kind: trace.KindBranch, Base: 0x40, Disp: -0x40})
-	m.OnFetch(trace.FetchEvent{Addr: 0x20, Prev: 0x00, Kind: trace.KindSeq, Base: 0x18, Disp: 8})
+	onFetch(m, trace.FetchEvent{Addr: 0x00, Prev: 0x40, Kind: trace.KindBranch, Base: 0x40, Disp: -0x40})
+	onFetch(m, trace.FetchEvent{Addr: 0x20, Prev: 0x00, Kind: trace.KindSeq, Base: 0x18, Disp: 8})
 	_ = hits // the re-install path must not crash and stays consistent
 	if m.Stats.Violations != 0 {
 		t.Fatalf("violations: %d", m.Stats.Violations)
@@ -193,9 +193,9 @@ func TestMaLinksInvalidationOnEvict(t *testing.T) {
 
 func TestLineBufferD(t *testing.T) {
 	b := NewLineBufferD(geo)
-	b.OnData(dataEv(0x1000, false)) // buffer miss + cache miss
-	b.OnData(dataEv(0x1004, false)) // buffer hit
-	b.OnData(dataEv(0x1008, true))  // buffer hit store
+	onData(b, dataEv(0x1000, false)) // buffer miss + cache miss
+	onData(b, dataEv(0x1004, false)) // buffer hit
+	onData(b, dataEv(0x1008, true))  // buffer hit store
 	s := b.Stats
 	if s.BufHits != 2 || s.ExtraCycles != 1 {
 		t.Fatalf("%+v", *s)
@@ -204,7 +204,7 @@ func TestLineBufferD(t *testing.T) {
 		t.Fatalf("accesses = %d", s.Accesses)
 	}
 	ww := s.WayWrites
-	b.OnData(dataEv(0x2000, false)) // dirty buffer flushes
+	onData(b, dataEv(0x2000, false)) // dirty buffer flushes
 	if s.WayWrites != ww+1+1 {
 		t.Fatalf("flush: %d -> %d", ww, s.WayWrites)
 	}
@@ -213,10 +213,10 @@ func TestLineBufferD(t *testing.T) {
 func TestLineBufferEvictCoherence(t *testing.T) {
 	small := cache.Config{Sets: 2, Ways: 1, LineBytes: 32}
 	b := NewLineBufferD(small)
-	b.OnData(dataEv(0x00, false))
-	b.OnData(dataEv(0x40, false)) // evicts 0x00 and its buffered copy
+	onData(b, dataEv(0x00, false))
+	onData(b, dataEv(0x40, false)) // evicts 0x00 and its buffered copy
 	hits := b.Stats.BufHits
-	b.OnData(dataEv(0x04, false))
+	onData(b, dataEv(0x04, false))
 	if b.Stats.BufHits != hits {
 		t.Fatal("buffer served an evicted line")
 	}
@@ -233,9 +233,9 @@ func TestExtensionsAgreeFunctionally(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		addr := uint32(0x100000 + r.Intn(1<<15)&^3)
 		ev := dataEv(addr, r.Intn(4) == 0)
-		o.OnData(ev)
-		tp.OnData(ev)
-		lb.OnData(ev)
+		onData(o, ev)
+		onData(tp, ev)
+		onData(lb, ev)
 	}
 	if o.Stats.Hits != tp.Stats.Hits || o.Stats.Misses != tp.Stats.Misses {
 		t.Fatalf("two-phase diverged: %d/%d vs %d/%d",

@@ -37,10 +37,7 @@ type DController struct {
 	setBufStats *stats.Counters
 }
 
-var (
-	_ trace.DataSink      = (*DController)(nil)
-	_ trace.DataBatchSink = (*DController)(nil)
-)
+var _ trace.DataSink = (*DController)(nil)
 
 // NewDController builds a cache plus MAB pair with the consistency policy
 // wiring requested in mcfg: a one-lane controller.
@@ -90,11 +87,6 @@ func (d *DController) OnDataBatch(evs []trace.DataEvent) {
 		}
 	}
 	d.sync()
-}
-
-// OnData processes one load or store, as a block of one.
-func (d *DController) OnData(ev trace.DataEvent) {
-	d.OnDataBatch([]trace.DataEvent{ev})
 }
 
 // sync derives every technique's counters from the shared counts and the

@@ -47,10 +47,7 @@ type IController struct {
 	approach4 *stats.Counters // nil until ObserveApproach4
 }
 
-var (
-	_ trace.FetchSink      = (*IController)(nil)
-	_ trace.FetchBatchSink = (*IController)(nil)
-)
+var _ trace.FetchSink = (*IController)(nil)
 
 // NewIController builds the I-cache controller with its MAB: a one-lane
 // controller.
@@ -118,11 +115,6 @@ func (ic *IController) OnFetchBatch(evs []trace.FetchEvent) {
 		ic.havePrev = true
 	}
 	ic.sync()
-}
-
-// OnFetch processes one packet fetch, as a block of one.
-func (ic *IController) OnFetch(ev trace.FetchEvent) {
-	ic.OnFetchBatch([]trace.FetchEvent{ev})
 }
 
 // sync derives every technique's counters from the shared counts and the

@@ -6,6 +6,10 @@ import (
 	"waymemo/internal/trace"
 )
 
+// onData and onFetch deliver one event to s as a block of one.
+func onData(s trace.DataSink, ev trace.DataEvent)    { s.OnDataBatch([]trace.DataEvent{ev}) }
+func onFetch(s trace.FetchSink, ev trace.FetchEvent) { s.OnFetchBatch([]trace.FetchEvent{ev}) }
+
 // fetchSeq sends a straight-line run of packet fetches starting at addr.
 func fetchSeq(ic *IController, start uint32, packets int, first bool) {
 	prev := start - 8
@@ -15,7 +19,7 @@ func fetchSeq(ic *IController, start uint32, packets int, first bool) {
 		if first && i == 0 {
 			ev.First = true
 		}
-		ic.OnFetch(ev)
+		onFetch(ic, ev)
 		prev = addr
 	}
 }
@@ -46,7 +50,7 @@ func TestIInterLineSequentialUsesMAB(t *testing.T) {
 	// replay): second pass inter-line crossings hit the MAB.
 	fetchSeq(ic, 0x10000, 8, true)
 	// Jump back to start (branch) and rerun.
-	ic.OnFetch(trace.FetchEvent{Addr: 0x10000, Prev: 0x10038, Kind: trace.KindBranch, Base: 0x1003c, Disp: -0x3c})
+	onFetch(ic, trace.FetchEvent{Addr: 0x10000, Prev: 0x10038, Kind: trace.KindBranch, Base: 0x1003c, Disp: -0x3c})
 	fetchSeq(ic, 0x10008, 7, false)
 	s := ic.Stats
 	if s.MABHits == 0 {
@@ -66,20 +70,20 @@ func TestILinkAndBranchKinds(t *testing.T) {
 	ic := NewIController(geo, DefaultI)
 	call := trace.FetchEvent{Addr: 0x20000, Prev: 0x10000, Kind: trace.KindBranch, Base: 0x10004, Disp: 0x20000 + 0 - 0x10004}
 	// Too-large displacement: bypassed.
-	ic.OnFetch(trace.FetchEvent{Addr: 0x10000, Prev: 0, Kind: trace.KindSeq, Base: 0, Disp: 8, First: true})
-	ic.OnFetch(call)
+	onFetch(ic, trace.FetchEvent{Addr: 0x10000, Prev: 0, Kind: trace.KindSeq, Base: 0, Disp: 8, First: true})
+	onFetch(ic, call)
 	if ic.Stats.MABBypasses != 2 { // first fetch + far call
 		t.Fatalf("bypasses = %d", ic.Stats.MABBypasses)
 	}
 	// Return via link register: disp 0, always in MAB range.
 	ret := trace.FetchEvent{Addr: 0x10008, Prev: 0x20000, Kind: trace.KindLink, Base: 0x10008, Disp: 0}
-	ic.OnFetch(ret)
+	onFetch(ic, ret)
 	if ic.Stats.MABLookups != 1 || ic.Stats.MABMisses != 1 {
 		t.Fatalf("link lookup not routed through MAB: %+v", ic.Stats)
 	}
 	// Same call/return again: the return now hits.
-	ic.OnFetch(trace.FetchEvent{Addr: 0x20000, Prev: 0x10008, Kind: trace.KindBranch, Base: 0x1000c, Disp: 0x20000 - 0x1000c})
-	ic.OnFetch(ret)
+	onFetch(ic, trace.FetchEvent{Addr: 0x20000, Prev: 0x10008, Kind: trace.KindBranch, Base: 0x1000c, Disp: 0x20000 - 0x1000c})
+	onFetch(ic, ret)
 	if ic.Stats.MABHits != 1 {
 		t.Fatalf("repeat link did not hit: %+v", ic.Stats)
 	}
@@ -87,8 +91,8 @@ func TestILinkAndBranchKinds(t *testing.T) {
 
 func TestIIndirectBypasses(t *testing.T) {
 	ic := NewIController(geo, DefaultI)
-	ic.OnFetch(trace.FetchEvent{Addr: 0x10000, Prev: 0, Kind: trace.KindSeq, Base: 0, Disp: 8, First: true})
-	ic.OnFetch(trace.FetchEvent{Addr: 0x30000, Prev: 0x10000, Kind: trace.KindIndirect, Base: 0x30000, Disp: 0})
+	onFetch(ic, trace.FetchEvent{Addr: 0x10000, Prev: 0, Kind: trace.KindSeq, Base: 0, Disp: 8, First: true})
+	onFetch(ic, trace.FetchEvent{Addr: 0x30000, Prev: 0x10000, Kind: trace.KindIndirect, Base: 0x30000, Disp: 0})
 	if ic.Stats.MABLookups != 0 {
 		t.Fatalf("indirect jump consulted the MAB")
 	}
@@ -112,7 +116,7 @@ func TestILoopTagEliminationRate(t *testing.T) {
 			if p == 0 && !first {
 				kind, base, disp = trace.KindBranch, prev+4, int32(0x10000)-int32(prev+4)
 			}
-			ic.OnFetch(trace.FetchEvent{Addr: addr, Prev: prev, Kind: kind, Base: base, Disp: disp, First: first})
+			onFetch(ic, trace.FetchEvent{Addr: addr, Prev: prev, Kind: kind, Base: base, Disp: disp, First: first})
 			first = false
 			prev = addr
 		}

@@ -580,8 +580,8 @@ func (s *stack) fold() {
 
 // outcome writes the counters every technique shares into s: the access
 // mix and the cache outcome. The controllers write field by field, not
-// whole Counters values, because OnData and OnFetch sync after every
-// event.
+// whole Counters values, because they sync after every block and a tee
+// delivers blocks of one event.
 func (n *shared) outcome(s *stats.Counters) {
 	s.Accesses = n.accesses
 	s.Loads = n.accesses - n.stores

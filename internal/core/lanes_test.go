@@ -374,11 +374,7 @@ func runDLanes(t *testing.T, what string, lc laneCase, evs []trace.DataEvent, cu
 	}
 	for _, cut := range cuts {
 		blk := evs[cut[0]:cut[1]]
-		if len(blk) == 1 {
-			d.OnData(blk[0])
-		} else {
-			d.OnDataBatch(blk)
-		}
+		d.OnDataBatch(blk)
 		orig.OnDataBatch(blk)
 		for i := range blk {
 			for _, ref := range refs {
@@ -424,11 +420,7 @@ func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, c
 	}
 	for _, cut := range cuts {
 		blk := evs[cut[0]:cut[1]]
-		if len(blk) == 1 {
-			ic.OnFetch(blk[0])
-		} else {
-			ic.OnFetchBatch(blk)
-		}
+		ic.OnFetchBatch(blk)
 		orig.OnFetchBatch(blk)
 		for i := range blk {
 			for _, ref := range refs {

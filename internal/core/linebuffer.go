@@ -25,10 +25,7 @@ type DLineBufferController struct {
 	bufDirty bool
 }
 
-var (
-	_ trace.DataSink      = (*DLineBufferController)(nil)
-	_ trace.DataBatchSink = (*DLineBufferController)(nil)
-)
+var _ trace.DataSink = (*DLineBufferController)(nil)
 
 // OnDataBatch processes one block of accesses with direct calls on the
 // concrete controller, walking the block by pointer (see
@@ -55,9 +52,7 @@ func NewDLineBufferController(geo cache.Config, mcfg Config) *DLineBufferControl
 	return d
 }
 
-// OnData serves the access from the buffer, the MAB, or the full path.
-func (d *DLineBufferController) OnData(ev trace.DataEvent) { d.access(&ev) }
-
+// access serves the access from the buffer, the MAB, or the full path.
 func (d *DLineBufferController) access(ev *trace.DataEvent) {
 	s := d.Stats
 	geo := d.Cache.Config()

@@ -13,10 +13,10 @@ func TestLineBufferComboServesSameLine(t *testing.T) {
 	ev := func(addr uint32, store bool) trace.DataEvent {
 		return trace.DataEvent{Addr: addr, Base: addr, Disp: 0, Store: store, Size: 4}
 	}
-	d.OnData(ev(0x1000, false)) // buffer+MAB miss, cache miss
+	onData(d, ev(0x1000, false)) // buffer+MAB miss, cache miss
 	tags, ways := d.Stats.TagReads, d.Stats.WayReads
-	d.OnData(ev(0x1004, false)) // buffer hit: nothing else moves
-	d.OnData(ev(0x1008, true))  // buffer hit store
+	onData(d, ev(0x1004, false)) // buffer hit: nothing else moves
+	onData(d, ev(0x1008, true))  // buffer hit store
 	if d.Stats.TagReads != tags || d.Stats.WayReads != ways {
 		t.Fatalf("buffer hits touched arrays: %+v", *d.Stats)
 	}
@@ -24,7 +24,7 @@ func TestLineBufferComboServesSameLine(t *testing.T) {
 		t.Fatalf("buffer hits = %d", d.Stats.BufHits)
 	}
 	// Crossing to another line goes through the MAB path.
-	d.OnData(ev(0x1020, false))
+	onData(d, ev(0x1020, false))
 	if d.Stats.MABLookups != 2 { // first access + this one
 		t.Fatalf("MAB lookups = %d", d.Stats.MABLookups)
 	}
@@ -35,10 +35,10 @@ func TestLineBufferComboDirtyFlush(t *testing.T) {
 	ev := func(addr uint32, store bool) trace.DataEvent {
 		return trace.DataEvent{Addr: addr, Base: addr, Disp: 0, Store: store, Size: 4}
 	}
-	d.OnData(ev(0x1000, true))
-	d.OnData(ev(0x1004, true)) // buffered dirty
+	onData(d, ev(0x1000, true))
+	onData(d, ev(0x1004, true)) // buffered dirty
 	ww := d.Stats.WayWrites
-	d.OnData(ev(0x2000, false))      // flush on line change
+	onData(d, ev(0x2000, false))     // flush on line change
 	if d.Stats.WayWrites != ww+1+1 { // flush + refill write of the new line
 		t.Fatalf("way writes %d -> %d", ww, d.Stats.WayWrites)
 	}
@@ -60,8 +60,8 @@ func TestLineBufferComboInvariant(t *testing.T) {
 		disp := int32(r.Intn(1 << 10))
 		ev := trace.DataEvent{Addr: base + uint32(disp), Base: base, Disp: disp,
 			Store: r.Intn(3) == 0, Size: 4}
-		combo.OnData(ev)
-		plain.OnData(ev)
+		onData(combo, ev)
+		onData(plain, ev)
 		if i%2000 == 0 {
 			if bad := combo.MAB.CheckInvariant(combo.Cache); bad != 0 {
 				t.Fatalf("MAB invariant violated: %d", bad)

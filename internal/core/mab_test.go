@@ -220,7 +220,7 @@ func TestPaperPolicyViolationScenario(t *testing.T) {
 		d := NewDController(geo, Config{TagEntries: 2, SetEntries: 8, Consistency: policy})
 		send := func(tag, set uint32) {
 			addr := addrOf(tag, set, 0)
-			d.OnData(trace.DataEvent{Addr: addr, Base: addr, Disp: 0, Size: 4})
+			onData(d, trace.DataEvent{Addr: addr, Base: addr, Disp: 0, Size: 4})
 		}
 		send(1, 7) // line (1,7) cached; MAB rows {1}
 		send(2, 7) // set 7 = {1,2}, line 1 LRU; MAB rows {1,2}
@@ -237,7 +237,7 @@ func TestPaperPolicyViolationScenario(t *testing.T) {
 	}
 	// And the stale pair must not produce a wrong-way hit afterwards.
 	addr := addrOf(1, 7, 0)
-	d.OnData(trace.DataEvent{Addr: addr, Base: addr, Disp: 0, Size: 4})
+	onData(d, trace.DataEvent{Addr: addr, Base: addr, Disp: 0, Size: 4})
 	if d.Stats.Violations != 0 {
 		t.Fatalf("violations under sound policy: %d", d.Stats.Violations)
 	}
@@ -262,7 +262,7 @@ func TestInvariantUnderRandomStream(t *testing.T) {
 		disp := int32(r.Intn(1<<15) - 1<<14) // mostly in range, some out
 		addr := base + uint32(disp)
 		ev := trace.DataEvent{Addr: addr, Base: base, Disp: disp, Store: r.Intn(3) == 0, Size: 4}
-		d.OnData(ev)
+		onData(d, ev)
 		if way, hit := plain.Lookup(addr); hit {
 			plainHits++
 			plain.Touch(addr, way)
@@ -306,7 +306,7 @@ func TestPaperPolicyViolationsAreRare(t *testing.T) {
 	for i := 0; i < n; i++ {
 		base := bases[r.Intn(len(bases))]
 		disp := int32(r.Intn(1<<15) - 1<<14)
-		d.OnData(trace.DataEvent{Addr: base + uint32(disp), Base: base, Disp: disp, Store: r.Intn(3) == 0, Size: 4})
+		onData(d, trace.DataEvent{Addr: base + uint32(disp), Base: base, Disp: disp, Store: r.Intn(3) == 0, Size: 4})
 	}
 	if rate := float64(d.Stats.Violations) / float64(n); rate > 0.01 {
 		t.Fatalf("violation rate %.4f implausibly high", rate)

@@ -43,7 +43,7 @@ func TestTransparency(t *testing.T) {
 
 		type dTech struct {
 			name  string
-			sink  trace.DataBatchSink
+			sink  trace.DataSink
 			stats *stats.Counters
 		}
 		orig := baseline.NewOriginalD(geo)
@@ -67,7 +67,7 @@ func TestTransparency(t *testing.T) {
 
 		type iTech struct {
 			name  string
-			sink  trace.FetchBatchSink
+			sink  trace.FetchSink
 			stats *stats.Counters
 		}
 		origI := baseline.NewOriginalI(geo)

@@ -308,10 +308,7 @@ type DWays struct {
 	w      waySet
 }
 
-var (
-	_ trace.DataSink      = (*DWays)(nil)
-	_ trace.DataBatchSink = (*DWays)(nil)
-)
+var _ trace.DataSink = (*DWays)(nil)
 
 // NewDWays builds a data-cache ways group: geos must share sets and line
 // size, and every configuration must be PolicyEvictInvalidate.
@@ -328,11 +325,6 @@ func (d *DWays) OnDataBatch(evs []trace.DataEvent) {
 		d.w.access(ev.Addr, ev.Base, ev.Disp, ev.Store, true)
 	}
 	d.w.sync(false)
-}
-
-// OnData processes one load or store, as a block of one.
-func (d *DWays) OnData(ev trace.DataEvent) {
-	d.OnDataBatch([]trace.DataEvent{ev})
 }
 
 // Exact reports whether every probed access so far lay in the line its
@@ -354,10 +346,7 @@ type IWays struct {
 	havePrev  bool
 }
 
-var (
-	_ trace.FetchSink      = (*IWays)(nil)
-	_ trace.FetchBatchSink = (*IWays)(nil)
-)
+var _ trace.FetchSink = (*IWays)(nil)
 
 // NewIWays builds an instruction-cache ways group, as NewDWays.
 func NewIWays(geos []cache.Config, mcfgs []Config) *IWays {
@@ -388,11 +377,6 @@ func (ic *IWays) OnFetchBatch(evs []trace.FetchEvent) {
 		ic.prevLine, ic.havePrev = line, true
 	}
 	w.sync(true)
-}
-
-// OnFetch processes one packet fetch, as a block of one.
-func (ic *IWays) OnFetch(ev trace.FetchEvent) {
-	ic.OnFetchBatch([]trace.FetchEvent{ev})
 }
 
 // Exact is DWays.Exact for fetches. A case-1 fetch must also lie in the

@@ -58,11 +58,7 @@ func runDWays(t *testing.T, what string, wc waysCase, evs []trace.DataEvent, cut
 	}
 	for _, cut := range cuts {
 		blk := evs[cut[0]:cut[1]]
-		if len(blk) == 1 {
-			g.OnData(blk[0])
-		} else {
-			g.OnDataBatch(blk)
-		}
+		g.OnDataBatch(blk)
 		for i, ref := range refs {
 			ref.OnDataBatch(blk)
 			checkLevel(t, fmt.Sprintf("%s after event %d", what, cut[1]), g.Levels[i], ref.Baseline, ref.Lanes)
@@ -84,11 +80,7 @@ func runIWays(t *testing.T, what string, wc waysCase, evs []trace.FetchEvent, cu
 	}
 	for _, cut := range cuts {
 		blk := evs[cut[0]:cut[1]]
-		if len(blk) == 1 {
-			g.OnFetch(blk[0])
-		} else {
-			g.OnFetchBatch(blk)
-		}
+		g.OnFetchBatch(blk)
 		for i, ref := range refs {
 			ref.OnFetchBatch(blk)
 			checkLevel(t, fmt.Sprintf("%s after fetch %d", what, cut[1]), g.Levels[i], ref.Baseline, ref.Lanes)
@@ -206,11 +198,11 @@ func TestWaysExact(t *testing.T) {
 	geos := []cache.Config{{Sets: 64, Ways: 1, LineBytes: 16}, {Sets: 64, Ways: 2, LineBytes: 16}}
 	cfgs := []Config{DefaultD}
 	d := NewDWays(geos, cfgs)
-	d.OnData(trace.DataEvent{Addr: 0x1000_0000, Base: 0x2000, Disp: 1 << 20, Size: 4})
+	onData(d, trace.DataEvent{Addr: 0x1000_0000, Base: 0x2000, Disp: 1 << 20, Size: 4})
 	if !d.Exact() {
 		t.Fatal("an out-of-range access made the group inexact")
 	}
-	d.OnData(trace.DataEvent{Addr: 0x1010, Base: 0x1000, Disp: 4, Size: 4})
+	onData(d, trace.DataEvent{Addr: 0x1010, Base: 0x1000, Disp: 4, Size: 4})
 	if d.Exact() {
 		t.Fatal("an access outside its named line left the group exact")
 	}
@@ -219,7 +211,7 @@ func TestWaysExact(t *testing.T) {
 	if !ic.Exact() {
 		t.Fatal("a sequential fetch in the previous fetch's line made the group inexact")
 	}
-	ic.OnFetch(trace.FetchEvent{Addr: 0x208, Prev: 0x200, Base: 0x200, Disp: 8})
+	onFetch(ic, trace.FetchEvent{Addr: 0x208, Prev: 0x200, Base: 0x200, Disp: 8})
 	if ic.Exact() {
 		t.Fatal("a case-1 fetch outside the previous fetch's line left the group exact")
 	}

@@ -3,6 +3,7 @@ package suite
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -76,10 +77,10 @@ func instantiateAll(t *testing.T, techs []Technique) ([]*stats.Counters, []trace
 
 // TestLiveBlocksMatchReplayAndPerEvent is the contract of live block
 // delivery: for every controller type, Drive's live run (events staged
-// into blocks), Drive's replay of a capture, and a run whose per-event
-// tees join the stager through the adapter shim, so every controller sees
-// one OnFetch/OnData call per event — the reference — leave bit-identical
-// counters and the same cycle and instruction counts. The synthetic
+// into blocks), Drive's replay of a capture, and a run whose stager feeds
+// the tees, so every controller sees each event as a one-event block —
+// the reference — leave bit-identical counters and the same cycle and
+// instruction counts. The synthetic
 // specs put each stream just below, exactly at, and one event past a
 // multiple of 4096 events, which is a block boundary of both the live
 // stager and replay, so the full-block path, the tail flush and the empty
@@ -183,5 +184,101 @@ func TestDriveCancelled(t *testing.T) {
 	_, pairs := instantiateAll(t, everyController())
 	if _, _, err := Drive(ctx, spin, 0, pairs, nil, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// cutBlocks cuts a stream of n events into seeded random blocks: a
+// quarter of them one event long, a quarter short, the rest up to three
+// thousand events.
+func cutBlocks(r *rand.Rand, n int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n; {
+		m := 1
+		switch r.Intn(4) {
+		case 0:
+		case 1:
+			m = 2 + r.Intn(16)
+		default:
+			m = 1 + r.Intn(3000)
+		}
+		hi := min(n, lo+m)
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+// TestCountsIndependentOfBlockCuts: a controller's counters depend on its
+// stream, never on where the stream is cut into blocks. Each of the
+// fourteen controller types — the twelve of everyController, the shared
+// controllers of Attach with their observers, and both ways groups — is
+// fed a paper capture in seeded random cuts, one-event blocks included,
+// and must count exactly what one whole-stream block counts. This guards
+// the state a controller carries across block edges: the previous fetch's
+// way, per-block counter syncs, way predictions and links.
+func TestCountsIndependentOfBlockCuts(t *testing.T) {
+	w := workloads.DCT()
+	capt, err := NewTraceCache().Capture(context.Background(), w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, ds := capt.Buf.Fetches(), capt.Buf.Datas()
+	var geos []cache.Config
+	for _, ways := range []int{1, 2, 4} {
+		g := cache.FRV32K
+		g.Ways = ways
+		geos = append(geos, g)
+	}
+	var cfgs []core.Config
+	for _, c := range []core.Config{{TagEntries: 2, SetEntries: 8}, {TagEntries: 2, SetEntries: 16}, {TagEntries: 4, SetEntries: 4}} {
+		c.Consistency = core.PolicyEvictInvalidate
+		cfgs = append(cfgs, c)
+	}
+
+	// run delivers both streams, cut by cut, to a fresh instance of every
+	// controller and returns all their counters, in a fixed order.
+	run := func(fcuts, dcuts [][2]int) []stats.Counters {
+		counters, pairs := instantiateAll(t, everyController())
+		shared, res, err := Attach(cache.FRV32K, Techniques())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			counters = append(counters, r.Stats)
+		}
+		dw, iw := core.NewDWays(geos, cfgs), core.NewIWays(geos, cfgs)
+		for _, lv := range append(append([]core.WayLevel{}, dw.Levels...), iw.Levels...) {
+			counters = append(append(counters, lv.Baseline), lv.Lanes...)
+		}
+		pairs = append(append(pairs, shared...), trace.SinkPair{Data: dw}, trace.SinkPair{Fetch: iw})
+		for _, p := range pairs {
+			if p.Fetch != nil {
+				for _, c := range fcuts {
+					p.Fetch.OnFetchBatch(fs[c[0]:c[1]])
+				}
+			}
+			if p.Data != nil {
+				for _, c := range dcuts {
+					p.Data.OnDataBatch(ds[c[0]:c[1]])
+				}
+			}
+		}
+		out := make([]stats.Counters, len(counters))
+		for i, c := range counters {
+			out[i] = *c
+		}
+		return out
+	}
+
+	whole := run([][2]int{{0, len(fs)}}, [][2]int{{0, len(ds)}})
+	for seed := int64(1); seed <= 3; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		got := run(cutBlocks(r, len(fs)), cutBlocks(r, len(ds)))
+		for i := range whole {
+			if got[i] != whole[i] {
+				t.Fatalf("seed %d: counters %d diverge from one whole-stream block:\ncut:   %+v\nwhole: %+v",
+					seed, i, got[i], whole[i])
+			}
+		}
 	}
 }

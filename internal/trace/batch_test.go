@@ -7,52 +7,30 @@ import (
 	"testing"
 )
 
-// eventLog is the legacy per-event test double: it implements only the
-// per-event FetchSink/DataSink interfaces, never the batch ones, so batched
-// replays can only reach it through the adapter shim.
+// eventLog records the streams it is handed, remembering block sizes.
 type eventLog struct {
-	Fetches []FetchEvent
-	Datas   []DataEvent
-}
-
-func (l *eventLog) OnFetch(ev FetchEvent) { l.Fetches = append(l.Fetches, ev) }
-func (l *eventLog) OnData(ev DataEvent)   { l.Datas = append(l.Datas, ev) }
-
-// batchLog records batch deliveries natively, remembering block boundaries.
-type batchLog struct {
-	eventLog
+	Fetches     []FetchEvent
+	Datas       []DataEvent
 	fetchBlocks []int
 	dataBlocks  []int
 }
 
-func (l *batchLog) OnFetchBatch(evs []FetchEvent) {
+func (l *eventLog) OnFetchBatch(evs []FetchEvent) {
 	l.fetchBlocks = append(l.fetchBlocks, len(evs))
 	l.Fetches = append(l.Fetches, evs...)
 }
 
-func (l *batchLog) OnDataBatch(evs []DataEvent) {
+func (l *eventLog) OnDataBatch(evs []DataEvent) {
 	l.dataBlocks = append(l.dataBlocks, len(evs))
 	l.Datas = append(l.Datas, evs...)
 }
 
-// TestBatchSinkAdapters: native batch sinks pass through unchanged, legacy
-// sinks get the shim, and the shim preserves per-event order.
-func TestBatchSinkAdapters(t *testing.T) {
-	var native batchLog
-	if got := BatchFetchSink(&native); got != FetchBatchSink(&native) {
-		t.Error("native fetch batch sink was wrapped")
-	}
-	if got := BatchDataSink(&native); got != DataBatchSink(&native) {
-		t.Error("native data batch sink was wrapped")
-	}
-
-	var legacy eventLog
-	fb := BatchFetchSink(&legacy)
-	fb.OnFetchBatch([]FetchEvent{{Addr: 8}, {Addr: 16}})
-	db := BatchDataSink(&legacy)
-	db.OnDataBatch([]DataEvent{{Addr: 4, Size: 4}})
-	if len(legacy.Fetches) != 2 || legacy.Fetches[1].Addr != 16 || len(legacy.Datas) != 1 {
-		t.Fatalf("shim delivery mismatch: %+v", legacy)
+// perEvent returns a sink pair that records into l one event at a time,
+// through the FetchFunc and DataFunc adapters.
+func (l *eventLog) perEvent() SinkPair {
+	return SinkPair{
+		Fetch: FetchFunc(func(ev FetchEvent) { l.Fetches = append(l.Fetches, ev) }),
+		Data:  DataFunc(func(ev DataEvent) { l.Datas = append(l.Datas, ev) }),
 	}
 }
 
@@ -94,20 +72,18 @@ func checkSameStreams(t *testing.T, b *Buffer, gotF []FetchEvent, gotD []DataEve
 }
 
 // TestReplayAllFanOutEquivalence: one ReplayAll pass over K mixed sinks
-// (native batch and legacy shimmed) delivers to every sink exactly what K
-// independent per-event replays would, across chunk and block boundaries.
+// (block sinks and per-event function adapters) delivers to every sink
+// exactly what K independent replays would, across chunk and block
+// boundaries.
 func TestReplayAllFanOutEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var b Buffer
-	fillRandom(r, chunkLen+3*batchLen+17, &b, &b)
+	fillRandom(r, chunkLen+3*batchLen+17, &b)
 
-	var native batchLog
-	var legacy eventLog
-	var fetchOnly eventLog
-	var dataOnly eventLog
+	var native, perEvent, fetchOnly, dataOnly eventLog
 	err := b.ReplayAll(context.Background(), []SinkPair{
 		{Fetch: &native, Data: &native},
-		{Fetch: &legacy, Data: &legacy},
+		perEvent.perEvent(),
 		{Fetch: &fetchOnly},
 		{Data: &dataOnly},
 	})
@@ -115,7 +91,7 @@ func TestReplayAllFanOutEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameStreams(t, &b, native.Fetches, native.Datas)
-	checkSameStreams(t, &b, legacy.Fetches, legacy.Datas)
+	checkSameStreams(t, &b, perEvent.Fetches, perEvent.Datas)
 	checkFetchStream(t, &b, fetchOnly.Fetches)
 	if len(fetchOnly.Datas) != 0 || len(dataOnly.Fetches) != 0 {
 		t.Fatal("single-stream sinks received the other stream")
@@ -184,46 +160,14 @@ func buildInterleaved(seed int64, nf, nd int) *Buffer {
 	return &b
 }
 
-// FuzzBatchShimOrder is the adapter-shim ordering property: for arbitrary
-// stream lengths — hitting every alignment of chunk and block boundaries —
-// a batched fan-out through the legacy shim delivers exactly the per-event
-// reference streams, in order, to every sink of the pass.
-func FuzzBatchShimOrder(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(0))
-	f.Add(int64(2), uint16(1), uint16(1))
-	f.Add(int64(3), uint16(batchLen-1), uint16(batchLen+1))
-	f.Add(int64(4), uint16(batchLen), uint16(2*batchLen))
-	f.Add(int64(5), uint16(3*batchLen/2), uint16(batchLen/3))
-	f.Fuzz(func(t *testing.T, seed int64, nfRaw, ndRaw uint16) {
-		// Cap the stream lengths so a fuzz execution stays fast; block
-		// boundaries repeat every batchLen events, so two blocks' worth of
-		// slack explores every alignment.
-		nf := int(nfRaw) % (2*batchLen + 3)
-		nd := int(ndRaw) % (2*batchLen + 3)
-		b := buildInterleaved(seed, nf, nd)
-		var viaShim eventLog
-		var native batchLog
-		if err := b.ReplayAll(context.Background(), []SinkPair{
-			{Fetch: &viaShim, Data: &viaShim},
-			{Fetch: &native, Data: &native},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		checkSameStreams(t, b, viaShim.Fetches, viaShim.Datas)
-		checkSameStreams(t, b, native.Fetches, native.Datas)
-	})
-}
-
-// TestBatchShimOrderAcrossChunks is the chunk-boundary case the fuzz
-// target's capped lengths cannot reach: streams longer than one 32K-event
-// column chunk, replayed through the shim, still match per-event order.
+// TestBatchShimOrderAcrossChunks: streams longer than one 32K-event
+// column chunk, replayed through the per-event function adapters, still
+// arrive in recorded order.
 func TestBatchShimOrderAcrossChunks(t *testing.T) {
 	b := buildInterleaved(9, chunkLen+batchLen+7, chunkLen+3)
-	var viaShim eventLog
-	if err := b.ReplayAll(context.Background(), []SinkPair{
-		{Fetch: &viaShim, Data: &viaShim},
-	}); err != nil {
+	var perEvent eventLog
+	if err := b.ReplayAll(context.Background(), []SinkPair{perEvent.perEvent()}); err != nil {
 		t.Fatal(err)
 	}
-	checkSameStreams(t, b, viaShim.Fetches, viaShim.Datas)
+	checkSameStreams(t, b, perEvent.Fetches, perEvent.Datas)
 }

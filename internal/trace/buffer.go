@@ -31,8 +31,7 @@ import (
 // every consumer of a capture reads one stream, and a capture may record
 // only one (NewCaptureStreams) or join two recorded apart (Join). A
 // simulator records into it through a capture stager, which appends whole
-// staged blocks; the per-event FetchSink and DataSink methods append one
-// event. A Buffer is safe for any number of concurrent replays once
+// staged blocks; OnFetch and OnData append one event. A Buffer is safe for any number of concurrent replays once
 // capture has finished. It is not safe to append and replay concurrently.
 type Buffer struct {
 	fetch []encChunk // sealed full chunks, chunkLen events each
@@ -145,9 +144,7 @@ const batchLen = 4096
 
 // ReplayAll fans the capture out to every registered sink in a single pass:
 // each compressed column chunk is decoded into event blocks once, and each
-// block is handed to all sinks (native batch sinks directly, legacy
-// per-event sinks through the adapter shim) before the next block is
-// touched — so an N-technique sweep streams the encoded bytes once instead
+// block is handed to all sinks before the next block is touched — so an N-technique sweep streams the encoded bytes once instead
 // of the raw bytes N times, and the hot block stays cache-resident.
 // Per-sink event order is exactly capture order, identical to N independent
 // single-pair passes.
@@ -160,7 +157,7 @@ const batchLen = 4096
 // most one partial block delivered. A corrupt file-adopted chunk surfaces
 // as an error at the block that fails to decode, never as wrong events.
 func (b *Buffer) ReplayAll(ctx context.Context, sinks []SinkPair) error {
-	fetch, data := batchSinks(sinks)
+	fetch, data := splitSinks(sinks)
 	if len(fetch) > 0 {
 		if err := b.forEachFetchBlock(ctx, func(blk []FetchEvent) error {
 			fanFetch(fetch, blk)

@@ -8,21 +8,21 @@ import (
 	"testing"
 )
 
-// fillRandom records a random interleaving into every sink at once and
+// fillRandom records a random interleaving into b one event at a time and
 // returns the expected per-stream event lists. n spans several chunks so
 // chunk-boundary bookkeeping is exercised.
-func fillRandom(r *rand.Rand, n int, fetch FetchSink, data DataSink) ([]FetchEvent, []DataEvent) {
+func fillRandom(r *rand.Rand, n int, b *Buffer) ([]FetchEvent, []DataEvent) {
 	var wantF []FetchEvent
 	var wantD []DataEvent
 	for i := 0; i < n; i++ {
 		if r.Intn(3) > 0 {
 			ev := randFetch(r)
 			wantF = append(wantF, ev)
-			fetch.OnFetch(ev)
+			b.OnFetch(ev)
 		} else {
 			ev := randData(r)
 			wantD = append(wantD, ev)
-			data.OnData(ev)
+			b.OnData(ev)
 		}
 	}
 	return wantF, wantD
@@ -31,7 +31,7 @@ func fillRandom(r *rand.Rand, n int, fetch FetchSink, data DataSink) ([]FetchEve
 func TestBufferCaptureAndReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var b Buffer
-	wantF, wantD := fillRandom(r, 2*chunkLen+123, &b, &b)
+	wantF, wantD := fillRandom(r, 2*chunkLen+123, &b)
 	if b.NumFetches() != len(wantF) || b.NumDatas() != len(wantD) || b.Len() != len(wantF)+len(wantD) {
 		t.Fatalf("counts: %d/%d/%d want %d/%d", b.NumFetches(), b.NumDatas(), b.Len(), len(wantF), len(wantD))
 	}
@@ -87,7 +87,7 @@ func TestBufferReplayCancellation(t *testing.T) {
 func TestBufferFileRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	var b Buffer
-	fillRandom(r, chunkLen+999, &b, &b)
+	fillRandom(r, chunkLen+999, &b)
 
 	var spill bytes.Buffer
 	n, err := b.WriteTo(&spill)

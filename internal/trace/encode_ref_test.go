@@ -176,15 +176,21 @@ type script struct {
 	order []bool // true: the next event is the data stream's
 }
 
-// perEvent records the run into fetch and data one event at a time.
-func (s *script) perEvent(fetch FetchSink, data DataSink) {
+// appender records events one at a time: a Buffer or a refBuffer.
+type appender interface {
+	OnFetch(FetchEvent)
+	OnData(DataEvent)
+}
+
+// perEvent records the run into b one event at a time.
+func (s *script) perEvent(b appender) {
 	fi, di := 0, 0
 	for _, isData := range s.order {
 		if isData {
-			data.OnData(s.ds[di])
+			b.OnData(s.ds[di])
 			di++
 		} else {
-			fetch.OnFetch(s.fs[fi])
+			b.OnFetch(s.fs[fi])
 			fi++
 		}
 	}
@@ -230,7 +236,7 @@ func (s *script) mixed(b *Buffer, r *rand.Rand) {
 		if seg%2 == 0 {
 			part.staged(b)
 		} else {
-			part.perEvent(b, b)
+			part.perEvent(b)
 		}
 	}
 }
@@ -268,7 +274,7 @@ func (s *script) blocks(b *Buffer, cuts []int) {
 // reference returns the reference recorder's spill of the run.
 func (s *script) reference() []byte {
 	ref := newRefBuffer()
-	s.perEvent(ref, ref)
+	s.perEvent(ref)
 	return ref.bytes()
 }
 
@@ -432,7 +438,7 @@ func TestCaptureMatchesReference(t *testing.T) {
 			}
 
 			var perEvent, staged, mixed Buffer
-			s.perEvent(&perEvent, &perEvent)
+			s.perEvent(&perEvent)
 			checkCapture(t, name("per-event"), &perEvent, s, want)
 			s.staged(&staged)
 			checkCapture(t, name("staged"), &staged, s, want)

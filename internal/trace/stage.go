@@ -5,11 +5,9 @@ import "sync"
 // Stager is the one place a simulator sends its events. The simulator asks
 // for the next slot of a stream (NextFetch, NextData) and writes the
 // event's fields straight into the stager's current block for that stream;
-// each time a block fills, the stager hands it to every sink's batch method
-// — one dispatch per block per sink instead of one per event per sink, with
-// each controller walking the block by pointer, the way Buffer.ReplayAll
-// delivers a capture. Sinks that only implement the per-event interfaces
-// join through the adapter shims.
+// each time a block fills, the stager hands it to every sink — one
+// dispatch per block per sink, with each controller walking the block by
+// pointer, the way Buffer.ReplayAll delivers a capture.
 //
 // Blocks preserve order within each stream, not across the two streams:
 // a fetch sink may see a later fetch block before a data sink sees an
@@ -22,8 +20,8 @@ import "sync"
 // deliver each stream's partial tail; a failed run's tails are dropped
 // with it. The stager is not safe for concurrent use.
 type Stager struct {
-	fsinks []FetchBatchSink
-	dsinks []DataBatchSink
+	fsinks []FetchSink
+	dsinks []DataSink
 	fblk   *fetchBlock
 	dblk   *dataBlock
 	nf     int
@@ -53,7 +51,7 @@ var (
 // NewStager returns a stager that delivers to every non-nil sink of pairs.
 func NewStager(pairs []SinkPair) *Stager {
 	s := new(Stager)
-	s.fsinks, s.dsinks = batchSinks(pairs)
+	s.fsinks, s.dsinks = splitSinks(pairs)
 	s.getBlocks()
 	return s
 }
@@ -69,10 +67,10 @@ func NewCapture(b *Buffer) *Stager { return NewCaptureStreams(b, b) }
 func NewCaptureStreams(fetch, data *Buffer) *Stager {
 	s := new(Stager)
 	if fetch != nil {
-		s.fsinks = []FetchBatchSink{captureSink{fetch}}
+		s.fsinks = []FetchSink{captureSink{fetch}}
 	}
 	if data != nil {
-		s.dsinks = []DataBatchSink{captureSink{data}}
+		s.dsinks = []DataSink{captureSink{data}}
 	}
 	s.getBlocks()
 	return s

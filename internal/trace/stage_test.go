@@ -9,16 +9,15 @@ import (
 
 // TestStagerDelivery: a stager hands every sink each stream in order, in
 // full stageLen blocks plus the tail Flush delivers, whether the streams
-// end below, at or one past a block boundary; legacy per-event sinks get
-// the same streams through the shim.
+// end below, at or one past a block boundary; per-event function adapters
+// get the same streams.
 func TestStagerDelivery(t *testing.T) {
 	for _, n := range []int{0, 1, stageLen - 1, stageLen, stageLen + 1, 3*stageLen + 17} {
 		r := rand.New(rand.NewSource(int64(n)))
-		var native batchLog
-		var legacy, fetchOnly eventLog
+		var native, perEvent, fetchOnly eventLog
 		st := NewStager([]SinkPair{
 			{Fetch: &native, Data: &native},
-			{Fetch: &legacy, Data: &legacy},
+			perEvent.perEvent(),
 			{Fetch: &fetchOnly},
 		})
 		wantF, wantD := make([]FetchEvent, n), make([]DataEvent, n)
@@ -29,12 +28,12 @@ func TestStagerDelivery(t *testing.T) {
 		}
 		st.Flush()
 
-		for _, got := range [][]FetchEvent{native.Fetches, legacy.Fetches, fetchOnly.Fetches} {
+		for _, got := range [][]FetchEvent{native.Fetches, perEvent.Fetches, fetchOnly.Fetches} {
 			if !slices.Equal(got, wantF) {
 				t.Fatalf("n=%d: fetch stream of %d events, want the %d staged", n, len(got), len(wantF))
 			}
 		}
-		for _, got := range [][]DataEvent{native.Datas, legacy.Datas} {
+		for _, got := range [][]DataEvent{native.Datas, perEvent.Datas} {
 			if !slices.Equal(got, wantD) {
 				t.Fatalf("n=%d: data stream of %d events, want the %d staged", n, len(got), len(wantD))
 			}

@@ -7,6 +7,10 @@
 // generation stage: a base value and a signed displacement, not just the
 // final address. This is what lets the MAB be probed in parallel with the
 // 32-bit adder (paper §3).
+//
+// Consumers take each stream in blocks: a sink implements its stream's one
+// block method (FetchSink, DataSink), and every producer — the simulator's
+// Stager, a Buffer's replay, a tee — delivers blocks.
 package trace
 
 // ControlKind describes how control reached the current fetch packet. It maps
@@ -63,49 +67,69 @@ type DataEvent struct {
 	Size  uint8 // access size in bytes (1, 2, 4 or 8)
 }
 
-// FetchSink consumes instruction fetch events.
+// FetchSink consumes instruction-fetch events one block at a time, in
+// stream order. Every producer delivers blocks: a Stager at live time,
+// Buffer.ReplayAll at replay time, and FetchTee one event to a block. The
+// block belongs to its producer and is reused for the next one, so a sink
+// consumes it during the call and never retains it.
 type FetchSink interface {
-	OnFetch(ev FetchEvent)
+	OnFetchBatch(evs []FetchEvent)
 }
 
-// DataSink consumes data access events.
+// DataSink is FetchSink for the data stream.
 type DataSink interface {
-	OnData(ev DataEvent)
+	OnDataBatch(evs []DataEvent)
 }
 
-// FetchFunc adapts a function to the FetchSink interface.
+// FetchFunc adapts a per-event function to the FetchSink interface.
 type FetchFunc func(FetchEvent)
 
 // OnFetch calls f(ev).
 func (f FetchFunc) OnFetch(ev FetchEvent) { f(ev) }
 
-// DataFunc adapts a function to the DataSink interface.
+// OnFetchBatch calls f on each event of evs, in order.
+func (f FetchFunc) OnFetchBatch(evs []FetchEvent) {
+	for _, ev := range evs {
+		f(ev)
+	}
+}
+
+// DataFunc adapts a per-event function to the DataSink interface.
 type DataFunc func(DataEvent)
 
 // OnData calls f(ev).
 func (f DataFunc) OnData(ev DataEvent) { f(ev) }
 
-// FetchTee fans one fetch stream out to several sinks, one call per event
-// per sink, so multiple cache techniques can observe the same execution in
-// a single simulator run. Live simulation delivers through a Stager
-// instead, one block per dispatch; the tees remain for callers that need
-// per-event delivery, such as the repository benchmark's per-event
-// delivery row (ctl.tee8).
-func FetchTee(sinks ...FetchSink) FetchSink {
-	return FetchFunc(func(ev FetchEvent) {
+// OnDataBatch calls f on each event of evs, in order.
+func (f DataFunc) OnDataBatch(evs []DataEvent) {
+	for _, ev := range evs {
+		f(ev)
+	}
+}
+
+// FetchTee fans one fetch stream out to several sinks, one event at a
+// time: each event reaches every sink as a one-event block. The tee reuses
+// that block, so it allocates nothing per event and is not safe for
+// concurrent use.
+func FetchTee(sinks ...FetchSink) FetchFunc {
+	var blk [1]FetchEvent
+	return func(ev FetchEvent) {
+		blk[0] = ev
 		for _, s := range sinks {
-			s.OnFetch(ev)
+			s.OnFetchBatch(blk[:])
 		}
-	})
+	}
 }
 
 // DataTee is FetchTee for the data stream.
-func DataTee(sinks ...DataSink) DataSink {
-	return DataFunc(func(ev DataEvent) {
+func DataTee(sinks ...DataSink) DataFunc {
+	var blk [1]DataEvent
+	return func(ev DataEvent) {
+		blk[0] = ev
 		for _, s := range sinks {
-			s.OnData(ev)
+			s.OnDataBatch(blk[:])
 		}
-	})
+	}
 }
 
 // FlowCase is the four-way classification of instruction flow from Section 2

@@ -10,17 +10,26 @@ import (
 	"testing/quick"
 )
 
+// TestTeeFanout: a tee hands every sink each event as a one-event block,
+// in order, and allocates nothing per event.
 func TestTeeFanout(t *testing.T) {
 	var a, b eventLog
 	tee := FetchTee(&a, &b)
 	tee.OnFetch(FetchEvent{Addr: 0x100})
-	if len(a.Fetches) != 1 || len(b.Fetches) != 1 {
-		t.Fatal("tee did not fan out")
-	}
+	tee.OnFetchBatch([]FetchEvent{{Addr: 0x108}, {Addr: 0x110}})
 	dt := DataTee(&a, &b)
 	dt.OnData(DataEvent{Addr: 0x200})
-	if len(a.Datas) != 1 || len(b.Datas) != 1 {
-		t.Fatal("data tee did not fan out")
+	for _, l := range []*eventLog{&a, &b} {
+		if len(l.Fetches) != 3 || l.Fetches[2].Addr != 0x110 || !slices.Equal(l.fetchBlocks, []int{1, 1, 1}) {
+			t.Fatalf("fetch tee delivered %+v in blocks %v", l.Fetches, l.fetchBlocks)
+		}
+		if len(l.Datas) != 1 || l.Datas[0].Addr != 0x200 || !slices.Equal(l.dataBlocks, []int{1}) {
+			t.Fatalf("data tee delivered %+v in blocks %v", l.Datas, l.dataBlocks)
+		}
+	}
+	nop := FetchTee(FetchFunc(func(FetchEvent) {}))
+	if n := testing.AllocsPerRun(100, func() { nop.OnFetch(FetchEvent{Addr: 8}) }); n != 0 {
+		t.Fatalf("tee allocates %v times per event", n)
 	}
 }
 
