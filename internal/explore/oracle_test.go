@@ -20,7 +20,8 @@ import (
 // chunks — one to three set counts, one to three way counts and one line
 // size, a random MAB list and a random fetch-packet size, on a random
 // domain. Two or more way counts give every (sets, line) of the space
-// several associativities, which explore simulates as one controller.
+// several associativities, which explore simulates as one controller. A
+// packet may be larger than the line, so every fetch crosses a line.
 func randomSynthSpace(rng *rand.Rand) Space {
 	pick := func(vals []int, max int) []int {
 		out := slices.Clone(vals)
@@ -46,9 +47,15 @@ func randomSynthSpace(rng *rand.Rand) Space {
 		TagEntries:    pick([]int{1, 2}, 2),
 		SetEntries:    pick([]int{4, 8, 16}, 2),
 		WorkloadSpecs: specs,
-		PacketBytes:   []uint32{0, 4, 16}[rng.IntN(3)],
+		PacketBytes:   []uint32{0, 4, 16, 32, 64}[rng.IntN(5)],
 	}
 }
+
+// spaceStream is the PCG stream of randomSynthSpace's seeds. Its first two
+// seeds draw a space of several way counts and a fetch-domain space whose
+// packet is larger than its line, which checkWaysGroups and
+// checkWidePackets hold the short oracles to.
+const spaceStream = 0xe5
 
 // checkWaysGroups fails t unless enough of the first seeds of
 // randomSynthSpace draw two or more way counts, so that the oracles see
@@ -58,13 +65,28 @@ func checkWaysGroups(t *testing.T, seeds int) {
 	t.Helper()
 	n := 0
 	for seed := 1; seed <= seeds; seed++ {
-		if len(randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), 0xe4))).Ways) >= 2 {
+		if len(randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), spaceStream))).Ways) >= 2 {
 			n++
 		}
 	}
 	if n == 0 || (!testing.Short() && 3*n < seeds) {
 		t.Fatalf("%d of %d seeds draw two or more way counts", n, seeds)
 	}
+}
+
+// checkWidePackets fails t unless one of the first seeds of
+// randomSynthSpace at least draws a fetch-domain space whose packet is
+// larger than its line, so that the oracles compare fetch streams whose
+// every packet crosses a line, a ways group's inexact fallback included.
+func checkWidePackets(t *testing.T, seeds int) {
+	t.Helper()
+	for seed := 1; seed <= seeds; seed++ {
+		s := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), spaceStream)))
+		if s.Domain == suite.Fetch && int(s.PacketBytes) > s.LineBytes[0] {
+			return
+		}
+	}
+	t.Fatalf("none of %d seeds draws a fetch packet larger than the line", seeds)
 }
 
 // pointJSON renders a grid's points as the bytes the result cache stores.
@@ -93,9 +115,10 @@ func TestRandomSpacesCacheAndSpillPaths(t *testing.T) {
 		seeds = 2
 	}
 	checkWaysGroups(t, seeds)
+	checkWidePackets(t, seeds)
 	for seed := 1; seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			space := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), 0xe4)))
+			space := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), spaceStream)))
 			traces := t.TempDir()
 			cacheDir := t.TempDir()
 			run := func(dir string) *Grid {
@@ -250,9 +273,10 @@ func TestRandomSpacesLiveSuiteRun(t *testing.T) {
 		seeds = 3
 	}
 	checkWaysGroups(t, seeds)
+	checkWidePackets(t, seeds)
 	for seed := 1; seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			space, err := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), 0xe4))).Normalize()
+			space, err := randomSynthSpace(rand.New(rand.NewPCG(uint64(seed), spaceStream))).Normalize()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,8 @@ func pick[T any](rng *rand.Rand, vals []T, max int) []T {
 
 // oracleSweeps draws one random design space and n sweeps over it that
 // overlap: each asks a subset of the space's geometry axes and workloads
-// with the space's MAB list, so their grids share points. The last sweep
+// with the space's MAB list and fetch-packet size, so their grids share
+// points. The packet may be larger than the line. The last sweep
 // is the first with its workload order reversed — the same points,
 // resolved in crossing order.
 func oracleSweeps(rng *rand.Rand, n int) []SweepRequest {
@@ -50,6 +51,7 @@ func oracleSweeps(rng *rand.Rand, n int) []SweepRequest {
 		SetEntries: pick(rng, []int{4, 8, 16}, 2),
 		Workloads:  pick(rng, oracleWorkloads, 3),
 	}
+	base.PacketBytes = []uint32{0, 4, 16, 32, 64}[rng.IntN(5)]
 	out := []SweepRequest{base}
 	for len(out) < n-1 {
 		r := base
