@@ -233,7 +233,9 @@ func BenchmarkExploreSweepShared(b *testing.B) {
 
 // BenchmarkTraceReplayRate measures raw replay speed (events/sec) of the
 // packed buffer into a null sink — the ceiling on how fast a replayed grid
-// point can go.
+// point can go. A stored fetch event is a run of packets, so packets/s
+// (packetEvents) is the rate that compares with captures of one event per
+// packet.
 func BenchmarkTraceReplayRate(b *testing.B) {
 	var buf trace.Buffer
 	if _, err := workloads.Run(workloads.DCT(), trace.NewCapture(&buf)); err != nil {
@@ -250,13 +252,34 @@ func BenchmarkTraceReplayRate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(buf.Len()*b.N)/b.Elapsed().Seconds(), "events/s")
+	reportPackets(b, buf.Len(), packetEvents(&buf))
+}
+
+// packetEvents counts buf's events the way the trace formats before fetch
+// runs stored them, so rates stay comparable across that change: a fetch
+// run counts once per packet, a data access once.
+func packetEvents(buf *trace.Buffer) int {
+	n := buf.NumDatas()
+	for _, ev := range buf.Fetches() {
+		n += ev.NumPackets()
+	}
+	return n
+}
+
+// reportPackets reports a benchmark whose every op walks events stored
+// events standing for packets packet-level ones: packets/s, and
+// events/packet, what a stored event is worth.
+func reportPackets(b *testing.B, events, packets int) {
+	b.ReportMetric(float64(packets*b.N)/b.Elapsed().Seconds(), "packets/s")
+	b.ReportMetric(float64(events)/float64(packets), "events/packet")
 }
 
 // BenchmarkTraceFanOutRate measures raw fan-out speed of one batched pass
 // into eight null sinks — the ceiling of the fan-out engine itself, with
 // the decode amortized across the whole sink group. The reported events/s
 // counts per-sink deliveries, comparable to eight BenchmarkTraceReplayRate
-// passes back to back.
+// passes back to back, and packets/s the packets those deliveries stand
+// for.
 func BenchmarkTraceFanOutRate(b *testing.B) {
 	var buf trace.Buffer
 	if _, err := workloads.Run(workloads.DCT(), trace.NewCapture(&buf)); err != nil {
@@ -277,13 +300,15 @@ func BenchmarkTraceFanOutRate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(buf.Len()*sinks*b.N)/b.Elapsed().Seconds(), "events/s")
+	reportPackets(b, sinks*buf.Len(), sinks*packetEvents(&buf))
 }
 
-// BenchmarkTraceColumnCodec measures the WMTRACE3 column codec end to end:
+// BenchmarkTraceColumnCodec measures the WMTRACE4 column codec end to end:
 // serializing a real capture's sealed delta/varint chunks and parsing them
 // back into an adopted buffer. Reported metrics: spill bytes per event
 // (the compression the format buys on the paper's access mix) and encode
-// throughput.
+// throughput, each per stored event and per packet-level one
+// (packetEvents).
 func BenchmarkTraceColumnCodec(b *testing.B) {
 	var buf trace.Buffer
 	if _, err := workloads.Run(workloads.DCT(), trace.NewCapture(&buf)); err != nil {
@@ -301,7 +326,9 @@ func BenchmarkTraceColumnCodec(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(spill.Len())/float64(buf.Len()), "spill_B/event")
+	b.ReportMetric(float64(spill.Len())/float64(packetEvents(&buf)), "spill_B/packet")
 	b.ReportMetric(float64(buf.Len()*b.N)/b.Elapsed().Seconds(), "events/s")
+	reportPackets(b, buf.Len(), packetEvents(&buf))
 }
 
 // BenchmarkSimulatorIPS measures raw simulator speed (instructions/sec) on
@@ -457,10 +484,11 @@ func BenchmarkDController(b *testing.B) {
 	})
 }
 
-// BenchmarkIController measures one way-memoized I-cache fetch end to end
-// over jpeg_enc's captured fetch stream, delivered in 4096-event blocks:
-// with one MAB lane (the paper's 2x16), and with the three lanes
-// (2 x {8, 16, 32}) every paper-live benchmark's I side carries.
+// BenchmarkIController measures one way-memoized I-cache fetch event end
+// to end over jpeg_enc's captured fetch stream, delivered in 4096-event
+// blocks: with one MAB lane (the paper's 2x16), and with the three lanes
+// (2 x {8, 16, 32}) every paper-live benchmark's I side carries. An event
+// is a run of packets; packets/s is the rate in packets fetched.
 func BenchmarkIController(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -471,9 +499,13 @@ func BenchmarkIController(b *testing.B) {
 			{TagEntries: 2, SetEntries: 32}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			fetches := getJPEGCapture(b).Fetches()
+			buf := getJPEGCapture(b)
+			fetches := buf.Fetches()
 			ic := core.NewILanes(cache.FRV32K, bc.mabs)
 			replayBlocks(b, fetches, ic.OnFetchBatch)
+			packets := packetEvents(buf) - buf.NumDatas()
+			b.ReportMetric(float64(b.N)*float64(packets)/float64(len(fetches))/b.Elapsed().Seconds(), "packets/s")
+			b.ReportMetric(float64(len(fetches))/float64(packets), "events/packet")
 		})
 	}
 }

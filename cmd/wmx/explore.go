@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 
 	"waymemo/internal/explore"
+	"waymemo/internal/sim"
 	"waymemo/internal/suite"
 	"waymemo/internal/synth"
 	"waymemo/internal/workloads"
@@ -35,9 +37,20 @@ func runExplore(args []string) {
 	ways := fs.String("ways", "2", "cache way-count axis (comma-separated)")
 	line := fs.String("line", "32", "cache line-size axis in bytes (comma-separated, powers of two)")
 	wl := fs.String("workloads", "", "comma-separated benchmark names and/or synthetic specs (default: all seven benchmarks)")
-	packet := fs.Uint("packet", 0, "fetch-packet bytes (0 = the 8-byte VLIW packet)")
+	var packet uint32
+	fs.Func("packet", "fetch-packet `bytes`: a power of two of at least 4, or 0 (the default) for the ISA's own packet",
+		func(v string) error {
+			pb, err := strconv.ParseUint(v, 0, 32)
+			if ne := (*strconv.NumError)(nil); errors.As(err, &ne) {
+				err = ne.Err // the flag package names the value already
+			} else if err == nil {
+				err = sim.CheckPacketBytes(uint32(pb))
+			}
+			packet = uint32(pb)
+			return err
+		})
 	cacheDir := fs.String("cache-dir", "", "memoize grid points in this directory (reruns skip simulated points)")
-	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE3); reruns replay instead of simulating")
+	traceDir := fs.String("trace-dir", "", "spill captured event traces to this directory (WMTRACE4); reruns replay instead of simulating")
 	par := fs.Int("j", 0, "grid points to simulate concurrently (0 = GOMAXPROCS)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	md := fs.Bool("md", false, "emit a markdown report")
@@ -50,7 +63,7 @@ func runExplore(args []string) {
 	}
 	validateJ(fs, *par, "wmx explore")
 
-	space := explore.Space{PacketBytes: uint32(*packet)}
+	space := explore.Space{PacketBytes: packet}
 	switch strings.ToLower(*domain) {
 	case "data", "d":
 		space.Domain = suite.Data

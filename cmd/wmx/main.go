@@ -61,7 +61,7 @@
 // replayed to every technique and geometry (bit-identical results, several
 // times faster on sweeps). Replays run as batched fan-out passes: one walk
 // of the capture feeds every attached technique sink. With -trace-dir the
-// captures are spilled as WMTRACE3 files and reloaded by later invocations;
+// captures are spilled as WMTRACE4 files and reloaded by later invocations;
 // -cpuprofile and -memprofile write pprof profiles of whatever was run.
 package main
 
@@ -105,7 +105,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	par := flag.Int("j", 0, "benchmarks to simulate concurrently (0 = GOMAXPROCS)")
 	traceDir := flag.String("trace-dir", "",
-		"spill captured event traces to this directory (WMTRACE3); reruns replay instead of simulating")
+		"spill captured event traces to this directory (WMTRACE4); reruns replay instead of simulating")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -88,5 +89,48 @@ func TestExploreGolden(t *testing.T) {
 		{"explore_sets_fetch.csv", []string{"explore", "-sets", "128,512", "-csv", "-domain", "fetch"}},
 	} {
 		t.Run(c.golden+"/shared", func(t *testing.T) { runGolden(t, c.golden, c.args...) })
+	}
+}
+
+// TestExplorePacketFlag: -packet takes a fetch-packet size the simulator
+// accepts, 0 for the ISA's own packet or a power of two of at least 4 that
+// fits in 32 bits, and anything else exits 2 with the usage before a
+// single point is explored. A size past 32 bits once wrapped silently
+// into a valid one.
+func TestExplorePacketFlag(t *testing.T) {
+	for _, c := range []struct {
+		packet string
+		ok     bool
+	}{
+		{"0", true},
+		{"16", true},
+		{"0x40", true},
+		{"4294967304", false}, // 2^32 + 8
+		{"4294967296", false},
+		{"12", false},
+		{"2", false},
+		{"-8", false},
+		{"eight", false},
+	} {
+		t.Run(c.packet, func(t *testing.T) {
+			cmd := exec.Command(wmxBin, "explore", "-domain", "fetch", "-workloads", "synth:hotloop,fp=1KiB,n=1024",
+				"-sets", "16", "-mab-tags", "2", "-mab-sets", "8", "-packet", c.packet)
+			cmd.Dir = t.TempDir()
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			explored := bytes.Contains(stderr.Bytes(), []byte("exploring"))
+			if c.ok {
+				if err != nil || !explored {
+					t.Fatalf("-packet %s: %v\n%s", c.packet, err, stderr.Bytes())
+				}
+				return
+			}
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || explored ||
+				!bytes.Contains(stderr.Bytes(), []byte("invalid value")) || !bytes.Contains(stderr.Bytes(), []byte("usage: wmx explore")) {
+				t.Fatalf("-packet %s: %v, want exit 2 with a usage message and nothing explored\n%s", c.packet, err, stderr.Bytes())
+			}
+		})
 	}
 }

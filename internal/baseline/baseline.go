@@ -92,10 +92,12 @@ type OriginalI struct {
 var _ trace.FetchSink = (*OriginalI)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
-// controller, walking the block by pointer.
+// controller, walking each run packet by packet.
 func (i *OriginalI) OnFetchBatch(evs []trace.FetchEvent) {
-	for j := range evs {
-		i.fetch(&evs[j])
+	for _, ev := range evs {
+		for p := range ev.Packets() {
+			i.fetch(&p)
+		}
 	}
 }
 
@@ -151,10 +153,12 @@ type Approach4I struct {
 var _ trace.FetchSink = (*Approach4I)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
-// controller, walking the block by pointer.
+// controller, walking each run packet by packet.
 func (a *Approach4I) OnFetchBatch(evs []trace.FetchEvent) {
-	for i := range evs {
-		a.fetch(&evs[i])
+	for _, ev := range evs {
+		for p := range ev.Packets() {
+			a.fetch(&p)
+		}
 	}
 }
 

@@ -174,10 +174,12 @@ type WayPredictI struct {
 var _ trace.FetchSink = (*WayPredictI)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
-// controller, walking the block by pointer.
+// controller, walking each run packet by packet.
 func (w *WayPredictI) OnFetchBatch(evs []trace.FetchEvent) {
-	for i := range evs {
-		w.fetch(&evs[i])
+	for _, ev := range evs {
+		for p := range ev.Packets() {
+			w.fetch(&p)
+		}
 	}
 }
 
@@ -254,10 +256,12 @@ type MaLinksI struct {
 var _ trace.FetchSink = (*MaLinksI)(nil)
 
 // OnFetchBatch processes one block with direct calls on the concrete
-// controller, walking the block by pointer.
+// controller, walking each run packet by packet.
 func (m *MaLinksI) OnFetchBatch(evs []trace.FetchEvent) {
-	for i := range evs {
-		m.fetch(&evs[i])
+	for _, ev := range evs {
+		for p := range ev.Packets() {
+			m.fetch(&p)
+		}
 	}
 }
 

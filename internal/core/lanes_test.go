@@ -261,7 +261,9 @@ func randomDataStream(r *rand.Rand, geo cache.Config, n int) []trace.DataEvent {
 // randomFetchStream walks a program counter over a window a few times the
 // cache's size: mostly sequential 8-byte packets, plus near and far taken
 // branches, returns to a few link targets, indirect jumps and the odd
-// reset. Each fetch's Prev is the previous fetch, as in a real trace.
+// reset. A third of the fetches are runs of up to 23 fall-through packets
+// more. Each fetch's Prev is the previous fetch's last packet, as in a
+// real trace.
 func randomFetchStream(r *rand.Rand, geo cache.Config, n int) []trace.FetchEvent {
 	const org = 0x10000
 	window := 4 * geo.SizeBytes()
@@ -296,8 +298,12 @@ func randomFetchStream(r *rand.Rand, geo cache.Config, n int) []trace.FetchEvent
 			ev.Addr = org + uint32(r.Intn(window))&^7
 			ev.Base, ev.Disp = ev.Addr, 0
 		}
+		ev.Shift = 3
+		if r.Intn(3) == 0 {
+			ev.Run = uint8(r.Intn(24))
+		}
 		evs[i] = ev
-		pc = ev.Addr
+		pc = ev.LastAddr()
 	}
 	return evs
 }
@@ -423,8 +429,10 @@ func runILanes(t *testing.T, what string, lc laneCase, evs []trace.FetchEvent, c
 		ic.OnFetchBatch(blk)
 		orig.OnFetchBatch(blk)
 		for i := range blk {
-			for _, ref := range refs {
-				ref.fetch(&blk[i])
+			for p := range blk[i].Packets() {
+				for _, ref := range refs {
+					ref.fetch(&p)
+				}
 			}
 		}
 		at := fmt.Sprintf("%s after fetch %d", what, cut[1])

@@ -231,13 +231,13 @@ func (w *waySet) touch(addr uint32, store bool) {
 	row[0] = ln
 }
 
-// case1 counts an I-side intra-line sequential fetch: its line is the
-// previous fetch's, at depth 0, so it hits in every level and moves
+// case1 counts c I-side intra-line sequential fetches: each one's line is
+// the previous fetch's, at depth 0, so it hits in every level and moves
 // nothing.
-func (w *waySet) case1() {
-	w.n.accesses++
-	w.n.case1++
-	w.first[0]++
+func (w *waySet) case1(c uint64) {
+	w.n.accesses += c
+	w.n.case1 += c
+	w.first[0] += c
 }
 
 // settleFloor counts the probe's hit against its first valid level and
@@ -355,8 +355,8 @@ func NewIWays(geos []cache.Config, mcfgs []Config) *IWays {
 	return ic
 }
 
-// OnFetchBatch processes one block of fetches as IController.OnFetchBatch
-// does, at every level.
+// OnFetchBatch processes one block of fetch runs as
+// IController.OnFetchBatch does, at every level.
 func (ic *IWays) OnFetchBatch(evs []trace.FetchEvent) {
 	w := &ic.w
 	for i := range evs {
@@ -369,14 +369,43 @@ func (ic *IWays) OnFetchBatch(evs []trace.FetchEvent) {
 				if line != ic.prevLine {
 					w.unnamed++
 				}
-				w.case1()
+				w.case1(1)
+				if ev.Run != 0 {
+					ic.run(ev)
+				}
 				continue
 			}
 		}
 		w.access(ev.Addr, ev.Base, ev.Disp, false, !ev.First && ev.Kind != trace.KindIndirect)
 		ic.prevLine, ic.havePrev = line, true
+		if ev.Run != 0 {
+			ic.run(ev)
+		}
 	}
 	w.sync(true)
+}
+
+// run counts the fall-through packets of ev, whose head is counted, as
+// IController.run does.
+func (ic *IWays) run(ev *trace.FetchEvent) {
+	w, stride := &ic.w, uint32(1)<<ev.Shift
+	for a, left := ev.Addr, uint32(ev.Run); ; {
+		if c := min(sameLine(a, ev.Shift, ic.lineBytes), left); c > 0 {
+			w.n.flow[trace.IntraSeq] += uint64(c)
+			w.case1(uint64(c))
+			a += c << ev.Shift
+			if left -= c; left == 0 {
+				return
+			}
+		}
+		w.n.flow[trace.InterSeq]++
+		a += stride
+		w.access(a, a-stride, int32(stride), false, true)
+		ic.prevLine = a >> (w.offBits & 31)
+		if left--; left == 0 {
+			return
+		}
+	}
 }
 
 // Exact is DWays.Exact for fetches. A case-1 fetch must also lie in the

@@ -219,8 +219,9 @@ func TestWaysExact(t *testing.T) {
 
 // FuzzWaysMatchReference turns arbitrary bytes into a ways group — (sets,
 // line), a way list and evict-invalidate lanes — and a data and a fetch
-// stream, and checks that every level of the group equals the
-// one-geometry controller of its geometry. Some probed data accesses
+// stream, whose fetches are runs of up to trace.MaxRun fall-through
+// packets after their first, and checks that every level of the group
+// equals the one-geometry controller of its geometry. Some probed data accesses
 // leave the line they name; the group must then report itself inexact,
 // and its data levels are not compared.
 func FuzzWaysMatchReference(f *testing.F) {
@@ -274,8 +275,12 @@ func FuzzWaysMatchReference(f *testing.F) {
 				fev.Kind, fev.Addr = trace.KindIndirect, 0x10000+uint32(c[0])*8
 				fev.Base, fev.Disp = fev.Addr, 0
 			}
+			fev.Shift = 3
+			if c[2]&0x30 != 0 {
+				fev.Run = c[1] >> (c[2] >> 4 & 3)
+			}
 			fetches = append(fetches, fev)
-			pc = fev.Addr
+			pc = fev.LastAddr()
 		}
 		if len(datas) == 0 {
 			return

@@ -113,7 +113,7 @@ func WithProgress(fn func(Progress)) Option {
 	return func(o *options) error { o.sc.Progress = fn; return nil }
 }
 
-// WithTraceDir additionally spills captured traces to dir as WMTRACE3 files
+// WithTraceDir additionally spills captured traces to dir as WMTRACE4 files
 // (created if needed), so a later sweep in a fresh process reloads them
 // instead of executing at all. An empty dir is an error.
 func WithTraceDir(dir string) Option {

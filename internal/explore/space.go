@@ -37,7 +37,7 @@
 // technique, so each workload is executed once per sweep and each shard
 // replays the capture to all of its points — G×W grid points cost W
 // executions plus a few replays per workload, bit-identical to executing
-// each point live. WithTraceDir spills the captures as WMTRACE3 files for
+// each point live. WithTraceDir spills the captures as WMTRACE4 files for
 // reuse across processes.
 package explore
 

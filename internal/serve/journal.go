@@ -20,9 +20,9 @@ import (
 // non-terminal sweeps, so a SIGKILL loses at most the points that never
 // hit the result store — and those re-simulate, they never duplicate.
 //
-// Record framing follows WMTRACE3: tag byte, uvarint body length, JSON
-// body, CRC32-IEEE of the body (little-endian). Replay stops at the first
-// frame that fails to parse or checksum — a torn tail, a flipped byte or
+// Record framing follows the trace file format (WMTRACE4): tag byte,
+// uvarint body length, JSON body, CRC32-IEEE of the body (little-endian).
+// Replay stops at the first frame that fails to parse or checksum — a torn tail, a flipped byte or
 // an unknown tag all degrade to "fewer sweeps resume", never to a wrong
 // resurrection, because the store remains the sole durability authority
 // for results.

@@ -18,7 +18,7 @@ import (
 
 // Store is the daemon's shared content-addressed result + trace store: an
 // explore.DirCache of grid-point results plus the suite trace cache's
-// WMTRACE3 spill directory, under one byte budget with LRU eviction.
+// WMTRACE4 spill directory, under one byte budget with LRU eviction.
 //
 // Results are tracked with in-memory recency (every Get bumps the entry);
 // trace spill pairs are aged by file modification time, since the trace
@@ -194,7 +194,7 @@ func (st *Store) recoverBoot(root string) {
 
 // tracePairIntact validates one spill pair end to end: both halves present,
 // the sidecar one a TraceCache could load (suite.SpillSidecarCounts), and
-// the trace file decodes as WMTRACE3 (checksummed) and agrees with its
+// the trace file decodes as WMTRACE4 (checksummed) and agrees with its
 // event counts. A pair of an older sidecar version is whole but dead
 // weight: no TraceCache computes its name.
 func (st *Store) tracePairIntact(p tracePair) bool {
@@ -282,7 +282,7 @@ func (st *Store) touch(key string) {
 	st.ent[key] = st.ll.PushFront(&storeEntry{key: key, bytes: bytes, lastUse: time.Now()})
 }
 
-// tracePair is one spill pair on disk (WMTRACE3 file + JSON sidecar), or
+// tracePair is one spill pair on disk (WMTRACE4 file + JSON sidecar), or
 // whichever half of one is present.
 type tracePair struct {
 	base           string // path without extension

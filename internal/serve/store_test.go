@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -364,6 +365,75 @@ func wmtrace2(b *trace.Buffer) []byte {
 	return out
 }
 
+// wmtrace3 encodes b's streams in the WMTRACE3 column format of the
+// version before fetch runs, every column raw, as that version spilled
+// them: one fetch event per packet, its prev stored where it is not the
+// chunk's previous packet (0 at the chunk's start) and its base and disp
+// where it is not a KindSeq fall-through from prev; a data access's addr
+// where it is not base + disp. It returns the file and its fetch count.
+func wmtrace3(b *trace.Buffer) ([]byte, int) {
+	const chunkLen = 1 << 15
+	le := binary.LittleEndian
+	out := []byte("WMTRACE3")
+	record := func(tag byte, n int, flags []byte, cols [][]uint32) {
+		body := append(binary.AppendUvarint(nil, uint64(n)), flags...)
+		for _, c := range cols {
+			body = append(body, 0) // raw
+			body = binary.AppendUvarint(body, uint64(4*len(c)))
+			for _, v := range c {
+				body = le.AppendUint32(body, v)
+			}
+		}
+		out = append(out, tag)
+		out = binary.AppendUvarint(out, uint64(len(body)))
+		out = append(out, body...)
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(body))
+	}
+	var packets []trace.FetchEvent
+	for _, ev := range b.Fetches() {
+		packets = slices.AppendSeq(packets, ev.Packets())
+	}
+	for lo := 0; lo < len(packets); lo += chunkLen {
+		chunk := packets[lo:min(lo+chunkLen, len(packets))]
+		var kind []byte
+		cols := make([][]uint32, 4) // addr, prev, base, disp
+		last := uint32(0)
+		for _, ev := range chunk {
+			k := byte(ev.Kind) | boolBit(ev.First)
+			if ev.Prev != last {
+				k |= 0x40
+				cols[1] = append(cols[1], ev.Prev)
+			}
+			if ev.Kind != trace.KindSeq || ev.Base != ev.Prev || uint32(ev.Disp) != ev.Addr-ev.Prev {
+				k |= 0x20
+				cols[2], cols[3] = append(cols[2], ev.Base), append(cols[3], uint32(ev.Disp))
+			}
+			cols[0], kind, last = append(cols[0], ev.Addr), append(kind, k), ev.Addr
+		}
+		record('F', len(chunk), kind, cols)
+	}
+	datas := b.Datas()
+	for lo := 0; lo < len(datas); lo += chunkLen {
+		chunk := datas[lo:min(lo+chunkLen, len(datas))]
+		var meta []byte
+		cols := make([][]uint32, 3) // base, disp, addr
+		for _, ev := range chunk {
+			mt := ev.Size | boolBit(ev.Store)
+			if ev.Addr != ev.Base+uint32(ev.Disp) {
+				mt |= 0x40
+				cols[2] = append(cols[2], ev.Addr)
+			}
+			cols[0], cols[1], meta = append(cols[0], ev.Base), append(cols[1], uint32(ev.Disp)), append(meta, mt)
+		}
+		record('D', len(chunk), meta, cols)
+	}
+	trailer := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(len(packets))), uint64(len(datas)))
+	out = append(out, 'E')
+	out = binary.AppendUvarint(out, uint64(len(trailer)))
+	out = append(out, trailer...)
+	return le.AppendUint32(out, crc32.ChecksumIEEE(trailer)), len(packets)
+}
+
 func boolBit(v bool) byte {
 	if v {
 		return 0x80
@@ -372,14 +442,15 @@ func boolBit(v bool) byte {
 }
 
 // TestServerRecapturesOldSpillDir boots the daemon on a spill directory
-// older versions or damage left behind. For three workloads both stream
+// older versions or damage left behind. For four workloads both stream
 // pairs are bad on their face: one workload's trace files are WMTRACE1,
-// one's are WMTRACE2, each behind a sidecar that matches it in every
-// field, and one's sidecars are minimal, without event counts. Two more
-// pairs decode but answer for no capture a trace cache loads: a "data"
-// sidecar over a file of fetch events, and a version 1 pair that held
-// both streams under a name without the stream. Boot quarantines those
-// eight pairs, and a second boot finds nothing left to recover. One more
+// one's are WMTRACE2 and one's WMTRACE3, one fetch event per packet, each
+// behind a sidecar that matches it in every field, and one's sidecars are
+// minimal, without event counts. Two more pairs decode but answer for no
+// capture a trace cache loads: a "data" sidecar over a file of fetch
+// events, and a version 1 pair that held both streams under a name
+// without the stream. Boot quarantines those ten pairs, and a second boot
+// finds nothing left to recover. One more
 // workload's pairs are each whole but disagree: its data sidecar's cycle
 // count is not its fetch sidecar's. The next data sweep re-captures each
 // workload exactly once instead of loading any pair.
@@ -391,7 +462,8 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{tinySpec, "synth:stream,fp=1KiB,n=1024", "synth:branchy,fp=1KiB,n=1024",
-		"synth:blocked,fp=1KiB,n=1024", "synth:pchase,fp=1KiB,n=1024", "synth:phase,fp=1KiB,n=1024"}
+		"synth:blocked,fp=1KiB,n=1024", "synth:pchase,fp=1KiB,n=1024", "synth:phase,fp=1KiB,n=1024",
+		"synth:hotloop,fp=1KiB,n=1024"}
 	var ws []workloads.Workload
 	for _, n := range names {
 		w, err := workloads.ByName(n)
@@ -498,6 +570,13 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 			write(base+".wmtrace", []byte(v1.String()))
 			delete(m, "stream")
 			m["version"], m["fetches"], m["datas"] = 1, c.Buf.NumFetches(), c.Buf.NumDatas()
+		case 6:
+			raw, n := wmtrace3(streamBuf(w, stream))
+			write(base+".wmtrace", raw)
+			m["format"] = "WMTRACE3"
+			if stream == "fetch" {
+				m["fetches"] = n
+			}
 		}
 		blob, err := json.Marshal(m)
 		if err != nil {
@@ -515,8 +594,8 @@ func TestServerRecapturesOldSpillDir(t *testing.T) {
 		return s
 	}
 	s := boot()
-	if got := s.Stats().Store.RecoveredTraces; got != 8 {
-		t.Fatalf("first boot quarantined %d trace pairs, want 8", got)
+	if got := s.Stats().Store.RecoveredTraces; got != 10 {
+		t.Fatalf("first boot quarantined %d trace pairs, want 10", got)
 	}
 	s.Close()
 	s = boot()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -272,27 +273,41 @@ func TestFetchEvents(t *testing.T) {
 		{0x10020, trace.KindBranch, 0x14}, // jal fn: base=0x1000c, disp=0x14
 		{0x10010, trace.KindLink, 0},      // ret to 0x10010
 	}
-	if len(rec.Fetches()) != len(wants) {
-		t.Fatalf("got %d fetches: %+v", len(rec.Fetches()), rec.Fetches())
+	// Packets A and B are one run: B is a fall-through.
+	if runs := rec.Fetches(); len(runs) != 3 || runs[0].Run != 1 || runs[0].Shift != 3 {
+		t.Fatalf("got runs %+v, want 3 with the first of 2 packets", runs)
+	}
+	fetches := packets(rec.Fetches())
+	if len(fetches) != len(wants) {
+		t.Fatalf("got %d fetches: %+v", len(fetches), fetches)
 	}
 	for i, w := range wants {
-		ev := rec.Fetches()[i]
+		ev := fetches[i]
 		if ev.Addr != w.addr || ev.Kind != w.kind || ev.Disp != w.disp {
 			t.Errorf("fetch %d: got addr=%#x kind=%v disp=%d, want addr=%#x kind=%v disp=%d",
 				i, ev.Addr, ev.Kind, ev.Disp, w.addr, w.kind, w.disp)
 		}
 	}
-	if !rec.Fetches()[0].First {
+	if !fetches[0].First {
 		t.Error("first fetch not flagged")
 	}
 	// jal fn: base must be the branch address.
-	if rec.Fetches()[2].Base != 0x1000c {
-		t.Errorf("branch base = %#x", rec.Fetches()[2].Base)
+	if fetches[2].Base != 0x1000c {
+		t.Errorf("branch base = %#x", fetches[2].Base)
 	}
 	// Cycle count equals number of packet fetches.
-	if c.Cycles != uint64(len(rec.Fetches())) {
-		t.Errorf("cycles = %d, want %d", c.Cycles, len(rec.Fetches()))
+	if c.Cycles != uint64(len(fetches)) {
+		t.Errorf("cycles = %d, want %d", c.Cycles, len(fetches))
 	}
+}
+
+// packets expands fetch runs into their packets.
+func packets(runs []trace.FetchEvent) []trace.FetchEvent {
+	var out []trace.FetchEvent
+	for _, r := range runs {
+		out = slices.AppendSeq(out, r.Packets())
+	}
+	return out
 }
 
 // TestDataEvents verifies base/displacement plumbing for loads and stores.
@@ -368,13 +383,15 @@ func TestIntraPacketBranchNoFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Flush()
-	// Expected packets: 0x10000, 0x10008 (loop runs within), 0x10010.
-	if len(rec.Fetches()) != 3 {
+	// Expected packets: 0x10000, 0x10008 (loop runs within), 0x10010,
+	// all one run.
+	fetches := packets(rec.Fetches())
+	if len(fetches) != 3 || len(rec.Fetches()) != 1 {
 		t.Fatalf("fetches: %+v", rec.Fetches())
 	}
 	// Final packet reached by an untaken branch: sequential.
-	if rec.Fetches()[2].Kind != trace.KindSeq {
-		t.Errorf("final fetch kind = %v", rec.Fetches()[2].Kind)
+	if fetches[2].Kind != trace.KindSeq {
+		t.Errorf("final fetch kind = %v", fetches[2].Kind)
 	}
 }
 

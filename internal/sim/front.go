@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"waymemo/internal/asm"
@@ -38,6 +39,8 @@ type front[I any] struct {
 	// The current packet (noPacket before the first fetch) and, when
 	// control did not fall through, how it arrived.
 	cur       uint32
+	shift     uint8             // log2(pb), valid once ready
+	run       *trace.FetchEvent // the stager slot of the open run; nil before the first
 	pendKind  trace.ControlKind
 	pendBase  uint32
 	pendDisp  int32
@@ -49,7 +52,7 @@ type front[I any] struct {
 
 // attach routes the core's events into st; nil detaches.
 func (f *front[I]) attach(st *trace.Stager) {
-	f.st = st
+	f.st, f.run = st, nil
 	f.fetchOn, f.dataOn = st.Streams()
 }
 
@@ -64,6 +67,7 @@ func (f *front[I]) gate(pc, packetBytes, defaultPB uint32) error {
 		if f.pb == 0 {
 			f.pb = defaultPB
 		}
+		f.shift = uint8(bits.TrailingZeros32(f.pb))
 		f.cur = noPacket
 		f.ready = true
 	}
@@ -109,25 +113,40 @@ func (f *front[I]) fetch(pc uint32, cycles *uint64) {
 }
 
 // newPacket counts a cycle and stages a fetch event for pc's packet,
-// classified by how control arrived. The first fetch reports packet 0 as
+// classified by how control arrived. A packet that control fell through to
+// extends the open run: the stager hands a block over only when its next
+// slot is asked for, so the run's slot is still the front's to write. A
+// run of MaxRun+1 packets is full, and the next fall-through starts a
+// run of its own as a KindSeq packet. The first fetch reports packet 0 as
 // its predecessor.
 func (f *front[I]) newPacket(pc uint32, cycles *uint64) {
 	*cycles++
 	packet, prev := pc&^(f.pb-1), f.cur
-	if prev == noPacket {
-		prev = 0
-	}
 	if f.fetchOn {
-		ev := f.st.NextFetch()
-		ev.Addr, ev.Prev, ev.First = packet, prev, f.cur == noPacket
-		if f.pendValid {
-			ev.Kind, ev.Base, ev.Disp = f.pendKind, f.pendBase, f.pendDisp
+		if r := f.run; r != nil && !f.pendValid && packet == prev+f.pb && r.Run < trace.MaxRun {
+			r.Run++
 		} else {
-			ev.Kind, ev.Base, ev.Disp = trace.KindSeq, prev, int32(f.pb)
+			f.stage(packet, prev)
 		}
 	}
 	f.pendValid = false
 	f.cur = packet
+}
+
+// stage takes the next fetch slot for a run that starts at packet.
+func (f *front[I]) stage(packet, prev uint32) {
+	ev := f.st.NextFetch()
+	f.run = ev
+	first := prev == noPacket
+	if first {
+		prev = 0
+	}
+	ev.Addr, ev.Prev, ev.First, ev.Run, ev.Shift = packet, prev, first, 0, f.shift
+	if f.pendValid {
+		ev.Kind, ev.Base, ev.Disp = f.pendKind, f.pendBase, f.pendDisp
+	} else {
+		ev.Kind, ev.Base, ev.Disp = trace.KindSeq, prev, int32(f.pb)
+	}
 }
 
 // pend records how control leaves the current instruction, for the next

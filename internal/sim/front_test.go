@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,8 +189,9 @@ buf:	.word 1, 2, 3
 // FuzzSimulate runs arbitrary 32-bit words as a text segment on each ISA
 // under a small budget. Nothing may panic, and stepping with Step until a
 // halt, an error or the budget — then flushing — must leave the same
-// captured events (the WMTRACE3 bytes, so both streams), the same
-// architectural state and counters, and the same error as RunContext.
+// captured events (the WMTRACE4 bytes, so both streams), the same
+// architectural state and counters, and the same error as RunContext. The
+// fetch runs hold one packet per cycle.
 func FuzzSimulate(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		p, err := isaCases[s.isa].assemble(s.src)
@@ -261,8 +263,15 @@ func FuzzSimulate(f *testing.F) {
 			if !bytes.Equal(wRun.Bytes(), wStep.Bytes()) {
 				t.Fatalf("%s: captures diverged: %d vs %d events", ic.name, bufRun.Len(), bufStep.Len())
 			}
-			if c := bufRun.NumFetches(); uint64(c) != cycles(ran) {
-				t.Fatalf("%s: %d fetch events for %d cycles", ic.name, c, cycles(ran))
+			// One packet per cycle, every packet's prev the packet before it.
+			pkts := packets(bufRun.Fetches())
+			if uint64(len(pkts)) != cycles(ran) {
+				t.Fatalf("%s: %d fetch packets in %d runs for %d cycles", ic.name, len(pkts), bufRun.NumFetches(), cycles(ran))
+			}
+			for i := 1; i < len(pkts); i++ {
+				if pkts[i].Prev != pkts[i-1].Addr || pkts[i].First {
+					t.Fatalf("%s: packet %d %+v after %+v", ic.name, i, pkts[i], pkts[i-1])
+				}
 			}
 		}
 	})
@@ -277,4 +286,43 @@ func cycles(c testCore) uint64 {
 		return c.Cycles
 	}
 	panic("unknown core")
+}
+
+// TestFetchRuns pins how the front end stages runs: a taken jump to the
+// very next packet starts a run of its own, as a KindBranch head, though
+// its packet is where falling through would have led; straight-line code
+// then extends that run, and a run of MaxRun+1 packets is full, so the
+// next fall-through heads a new run as a KindSeq packet based on the one
+// before it. The stager's blocks of 1024 events hold many runs, so a run
+// also crosses no block here; TestLiveBlocksMatchReplayAndPerEvent covers
+// the block edges.
+func TestFetchRuns(t *testing.T) {
+	const nops = 600
+	src := "\t.org 0x10000\nmain:\tnop\n\tj next\nnext:\n" + strings.Repeat("\tnop\n", nops) + "\thalt\n"
+	p, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf trace.Buffer
+	st := trace.NewCapture(&buf)
+	c := New()
+	c.Attach(st)
+	c.LoadProgram(p, stackTop)
+	if err := c.Run(10 * nops); err != nil {
+		t.Fatal(err)
+	}
+	st.Flush()
+	// Packet 0x10000 holds nop and j; the 601 instructions from 0x10008
+	// fill 301 packets: a run of 256 and one of 45.
+	want := []trace.FetchEvent{
+		{Addr: 0x10000, First: true, Disp: 8, Shift: 3},
+		{Addr: 0x10008, Prev: 0x10000, Base: 0x10004, Disp: 4, Kind: trace.KindBranch, Run: trace.MaxRun, Shift: 3},
+		{Addr: 0x10808, Prev: 0x10800, Base: 0x10800, Disp: 8, Run: 44, Shift: 3},
+	}
+	if got := buf.Fetches(); !slices.Equal(got, want) {
+		t.Fatalf("runs:\n got %+v\nwant %+v", got, want)
+	}
+	if n := len(packets(buf.Fetches())); uint64(n) != c.Cycles {
+		t.Fatalf("%d packets for %d cycles", n, c.Cycles)
+	}
 }

@@ -172,6 +172,7 @@ last:	ebreak
 fn:	ret                    ; KindLink
 `)
 	st.Flush()
+	evs = packets(evs)
 	if len(evs) == 0 || !evs[0].First || evs[0].Addr != 0x1000 {
 		t.Fatalf("first fetch = %+v", evs[0])
 	}
@@ -228,10 +229,12 @@ _start:	li   a0, 1
 	ebreak
 `)
 	st.Flush()
-	// 5 instructions at 2 per packet = 3 packets (the last holds ebreak).
-	if len(evs) != 3 {
-		t.Fatalf("got %d fetch events at 8-byte packets, want 3: %+v", len(evs), evs)
+	// 5 instructions at 2 per packet = 3 packets (the last holds ebreak),
+	// one run.
+	if len(evs) != 1 || evs[0].Run != 2 || evs[0].Shift != 3 {
+		t.Fatalf("got fetch runs %+v at 8-byte packets, want one of 3 packets", evs)
 	}
+	evs = packets(evs)
 	for _, ev := range evs {
 		if ev.Addr%8 != 0 {
 			t.Errorf("packet %#x not 8-byte aligned", ev.Addr)

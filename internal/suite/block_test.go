@@ -84,19 +84,20 @@ func instantiateAll(t *testing.T, techs []Technique) ([]*stats.Counters, []trace
 // specs put each stream just below, exactly at, and one event past a
 // multiple of 4096 events, which is a block boundary of both the live
 // stager and replay, so the full-block path, the tail flush and the empty
-// tail are all exercised.
+// tail are all exercised. A fetch event is a run of packets, so the fetch
+// stream's specs are picked by their run counts.
 func TestLiveBlocksMatchReplayAndPerEvent(t *testing.T) {
 	cases := []struct {
 		spec           string
 		fetches, datas int // -1: not pinned
 	}{
 		{"DCT", -1, -1},
-		{"synth:stream,fp=1KiB,n=7934", 41214, 8191},
-		{"synth:stream,fp=1KiB,n=7935", 41219, 8192},
-		{"synth:stream,fp=1KiB,n=7936", 41224, 8193},
-		{"synth:stream,fp=4KiB,n=1227", 12287, 2252},
-		{"synth:stream,fp=1KiB,n=2968", 16384, 3225},
-		{"synth:stream,fp=1KiB,n=2149", 12289, 2406},
+		{"synth:stream,fp=1KiB,n=7934", 16095, 8191},
+		{"synth:stream,fp=1KiB,n=7935", 16097, 8192},
+		{"synth:stream,fp=1KiB,n=7936", 16098, 8193},
+		{"synth:pchase,fp=1KiB,n=4093", 4095, 4094},
+		{"synth:stream,fp=1KiB,n=1923", 4096, 2180},
+		{"synth:pchase,fp=1KiB,n=4095", 4097, 4096},
 	}
 	ctx := context.Background()
 	techs := everyController()

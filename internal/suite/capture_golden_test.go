@@ -23,7 +23,8 @@ var updateCaptures = flag.Bool("update-captures", false, "rewrite testdata/captu
 // each event as fixed-width fields (streamDigest), the length of each
 // stream, and the execution's cycle and instruction counts. It pins the
 // events, not a file format, so a change to the spill encoding leaves it
-// unchanged.
+// unchanged; and it pins the fetch stream packet by packet, so does a
+// change to how packets are grouped into runs. Fetches counts packets.
 type captureDigest struct {
 	Workload    string `json:"workload"`
 	PacketBytes uint32 `json:"packet_bytes"`
@@ -35,21 +36,23 @@ type captureDigest struct {
 }
 
 // streamDigest hashes fetch's fetch stream and then data's data stream,
-// each event as little-endian fixed-width fields: a fetch as addr, prev,
-// base, disp (4 bytes each), kind and first (1 byte each); a data access
-// as addr, base, disp, size and store. A capture of both streams passes
-// the same buffer twice.
+// each event as little-endian fixed-width fields: a fetch packet, each run
+// expanded into its packets, as addr, prev, base, disp (4 bytes each),
+// kind and first (1 byte each); a data access as addr, base, disp, size
+// and store. A capture of both streams passes the same buffer twice.
 func streamDigest(fetch, data *trace.Buffer) string {
 	h := sha256.New()
 	le := binary.LittleEndian
 	var rec []byte
-	for _, ev := range fetch.Fetches() {
-		rec = le.AppendUint32(rec[:0], ev.Addr)
-		rec = le.AppendUint32(rec, ev.Prev)
-		rec = le.AppendUint32(rec, ev.Base)
-		rec = le.AppendUint32(rec, uint32(ev.Disp))
-		rec = append(rec, byte(ev.Kind), boolByte(ev.First))
-		h.Write(rec)
+	for _, run := range fetch.Fetches() {
+		for ev := range run.Packets() {
+			rec = le.AppendUint32(rec[:0], ev.Addr)
+			rec = le.AppendUint32(rec, ev.Prev)
+			rec = le.AppendUint32(rec, ev.Base)
+			rec = le.AppendUint32(rec, uint32(ev.Disp))
+			rec = append(rec, byte(ev.Kind), boolByte(ev.First))
+			h.Write(rec)
+		}
 	}
 	for _, ev := range data.Datas() {
 		rec = le.AppendUint32(rec[:0], ev.Addr)
@@ -71,6 +74,15 @@ func captureOne(t *testing.T, w workloads.Workload, packet uint32, fetch bool) (
 		t.Fatalf("%s@%d: %v", w.Name, packet, err)
 	}
 	return c.Buf, c.Cycles, c.Instrs
+}
+
+// packets counts the packets of buf's fetch runs.
+func packets(buf *trace.Buffer) int {
+	n := 0
+	for _, ev := range buf.Fetches() {
+		n += ev.NumPackets()
+	}
+	return n
 }
 
 func boolByte(v bool) byte {
@@ -120,7 +132,9 @@ func captureGoldenCases(t *testing.T) []struct {
 // TestCaptureDigests pins every capture in captureGoldenCases bit for bit:
 // a change to either simulator, to the fetch-packet protocol or to the
 // capture path that moves a single event or its order within its stream
-// changes a digest. -short keeps only the default packet size.
+// changes a digest. Every capture's fetch packets number its cycles, and
+// the paper's seven benchmarks at the default packet hold at most 1.6M
+// fetch runs in all. -short keeps only the default packet size.
 func TestCaptureDigests(t *testing.T) {
 	path := filepath.Join("testdata", "capture_digests.json")
 	want := map[string]captureDigest{}
@@ -138,6 +152,7 @@ func TestCaptureDigests(t *testing.T) {
 		}
 	}
 	var got []captureDigest
+	paperRuns := 0
 	for _, c := range captureGoldenCases(t) {
 		if testing.Short() && c.packet != 0 {
 			continue
@@ -148,8 +163,14 @@ func TestCaptureDigests(t *testing.T) {
 			t.Fatalf("%s@%d: %v", c.w.Name, c.packet, err)
 		}
 		d := captureDigest{Workload: c.w.Name, PacketBytes: c.packet, SHA256: streamDigest(cp.Buf, cp.Buf),
-			Fetches: cp.Buf.NumFetches(), Datas: cp.Buf.NumDatas(), Cycles: cp.Cycles, Instrs: cp.Instrs}
+			Fetches: packets(cp.Buf), Datas: cp.Buf.NumDatas(), Cycles: cp.Cycles, Instrs: cp.Instrs}
 		got = append(got, d)
+		if uint64(d.Fetches) != d.Cycles {
+			t.Errorf("%s@%d: %d fetch packets in %d runs for %d cycles", c.w.Name, c.packet, d.Fetches, cp.Buf.NumFetches(), d.Cycles)
+		}
+		if c.packet == 0 && c.w.Spec == "" && c.w.ISA == "" {
+			paperRuns += cp.Buf.NumFetches()
+		}
 		if *updateCaptures {
 			continue
 		}
@@ -167,12 +188,16 @@ func TestCaptureDigests(t *testing.T) {
 		fb, fCycles, fInstrs := captureOne(t, c.w, c.packet, true)
 		db, dCycles, dInstrs := captureOne(t, c.w, c.packet, false)
 		alone := captureDigest{Workload: c.w.Name, PacketBytes: c.packet, SHA256: streamDigest(fb, db),
-			Fetches: fb.NumFetches(), Datas: db.NumDatas(), Cycles: fCycles, Instrs: fInstrs}
+			Fetches: packets(fb), Datas: db.NumDatas(), Cycles: fCycles, Instrs: fInstrs}
 		if alone != w || dCycles != fCycles || dInstrs != fInstrs || fb.NumDatas() != 0 || db.NumFetches() != 0 {
 			t.Errorf("%s: one-stream captures moved: fetch-only %d/%d events, data-only %d/%d "+
 				"(fetches/datas) at %d/%d cycles/instrs; together\n got %+v\nwant %+v",
 				key, fb.NumFetches(), fb.NumDatas(), db.NumFetches(), db.NumDatas(), dCycles, dInstrs, alone, w)
 		}
+	}
+	t.Logf("the paper's benchmarks hold %d fetch runs at the default packet", paperRuns)
+	if paperRuns > 1_600_000 {
+		t.Errorf("the paper's benchmarks hold %d fetch runs at the default packet, over 1.6M", paperRuns)
 	}
 	if *updateCaptures {
 		raw, err := json.MarshalIndent(got, "", "  ")

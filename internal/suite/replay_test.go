@@ -446,9 +446,10 @@ func TestTraceCacheStreamsDisagreeInMemory(t *testing.T) {
 }
 
 // TestTraceCacheSpillLegacyRecaptures: a spill directory holding a trace
-// file in the fixed-record WMTRACE1 format of earlier versions, behind a
-// sidecar that matches in every field, is a cache miss — the workload is
-// re-captured exactly once, the spill is rewritten as WMTRACE3, and results
+// file in the fixed-record WMTRACE1 format of earlier versions, or under
+// the WMTRACE3 magic of the version before fetch runs, behind a sidecar
+// that matches in every field, is a cache miss — the workload is
+// re-captured exactly once, the spill is rewritten as WMTRACE4, and results
 // are unchanged. So is a version 1 spill, which held both streams in one
 // pair under a name without the stream, whether it sits at its own name or
 // at a version 2 stream's.
@@ -481,6 +482,14 @@ func TestTraceCacheSpillLegacyRecaptures(t *testing.T) {
 		"WMTRACE1": func(t *testing.T, dir string) {
 			for _, base := range spillPairs(t, dir) {
 				writeFile(t, base+".wmtrace", append([]byte("WMTRACE1D"), make([]byte, 14)...))
+			}
+		},
+		// Each stream's own spill under the magic of the format before
+		// fetch runs: its data records are what that format wrote.
+		"WMTRACE3": func(t *testing.T, dir string) {
+			for _, base := range spillPairs(t, dir) {
+				raw := readFile(t, base+".wmtrace")
+				writeFile(t, base+".wmtrace", append([]byte("WMTRACE3"), raw[len(trace.FileMagic):]...))
 			}
 		},
 		// The parent's name: the hash of the version, workload,
@@ -875,7 +884,8 @@ func TestFanOutCancellationMidReplay(t *testing.T) {
 // Go reference, so both streams describe a provably-correct run of the same
 // algorithm — then demands that each ISA's capture replays bit-identically
 // through repeated ReplayAll passes, and that the two ISAs' streams really
-// are different programs to the cache hierarchy (4- vs 8-byte packets).
+// are different programs to the cache hierarchy (4- vs 8-byte packets,
+// compared packet by packet: the two programs' runs may well align).
 func TestCrossISADifferentialCapture(t *testing.T) {
 	ctx := context.Background()
 	tc := NewTraceCache()
@@ -886,7 +896,7 @@ func TestCrossISADifferentialCapture(t *testing.T) {
 	record := func(buf *trace.Buffer) recording {
 		var r recording
 		pairs := []trace.SinkPair{{
-			Fetch: trace.FetchFunc(func(ev trace.FetchEvent) { r.fetch = append(r.fetch, ev) }),
+			Fetch: trace.FetchFunc(func(ev trace.FetchEvent) { r.fetch = slices.AppendSeq(r.fetch, ev.Packets()) }),
 			Data:  trace.DataFunc(func(ev trace.DataEvent) { r.data = append(r.data, ev) }),
 		}}
 		if err := buf.ReplayAll(ctx, pairs); err != nil {

@@ -37,7 +37,7 @@ import (
 // domain of that workload before the other domain was first asked for.
 //
 // With a spill directory (NewDirTraceCache), each captured stream is also
-// written as its own WMTRACE3 file (compressed column chunks) with a JSON
+// written as its own WMTRACE4 file (compressed column chunks) with a JSON
 // sidecar, and a later process loads it back instead of executing at all.
 // Spill files are keyed by the workload's content fingerprint and the
 // stream, so stale files for a renamed or edited workload — like a
@@ -136,7 +136,7 @@ func NewTraceCache() *TraceCache {
 }
 
 // NewDirTraceCache returns a trace cache that spills captures to dir as
-// WMTRACE3 files (plus JSON sidecars) and reloads them in later processes.
+// WMTRACE4 files (plus JSON sidecars) and reloads them in later processes.
 // The directory is created if needed.
 func NewDirTraceCache(dir string) (*TraceCache, error) {
 	return NewDirTraceCacheFS(dir, fault.FS{})
@@ -549,7 +549,7 @@ func (tc *TraceCache) load(e *traceEntry, k traceKey, w workloads.Workload) bool
 	return true
 }
 
-// store writes one stream's capture as a WMTRACE3 file plus sidecar, each
+// store writes one stream's capture as a WMTRACE4 file plus sidecar, each
 // through a temp file, fsync and rename so readers never observe a torn
 // spill.
 func (tc *TraceCache) store(e *traceEntry, k traceKey, w workloads.Workload) error {

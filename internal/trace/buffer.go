@@ -18,21 +18,26 @@ import (
 // encoded once, as it arrives, into the columns of its stream's open chunk
 // (columns.go), and a chunk is sealed at its exact size when it fills. A
 // chunk stores each event's flags byte and the fields the encoder could not
-// predict from the ones before them — a fall-through fetch keeps only its
-// address, a load only its base and displacement — about 2.5 bytes per event
-// on the paper's workloads instead of the 24 of the unpacked struct. Replay
-// decodes each chunk, the open one included, block-wise into a batchLen
-// event scratch that stays L2-hot while every sink of the pass walks it, so
-// a fan-out pass streams the encoded bytes exactly once. WriteTo spills the
-// buffer to the WMTRACE3 file format (sealed chunks verbatim), one stream
-// after the other, and ReadBuffer reloads it losslessly.
+// predict from the ones before them — a fetch run whose stride holds keeps
+// only its address and length, a load only its base and displacement —
+// about 3 bytes per event on the paper's workloads instead of the 20 of
+// the unpacked struct. A fetch event is a run of packets (FetchEvent.Run),
+// so the fetch stream stores about one event for every five packets.
+// Replay decodes each chunk, the open one included, block-wise into a
+// batchLen event scratch that stays L2-hot while every sink of the pass
+// walks it, so a fan-out pass streams the encoded bytes exactly once.
+// WriteTo spills the buffer to the WMTRACE4 file format (sealed chunks
+// verbatim), one stream after the other, and ReadBuffer reloads it
+// losslessly.
 //
 // The Buffer keeps each stream in order, not the interleaving of the two:
 // every consumer of a capture reads one stream, and a capture may record
 // only one (NewCaptureStreams) or join two recorded apart (Join). A
 // simulator records into it through a capture stager, which appends whole
-// staged blocks; OnFetch and OnData append one event. A Buffer is safe for any number of concurrent replays once
-// capture has finished. It is not safe to append and replay concurrently.
+// staged blocks, and OnFetch and OnData append one event each.
+//
+// A Buffer is safe for any number of concurrent replays once capture has
+// finished. It is not safe to append and replay concurrently.
 type Buffer struct {
 	fetch []encChunk // sealed full chunks, chunkLen events each
 	data  []encChunk
@@ -49,10 +54,14 @@ const (
 	chunkLen   = 1 << chunkShift // events per chunk
 	chunkMask  = chunkLen - 1
 
-	// The flags byte of a fetch event: bits 0–4 hold the ControlKind, bit
-	// 5 marks base and disp as stored, bit 6 marks prev as stored, and bit
-	// 7 flags the first fetch after reset.
-	fetchKindMask  = 0x1f
+	// The flags byte of a fetch event: bits 0–1 hold the ControlKind, bit
+	// 2 marks the run length as stored, bit 3 the packet shift, bit 5
+	// base and disp, and bit 6 prev; bit 7 flags the first fetch after
+	// reset. Bit 4 is spare, and a file that sets it is corrupt.
+	fetchKindMask  = 0x03
+	fetchRunFlag   = 0x04
+	fetchShiftFlag = 0x08
+	fetchSpareFlag = 0x10
 	fetchBaseFlag  = 0x20
 	fetchPrevFlag  = 0x40
 	fetchFirstFlag = 0x80
@@ -64,7 +73,8 @@ const (
 	dataStoreFlag = 0x80
 )
 
-// NumFetches returns the number of recorded fetch events.
+// NumFetches returns the number of recorded fetch events: runs, each of
+// one or more packets.
 func (b *Buffer) NumFetches() int { return b.nf }
 
 // NumDatas returns the number of recorded data events.
@@ -138,14 +148,15 @@ type SinkPair struct {
 
 // batchLen is the number of events decoded per replay block: large enough
 // that decode overhead and the one dynamic dispatch per block per sink are
-// noise, small enough that the decoded block (~96KB of fetch events) stays
+// noise, small enough that the decoded block (80KB of fetch events) stays
 // resident in L2 while every sink of the pass walks it.
 const batchLen = 4096
 
 // ReplayAll fans the capture out to every registered sink in a single pass:
 // each compressed column chunk is decoded into event blocks once, and each
-// block is handed to all sinks before the next block is touched — so an N-technique sweep streams the encoded bytes once instead
-// of the raw bytes N times, and the hot block stays cache-resident.
+// block is handed to all sinks before the next block is touched — so an
+// N-technique sweep streams the encoded bytes once instead of the raw bytes
+// N times, and the hot block stays cache-resident.
 // Per-sink event order is exactly capture order, identical to N independent
 // single-pair passes.
 //

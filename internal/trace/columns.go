@@ -8,26 +8,28 @@ import (
 	"math/bits"
 )
 
-// Compressed column encoding — the in-memory (and WMTRACE3 on-disk)
+// Compressed column encoding — the in-memory (and WMTRACE4 on-disk)
 // representation of an event chunk.
 //
 // A chunk stores what the replay cannot derive, the way the paper's MAB
-// relies on its inputs being predictable (§3). A fetch's prev is predicted
-// to be the address of the fetch before it in the chunk (0 for the chunk's
-// first), and a KindSeq fetch's base and disp are predicted as prev and
-// addr − prev: the fall-through packet's base is the previous packet and
-// its displacement the packet stride. A data access's addr is predicted as
-// base + disp. Each event's one-byte flags (the kind or size, the first or
-// store bit, and one bit per field whose prediction fails) go in the
-// chunk's byte column; a field that must be stored goes in a side column,
-// which holds one value per flagged event. The addr of a fetch and the
-// base and disp of a data access have a value for every event. A stream's
-// layout (fetchLayout, dataLayout) lists its numeric columns in record
-// order by the flag that gates them.
+// relies on its inputs being predictable (§3). A fetch event is a run of
+// packets (FetchEvent.Run). Its prev is predicted to be the last packet of
+// the run before it in the chunk (0 for the chunk's first), its packet
+// shift to be that run's shift (0 for the chunk's first), and its run
+// length to be 0, a lone packet. A KindSeq fetch's base and disp are
+// predicted as prev and addr − prev: the fall-through packet's base is the
+// previous packet and its displacement the packet stride. A data access's
+// addr is predicted as base + disp. Each event's one-byte flags (the kind
+// or size, the first or store bit, and one bit per field whose prediction
+// fails) go in the chunk's byte column; a field that must be stored goes
+// in a side column, which holds one value per flagged event. The addr of a
+// fetch and the base and disp of a data access have a value for every
+// event. A stream's layout (fetchLayout, dataLayout) lists its numeric
+// columns in record order by the flag that gates them.
 //
-// Trace addresses are overwhelmingly sequential fetch packets: consecutive
-// column values differ by a small constant (the packet stride) except at
-// branches, so first-differences are tiny integers almost everywhere. Each
+// Trace addresses are overwhelmingly small forward steps: consecutive
+// column values differ by a run's length in bytes except at branches, so
+// first-differences are small integers almost everywhere. Each
 // numeric column of a sealed chunk is therefore stored as zigzag-varint
 // encoded wrapping deltas (previous value starts at 0), which lands near one
 // byte per value on the paper's workloads — versus four raw. A column whose
@@ -203,11 +205,12 @@ func (c *colCursor) done() bool { return c.off == len(c.data) }
 // by the flag of the byte column that marks an event as storing a value in
 // it; 0 marks a column with a value for every event.
 var (
-	fetchLayout = []byte{0, fetchPrevFlag, fetchBaseFlag, fetchBaseFlag} // addr, prev, base, disp
-	dataLayout  = []byte{0, 0, dataAddrFlag}                             // base, disp, addr
+	// addr, prev, base, disp, run, shift
+	fetchLayout = []byte{0, fetchPrevFlag, fetchBaseFlag, fetchBaseFlag, fetchRunFlag, fetchShiftFlag}
+	dataLayout  = []byte{0, 0, dataAddrFlag} // base, disp, addr
 )
 
-const fetchCols = 4 // the widest layout
+const fetchCols = 6 // the widest layout
 
 // values counts the events of bs that store a value in a column of flag f.
 // A flag is one bit, so the count is a population count, eight flags bytes
@@ -248,6 +251,7 @@ func (ch *encChunk) encodedBytes() int {
 type chunkEnc struct {
 	cols  [fetchCols]colEnc // a data stream uses the first len(dataLayout)
 	bytes []byte            // chunkLen capacity, handed to the sealed chunk
+	last  uint32            // a fetch stream's last packet so far, prev's prediction
 }
 
 // nextBytes returns the next m slots of the raw byte column.
@@ -260,15 +264,18 @@ func (e *chunkEnc) nextBytes(m int) []byte {
 }
 
 // putFetches encodes evs, which must fit in the open chunk, onto its
-// columns. The addr column's running value is the last addr of the chunk,
-// which is prev's prediction.
+// columns. The shift column's running value is the last shift stored,
+// which is the shift's prediction, since a shift is stored whenever it
+// changes.
 func (e *chunkEnc) putFetches(evs []FetchEvent) {
 	m, c := len(evs), &e.cols
-	ab, an, last := c[0].open(m)
+	ab, an, ap := c[0].open(m)
 	pb, pn, pp := c[1].open(m)
 	bb, bn, bp := c[2].open(m)
 	db, dn, dp := c[3].open(m)
-	kind := e.nextBytes(m)
+	rb, rn, rp := c[4].open(m)
+	sb, sn, sp := c[5].open(m)
+	kind, last := e.nextBytes(m), e.last
 	for i := range evs {
 		ev := &evs[i]
 		k := uint8(ev.Kind) & fetchKindMask
@@ -284,13 +291,25 @@ func (e *chunkEnc) putFetches(evs []FetchEvent) {
 			bn, bp = putDelta(bb, bn, bp, ev.Base)
 			dn, dp = putDelta(db, dn, dp, uint32(ev.Disp))
 		}
-		an, last = putDelta(ab, an, last, ev.Addr)
+		if ev.Run != 0 {
+			k |= fetchRunFlag
+			rn, rp = putDelta(rb, rn, rp, uint32(ev.Run))
+		}
+		if uint32(ev.Shift) != sp {
+			k |= fetchShiftFlag
+			sn, sp = putDelta(sb, sn, sp, uint32(ev.Shift))
+		}
+		an, ap = putDelta(ab, an, ap, ev.Addr)
+		last = ev.LastAddr()
 		kind[i] = k
 	}
-	c[0].close(ab, an, last)
+	c[0].close(ab, an, ap)
 	c[1].close(pb, pn, pp)
 	c[2].close(bb, bn, bp)
 	c[3].close(db, dn, dp)
+	c[4].close(rb, rn, rp)
+	c[5].close(sb, sn, sp)
+	e.last = last
 }
 
 // putDatas is putFetches for the data stream.
@@ -340,7 +359,7 @@ func (e *chunkEnc) seal(layout []byte) encChunk {
 		}
 		e.cols[i] = colEnc{buf: e.cols[i].buf[:0]}
 	}
-	e.bytes = nil
+	e.bytes, e.last = nil, 0
 	return ch
 }
 
@@ -364,7 +383,8 @@ type chunkCursors struct {
 	layout []byte
 	bytes  []byte
 	off    int
-	last   uint32 // the last fetch addr decoded, prev's prediction
+	last   uint32 // the last packet of the last fetch run decoded, prev's prediction
+	shift  uint32 // the last fetch run's shift, the next one's prediction
 }
 
 func (ch *encChunk) cursors(layout []byte) chunkCursors {
@@ -391,13 +411,16 @@ func (cu *chunkCursors) next(m int, sc *blockScratch) ([]byte, error) {
 	return bs, nil
 }
 
-// fetches decodes the next len(dst) events of a fetch chunk into dst.
+// fetches decodes the next len(dst) events of a fetch chunk into dst. A
+// stored run length outside 1..MaxRun, a stored shift of 32 or more, which
+// is no 32-bit packet size, or a set spare flag is errColumn.
 func (cu *chunkCursors) fetches(dst []FetchEvent, sc *blockScratch) error {
 	kind, err := cu.next(len(dst), sc)
 	if err != nil {
 		return err
 	}
-	last, np, nb := cu.last, 0, 0
+	last, shift, np, nb, nr, ns := cu.last, cu.shift, 0, 0, 0, 0
+	var flags uint8
 	for i, k := range kind {
 		addr, prev := sc[0][i], last
 		if k&fetchPrevFlag != 0 {
@@ -409,6 +432,20 @@ func (cu *chunkCursors) fetches(dst []FetchEvent, sc *blockScratch) error {
 			base, disp = sc[2][nb], sc[3][nb]
 			nb++
 		}
+		var run uint32
+		if k&fetchRunFlag != 0 {
+			if run = sc[4][nr]; run-1 >= MaxRun {
+				return errColumn
+			}
+			nr++
+		}
+		if k&fetchShiftFlag != 0 {
+			if shift = sc[5][ns]; shift >= 32 {
+				return errColumn
+			}
+			ns++
+		}
+		flags |= k
 		dst[i] = FetchEvent{
 			Addr:  addr,
 			Prev:  prev,
@@ -416,10 +453,15 @@ func (cu *chunkCursors) fetches(dst []FetchEvent, sc *blockScratch) error {
 			Disp:  int32(disp),
 			Kind:  ControlKind(k & fetchKindMask),
 			First: k&fetchFirstFlag != 0,
+			Run:   uint8(run),
+			Shift: uint8(shift),
 		}
-		last = addr
+		last = dst[i].LastAddr()
 	}
-	cu.last = last
+	if flags&fetchSpareFlag != 0 {
+		return errColumn
+	}
+	cu.last, cu.shift = last, shift
 	return nil
 }
 

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// The reference capture path: a plain per-event recorder of the WMTRACE3
+// The reference capture path: a plain per-event recorder of the WMTRACE4
 // columns. It decides each event's flags on its own, from the format's
 // rules written out with literal bit values, appends the stored values to
 // plain slices, seals each column with encodeU32Col when the chunk fills,
@@ -80,24 +80,33 @@ func (st *refStream) seal() encChunk {
 	return ch
 }
 
-// refBuffer is the reference recorder.
+// refBuffer is the reference recorder. A fetch chunk's predictions come
+// from the run before it in the chunk: fprev is the run, ok while the
+// chunk holds one.
 type refBuffer struct {
-	f refStream // addr, prev, base, disp
-	d refStream // base, disp, addr
+	f     refStream // addr, prev, base, disp, run, shift
+	d     refStream // base, disp, addr
+	fprev FetchEvent
 }
 
 func newRefBuffer() *refBuffer {
-	return &refBuffer{f: refStream{cols: make([][]uint32, 4)}, d: refStream{cols: make([][]uint32, 3)}}
+	return &refBuffer{f: refStream{cols: make([][]uint32, 6)}, d: refStream{cols: make([][]uint32, 3)}}
 }
 
 func (b *refBuffer) OnFetch(ev FetchEvent) {
 	st := &b.f
-	// prev is predicted as the chunk's previous addr, 0 at its start.
-	predPrev := uint32(0)
-	if n := len(st.cols[0]); n > 0 {
-		predPrev = st.cols[0][n-1]
+	// prev is predicted as the last packet of the chunk's previous run and
+	// the shift as that run's, both 0 at the chunk's start.
+	var predPrev, predShift uint32
+	if len(st.flags) > 0 {
+		last := b.fprev
+		predPrev = last.Addr
+		for range last.Run {
+			predPrev += 1 << last.Shift
+		}
+		predShift = uint32(last.Shift)
 	}
-	flags := byte(ev.Kind) & 0x1f
+	flags := byte(ev.Kind) & 0x03
 	if ev.First {
 		flags |= 0x80
 	}
@@ -113,6 +122,16 @@ func (b *refBuffer) OnFetch(ev FetchEvent) {
 		st.cols[2] = append(st.cols[2], ev.Base)
 		st.cols[3] = append(st.cols[3], uint32(ev.Disp))
 	}
+	// A lone packet is the run length's prediction.
+	if ev.Run != 0 {
+		flags |= 0x04
+		st.cols[4] = append(st.cols[4], uint32(ev.Run))
+	}
+	if uint32(ev.Shift) != predShift {
+		flags |= 0x08
+		st.cols[5] = append(st.cols[5], uint32(ev.Shift))
+	}
+	b.fprev = ev
 	st.add(flags)
 }
 
@@ -131,13 +150,13 @@ func (b *refBuffer) OnData(ev DataEvent) {
 	st.add(flags)
 }
 
-// bytes spills the reference buffer in the WMTRACE3 format: the fetch
+// bytes spills the reference buffer in the WMTRACE4 format: the fetch
 // stream's chunks, the data stream's, then the trailer. It seals the open
 // chunks, so it ends the recording.
 func (b *refBuffer) bytes() []byte {
 	var out bytes.Buffer
 	bw := bufio.NewWriter(&out)
-	bw.WriteString("WMTRACE3")
+	bw.WriteString("WMTRACE4")
 	rw := &recordWriter{w: bw}
 	for _, s := range []struct {
 		tag byte
@@ -331,18 +350,21 @@ var breakRates = []int{0, 1, 4, 8}
 
 // genScript draws a run of nf fetch and nd data events, in a random
 // interleaving, whose stored columns take kinds k to k+3. With rate 0 every
-// prediction of the format holds but at chunk starts: each fetch is a
-// KindSeq fall-through with prev the last addr, base prev and disp
-// addr − prev, and each data addr is base + disp. Each rate-in-8 break
-// draws prev (0 at a fetch chunk's start, the start's own prediction), a
-// non-Seq kind with base and disp left at the Seq prediction, base, disp
-// or a data addr from another column.
+// prediction of the format holds but at chunk starts: each fetch is a lone
+// KindSeq fall-through packet with prev the last packet of the run before,
+// base prev and disp addr − prev, and the script's one packet shift; and
+// each data addr is base + disp. Each rate-in-8 break draws prev (0 at a
+// fetch chunk's start, the start's own prediction), a non-Seq kind with
+// base and disp left at the Seq prediction, base, disp, a run of 1 to
+// MaxRun fall-through packets, a new shift, or a data addr from another
+// column.
 func genScript(seed int64, k, nf, nd, rate int) *script {
 	r := rand.New(rand.NewSource(seed))
 	brk := func() bool { return r.Intn(8) < rate }
 	s := &script{fs: make([]FetchEvent, nf), ds: make([]DataEvent, nd)}
 	addr, alt, base, disp := genColumn(r, k, nf), genColumn(r, k+1, nf), genColumn(r, k+2, nf), genColumn(r, k+3, nf)
 	var last uint32
+	shift := uint8(2 + r.Intn(5))
 	for i := range s.fs {
 		ev := FetchEvent{Addr: addr[i], Prev: last, First: i == 0}
 		if brk() {
@@ -361,8 +383,15 @@ func genScript(seed int64, k, nf, nd, rate int) *script {
 		if brk() {
 			ev.Disp = int32(disp[i])
 		}
+		if brk() {
+			ev.Run = uint8(1 + r.Intn(MaxRun))
+		}
+		if brk() {
+			shift = uint8(r.Intn(32))
+		}
+		ev.Shift = shift
 		s.fs[i] = ev
-		last = ev.Addr
+		last = ev.LastAddr()
 	}
 	base, disp, addr = genColumn(r, k, nd), genColumn(r, k+1, nd), genColumn(r, k+2, nd)
 	for i := range s.ds {
@@ -470,7 +499,9 @@ func TestCaptureMatchesReference(t *testing.T) {
 func TestCaptureAllocations(t *testing.T) {
 	// The constant: seven open columns whose encoders each double up to
 	// the 5 bytes per value of a chunk of worst-case varints, plus 256 KiB
-	// for the stager's blocks.
+	// for the stager's blocks. (A fetch chunk now has six columns, but its
+	// run and shift columns hold a value only where a prediction fails,
+	// so the bound is kept.)
 	const fixed = 7*2*5*chunkLen + 256<<10
 	s := genScript(5, 0, 5*chunkLen+99, 4*chunkLen+7, 4)
 	var before, after runtime.MemStats

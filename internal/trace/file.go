@@ -9,20 +9,21 @@ import (
 	"io"
 )
 
-// WMTRACE3 is the binary trace file format, for trace-driven evaluation
+// WMTRACE4 is the binary trace file format, for trace-driven evaluation
 // without re-running the simulator: the compressed column chunks of
 // columns.go, spilled verbatim — a sealed chunk's bytes on disk are its
 // bytes in memory, so loading a spill is adoption, not transcoding. Any
-// other magic, including the WMTRACE1 and WMTRACE2 of earlier versions, is
-// a decode error; spill directories are caches, so such a file costs one
-// re-capture.
+// other magic, including the WMTRACE1, WMTRACE2 and WMTRACE3 of earlier
+// versions, is a decode error; spill directories are caches, so such a
+// file costs one re-capture. WMTRACE3 stored one fetch event per packet;
+// WMTRACE4 stores fetch runs (FetchEvent.Run).
 //
 // Record layout. After the 8-byte magic, the file is a sequence of
 // CRC-framed records, each one sealed column chunk or the trailer:
 //
 //	record:  tag(1) uvarint(bodyLen) body crc32(body, IEEE, 4 bytes LE)
 //	tag 'F': fetch chunk — body: uvarint(n) kind[n] col(addr) col(prev)
-//	         col(base) col(disp)
+//	         col(base) col(disp) col(run) col(shift)
 //	tag 'D': data chunk  — body: uvarint(n) meta[n] col(base) col(disp)
 //	         col(addr)
 //	tag 'E': trailer     — body: uvarint(nf) uvarint(nd)
@@ -31,18 +32,21 @@ import (
 // The byte column comes first, so the parser knows how many values each
 // column holds: n for a fetch's addr and a data access's base and disp,
 // and for a side column the number of events whose byte flags it — prev
-// (kind bit 6), base and disp (kind bit 5), a data access's addr (meta bit
-// 6). A col payload is either raw 4-byte little-endian values (flag 0) or
-// zigzag-varint wrapping first differences (flag 1) — see columns.go. A
-// chunk holds chunkLen events except the last chunk of each stream, which
-// may be shorter (1..chunkLen); all fetch chunks come first, in stream
-// order, then all data chunks. The trailer is last — trailing bytes after
-// it are an error, so truncation anywhere is detected. Every body is
+// (kind bit 6), base and disp (kind bit 5), the packet shift (kind bit 3),
+// the run length (kind bit 2), a data access's addr (meta bit 6). Kind
+// bits 0–1 hold the ControlKind, bit 7 the first fetch, and bit 4 must be
+// clear. A col payload is either raw 4-byte little-endian values (flag 0)
+// or zigzag-varint wrapping first differences (flag 1) — see columns.go.
+// A chunk holds chunkLen events except the last chunk of each stream,
+// which may be shorter (1..chunkLen); all fetch chunks come first, in
+// stream order, then all data chunks. The trailer is last — trailing bytes
+// after it are an error, so truncation anywhere is detected. Every body is
 // CRC-checked on read: corruption (flipped flags included) fails the load
-// rather than decoding to wrong events.
+// rather than decoding to wrong events. The trailer counts events, so a
+// fetch run counts once however many packets it holds.
 
 // FileMagic opens every trace file, and names its format.
-const FileMagic = "WMTRACE3"
+const FileMagic = "WMTRACE4"
 
 const (
 	recFetch = 'F'
@@ -50,8 +54,8 @@ const (
 	recEnd   = 'E'
 
 	// maxRecordBody bounds one record's body allocation while reading: a
-	// worst-case legitimate chunk (a full chunk's byte column and four raw
-	// columns) is under 600KB, so 4MB catches crafted lengths long before
+	// worst-case legitimate chunk (a full chunk's byte column and six raw
+	// columns) is under 850KB, so 4MB catches crafted lengths long before
 	// allocation hurts.
 	maxRecordBody = 4 << 20
 )
@@ -110,7 +114,7 @@ func (rw *recordWriter) emit(tag byte) {
 	}
 }
 
-// WriteTo spills the buffer to w in the WMTRACE3 file format: the fetch
+// WriteTo spills the buffer to w in the WMTRACE4 file format: the fetch
 // stream's chunks, then the data stream's, sealed chunks verbatim and the
 // open chunks sealed from their encoders without re-encoding, then the
 // trailer. It implements io.WriterTo.
@@ -300,7 +304,7 @@ func (b *Buffer) adoptTrailer(body []byte) error {
 	return nil
 }
 
-// ReadBuffer loads a WMTRACE3 stream into a new Buffer, so capture →
+// ReadBuffer loads a WMTRACE4 stream into a new Buffer, so capture →
 // WriteTo → ReadBuffer → Replay is indistinguishable from replaying the
 // original capture. Sealed chunks are adopted verbatim (CRC-checked, no
 // re-encode); a partial tail chunk is loaded into the open chunk's encoder
@@ -313,7 +317,7 @@ func ReadBuffer(r io.Reader) (*Buffer, error) {
 	return b, nil
 }
 
-// readBuffer parses a WMTRACE3 file, magic first, into b.
+// readBuffer parses a WMTRACE4 file, magic first, into b.
 func readBuffer(br *bufio.Reader, b *Buffer) error {
 	magic := make([]byte, len(FileMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {

@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -13,11 +16,14 @@ import (
 // address-movement pattern, so the fuzzer steers the columns through
 // sequential runs, sign-alternating deltas, random jumps and max-magnitude
 // wraps — the cases that stress delta/varint encoding. A fetch's prev is
-// the last fetch addr and its base and disp are prev and addr − prev, and a
-// data addr is base + disp, so every prediction of the format holds, unless
-// the control byte's top bit selects a break: then the top two bits of the
-// group's value pick which of prev, base, disp and kind a fetch breaks, and
-// a data event's addr moves off base + disp.
+// the last packet of the fetch run before it and its base and disp are
+// prev and addr − prev, and a data addr is base + disp, so every
+// prediction of the format holds, unless the control byte's top bit
+// selects a break: then the top two bits of the group's value pick which
+// of prev, base, disp and kind a fetch breaks, and a data event's addr
+// moves off base + disp. A fetch whose control byte sets bit 5 is a run of
+// up to MaxRun fall-through packets, its shift drawn from the value's top
+// byte; any other fetch is a lone 8-byte packet.
 func buildStream(data []byte) (*Buffer, *script) {
 	b, s := new(Buffer), new(script)
 	addr, prev := uint32(0x1000), uint32(0)
@@ -59,7 +65,10 @@ func buildStream(data []byte) (*Buffer, *script) {
 			b.OnData(ev)
 			continue
 		}
-		ev := FetchEvent{Addr: addr, Prev: prev, Kind: ControlKind(ctl % 4), First: len(s.fs) == 0}
+		ev := FetchEvent{Addr: addr, Prev: prev, Kind: ControlKind(ctl % 4), First: len(s.fs) == 0, Shift: 3}
+		if ctl&0x20 != 0 {
+			ev.Run, ev.Shift = uint8(d>>16), uint8(2+(d>>24)%7)
+		}
 		if brk && d>>30 == 0 {
 			ev.Prev = d
 		}
@@ -74,7 +83,8 @@ func buildStream(data []byte) (*Buffer, *script) {
 				ev.Kind = KindSeq + 1 + ControlKind(d%3)
 			}
 		}
-		prev = addr
+		prev = ev.LastAddr()
+		addr = prev
 		s.fs = append(s.fs, ev)
 		s.order = append(s.order, false)
 		b.OnFetch(ev)
@@ -121,6 +131,14 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 	f.Add(mix, []byte{0})
 	f.Add(mix, []byte{6, 200, 31})
 	f.Add(rnd, []byte{255, 254, 1})
+	// Runs of up to MaxRun packets at shifts 2 to 8, one run in three
+	// followed by a jump.
+	runs := make([]byte, 5*96)
+	for i := 0; i+5 <= len(runs); i += 5 {
+		runs[i] = 0x20 | byte(3*(i/5%3))
+		binary.LittleEndian.PutUint32(runs[i+1:], uint32(i*0x01030507))
+	}
+	f.Add(runs, []byte(nil))
 	// Sequential packets, every other event breaking a prediction in turn:
 	// prev, base, disp, kind, and a data addr.
 	brk := make([]byte, 5*80)
@@ -194,11 +212,13 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzWMTRACE2Reader throws arbitrary bytes at the reader: it must never
+// FuzzTraceReader throws arbitrary bytes at the reader: it must never
 // panic, and anything it accepts must re-serialize to a semantically
 // identical buffer (decode is total: a parsed file replays consistently or
-// errors, never silently diverges).
-func FuzzWMTRACE2Reader(f *testing.F) {
+// errors, never silently diverges). A file of an earlier format, the
+// committed WMTRACE2 and WMTRACE3 fixtures among the seeds, must be
+// rejected whatever follows its magic.
+func FuzzTraceReader(f *testing.F) {
 	seed := func(events []byte) []byte {
 		b, _ := buildStream(events)
 		var spill bytes.Buffer
@@ -214,11 +234,29 @@ func FuzzWMTRACE2Reader(f *testing.F) {
 	mut := seed(ev)
 	mut[len(mut)/2] ^= 0xff
 	f.Add(mut)
+	// A spill of fetch runs: every fetch event a run of packets.
+	runs := slices.Clone(ev)
+	for i := 0; i+5 <= len(runs); i += 5 {
+		runs[i] = runs[i]&^0x40 | 0x20
+	}
+	f.Add(seed(runs))
+	for _, old := range []string{"golden_v2.wmtrace", "golden_v3.wmtrace"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", old))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := ReadBuffer(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, old := range []string{"WMTRACE1", "WMTRACE2", "WMTRACE3"} {
+			if bytes.HasPrefix(data, []byte(old)) {
+				t.Fatalf("a %s file loads", old)
+			}
 		}
 		var log1 eventLog
 		if err := b.ReplayAll(context.Background(), []SinkPair{{Fetch: &log1, Data: &log1}}); err != nil {

@@ -8,7 +8,8 @@ import (
 )
 
 // goldenStream regenerates the deterministic event mix that produced
-// testdata/golden_v2.wmtrace and testdata/golden_v3.wmtrace: mostly
+// testdata/golden_v2.wmtrace, testdata/golden_v3.wmtrace and, its fetches
+// joined into runs (goldenRuns), testdata/golden_v4.wmtrace: mostly
 // sequential fetch packets with periodic branches, links and indirect
 // jumps, and a data access every fifth event. It must never change — the
 // fixture bytes pin the file format.
@@ -52,25 +53,48 @@ func goldenStream() (fs []FetchEvent, ds []DataEvent, order []bool) {
 	return fs, ds, order
 }
 
-// TestGoldenWMTRACE3 pins the spill format's bytes: the committed fixture
+// goldenRuns is goldenStream's fetch stream as the simulator stages it at
+// its 8-byte packets: each fall-through packet joins the run before it,
+// up to MaxRun of them.
+func goldenRuns(fs []FetchEvent) []FetchEvent {
+	var runs []FetchEvent
+	for _, ev := range fs {
+		ev.Shift = 3
+		if n := len(runs); n > 0 {
+			r := &runs[n-1]
+			if last := r.LastAddr(); ev == (FetchEvent{Addr: last + 8, Prev: last, Base: last, Disp: 8, Shift: 3}) &&
+				r.Run < MaxRun {
+				r.Run++
+				continue
+			}
+		}
+		runs = append(runs, ev)
+	}
+	return runs
+}
+
+// TestGoldenWMTRACE4 pins the spill format's bytes: the committed fixture
 // must load with the generating stream's counts, decode to exactly that
 // stream, and re-serialize bit-identically — so any change to the column
 // encoding, the predictions, the record framing or the trailer shows up
-// here.
-func TestGoldenWMTRACE3(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v3.wmtrace"))
+// here. The fixture holds goldenStream with its fetches joined into runs.
+func TestGoldenWMTRACE4(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v4.wmtrace"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantF, wantD, order := goldenStream()
+	packets, wantD, _ := goldenStream()
+	wantF := goldenRuns(packets)
+	if 2*len(wantF) > len(packets) {
+		t.Fatalf("the golden stream's %d packets join into %d runs", len(packets), len(wantF))
+	}
 
 	b, err := ReadBuffer(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumFetches() != len(wantF) || b.NumDatas() != len(wantD) || b.Len() != len(order) {
-		t.Fatalf("fixture loads %d/%d/%d events, want %d/%d/%d",
-			b.NumFetches(), b.NumDatas(), b.Len(), len(wantF), len(wantD), len(order))
+	if b.NumFetches() != len(wantF) || b.NumDatas() != len(wantD) {
+		t.Fatalf("fixture loads %d/%d events, want %d/%d", b.NumFetches(), b.NumDatas(), len(wantF), len(wantD))
 	}
 	gotF, gotD := b.Fetches(), b.Datas()
 	for i := range wantF {
@@ -93,15 +117,11 @@ func TestGoldenWMTRACE3(t *testing.T) {
 	}
 	// A fresh capture of the stream spills to the same bytes.
 	var fresh Buffer
-	fi, di := 0, 0
-	for _, isData := range order {
-		if isData {
-			fresh.OnData(wantD[di])
-			di++
-		} else {
-			fresh.OnFetch(wantF[fi])
-			fi++
-		}
+	for _, ev := range wantF {
+		fresh.OnFetch(ev)
+	}
+	for _, ev := range wantD {
+		fresh.OnData(ev)
 	}
 	again.Reset()
 	if _, err := fresh.WriteTo(&again); err != nil {
@@ -112,9 +132,26 @@ func TestGoldenWMTRACE3(t *testing.T) {
 	}
 
 	// The golden mix is dominated by sequential packets: the spill must be
-	// well under half the fixed-record size of the same events.
-	if v1 := fixedRecordBytes(len(wantF), len(wantD)); len(raw)*2 >= v1 {
-		t.Fatalf("WMTRACE3 spill %dB not ≤ 0.5× fixed records %dB", len(raw), v1)
+	// well under half the fixed-record size of the same packets.
+	if v1 := fixedRecordBytes(len(packets), len(wantD)); len(raw)*2 >= v1 {
+		t.Fatalf("WMTRACE4 spill %dB not ≤ 0.5× fixed records %dB", len(raw), v1)
+	}
+}
+
+// TestGoldenWMTRACE3: a spill of the golden stream in the WMTRACE3 format
+// of the version before this one, which stored one fetch event per packet,
+// is rejected, so a spill directory that version left behind costs one
+// re-capture per trace, never a misread.
+func TestGoldenWMTRACE3(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v3.wmtrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("WMTRACE3")) {
+		t.Fatalf("fixture starts %q, not the WMTRACE3 magic", raw[:8])
+	}
+	if _, err := ReadBuffer(bytes.NewReader(raw)); err == nil {
+		t.Fatal("a WMTRACE3 spill loads")
 	}
 }
 

@@ -97,8 +97,10 @@ func (s *Stager) Streams() (fetch, data bool) {
 }
 
 // NextFetch returns the slot of the run's next fetch event. The caller
-// writes every field of the slot before asking for the next one. It is
-// valid only on a stager whose Streams reports the fetch stream.
+// writes every field of the slot, and the slot stays the caller's until it
+// asks for the next one or flushes: a full block is handed over only then,
+// so a simulator may still extend the open slot's run (FetchEvent.Run). It
+// is valid only on a stager whose Streams reports the fetch stream.
 func (s *Stager) NextFetch() *FetchEvent {
 	if s.nf < stageLen {
 		s.nf++

@@ -8,10 +8,21 @@
 // final address. This is what lets the MAB be probed in parallel with the
 // 32-bit adder (paper §3).
 //
+// A fetch event is a run: a packet and the packets control reached from it
+// by straight-line fall-through (FetchEvent.Run). Case 1 of the paper's
+// flow taxonomy, an intra-line sequential fetch, needs neither a tag access
+// nor a MAB probe, so the stream carries such packets as a count, and a
+// controller walks a run a line at a time, not a packet at a time.
+//
 // Consumers take each stream in blocks: a sink implements its stream's one
 // block method (FetchSink, DataSink), and every producer — the simulator's
 // Stager, a Buffer's replay, a tee — delivers blocks.
 package trace
+
+import (
+	"iter"
+	"math"
+)
 
 // ControlKind describes how control reached the current fetch packet. It maps
 // one-to-one onto the three MAB input types of Figure 2 of the paper, plus
@@ -48,14 +59,51 @@ func (k ControlKind) String() string {
 	return "unknown"
 }
 
-// FetchEvent is one instruction-cache access: the fetch of one VLIW packet.
+// FetchEvent is a run of instruction-cache accesses: the fetch of one VLIW
+// packet, reached as Kind says, and then of the Run packets after it that
+// control reached by straight-line fall-through, each at the address of
+// the one before plus the packet size. The zero Run is a lone packet. A
+// fall-through packet's own event would be the KindSeq event whose base is
+// the packet before it and whose disp is the packet size; Packets expands
+// a run into those events. A run of more than MaxRun+1 packets is split,
+// and the split head is such an event.
+//
+// The fields are ordered so that the struct packs into 20 bytes.
 type FetchEvent struct {
 	Addr  uint32      // packet address being fetched (packet aligned)
 	Prev  uint32      // previously fetched packet address
-	Kind  ControlKind // how control arrived here
 	Base  uint32      // MAB base input (see ControlKind)
 	Disp  int32       // MAB displacement input
+	Kind  ControlKind // how control arrived here
 	First bool        // true for the very first fetch after reset
+	Run   uint8       // fall-through packets after this one
+	Shift uint8       // log2 of the packet size in bytes, the run's stride; below 32
+}
+
+// MaxRun is the longest run one FetchEvent carries.
+const MaxRun = math.MaxUint8
+
+// NumPackets returns the number of packets the event stands for.
+func (ev *FetchEvent) NumPackets() int { return 1 + int(ev.Run) }
+
+// LastAddr returns the address of the run's last packet.
+func (ev *FetchEvent) LastAddr() uint32 { return ev.Addr + uint32(ev.Run)<<ev.Shift }
+
+// Packets walks the run packet by packet: the event itself with Run 0,
+// then each fall-through packet as its own KindSeq event. It is the
+// reference form of a run, for consumers that need no faster walk.
+func (ev FetchEvent) Packets() iter.Seq[FetchEvent] {
+	return func(yield func(FetchEvent) bool) {
+		p, stride := ev, uint32(1)<<ev.Shift
+		p.Run = 0
+		for k := 0; ; k++ {
+			if !yield(p) || k == int(ev.Run) {
+				return
+			}
+			p = FetchEvent{Addr: p.Addr + stride, Prev: p.Addr, Base: p.Addr, Disp: int32(stride),
+				Kind: KindSeq, Shift: ev.Shift}
+		}
+	}
 }
 
 // DataEvent is one data-cache access issued by a load or store.

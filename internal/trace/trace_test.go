@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestTeeFanout: a tee hands every sink each event as a one-event block,
@@ -180,5 +181,43 @@ func TestClassifyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFetchEventLayout pins the fetch event at 20 bytes: a decoded replay
+// block and a staging block hold thousands of them.
+func TestFetchEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(FetchEvent{}); n != 20 {
+		t.Fatalf("FetchEvent is %d bytes, want 20", n)
+	}
+}
+
+// TestPacketsExpandsRun: a run walks as its head, Run cleared, and then one
+// KindSeq event per fall-through packet, each based on the packet before
+// it with the packet size as displacement; a lone packet walks as itself,
+// and a walk stopped early stops.
+func TestPacketsExpandsRun(t *testing.T) {
+	head := FetchEvent{Addr: 0x1010, Prev: 0x2000, Base: 0x2004, Disp: -0xff4, Kind: KindBranch, Run: 3, Shift: 4}
+	want := []FetchEvent{
+		{Addr: 0x1010, Prev: 0x2000, Base: 0x2004, Disp: -0xff4, Kind: KindBranch, Shift: 4},
+		{Addr: 0x1020, Prev: 0x1010, Base: 0x1010, Disp: 16, Shift: 4},
+		{Addr: 0x1030, Prev: 0x1020, Base: 0x1020, Disp: 16, Shift: 4},
+		{Addr: 0x1040, Prev: 0x1030, Base: 0x1030, Disp: 16, Shift: 4},
+	}
+	if got := slices.Collect(head.Packets()); !slices.Equal(got, want) {
+		t.Fatalf("Packets() = %+v, want %+v", got, want)
+	}
+	if head.NumPackets() != len(want) || head.LastAddr() != want[len(want)-1].Addr {
+		t.Fatalf("NumPackets %d, LastAddr %#x", head.NumPackets(), head.LastAddr())
+	}
+	lone := want[0]
+	if got := slices.Collect(lone.Packets()); !slices.Equal(got, want[:1]) {
+		t.Fatalf("a lone packet walks as %+v", got)
+	}
+	n := 0
+	for range head.Packets() {
+		if n++; n == 2 {
+			break
+		}
 	}
 }

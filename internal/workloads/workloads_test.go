@@ -36,7 +36,7 @@ func TestWorkloadEventStreams(t *testing.T) {
 			var nFetch, nData, nStore, nLink uint64
 			c, err := Run(w, trace.NewStager([]trace.SinkPair{{
 				Fetch: trace.FetchFunc(func(ev trace.FetchEvent) {
-					nFetch++
+					nFetch += uint64(ev.NumPackets())
 					if ev.Kind == trace.KindLink {
 						nLink++
 					}
@@ -55,7 +55,7 @@ func TestWorkloadEventStreams(t *testing.T) {
 				t.Fatal(err)
 			}
 			if nFetch != c.Cycles {
-				t.Errorf("fetches %d != cycles %d", nFetch, c.Cycles)
+				t.Errorf("fetch packets %d != cycles %d", nFetch, c.Cycles)
 			}
 			if nData == 0 || nStore == 0 {
 				t.Errorf("no data traffic: loads+stores=%d stores=%d", nData, nStore)
