@@ -19,10 +19,11 @@ import (
 // (columns.go), and a chunk is sealed at its exact size when it fills. A
 // chunk stores each event's flags byte and the fields the encoder could not
 // predict from the ones before them — a fetch run whose stride holds keeps
-// only its address and length, a load only its base and displacement —
-// about 3 bytes per event on the paper's workloads instead of the 20 of
-// the unpacked struct. A fetch event is a run of packets (FetchEvent.Run),
-// so the fetch stream stores about one event for every five packets.
+// only its address and length, a load only its base and displacement.
+// A fetch event is a run of packets (FetchEvent.Run), so the fetch stream
+// stores about one event for every five packets, and the paper's
+// workloads take 3.5–5.2 bytes per stored event, under 2 per packet or
+// data access, instead of the 20 of the unpacked fetch struct.
 // Replay decodes each chunk, the open one included, block-wise into a
 // batchLen event scratch that stays L2-hot while every sink of the pass
 // walks it, so a fan-out pass streams the encoded bytes exactly once.

@@ -80,7 +80,8 @@ type FetchEvent struct {
 	Shift uint8       // log2 of the packet size in bytes, the run's stride; below 32
 }
 
-// MaxRun is the longest run one FetchEvent carries.
+// MaxRun is the largest Run a FetchEvent carries: a run holds at most
+// MaxRun+1 packets.
 const MaxRun = math.MaxUint8
 
 // NumPackets returns the number of packets the event stands for.
