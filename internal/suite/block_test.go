@@ -84,8 +84,10 @@ func instantiateAll(t *testing.T, techs []Technique) ([]*stats.Counters, []trace
 // specs put each stream just below, exactly at, and one event past a
 // multiple of 4096 events, which is a block boundary of both the live
 // stager and replay, so the full-block path, the tail flush and the empty
-// tail are all exercised. A fetch event is a run of packets, so the fetch
-// stream's specs are picked by their run counts.
+// tail are all exercised. A fetch event is a run of packets, so the last
+// three specs, picked by their run counts, put the fetch stream at those
+// boundaries; the three before them did so when a fetch event was a
+// packet.
 func TestLiveBlocksMatchReplayAndPerEvent(t *testing.T) {
 	cases := []struct {
 		spec           string
@@ -95,6 +97,9 @@ func TestLiveBlocksMatchReplayAndPerEvent(t *testing.T) {
 		{"synth:stream,fp=1KiB,n=7934", 16095, 8191},
 		{"synth:stream,fp=1KiB,n=7935", 16097, 8192},
 		{"synth:stream,fp=1KiB,n=7936", 16098, 8193},
+		{"synth:stream,fp=4KiB,n=1227", 3478, 2252},
+		{"synth:stream,fp=1KiB,n=2968", 6182, 3225},
+		{"synth:stream,fp=1KiB,n=2149", 4547, 2406},
 		{"synth:pchase,fp=1KiB,n=4093", 4095, 4094},
 		{"synth:stream,fp=1KiB,n=1923", 4096, 2180},
 		{"synth:pchase,fp=1KiB,n=4095", 4097, 4096},

@@ -131,8 +131,8 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 	f.Add(mix, []byte{0})
 	f.Add(mix, []byte{6, 200, 31})
 	f.Add(rnd, []byte{255, 254, 1})
-	// Runs of up to MaxRun packets at shifts 2 to 8, one run in three
-	// followed by a jump.
+	// Runs of up to MaxRun packets at shifts 2 to 8, between small
+	// alternating-sign moves and 64 KiB forward strides.
 	runs := make([]byte, 5*96)
 	for i := 0; i+5 <= len(runs); i += 5 {
 		runs[i] = 0x20 | byte(3*(i/5%3))
