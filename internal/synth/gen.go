@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -302,16 +303,21 @@ func (s Spec) pchaseData() string {
 		words[node*s.Stride/4] = int32(succ * s.Stride)
 	}
 	var b strings.Builder
+	b.Grow(len(words) * 5)
 	fmt.Fprintf(&b, "\t.org DATA\n%s:\n", dataSymbol)
-	for i := 0; i < len(words); i += 8 {
-		end := min(i+8, len(words))
-		b.WriteString("\t.word ")
-		for j := i; j < end; j++ {
-			if j > i {
-				b.WriteString(", ")
+	var num [11]byte
+	for i, w := range words {
+		if i%8 == 0 {
+			if i > 0 {
+				b.WriteByte('\n')
 			}
-			fmt.Fprintf(&b, "%d", words[j])
+			b.WriteString("\t.word ")
+		} else {
+			b.WriteString(", ")
 		}
+		b.Write(strconv.AppendInt(num[:0], int64(w), 10))
+	}
+	if len(words) > 0 {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "%s:\n\t.space 4\n", SumSymbol)

@@ -48,6 +48,9 @@ type Buffer struct {
 	denc chunkEnc
 	nf   int
 	nd   int
+	// err names the first appended fetch event the format cannot hold;
+	// once set, WriteTo and ReplayAll refuse the buffer.
+	err error
 }
 
 const (
@@ -66,6 +69,10 @@ const (
 	fetchBaseFlag  = 0x20
 	fetchPrevFlag  = 0x40
 	fetchFirstFlag = 0x80
+
+	// maxShift bounds FetchEvent.Shift: a packet size is a 32-bit power
+	// of two.
+	maxShift = 32
 
 	// The flags byte of a data event: bits 0–5 hold the access size, bit 6
 	// marks addr as stored, and bit 7 flags a store.
@@ -97,7 +104,9 @@ func (b *Buffer) EncodedBytes() int64 {
 	return total
 }
 
-// OnFetch appends one fetch event to the buffer.
+// OnFetch appends one fetch event to the buffer. An event the format
+// cannot hold, a Kind that is not a ControlKind or a Shift of 32 or more,
+// makes WriteTo and ReplayAll return an error naming it.
 func (b *Buffer) OnFetch(ev FetchEvent) { b.appendFetches([]FetchEvent{ev}) }
 
 // appendFetches encodes evs onto the fetch stream, splitting them at chunk
@@ -106,12 +115,35 @@ func (b *Buffer) appendFetches(evs []FetchEvent) {
 	for len(evs) > 0 {
 		m := min(len(evs), chunkLen-b.nf&chunkMask)
 		b.fenc.putFetches(evs[:m])
+		if b.fenc.malformed && b.err == nil {
+			b.err = checkFetches(b.nf, evs[:m])
+		}
 		b.nf += m
 		evs = evs[m:]
 		if b.nf&chunkMask == 0 {
 			b.fetch = append(b.fetch, b.fenc.seal(fetchLayout))
 		}
 	}
+}
+
+// checkFetches returns an error naming the first of evs, the fetch events
+// from index first on, that the format cannot hold: a Kind that is not a
+// ControlKind or a Shift of maxShift or more. putFetches flags the encoder
+// when it stores such an event (the kind's low bits, or a shift that fails
+// its replay), and only then does appendFetches scan for it.
+func checkFetches(first int, evs []FetchEvent) error {
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Kind <= KindIndirect && ev.Shift < maxShift {
+			continue
+		}
+		why := fmt.Sprintf("shift %d is not below %d", ev.Shift, maxShift)
+		if ev.Kind > KindIndirect {
+			why = fmt.Sprintf("kind %d is not a ControlKind", ev.Kind)
+		}
+		return fmt.Errorf("trace: fetch event %d at %#x: %s", first+i, ev.Addr, why)
+	}
+	return nil
 }
 
 // OnData appends one data event to the buffer.
@@ -135,7 +167,7 @@ func (b *Buffer) appendDatas(evs []DataEvent) {
 // It shares their chunks and copies none. Nothing may be appended to the
 // joined buffer or to either source afterwards.
 func Join(fetch, data *Buffer) *Buffer {
-	return &Buffer{fetch: fetch.fetch, fenc: fetch.fenc, nf: fetch.nf,
+	return &Buffer{fetch: fetch.fetch, fenc: fetch.fenc, nf: fetch.nf, err: fetch.err,
 		data: data.data, denc: data.denc, nd: data.nd}
 }
 
@@ -167,8 +199,13 @@ const batchLen = 4096
 //
 // ctx is checked between blocks, so a sweep cancels mid-fan-out with at
 // most one partial block delivered. A corrupt file-adopted chunk surfaces
-// as an error at the block that fails to decode, never as wrong events.
+// as an error at the block that fails to decode, never as wrong events,
+// and a buffer that was handed a malformed fetch event replays nothing and
+// returns the error naming that event.
 func (b *Buffer) ReplayAll(ctx context.Context, sinks []SinkPair) error {
+	if b.err != nil {
+		return b.err
+	}
 	fetch, data := splitSinks(sinks)
 	if len(fetch) > 0 {
 		if err := b.forEachFetchBlock(ctx, func(blk []FetchEvent) error {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +80,59 @@ func TestBufferReplayCancellation(t *testing.T) {
 	}
 	if len(rec.Fetches) != 0 {
 		t.Fatalf("cancelled replay delivered %d events", len(rec.Fetches))
+	}
+}
+
+// TestBufferRefusesMalformedFetch feeds OnFetch an event the format cannot
+// hold after two good ones: the buffer must refuse to spill or replay, and
+// name the first such event, not store it mangled.
+func TestBufferRefusesMalformedFetch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   FetchEvent
+		want string // error substring; empty for an event the format holds
+	}{
+		{"kind 5", FetchEvent{Addr: 0x10010, Kind: 5, Shift: 3}, "fetch event 2 at 0x10010: kind 5 is not a ControlKind"},
+		{"shift 32", FetchEvent{Addr: 0x10010, Kind: KindBranch, Shift: 32}, "fetch event 2 at 0x10010: shift 32 is not below 32"},
+		{"kind 4 shift 255", FetchEvent{Addr: 0x10010, Kind: 4, Shift: 255}, "kind 4 is not a ControlKind"},
+		{"indirect shift 31", FetchEvent{Addr: 0x10010, Kind: KindIndirect, Shift: 31}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b Buffer
+			evs := []FetchEvent{
+				{Addr: 0x10000, First: true, Shift: 3},
+				{Addr: 0x10008, Prev: 0x10000, Base: 0x10000, Disp: 8, Shift: 3},
+				tc.ev,
+				{Addr: 0x10020, Kind: 7, Shift: 3},
+			}
+			for _, ev := range evs[:3] {
+				b.OnFetch(ev)
+			}
+			_, werr := b.WriteTo(io.Discard)
+			var rec eventLog
+			rerr := b.ReplayAll(context.Background(), []SinkPair{{Fetch: &rec}})
+			if tc.want == "" {
+				if werr != nil || rerr != nil {
+					t.Fatalf("WriteTo: %v, ReplayAll: %v", werr, rerr)
+				}
+				if len(rec.Fetches) != 3 || rec.Fetches[2] != tc.ev {
+					t.Fatalf("replayed %+v, want %+v last", rec.Fetches, tc.ev)
+				}
+				return
+			}
+			b.OnFetch(evs[3]) // a later malformed event does not displace the first
+			_, werr = b.WriteTo(io.Discard)
+			rerr = b.ReplayAll(context.Background(), []SinkPair{{Fetch: &rec}})
+			jerr := Join(&b, new(Buffer)).ReplayAll(context.Background(), []SinkPair{{Fetch: &rec}})
+			for _, err := range []error{werr, rerr, jerr} {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("err = %v, want it to contain %q", err, tc.want)
+				}
+			}
+			if len(rec.Fetches) != 0 {
+				t.Errorf("refused buffer delivered %d events", len(rec.Fetches))
+			}
+		})
 	}
 }
 

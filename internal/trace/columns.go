@@ -252,6 +252,9 @@ type chunkEnc struct {
 	cols  [fetchCols]colEnc // a data stream uses the first len(dataLayout)
 	bytes []byte            // chunkLen capacity, handed to the sealed chunk
 	last  uint32            // a fetch stream's last packet so far, prev's prediction
+	// malformed is set once a fetch event the format cannot hold has been
+	// put (see checkFetches).
+	malformed bool
 }
 
 // nextBytes returns the next m slots of the raw byte column.
@@ -266,7 +269,10 @@ func (e *chunkEnc) nextBytes(m int) []byte {
 // putFetches encodes evs, which must fit in the open chunk, onto its
 // columns. The shift column's running value is the last shift stored,
 // which is the shift's prediction, since a shift is stored whenever it
-// changes.
+// changes. An event that is no KindSeq stores its base and one whose shift
+// is not the last stores its shift, so the first malformed event takes one
+// of those branches, and they alone check for it, leaving the common path
+// as it was.
 func (e *chunkEnc) putFetches(evs []FetchEvent) {
 	m, c := len(evs), &e.cols
 	ab, an, ap := c[0].open(m)
@@ -288,6 +294,9 @@ func (e *chunkEnc) putFetches(evs []FetchEvent) {
 		}
 		if ev.Kind != KindSeq || ev.Base != ev.Prev || uint32(ev.Disp) != ev.Addr-ev.Prev {
 			k |= fetchBaseFlag
+			if ev.Kind > KindIndirect {
+				e.malformed = true
+			}
 			bn, bp = putDelta(bb, bn, bp, ev.Base)
 			dn, dp = putDelta(db, dn, dp, uint32(ev.Disp))
 		}
@@ -297,6 +306,9 @@ func (e *chunkEnc) putFetches(evs []FetchEvent) {
 		}
 		if uint32(ev.Shift) != sp {
 			k |= fetchShiftFlag
+			if ev.Shift >= maxShift {
+				e.malformed = true
+			}
 			sn, sp = putDelta(sb, sn, sp, uint32(ev.Shift))
 		}
 		an, ap = putDelta(ab, an, ap, ev.Addr)
@@ -440,7 +452,7 @@ func (cu *chunkCursors) fetches(dst []FetchEvent, sc *blockScratch) error {
 			nr++
 		}
 		if k&fetchShiftFlag != 0 {
-			if shift = sc[5][ns]; shift >= 32 {
+			if shift = sc[5][ns]; shift >= maxShift {
 				return errColumn
 			}
 			ns++

@@ -117,8 +117,12 @@ func (rw *recordWriter) emit(tag byte) {
 // WriteTo spills the buffer to w in the WMTRACE4 file format: the fetch
 // stream's chunks, then the data stream's, sealed chunks verbatim and the
 // open chunks sealed from their encoders without re-encoding, then the
-// trailer. It implements io.WriterTo.
+// trailer. It implements io.WriterTo. A buffer that was handed a malformed
+// fetch event writes nothing and returns the error naming that event.
 func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	if _, err := bw.WriteString(FileMagic); err != nil {

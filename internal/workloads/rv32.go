@@ -121,7 +121,6 @@ func RV32DCT() Workload {
 }
 
 // RV32All returns the named RV32 kernel ports. Synthetic rv32 workloads are
-// unbounded (any "rv32:synth:..." spec) and are not listed here.
-func RV32All() []Workload {
-	return []Workload{RV32DCT()}
-}
+// unbounded (any "rv32:synth:..." spec) and are not listed here. Like All,
+// the slice is the caller's and the workloads' Sources are shared.
+func RV32All() []Workload { return values(rv32Table[:]) }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -57,7 +58,9 @@ const ISARV32 = "rv32"
 // its cross-ISA port can never share a cached artifact.
 const RV32Prefix = "rv32:"
 
-// Workload is one benchmark program.
+// Workload is one benchmark program. A workload resolved by name (ByName,
+// All, RV32All) is built once per process and shared with every other
+// caller, so its Sources must not be modified; copy the slice to edit it.
 type Workload struct {
 	// Name as used in the paper's figures (e.g. "DCT", "mpeg2enc"). For
 	// synthetic workloads it is the canonical spec string. RV32 workloads
@@ -253,17 +256,71 @@ func RunPacketContext(ctx context.Context, w Workload, st *trace.Stager, packetB
 	return c, nil
 }
 
-// All returns the seven benchmarks in the order the paper's figures use.
-func All() []Workload {
-	return []Workload{
-		DCT(), FFT(), Dhrystone(), Whetstone(), Compress(), JPEGEnc(), MPEG2Enc(),
-	}
+// named is one entry of a fixed workload table: the name ByName matches
+// (case-folded) and the workload, built on first use and shared for the
+// life of the process.
+type named struct {
+	name string
+	get  func() Workload
 }
+
+// memo puts one workload constructor behind its table name.
+func memo(name string, build func() Workload) named {
+	return named{name, sync.OnceValue(build)}
+}
+
+// paperTable holds the seven benchmarks in the order the paper's figures
+// use, rv32Table the named RV32 ports. A table name resolves by lookup and
+// generates its sources once per process, however many requests name it;
+// synthetic specs are unbounded and generate on every call instead.
+var (
+	paperTable = [...]named{
+		memo("DCT", DCT), memo("FFT", FFT), memo("dhrystone", Dhrystone),
+		memo("whetstone", Whetstone), memo("compress", Compress),
+		memo("jpeg_enc", JPEGEnc), memo("mpeg2enc", MPEG2Enc),
+	}
+	rv32Table = [...]named{memo(RV32Prefix+"DCT", RV32DCT)}
+)
+
+// sortedNames joins a table's names in sorted order, as ByName's errors
+// list them.
+func sortedNames(t []named) string {
+	names := make([]string, len(t))
+	for i, e := range t {
+		names[i] = e.name
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+// lookup finds name in t, case-folded.
+func lookup(t []named, name string) (Workload, bool) {
+	for _, e := range t {
+		if strings.EqualFold(e.name, name) {
+			return e.get(), true
+		}
+	}
+	return Workload{}, false
+}
+
+// values returns a fresh slice of t's workloads.
+func values(t []named) []Workload {
+	ws := make([]Workload, len(t))
+	for i, e := range t {
+		ws[i] = e.get()
+	}
+	return ws
+}
+
+// All returns the seven benchmarks in the order the paper's figures use.
+// The slice is the caller's; the workloads' Sources are shared.
+func All() []Workload { return values(paperTable[:]) }
 
 // ByName finds a workload by its figure label, compiles a synthetic
 // spec ("synth:pchase,fp=64KiB,seed=7"; see internal/synth) into one, or
 // resolves an "rv32:" prefixed name ("rv32:DCT", "rv32:synth:...") to the
-// RV32 port of the kernel.
+// RV32 port of the kernel. A benchmark name is a table lookup that builds
+// its workload once per process; a synthetic spec generates on every call.
 func ByName(name string) (Workload, error) {
 	if synth.IsSpec(name) {
 		sp, err := synth.ParseSpec(name)
@@ -280,77 +337,49 @@ func ByName(name string) (Workload, error) {
 			}
 			return FromSpecRV32(sp)
 		}
-		names := make([]string, 0, len(RV32All()))
-		for _, w := range RV32All() {
-			if strings.EqualFold(w.Name, name) {
-				return w, nil
-			}
-			names = append(names, w.Name)
-		}
-		sort.Strings(names)
-		return Workload{}, fmt.Errorf("workloads: unknown RV32 benchmark %q (valid: %s; or %ssynth:...)",
-			name, strings.Join(names, ", "), RV32Prefix)
-	}
-	names := make([]string, 0, 7)
-	for _, w := range All() {
-		if strings.EqualFold(w.Name, name) {
+		if w, ok := lookup(rv32Table[:], name); ok {
 			return w, nil
 		}
-		names = append(names, w.Name)
+		return Workload{}, fmt.Errorf("workloads: unknown RV32 benchmark %q (valid: %s; or %ssynth:...)",
+			name, sortedNames(rv32Table[:]), RV32Prefix)
 	}
-	sort.Strings(names)
+	if w, ok := lookup(paperTable[:], name); ok {
+		return w, nil
+	}
 	return Workload{}, fmt.Errorf("workloads: unknown benchmark %q (valid: %s; or a synthetic spec: %s)",
-		name, strings.Join(names, ", "), synth.SpecSyntax())
+		name, sortedNames(paperTable[:]), synth.SpecSyntax())
 }
 
 // --- assembly data-emission helpers ---
 
-func dirWords(label string, vals []int32) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", label)
-	for i := 0; i < len(vals); i += 8 {
-		end := min(i+8, len(vals))
-		b.WriteString("\t.word ")
-		for j := i; j < end; j++ {
-			if j > i {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%d", vals[j])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func dirWords(label string, vals []int32) string { return dirInts(label, ".word", 8, vals) }
 
-func dirHalves(label string, vals []int16) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", label)
-	for i := 0; i < len(vals); i += 12 {
-		end := min(i+12, len(vals))
-		b.WriteString("\t.half ")
-		for j := i; j < end; j++ {
-			if j > i {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%d", vals[j])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func dirHalves(label string, vals []int16) string { return dirInts(label, ".half", 12, vals) }
 
-func dirBytes(label string, vals []byte) string {
+func dirBytes(label string, vals []byte) string { return dirInts(label, ".byte", 16, vals) }
+
+// dirInts emits label and vals as decimal directives, perLine values to a
+// line.
+func dirInts[T int16 | int32 | byte](label, directive string, perLine int, vals []T) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", label)
-	for i := 0; i < len(vals); i += 16 {
-		end := min(i+16, len(vals))
-		b.WriteString("\t.byte ")
-		for j := i; j < end; j++ {
-			if j > i {
-				b.WriteString(", ")
+	b.Grow(len(label) + 2 + len(vals)*7)
+	b.WriteString(label)
+	b.WriteString(":\n")
+	var num [11]byte
+	for i, v := range vals {
+		if i%perLine == 0 {
+			if i > 0 {
+				b.WriteByte('\n')
 			}
-			fmt.Fprintf(&b, "%d", vals[j])
+			b.WriteByte('\t')
+			b.WriteString(directive)
+			b.WriteByte(' ')
+		} else {
+			b.WriteString(", ")
 		}
+		b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+	}
+	if len(vals) > 0 {
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -1,6 +1,10 @@
 package workloads
 
 import (
+	"os"
+	"os/exec"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -67,12 +71,126 @@ func TestWorkloadEventStreams(t *testing.T) {
 	}
 }
 
+// TestByName pins the names ByName accepts, case-folded, and the sorted
+// name list its errors give, and checks that every table entry builds the
+// workload its name says.
 func TestByName(t *testing.T) {
-	if _, err := ByName("dct"); err != nil {
-		t.Fatal(err)
+	const (
+		paperList = "(valid: DCT, FFT, compress, dhrystone, jpeg_enc, mpeg2enc, whetstone; or a synthetic spec: "
+		rv32List  = "(valid: rv32:DCT; or rv32:synth:...)"
+	)
+	for _, tc := range []struct {
+		name, want, err string
+	}{
+		{name: "DCT", want: "DCT"},
+		{name: "dct", want: "DCT"},
+		{name: "MPEG2ENC", want: "mpeg2enc"},
+		{name: "Jpeg_Enc", want: "jpeg_enc"},
+		{name: "rv32:DCT", want: "rv32:DCT"},
+		{name: "rv32:dct", want: "rv32:DCT"},
+		{name: "RV32:DCT", err: `unknown benchmark "RV32:DCT" ` + paperList},
+		{name: "nosuch", err: `unknown benchmark "nosuch" ` + paperList},
+		{name: "rv32:FFT", err: `unknown RV32 benchmark "rv32:FFT" ` + rv32List},
+		{name: "", err: `unknown benchmark "" ` + paperList},
+	} {
+		w, err := ByName(tc.name)
+		switch {
+		case tc.err != "":
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ByName(%q) = %q, %v; want an error containing %q", tc.name, w.Name, err, tc.err)
+			}
+		case err != nil || w.Name != tc.want:
+			t.Errorf("ByName(%q) = %q, %v; want %q", tc.name, w.Name, err, tc.want)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("expected error")
+	for _, e := range append(paperTable[:], rv32Table[:]...) {
+		if w := e.get(); w.Name != e.name {
+			t.Errorf("table entry %q builds workload %q", e.name, w.Name)
+		}
+	}
+}
+
+// TestByNameAllocs checks that a resolved benchmark name is a lookup: once
+// the table is warm, ByName allocates nothing to speak of.
+func TestByNameAllocs(t *testing.T) {
+	for _, name := range append(tableNames(), "rv32:DCT") {
+		if _, err := ByName(name); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { ByName(name) }); n > 1 {
+			t.Errorf("ByName(%q) allocates %.1f times per call, want at most 1", name, n)
+		}
+	}
+}
+
+// tableNames lists the seven paper benchmarks' names.
+func tableNames() []string {
+	var names []string
+	for _, e := range paperTable {
+		names = append(names, e.name)
+	}
+	return names
+}
+
+// firstUseEnv marks the child process TestByNameConcurrentFirstUse runs
+// itself in, so the table is cold when its goroutines start.
+const firstUseEnv = "WORKLOADS_TEST_FIRST_USE"
+
+// TestByNameConcurrentFirstUse resolves every table name from 8 goroutines
+// at once on the table's first use and checks that all of them get the
+// workload a fresh construction fingerprints to. It re-runs itself in a
+// child process, where no other test has warmed the table.
+func TestByNameConcurrentFirstUse(t *testing.T) {
+	if os.Getenv(firstUseEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestByNameConcurrentFirstUse$", "-test.v")
+		cmd.Env = append(os.Environ(), firstUseEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestByNameConcurrentFirstUse") {
+			t.Fatalf("child process: %v\n%s", err, out)
+		}
+		return
+	}
+	names := append(tableNames(), "rv32:DCT")
+	got := make([][]uint64, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, name := range names {
+				w, err := ByName(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], w.Fingerprint())
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	want := []uint64{DCT().Fingerprint(), FFT().Fingerprint(), Dhrystone().Fingerprint(),
+		Whetstone().Fingerprint(), Compress().Fingerprint(), JPEGEnc().Fingerprint(),
+		MPEG2Enc().Fingerprint(), RV32DCT().Fingerprint()}
+	for g, fps := range got {
+		if !slices.Equal(fps, want) {
+			t.Errorf("goroutine %d resolved fingerprints %x, want %x", g, fps, want)
+		}
+	}
+}
+
+// TestAllReturnsFreshSlice checks that editing one All or RV32All result
+// leaves the next one as it was.
+func TestAllReturnsFreshSlice(t *testing.T) {
+	for _, all := range []func() []Workload{All, RV32All} {
+		ws := all()
+		name, srcs := ws[0].Name, ws[0].Sources
+		ws[0] = Workload{Name: "edited"}
+		if next := all(); next[0].Name != name || !slices.Equal(next[0].Sources, srcs) {
+			t.Fatalf("after an edit, the next call returns %q, want %q", next[0].Name, name)
+		}
 	}
 }
 
