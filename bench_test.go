@@ -332,24 +332,40 @@ func BenchmarkTraceColumnCodec(b *testing.B) {
 }
 
 // BenchmarkSimulatorIPS measures raw simulator speed (instructions/sec) on
-// the DCT benchmark without any cache models attached.
+// the DCT benchmark without any cache models attached, with one leg per
+// ISA: the FRVL kernel and its RV32 port.
 func BenchmarkSimulatorIPS(b *testing.B) {
-	w := workloads.DCT()
-	p, err := w.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		c := sim.New()
-		c.LoadProgram(p, workloads.StackTop)
-		if err := c.Run(workloads.DefaultMaxInstrs); err != nil {
+	for _, name := range []string{"DCT", "rv32:DCT"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
 			b.Fatal(err)
 		}
-		instrs += c.Instrs
+		p, err := w.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				var err error
+				if w.ISA == workloads.ISARV32 {
+					c := sim.NewRV32()
+					c.LoadProgram(p, workloads.StackTop)
+					err = c.Run(workloads.DefaultMaxInstrs)
+					instrs += c.Instrs
+				} else {
+					c := sim.New()
+					c.LoadProgram(p, workloads.StackTop)
+					err = c.Run(workloads.DefaultMaxInstrs)
+					instrs += c.Instrs
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+		})
 	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
 // BenchmarkMABProbe measures one MAB probe, plus the update a miss

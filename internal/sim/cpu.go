@@ -17,8 +17,8 @@
 // the pipeline, which is exactly what the paper's Memory Address Buffer
 // consumes (Figures 1 and 2).
 //
-// Events are not sent one at a time. Both cores share one front end, which
-// writes each event's fields straight into the current block of the
+// Events are not sent one at a time. Each core has one interpreter loop,
+// which writes each event's fields straight into the current block of the
 // trace.Stager attached with Attach; the stager hands whole blocks to the
 // cache models, or, for a capture, to a trace.Buffer. A core with no stager
 // attached runs without building any event.
@@ -76,97 +76,15 @@ func (c *CPU) LoadProgram(p *asm.Program, sp uint32) {
 	if c.Mem == nil {
 		c.Mem = mem.New()
 	}
-	c.fe.load(p, c.Mem, "frvl", isa.Decode)
+	c.fe.load(p, c.Mem, "frvl", isa.Decode, isa.Instr{Op: gapOp})
 	c.PC = p.Entry
 	c.Regs[isa.RegSP] = sp
 }
 
 // Step executes one instruction.
 func (c *CPU) Step() error {
-	if c.Halted {
-		return nil
-	}
-	if c.PC%word != 0 || !c.fe.ready {
-		if err := c.fe.gate(c.PC, c.PacketBytes, isa.PacketBytes); err != nil {
-			return err
-		}
-	}
-	c.fe.fetch(c.PC, &c.Cycles)
-	in := c.fe.at(c.PC)
-	if in == nil {
-		in = c.fe.decodeMem(c.PC, c.Mem, isa.Decode)
-	}
-	nextPC := c.PC + isa.Word
-	switch in.Op {
-	case isa.OpR:
-		if err := c.execR(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(*in, c.PC), err)
-		}
-		switch in.Funct {
-		case isa.FnJR, isa.FnJALR:
-			target := c.Regs[in.Rs]
-			if in.Funct == isa.FnJALR {
-				c.setReg(in.Rd, c.PC+isa.Word)
-			}
-			kind := trace.KindIndirect
-			if in.Rs == isa.RegRA {
-				kind = trace.KindLink
-			}
-			c.fe.pend(kind, target, 0)
-			nextPC = target
-		}
-	case isa.OpF:
-		if err := c.execF(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(*in, c.PC), err)
-		}
-	case isa.OpJ, isa.OpJAL:
-		if in.Op == isa.OpJAL {
-			c.setReg(isa.RegRA, c.PC+isa.Word)
-		}
-		nextPC = uint32(int64(c.PC) + int64(in.Off26))
-		c.fe.pend(trace.KindBranch, c.PC, in.Off26)
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		if c.branchTaken(in) {
-			nextPC = uint32(int64(c.PC) + int64(in.Imm))
-			c.fe.pend(trace.KindBranch, c.PC, in.Imm)
-		}
-	case isa.OpADDI:
-		c.setReg(in.Rt, c.Regs[in.Rs]+uint32(in.Imm))
-	case isa.OpSLTI:
-		c.setReg(in.Rt, b2u(int32(c.Regs[in.Rs]) < in.Imm))
-	case isa.OpSLTIU:
-		c.setReg(in.Rt, b2u(c.Regs[in.Rs] < uint32(in.Imm)))
-	case isa.OpANDI:
-		c.setReg(in.Rt, c.Regs[in.Rs]&uint32(uint16(in.Imm)))
-	case isa.OpORI:
-		c.setReg(in.Rt, c.Regs[in.Rs]|uint32(uint16(in.Imm)))
-	case isa.OpXORI:
-		c.setReg(in.Rt, c.Regs[in.Rs]^uint32(uint16(in.Imm)))
-	case isa.OpLUI:
-		c.setReg(in.Rt, uint32(uint16(in.Imm))<<16)
-	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLBU, isa.OpLHU, isa.OpFLD,
-		isa.OpSB, isa.OpSH, isa.OpSW, isa.OpFSD:
-		if err := c.execMem(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, isa.Disassemble(*in, c.PC), err)
-		}
-	case isa.OpOUTB:
-		c.Console = append(c.Console, byte(c.Regs[in.Rs]))
-	case isa.OpHALT:
-		c.Halted = true
-	default:
-		return fmt.Errorf("sim: pc=0x%x: illegal opcode 0x%x", c.PC, in.Op)
-	}
-	c.Instrs++
-	if !c.Halted {
-		c.PC = nextPC
-	}
-	return nil
-}
-
-func (c *CPU) setReg(r uint8, v uint32) {
-	if r != isa.RegZero {
-		c.Regs[r] = v
-	}
+	_, err := c.steps(1)
+	return err
 }
 
 func b2u(b bool) uint32 {
@@ -174,135 +92,6 @@ func b2u(b bool) uint32 {
 		return 1
 	}
 	return 0
-}
-
-func (c *CPU) branchTaken(in *isa.Instr) bool {
-	a, b := c.Regs[in.Rs], c.Regs[in.Rt]
-	switch in.Op {
-	case isa.OpBEQ:
-		return a == b
-	case isa.OpBNE:
-		return a != b
-	case isa.OpBLT:
-		return int32(a) < int32(b)
-	case isa.OpBGE:
-		return int32(a) >= int32(b)
-	case isa.OpBLTU:
-		return a < b
-	case isa.OpBGEU:
-		return a >= b
-	}
-	return false
-}
-
-func (c *CPU) execR(in *isa.Instr) error {
-	rs, rt := c.Regs[in.Rs], c.Regs[in.Rt]
-	var v uint32
-	switch in.Funct {
-	case isa.FnSLL:
-		v = rt << in.Shamt
-	case isa.FnSRL:
-		v = rt >> in.Shamt
-	case isa.FnSRA:
-		v = uint32(int32(rt) >> in.Shamt)
-	case isa.FnSLLV:
-		v = rt << (rs & 31)
-	case isa.FnSRLV:
-		v = rt >> (rs & 31)
-	case isa.FnSRAV:
-		v = uint32(int32(rt) >> (rs & 31))
-	case isa.FnADD:
-		v = rs + rt
-	case isa.FnSUB:
-		v = rs - rt
-	case isa.FnAND:
-		v = rs & rt
-	case isa.FnOR:
-		v = rs | rt
-	case isa.FnXOR:
-		v = rs ^ rt
-	case isa.FnNOR:
-		v = ^(rs | rt)
-	case isa.FnSLT:
-		v = b2u(int32(rs) < int32(rt))
-	case isa.FnSLTU:
-		v = b2u(rs < rt)
-	case isa.FnMUL:
-		v = rs * rt
-	case isa.FnMULH:
-		v = uint32(uint64(int64(int32(rs))*int64(int32(rt))) >> 32)
-	case isa.FnMULHU:
-		v = uint32(uint64(rs) * uint64(rt) >> 32)
-	case isa.FnDIV:
-		if rt == 0 {
-			return fmt.Errorf("integer division by zero")
-		}
-		if int32(rs) == math.MinInt32 && int32(rt) == -1 {
-			v = rs
-		} else {
-			v = uint32(int32(rs) / int32(rt))
-		}
-	case isa.FnDIVU:
-		if rt == 0 {
-			return fmt.Errorf("integer division by zero")
-		}
-		v = rs / rt
-	case isa.FnREM:
-		if rt == 0 {
-			return fmt.Errorf("integer division by zero")
-		}
-		if int32(rs) == math.MinInt32 && int32(rt) == -1 {
-			v = 0
-		} else {
-			v = uint32(int32(rs) % int32(rt))
-		}
-	case isa.FnREMU:
-		if rt == 0 {
-			return fmt.Errorf("integer division by zero")
-		}
-		v = rs % rt
-	case isa.FnJR, isa.FnJALR:
-		return nil // handled by Step
-	default:
-		return fmt.Errorf("illegal funct 0x%x", in.Funct)
-	}
-	c.setReg(in.Rd, v)
-	return nil
-}
-
-func (c *CPU) execF(in *isa.Instr) error {
-	fs, ft := c.FRegs[in.Rs], c.FRegs[in.Rt]
-	switch in.Funct {
-	case isa.FnFADD:
-		c.FRegs[in.Rd] = fs + ft
-	case isa.FnFSUB:
-		c.FRegs[in.Rd] = fs - ft
-	case isa.FnFMUL:
-		c.FRegs[in.Rd] = fs * ft
-	case isa.FnFDIV:
-		c.FRegs[in.Rd] = fs / ft
-	case isa.FnFSQRT:
-		c.FRegs[in.Rd] = math.Sqrt(fs)
-	case isa.FnFABS:
-		c.FRegs[in.Rd] = math.Abs(fs)
-	case isa.FnFNEG:
-		c.FRegs[in.Rd] = -fs
-	case isa.FnFMOV:
-		c.FRegs[in.Rd] = fs
-	case isa.FnFCVTDW:
-		c.FRegs[in.Rd] = float64(int32(c.Regs[in.Rs]))
-	case isa.FnFCVTWD:
-		c.setReg(in.Rd, uint32(clampToInt32(fs)))
-	case isa.FnFCEQ:
-		c.setReg(in.Rd, b2u(fs == ft))
-	case isa.FnFCLT:
-		c.setReg(in.Rd, b2u(fs < ft))
-	case isa.FnFCLE:
-		c.setReg(in.Rd, b2u(fs <= ft))
-	default:
-		return fmt.Errorf("illegal float funct 0x%x", in.Funct)
-	}
-	return nil
 }
 
 func clampToInt32(f float64) int32 {
@@ -317,41 +106,359 @@ func clampToInt32(f float64) int32 {
 	return int32(f)
 }
 
-func (c *CPU) execMem(in *isa.Instr) error {
-	base := c.Regs[in.Rs]
-	addr := base + uint32(in.Imm)
-	size := uint8(in.MemBytes())
-	if addr%uint32(size) != 0 {
-		return fmt.Errorf("unaligned %d-byte access at 0x%x", size, addr)
+// trap wraps a fault of the instruction in at pc with its disassembly.
+func (c *CPU) trap(pc uint32, in *isa.Instr, err error) error {
+	return fmt.Errorf("sim: pc=0x%x %s: %w", pc, isa.Disassemble(*in, pc), err)
+}
+
+// steps is the FRVL interpreter, the only one: Step is steps(1). It
+// executes up to n instructions, stopping early at a halt or a trap, and
+// returns how many retired. Per instruction, all inline:
+//
+//   - The PC lives in a local and the retired count in i. Both are written
+//     back at every exit, so a trap leaves the PC at the faulting
+//     instruction and the counters of the instructions before it.
+//   - A new fetch packet counts a cycle. A packet that control fell through
+//     to extends the open run: the stager hands a block over only when its
+//     next slot is asked for, so the run's slot is still the front's to
+//     write. Any other packet, and a fall-through after a full run of
+//     MaxRun+1 packets, goes out of line to stage a run of its own. An open
+//     run implies fetchOn, since only stage opens one.
+//   - The instruction is read in place from the shared table: a 16-byte
+//     isa.Instr copied by value costs a store, then loads that wait on
+//     store forwarding, the stall IController.OnFetchBatch describes. A PC
+//     outside the table or in one of its gaps (gapOp) decodes from memory.
+//   - Each load and store is its own case, so its size is a constant.
+//   - A write to r0 is undone after the instruction instead of being
+//     tested for.
+func (c *CPU) steps(n uint64) (uint64, error) {
+	if c.Halted || n == 0 {
+		return 0, nil
 	}
-	store := in.IsStore()
-	if store && c.fe.inText(addr) {
-		return fmt.Errorf("store into text at 0x%x (self-modifying code is not supported)", addr)
+	f := &c.fe
+	if !f.ready {
+		if err := f.gate(c.PC, c.PacketBytes, isa.PacketBytes); err != nil {
+			return 0, err
+		}
 	}
-	c.fe.data(addr, base, in.Imm, store, size)
-	switch in.Op {
-	case isa.OpLB:
-		c.setReg(in.Rt, uint32(int32(int8(c.Mem.LoadByte(addr)))))
-	case isa.OpLBU:
-		c.setReg(in.Rt, uint32(c.Mem.LoadByte(addr)))
-	case isa.OpLH:
-		c.setReg(in.Rt, uint32(int32(int16(c.Mem.ReadHalf(addr)))))
-	case isa.OpLHU:
-		c.setReg(in.Rt, uint32(c.Mem.ReadHalf(addr)))
-	case isa.OpLW:
-		c.setReg(in.Rt, c.Mem.ReadWord(addr))
-	case isa.OpFLD:
-		c.FRegs[in.Rt] = math.Float64frombits(c.Mem.ReadDouble(addr))
-	case isa.OpSB:
-		c.Mem.StoreByte(addr, byte(c.Regs[in.Rt]))
-	case isa.OpSH:
-		c.Mem.WriteHalf(addr, uint16(c.Regs[in.Rt]))
-	case isa.OpSW:
-		c.Mem.WriteWord(addr, c.Regs[in.Rt])
-	case isa.OpFSD:
-		c.Mem.WriteDouble(addr, math.Float64bits(c.FRegs[in.Rt]))
+	r, fr, m := &c.Regs, &c.FRegs, c.Mem
+	instrs, base := f.text.instrs, f.text.base
+	pc := c.PC
+	var i uint64
+	var err error
+loop:
+	for ; i < n; i++ {
+		if pc%word != 0 {
+			err = f.gate(pc, c.PacketBytes, isa.PacketBytes)
+			break
+		}
+		if packet := pc &^ (f.pb - 1); packet != f.cur {
+			c.Cycles++
+			if run := f.run; run != nil && !f.pendValid && packet == f.cur+f.pb && run.Run < trace.MaxRun {
+				run.Run++
+			} else if f.fetchOn {
+				f.stage(packet, f.cur)
+			}
+			f.cur = packet
+		}
+		f.pendValid = false
+		var in *isa.Instr
+		if k := (pc - base) / word; k < uint32(len(instrs)) {
+			in = &instrs[k]
+		} else {
+			in = f.decodeMem(pc, m, isa.Decode)
+		}
+		next := pc + isa.Word
+	dispatch:
+		switch in.Op {
+		case isa.OpR:
+			rs, rt := r[in.Rs], r[in.Rt]
+			switch in.Funct {
+			case isa.FnSLL:
+				r[in.Rd] = rt << in.Shamt
+			case isa.FnSRL:
+				r[in.Rd] = rt >> in.Shamt
+			case isa.FnSRA:
+				r[in.Rd] = uint32(int32(rt) >> in.Shamt)
+			case isa.FnSLLV:
+				r[in.Rd] = rt << (rs & 31)
+			case isa.FnSRLV:
+				r[in.Rd] = rt >> (rs & 31)
+			case isa.FnSRAV:
+				r[in.Rd] = uint32(int32(rt) >> (rs & 31))
+			case isa.FnADD:
+				r[in.Rd] = rs + rt
+			case isa.FnSUB:
+				r[in.Rd] = rs - rt
+			case isa.FnAND:
+				r[in.Rd] = rs & rt
+			case isa.FnOR:
+				r[in.Rd] = rs | rt
+			case isa.FnXOR:
+				r[in.Rd] = rs ^ rt
+			case isa.FnNOR:
+				r[in.Rd] = ^(rs | rt)
+			case isa.FnSLT:
+				r[in.Rd] = b2u(int32(rs) < int32(rt))
+			case isa.FnSLTU:
+				r[in.Rd] = b2u(rs < rt)
+			case isa.FnMUL:
+				r[in.Rd] = rs * rt
+			case isa.FnMULH:
+				r[in.Rd] = uint32(uint64(int64(int32(rs))*int64(int32(rt))) >> 32)
+			case isa.FnMULHU:
+				r[in.Rd] = uint32(uint64(rs) * uint64(rt) >> 32)
+			case isa.FnDIV, isa.FnDIVU, isa.FnREM, isa.FnREMU:
+				if rt == 0 {
+					err = c.trap(pc, in, fmt.Errorf("integer division by zero"))
+					break loop
+				}
+				r[in.Rd] = divide(in.Funct, rs, rt)
+			case isa.FnJR, isa.FnJALR:
+				if in.Funct == isa.FnJALR {
+					r[in.Rd] = pc + isa.Word
+				}
+				kind := trace.KindIndirect
+				if in.Rs == isa.RegRA {
+					kind = trace.KindLink
+				}
+				f.pend(kind, rs, 0)
+				next = rs
+			default:
+				err = c.trap(pc, in, fmt.Errorf("illegal funct 0x%x", in.Funct))
+				break loop
+			}
+		case isa.OpF:
+			fs, ft := fr[in.Rs], fr[in.Rt]
+			switch in.Funct {
+			case isa.FnFADD:
+				fr[in.Rd] = fs + ft
+			case isa.FnFSUB:
+				fr[in.Rd] = fs - ft
+			case isa.FnFMUL:
+				fr[in.Rd] = fs * ft
+			case isa.FnFDIV:
+				fr[in.Rd] = fs / ft
+			case isa.FnFSQRT:
+				fr[in.Rd] = math.Sqrt(fs)
+			case isa.FnFABS:
+				fr[in.Rd] = math.Abs(fs)
+			case isa.FnFNEG:
+				fr[in.Rd] = -fs
+			case isa.FnFMOV:
+				fr[in.Rd] = fs
+			case isa.FnFCVTDW:
+				fr[in.Rd] = float64(int32(r[in.Rs]))
+			case isa.FnFCVTWD:
+				r[in.Rd] = uint32(clampToInt32(fs))
+			case isa.FnFCEQ:
+				r[in.Rd] = b2u(fs == ft)
+			case isa.FnFCLT:
+				r[in.Rd] = b2u(fs < ft)
+			case isa.FnFCLE:
+				r[in.Rd] = b2u(fs <= ft)
+			default:
+				err = c.trap(pc, in, fmt.Errorf("illegal float funct 0x%x", in.Funct))
+				break loop
+			}
+		case isa.OpJ:
+			next = f.branch(pc, in.Off26)
+		case isa.OpJAL:
+			r[isa.RegRA] = pc + isa.Word
+			next = f.branch(pc, in.Off26)
+		case isa.OpBEQ:
+			if r[in.Rs] == r[in.Rt] {
+				next = f.branch(pc, in.Imm)
+			}
+		case isa.OpBNE:
+			if r[in.Rs] != r[in.Rt] {
+				next = f.branch(pc, in.Imm)
+			}
+		case isa.OpBLT:
+			if int32(r[in.Rs]) < int32(r[in.Rt]) {
+				next = f.branch(pc, in.Imm)
+			}
+		case isa.OpBGE:
+			if int32(r[in.Rs]) >= int32(r[in.Rt]) {
+				next = f.branch(pc, in.Imm)
+			}
+		case isa.OpBLTU:
+			if r[in.Rs] < r[in.Rt] {
+				next = f.branch(pc, in.Imm)
+			}
+		case isa.OpBGEU:
+			if r[in.Rs] >= r[in.Rt] {
+				next = f.branch(pc, in.Imm)
+			}
+		case isa.OpADDI:
+			r[in.Rt] = r[in.Rs] + uint32(in.Imm)
+		case isa.OpSLTI:
+			r[in.Rt] = b2u(int32(r[in.Rs]) < in.Imm)
+		case isa.OpSLTIU:
+			r[in.Rt] = b2u(r[in.Rs] < uint32(in.Imm))
+		case isa.OpANDI:
+			r[in.Rt] = r[in.Rs] & uint32(uint16(in.Imm))
+		case isa.OpORI:
+			r[in.Rt] = r[in.Rs] | uint32(uint16(in.Imm))
+		case isa.OpXORI:
+			r[in.Rt] = r[in.Rs] ^ uint32(uint16(in.Imm))
+		case isa.OpLUI:
+			r[in.Rt] = uint32(uint16(in.Imm)) << 16
+		case isa.OpLB:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 1}
+			}
+			r[in.Rt] = uint32(int32(int8(m.LoadByte(addr))))
+		case isa.OpLBU:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 1}
+			}
+			r[in.Rt] = uint32(m.LoadByte(addr))
+		case isa.OpLH:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if addr%2 != 0 {
+				err = c.trap(pc, in, unaligned(2, addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 2}
+			}
+			r[in.Rt] = uint32(int32(int16(m.ReadHalf(addr))))
+		case isa.OpLHU:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if addr%2 != 0 {
+				err = c.trap(pc, in, unaligned(2, addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 2}
+			}
+			r[in.Rt] = uint32(m.ReadHalf(addr))
+		case isa.OpLW:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if addr%4 != 0 {
+				err = c.trap(pc, in, unaligned(4, addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 4}
+			}
+			r[in.Rt] = m.ReadWord(addr)
+		case isa.OpFLD:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if addr%8 != 0 {
+				err = c.trap(pc, in, unaligned(8, addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 8}
+			}
+			fr[in.Rt] = math.Float64frombits(m.ReadDouble(addr))
+		case isa.OpSB:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if f.inText(addr, 1) {
+				err = c.trap(pc, in, storeIntoText(addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Store: true, Size: 1}
+			}
+			m.StoreByte(addr, byte(r[in.Rt]))
+		case isa.OpSH:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if addr%2 != 0 {
+				err = c.trap(pc, in, unaligned(2, addr))
+				break loop
+			}
+			if f.inText(addr, 2) {
+				err = c.trap(pc, in, storeIntoText(addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Store: true, Size: 2}
+			}
+			m.WriteHalf(addr, uint16(r[in.Rt]))
+		case isa.OpSW:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if addr%4 != 0 {
+				err = c.trap(pc, in, unaligned(4, addr))
+				break loop
+			}
+			if f.inText(addr, 4) {
+				err = c.trap(pc, in, storeIntoText(addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Store: true, Size: 4}
+			}
+			m.WriteWord(addr, r[in.Rt])
+		case isa.OpFSD:
+			b := r[in.Rs]
+			addr := b + uint32(in.Imm)
+			if addr%8 != 0 {
+				err = c.trap(pc, in, unaligned(8, addr))
+				break loop
+			}
+			if f.inText(addr, 8) {
+				err = c.trap(pc, in, storeIntoText(addr))
+				break loop
+			}
+			if f.dataOn {
+				*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Store: true, Size: 8}
+			}
+			m.WriteDouble(addr, math.Float64bits(fr[in.Rt]))
+		case isa.OpOUTB:
+			c.Console = append(c.Console, byte(r[in.Rs]))
+		case isa.OpHALT:
+			c.Halted = true
+			i++
+			break loop
+		default:
+			if in.Op == gapOp {
+				in = f.decodeMem(pc, m, isa.Decode)
+				goto dispatch
+			}
+			err = fmt.Errorf("sim: pc=0x%x: illegal opcode 0x%x", pc, in.Op)
+			break loop
+		}
+		r[isa.RegZero] = 0
+		pc = next
 	}
-	return nil
+	c.PC = pc
+	c.Instrs += i
+	return i, err
+}
+
+// divide is the quotient or remainder funct of rs by a nonzero rt; the
+// signed overflow case wraps.
+func divide(funct uint8, rs, rt uint32) uint32 {
+	overflow := int32(rs) == math.MinInt32 && int32(rt) == -1
+	switch funct {
+	case isa.FnDIV:
+		if overflow {
+			return rs
+		}
+		return uint32(int32(rs) / int32(rt))
+	case isa.FnDIVU:
+		return rs / rt
+	case isa.FnREM:
+		if overflow {
+			return 0
+		}
+		return uint32(int32(rs) % int32(rt))
+	}
+	return rs % rt
 }
 
 // Run executes until halt or until maxInstrs instructions have retired
@@ -364,18 +471,6 @@ func (c *CPU) Run(maxInstrs uint64) error {
 // RunContext is Run with cancellation, checked between instruction chunks.
 func (c *CPU) RunContext(ctx context.Context, maxInstrs uint64) error {
 	return runCore(ctx, c, maxInstrs)
-}
-
-func (c *CPU) steps(n uint64) (uint64, error) {
-	for i := uint64(0); i < n; i++ {
-		if err := c.Step(); err != nil {
-			return i, err
-		}
-		if c.Halted {
-			return i + 1, nil
-		}
-	}
-	return n, nil
 }
 
 func (c *CPU) halted() bool { return c.Halted }

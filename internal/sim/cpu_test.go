@@ -433,7 +433,8 @@ loop:	add  r1, r1, r2
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	d1, d2 := predecode(p, "frvl", isa.Decode), predecode(p, "frvl", isa.Decode)
+	gap := isa.Instr{Op: gapOp}
+	d1, d2 := predecode(p, "frvl", isa.Decode, gap), predecode(p, "frvl", isa.Decode, gap)
 	if d1 != d2 {
 		t.Fatal("predecode returned distinct tables for the same program")
 	}

@@ -25,10 +25,11 @@ func CheckPacketBytes(pb uint32) error {
 	return nil
 }
 
-// front is the per-instruction front end both cores share: it holds the
-// predecoded text, tracks the fetch packet, and writes each fetch and data
-// event straight into the attached stager's current block. I is the ISA's
-// decoded instruction.
+// front is the state both cores' interpreter loops share: the predecoded
+// text, the fetch packet and the attached stager, into whose current block
+// the loops write each fetch and data event in place. The loops do the
+// per-instruction work inline; front keeps what runs once per run, per
+// fetch run or per trap out of line. I is the ISA's decoded instruction.
 type front[I any] struct {
 	st              *trace.Stager
 	fetchOn, dataOn bool // the streams st consumes; no event is built for the other
@@ -56,8 +57,8 @@ func (f *front[I]) attach(st *trace.Stager) {
 	f.fetchOn, f.dataOn = st.Streams()
 }
 
-// gate runs before every instruction whose PC is unaligned or that is the
-// core's first: it validates the packet size once, then the PC.
+// gate runs before a core's first instruction and at an unaligned PC: it
+// validates the packet size once, then the PC.
 func (f *front[I]) gate(pc, packetBytes, defaultPB uint32) error {
 	if !f.ready {
 		if err := CheckPacketBytes(packetBytes); err != nil {
@@ -77,22 +78,8 @@ func (f *front[I]) gate(pc, packetBytes, defaultPB uint32) error {
 	return nil
 }
 
-// at returns the predecoded instruction at pc, read in place, or nil
-// outside the table (the caller then calls decodeMem). In place is the
-// point: a 16-byte instruction returned by value costs a round trip
-// through the stack on every instruction — a store of the copy, then loads
-// of its fields that wait on store forwarding, the stall
-// IController.OnFetchBatch describes — which profiled at a fifth of the
-// live suite. at inlines, so a table hit costs one bounds check.
-func (f *front[I]) at(pc uint32) *I {
-	if i := (pc - f.text.base) / word; i < uint32(len(f.text.instrs)) {
-		return &f.text.instrs[i]
-	}
-	return nil
-}
-
 // decodeMem decodes the word at pc from memory, for a pc outside the text
-// table. The result lives until the next call.
+// table or in one of its gaps. The result lives until the next call.
 func (f *front[I]) decodeMem(pc uint32, m *mem.Memory, dec func(uint32) I) *I {
 	f.spill = dec(m.ReadWord(pc))
 	return &f.spill
@@ -101,37 +88,6 @@ func (f *front[I]) decodeMem(pc uint32, m *mem.Memory, dec func(uint32) I) *I {
 // noPacket is the current packet before the first fetch: packets are at
 // least 4-byte aligned, so it never equals one.
 const noPacket = 1
-
-// fetch starts the instruction at pc. Inside the current packet it only
-// consumes any pending control kind; a new packet goes out of line.
-func (f *front[I]) fetch(pc uint32, cycles *uint64) {
-	if pc&^(f.pb-1) != f.cur {
-		f.newPacket(pc, cycles)
-		return
-	}
-	f.pendValid = false
-}
-
-// newPacket counts a cycle and stages a fetch event for pc's packet,
-// classified by how control arrived. A packet that control fell through to
-// extends the open run: the stager hands a block over only when its next
-// slot is asked for, so the run's slot is still the front's to write. A
-// run of MaxRun+1 packets is full, and the next fall-through starts a
-// run of its own as a KindSeq packet. The first fetch reports packet 0 as
-// its predecessor.
-func (f *front[I]) newPacket(pc uint32, cycles *uint64) {
-	*cycles++
-	packet, prev := pc&^(f.pb-1), f.cur
-	if f.fetchOn {
-		if r := f.run; r != nil && !f.pendValid && packet == prev+f.pb && r.Run < trace.MaxRun {
-			r.Run++
-		} else {
-			f.stage(packet, prev)
-		}
-	}
-	f.pendValid = false
-	f.cur = packet
-}
 
 // stage takes the next fetch slot for a run that starts at packet.
 func (f *front[I]) stage(packet, prev uint32) {
@@ -155,39 +111,59 @@ func (f *front[I]) pend(kind trace.ControlKind, base uint32, disp int32) {
 	f.pendKind, f.pendBase, f.pendDisp, f.pendValid = kind, base, disp, true
 }
 
-// data stages one data event.
-func (f *front[I]) data(addr, base uint32, disp int32, store bool, size uint8) {
-	if f.dataOn {
-		ev := f.st.NextData()
-		ev.Addr, ev.Base, ev.Disp, ev.Store, ev.Size = addr, base, disp, store, size
-	}
+// branch pends a taken PC-relative branch or jump at pc and returns its
+// target.
+func (f *front[I]) branch(pc uint32, disp int32) uint32 {
+	f.pend(trace.KindBranch, pc, disp)
+	return pc + uint32(disp)
 }
 
-// inText reports whether addr lies in the program's text, which stores may
-// not modify.
-func (f *front[I]) inText(addr uint32) bool {
+// inText reports whether any byte of the size-byte store at addr lies in
+// the program's text, which stores may not modify. Accesses are aligned, so
+// addr+size-1 does not wrap.
+func (f *front[I]) inText(addr, size uint32) bool {
+	last := addr + size - 1
 	for _, r := range f.text.ranges {
-		if addr >= r[0] && addr < r[1] {
+		if addr < r[1] && last >= r[0] {
 			return true
 		}
 	}
 	return false
 }
 
+// unaligned is the fault of a size-byte access at a misaligned addr.
+func unaligned(size, addr uint32) error {
+	return fmt.Errorf("unaligned %d-byte access at 0x%x", size, addr)
+}
+
+// storeIntoText is the fault of a store that overlaps the text at addr.
+func storeIntoText(addr uint32) error {
+	return fmt.Errorf("store into text at 0x%x (self-modifying code is not supported)", addr)
+}
+
 // load copies the program image into m and attaches the program's shared
 // predecoded text, decoded with dec under the ISA's name.
-func (f *front[I]) load(p *asm.Program, m *mem.Memory, isa string, dec func(uint32) I) {
+func (f *front[I]) load(p *asm.Program, m *mem.Memory, isa string, dec func(uint32) I, gap I) {
 	for _, seg := range p.Segments {
 		m.LoadImage(seg.Addr, seg.Data)
 	}
-	f.text = *predecode(p, isa, dec)
+	f.text = *predecode(p, isa, dec, gap)
 }
 
+// gapOp is the opcode of a table slot between text ranges, such as a .word
+// among the instructions. No word decodes to it on either ISA (FRVL opcodes
+// have 6 bits, RV32 ones 7), so it costs the interpreter no compare on the
+// hot path: its opcode switch reaches gapOp only in its default case, which
+// decodes the slot's word from memory. Stores may write a gap, so a decode
+// taken before the run would be stale.
+const gapOp = 0xFF
+
 // table is the immutable decode of a program's text: a PC-indexed
-// instruction table over the span of all text ranges. Programs cannot
-// modify their text (stores into it are rejected), so one table is shared
-// read-only by every core running the program: the text is decoded once
-// per process, not once per run or per dynamic instruction.
+// instruction table over the span of all text ranges, with gap in the
+// slots that no range covers. Programs cannot modify their text (stores
+// into it are rejected), so one table is shared read-only by every core
+// running the program: the text is decoded once per process, not once per
+// run or per dynamic instruction.
 type table[I any] struct {
 	base   uint32
 	instrs []I
@@ -205,17 +181,18 @@ type tableKey struct {
 
 // predecode returns the program's shared instruction table, decoding its
 // text with dec on first use.
-func predecode[I any](p *asm.Program, isa string, dec func(uint32) I) *table[I] {
+func predecode[I any](p *asm.Program, isa string, dec func(uint32) I, gap I) *table[I] {
 	k := tableKey{p, isa}
 	if v, ok := tables.Load(k); ok {
 		return v.(*table[I])
 	}
-	v, _ := tables.LoadOrStore(k, buildTable(p, dec))
+	v, _ := tables.LoadOrStore(k, buildTable(p, dec, gap))
 	return v.(*table[I])
 }
 
-// buildTable decodes the contiguous span covering all text ranges.
-func buildTable[I any](p *asm.Program, dec func(uint32) I) *table[I] {
+// buildTable decodes the contiguous span covering all text ranges, and
+// fills the slots between ranges with gap.
+func buildTable[I any](p *asm.Program, dec func(uint32) I, gap I) *table[I] {
 	t := &table[I]{ranges: p.TextRanges}
 	if len(p.TextRanges) == 0 {
 		return t
@@ -233,8 +210,13 @@ func buildTable[I any](p *asm.Program, dec func(uint32) I) *table[I] {
 	}
 	t.base = lo
 	t.instrs = make([]I, (hi-lo)/word)
-	for a := lo; a < hi; a += word {
-		t.instrs[(a-lo)/word] = dec(m.ReadWord(a))
+	for i := range t.instrs {
+		t.instrs[i] = gap
+	}
+	for _, r := range p.TextRanges {
+		for k := (r[0] - lo + word - 1) / word; k < uint32(len(t.instrs)) && lo+k*word < r[1]; k++ {
+			t.instrs[k] = dec(m.ReadWord(lo + k*word))
+		}
 	}
 	return t
 }

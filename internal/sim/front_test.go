@@ -31,6 +31,8 @@ type isaCase struct {
 	// threeInstrs is a program of exactly three instructions, the last of
 	// which halts.
 	threeInstrs string
+	// reference wraps a core of this ISA as its reference core.
+	reference func(testCore) refCore
 }
 
 var isaCases = []isaCase{
@@ -41,7 +43,8 @@ var isaCases = []isaCase{
 			c.PacketBytes = pb
 			return c
 		},
-		assemble: asm.Assemble,
+		assemble:  asm.Assemble,
+		reference: func(c testCore) refCore { return refCPU{c.(*CPU)} },
 		threeInstrs: `
 	.org 0x10000
 main:	addi r1, r0, 1
@@ -56,7 +59,8 @@ main:	addi r1, r0, 1
 			c.PacketBytes = pb
 			return c
 		},
-		assemble: asm.AssembleRV32,
+		assemble:  asm.AssembleRV32,
+		reference: func(c testCore) refCore { return refRV32{c.(*RV32CPU)} },
 		threeInstrs: `
 	.org 0x10000
 _start:	addi a0, zero, 1
@@ -186,12 +190,62 @@ buf:	.word 1, 2, 3
 `},
 }
 
+// fuzzProgram places FuzzSimulate's text at fuzzTextBase, or one word
+// past it when bit 0 of layout is set, so that an 8-byte store at
+// fuzzTextBase straddles the text's start. layout>>1, when nonzero and
+// inside the text, is the index of a word left out of the text ranges: a
+// gap, which stores may write.
+func fuzzProgram(text []byte, layout uint8) *asm.Program {
+	start := uint32(fuzzTextBase) + uint32(layout&1)*word
+	end := start + uint32(len(text))
+	ranges := [][2]uint32{{start, end}}
+	if g := uint32(layout >> 1); g != 0 && g*word < uint32(len(text)) {
+		gap := start + g*word
+		ranges = [][2]uint32{{start, gap}}
+		if gap+word < end {
+			ranges = append(ranges, [2]uint32{gap + word, end})
+		}
+	}
+	return &asm.Program{
+		Entry:      start,
+		Segments:   []asm.Segment{{Addr: start, Data: text}},
+		TextRanges: ranges,
+	}
+}
+
+// fuzzLayout returns the text and layout under which fuzzProgram places
+// an assembled program as it was assembled, or false if it cannot.
+func fuzzLayout(p *asm.Program) ([]byte, uint8, bool) {
+	if len(p.Segments) != 1 {
+		return nil, 0, false
+	}
+	seg := p.Segments[0]
+	var layout uint8
+	switch seg.Addr {
+	case fuzzTextBase:
+	case fuzzTextBase + word:
+		layout = 1
+	default:
+		return nil, 0, false
+	}
+	if r := p.TextRanges; len(r) == 2 && r[0][0] == seg.Addr && r[1][0] == r[0][1]+word {
+		g := (r[0][1] - seg.Addr) / word
+		if g >= 128 {
+			return nil, 0, false
+		}
+		layout |= uint8(g) << 1
+	}
+	return seg.Data, layout, true
+}
+
 // FuzzSimulate runs arbitrary 32-bit words as a text segment on each ISA
-// under a small budget. Nothing may panic, and stepping with Step until a
-// halt, an error or the budget — then flushing — must leave the same
-// captured events (the WMTRACE4 bytes, so both streams), the same
-// architectural state and counters, and the same error as RunContext. The
-// fetch runs hold one packet per cycle.
+// under a small budget, with the text's start and one gap word placed by
+// layout (fuzzProgram). Nothing may panic, and both RunContext and
+// stepping with Step until a halt, an error or the budget — then flushing —
+// must leave the reference core's captured events (the WMTRACE4 bytes, so
+// both streams), architectural state and counters, and error. The fetch
+// runs hold one packet per cycle. The seeds are small programs of each
+// ISA, every trap program, the straddling store and the gap programs.
 func FuzzSimulate(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		p, err := isaCases[s.isa].assemble(s.src)
@@ -200,13 +254,24 @@ func FuzzSimulate(f *testing.F) {
 		}
 		for _, seg := range p.Segments {
 			if seg.Addr == fuzzTextBase {
-				f.Add(seg.Data, uint8(0))
-				f.Add(seg.Data, uint8(2))
+				f.Add(seg.Data, uint8(0), uint8(0))
+				f.Add(seg.Data, uint8(2), uint8(0))
 			}
 		}
 	}
-	f.Add([]byte{0, 0, 0, 0}, uint8(1))
-	f.Fuzz(func(t *testing.T, text []byte, packetLog uint8) {
+	for _, tp := range trapPrograms {
+		p, err := isaCases[tp.isa].assemble(tp.src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		text, layout, ok := fuzzLayout(p)
+		if !ok {
+			f.Fatalf("%s: cannot place %q as a fuzz input", isaCases[tp.isa].name, tp.name)
+		}
+		f.Add(text, uint8(0), layout)
+	}
+	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, text []byte, packetLog, layout uint8) {
 		text = text[:len(text)&^3]
 		if len(text) == 0 || len(text) > 4096 {
 			return
@@ -216,57 +281,53 @@ func FuzzSimulate(f *testing.F) {
 		if packetLog%4 != 0 {
 			pb = 2 << (packetLog % 4) // 4, 8 or 16 bytes
 		}
+		ctx := context.Background()
 		for _, ic := range isaCases {
-			p := &asm.Program{
-				Entry:      fuzzTextBase,
-				Segments:   []asm.Segment{{Addr: fuzzTextBase, Data: text}},
-				TextRanges: [][2]uint32{{fuzzTextBase, fuzzTextBase + uint32(len(text))}},
-			}
-			var bufRun, bufStep trace.Buffer
-			stRun, stStep := trace.NewCapture(&bufRun), trace.NewCapture(&bufStep)
-
+			p := fuzzProgram(text, layout)
+			ref := ic.newCore(pb)
+			refCap, refErr := captured(t, ref, p, func() error {
+				return runCore(ctx, ic.reference(ref), budget)
+			})
 			ran := ic.newCore(pb)
-			ran.Attach(stRun)
-			ran.LoadProgram(p, stackTop)
-			errRun := ran.RunContext(context.Background(), budget)
-			stRun.Flush()
-
+			runCap, runErr := captured(t, ran, p, func() error { return ran.RunContext(ctx, budget) })
 			stepped := ic.newCore(pb)
-			stepped.Attach(stStep)
-			stepped.LoadProgram(p, stackTop)
-			var errStep error
-			for n := 0; !stepped.halted(); n++ {
-				if n == budget {
-					errStep = fmt.Errorf("sim: instruction budget %d exhausted at pc=0x%x", budget, stepped.pc())
-					break
+			stepCap, stepErr := captured(t, stepped, p, func() error {
+				for n := 0; !stepped.halted(); n++ {
+					if n == budget {
+						return fmt.Errorf("sim: instruction budget %d exhausted at pc=0x%x", budget, stepped.pc())
+					}
+					if err := stepped.Step(); err != nil {
+						return err
+					}
 				}
-				if errStep = stepped.Step(); errStep != nil {
-					break
-				}
-			}
-			stStep.Flush()
+				return nil
+			})
 			tables.Delete(tableKey{p, ic.name})
 
-			if fmt.Sprint(errRun) != fmt.Sprint(errStep) {
-				t.Fatalf("%s: RunContext err %v, Step err %v", ic.name, errRun, errStep)
-			}
-			if a, b := snapshot(ran), snapshot(stepped); a != b {
-				t.Fatalf("%s: state diverged:\nRunContext %s\nStep       %s", ic.name, a, b)
-			}
-			var wRun, wStep bytes.Buffer
-			if _, err := bufRun.WriteTo(&wRun); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := bufStep.WriteTo(&wStep); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wRun.Bytes(), wStep.Bytes()) {
-				t.Fatalf("%s: captures diverged: %d vs %d events", ic.name, bufRun.Len(), bufStep.Len())
+			for _, got := range []struct {
+				how     string
+				c       testCore
+				capture []byte
+				err     error
+			}{{"RunContext", ran, runCap, runErr}, {"Step", stepped, stepCap, stepErr}} {
+				if fmt.Sprint(got.err) != fmt.Sprint(refErr) {
+					t.Fatalf("%s: %s err %v, reference err %v", ic.name, got.how, got.err, refErr)
+				}
+				if a, b := snapshot(got.c), snapshot(ref); a != b {
+					t.Fatalf("%s: state diverged:\n%-10s %s\nreference  %s", ic.name, got.how, a, b)
+				}
+				if !bytes.Equal(got.capture, refCap) {
+					t.Fatalf("%s: %s capture diverged from the reference", ic.name, got.how)
+				}
 			}
 			// One packet per cycle, every packet's prev the packet before it.
-			pkts := packets(bufRun.Fetches())
+			buf, err := trace.ReadBuffer(bytes.NewReader(runCap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts := packets(buf.Fetches())
 			if uint64(len(pkts)) != cycles(ran) {
-				t.Fatalf("%s: %d fetch packets in %d runs for %d cycles", ic.name, len(pkts), bufRun.NumFetches(), cycles(ran))
+				t.Fatalf("%s: %d fetch packets in %d runs for %d cycles", ic.name, len(pkts), buf.NumFetches(), cycles(ran))
 			}
 			for i := 1; i < len(pkts); i++ {
 				if pkts[i].Prev != pkts[i-1].Addr || pkts[i].First {
@@ -284,6 +345,17 @@ func cycles(c testCore) uint64 {
 		return c.Cycles
 	case *RV32CPU:
 		return c.Cycles
+	}
+	panic("unknown core")
+}
+
+// instrs returns a core's retired-instruction counter.
+func instrs(c testCore) uint64 {
+	switch c := c.(type) {
+	case *CPU:
+		return c.Instrs
+	case *RV32CPU:
+		return c.Instrs
 	}
 	panic("unknown core")
 }

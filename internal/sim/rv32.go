@@ -66,7 +66,7 @@ func (c *RV32CPU) LoadProgram(p *asm.Program, sp uint32) {
 	if c.Mem == nil {
 		c.Mem = mem.New()
 	}
-	c.fe.load(p, c.Mem, "rv32", decodeRV32)
+	c.fe.load(p, c.Mem, "rv32", decodeRV32, rv32.Instr{Op: gapOp})
 	c.PC = p.Entry
 	c.Regs[rv32.RegSP] = sp
 }
@@ -86,225 +86,307 @@ func (c *RV32CPU) AsCPU() *CPU {
 	}
 }
 
-func (c *RV32CPU) setReg(r uint8, v uint32) {
-	if r != rv32.RegZero {
-		c.Regs[r] = v
-	}
-}
-
 // Step executes one instruction.
 func (c *RV32CPU) Step() error {
-	if c.Halted {
-		return nil
-	}
-	if c.PC%word != 0 || !c.fe.ready {
-		if err := c.fe.gate(c.PC, c.PacketBytes, rv32.PacketBytes); err != nil {
-			return err
-		}
-	}
-	c.fe.fetch(c.PC, &c.Cycles)
-	in := c.fe.at(c.PC)
-	if in == nil {
-		in = c.fe.decodeMem(c.PC, c.Mem, decodeRV32)
-	}
-	nextPC := c.PC + rv32.Word
-	switch in.Op {
-	case rv32.OpLUI:
-		c.setReg(in.Rd, uint32(in.Imm))
-	case rv32.OpAUIPC:
-		c.setReg(in.Rd, c.PC+uint32(in.Imm))
-	case rv32.OpJAL:
-		c.setReg(in.Rd, c.PC+rv32.Word)
-		nextPC = c.PC + uint32(in.Imm)
-		c.fe.pend(trace.KindBranch, c.PC, in.Imm)
-	case rv32.OpJALR:
-		// Target before link write: rd may alias rs1.
-		target := (c.Regs[in.Rs1] + uint32(in.Imm)) &^ 1
-		c.setReg(in.Rd, c.PC+rv32.Word)
-		kind := trace.KindIndirect
-		if in.Rs1 == rv32.RegRA {
-			kind = trace.KindLink
-		}
-		c.fe.pend(kind, target, 0)
-		nextPC = target
-	case rv32.OpBranch:
-		if c.branchTaken(in) {
-			nextPC = c.PC + uint32(in.Imm)
-			c.fe.pend(trace.KindBranch, c.PC, in.Imm)
-		}
-	case rv32.OpLoad, rv32.OpStore:
-		if err := c.execMem(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x %s: %w", c.PC, rv32.Disassemble(*in, c.PC), err)
-		}
-	case rv32.OpOpImm:
-		c.setReg(in.Rd, c.aluImm(in))
-	case rv32.OpOp:
-		c.setReg(in.Rd, c.alu(in))
-	case rv32.OpSystem:
-		if err := c.execSystem(in); err != nil {
-			return fmt.Errorf("sim: pc=0x%x: %w", c.PC, err)
-		}
-	case 0:
-		return fmt.Errorf("sim: pc=0x%x: illegal instruction 0x%08x", c.PC, c.Mem.ReadWord(c.PC))
-	default:
-		return fmt.Errorf("sim: pc=0x%x: illegal opcode 0x%x", c.PC, in.Op)
-	}
-	c.Instrs++
-	if !c.Halted {
-		c.PC = nextPC
-	}
-	return nil
+	_, err := c.steps(1)
+	return err
 }
 
-func (c *RV32CPU) branchTaken(in *rv32.Instr) bool {
-	a, b := c.Regs[in.Rs1], c.Regs[in.Rs2]
-	switch in.F3 {
-	case rv32.F3BEQ:
-		return a == b
-	case rv32.F3BNE:
-		return a != b
-	case rv32.F3BLT:
-		return int32(a) < int32(b)
-	case rv32.F3BGE:
-		return int32(a) >= int32(b)
-	case rv32.F3BLTU:
-		return a < b
-	case rv32.F3BGEU:
-		return a >= b
-	}
-	return false
+// trap wraps a fault of the instruction in at pc with its disassembly.
+func (c *RV32CPU) trap(pc uint32, in *rv32.Instr, err error) error {
+	return fmt.Errorf("sim: pc=0x%x %s: %w", pc, rv32.Disassemble(*in, pc), err)
 }
 
-func (c *RV32CPU) aluImm(in *rv32.Instr) uint32 {
-	rs1 := c.Regs[in.Rs1]
-	switch in.F3 {
-	case rv32.F3ADD:
-		return rs1 + uint32(in.Imm)
-	case rv32.F3SLL:
-		return rs1 << uint32(in.Imm&31)
-	case rv32.F3SLT:
-		return b2u(int32(rs1) < in.Imm)
-	case rv32.F3SLTU:
-		return b2u(rs1 < uint32(in.Imm))
-	case rv32.F3XOR:
-		return rs1 ^ uint32(in.Imm)
-	case rv32.F3SR:
-		if in.F7 == rv32.F7Sub {
-			return uint32(int32(rs1) >> uint32(in.Imm&31))
-		}
-		return rs1 >> uint32(in.Imm&31)
-	case rv32.F3OR:
-		return rs1 | uint32(in.Imm)
-	default: // F3AND
-		return rs1 & uint32(in.Imm)
+// steps is the RV32 interpreter, the only one: Step is steps(1). It is
+// built like the FRVL one (CPU.steps). At the default 4-byte packet every
+// instruction starts a packet, so there the run extension is the common
+// path, and it is inline here too.
+func (c *RV32CPU) steps(n uint64) (uint64, error) {
+	if c.Halted || n == 0 {
+		return 0, nil
 	}
-}
-
-// alu executes the register-register group, including the M extension.
-// RISC-V divide never traps: division by zero yields all-ones (quotient) or
-// the dividend (remainder), and the signed overflow case wraps.
-func (c *RV32CPU) alu(in *rv32.Instr) uint32 {
-	rs1, rs2 := c.Regs[in.Rs1], c.Regs[in.Rs2]
-	if in.F7 == rv32.F7Mul {
-		switch in.F3 {
-		case rv32.F3MUL:
-			return rs1 * rs2
-		case rv32.F3MULH:
-			return uint32(uint64(int64(int32(rs1))*int64(int32(rs2))) >> 32)
-		case rv32.F3MULHSU:
-			return uint32(uint64(int64(int32(rs1))*int64(rs2)) >> 32)
-		case rv32.F3MULHU:
-			return uint32(uint64(rs1) * uint64(rs2) >> 32)
-		case rv32.F3DIV:
-			switch {
-			case rs2 == 0:
-				return ^uint32(0)
-			case int32(rs1) == math.MinInt32 && int32(rs2) == -1:
-				return rs1
-			}
-			return uint32(int32(rs1) / int32(rs2))
-		case rv32.F3DIVU:
-			if rs2 == 0 {
-				return ^uint32(0)
-			}
-			return rs1 / rs2
-		case rv32.F3REM:
-			switch {
-			case rs2 == 0:
-				return rs1
-			case int32(rs1) == math.MinInt32 && int32(rs2) == -1:
-				return 0
-			}
-			return uint32(int32(rs1) % int32(rs2))
-		default: // F3REMU
-			if rs2 == 0 {
-				return rs1
-			}
-			return rs1 % rs2
+	f := &c.fe
+	if !f.ready {
+		if err := f.gate(c.PC, c.PacketBytes, rv32.PacketBytes); err != nil {
+			return 0, err
 		}
 	}
-	switch in.F3 {
-	case rv32.F3ADD:
-		if in.F7 == rv32.F7Sub {
-			return rs1 - rs2
+	r, m := &c.Regs, c.Mem
+	instrs, base := f.text.instrs, f.text.base
+	pc := c.PC
+	var i uint64
+	var err error
+loop:
+	for ; i < n; i++ {
+		if pc%word != 0 {
+			err = f.gate(pc, c.PacketBytes, rv32.PacketBytes)
+			break
 		}
-		return rs1 + rs2
-	case rv32.F3SLL:
-		return rs1 << (rs2 & 31)
-	case rv32.F3SLT:
-		return b2u(int32(rs1) < int32(rs2))
-	case rv32.F3SLTU:
-		return b2u(rs1 < rs2)
-	case rv32.F3XOR:
-		return rs1 ^ rs2
-	case rv32.F3SR:
-		if in.F7 == rv32.F7Sub {
-			return uint32(int32(rs1) >> (rs2 & 31))
+		if packet := pc &^ (f.pb - 1); packet != f.cur {
+			c.Cycles++
+			if run := f.run; run != nil && !f.pendValid && packet == f.cur+f.pb && run.Run < trace.MaxRun {
+				run.Run++
+			} else if f.fetchOn {
+				f.stage(packet, f.cur)
+			}
+			f.cur = packet
 		}
-		return rs1 >> (rs2 & 31)
-	case rv32.F3OR:
-		return rs1 | rs2
-	default: // F3AND
-		return rs1 & rs2
-	}
-}
-
-func (c *RV32CPU) execMem(in *rv32.Instr) error {
-	base := c.Regs[in.Rs1]
-	addr := base + uint32(in.Imm)
-	size := uint8(in.MemBytes())
-	if addr%uint32(size) != 0 {
-		return fmt.Errorf("unaligned %d-byte access at 0x%x", size, addr)
-	}
-	store := in.IsStore()
-	if store && c.fe.inText(addr) {
-		return fmt.Errorf("store into text at 0x%x (self-modifying code is not supported)", addr)
-	}
-	c.fe.data(addr, base, in.Imm, store, size)
-	if store {
-		switch in.F3 {
+		f.pendValid = false
+		var in *rv32.Instr
+		if k := (pc - base) / word; k < uint32(len(instrs)) {
+			in = &instrs[k]
+		} else {
+			in = f.decodeMem(pc, m, decodeRV32)
+		}
+		next := pc + rv32.Word
+	dispatch:
+		switch in.Op {
+		case rv32.OpLUI:
+			r[in.Rd] = uint32(in.Imm)
+		case rv32.OpAUIPC:
+			r[in.Rd] = pc + uint32(in.Imm)
+		case rv32.OpJAL:
+			r[in.Rd] = pc + rv32.Word
+			next = f.branch(pc, in.Imm)
+		case rv32.OpJALR:
+			// Target before link write: rd may alias rs1.
+			target := (r[in.Rs1] + uint32(in.Imm)) &^ 1
+			r[in.Rd] = pc + rv32.Word
+			kind := trace.KindIndirect
+			if in.Rs1 == rv32.RegRA {
+				kind = trace.KindLink
+			}
+			f.pend(kind, target, 0)
+			next = target
+		case rv32.OpBranch:
+			a, b := r[in.Rs1], r[in.Rs2]
+			var taken bool
+			switch in.F3 {
+			case rv32.F3BEQ:
+				taken = a == b
+			case rv32.F3BNE:
+				taken = a != b
+			case rv32.F3BLT:
+				taken = int32(a) < int32(b)
+			case rv32.F3BGE:
+				taken = int32(a) >= int32(b)
+			case rv32.F3BLTU:
+				taken = a < b
+			case rv32.F3BGEU:
+				taken = a >= b
+			}
+			if taken {
+				next = f.branch(pc, in.Imm)
+			}
+		case rv32.OpLoad:
+			b := r[in.Rs1]
+			addr := b + uint32(in.Imm)
+			switch in.F3 {
+			case rv32.F3LB:
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 1}
+				}
+				r[in.Rd] = uint32(int32(int8(m.LoadByte(addr))))
+			case rv32.F3LBU:
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 1}
+				}
+				r[in.Rd] = uint32(m.LoadByte(addr))
+			case rv32.F3LH:
+				if addr%2 != 0 {
+					err = c.trap(pc, in, unaligned(2, addr))
+					break loop
+				}
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 2}
+				}
+				r[in.Rd] = uint32(int32(int16(m.ReadHalf(addr))))
+			case rv32.F3LHU:
+				if addr%2 != 0 {
+					err = c.trap(pc, in, unaligned(2, addr))
+					break loop
+				}
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 2}
+				}
+				r[in.Rd] = uint32(m.ReadHalf(addr))
+			case rv32.F3LW:
+				if addr%4 != 0 {
+					err = c.trap(pc, in, unaligned(4, addr))
+					break loop
+				}
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Size: 4}
+				}
+				r[in.Rd] = m.ReadWord(addr)
+			}
+		case rv32.OpStore:
+			b := r[in.Rs1]
+			addr := b + uint32(in.Imm)
+			switch in.F3 {
+			case 0: // sb
+				if f.inText(addr, 1) {
+					err = c.trap(pc, in, storeIntoText(addr))
+					break loop
+				}
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Store: true, Size: 1}
+				}
+				m.StoreByte(addr, byte(r[in.Rs2]))
+			case 1: // sh
+				if addr%2 != 0 {
+					err = c.trap(pc, in, unaligned(2, addr))
+					break loop
+				}
+				if f.inText(addr, 2) {
+					err = c.trap(pc, in, storeIntoText(addr))
+					break loop
+				}
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Store: true, Size: 2}
+				}
+				m.WriteHalf(addr, uint16(r[in.Rs2]))
+			case 2: // sw
+				if addr%4 != 0 {
+					err = c.trap(pc, in, unaligned(4, addr))
+					break loop
+				}
+				if f.inText(addr, 4) {
+					err = c.trap(pc, in, storeIntoText(addr))
+					break loop
+				}
+				if f.dataOn {
+					*f.st.NextData() = trace.DataEvent{Addr: addr, Base: b, Disp: in.Imm, Store: true, Size: 4}
+				}
+				m.WriteWord(addr, r[in.Rs2])
+			}
+		case rv32.OpOpImm:
+			rs1 := r[in.Rs1]
+			switch in.F3 {
+			case rv32.F3ADD:
+				r[in.Rd] = rs1 + uint32(in.Imm)
+			case rv32.F3SLL:
+				r[in.Rd] = rs1 << uint32(in.Imm&31)
+			case rv32.F3SLT:
+				r[in.Rd] = b2u(int32(rs1) < in.Imm)
+			case rv32.F3SLTU:
+				r[in.Rd] = b2u(rs1 < uint32(in.Imm))
+			case rv32.F3XOR:
+				r[in.Rd] = rs1 ^ uint32(in.Imm)
+			case rv32.F3SR:
+				if in.F7 == rv32.F7Sub {
+					r[in.Rd] = uint32(int32(rs1) >> uint32(in.Imm&31))
+				} else {
+					r[in.Rd] = rs1 >> uint32(in.Imm&31)
+				}
+			case rv32.F3OR:
+				r[in.Rd] = rs1 | uint32(in.Imm)
+			default: // F3AND
+				r[in.Rd] = rs1 & uint32(in.Imm)
+			}
+		case rv32.OpOp:
+			rs1, rs2 := r[in.Rs1], r[in.Rs2]
+			if in.F7 == rv32.F7Mul {
+				switch in.F3 {
+				case rv32.F3MUL:
+					r[in.Rd] = rs1 * rs2
+				case rv32.F3MULH:
+					r[in.Rd] = uint32(uint64(int64(int32(rs1))*int64(int32(rs2))) >> 32)
+				case rv32.F3MULHSU:
+					r[in.Rd] = uint32(uint64(int64(int32(rs1))*int64(rs2)) >> 32)
+				case rv32.F3MULHU:
+					r[in.Rd] = uint32(uint64(rs1) * uint64(rs2) >> 32)
+				default:
+					r[in.Rd] = divRem(in.F3, rs1, rs2)
+				}
+				break
+			}
+			switch in.F3 {
+			case rv32.F3ADD:
+				if in.F7 == rv32.F7Sub {
+					r[in.Rd] = rs1 - rs2
+				} else {
+					r[in.Rd] = rs1 + rs2
+				}
+			case rv32.F3SLL:
+				r[in.Rd] = rs1 << (rs2 & 31)
+			case rv32.F3SLT:
+				r[in.Rd] = b2u(int32(rs1) < int32(rs2))
+			case rv32.F3SLTU:
+				r[in.Rd] = b2u(rs1 < rs2)
+			case rv32.F3XOR:
+				r[in.Rd] = rs1 ^ rs2
+			case rv32.F3SR:
+				if in.F7 == rv32.F7Sub {
+					r[in.Rd] = uint32(int32(rs1) >> (rs2 & 31))
+				} else {
+					r[in.Rd] = rs1 >> (rs2 & 31)
+				}
+			case rv32.F3OR:
+				r[in.Rd] = rs1 | rs2
+			default: // F3AND
+				r[in.Rd] = rs1 & rs2
+			}
+		case rv32.OpSystem:
+			if err = c.execSystem(in); err != nil {
+				err = fmt.Errorf("sim: pc=0x%x: %w", pc, err)
+				break loop
+			}
+			if c.Halted {
+				i++
+				break loop
+			}
 		case 0:
-			c.Mem.StoreByte(addr, byte(c.Regs[in.Rs2]))
-		case 1:
-			c.Mem.WriteHalf(addr, uint16(c.Regs[in.Rs2]))
+			err = fmt.Errorf("sim: pc=0x%x: illegal instruction 0x%08x", pc, m.ReadWord(pc))
+			break loop
 		default:
-			c.Mem.WriteWord(addr, c.Regs[in.Rs2])
+			if in.Op == gapOp {
+				in = f.decodeMem(pc, m, decodeRV32)
+				goto dispatch
+			}
+			err = fmt.Errorf("sim: pc=0x%x: illegal opcode 0x%x", pc, in.Op)
+			break loop
 		}
-		return nil
+		r[rv32.RegZero] = 0
+		pc = next
 	}
-	switch in.F3 {
-	case rv32.F3LB:
-		c.setReg(in.Rd, uint32(int32(int8(c.Mem.LoadByte(addr)))))
-	case rv32.F3LBU:
-		c.setReg(in.Rd, uint32(c.Mem.LoadByte(addr)))
-	case rv32.F3LH:
-		c.setReg(in.Rd, uint32(int32(int16(c.Mem.ReadHalf(addr)))))
-	case rv32.F3LHU:
-		c.setReg(in.Rd, uint32(c.Mem.ReadHalf(addr)))
-	default: // F3LW
-		c.setReg(in.Rd, c.Mem.ReadWord(addr))
+	c.PC = pc
+	c.Instrs += i
+	return i, err
+}
+
+// divRem executes the M extension's divides. RISC-V divide never traps:
+// division by zero yields all-ones (quotient) or the dividend
+// (remainder), and the signed overflow case wraps.
+func divRem(f3 uint8, rs1, rs2 uint32) uint32 {
+	switch f3 {
+	case rv32.F3DIV:
+		switch {
+		case rs2 == 0:
+			return ^uint32(0)
+		case int32(rs1) == math.MinInt32 && int32(rs2) == -1:
+			return rs1
+		}
+		return uint32(int32(rs1) / int32(rs2))
+	case rv32.F3DIVU:
+		if rs2 == 0 {
+			return ^uint32(0)
+		}
+		return rs1 / rs2
+	case rv32.F3REM:
+		switch {
+		case rs2 == 0:
+			return rs1
+		case int32(rs1) == math.MinInt32 && int32(rs2) == -1:
+			return 0
+		}
+		return uint32(int32(rs1) % int32(rs2))
+	default: // F3REMU
+		if rs2 == 0 {
+			return rs1
+		}
+		return rs1 % rs2
 	}
-	return nil
 }
 
 // execSystem implements the tiny runtime ABI: ebreak halts; ecall consults
@@ -334,18 +416,6 @@ func (c *RV32CPU) Run(maxInstrs uint64) error {
 // RunContext is Run with cancellation, checked between instruction chunks.
 func (c *RV32CPU) RunContext(ctx context.Context, maxInstrs uint64) error {
 	return runCore(ctx, c, maxInstrs)
-}
-
-func (c *RV32CPU) steps(n uint64) (uint64, error) {
-	for i := uint64(0); i < n; i++ {
-		if err := c.Step(); err != nil {
-			return i, err
-		}
-		if c.Halted {
-			return i + 1, nil
-		}
-	}
-	return n, nil
 }
 
 func (c *RV32CPU) halted() bool { return c.Halted }
