@@ -461,3 +461,19 @@ loop:	add  r1, r1, r2
 		t.Fatalf("r1 = %d, want 55", want)
 	}
 }
+
+// TestPredecodeOddRange: a hand-built program whose text range is not a
+// whole number of words loads: the table covers the whole words, and the
+// decode stops at its end.
+func TestPredecodeOddRange(t *testing.T) {
+	p := &asm.Program{
+		Entry:      0x10000,
+		Segments:   []asm.Segment{{Addr: 0x10000, Data: make([]byte, 8)}},
+		TextRanges: [][2]uint32{{0x10000, 0x10006}},
+	}
+	c := New()
+	c.LoadProgram(p, stackTop)
+	if n := len(c.fe.text.instrs); n != 1 {
+		t.Fatalf("table of %d slots, want 1", n)
+	}
+}

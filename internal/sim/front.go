@@ -89,7 +89,9 @@ func (f *front[I]) decodeMem(pc uint32, m *mem.Memory, dec func(uint32) I) *I {
 // least 4-byte aligned, so it never equals one.
 const noPacket = 1
 
-// stage takes the next fetch slot for a run that starts at packet.
+// stage takes the next fetch slot for a run that starts at packet,
+// classified by how control arrived. The first fetch reports packet 0 as
+// its predecessor.
 func (f *front[I]) stage(packet, prev uint32) {
 	ev := f.st.NextFetch()
 	f.run = ev
@@ -142,7 +144,8 @@ func storeIntoText(addr uint32) error {
 }
 
 // load copies the program image into m and attaches the program's shared
-// predecoded text, decoded with dec under the ISA's name.
+// predecoded text, decoded with dec under the ISA's name, with gap in the
+// slots between text ranges.
 func (f *front[I]) load(p *asm.Program, m *mem.Memory, isa string, dec func(uint32) I, gap I) {
 	for _, seg := range p.Segments {
 		m.LoadImage(seg.Addr, seg.Data)

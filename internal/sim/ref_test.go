@@ -14,13 +14,13 @@ import (
 	"waymemo/internal/trace"
 )
 
-// The reference cores: each ISA's interpreter as it was before steps
-// became one loop, one Step call per instruction with an execute helper
-// per instruction class, kept here to test the loops against. refCPU and
-// refRV32 wrap a production core, so they share its state and front end;
-// their methods shadow the core's own. Two edits keep them in step with
-// the loops' fixes: execMem passes the store's size to inText, and at
-// reads a gap slot as outside the table, so it decodes from memory.
+// The reference cores: each ISA's interpreter written as one Step call
+// per instruction with an execute helper per instruction class, the form
+// the one-loop interpreters (steps) are tested against. refCPU and refRV32
+// wrap a production core, so they share its state and front end; their
+// methods shadow the core's own. Their execMem passes the store's size to
+// inText, and their at reads a gap slot as outside the table, so it
+// decodes from memory.
 type (
 	refCPU  struct{ *CPU }
 	refRV32 struct{ *RV32CPU }
@@ -598,9 +598,9 @@ var (
 	gapAddi42RV32 = rv32.Instr{Op: rv32.OpOpImm, Rd: rv32.RegRA, F3: rv32.F3ADD, Imm: 42}.Encode()
 )
 
-// trapPrograms hold one program per trap of each ISA, the gap programs
-// and a runaway. want is a substring of the error, empty for a clean
-// halt.
+// trapPrograms hold one program per trap of each ISA, the gap programs,
+// a jalr whose link overwrites its target register, and a runaway. want
+// is a substring of the error, empty for a clean halt.
 var trapPrograms = []struct {
 	isa  int // index into isaCases
 	name string
@@ -700,6 +700,14 @@ main:	la   r2, gap
 gap:	.word 0
 	halt
 `, gapAddi42FRVL), ""},
+	{0, "jalr linking into its target", `
+	.org 0x10000
+main:	la   t0, fn
+	jalr t0, t0
+	halt
+fn:	move s1, t0
+	halt
+`, ""},
 	{0, "runaway", `
 	.org 0x10000
 spin:	b    spin
@@ -780,6 +788,14 @@ _start:	la   a2, gap
 gap:	.word 0
 	ebreak
 `, gapAddi42RV32), ""},
+	{1, "jalr linking into its target", `
+	.org 0x10000
+_start:	la   t0, fn
+	jalr t0, t0
+	ebreak
+fn:	addi s1, t0, 0
+	ebreak
+`, ""},
 	{1, "runaway", `
 	.org 0x10000
 spin:	j    spin
