@@ -144,8 +144,8 @@ func runExplore(args []string) {
 	// times the passes alone, where a whole-sweep clock would mostly
 	// measure simulation.)
 	if tr := grid.Traces; tr.FanOutPasses > 0 {
-		fmt.Fprintf(os.Stderr, "fan-out: %d passes, %.1f sinks/pass avg, %.1fM deliveries\n",
-			tr.FanOutPasses, tr.SinksPerPass(),
+		fmt.Fprintf(os.Stderr, "fan-out: %d passes (%d live), %.1f sinks/pass avg, %.1fM deliveries\n",
+			tr.FanOutPasses, tr.LivePasses, tr.SinksPerPass(),
 			float64(tr.FanOutDeliveries)/1e6)
 	}
 	fmt.Fprintln(os.Stderr)

@@ -59,8 +59,9 @@ type Grid struct {
 	Hits, Misses int
 	// Traces reports the execute-once / replay-many engine's work:
 	// Captures counts full simulator executions (at most one per workload
-	// × packet size) and Replays the grid points served by replaying a
-	// capture.
+	// × packet size), Replays the grid points served by a fan-out pass
+	// over a capture, and LivePasses the passes the capturing execution
+	// fed as it ran.
 	Traces suite.TraceCacheStats
 }
 
@@ -129,7 +130,8 @@ func WithTraceDir(dir string) Option {
 // Run expands the space into its grid and schedules every point through
 // a Scheduler built from the options. Every point carries the space's full
 // technique list and costs one pass over its workload's event stream: each
-// workload executes once and every shard replays the capture. With a
+// workload executes once, feeding the shard that started the execution as
+// it runs, and every other shard replays the capture. With a
 // result cache, stored points load instead of simulating and simulated
 // ones are stored, so a warm cache re-runs an identical sweep without a
 // single simulation (Grid.Misses == 0). Run returns the first error
@@ -174,8 +176,10 @@ type Scheduler struct {
 	// Cache resolves and publishes grid points; nil claims every point
 	// and publishes nothing.
 	Cache Cache
-	// Traces is the execute-once / replay-many engine; nil executes each
-	// shard live, one simulation feeding all of its points.
+	// Traces is the execute-once / replay-many engine: the shard whose
+	// request executes a workload is fed by that execution, and every
+	// other shard replays its capture. Nil executes each shard live, one
+	// simulation feeding all of its points.
 	Traces *suite.TraceCache
 	// Parallelism bounds the shards simulating at once (<= 0: GOMAXPROCS).
 	// Results are identical at every level.
@@ -444,9 +448,11 @@ func (sc Scheduler) shards(claims []fanPoint) []fanShard {
 // are one controller. A point alone in its (sets, line) attaches through
 // suite.Attach, as suite.Run attaches a benchmark's. The controllers are
 // fed through suite.Drive: a single batched fan-out replay of the
-// workload's capture, or, when tc is nil, one live execution delivered in
-// blocks. A ways group whose stream turns out inexact (core.DWays.Exact)
-// is simulated again one point at a time, in one more pass. Either way
+// workload's capture (fed by the capturing execution itself when this
+// shard is the one that starts it), or, when tc is nil, one live
+// execution delivered in blocks. A ways group whose stream turns out
+// inexact (core.DWays.Exact) is simulated again one point at a time, in
+// one more pass, which replays the capture. Either way
 // each point is priced by assemblePoint, so live and replayed grids are
 // byte-identical.
 func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fanPoint,

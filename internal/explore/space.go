@@ -34,10 +34,10 @@
 // Underneath the result cache sits the execute-once / replay-many trace
 // engine (suite.TraceCache, on by default): a workload's event stream
 // depends only on (workload, fetch packet), never on cache geometry or
-// technique, so each workload is executed once per sweep and each shard
-// replays the capture to all of its points — G×W grid points cost W
-// executions plus a few replays per workload, bit-identical to executing
-// each point live. WithTraceDir spills the captures as WMTRACE4 files for
+// technique, so each workload is executed once per sweep, feeding the
+// shard that started it as it runs, and every other shard replays the
+// capture to all of its points — G×W grid points cost W executions plus
+// a few replays per workload, bit-identical to executing each point live. WithTraceDir spills the captures as WMTRACE4 files for
 // reuse across processes.
 package explore
 

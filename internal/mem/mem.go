@@ -7,46 +7,75 @@ package mem
 
 import "encoding/binary"
 
-const pageShift = 12
-const pageSize = 1 << pageShift
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	// A directory maps 4 MiB: dirLen pages.
+	dirShift = 22
+	dirLen   = 1 << (dirShift - pageShift)
+)
+
+type page [pageSize]byte
 
 // Memory is a sparse byte-addressable memory. The zero value is ready to use.
 // Memory is not safe for concurrent use; each simulated machine owns one.
+//
+// Pages hang off a two-level table: dirs holds one directory per 4 MiB, and
+// a directory one pointer per page, so finding a page is two indexed loads
+// whichever pages a program touches in turn. A nil directory or page reads
+// as zeros and is allocated by the first store into it. The last page
+// found is kept in front of the table: most accesses fall in the page of
+// the one before.
 type Memory struct {
-	pages map[uint32]*[pageSize]byte
+	dirs [1 << (32 - dirShift)]*[dirLen]*page
 
-	// Single-entry page cache: simulators touch the same page repeatedly.
 	lastPN uint32
-	lastP  *[pageSize]byte
+	lastP  *page
 }
 
 // New returns an empty memory.
-func New() *Memory {
-	return &Memory{pages: make(map[uint32]*[pageSize]byte)}
-}
+func New() *Memory { return new(Memory) }
 
-func (m *Memory) page(addr uint32, alloc bool) *[pageSize]byte {
+// page returns the page holding addr, or nil if it was never written.
+func (m *Memory) page(addr uint32) *page {
 	pn := addr >> pageShift
 	if m.lastP != nil && pn == m.lastPN {
 		return m.lastP
 	}
-	if m.pages == nil {
-		m.pages = make(map[uint32]*[pageSize]byte)
+	if d := m.dirs[addr>>dirShift]; d != nil {
+		if p := d[pn&(dirLen-1)]; p != nil {
+			m.lastPN, m.lastP = pn, p
+			return p
+		}
 	}
-	p := m.pages[pn]
-	if p == nil && alloc {
-		p = new([pageSize]byte)
-		m.pages[pn] = p
+	return nil
+}
+
+// writable returns the page holding addr, allocating it if needed.
+func (m *Memory) writable(addr uint32) *page {
+	if p := m.page(addr); p != nil {
+		return p
 	}
-	if p != nil {
-		m.lastPN, m.lastP = pn, p
+	return m.alloc(addr)
+}
+
+// alloc allocates addr's page, and its directory if that is missing too,
+// and makes it the cached page.
+func (m *Memory) alloc(addr uint32) *page {
+	d := m.dirs[addr>>dirShift]
+	if d == nil {
+		d = new([dirLen]*page)
+		m.dirs[addr>>dirShift] = d
 	}
+	p := new(page)
+	d[addr>>pageShift&(dirLen-1)] = p
+	m.lastPN, m.lastP = addr>>pageShift, p
 	return p
 }
 
 // LoadByte returns the byte at addr (0 if the page was never written).
 func (m *Memory) LoadByte(addr uint32) byte {
-	if p := m.page(addr, false); p != nil {
+	if p := m.page(addr); p != nil {
 		return p[addr&(pageSize-1)]
 	}
 	return 0
@@ -54,7 +83,7 @@ func (m *Memory) LoadByte(addr uint32) byte {
 
 // StoreByte stores b at addr.
 func (m *Memory) StoreByte(addr uint32, b byte) {
-	m.page(addr, true)[addr&(pageSize-1)] = b
+	m.writable(addr)[addr&(pageSize-1)] = b
 }
 
 // ReadWord returns the little-endian 32-bit word at addr. The fast path
@@ -63,7 +92,7 @@ func (m *Memory) StoreByte(addr uint32, b byte) {
 func (m *Memory) ReadWord(addr uint32) uint32 {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-4 {
-		if p := m.page(addr, false); p != nil {
+		if p := m.page(addr); p != nil {
 			return binary.LittleEndian.Uint32(p[off:])
 		}
 		return 0
@@ -76,7 +105,7 @@ func (m *Memory) ReadWord(addr uint32) uint32 {
 func (m *Memory) WriteWord(addr uint32, v uint32) {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-4 {
-		binary.LittleEndian.PutUint32(m.page(addr, true)[off:], v)
+		binary.LittleEndian.PutUint32(m.writable(addr)[off:], v)
 		return
 	}
 	m.StoreByte(addr, byte(v))
@@ -89,7 +118,7 @@ func (m *Memory) WriteWord(addr uint32, v uint32) {
 func (m *Memory) ReadHalf(addr uint32) uint16 {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-2 {
-		if p := m.page(addr, false); p != nil {
+		if p := m.page(addr); p != nil {
 			return binary.LittleEndian.Uint16(p[off:])
 		}
 		return 0
@@ -101,7 +130,7 @@ func (m *Memory) ReadHalf(addr uint32) uint16 {
 func (m *Memory) WriteHalf(addr uint32, v uint16) {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-2 {
-		binary.LittleEndian.PutUint16(m.page(addr, true)[off:], v)
+		binary.LittleEndian.PutUint16(m.writable(addr)[off:], v)
 		return
 	}
 	m.StoreByte(addr, byte(v))
@@ -119,18 +148,26 @@ func (m *Memory) WriteDouble(addr uint32, v uint64) {
 	m.WriteWord(addr+4, uint32(v>>32))
 }
 
-// LoadImage copies img into memory starting at addr.
+// LoadImage copies img into memory starting at addr, a page-sized span at
+// a time. Like every access, it wraps from the top of the address space to
+// address 0.
 func (m *Memory) LoadImage(addr uint32, img []byte) {
-	for i, b := range img {
-		m.StoreByte(addr+uint32(i), b)
+	for len(img) > 0 {
+		n := copy(m.writable(addr)[addr&(pageSize-1):], img)
+		img, addr = img[n:], addr+uint32(n)
 	}
 }
 
 // ReadRange copies n bytes starting at addr into a fresh slice.
 func (m *Memory) ReadRange(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.LoadByte(addr + uint32(i))
+	for rest := out; len(rest) > 0; {
+		off := addr & (pageSize - 1)
+		k := min(len(rest), pageSize-int(off))
+		if p := m.page(addr); p != nil {
+			copy(rest[:k], p[off:])
+		}
+		rest, addr = rest[k:], addr+uint32(k)
 	}
 	return out
 }

@@ -116,3 +116,130 @@ func TestRandomAgainstOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestUnwrittenReadsAllocateNothing: reading memory that was never written
+// returns zeros without allocating a page or a directory, in an empty
+// memory and next to a written page.
+func TestUnwrittenReadsAllocateNothing(t *testing.T) {
+	var m Memory
+	m.WriteWord(0x10000, 1)
+	reads := func() {
+		for _, a := range []uint32{0, 0x11000, 0x400000, 0xFFFFF000, 0xFFFFFFFE, 0x10FFE} {
+			if m.LoadByte(a)|byte(m.ReadHalf(a))|byte(m.ReadWord(a))|byte(m.ReadDouble(a)) != 0 {
+				t.Fatalf("unwritten memory at %#x reads non-zero", a)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, reads); n != 0 {
+		t.Fatalf("reads of unwritten memory allocated %v times per run", n)
+	}
+	dirs := 0
+	for _, d := range m.dirs {
+		if d != nil {
+			dirs++
+		}
+	}
+	if dirs != 1 {
+		t.Fatalf("%d directories after one written page, want 1", dirs)
+	}
+}
+
+// FuzzMemory drives loads and stores of every size, and LoadImage and
+// ReadRange spans, from arbitrary bytes at addresses near page, directory
+// and address-space boundaries, and checks every read against a plain map
+// of bytes. An access past 0xFFFFFFFF wraps to address 0.
+func FuzzMemory(f *testing.F) {
+	f.Add([]byte{0, 4, 0xff, 0x0f, 1, 7, 2, 4, 0xff, 0x0f, 9, 4, 0xfe, 0x0f, 40})
+	f.Add([]byte{4, 4, 0xf0, 0xff, 200, 3, 9, 4, 0, 0, 255, 8, 4, 0xfc, 0x0f})
+	f.Add([]byte{3, 2, 0xfc, 0x0f, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 8, 2, 0xfc, 0x0f})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		value := func(n int) (v uint64) {
+			for i := range n {
+				v |= uint64(next()) << (8 * i)
+			}
+			return v
+		}
+		// Each address is an offset of up to ±32 KiB from a base next to
+		// a boundary: the zero page, a page edge, the 4 MiB directory edge,
+		// and the last page of the address space.
+		bases := []uint32{0, 0x1000, 0x10000, 0x400000, 0x7FFFF000, 0xFFFFF000}
+		var m Memory
+		ref := map[uint32]byte{}
+		store := func(addr uint32, v uint64, n int) {
+			for i := range n {
+				ref[addr+uint32(i)] = byte(v >> (8 * i))
+			}
+		}
+		load := func(addr uint32, n int) (v uint64) {
+			for i := range n {
+				v |= uint64(ref[addr+uint32(i)]) << (8 * i)
+			}
+			return v
+		}
+		for len(ops) > 0 {
+			op := next()
+			addr := bases[int(next())%len(bases)] + uint32(int32(int16(value(2))))
+			var got, want uint64
+			var n int
+			switch op % 10 {
+			case 0:
+				v := value(1)
+				m.StoreByte(addr, byte(v))
+				store(addr, v, 1)
+				continue
+			case 1:
+				v := value(2)
+				m.WriteHalf(addr, uint16(v))
+				store(addr, v, 2)
+				continue
+			case 2:
+				v := value(4)
+				m.WriteWord(addr, uint32(v))
+				store(addr, v, 4)
+				continue
+			case 3:
+				v := value(8)
+				m.WriteDouble(addr, v)
+				store(addr, v, 8)
+				continue
+			case 4:
+				img := make([]byte, int(next())*37)
+				for i := range img {
+					img[i] = byte(i*7) ^ op
+				}
+				m.LoadImage(addr, img)
+				for i, b := range img {
+					ref[addr+uint32(i)] = b
+				}
+				continue
+			case 5:
+				got, want, n = uint64(m.LoadByte(addr)), load(addr, 1), 1
+			case 6:
+				got, want, n = uint64(m.ReadHalf(addr)), load(addr, 2), 2
+			case 7:
+				got, want, n = uint64(m.ReadWord(addr)), load(addr, 4), 4
+			case 8:
+				got, want, n = m.ReadDouble(addr), load(addr, 8), 8
+			default:
+				span := m.ReadRange(addr, int(next())*37)
+				for i, b := range span {
+					if w := ref[addr+uint32(i)]; b != w {
+						t.Fatalf("ReadRange(%#x, %d)[%d] = %#x, want %#x", addr, len(span), i, b, w)
+					}
+				}
+				continue
+			}
+			if got != want {
+				t.Fatalf("%d-byte read at %#x = %#x, want %#x", n, addr, got, want)
+			}
+		}
+	})
+}

@@ -77,7 +77,8 @@ func instantiateAll(t *testing.T, techs []Technique) ([]*stats.Counters, []trace
 
 // TestLiveBlocksMatchReplayAndPerEvent is the contract of live block
 // delivery: for every controller type, Drive's live run (events staged
-// into blocks), Drive's replay of a capture, and a run whose stager feeds
+// into blocks), Drive's replay of a capture, Drive's first pass on a cold
+// trace cache (fed by the capturing execution), and a run whose stager feeds
 // the tees, so every controller sees each event as a one-event block —
 // the reference — leave bit-identical counters and the same cycle and
 // instruction counts. The synthetic
@@ -142,7 +143,7 @@ func TestLiveBlocksMatchReplayAndPerEvent(t *testing.T) {
 			for _, run := range []struct {
 				name string
 				tc   *TraceCache
-			}{{"live", nil}, {"replay", tc}} {
+			}{{"live", nil}, {"replay", tc}, {"first pass", NewTraceCache()}} {
 				got, pairs := instantiateAll(t, techs)
 				cycles, instrs, err := Drive(ctx, w, 0, pairs, run.tc, 1)
 				if err != nil {

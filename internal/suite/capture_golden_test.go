@@ -69,7 +69,7 @@ func streamDigest(fetch, data *trace.Buffer) string {
 // fan-out pass reads.
 func captureOne(t *testing.T, w workloads.Workload, packet uint32, fetch bool) (buf *trace.Buffer, cycles, instrs uint64) {
 	t.Helper()
-	c, err := NewTraceCache().capture(context.Background(), w, packet, [2]bool{Data: !fetch, Fetch: fetch})
+	c, _, err := NewTraceCache().capture(context.Background(), w, packet, [2]bool{Data: !fetch, Fetch: fetch}, nil)
 	if err != nil {
 		t.Fatalf("%s@%d: %v", w.Name, packet, err)
 	}

@@ -120,10 +120,10 @@ func WithProgress(fn func(Progress)) Option {
 
 // WithTraceCache serves benchmarks from tc's execute-once / replay-many
 // engine (default: none, every benchmark executes live): each (workload,
-// packetBytes) pair is simulated once with its event streams captured, and
-// this and every later Run sharing tc replays the capture into the selected
-// techniques instead of re-executing. Counters and power are bit-identical
-// to a live run. The capturing execution validates the workload's Check;
+// packetBytes) pair is simulated once with its event streams captured,
+// feeding the selected techniques as it runs, and every later Run sharing
+// tc replays the capture into its techniques instead of re-executing.
+// Counters and power are bit-identical to a live run. The capturing execution validates the workload's Check;
 // replays trust the capture and skip it.
 func WithTraceCache(tc *TraceCache) Option {
 	return func(o *options) { o.traceCache = tc }
@@ -221,7 +221,9 @@ func runOne(ctx context.Context, w workloads.Workload, techs []Technique, o opti
 // counts. A pair is one controller, which may serve several techniques
 // (see Attach). With a trace cache it is one batched fan-out pass over the
 // workload's capture (tc.FanOut, serving runs benchmark runs), so the trace
-// streams through memory once for the whole sink set; with tc nil it is one
+// streams through memory once for the whole sink set, or not at all when
+// this call's own execution fills the capture and feeds the sinks as it
+// records; with tc nil it is one
 // live simulation whose events a trace.Stager delivers to every sink in
 // blocks, the same way. The sinks' counters are bit-identical either way.
 func Drive(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, tc *TraceCache, runs int) (cycles, instrs uint64, err error) {

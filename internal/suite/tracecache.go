@@ -24,7 +24,9 @@ import (
 // captures the streams into packed trace.Buffers, and replays the capture
 // to every later run that asks for the same pair. A design-space sweep over
 // G geometries thus costs W executions plus G×W cheap replays instead of
-// G×W executions.
+// G×W executions. The request whose execution fills a capture decodes
+// nothing: the execution hands each block to that request's sinks as it
+// records it (FanOut).
 //
 // The cache keeps one entry per (workload, packet, stream). A request names
 // the streams it reads — FanOut those its sinks consume, Capture both — and
@@ -58,9 +60,10 @@ type TraceCache struct {
 	// stream: once both have been, every execution records both.
 	asked [2]bool
 
-	captures  atomic.Int64
-	diskLoads atomic.Int64
-	replays   atomic.Int64
+	captures   atomic.Int64
+	diskLoads  atomic.Int64
+	replays    atomic.Int64
+	livePasses atomic.Int64
 
 	fanPasses     atomic.Int64
 	fanSinks      atomic.Int64
@@ -102,10 +105,14 @@ type TraceCacheStats struct {
 	// DiskLoads is the number of requests whose missed streams were all
 	// reloaded from spill files instead of executing.
 	DiskLoads int
-	// Replays is the number of benchmark runs served by replaying a
-	// capture instead of executing. One batched fan-out pass can serve many
-	// runs (every grid point of a sharded sweep task counts).
+	// Replays is the number of benchmark runs served by a fan-out pass,
+	// live or decoded. One batched fan-out pass can serve many runs (every
+	// grid point of a sharded sweep task counts).
 	Replays int
+	// LivePasses counts the fan-out passes that rode along the execution
+	// filling their capture and decoded nothing; the other
+	// FanOutPasses−LivePasses passes each decoded the streams they read.
+	LivePasses int
 
 	// FanOutPasses counts batched fan-out passes over a capture, and
 	// FanOutSinks the technique sinks those passes fed, so
@@ -188,6 +195,7 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 		Captures:         int(tc.captures.Load()),
 		DiskLoads:        int(tc.diskLoads.Load()),
 		Replays:          int(tc.replays.Load()),
+		LivePasses:       int(tc.livePasses.Load()),
 		FanOutPasses:     int(tc.fanPasses.Load()),
 		FanOutSinks:      int(tc.fanSinks.Load()),
 		FanOutEvents:     tc.fanEvents.Load(),
@@ -210,17 +218,22 @@ type Capture struct {
 // should prefer FanOut, which also keeps the cache's replay statistics
 // honest.
 func (tc *TraceCache) Capture(ctx context.Context, w workloads.Workload, packet uint32) (Capture, error) {
-	return tc.capture(ctx, w, packet, [2]bool{true, true})
+	c, _, err := tc.capture(ctx, w, packet, [2]bool{true, true}, nil)
+	return c, err
 }
 
 // FanOut replays the capture for (w, packet) to every registered pair in a
 // single batched pass over the trace (trace.Buffer.ReplayAll), capturing or
 // disk-loading first the streams its pairs read, and only those, if needed.
+// When this request's own execution fills every stream its pairs read, the
+// execution feeds the pairs block by block as it records them, and the
+// pass decodes nothing (a live pass); a request that waits on another's
+// fill, loads a spill, or finds any of its streams held decodes as above.
 // The returned Capture's buffer holds those streams. runs is the number of
 // logical benchmark runs the pass serves — suite.Run passes 1 per
 // workload, a sharded explore task passes its grid-point count — and is
 // what Stats().Replays advances by, so the counter keeps meaning
-// "benchmark runs served by replay" however wide the fan-out is.
+// "benchmark runs served by a fan-out pass" however wide the fan-out is.
 func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet uint32, pairs []trace.SinkPair, runs int) (Capture, error) {
 	var sinks [2]int64
 	for _, p := range pairs {
@@ -234,11 +247,17 @@ func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet u
 	// Pairs that read no stream still need the execution's counts, which
 	// every stream's entry carries; the data stream is the smaller.
 	want := [2]bool{sinks[Data] > 0 || sinks[Fetch] == 0, sinks[Fetch] > 0}
-	c, err := tc.capture(ctx, w, packet, want)
+	c, live, err := tc.capture(ctx, w, packet, want, pairs)
 	if err != nil {
 		return Capture{}, err
 	}
-	if err := c.Buf.ReplayAll(ctx, pairs); err != nil {
+	if live {
+		// A replay of this buffer would refuse it with the same error.
+		err = c.Buf.Err()
+	} else {
+		err = c.Buf.ReplayAll(ctx, pairs)
+	}
+	if err != nil {
 		return Capture{}, err
 	}
 	n := [2]int64{Data: int64(c.Buf.NumDatas()), Fetch: int64(c.Buf.NumFetches())}
@@ -250,6 +269,9 @@ func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet u
 		deliveries += sinks[s] * n[s]
 	}
 	tc.replays.Add(int64(runs))
+	if live {
+		tc.livePasses.Add(1)
+	}
 	tc.fanPasses.Add(1)
 	tc.fanSinks.Add(int64(len(pairs)))
 	tc.fanEvents.Add(events)
@@ -257,27 +279,29 @@ func (tc *TraceCache) FanOut(ctx context.Context, w workloads.Workload, packet u
 	return c, nil
 }
 
-// capture returns the capture for (w, packet) holding the wanted streams.
-// A stream read from a spill file carries its sidecar's counts; should two
-// streams disagree on them, both entries are dropped and fetched once more,
-// which re-captures whatever spill is wrong, since each stream's load also
+// capture returns the capture for (w, packet) holding the wanted streams,
+// and whether the execution that filled them fed pairs (see get). A stream
+// read from a spill file carries its sidecar's counts; should two streams
+// disagree on them, both entries are dropped and fetched once more, which
+// re-captures whatever spill is wrong, since each stream's load also
 // checks the other stream's sidecar.
-func (tc *TraceCache) capture(ctx context.Context, w workloads.Workload, packet uint32, want [2]bool) (Capture, error) {
+func (tc *TraceCache) capture(ctx context.Context, w workloads.Workload, packet uint32, want [2]bool,
+	pairs []trace.SinkPair) (Capture, bool, error) {
 	for attempt := 0; ; attempt++ {
-		es, err := tc.get(ctx, w, packet, want)
+		es, live, err := tc.get(ctx, w, packet, want, pairs)
 		if err != nil {
-			return Capture{}, err
+			return Capture{}, false, err
 		}
 		d, f := es[Data], es[Fetch]
 		switch {
 		case d == nil:
-			return Capture{Buf: f.buf, Cycles: f.cycles, Instrs: f.instrs}, nil
+			return Capture{Buf: f.buf, Cycles: f.cycles, Instrs: f.instrs}, live, nil
 		case f == nil:
-			return Capture{Buf: d.buf, Cycles: d.cycles, Instrs: d.instrs}, nil
+			return Capture{Buf: d.buf, Cycles: d.cycles, Instrs: d.instrs}, live, nil
 		case d.cycles == f.cycles && d.instrs == f.instrs:
-			return Capture{Buf: trace.Join(f.buf, d.buf), Cycles: d.cycles, Instrs: d.instrs}, nil
+			return Capture{Buf: trace.Join(f.buf, d.buf), Cycles: d.cycles, Instrs: d.instrs}, live, nil
 		case attempt > 0:
-			return Capture{}, fmt.Errorf("suite: %s: data and fetch captures disagree on cycles/instrs", w.Name)
+			return Capture{}, false, fmt.Errorf("suite: %s: data and fetch captures disagree on cycles/instrs", w.Name)
 		}
 		k := tc.key(w, packet)
 		tc.mu.Lock()
@@ -307,11 +331,14 @@ func (tc *TraceCache) key(w workloads.Workload, packet uint32) traceKey {
 // get returns the entries of the wanted streams of (w, packet), indexed
 // by Domain. It first fills, in one execution, every wanted stream that
 // has no entry (fill may add streams asked for before), and then waits for
-// the streams other requests are filling.
+// the streams other requests are filling. When this request is the one
+// filling every wanted stream and fill executes, the execution feeds
+// pairs as it records, and live reports that pairs have seen the streams.
 // A failed capture is not memoized, so a cancelled sweep does not poison
 // the cache for the next one, and a waiter whose filler failed retries
 // under its own ctx instead of inheriting the filler's error.
-func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint32, want [2]bool) ([2]*traceEntry, error) {
+func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint32, want [2]bool,
+	pairs []trace.SinkPair) ([2]*traceEntry, bool, error) {
 	k := tc.key(w, packet)
 	for {
 		var es, fill [2]*traceEntry
@@ -331,7 +358,14 @@ func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint
 		}
 		tc.mu.Unlock()
 		if filling {
-			err := tc.fill(ctx, &fill, w, packet, k)
+			// Every wanted stream is this request's to fill exactly when
+			// fill holds the same entries as es.
+			var feed []trace.SinkPair
+			own := fill == es
+			if own {
+				feed = pairs
+			}
+			executed, err := tc.fill(ctx, &fill, w, packet, k, feed)
 			tc.mu.Lock()
 			for _, s := range streams {
 				if e := fill[s]; e != nil {
@@ -344,7 +378,10 @@ func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint
 			}
 			tc.mu.Unlock()
 			if err != nil {
-				return es, err
+				return es, false, err
+			}
+			if own {
+				return es, executed, nil
 			}
 		}
 		retry := false
@@ -358,30 +395,32 @@ func (tc *TraceCache) get(ctx context.Context, w workloads.Workload, packet uint
 				// unless our own ctx is the one that ended.
 				if e.err != nil {
 					if err := ctx.Err(); err != nil {
-						return es, err
+						return es, false, err
 					}
 					retry = true
 				}
 			case <-ctx.Done():
-				return es, ctx.Err()
+				return es, false, ctx.Err()
 			}
 		}
 		if !retry {
-			return es, nil
+			return es, false, nil
 		}
 	}
 }
 
 // fill populates the entries of fill, indexed by Domain, from the spill
 // directory if every one of them loads, else by executing the workload once
-// through a capture stager that records exactly their streams. An
+// through a capture stager that records exactly their streams and hands
+// each block to feed's sinks too; executed reports the execution. An
 // execution also claims, as one more entry of fill, any other stream this
 // cache has been asked for and holds no entry of: the events cost one
 // encode, where asking for them later would cost a second execution.
-func (tc *TraceCache) fill(ctx context.Context, fill *[2]*traceEntry, w workloads.Workload, packet uint32, k traceKey) error {
+func (tc *TraceCache) fill(ctx context.Context, fill *[2]*traceEntry, w workloads.Workload, packet uint32, k traceKey,
+	feed []trace.SinkPair) (executed bool, err error) {
 	if tc.dir != "" && tc.loadAll(*fill, k, w) {
 		tc.diskLoads.Add(1)
-		return nil
+		return false, nil
 	}
 	tc.mu.Lock()
 	for _, s := range streams {
@@ -397,9 +436,9 @@ func (tc *TraceCache) fill(ctx context.Context, fill *[2]*traceEntry, w workload
 			bufs[s] = new(trace.Buffer)
 		}
 	}
-	c, err := workloads.RunPacketContext(ctx, w, trace.NewCaptureStreams(bufs[Fetch], bufs[Data]), packet)
+	c, err := workloads.RunPacketContext(ctx, w, trace.NewCaptureStreams(bufs[Fetch], bufs[Data], feed), packet)
 	if err != nil {
-		return err
+		return true, err
 	}
 	tc.captures.Add(1)
 	for _, s := range streams {
@@ -411,11 +450,11 @@ func (tc *TraceCache) fill(ctx context.Context, fill *[2]*traceEntry, w workload
 		if tc.dir != "" {
 			k.stream = s
 			if err := tc.store(e, k, w); err != nil {
-				return err
+				return true, err
 			}
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // loadAll fills every entry of fill from its spill pair, reporting whether

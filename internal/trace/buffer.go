@@ -146,6 +146,10 @@ func checkFetches(first int, evs []FetchEvent) error {
 	return nil
 }
 
+// Err returns the error naming the first malformed fetch event appended
+// to the buffer, the error ReplayAll and WriteTo refuse it with, or nil.
+func (b *Buffer) Err() error { return b.err }
+
 // OnData appends one data event to the buffer.
 func (b *Buffer) OnData(ev DataEvent) { b.appendDatas([]DataEvent{ev}) }
 

@@ -13,7 +13,7 @@ import "sync"
 // a fetch sink may see a later fetch block before a data sink sees an
 // earlier data block. That is ReplayAll's contract too, and every technique
 // in this repository consumes exactly one stream. A capture stager
-// (NewCapture, NewCaptureStreams) has a Buffer as the one sink of each
+// (NewCapture, NewCaptureStreams) has a Buffer as the first sink of each
 // stream it records.
 //
 // A Stager serves one run. Call Flush once the run has succeeded to
@@ -58,13 +58,15 @@ func NewStager(pairs []SinkPair) *Stager {
 
 // NewCapture returns a stager that records one run into b: each staged
 // block is appended to b's columns.
-func NewCapture(b *Buffer) *Stager { return NewCaptureStreams(b, b) }
+func NewCapture(b *Buffer) *Stager { return NewCaptureStreams(b, b, nil) }
 
 // NewCaptureStreams returns a stager that records one run's fetch stream
-// into fetch and its data stream into data. A nil buffer's stream is not
-// recorded, and since no sink consumes it, the simulator builds none of
-// its events.
-func NewCaptureStreams(fetch, data *Buffer) *Stager {
+// into fetch and its data stream into data, and hands each staged block,
+// once its buffer holds it, to every non-nil sink of pairs too: the run
+// that fills a capture can feed a fan-out pass as it goes, so that pass
+// decodes nothing. A nil buffer's stream is not recorded, and if no pair
+// reads it either, the simulator builds none of its events.
+func NewCaptureStreams(fetch, data *Buffer, pairs []SinkPair) *Stager {
 	s := new(Stager)
 	if fetch != nil {
 		s.fsinks = []FetchSink{captureSink{fetch}}
@@ -72,6 +74,8 @@ func NewCaptureStreams(fetch, data *Buffer) *Stager {
 	if data != nil {
 		s.dsinks = []DataSink{captureSink{data}}
 	}
+	f, d := splitSinks(pairs)
+	s.fsinks, s.dsinks = append(s.fsinks, f...), append(s.dsinks, d...)
 	s.getBlocks()
 	return s
 }

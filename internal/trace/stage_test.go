@@ -65,7 +65,7 @@ func TestStagerSinksPerStream(t *testing.T) {
 		t.Fatalf("empty stager: streams %v, %v", f, d)
 	}
 	st.Flush()
-	st = NewCaptureStreams(new(Buffer), nil)
+	st = NewCaptureStreams(new(Buffer), nil, nil)
 	if f, d := st.Streams(); !f || d {
 		t.Fatalf("fetch-only capture stager: streams %v, %v", f, d)
 	}
@@ -76,25 +76,37 @@ func TestStagerSinksPerStream(t *testing.T) {
 // stager, block by block, yields the same buffer as appending the same
 // events one by one — the same streams, so the same WMTRACE3 bytes —
 // across block and chunk boundaries. So does recording each stream into a
-// buffer of its own and joining the two.
+// buffer of its own and joining the two, while the same stager hands
+// every block to a pair's sinks, which see each stream whole and in order.
 func TestCaptureStagerMatchesPerEvent(t *testing.T) {
 	for _, n := range []int{0, 1, stageLen + 1, chunkLen + 3*stageLen + 5} {
 		r := rand.New(rand.NewSource(int64(n)))
 		var perEvent, staged, fetches, datas Buffer
-		st, apart := NewCapture(&staged), NewCaptureStreams(&fetches, &datas)
+		var live, dataOnly eventLog
+		st := NewCapture(&staged)
+		apart := NewCaptureStreams(&fetches, &datas, []SinkPair{{Fetch: &live, Data: &live}, {Data: &dataOnly}})
+		var wantF []FetchEvent
+		var wantD []DataEvent
 		for range n {
 			if r.Intn(3) == 0 {
 				ev := randData(r)
 				perEvent.OnData(ev)
+				wantD = append(wantD, ev)
 				*st.NextData(), *apart.NextData() = ev, ev
 			} else {
 				ev := randFetch(r)
 				perEvent.OnFetch(ev)
+				wantF = append(wantF, ev)
 				*st.NextFetch(), *apart.NextFetch() = ev, ev
 			}
 		}
 		st.Flush()
 		apart.Flush()
+		if !slices.Equal(live.Fetches, wantF) || !slices.Equal(live.Datas, wantD) ||
+			!slices.Equal(dataOnly.Datas, wantD) || len(dataOnly.Fetches) != 0 {
+			t.Fatalf("n=%d: the capture stager's pairs saw %d/%d fetch and %d/%d data events, want %d and %d",
+				n, len(live.Fetches), len(dataOnly.Fetches), len(live.Datas), len(dataOnly.Datas), len(wantF), len(wantD))
+		}
 		var want bytes.Buffer
 		if _, err := perEvent.WriteTo(&want); err != nil {
 			t.Fatal(err)
