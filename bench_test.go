@@ -181,7 +181,10 @@ func BenchmarkSuite(b *testing.B) {
 
 // BenchmarkSuiteSequential is BenchmarkSuite pinned to one worker — the
 // pre-parallelism baseline; the ratio to BenchmarkSuite is the speedup the
-// worker pool buys.
+// worker pool buys. One worker still uses more than one CPU: each of its
+// runs delivers to every controller on the controller's own goroutine
+// (trace.Stager), beside the simulator, so compare its user CPU as well
+// as its wall time.
 func BenchmarkSuiteSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := suite.Run(context.Background(), suite.WithParallelism(1)); err != nil {

@@ -220,10 +220,11 @@ func planGroups(cfgs []Config) []groupPlan {
 //
 // The group's tag table is every lane's. Lane k's set table is the top
 // Ns_k entries of the recency list, so a set index leaves it exactly when
-// a touch pushes the entry at depth Ns_k−1 one deeper. The level then
-// stores one death stamp for that (entry, level), and a pair is valid in
-// lane k while its birth stamp is newer than its row's, its slot's and
-// that death. Every probed access refreshes its pair's stamp, hits
+// a touch pushes the entry at depth Ns_k−1 one deeper. Its slot's zone
+// then names the next level, and a pair is valid in lane k while its
+// birth stamp is newer than its row's and its slot's deaths and neither
+// the zone nor the pair's own level (pair.lvl) is deeper than k's. Every
+// probed access refreshes its pair's stamp, hits
 // included, and the pair always holds the way of the key's last probed
 // access, which is what every lane whose pair is valid would hold. The
 // levels nest: a pair valid in a level is valid in every deeper one, so a
@@ -233,14 +234,13 @@ func planGroups(cfgs []Config) []groupPlan {
 // major in hist.
 type stack struct {
 	m      *MAB
-	depths []int32  // each level's Ns, ascending; the last is m's SetEntries
-	bound  []int32  // per level but the last: the slot at depth depths[v]−1, -1 while the list is shorter
-	zone   []int32  // per set slot: the first level whose table holds it
-	left   []uint64 // per set slot and level but the last: the stamp at which the slot last left the level
-	first  int      // this access's first level with a valid pair, len(depths) when none
-	way    int      // the pair's memoized way, when first < len(depths)
-	row    int      // this access's tag slot, -1 when its word is not in the table
-	slot   int      // this access's set slot, -1 when its set index is not in the list
+	depths []int32 // each level's Ns, ascending; the last is m's SetEntries
+	bound  []int32 // per level but the last: the slot at depth depths[v]−1, -1 while the list is shorter
+	zone   []int32 // per set slot: the first level whose table holds it
+	first  int     // this access's first level with a valid pair, len(depths) when none
+	way    int     // the pair's memoized way, when first < len(depths)
+	row    int     // this access's tag slot, -1 when its word is not in the table
+	slot   int     // this access's set slot, -1 when its set index is not in the list
 	hist   []laneCounts
 	sum    []laneCounts // fold's prefix sums, as hist
 	lanes  []*Lane
@@ -257,7 +257,6 @@ func newStack(geo cache.Config, p groupPlan, lanes []Lane, floors int) stack {
 		depths: p.depths,
 		bound:  make([]int32, top),
 		zone:   make([]int32, ns),
-		left:   make([]uint64, ns*top),
 		floors: floors,
 		hist:   make([]laneCounts, (top+1)*floors),
 		sum:    make([]laneCounts, (top+1)*floors),
@@ -451,22 +450,17 @@ func (s *stack) probe(word uint64, set uint32) int {
 	if !m.alive(p, i, j) {
 		return -1
 	}
-	// The levels above the slot's zone no longer hold it, and it left
-	// them after the pair's last access; the others hold the pair unless
-	// the slot left them since.
-	v, left := int(s.zone[j]), s.left[j*top:j*top+top]
-	for v < top && p.born <= left[v] {
-		v++
-	}
-	s.first, s.way = v, int(p.way)
+	s.first, s.way = s.level(j, p), int(p.way)
 	return s.way
 }
 
+// level returns the first level that holds the valid pair p of set slot
+// j: the levels above the slot's zone no longer hold the slot, and those
+// above the pair's own level lost it since the pair's last access.
+func (s *stack) level(j int, p *pair) int { return int(max(s.zone[j], p.lvl)) }
+
 // holds reports whether level v holds the valid pair p of set slot j.
-func (s *stack) holds(v, j int, p *pair) bool {
-	top := len(s.bound)
-	return v == top || p.born > s.left[j*top+v]
-}
+func (s *stack) holds(v, j int, p *pair) bool { return v >= s.level(j, p) }
 
 // settle counts the probe's verified hit or violation against its first
 // level, then makes the key's tag word and set index the most recent and
@@ -501,17 +495,26 @@ func (s *stack) settle(word uint64, set uint32, way int, hit, store bool) {
 
 // touch makes set slot j the most recent. Every level that no longer held
 // it loses its last entry; the level whose last entry it was gets the one
-// above it as its last.
+// above it as its last. The levels above the slot's zone z hold it again,
+// but not the pairs it had: they left those levels with the slot, so the
+// column's pairs take z as their first level.
 func (s *stack) touch(j int) {
-	t := &s.m.sets
+	m := s.m
+	t := &m.sets
 	if t.head == j {
 		return
 	}
 	above := t.s[j].prev
 	t.touch(j)
-	z := int(s.zone[j])
-	s.cross(z)
-	if z < len(s.bound) && s.bound[z] == int32(j) {
+	z := s.zone[j]
+	if z > 0 {
+		ns := m.cfg.SetEntries
+		for i := j; i < len(m.pairs); i += ns {
+			m.pairs[i].lvl = max(m.pairs[i].lvl, z)
+		}
+	}
+	s.cross(int(z))
+	if int(z) < len(s.bound) && s.bound[z] == int32(j) {
 		s.bound[z] = above
 	}
 	s.zone[j] = 0
@@ -542,13 +545,12 @@ func (s *stack) claim(set uint32) int {
 }
 
 // cross moves the last entry of every level below z out of it, once the
-// touched slot has moved to the head: the entry's death in the level is
-// the current stamp, and the entry above it becomes the level's last.
+// touched slot has moved to the head: the entry's zone becomes the next
+// level, and the entry above it becomes the level's last.
 func (s *stack) cross(z int) {
-	sl, top, stamp := s.m.sets.s, len(s.bound), s.m.stamp
+	sl := s.m.sets.s
 	for v := 0; v < z; v++ {
 		b := s.bound[v]
-		s.left[int(b)*top+v] = stamp
 		s.zone[b] = int32(v + 1)
 		s.bound[v] = sl[b].prev
 	}
@@ -662,7 +664,7 @@ func PriceState(cfgs []Config) StatePrice {
 			alloc(ns*int64(unsafe.Sizeof(slot{}))) + alloc(4*ns)
 		if len(p.lanes) > 1 {
 			levels := int64(len(p.depths))
-			b += alloc(4*(levels-1)) + alloc(4*ns) + alloc(8*ns*(levels-1)) +
+			b += alloc(4*(levels-1)) + alloc(4*ns) +
 				2*alloc(levels*int64(unsafe.Sizeof(laneCounts{}))) + alloc(8*int64(len(p.lanes)))
 		}
 	}

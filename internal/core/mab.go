@@ -221,12 +221,14 @@ type MAB struct {
 }
 
 // pair is one (tag, set) cell: the stamp it was installed at (0 when
-// invalidated on its own) and the memoized way. An int32 holds every way
+// invalidated on its own), the memoized way and, in a stack, the first
+// level that may still hold it (see stack.touch). An int32 holds every way
 // number of a geometry cache.Config.Validate accepts (at most
 // cache.MaxLines ways).
 type pair struct {
 	born uint64
 	way  int32
+	lvl  int32
 }
 
 // New builds a MAB for a cache with the given geometry. It panics on a

@@ -481,7 +481,7 @@ func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fan
 		for _, fp := range pts[g.lo:g.hi] {
 			geos = append(geos, fp.pt.Geometry)
 		}
-		p, res, exact, err := suite.AttachWays(geos, techs)
+		p, res, exact, err := attachWays(geos, techs)
 		if err != nil {
 			return nil, err
 		}
@@ -517,6 +517,10 @@ func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fan
 	}
 	return prs, nil
 }
+
+// attachWays is suite.AttachWays; a test replaces it to attach a sink that
+// panics.
+var attachWays = suite.AttachWays
 
 // assemblePoint prices one grid point's freshly simulated results, one
 // per technique, into the PointResult the analysis layer and the result

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -12,7 +13,9 @@ import (
 
 	"waymemo/internal/cache"
 	"waymemo/internal/core"
+	"waymemo/internal/pool"
 	"waymemo/internal/suite"
+	"waymemo/internal/trace"
 	"waymemo/internal/workloads"
 )
 
@@ -768,4 +771,35 @@ func TestSchedulerCrossingClaims(t *testing.T) {
 			t.Errorf("sweep %c differs from a cold sweep", 'A'+i)
 		}
 	}
+}
+
+// faultySink panics on its first data block.
+type faultySink struct{}
+
+func (faultySink) OnDataBatch([]trace.DataEvent) { panic("faulty sink") }
+
+// TestSinkPanicIsPanicError: a controller that panics on its pair's
+// goroutine fails the sweep with a *pool.PanicError carrying the sink's
+// value and a stack that names the sink's frame; the process survives, and
+// no goroutine outlives Run.
+func TestSinkPanicIsPanicError(t *testing.T) {
+	orig := attachWays
+	attachWays = func(geos []cache.Config, techs []suite.Technique) ([]trace.SinkPair, [][]suite.TechResult, func() bool, error) {
+		pairs, res, exact, err := orig(geos, techs)
+		return append(pairs, trace.SinkPair{Data: faultySink{}}), res, exact, err
+	}
+	t.Cleanup(func() { attachWays = orig })
+	start := runtime.NumGoroutine()
+	_, err := Run(context.Background(), tinySpace())
+	var pe *pool.PanicError
+	if !errors.As(err, &pe) || pe.Value != "faulty sink" || !strings.Contains(string(pe.Stack), "faultySink.OnDataBatch") {
+		t.Fatalf("sweep with a panicking sink: err = %v, want a *pool.PanicError naming the sink", err)
+	}
+	for range 100 {
+		if runtime.NumGoroutine() <= start {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("%d goroutines outlive the sweep, want at most %d", runtime.NumGoroutine(), start)
 }

@@ -28,11 +28,24 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: job %d panicked: %v", e.Index, e.Value)
 }
 
+// forwarded is a panic raised again on the job's goroutine after it was
+// recovered on another one, as trace.Stager does with a sink's panic. The
+// job reports the original value and stack, which names the frame that
+// panicked where the job's own stack does not.
+type forwarded interface {
+	PanicValue() any
+	PanicStack() []byte
+}
+
 // call runs one job invocation with panic containment.
 func call(ctx context.Context, idx int, fn func(ctx context.Context, idx int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = &PanicError{Index: idx, Value: v, Stack: debug.Stack()}
+			pe := &PanicError{Index: idx, Value: v, Stack: debug.Stack()}
+			if f, ok := v.(forwarded); ok {
+				pe.Value, pe.Stack = f.PanicValue(), f.PanicStack()
+			}
+			err = pe
 		}
 	}()
 	return fn(ctx, idx)

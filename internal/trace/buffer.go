@@ -24,9 +24,9 @@ import (
 // stores about one event for every five packets, and the paper's
 // workloads take 3.5–5.2 bytes per stored event, under 2 per packet or
 // data access, instead of the 20 of the unpacked fetch struct.
-// Replay decodes each chunk, the open one included, block-wise into a
-// batchLen event scratch that stays L2-hot while every sink of the pass
-// walks it, so a fan-out pass streams the encoded bytes exactly once.
+// Replay decodes each chunk, the open one included, block-wise into the
+// blocks of a Stager, whose pairs walk each block while the next is
+// decoded, so a fan-out pass streams the encoded bytes exactly once.
 // WriteTo spills the buffer to the WMTRACE4 file format (sealed chunks
 // verbatim), one stream after the other, and ReadBuffer reloads it
 // losslessly.
@@ -183,78 +183,86 @@ type SinkPair struct {
 	Data  DataSink
 }
 
-// batchLen is the number of events decoded per replay block: large enough
-// that decode overhead and the one dynamic dispatch per block per sink are
-// noise, small enough that the decoded block (80KB of fetch events) stays
-// resident in L2 while every sink of the pass walks it.
-const batchLen = 4096
+// batchLen is the number of events ReplayAll decodes between two checks
+// of its ctx: one block for each slot of a stream's ring (ringDepth ×
+// stageLen). A sink that cancels the pass does so while it holds a block
+// of some batch, so the producer, which needs that block's slot back to
+// start the next batch but one, stops at a batch boundary and every pair
+// sees the same whole batches.
+const batchLen = ringDepth * stageLen
 
-// ReplayAll fans the capture out to every registered sink in a single pass:
-// each compressed column chunk is decoded into event blocks once, and each
-// block is handed to all sinks before the next block is touched — so an
-// N-technique sweep streams the encoded bytes once instead of the raw bytes
-// N times, and the hot block stays cache-resident.
-// Per-sink event order is exactly capture order, identical to N independent
-// single-pair passes.
+// ReplayAll fans the capture out to every registered pair in a single pass
+// through a Stager: each compressed column chunk is decoded straight into
+// the stager's blocks, once, and every pair walks each block on its own
+// goroutine while the pass decodes the next (see Stager) — so an
+// N-technique sweep streams the encoded bytes once instead of the raw
+// bytes N times, and the pass waits only when it is ringDepth blocks
+// ahead of the slowest pair. Per-sink event order is exactly capture
+// order, identical to N independent single-pair passes. ReplayAll returns
+// once every pair has taken every block, and a sink's panic panics again
+// here, as with Stager.Flush.
 //
 // The two streams are replayed back to back: every sink in this repository
 // consumes exactly one stream, so per-stream order — which is preserved
 // exactly — is the only order a capture keeps.
 //
-// ctx is checked between blocks, so a sweep cancels mid-fan-out with at
-// most one partial block delivered. A corrupt file-adopted chunk surfaces
-// as an error at the block that fails to decode, never as wrong events,
-// and a buffer that was handed a malformed fetch event replays nothing and
-// returns the error naming that event.
+// ctx is checked before every batchLen events, so a sweep cancels
+// mid-fan-out with every pair stopped at the same batch boundary. A
+// corrupt file-adopted chunk surfaces as an error at the block that fails
+// to decode, never as wrong events, and a buffer that was handed a
+// malformed fetch event replays nothing and returns the error naming that
+// event.
 func (b *Buffer) ReplayAll(ctx context.Context, sinks []SinkPair) error {
 	if b.err != nil {
 		return b.err
 	}
-	fetch, data := splitSinks(sinks)
-	if len(fetch) > 0 {
-		if err := b.forEachFetchBlock(ctx, func(blk []FetchEvent) error {
-			fanFetch(fetch, blk)
+	s := NewStager(sinks)
+	defer s.Discard() // a failed pass; nothing once Flush has ended it
+	fetch, data := s.Streams()
+	if fetch {
+		if err := b.forEachFetchBlock(ctx, func() []FetchEvent { return s.fblk[:] }, func(blk []FetchEvent) error {
+			s.fblk = handOver(s, &s.fr, len(blk))
 			return nil
 		}); err != nil {
 			return err
 		}
 	}
-	if len(data) > 0 {
-		if err := b.forEachDataBlock(ctx, func(blk []DataEvent) error {
-			fanData(data, blk)
+	if data {
+		if err := b.forEachDataBlock(ctx, func() []DataEvent { return s.dblk[:] }, func(blk []DataEvent) error {
+			s.dblk = handOver(s, &s.dr, len(blk))
 			return nil
 		}); err != nil {
 			return err
 		}
 	}
+	s.Flush()
 	return nil
 }
 
-// forEachFetchBlock decodes the fetch stream block-wise and hands each
-// block to fn. The block slice is reused; fn must not retain it.
-func (b *Buffer) forEachFetchBlock(ctx context.Context, fn func([]FetchEvent) error) error {
+// forEachFetchBlock decodes the fetch stream block-wise into the slices
+// next returns and hands each block to fn (see eachBlock).
+func (b *Buffer) forEachFetchBlock(ctx context.Context, next func() []FetchEvent, fn func([]FetchEvent) error) error {
 	open := b.fenc.chunk(fetchLayout)
-	return forEachBlock(ctx, "fetch", b.fetch, &open, fn)
+	return forEachBlock(ctx, "fetch", b.fetch, &open, next, fn)
 }
 
 // forEachDataBlock is forEachFetchBlock for the data stream.
-func (b *Buffer) forEachDataBlock(ctx context.Context, fn func([]DataEvent) error) error {
+func (b *Buffer) forEachDataBlock(ctx context.Context, next func() []DataEvent, fn func([]DataEvent) error) error {
 	open := b.denc.chunk(dataLayout)
-	return forEachBlock(ctx, "data", b.data, &open, fn)
+	return forEachBlock(ctx, "data", b.data, &open, next, fn)
 }
 
 // forEachBlock decodes one stream, its sealed chunks and then its open
 // chunk, block-wise, and hands each block to fn.
 func forEachBlock[E FetchEvent | DataEvent](ctx context.Context, stream string, sealed []encChunk, open *encChunk,
-	fn func([]E) error) error {
+	next func() []E, fn func([]E) error) error {
 	var sc blockScratch
-	block := make([]E, batchLen)
 	for ci := 0; ci <= len(sealed); ci++ {
 		ch := open
 		if ci < len(sealed) {
 			ch = &sealed[ci]
 		}
-		if err := eachBlock(ctx, ch, block, &sc, fn); errors.Is(err, errColumn) {
+		if err := eachBlock(ctx, ch, &sc, next, fn); errors.Is(err, errColumn) {
 			return fmt.Errorf("trace: %s chunk %d: %w", stream, ci, err)
 		} else if err != nil {
 			return err
@@ -263,11 +271,20 @@ func forEachBlock[E FetchEvent | DataEvent](ctx context.Context, stream string, 
 	return nil
 }
 
+// decodeChunk decodes ch block by block into one reused block and hands
+// each block to fn.
+func decodeChunk[E FetchEvent | DataEvent](ch *encChunk, fn func([]E)) error {
+	var sc blockScratch
+	block := make([]E, batchLen)
+	return eachBlock(context.Background(), ch, &sc, func() []E { return block },
+		func(blk []E) error { fn(blk); return nil })
+}
+
 // Fetches materializes the recorded fetch stream as a fresh slice — a
 // convenience for tests and tools, not the replay hot path.
 func (b *Buffer) Fetches() []FetchEvent {
-	out := make([]FetchEvent, 0, b.nf)
-	b.forEachFetchBlock(context.Background(), func(blk []FetchEvent) error {
+	out, block := make([]FetchEvent, 0, b.nf), make([]FetchEvent, batchLen)
+	b.forEachFetchBlock(context.Background(), func() []FetchEvent { return block }, func(blk []FetchEvent) error {
 		out = append(out, blk...)
 		return nil
 	})
@@ -276,8 +293,8 @@ func (b *Buffer) Fetches() []FetchEvent {
 
 // Datas materializes the recorded data stream as a fresh slice.
 func (b *Buffer) Datas() []DataEvent {
-	out := make([]DataEvent, 0, b.nd)
-	b.forEachDataBlock(context.Background(), func(blk []DataEvent) error {
+	out, block := make([]DataEvent, 0, b.nd), make([]DataEvent, batchLen)
+	b.forEachDataBlock(context.Background(), func() []DataEvent { return block }, func(blk []DataEvent) error {
 		out = append(out, blk...)
 		return nil
 	})

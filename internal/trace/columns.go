@@ -512,21 +512,27 @@ func (cu *chunkCursors) done() bool {
 	return cu.off == len(cu.bytes)
 }
 
-// eachBlock decodes ch into successive blocks of block (batchLen events,
-// reused) and hands each to fn, checking ctx before each block. A payload
-// that fails to decode or is not consumed exactly is errColumn.
-func eachBlock[E FetchEvent | DataEvent](ctx context.Context, ch *encChunk, block []E, sc *blockScratch,
-	fn func([]E) error) error {
+// eachBlock decodes ch block by block and hands each block to fn: it
+// decodes every block into the start of a slice next returns, as many
+// events as that slice holds (at most batchLen) or as ch has left. It
+// checks ctx before each batchLen events, so a slice of stageLen events
+// takes a batch of batchLen/stageLen blocks between checks. A payload that
+// fails to decode or is not consumed exactly is errColumn.
+func eachBlock[E FetchEvent | DataEvent](ctx context.Context, ch *encChunk, sc *blockScratch,
+	next func() []E, fn func([]E) error) error {
 	layout := dataLayout
-	if _, ok := any(block).([]FetchEvent); ok {
+	if _, ok := any(next).(func() []FetchEvent); ok {
 		layout = fetchLayout
 	}
 	cu := ch.cursors(layout)
-	for off := 0; off < ch.n; off += batchLen {
-		if err := ctx.Err(); err != nil {
-			return err
+	for off := 0; off < ch.n; {
+		if off%batchLen == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		blk := block[:min(batchLen, ch.n-off)]
+		blk := next()
+		blk = blk[:min(len(blk), ch.n-off)]
 		var err error
 		switch dst := any(blk).(type) {
 		case []FetchEvent:
@@ -540,6 +546,7 @@ func eachBlock[E FetchEvent | DataEvent](ctx context.Context, ch *encChunk, bloc
 		if err := fn(blk); err != nil {
 			return err
 		}
+		off += len(blk)
 	}
 	if !cu.done() {
 		return errColumn

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -262,9 +261,7 @@ func (b *Buffer) adoptFetchChunk(ch encChunk) error {
 		b.nf += chunkLen
 		return nil
 	}
-	var sc blockScratch
-	if err := eachBlock(context.Background(), &ch, make([]FetchEvent, batchLen), &sc,
-		func(blk []FetchEvent) error { b.appendFetches(blk); return nil }); err != nil {
+	if err := decodeChunk(&ch, b.appendFetches); err != nil {
 		return fmt.Errorf("trace: fetch tail chunk: %w", err)
 	}
 	return nil
@@ -279,9 +276,7 @@ func (b *Buffer) adoptDataChunk(ch encChunk) error {
 		b.nd += chunkLen
 		return nil
 	}
-	var sc blockScratch
-	if err := eachBlock(context.Background(), &ch, make([]DataEvent, batchLen), &sc,
-		func(blk []DataEvent) error { b.appendDatas(blk); return nil }); err != nil {
+	if err := decodeChunk(&ch, b.appendDatas); err != nil {
 		return fmt.Errorf("trace: data tail chunk: %w", err)
 	}
 	return nil

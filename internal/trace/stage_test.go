@@ -2,9 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestStagerDelivery: a stager hands every sink each stream in order, in
@@ -125,4 +130,151 @@ func TestCaptureStagerMatchesPerEvent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// at most want within a second: a stager's pair goroutines have called
+// Done when Flush or Discard returns, but may not have exited yet.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for range 100 {
+		if runtime.NumGoroutine() <= want {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("%d goroutines outlive the run, want at most %d", runtime.NumGoroutine(), want)
+}
+
+// panicSink panics on the block that holds its trigger'th event.
+type panicSink struct{ seen, trigger int }
+
+func (p *panicSink) OnFetchBatch(evs []FetchEvent) { p.take(len(evs)) }
+
+func (p *panicSink) OnDataBatch(evs []DataEvent) { p.take(len(evs)) }
+
+func (p *panicSink) take(n int) {
+	if p.seen += n; p.seen >= p.trigger {
+		panic("sink fault")
+	}
+}
+
+// catchSinkPanic runs fn and returns the *SinkPanic it panics with, or
+// nil when it returns.
+func catchSinkPanic(t *testing.T, fn func()) (sp *SinkPanic) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			var ok bool
+			if sp, ok = v.(*SinkPanic); !ok {
+				t.Fatalf("panicked with %T %v, want a *SinkPanic", v, v)
+			}
+		}
+	}()
+	fn()
+	return nil
+}
+
+// TestStagerEnds: whether a run ends with Flush, with Discard or with a
+// sink's panic, no goroutine of the stager outlives it. Flush delivers the
+// tails; Discard drops them, and every pair has seen the same whole blocks.
+// A sink's panic comes back on the producer's goroutine as a *SinkPanic
+// carrying the sink's value and a stack that names the sink, at the next
+// block handed over or, when it was the last, at Flush; the pairs that did
+// not panic keep their streams.
+func TestStagerEnds(t *testing.T) {
+	const n = 2*ringDepth*stageLen + 5
+	stage := func(st *Stager) {
+		for i := range n {
+			*st.NextFetch() = FetchEvent{Addr: uint32(i) * 8}
+			*st.NextData() = DataEvent{Addr: uint32(i) * 4}
+		}
+	}
+	for _, end := range []string{"flush", "discard"} {
+		start := runtime.NumGoroutine()
+		var a, b, c eventLog
+		st := NewStager([]SinkPair{{Fetch: &a, Data: &a}, {Fetch: &b}, {Data: &c}})
+		stage(st)
+		want := n
+		if end == "flush" {
+			st.Flush()
+		} else {
+			st.Discard()
+			want = n / stageLen * stageLen
+		}
+		st.Discard() // an ended stager does nothing
+		st.Flush()
+		if len(a.Fetches) != want || len(b.Fetches) != want || len(a.Datas) != want || len(c.Datas) != want {
+			t.Fatalf("%s: pairs saw %d/%d fetch and %d/%d data events, want %d each",
+				end, len(a.Fetches), len(b.Fetches), len(a.Datas), len(c.Datas), want)
+		}
+		waitGoroutines(t, start)
+	}
+
+	for _, trigger := range []int{1, stageLen + 1, n} {
+		start := runtime.NumGoroutine()
+		var ok eventLog
+		st := NewStager([]SinkPair{{Fetch: &ok}, {Data: &panicSink{trigger: trigger}}})
+		sp := catchSinkPanic(t, func() {
+			defer st.Discard()
+			stage(st)
+			st.Flush()
+		})
+		if sp == nil || sp.PanicValue() != "sink fault" || !strings.Contains(string(sp.PanicStack()), "(*panicSink).take") {
+			t.Fatalf("trigger %d: producer got %v, want the sink's panic with its stack", trigger, sp)
+		}
+		// The producer takes the panicking block's slot back ringDepth
+		// blocks later, after the panic was kept.
+		if trigger < n-ringDepth*stageLen && len(ok.Fetches) == n {
+			t.Fatalf("trigger %d: the panic surfaced only at Flush, not at a handoff", trigger)
+		}
+		waitGoroutines(t, start)
+	}
+}
+
+// TestReplayAllPairsSeeSameBlocks: every pair of a ReplayAll pass sees the
+// same blocks, whether the pass completes or a sink cancels it at any
+// point (a cancel in the last batch comes too late to stop anything), and
+// no goroutine outlives the pass; a sink's panic panics again in
+// ReplayAll's caller.
+func TestReplayAllPairsSeeSameBlocks(t *testing.T) {
+	var b Buffer
+	const total = 5*batchLen + 17
+	for i := range total {
+		b.OnData(DataEvent{Addr: uint32(i) * 4})
+	}
+	for _, at := range []int{-1, 0, 1, stageLen, batchLen - 1, batchLen + stageLen + 3, total - 1} {
+		start := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		var logs [4]eventLog
+		pairs := []SinkPair{{Data: &logs[0]}, {Data: &logs[1]}, {Data: &logs[2]},
+			{Data: DataFunc(func(ev DataEvent) {
+				if int(ev.Addr/4) == at {
+					cancel()
+				}
+				logs[3].Datas = append(logs[3].Datas, ev)
+			})}}
+		err := b.ReplayAll(ctx, pairs)
+		cancel()
+		if late := at < 0 || at >= total/batchLen*batchLen; late != (err == nil) ||
+			(err != nil && !errors.Is(err, context.Canceled)) {
+			t.Fatalf("cancel at %d: err = %v", at, err)
+		}
+		for i := range logs {
+			if got := len(logs[i].Datas); got != len(logs[0].Datas) || (at < 0 && got != total) {
+				t.Fatalf("cancel at %d: pair %d saw %d events, pair 0 %d of %d", at, i, got, len(logs[0].Datas), total)
+			}
+		}
+		waitGoroutines(t, start)
+	}
+
+	start := runtime.NumGoroutine()
+	var ok eventLog
+	sp := catchSinkPanic(t, func() {
+		b.ReplayAll(context.Background(), []SinkPair{{Data: &ok}, {Data: &panicSink{trigger: batchLen}}})
+	})
+	if sp == nil || sp.PanicValue() != "sink fault" {
+		t.Fatalf("ReplayAll's caller got %v, want the sink's panic", sp)
+	}
+	waitGoroutines(t, start)
 }

@@ -16,7 +16,9 @@
 //
 // Consumers take each stream in blocks: a sink implements its stream's one
 // block method (FetchSink, DataSink), and every producer — the simulator's
-// Stager, a Buffer's replay, a tee — delivers blocks.
+// Stager, a Buffer's replay, a tee — delivers blocks. A Stager, which a
+// replay runs through too, calls each SinkPair's sinks on the pair's own
+// goroutine, so the sinks of different pairs run at the same time.
 package trace
 
 import (

@@ -217,10 +217,14 @@ func RunPacket(w Workload, st *trace.Stager, packetBytes uint32) (*sim.CPU, erro
 }
 
 // RunPacketContext is the most general runner: explicit context and
-// fetch-packet size. Once the run and its check have succeeded it flushes
-// st, so every sink has the whole of both streams when it returns; a
-// failed run's tails are dropped with it.
+// fetch-packet size. It ends st on every path, so no sink of st runs once
+// it returns: once the run and its check have succeeded it flushes st, so
+// every sink has the whole of both streams, and a failed or panicking run
+// discards st, dropping its tails.
 func RunPacketContext(ctx context.Context, w Workload, st *trace.Stager, packetBytes uint32) (*sim.CPU, error) {
+	if st != nil {
+		defer st.Discard() // nothing once Flush has ended it
+	}
 	p, err := w.Build()
 	if err != nil {
 		return nil, err
