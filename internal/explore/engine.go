@@ -441,20 +441,19 @@ func (sc Scheduler) shards(claims []fanPoint) []fanShard {
 
 // simulateShard simulates pts, grid points of workload w, in one pass over
 // w's event stream. Each run of points of one (sets, line) attaches the
-// space's techniques through suite.AttachWays, as one ways group: an LRU
-// cache's contents at every associativity follow from one recency order
-// per set, and way memoization never changes hits, misses or evictions
-// (see core.Lane), so the baseline and every MAB size of every way count
-// are one controller. A point alone in its (sets, line) attaches through
-// suite.Attach, as suite.Run attaches a benchmark's. The controllers are
-// fed through suite.Drive: a single batched fan-out replay of the
-// workload's capture (fed by the capturing execution itself when this
-// shard is the one that starts it), or, when tc is nil, one live
-// execution delivered in blocks. A ways group whose stream turns out
-// inexact (core.DWays.Exact) is simulated again one point at a time, in
-// one more pass, which replays the capture. Either way
-// each point is priced by assemblePoint, so live and replayed grids are
-// byte-identical.
+// space's techniques through suite.AttachWays, as one ways group where the
+// plan makes it exact: an LRU cache's contents at every associativity
+// follow from one recency order per set, and way memoization never changes
+// hits, misses or evictions (see core.Lane), so the baseline and every MAB
+// size of every way count are one controller. A point alone in its (sets,
+// line), or a fetch unit whose packet is wider than its line, attaches
+// each geometry through suite.Attach, as suite.Run attaches a benchmark's.
+// The controllers are fed through suite.Drive: a single batched fan-out
+// replay of the workload's capture (fed by the capturing execution itself
+// when this shard is the one that starts it), or, when tc is nil, one live
+// execution delivered in blocks. A ways group that reports inexact after
+// the pass fails the shard with an internal error. Each point is priced
+// by assemblePoint, so live and replayed grids are byte-identical.
 func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fanPoint,
 	techs []suite.Technique, tc *suite.TraceCache) ([]*PointResult, error) {
 	// Build the controllers only now, so the memory a sweep holds live is
@@ -463,6 +462,7 @@ func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fan
 	// them is one group.
 	type group struct {
 		lo, hi int // pts[lo:hi]
+		geos   []cache.Config
 		exact  func() bool
 	}
 	var groups []group
@@ -473,15 +473,15 @@ func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fan
 		}
 		groups[len(groups)-1].hi = pi + 1
 	}
+	packet := cmp.Or(s.PacketBytes, w.DefaultPacketBytes())
 	outs := make([][]suite.TechResult, len(pts))
 	pairs := make([]trace.SinkPair, 0, len(groups))
 	for gi := range groups {
 		g := &groups[gi]
-		geos := make([]cache.Config, 0, g.hi-g.lo)
 		for _, fp := range pts[g.lo:g.hi] {
-			geos = append(geos, fp.pt.Geometry)
+			g.geos = append(g.geos, fp.pt.Geometry)
 		}
-		p, res, exact, err := attachWays(geos, techs)
+		p, res, exact, err := attachWays(g.geos, techs, packet)
 		if err != nil {
 			return nil, err
 		}
@@ -492,23 +492,10 @@ func simulateShard(ctx context.Context, s Space, w workloads.Workload, pts []fan
 	if err != nil {
 		return nil, err
 	}
-	var again []trace.SinkPair
 	for _, g := range groups {
-		if g.exact() {
-			continue
-		}
-		for pi := g.lo; pi < g.hi; pi++ {
-			p, res, err := suite.Attach(pts[pi].pt.Geometry, techs)
-			if err != nil {
-				return nil, err
-			}
-			again, outs[pi] = append(again, p...), res
-		}
-	}
-	if len(again) > 0 {
-		// The points were counted as replays by the first pass.
-		if _, _, err := suite.Drive(ctx, w, s.PacketBytes, again, tc, 0); err != nil {
-			return nil, err
+		if !g.exact() {
+			return nil, fmt.Errorf("explore: internal error: %s: the ways group of %+v is inexact over %d-byte packets",
+				w.Name, g.geos, packet)
 		}
 	}
 	prs := make([]*PointResult, len(pts))

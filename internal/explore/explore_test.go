@@ -784,8 +784,8 @@ func (faultySink) OnDataBatch([]trace.DataEvent) { panic("faulty sink") }
 // no goroutine outlives Run.
 func TestSinkPanicIsPanicError(t *testing.T) {
 	orig := attachWays
-	attachWays = func(geos []cache.Config, techs []suite.Technique) ([]trace.SinkPair, [][]suite.TechResult, func() bool, error) {
-		pairs, res, exact, err := orig(geos, techs)
+	attachWays = func(geos []cache.Config, techs []suite.Technique, packet uint32) ([]trace.SinkPair, [][]suite.TechResult, func() bool, error) {
+		pairs, res, exact, err := orig(geos, techs, packet)
 		return append(pairs, trace.SinkPair{Data: faultySink{}}), res, exact, err
 	}
 	t.Cleanup(func() { attachWays = orig })

@@ -77,7 +77,7 @@ func checkWaysGroups(t *testing.T, seeds int) {
 // checkWidePackets fails t unless one of the first seeds of
 // randomSynthSpace at least draws a fetch-domain space whose packet is
 // larger than its line, so that the oracles compare fetch streams whose
-// every packet crosses a line, a ways group's inexact fallback included.
+// every packet crosses a line, attached one geometry at a time by the plan.
 func checkWidePackets(t *testing.T, seeds int) {
 	t.Helper()
 	for seed := 1; seed <= seeds; seed++ {

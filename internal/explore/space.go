@@ -23,7 +23,9 @@
 // The points of a shard that share sets and line size and differ only in
 // ways run as one controller, a ways group (suite.AttachWays): an LRU
 // cache of fewer ways holds the most recent of the lines a wider one
-// holds, so one recency order per set answers every associativity.
+// holds, so one recency order per set answers every associativity. A
+// fetch sweep whose packet is wider than the line attaches each geometry
+// alone, in the same pass.
 //
 // The result cache applies the paper's own trick to the simulator: a grid
 // point's inputs are hashed (geometry + technique set + workload + fetch

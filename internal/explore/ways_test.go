@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"waymemo/internal/cache"
 	"waymemo/internal/suite"
 	"waymemo/internal/trace"
 	"waymemo/internal/workloads"
@@ -120,9 +121,9 @@ func TestGeoSweepWaysGroups(t *testing.T) {
 // TestWaysGroupInexactFallback sweeps the fetch domain with 32-byte
 // packets over 16-byte lines: a taken branch into the second half of a
 // packet fetches a packet outside the line its base and displacement
-// name, so the ways group is inexact and its points simulate again one
-// geometry at a time, in a second pass that counts no further replays.
-// The bytes equal the per-way runs'.
+// name, so a ways group would be inexact. The plan attaches each
+// geometry alone instead, and the shard takes one pass that feeds 3
+// sinks and counts 3 replays. The bytes equal the per-way runs'.
 func TestWaysGroupInexactFallback(t *testing.T) {
 	space := Space{Domain: suite.Fetch, Sets: []int{64}, Ways: []int{1, 2, 4}, LineBytes: []int{16},
 		TagEntries: []int{2}, SetEntries: []int{8, 16}, Workloads: []workloads.Workload{workloads.DCT()}, PacketBytes: 32}
@@ -130,10 +131,33 @@ func TestWaysGroupInexactFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := g.Traces; st.FanOutPasses != 2 || st.FanOutSinks != 1+3 || st.Replays != 3 {
-		t.Fatalf("trace stats %+v, want 2 passes feeding 1 and 3 sinks, 3 replays", st)
+	if st := g.Traces; st.FanOutPasses != 1 || st.FanOutSinks != 3 || st.Replays != 3 {
+		t.Fatalf("trace stats %+v, want 1 pass feeding 3 sinks, 3 replays", st)
 	}
 	checkPerWay(t, g, perWayPoints(t, space))
+}
+
+// TestInexactWaysGroupFails: a ways group that reports inexact after its
+// pass fails the sweep with an internal error naming the workload and the
+// group's geometries, returns no grid, and leaves no result in the cache.
+func TestInexactWaysGroupFails(t *testing.T) {
+	orig := attachWays
+	attachWays = func(geos []cache.Config, techs []suite.Technique, packet uint32) ([]trace.SinkPair, [][]suite.TechResult, func() bool, error) {
+		pairs, res, _, err := orig(geos, techs, packet)
+		return pairs, res, func() bool { return false }, err
+	}
+	t.Cleanup(func() { attachWays = orig })
+	space := tinySpace()
+	space.Ways = []int{1, 2}
+	dir := t.TempDir()
+	g, err := Run(context.Background(), space, WithParallelism(1), WithCacheDir(dir))
+	if g != nil || err == nil || !strings.Contains(err.Error(), "internal error: tiny:") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%+v", cache.Config{Sets: 64, Ways: 2, LineBytes: 32})) {
+		t.Fatalf("sweep with an inexact ways group: grid returned %t, err %v; want no grid and an internal error naming tiny and its geometries", g != nil, err)
+	}
+	if stored, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(stored) != 0 {
+		t.Fatalf("a failed sweep stored %d results", len(stored))
+	}
 }
 
 // TestShardsKeepWaysGroups checks Scheduler.shards at every parallelism:

@@ -69,14 +69,14 @@ func New() *CPU {
 // the run has succeeded. A nil st detaches: the CPU then builds no events.
 func (c *CPU) Attach(st *trace.Stager) { c.fe.attach(st) }
 
-// LoadProgram loads an assembled program image and attaches the program's
-// shared predecoded instruction table. The PC is set to the program entry
-// and the stack pointer to sp.
+// LoadProgram loads an assembled program image and predecodes its text
+// from the loaded memory. The PC is set to the program entry and the stack
+// pointer to sp.
 func (c *CPU) LoadProgram(p *asm.Program, sp uint32) {
 	if c.Mem == nil {
 		c.Mem = mem.New()
 	}
-	c.fe.load(p, c.Mem, "frvl", isa.Decode, isa.Instr{Op: gapOp})
+	c.fe.load(p, c.Mem, isa.Decode, isa.Instr{Op: gapOp})
 	c.PC = p.Entry
 	c.Regs[isa.RegSP] = sp
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"waymemo/internal/asm"
 	"waymemo/internal/mem"
@@ -47,7 +46,7 @@ type front[I any] struct {
 	pendDisp  int32
 	pendValid bool
 
-	text  table[I] // the shared predecoded text
+	text  table[I] // the predecoded text
 	spill I        // a word outside text, decoded from memory
 }
 
@@ -143,14 +142,13 @@ func storeIntoText(addr uint32) error {
 	return fmt.Errorf("store into text at 0x%x (self-modifying code is not supported)", addr)
 }
 
-// load copies the program image into m and attaches the program's shared
-// predecoded text, decoded with dec under the ISA's name, with gap in the
-// slots between text ranges.
-func (f *front[I]) load(p *asm.Program, m *mem.Memory, isa string, dec func(uint32) I, gap I) {
+// load copies the program image into m and decodes the program's text
+// from it with dec, with gap in the slots between text ranges.
+func (f *front[I]) load(p *asm.Program, m *mem.Memory, dec func(uint32) I, gap I) {
 	for _, seg := range p.Segments {
 		m.LoadImage(seg.Addr, seg.Data)
 	}
-	f.text = *predecode(p, isa, dec, gap)
+	f.text = buildTable(p, m, dec, gap)
 }
 
 // gapOp is the opcode of a table slot between text ranges, such as a .word
@@ -161,42 +159,21 @@ func (f *front[I]) load(p *asm.Program, m *mem.Memory, isa string, dec func(uint
 // taken before the run would be stale.
 const gapOp = 0xFF
 
-// table is the immutable decode of a program's text: a PC-indexed
-// instruction table over the span of all text ranges, with gap in the
-// slots that no range covers. Programs cannot modify their text (stores
-// into it are rejected), so one table is shared read-only by every core
-// running the program: the text is decoded once per process, not once per
-// run or per dynamic instruction.
+// table is the decode of a program's text: a PC-indexed instruction table
+// over the span of all text ranges, with gap in the slots that no range
+// covers. Programs cannot modify their text (stores into it are rejected),
+// so the text is decoded once per load, not once per dynamic instruction.
 type table[I any] struct {
 	base   uint32
 	instrs []I
 	ranges [][2]uint32
 }
 
-// tables memoizes predecode per program identity and ISA; workloads.Build
-// returns the same *asm.Program for a workload within a process.
-var tables sync.Map // tableKey -> *table[I]
-
-type tableKey struct {
-	p   *asm.Program
-	isa string
-}
-
-// predecode returns the program's shared instruction table, decoding its
-// text with dec on first use.
-func predecode[I any](p *asm.Program, isa string, dec func(uint32) I, gap I) *table[I] {
-	k := tableKey{p, isa}
-	if v, ok := tables.Load(k); ok {
-		return v.(*table[I])
-	}
-	v, _ := tables.LoadOrStore(k, buildTable(p, dec, gap))
-	return v.(*table[I])
-}
-
-// buildTable decodes the contiguous span covering all text ranges, and
-// fills the slots between ranges with gap.
-func buildTable[I any](p *asm.Program, dec func(uint32) I, gap I) *table[I] {
-	t := &table[I]{ranges: p.TextRanges}
+// buildTable decodes the contiguous span covering all text ranges from m,
+// which holds the program's image, and fills the slots between ranges
+// with gap.
+func buildTable[I any](p *asm.Program, m *mem.Memory, dec func(uint32) I, gap I) table[I] {
+	t := table[I]{ranges: p.TextRanges}
 	if len(p.TextRanges) == 0 {
 		return t
 	}
@@ -206,10 +183,6 @@ func buildTable[I any](p *asm.Program, dec func(uint32) I, gap I) *table[I] {
 	}
 	if hi-lo > 1<<24 { // refuse absurd spans
 		return t
-	}
-	m := mem.New()
-	for _, seg := range p.Segments {
-		m.LoadImage(seg.Addr, seg.Data)
 	}
 	t.base = lo
 	t.instrs = make([]I, (hi-lo)/word)

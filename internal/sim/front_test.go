@@ -302,7 +302,6 @@ func FuzzSimulate(f *testing.F) {
 				}
 				return nil
 			})
-			tables.Delete(tableKey{p, ic.name})
 
 			for _, got := range []struct {
 				how     string

@@ -59,14 +59,14 @@ func decodeRV32(w uint32) rv32.Instr {
 // the run has succeeded. A nil st detaches: the core then builds no events.
 func (c *RV32CPU) Attach(st *trace.Stager) { c.fe.attach(st) }
 
-// LoadProgram loads an assembled program image and attaches the program's
-// shared predecoded instruction table. The PC is set to the program entry
-// and the stack pointer to sp.
+// LoadProgram loads an assembled program image and predecodes its text
+// from the loaded memory. The PC is set to the program entry and the stack
+// pointer to sp.
 func (c *RV32CPU) LoadProgram(p *asm.Program, sp uint32) {
 	if c.Mem == nil {
 		c.Mem = mem.New()
 	}
-	c.fe.load(p, c.Mem, "rv32", decodeRV32, rv32.Instr{Op: gapOp})
+	c.fe.load(p, c.Mem, decodeRV32, rv32.Instr{Op: gapOp})
 	c.PC = p.Entry
 	c.Regs[rv32.RegSP] = sp
 }

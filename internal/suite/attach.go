@@ -83,27 +83,31 @@ func Attach(geo cache.Config, techs []Technique) ([]trace.SinkPair, []TechResult
 }
 
 // AttachWays is Attach for geometries that share sets and line size and
-// differ only in ways. It returns the sink pairs that feed them and, per
-// geometry in geos order, one TechResult per technique in techs order.
+// differ only in ways, fed a stream of fetch packets of packet bytes (the
+// resolved size, never 0). It returns the sink pairs that feed them and,
+// per geometry in geos order, one TechResult per technique in techs order.
 //
 // An LRU cache of w ways holds the w most recently used lines of each set
 // for every w, and way memoization never changes what it holds, so when
 // techs are one domain's baseline and MAB lanes, every lane
 // PolicyEvictInvalidate, two geometries or more read one ways group,
 // core.NewDWays or core.NewIWays: one pass counts every geometry, each
-// level equal to the controller Attach would build for its geometry.
-// Anything else — a technique alone, an observer, a PolicyPaper lane,
-// whose violations depend on physical ways — attaches each geometry
-// through Attach.
+// level equal to the controller Attach would build for its geometry. That
+// holds while every access lies in the line its base and displacement
+// name (core.DWays.Exact), as every data access the simulators emit does,
+// and every fetch does when a packet is no larger than the line: both are
+// powers of two, so such a packet lies inside one line. Anything else — a
+// technique alone, an observer, a PolicyPaper lane, whose violations
+// depend on physical ways, a fetch packet wider than the line — attaches
+// each geometry through Attach.
 //
-// exact reports, once the stream is delivered, whether the results hold
-// (core.DWays.Exact). When it returns false, the stream had accesses
-// outside the lines their base and displacement name, and the geometries
-// must be attached and simulated again one at a time.
-func AttachWays(geos []cache.Config, techs []Technique) (pairs []trace.SinkPair, res [][]TechResult, exact func() bool, err error) {
+// exact reports, once the stream is delivered, whether a ways group's
+// results hold; it is true for every stream the simulators emit, so false
+// means the stream broke the plan and the results are wrong.
+func AttachWays(geos []cache.Config, techs []Technique, packet uint32) (pairs []trace.SinkPair, res [][]TechResult, exact func() bool, err error) {
 	res = make([][]TechResult, len(geos))
 	cfgs, ok := waysLanes(geos, techs)
-	if !ok {
+	if !ok || techs[0].Domain == Fetch && packet > uint32(geos[0].LineBytes) {
 		for i, geo := range geos {
 			p, r, err := Attach(geo, techs)
 			if err != nil {

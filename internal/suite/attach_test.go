@@ -213,32 +213,43 @@ func TestAttachMatchesInstantiate(t *testing.T) {
 
 // TestAttachWaysFallsBack checks that AttachWays builds one ways group
 // only for one domain's baseline and evict-invalidate lanes over two
-// geometries or more: a baseline and two lanes over ways {1, 2} give one
-// sink, one geometry or a PolicyPaper lane one sink per geometry, and the
-// standard suite, with its observers and both domains, two.
+// geometries or more, in the fetch domain only for a packet no larger than
+// the line: a baseline and two lanes over ways {1, 2} give one sink, one
+// geometry or a PolicyPaper lane one sink per geometry, and the standard
+// suite, with its observers and both domains, two per geometry. Fetch
+// lanes give one sink per geometry for 32-byte packets over 16-byte lines
+// and one group for 8-byte packets over 32-byte lines.
 func TestAttachWaysFallsBack(t *testing.T) {
 	geos := []cache.Config{{Sets: 64, Ways: 1, LineBytes: 32}, {Sets: 64, Ways: 2, LineBytes: 32}}
+	narrow := []cache.Config{{Sets: 64, Ways: 1, LineBytes: 16}, {Sets: 64, Ways: 2, LineBytes: 16}}
 	lanes := []Technique{MustLookup(Data, DOrig),
 		MABDataTechnique("a", "", core.Config{TagEntries: 2, SetEntries: 8}),
 		MABDataTechnique("b", "", core.Config{TagEntries: 1, SetEntries: 4})}
 	paper := append(lanes[:2:2], MABDataTechnique("p", "", core.Config{TagEntries: 2, SetEntries: 8, Consistency: core.PolicyPaper}))
+	fetch := []Technique{MustLookup(Fetch, IOrig),
+		MABFetchTechnique("a", "", core.Config{TagEntries: 2, SetEntries: 8}),
+		MABFetchTechnique("b", "", core.Config{TagEntries: 1, SetEntries: 4})}
 	for _, c := range []struct {
-		geos  []cache.Config
-		techs []Technique
-		sinks int
+		geos   []cache.Config
+		techs  []Technique
+		packet uint32
+		sinks  int
 	}{
-		{geos, lanes, 1},
-		{geos[:1], lanes, 1},
-		{geos, paper, 2},
-		{geos, Techniques(), 4},
+		{geos, lanes, 8, 1},
+		{geos, lanes, 64, 1},
+		{geos[:1], lanes, 8, 1},
+		{geos, paper, 8, 2},
+		{geos, Techniques(), 8, 4},
+		{narrow, fetch, 32, 2},
+		{geos, fetch, 8, 1},
 	} {
-		pairs, res, exact, err := AttachWays(c.geos, c.techs)
+		pairs, res, exact, err := AttachWays(c.geos, c.techs, c.packet)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pairs) != c.sinks || len(res) != len(c.geos) || len(res[0]) != len(c.techs) || !exact() {
-			t.Fatalf("%d geometries, %d techniques: %d sinks, %d results, want %d sinks", len(c.geos), len(c.techs),
-				len(pairs), len(res), c.sinks)
+			t.Fatalf("%d geometries, %d techniques, %d-byte packets: %d sinks, %d results, want %d sinks",
+				len(c.geos), len(c.techs), c.packet, len(pairs), len(res), c.sinks)
 		}
 	}
 }

@@ -280,7 +280,7 @@ func TestTraceCacheSpillCorrupt(t *testing.T) {
 }
 
 // TestTraceCacheSpillBitFlips flips single bytes at offsets spread through
-// each stream's WMTRACE3 spill — hitting record headers, column
+// each stream's WMTRACE4 spill — hitting record headers, column
 // compression flags and varint payloads (the trace package's
 // every-byte-flip test proves the per-offset coverage is exhaustive) — and
 // checks each mutation degrades to a re-capture with bit-identical results.
@@ -664,7 +664,7 @@ func TestTraceCacheMaxInstrsKeyed(t *testing.T) {
 // TestFanOutReplayEquivalence is the batched fan-out contract, widened to
 // the compressed × parallelism grid: one ReplayAll pass feeding every
 // technique (suite.Run's replay path) must produce byte-identical counters
-// and power to a WMTRACE3 spill reloaded from disk and to live execution —
+// and power to a WMTRACE4 spill reloaded from disk and to live execution —
 // the ground truth — for all eight standard techniques of both domains,
 // across a geometry grid, at parallelism 1 and 4, on two synthetic
 // workloads (so parallelism actually interleaves benchmarks). The fan-out
@@ -693,7 +693,7 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 		{Sets: 512, Ways: 4, LineBytes: 32},
 	}
 	dir := t.TempDir()
-	// tcWarm captures (and spills WMTRACE3 files); tcDisk shares the
+	// tcWarm captures (and spills WMTRACE4 files); tcDisk shares the
 	// directory but is a distinct cache, so everything it serves comes from
 	// the compressed spill files, never from an in-memory capture.
 	tcWarm, err := NewDirTraceCache(dir)
@@ -720,7 +720,7 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// By the time tcDisk first runs, tcWarm's capture has already
-			// spilled, so this run decodes the WMTRACE3 files from disk.
+			// spilled, so this run decodes the WMTRACE4 files from disk.
 			spilled, err := Run(ctx, WithWorkloads(ws...), WithGeometry(geo),
 				WithTraceCache(tcDisk), WithParallelism(par))
 			if err != nil {
@@ -747,7 +747,7 @@ func TestFanOutReplayEquivalence(t *testing.T) {
 		t.Fatalf("fan-out accounting: %+v, want one delivery per event", st)
 	}
 	if st := tcDisk.Stats(); st.Captures != 0 || st.DiskLoads != len(ws) {
-		t.Fatalf("disk cache stats = %+v, want pure WMTRACE3 loads", st)
+		t.Fatalf("disk cache stats = %+v, want pure WMTRACE4 loads", st)
 	}
 
 	// A pass that reads one stream walks only that stream: a data-only

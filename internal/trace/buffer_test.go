@@ -136,7 +136,7 @@ func TestBufferRefusesMalformedFetch(t *testing.T) {
 	}
 }
 
-// TestBufferFileRoundTrip spills a buffer to WMTRACE3 and reloads it,
+// TestBufferFileRoundTrip spills a buffer to WMTRACE4 and reloads it,
 // demanding the reloaded buffer serialize byte-identically — which pins the
 // contents of both streams.
 func TestBufferFileRoundTrip(t *testing.T) {

@@ -79,7 +79,7 @@ func TestStagerSinksPerStream(t *testing.T) {
 
 // TestCaptureStagerMatchesPerEvent: recording a stream through a capture
 // stager, block by block, yields the same buffer as appending the same
-// events one by one — the same streams, so the same WMTRACE3 bytes —
+// events one by one — the same streams, so the same WMTRACE4 bytes —
 // across block and chunk boundaries. So does recording each stream into a
 // buffer of its own and joining the two, while the same stager hands
 // every block to a pair's sinks, which see each stream whole and in order.

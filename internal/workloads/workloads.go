@@ -173,9 +173,8 @@ type buildEntry struct {
 
 // Build assembles the workload into a program image. Builds are memoized
 // per process, keyed by Fingerprint: identical sources are assembled once,
-// and every caller shares the same read-only *asm.Program (which is also
-// what lets the simulator share one predecoded instruction table across
-// runs). Callers must not mutate the returned program.
+// and every caller shares the same read-only *asm.Program. Callers must
+// not mutate the returned program.
 func (w Workload) Build() (*asm.Program, error) {
 	key := w.Fingerprint()
 	buildMu.Lock()
