@@ -54,8 +54,19 @@ func lineBufferEnergies(geo cache.Config) cacti.BufferEnergies {
 // of Section 2 and the paper's announced line-buffer combination. Extra
 // suite options (parallelism, progress, ...) pass through to the runner.
 func AblationD(ctx context.Context, opts ...suite.Option) ([]AblationRow, error) {
+	techs := ablationDTechs()
+	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
+	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(techs...))...)
+	if err != nil {
+		return nil, err
+	}
+	return aggregateAblation(r, techs, true), nil
+}
+
+// ablationDTechs lists AblationD's techniques, in its row order.
+func ablationDTechs() []suite.Technique {
 	l0geo := cache.Config{Sets: 8, Ways: 1, LineBytes: 32} // 256B filter cache
-	techs := []suite.Technique{
+	return []suite.Technique{
 		suite.MustLookup(suite.Data, DOrig),
 		dTech("two-phase[8]", func(geo cache.Config) suite.Instance {
 			c := baseline.NewTwoPhaseD(geo)
@@ -83,17 +94,22 @@ func AblationD(ctx context.Context, opts ...suite.Option) ([]AblationRow, error)
 			return suite.Instance{Data: c, Stats: c.Stats, Model: m}
 		}),
 	}
+}
+
+// AblationI compares the instruction-cache techniques of Section 2.
+func AblationI(ctx context.Context, opts ...suite.Option) ([]AblationRow, error) {
+	techs := ablationITechs()
 	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
 	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(techs...))...)
 	if err != nil {
 		return nil, err
 	}
-	return aggregateAblation(r, techs, true), nil
+	return aggregateAblation(r, techs, false), nil
 }
 
-// AblationI compares the instruction-cache techniques of Section 2.
-func AblationI(ctx context.Context, opts ...suite.Option) ([]AblationRow, error) {
-	techs := []suite.Technique{
+// ablationITechs lists AblationI's techniques, in its row order.
+func ablationITechs() []suite.Technique {
+	return []suite.Technique{
 		suite.MustLookup(suite.Fetch, IOrig),
 		suite.MustLookup(suite.Fetch, IA4),
 		iTech("way-predict[9]", func(geo cache.Config) suite.Instance {
@@ -108,12 +124,6 @@ func AblationI(ctx context.Context, opts ...suite.Option) ([]AblationRow, error)
 		}),
 		suite.MustLookup(suite.Fetch, IMAB16),
 	}
-	runOpts := append([]suite.Option{suite.WithGeometry(Geometry)}, opts...)
-	r, err := suite.Run(ctx, append(runOpts, suite.WithTechniques(techs...))...)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateAblation(r, techs, false), nil
 }
 
 // aggregateAblation averages per-benchmark counters into one row per

@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
+
+	"waymemo/internal/suite"
 )
 
 func TestAblationD(t *testing.T) {
@@ -145,5 +151,54 @@ func TestAblationPacket(t *testing.T) {
 		if r.MABTags >= r.A4Tags {
 			t.Errorf("packet %d: MAB %.3f >= [4] %.3f", r.PacketBytes, r.MABTags, r.A4Tags)
 		}
+	}
+}
+
+// ablationCountersGolden is the SHA-256 of every stats.Counters field of
+// every AblationD and AblationI technique on each of the paper's seven
+// workloads (ablationDigest). The ablation rows are averages; this pins the
+// counts they are averaged from, so a refactor of a related-work controller
+// that moves any count fails here even when the rounded rows do not move.
+const ablationCountersGolden = "fe4f90022b82621859a1b304009dda119dcb79b6a32d39ea2fc6363c2da563d3"
+
+// ablationDigest hashes, benchmark by benchmark in suite order and
+// technique by technique in row order, the benchmark name, the technique
+// ID and every field of its counters as little-endian uint64s.
+func ablationDigest(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	for _, techs := range [][]suite.Technique{ablationDTechs(), ablationITechs()} {
+		r, err := suite.Run(context.Background(), suite.WithGeometry(Geometry), suite.WithTechniques(techs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range r.Benchmarks {
+			for _, tech := range techs {
+				tr, ok := b.D[tech.ID]
+				if tech.Domain == suite.Fetch {
+					tr, ok = b.I[tech.ID]
+				}
+				if !ok {
+					t.Fatalf("%s: no counters for %s", b.Name, tech.ID)
+				}
+				fmt.Fprintf(h, "%s|%s|", b.Name, tech.ID)
+				if err := binary.Write(h, binary.LittleEndian, tr.Stats); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if len(r.Benchmarks) != 7 {
+			t.Fatalf("%d benchmarks, want the paper's 7", len(r.Benchmarks))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestAblationCountersGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation suite in -short mode")
+	}
+	if got := ablationDigest(t); got != ablationCountersGolden {
+		t.Fatalf("ablation counters digest %s, want %s", got, ablationCountersGolden)
 	}
 }
