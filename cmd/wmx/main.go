@@ -19,7 +19,8 @@
 // Running with -exp all (the default) executes the seven-benchmark suite
 // once and prints every table and figure of the evaluation section. The
 // ablation studies (ablation-d, ablation-i, consistency, packet) go beyond
-// the paper's figures; report emits the full EXPERIMENTS.md on stdout.
+// the paper's figures; report emits a Markdown report of every table,
+// figure and ablation, published target beside measurement, on stdout.
 // Benchmarks run concurrently (-j workers, default GOMAXPROCS).
 //
 // The explore mode runs the design-space engine (internal/explore): each
@@ -245,8 +246,8 @@ func main() {
 		emit(experiments.PacketTable(rows))
 	}
 	if which == "report" {
-		// Regenerate EXPERIMENTS.md on stdout: the full suite plus every
-		// ablation study.
+		// The Markdown report on stdout: the full suite plus every ablation
+		// study.
 		ran = true
 		results := runSuite("running the seven-benchmark suite and all ablations...")
 		ablD, err := experiments.AblationD(ctx, common...)

@@ -69,7 +69,7 @@ func TestExpAllGolden(t *testing.T) {
 	}
 }
 
-// TestExpReportGolden pins the full EXPERIMENTS.md report, ablations
+// TestExpReportGolden pins the full -exp report Markdown, ablations
 // included.
 func TestExpReportGolden(t *testing.T) {
 	if testing.Short() {

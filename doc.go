@@ -12,8 +12,8 @@
 // suite runner in internal/suite, and the table/figure rendering in
 // internal/experiments.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
+// See README.md for a tour, ARCHITECTURE.md for the system's design and
+// `wmx -exp report` for paper-versus-measured results. The benchmarks in
 // bench_test.go regenerate every table and figure:
 //
 //	go test -bench=. -benchmem

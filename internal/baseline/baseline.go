@@ -12,7 +12,16 @@
 //
 // Further related-work models (filter cache [6], two-phase access [8],
 // MRU way prediction [9], Ma link-based memoization [11], line buffer [13])
-// live in extensions.go.
+// live in extensions.go. The line buffer is, like the set buffer, one rule
+// with two hosts: LineBufferD runs LineBuffer over a conventional access,
+// core.DLineBufferController over a way-memoized one. Neither buffer needs
+// an eviction hook: only a buffer miss can evict, and a buffer miss
+// re-latches after its access.
+//
+// Every model counts its conventional accesses with the same helpers:
+// countMix for the access mix, conventional (data) and fullFetch (fetch)
+// for the array work, and under both lookup for the cache outcome and a
+// miss's refill.
 package baseline
 
 import (
@@ -29,14 +38,15 @@ type OriginalD struct {
 
 var _ trace.DataSink = (*OriginalD)(nil)
 
-// OnDataBatch performs a conventional access per event: all tag ways are
-// read; loads read all data ways, stores write one. It processes the block
-// with direct calls on the concrete controller, walking the block by
+// OnDataBatch performs a conventional access per event. It processes the
+// block with direct calls on the concrete controller, walking the block by
 // pointer — the devirtualized inner loop of batched delivery, live and
 // replayed (see core.IController.OnFetchBatch).
 func (d *OriginalD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
-		fullDataAccess(d.Cache, d.Stats, &evs[i])
+		ev := &evs[i]
+		countMix(d.Stats, ev.Store)
+		conventional(d.Cache, d.Stats, ev)
 	}
 }
 
@@ -45,42 +55,49 @@ func NewOriginalD(geo cache.Config) *OriginalD {
 	return &OriginalD{Cache: cache.New(geo), Stats: &stats.Counters{}}
 }
 
-// fullDataAccess is the conventional D-cache access shared by baselines.
-// It returns the way that holds the line afterwards.
-func fullDataAccess(c *cache.Cache, s *stats.Counters, ev *trace.DataEvent) int {
+// countMix counts one data access in the access mix.
+func countMix(s *stats.Counters, store bool) {
 	s.Accesses++
-	if ev.Store {
+	if store {
 		s.Stores++
 	} else {
 		s.Loads++
 	}
+}
+
+// conventional does the array work of a conventional D-cache access,
+// shared by the baselines: every tag way is read; a load reads every data
+// way, a store writes the one matching way through the write-back buffer.
+// It returns the way that holds the line afterwards.
+func conventional(c *cache.Cache, s *stats.Counters, ev *trace.DataEvent) int {
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways
-	way, hit := c.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-		if !ev.Store {
-			s.WayReads += ways
-		}
-	} else {
-		s.Misses++
-		if !ev.Store {
-			s.WayReads += ways
-		}
-		var evc cache.Eviction
-		way, evc = c.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	c.Touch(ev.Addr, way)
 	if ev.Store {
 		s.WayWrites++
-		c.MarkDirty(ev.Addr, way)
+	} else {
+		s.WayReads += ways
 	}
+	way, _ := lookup(c, s, ev.Addr, ev.Store)
 	return way
+}
+
+// lookup runs one access to addr through c and counts its outcome: a hit,
+// or a miss whose refill writes one way and whose dirty victim is written
+// back. It returns the way that holds the line afterwards and whether the
+// access hit.
+func lookup(c *cache.Cache, s *stats.Counters, addr uint32, store bool) (int, bool) {
+	way, hit, ev := c.Access(addr, store)
+	if hit {
+		s.Hits++
+		return way, true
+	}
+	s.Misses++
+	s.Refills++
+	s.WayWrites++
+	if ev.Dirty {
+		s.WriteBacks++
+	}
+	return way, false
 }
 
 // OriginalI is the unmodified instruction cache.
@@ -116,26 +133,13 @@ func (i *OriginalI) fetch(ev *trace.FetchEvent) {
 	fullFetch(i.Cache, i.Stats, ev)
 }
 
-// fullFetch is the conventional I-cache access shared by baselines; it
-// returns the way holding the line.
+// fullFetch is the conventional I-cache access shared by baselines: every
+// tag and data way activates. It returns the way holding the line.
 func fullFetch(c *cache.Cache, s *stats.Counters, ev *trace.FetchEvent) int {
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways
 	s.WayReads += ways
-	way, hit := c.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
-		var evc cache.Eviction
-		way, evc = c.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	c.Touch(ev.Addr, way)
+	way, _ := lookup(c, s, ev.Addr, false)
 	return way
 }
 
@@ -332,15 +336,11 @@ func NewSetBufferD(geo cache.Config) *SetBufferD {
 }
 
 // access serves one access from the buffer or the cache, counting its
-// outcome.
+// outcome; Counts derives the array activity, overwriting the way write
+// lookup counts for a refill.
 func (b *SetBufferD) access(ev *trace.DataEvent) {
 	s := b.Stats
-	s.Accesses++
-	if ev.Store {
-		s.Stores++
-	} else {
-		s.Loads++
-	}
+	countMix(s, ev.Store)
 	if w, ok := b.buf.serve(ev.Addr, ev.Store); ok {
 		s.Hits++
 		b.Cache.Touch(ev.Addr, w)
@@ -349,15 +349,6 @@ func (b *SetBufferD) access(ev *trace.DataEvent) {
 		}
 		return
 	}
-	way, hit, evc := b.Cache.Access(ev.Addr, ev.Store)
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
-		s.Refills++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
+	way, _ := lookup(b.Cache, s, ev.Addr, ev.Store)
 	b.buf.relatch(ev.Addr, ev.Store, way)
 }

@@ -17,8 +17,8 @@ import (
 //     ways and costs an extra cycle.
 //   - MaLinksI [11]: way memoization with per-line sequential and branch
 //     links (two extra bits read per access, link invalidation on refill).
-//   - LineBufferD [13]: a single line buffer in front of the cache (an
-//     extra cycle on buffer misses, per Su & Despain).
+//   - LineBufferD [13]: the LineBuffer rule, a single line buffer in front
+//     of the cache (an extra cycle on buffer misses, per Su & Despain).
 
 // FilterCacheD is the L0 filter cache of Kin et al. [6].
 type FilterCacheD struct {
@@ -44,64 +44,29 @@ func NewFilterCacheD(l0, l1 cache.Config) *FilterCacheD {
 }
 
 // access serves the access from L0 when possible; an L0 miss costs one
-// extra cycle (ExtraCycles) and a full L1 access.
+// extra cycle (ExtraCycles) and a conventional L1 access, and fills the
+// line into L0.
 func (f *FilterCacheD) access(ev *trace.DataEvent) {
 	s := f.Stats
-	s.Accesses++
-	if ev.Store {
-		s.Stores++
-	} else {
-		s.Loads++
-	}
+	countMix(s, ev.Store)
 	// The L0 is direct-mapped-small: model its access as a buffer access.
+	// A store dirties its L0 line, hit or fill.
 	s.BufReads++
-	if way, hit := f.L0.Lookup(ev.Addr); hit {
+	_, hit, l0ev := f.L0.Access(ev.Addr, ev.Store)
+	if hit {
 		s.BufHits++
 		s.Hits++
-		f.L0.Touch(ev.Addr, way)
 		if ev.Store {
-			f.L0.MarkDirty(ev.Addr, way)
 			s.BufWrites++
 		}
 		return
 	}
-	// L0 miss: one penalty cycle, then the L1 access (conventional), then
-	// the line is filled into L0.
 	s.ExtraCycles++
-	ways := uint64(f.L1.Config().Ways)
-	s.TagReads += ways
-	way, hit := f.L1.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-		if !ev.Store {
-			s.WayReads += ways
-		}
-	} else {
-		s.Misses++
-		if !ev.Store {
-			s.WayReads += ways
-		}
-		var evc cache.Eviction
-		way, evc = f.L1.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	f.L1.Touch(ev.Addr, way)
-	if ev.Store {
-		s.WayWrites++
-		f.L1.MarkDirty(ev.Addr, way)
-	}
-	_, l0ev := f.L0.Fill(ev.Addr)
+	conventional(f.L1, s, ev)
 	s.BufWrites++
 	if l0ev.Dirty {
 		// Dirty L0 victim writes through to its L1 way.
 		s.WayWrites++
-	}
-	if ev.Store {
-		f.L0.MarkDirty(ev.Addr, 0)
 	}
 }
 
@@ -131,34 +96,14 @@ func NewTwoPhaseD(geo cache.Config) *TwoPhaseD {
 // access performs a phased access.
 func (t *TwoPhaseD) access(ev *trace.DataEvent) {
 	s := t.Stats
-	s.Accesses++
-	if ev.Store {
-		s.Stores++
-	} else {
-		s.Loads++
-	}
+	countMix(s, ev.Store)
 	s.ExtraCycles++ // serialized tag phase
 	s.TagReads += uint64(t.Cache.Config().Ways)
-	way, hit := t.Cache.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-		if !ev.Store {
-			s.WayReads++ // single way in phase two
-		}
-	} else {
-		s.Misses++
-		var evc cache.Eviction
-		way, evc = t.Cache.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	t.Cache.Touch(ev.Addr, way)
 	if ev.Store {
 		s.WayWrites++
-		t.Cache.MarkDirty(ev.Addr, way)
+	}
+	if _, hit := lookup(t.Cache, s, ev.Addr, ev.Store); hit && !ev.Store {
+		s.WayReads++ // single way in phase two
 	}
 }
 
@@ -216,20 +161,7 @@ func (w *WayPredictI) fetch(ev *trace.FetchEvent) {
 	s.ExtraCycles++
 	s.TagReads += uint64(geo.Ways - 1)
 	s.WayReads += uint64(geo.Ways - 1)
-	way, hit := w.Cache.Lookup(ev.Addr)
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
-		var evc cache.Eviction
-		way, evc = w.Cache.Fill(ev.Addr)
-		s.Refills++
-		s.WayWrites++
-		if evc.Dirty {
-			s.WriteBacks++
-		}
-	}
-	w.Cache.Touch(ev.Addr, way)
+	way, _ := lookup(w.Cache, s, ev.Addr, false)
 	w.mru[set] = int32(way)
 }
 
@@ -364,83 +296,123 @@ func (m *MaLinksI) fetch(ev *trace.FetchEvent) {
 	m.havePrev = true
 }
 
-// LineBufferD is the single line buffer of Su & Despain [13]: accesses to
-// the most recently touched line are served from the buffer; a buffer miss
-// costs one extra cycle before the main cache access.
+// LineBuffer is the rule of Su & Despain's line buffer [13]: a buffer
+// holding the most recently accessed line. An access to the buffered line
+// is served from the buffer: no cache tag or way activates, and a store
+// writes the buffer, write-back style. Any other access misses the buffer
+// and runs on the cache; then a dirty buffered line flushes to its way and
+// the buffer latches the accessed line.
+//
+// The buffer holds only a line its cache holds, in the same way: it
+// latches from the cache after a buffer miss, and only a buffer miss can
+// change what the cache holds (every eviction comes from a cache miss),
+// so the latched line stays resident until the next buffer miss replaces
+// it. A buffer hit is therefore a cache hit in the buffered way, and the
+// buffer needs no eviction hook. Two hosts run the rule: LineBufferD over
+// a conventional cache access, and core.DLineBufferController over a
+// way-memoized one.
+type LineBuffer struct {
+	c       *cache.Cache
+	offBits uint
+
+	valid, dirty bool
+	line         uint32 // the buffered line's address >> offBits
+	way          int
+
+	// hits counts buffer hits, storeHits the stores among them, flushes
+	// the dirty lines written back to their ways, and latches the lines
+	// copied into the buffer.
+	hits, storeHits, flushes, latches uint64
+}
+
+// NewLineBuffer returns an empty line buffer over c.
+func NewLineBuffer(c *cache.Cache) LineBuffer {
+	return LineBuffer{c: c, offBits: uint(c.Config().OffsetBits())}
+}
+
+// Serve serves an access to addr from the buffer when the buffer holds its
+// line, and reports whether it did. The access touches the line in the
+// cache, as every access must to keep the cache's LRU order; a store also
+// dirties the buffered line and marks the cache's line dirty, which is
+// what the buffer's later flush will make true.
+func (b *LineBuffer) Serve(addr uint32, store bool) bool {
+	if !b.valid || addr>>(b.offBits&31) != b.line {
+		return false
+	}
+	b.hits++
+	b.c.Touch(addr, b.way)
+	if store {
+		b.storeHits++
+		b.dirty = true
+		b.c.MarkDirty(addr, b.way)
+	}
+	return true
+}
+
+// Latch ends a buffer miss whose cache access left addr's line in way: a
+// dirty buffered line flushes to its way, and the buffer latches addr's
+// line, dirty when the access was a store.
+func (b *LineBuffer) Latch(addr uint32, store bool, way int) {
+	if b.dirty {
+		b.flushes++
+	}
+	b.valid, b.line, b.way, b.dirty = true, addr>>(b.offBits&31), way, store
+	b.latches++
+}
+
+// Counts adds the buffer hits to s, which holds the counts of the accesses
+// the buffer missed, and writes the buffer's own activity. A buffer hit
+// is a cache hit that activates no tag or way; a flushed line is one way
+// write. Every access reads the buffer, and a store hit and every latch
+// write it.
+func (b *LineBuffer) Counts(s *stats.Counters) {
+	s.Accesses += b.hits
+	s.Loads += b.hits - b.storeHits
+	s.Stores += b.storeHits
+	s.Hits += b.hits
+	s.WayWrites += b.flushes
+	s.BufReads = s.Accesses
+	s.BufHits = b.hits
+	s.BufWrites = b.storeHits + b.latches
+}
+
+// LineBufferD is the single line buffer of Su & Despain [13], the
+// LineBuffer rule in front of a conventional D-cache: a buffer miss costs
+// one extra cycle before the cache access.
 type LineBufferD struct {
 	Cache *cache.Cache
 	Stats *stats.Counters
 
-	bufValid bool
-	bufLine  uint32
-	bufDirty bool
-	bufWay   int
+	buf    LineBuffer
+	missed stats.Counters // the accesses the buffer missed
 }
 
 var _ trace.DataSink = (*LineBufferD)(nil)
 
 // OnDataBatch processes one block with direct calls on the concrete
-// controller, walking the block by pointer.
+// controller, walking the block by pointer, then derives Stats.
 func (b *LineBufferD) OnDataBatch(evs []trace.DataEvent) {
 	for i := range evs {
 		b.access(&evs[i])
 	}
+	*b.Stats = b.missed
+	b.buf.Counts(b.Stats)
 }
 
 // NewLineBufferD builds the line-buffer controller.
 func NewLineBufferD(geo cache.Config) *LineBufferD {
-	b := &LineBufferD{Cache: cache.New(geo), Stats: &stats.Counters{}}
-	b.Cache.OnEvict = func(ev cache.Eviction) {
-		if b.bufValid && b.Cache.Config().Set(b.bufLine) == ev.Set &&
-			b.Cache.Config().Tag(b.bufLine) == ev.Tag {
-			b.bufValid = false
-			b.bufDirty = false
-		}
-	}
-	return b
+	c := cache.New(geo)
+	return &LineBufferD{Cache: c, Stats: &stats.Counters{}, buf: NewLineBuffer(c)}
 }
 
-// access serves same-line accesses from the buffer.
+// access serves the access from the buffer, or else pays [13]'s extra
+// cycle, runs it conventionally and re-latches.
 func (b *LineBufferD) access(ev *trace.DataEvent) {
-	s := b.Stats
-	geo := b.Cache.Config()
-	line := geo.LineAddr(ev.Addr)
-	s.Accesses++
-	if ev.Store {
-		s.Stores++
-	} else {
-		s.Loads++
-	}
-	s.BufReads++
-	if b.bufValid && line == b.bufLine {
-		s.BufHits++
-		s.Hits++
-		b.Cache.Touch(ev.Addr, b.bufWay)
-		if ev.Store {
-			s.BufWrites++
-			b.bufDirty = true
-			b.Cache.MarkDirty(ev.Addr, b.bufWay)
-		}
+	if b.buf.Serve(ev.Addr, ev.Store) {
 		return
 	}
-	// Buffer miss: extra cycle ([13]'s documented performance cost), flush
-	// the dirty buffered line, then a conventional access and re-latch.
+	s := &b.missed
+	countMix(s, ev.Store)
 	s.ExtraCycles++
-	if b.bufValid && b.bufDirty {
-		s.WayWrites++
-		b.bufDirty = false
-	}
-	way := fullDataAccess(b.Cache, s, ev)
-	b.bufValid = true
-	b.bufLine = line
-	b.bufWay = way
-	b.bufDirty = ev.Store
-	s.BufWrites++
-	// Counter fixup: fullDataAccess already counted this access.
-	s.Accesses--
-	if ev.Store {
-		s.Stores--
-	} else {
-		s.Loads--
-	}
+	b.buf.Latch(ev.Addr, ev.Store, conventional(b.Cache, s, ev))
 }

@@ -36,6 +36,25 @@ func TestFilterCacheDirtyWriteThrough(t *testing.T) {
 	}
 }
 
+// TestFilterCacheStoreDirtiesFilledWay: a store that misses a 2-way L0
+// dirties the L0 way its line fills, so each dirty victim writes through
+// to L1 once, and a clean one not at all.
+func TestFilterCacheStoreDirtiesFilledWay(t *testing.T) {
+	f := NewFilterCacheD(cache.Config{Sets: 1, Ways: 2, LineBytes: 32}, geo)
+	onData(f, dataEv(0x1000, true)) // L0 way 0, dirty
+	onData(f, dataEv(0x2000, true)) // L0 way 1, dirty
+	ww := f.Stats.WayWrites
+	onData(f, dataEv(0x3000, false)) // displaces 0x1000: refill + write-through
+	onData(f, dataEv(0x4000, false)) // displaces 0x2000: refill + write-through
+	if got := f.Stats.WayWrites - ww; got != 4 {
+		t.Fatalf("way writes over two dirty L0 victims = %d, want 4", got)
+	}
+	onData(f, dataEv(0x5000, false)) // displaces clean 0x3000: refill only
+	if got := f.Stats.WayWrites - ww; got != 5 {
+		t.Fatalf("way writes after a clean L0 victim = %d, want 5", got)
+	}
+}
+
 func TestTwoPhaseSingleWay(t *testing.T) {
 	p := NewTwoPhaseD(geo)
 	onData(p, dataEv(0x1000, false)) // miss
@@ -207,18 +226,6 @@ func TestLineBufferD(t *testing.T) {
 	onData(b, dataEv(0x2000, false)) // dirty buffer flushes
 	if s.WayWrites != ww+1+1 {
 		t.Fatalf("flush: %d -> %d", ww, s.WayWrites)
-	}
-}
-
-func TestLineBufferEvictCoherence(t *testing.T) {
-	small := cache.Config{Sets: 2, Ways: 1, LineBytes: 32}
-	b := NewLineBufferD(small)
-	onData(b, dataEv(0x00, false))
-	onData(b, dataEv(0x40, false)) // evicts 0x00 and its buffered copy
-	hits := b.Stats.BufHits
-	onData(b, dataEv(0x04, false))
-	if b.Stats.BufHits != hits {
-		t.Fatal("buffer served an evicted line")
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"waymemo/internal/baseline"
 	"waymemo/internal/cache"
+	"waymemo/internal/stats"
 	"waymemo/internal/trace"
 )
 
@@ -81,5 +84,83 @@ func TestLineBufferComboInvariant(t *testing.T) {
 	}
 	if combo.Stats.BufHits == 0 {
 		t.Fatal("no buffer hits")
+	}
+}
+
+// TestLineBufferHitsAreCacheHits feeds random streams on small caches to
+// both hosts of a line buffer, baseline.LineBufferD and the combination,
+// and to a conventional baseline.OriginalD. A buffer may only serve a line
+// its cache holds, in the way the cache holds it: every buffer hit must be
+// a hit of the conventional cache, in the way that cache holds the line,
+// and after every access each host's cache must hold the same line in
+// every frame, with the same hits, misses and write-backs, as the
+// conventional one. A stale buffer entry, or a hit that touches or
+// dirties another way, breaks one of these within a few accesses.
+func TestLineBufferHitsAreCacheHits(t *testing.T) {
+	for seed := range 200 {
+		r := rand.New(rand.NewSource(int64(seed)))
+		g := cache.Config{Sets: 1 << r.Intn(3), Ways: 1 << r.Intn(3), LineBytes: 16}
+		cfg := Config{TagEntries: 1 + r.Intn(2), SetEntries: 1 << r.Intn(3),
+			Consistency: Policy(r.Intn(2)), Clear: ClearMode(r.Intn(4))}
+		what := fmt.Sprintf("seed %d %v %v", seed, g, cfg)
+		orig := baseline.NewOriginalD(g)
+		lb := baseline.NewLineBufferD(g)
+		combo := NewDLineBufferController(g, cfg)
+		hosts := []struct {
+			name  string
+			sink  trace.DataSink
+			c     *cache.Cache
+			stats *stats.Counters
+		}{{"line buffer", lb, lb.Cache, lb.Stats}, {"MAB + line buffer", combo, combo.Cache, combo.Stats}}
+
+		// Lines from a pool twice the cache's size, so lines are evicted
+		// while the buffer may hold them; half the accesses stay in the
+		// previous line, and a few bypass the MAB.
+		lines := 2 * g.Sets * g.Ways
+		var prev trace.DataEvent
+		for i := range 3000 {
+			ev := prev
+			if i == 0 || r.Intn(2) == 0 {
+				base := uint32(0x1000 + 16*r.Intn(lines))
+				disp := int32(4 * r.Intn(4))
+				if r.Intn(10) == 0 {
+					base, disp = base-1<<16, 1<<16+disp
+				}
+				ev = trace.DataEvent{Addr: base + uint32(disp), Base: base, Disp: disp, Size: 4}
+			} else {
+				ev.Addr = ev.Addr&^15 | uint32(4*r.Intn(4))
+				ev.Disp = int32(ev.Addr - ev.Base)
+			}
+			ev.Store = r.Intn(3) == 0
+			prev = ev
+
+			way, hit := orig.Cache.Lookup(ev.Addr)
+			onData(orig, ev)
+			for _, h := range hosts {
+				bufHits := h.stats.BufHits
+				hw, _ := h.c.Lookup(ev.Addr)
+				onData(h.sink, ev)
+				if h.stats.BufHits != bufHits && (!hit || hw != way) {
+					t.Fatalf("%s access %d: %s buffer hit on %#x, conventional cache hit %v in way %d, host way %d",
+						what, i, h.name, ev.Addr, hit, way, hw)
+				}
+				if got, want := outcomeOf(h.stats), outcomeOf(orig.Stats); got != want {
+					t.Fatalf("%s access %d: %s %+v, conventional %+v", what, i, h.name, got, want)
+				}
+				for set := range uint32(g.Sets) {
+					for w := range g.Ways {
+						gt, gv := h.c.TagAt(set, w)
+						wt, wv := orig.Cache.TagAt(set, w)
+						if gv != wv || gv && gt != wt {
+							t.Fatalf("%s access %d: %s set %d way %d holds %#x/%v, conventional %#x/%v",
+								what, i, h.name, set, w, gt, gv, wt, wv)
+						}
+					}
+				}
+			}
+		}
+		if lb.Stats.BufHits == 0 || combo.Stats.BufHits == 0 {
+			t.Fatalf("%s: no buffer hits", what)
+		}
 	}
 }

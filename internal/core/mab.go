@@ -55,9 +55,10 @@ const (
 	PolicyEvictInvalidate Policy = iota
 	// PolicyPaper relies solely on the paper's LRU argument and the
 	// large-displacement clearing rule. The controllers detect and count
-	// (rare) violations of MAB ⊆ cache under this policy; see DESIGN.md for
-	// a concrete interleaving that triggers one when the number of tag
-	// entries equals the number of cache ways.
+	// (rare) violations of MAB ⊆ cache under this policy;
+	// TestPaperPolicyViolationScenario replays a concrete interleaving that
+	// triggers one when the number of tag entries equals the number of
+	// cache ways.
 	PolicyPaper
 )
 
@@ -403,8 +404,8 @@ func (m *MAB) OnBypass() {
 	}
 }
 
-// OnEviction clears pairs that denote the evicted line. Wired to
-// cache.Cache.OnEvict under PolicyEvictInvalidate.
+// OnEviction clears pairs that denote the evicted line. The controllers
+// call it for every line a miss displaces under PolicyEvictInvalidate.
 func (m *MAB) OnEviction(ev cache.Eviction) {
 	j := int(m.setSlot[ev.Set])
 	if j < 0 {

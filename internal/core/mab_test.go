@@ -211,8 +211,8 @@ func TestNegativeDisplacementBorrow(t *testing.T) {
 	}
 }
 
-// TestPaperPolicyViolationScenario reproduces the interleaving described in
-// DESIGN.md: with Nt equal to the cache associativity, the paper's pure LRU
+// TestPaperPolicyViolationScenario reproduces an interleaving in which,
+// with Nt equal to the cache associativity, the paper's pure LRU
 // rules let a valid MAB pair outlive its cache line. The sound policy
 // (evict-invalidate) keeps the invariant.
 func TestPaperPolicyViolationScenario(t *testing.T) {

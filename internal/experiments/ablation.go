@@ -18,7 +18,7 @@ import (
 // This file holds the studies beyond the paper's published figures: the
 // related-work techniques of its Section 2 run on the same streams, the
 // MAB+line-buffer combination the conclusion announces, the consistency
-// policy comparison motivated by the §3.3 analysis (see DESIGN.md), and a
+// policy comparison motivated by the §3.3 analysis (see core.Policy), and a
 // fetch-packet-width sensitivity study.
 //
 // Each study expresses its one-off configurations as ad hoc suite.Technique

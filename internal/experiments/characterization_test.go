@@ -7,7 +7,7 @@ import (
 // Per-benchmark characterization: pins the measured MAB behaviour into
 // bands so regressions in the workloads, the simulator or the MAB itself
 // surface immediately. Bounds are deliberately loose (the exact numbers
-// live in EXPERIMENTS.md); ordering facts come from the paper.
+// are in `wmx -exp report`); ordering facts come from the paper.
 func TestPerBenchmarkMABHitRates(t *testing.T) {
 	r := getSuite(t)
 	// D-cache MAB (2x8) hit-rate floors. compress carries a dictionary

@@ -8,9 +8,9 @@ import (
 	"waymemo/internal/synth"
 )
 
-// WriteMarkdown emits EXPERIMENTS.md: for every table and figure of the
-// paper, the published target next to the measured reproduction. The file
-// checked into the repository is generated by `wmx -exp report`.
+// WriteMarkdown emits the experiments report that `wmx -exp report`
+// prints: for every table and figure of the paper, the published target
+// next to the measured reproduction.
 func WriteMarkdown(w io.Writer, r *Results, ablD, ablI []AblationRow,
 	cons []ConsistencyRow, packet []PacketRow) {
 

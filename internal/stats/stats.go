@@ -34,7 +34,8 @@ type Counters struct {
 	MABUpdates  uint64
 
 	// Violations counts MAB hits whose memoized way no longer held the line
-	// (possible only under the pure paper consistency rules; see DESIGN.md).
+	// (possible only under the pure paper consistency rules, core.PolicyPaper;
+	// see ARCHITECTURE.md, "One cache per grid point").
 	Violations uint64
 
 	// Instruction-flow classification (I-cache only), indexed by
