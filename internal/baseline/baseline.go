@@ -20,8 +20,7 @@
 //
 // Every model counts its conventional accesses with the same helpers:
 // countMix for the access mix, conventional (data) and fullFetch (fetch)
-// for the array work, and under both lookup for the cache outcome and a
-// miss's refill.
+// for the array work, and refill for a miss.
 package baseline
 
 import (
@@ -72,32 +71,33 @@ func countMix(s *stats.Counters, store bool) {
 func conventional(c *cache.Cache, s *stats.Counters, ev *trace.DataEvent) int {
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways
+	way, hit := c.Lookup(ev.Addr)
+	if hit {
+		s.Hits++
+	} else {
+		way = refill(c, s, ev.Addr)
+	}
+	c.Touch(ev.Addr, way)
 	if ev.Store {
 		s.WayWrites++
+		c.MarkDirty(ev.Addr, way)
 	} else {
 		s.WayReads += ways
 	}
-	way, _ := lookup(c, s, ev.Addr, ev.Store)
 	return way
 }
 
-// lookup runs one access to addr through c and counts its outcome: a hit,
-// or a miss whose refill writes one way and whose dirty victim is written
-// back. It returns the way that holds the line afterwards and whether the
-// access hit.
-func lookup(c *cache.Cache, s *stats.Counters, addr uint32, store bool) (int, bool) {
-	way, hit, ev := c.Access(addr, store)
-	if hit {
-		s.Hits++
-		return way, true
-	}
+// refill counts a miss and fills addr's line into c: the refill writes one
+// way, and a dirty victim is written back. It returns the filled way.
+func refill(c *cache.Cache, s *stats.Counters, addr uint32) int {
 	s.Misses++
+	way, ev := c.Fill(addr)
 	s.Refills++
 	s.WayWrites++
 	if ev.Dirty {
 		s.WriteBacks++
 	}
-	return way, false
+	return way
 }
 
 // OriginalI is the unmodified instruction cache.
@@ -139,7 +139,13 @@ func fullFetch(c *cache.Cache, s *stats.Counters, ev *trace.FetchEvent) int {
 	ways := uint64(c.Config().Ways)
 	s.TagReads += ways
 	s.WayReads += ways
-	way, _ := lookup(c, s, ev.Addr, false)
+	way, hit := c.Lookup(ev.Addr)
+	if hit {
+		s.Hits++
+	} else {
+		way = refill(c, s, ev.Addr)
+	}
+	c.Touch(ev.Addr, way)
 	return way
 }
 
@@ -336,8 +342,8 @@ func NewSetBufferD(geo cache.Config) *SetBufferD {
 }
 
 // access serves one access from the buffer or the cache, counting its
-// outcome; Counts derives the array activity, overwriting the way write
-// lookup counts for a refill.
+// outcome. Counts derives the array activity, so it overwrites what
+// conventional counts.
 func (b *SetBufferD) access(ev *trace.DataEvent) {
 	s := b.Stats
 	countMix(s, ev.Store)
@@ -349,6 +355,5 @@ func (b *SetBufferD) access(ev *trace.DataEvent) {
 		}
 		return
 	}
-	way, _ := lookup(b.Cache, s, ev.Addr, ev.Store)
-	b.buf.relatch(ev.Addr, ev.Store, way)
+	b.buf.relatch(ev.Addr, ev.Store, conventional(b.Cache, s, ev))
 }

@@ -50,23 +50,27 @@ func (f *FilterCacheD) access(ev *trace.DataEvent) {
 	s := f.Stats
 	countMix(s, ev.Store)
 	// The L0 is direct-mapped-small: model its access as a buffer access.
-	// A store dirties its L0 line, hit or fill.
 	s.BufReads++
-	_, hit, l0ev := f.L0.Access(ev.Addr, ev.Store)
-	if hit {
+	if way, hit := f.L0.Lookup(ev.Addr); hit {
 		s.BufHits++
 		s.Hits++
+		f.L0.Touch(ev.Addr, way)
 		if ev.Store {
+			f.L0.MarkDirty(ev.Addr, way)
 			s.BufWrites++
 		}
 		return
 	}
 	s.ExtraCycles++
 	conventional(f.L1, s, ev)
+	way, l0ev := f.L0.Fill(ev.Addr)
 	s.BufWrites++
 	if l0ev.Dirty {
 		// Dirty L0 victim writes through to its L1 way.
 		s.WayWrites++
+	}
+	if ev.Store {
+		f.L0.MarkDirty(ev.Addr, way)
 	}
 }
 
@@ -99,11 +103,19 @@ func (t *TwoPhaseD) access(ev *trace.DataEvent) {
 	countMix(s, ev.Store)
 	s.ExtraCycles++ // serialized tag phase
 	s.TagReads += uint64(t.Cache.Config().Ways)
+	way, hit := t.Cache.Lookup(ev.Addr)
+	if hit {
+		s.Hits++
+		if !ev.Store {
+			s.WayReads++ // single way in phase two
+		}
+	} else {
+		way = refill(t.Cache, s, ev.Addr)
+	}
+	t.Cache.Touch(ev.Addr, way)
 	if ev.Store {
 		s.WayWrites++
-	}
-	if _, hit := lookup(t.Cache, s, ev.Addr, ev.Store); hit && !ev.Store {
-		s.WayReads++ // single way in phase two
+		t.Cache.MarkDirty(ev.Addr, way)
 	}
 }
 
@@ -161,7 +173,13 @@ func (w *WayPredictI) fetch(ev *trace.FetchEvent) {
 	s.ExtraCycles++
 	s.TagReads += uint64(geo.Ways - 1)
 	s.WayReads += uint64(geo.Ways - 1)
-	way, _ := lookup(w.Cache, s, ev.Addr, false)
+	way, hit := w.Cache.Lookup(ev.Addr)
+	if hit {
+		s.Hits++
+	} else {
+		way = refill(w.Cache, s, ev.Addr)
+	}
+	w.Cache.Touch(ev.Addr, way)
 	w.mru[set] = int32(way)
 }
 
@@ -312,7 +330,6 @@ func (m *MaLinksI) fetch(ev *trace.FetchEvent) {
 // a conventional cache access, and core.DLineBufferController over a
 // way-memoized one.
 type LineBuffer struct {
-	c       *cache.Cache
 	offBits uint
 
 	valid, dirty bool
@@ -325,28 +342,25 @@ type LineBuffer struct {
 	hits, storeHits, flushes, latches uint64
 }
 
-// NewLineBuffer returns an empty line buffer over c.
-func NewLineBuffer(c *cache.Cache) LineBuffer {
-	return LineBuffer{c: c, offBits: uint(c.Config().OffsetBits())}
+// NewLineBuffer returns an empty line buffer for a cache of geometry geo.
+func NewLineBuffer(geo cache.Config) LineBuffer {
+	return LineBuffer{offBits: uint(geo.OffsetBits())}
 }
 
-// Serve serves an access to addr from the buffer when the buffer holds its
-// line, and reports whether it did. The access touches the line in the
-// cache, as every access must to keep the cache's LRU order; a store also
-// dirties the buffered line and marks the cache's line dirty, which is
-// what the buffer's later flush will make true.
-func (b *LineBuffer) Serve(addr uint32, store bool) bool {
+// Hit reports whether the buffer holds addr's line, and in which way of
+// its cache; a store hit dirties the buffered line. The host touches the
+// cache's line, as every access must to keep the cache's LRU order, and
+// for a store marks it dirty, which the buffer's later flush makes true.
+func (b *LineBuffer) Hit(addr uint32, store bool) (int, bool) {
 	if !b.valid || addr>>(b.offBits&31) != b.line {
-		return false
+		return 0, false
 	}
 	b.hits++
-	b.c.Touch(addr, b.way)
 	if store {
 		b.storeHits++
 		b.dirty = true
-		b.c.MarkDirty(addr, b.way)
 	}
-	return true
+	return b.way, true
 }
 
 // Latch ends a buffer miss whose cache access left addr's line in way: a
@@ -401,14 +415,17 @@ func (b *LineBufferD) OnDataBatch(evs []trace.DataEvent) {
 
 // NewLineBufferD builds the line-buffer controller.
 func NewLineBufferD(geo cache.Config) *LineBufferD {
-	c := cache.New(geo)
-	return &LineBufferD{Cache: c, Stats: &stats.Counters{}, buf: NewLineBuffer(c)}
+	return &LineBufferD{Cache: cache.New(geo), Stats: &stats.Counters{}, buf: NewLineBuffer(geo)}
 }
 
 // access serves the access from the buffer, or else pays [13]'s extra
 // cycle, runs it conventionally and re-latches.
 func (b *LineBufferD) access(ev *trace.DataEvent) {
-	if b.buf.Serve(ev.Addr, ev.Store) {
+	if w, ok := b.buf.Hit(ev.Addr, ev.Store); ok {
+		b.Cache.Touch(ev.Addr, w)
+		if ev.Store {
+			b.Cache.MarkDirty(ev.Addr, w)
+		}
 		return
 	}
 	s := &b.missed

@@ -32,20 +32,26 @@ var _ trace.DataSink = (*DLineBufferController)(nil)
 // concrete controller, walking the block by pointer (see
 // IController.OnFetchBatch).
 func (d *DLineBufferController) OnDataBatch(evs []trace.DataEvent) {
+	c, buf, ls := d.Cache, &d.buf, &d.ls
 	for i := range evs {
 		ev := &evs[i]
-		if !d.buf.Serve(ev.Addr, ev.Store) {
-			d.buf.Latch(ev.Addr, ev.Store, d.ls.access(ev.Addr, ev.Base, ev.Disp, ev.Store, true))
+		if w, ok := buf.Hit(ev.Addr, ev.Store); ok {
+			c.Touch(ev.Addr, w)
+			if ev.Store {
+				c.MarkDirty(ev.Addr, w)
+			}
+			continue
 		}
+		buf.Latch(ev.Addr, ev.Store, ls.access(ev.Addr, ev.Base, ev.Disp, ev.Store, true))
 	}
 	d.sync()
 }
 
 // NewDLineBufferController builds the combined controller.
 func NewDLineBufferController(geo cache.Config, mcfg Config) *DLineBufferController {
-	d := &DLineBufferController{Stats: &stats.Counters{}, ls: newLaneSet(geo, []Config{mcfg}), ways: uint64(geo.Ways)}
+	d := &DLineBufferController{Stats: &stats.Counters{}, ls: newLaneSet(geo, []Config{mcfg}),
+		buf: baseline.NewLineBuffer(geo), ways: uint64(geo.Ways)}
 	d.Cache, d.MAB = d.ls.cache, d.ls.lanes[0].mab
-	d.buf = baseline.NewLineBuffer(d.Cache)
 	return d
 }
 
